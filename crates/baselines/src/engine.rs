@@ -7,8 +7,8 @@
 //! and no lifecycle model (the caller analyzes each entry separately).
 
 use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
-use flowdroid_core::wrappers::Pos;
-use flowdroid_core::{SourceSinkManager, TaintWrapper};
+use flowdroid_core::wrappers::{Pos, Rule};
+use flowdroid_core::{CallSites, SourceSinkManager, TaintWrapper};
 use flowdroid_ir::{
     FieldId, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef,
 };
@@ -93,6 +93,7 @@ impl<'a> SlotEngine<'a> {
         let program = self.program;
         let cg = CallGraph::build(program, &[entry], CgAlgorithm::Cha);
         let icfg = Icfg::new(program, &cg);
+        let sites = CallSites::build(&icfg, self.sources, self.wrapper);
         let mut tainted: HashSet<Slot> = HashSet::new();
         for &f in seed_statics {
             tainted.insert(Slot::Static(f));
@@ -103,7 +104,8 @@ impl<'a> SlotEngine<'a> {
             for &m in cg.reachable_methods() {
                 let Some(body) = program.method(m).body() else { continue };
                 for (idx, stmt) in body.stmts().iter().enumerate() {
-                    self.transfer(&icfg, StmtRef::new(m, idx), stmt, &mut tainted, &mut leaks);
+                    let at = StmtRef::new(m, idx);
+                    self.transfer(&icfg, &sites, at, stmt, &mut tainted, &mut leaks);
                 }
             }
             if tainted.len() == before {
@@ -137,6 +139,7 @@ impl<'a> SlotEngine<'a> {
     fn transfer(
         &self,
         icfg: &Icfg<'_>,
+        sites: &CallSites<'_>,
         at: StmtRef,
         stmt: &Stmt,
         tainted: &mut HashSet<Slot>,
@@ -162,9 +165,9 @@ impl<'a> SlotEngine<'a> {
                 }
             }
             Stmt::Invoke { result, call } => {
+                let site = sites.site(at);
                 // Sinks.
-                let sink_args = self.sources.sink_args(program, call);
-                for i in sink_args {
+                for &i in &site.roles.sink_args {
                     if let Some(Operand::Local(a)) = call.args.get(i) {
                         if tainted.contains(&Slot::Local(m, *a)) {
                             leaks.insert(at);
@@ -172,7 +175,7 @@ impl<'a> SlotEngine<'a> {
                     }
                 }
                 // Sources (return value).
-                if self.sources.is_source_call(program, call) {
+                if site.roles.source {
                     if let Some(r) = result {
                         tainted.insert(Slot::Local(m, *r));
                     }
@@ -182,7 +185,7 @@ impl<'a> SlotEngine<'a> {
                     TaintWrapper::pos_local(call, *result, pos)
                         .is_some_and(|l| tainted.contains(&Slot::Local(m, l)))
                 };
-                for pos in self.wrapper.apply(program, call, &covers) {
+                for pos in Rule::fire(&site.rules, covers) {
                     if let Some(l) = TaintWrapper::pos_local(call, *result, pos) {
                         tainted.insert(Slot::Local(m, l));
                     }
@@ -216,8 +219,8 @@ impl<'a> SlotEngine<'a> {
                 }
                 // Stub fallback: tainted receiver/arg taints the result.
                 if icfg.callees_of_call(at).is_empty()
-                    && !self.wrapper.has_rule(program, call)
-                    && !self.sources.is_source_call(program, call)
+                    && site.rules.is_empty()
+                    && !site.roles.source
                 {
                     let any = call.base.is_some_and(|b| tainted.contains(&Slot::Local(m, b)))
                         || call.args.iter().any(|a| Self::operand_tainted(m, a, tainted));

@@ -172,6 +172,26 @@ pub fn shared_platform_snapshot() -> &'static Arc<PlatformSnapshot> {
     SNAP.get_or_init(|| Arc::new(build_snapshot()))
 }
 
+/// The built-in Android source/sink list, parsed once per process.
+/// Apps with password fields get a private clone (see
+/// [`Infoflow::analyze_app`]); everything else borrows this one.
+fn android_sources() -> &'static SourceSinkManager {
+    static SOURCES: OnceLock<SourceSinkManager> = OnceLock::new();
+    SOURCES.get_or_init(SourceSinkManager::default_android)
+}
+
+/// The SecuriBench Micro source/sink list, parsed once per process.
+fn micro_sources() -> &'static SourceSinkManager {
+    static SOURCES: OnceLock<SourceSinkManager> = OnceLock::new();
+    SOURCES.get_or_init(|| SourceSinkManager::parse(MICRO_DEFS).expect("micro defs parse"))
+}
+
+/// The built-in wrapper rules, parsed once per process.
+fn default_wrapper() -> &'static TaintWrapper {
+    static WRAPPER: OnceLock<TaintWrapper> = OnceLock::new();
+    WRAPPER.get_or_init(TaintWrapper::default_rules)
+}
+
 /// A corpus job pre-lowered for the demand-driven frontend: the app's
 /// code encoded as an SDEX image (so method bodies have a byte index to
 /// defer to) plus the non-code artifacts, parsed once and cloned per
@@ -363,9 +383,7 @@ pub fn run_single(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
             let mut p = Program::new();
             let platform = install_platform(&mut p);
             let loaded = app.load(&mut p).expect("suite app parses");
-            let sources = SourceSinkManager::default_android();
-            let wrapper = TaintWrapper::default_rules();
-            let analysis = Infoflow::new(&sources, &wrapper, config)
+            let analysis = Infoflow::new(android_sources(), default_wrapper(), config)
                 .analyze_app(&mut p, &platform, &loaded, "corpus");
             let report = leak_report(&job.name, &analysis.results, &p);
             (analysis.results, report)
@@ -376,10 +394,9 @@ pub fn run_single(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
             let rt = ResourceTable::new();
             parse_jasm(&mut p, &rt, MICRO_ENV).expect("micro env parses");
             parse_jasm(&mut p, &rt, &case.code).expect("micro case parses");
-            let sources = SourceSinkManager::parse(MICRO_DEFS).expect("micro defs parse");
-            let wrapper = TaintWrapper::default_rules();
             let entry = p.find_method(&case.entry_class, "main").expect("micro entry");
-            let results = Infoflow::new(&sources, &wrapper, config).run(&p, &[entry]);
+            let infoflow = Infoflow::new(micro_sources(), default_wrapper(), config);
+            let results = infoflow.run(&p, &[entry]);
             let report = leak_report(&job.name, &results, &p);
             (results, report)
         }
@@ -390,9 +407,7 @@ pub fn run_single(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
                 layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
             let loaded =
                 App::from_parts(&mut p, manifest, &refs, code).expect("external app parses");
-            let sources = SourceSinkManager::default_android();
-            let wrapper = TaintWrapper::default_rules();
-            let analysis = Infoflow::new(&sources, &wrapper, config)
+            let analysis = Infoflow::new(android_sources(), default_wrapper(), config)
                 .analyze_app(&mut p, &platform, &loaded, "corpus");
             let report = leak_report(&job.name, &analysis.results, &p);
             (analysis.results, report)
@@ -455,9 +470,7 @@ fn run_single_lazy_impl(
                 resources: resources.clone(),
                 classes,
             };
-            let sources = SourceSinkManager::default_android();
-            let wrapper = TaintWrapper::default_rules();
-            let infoflow = Infoflow::new(&sources, &wrapper, config);
+            let infoflow = Infoflow::new(android_sources(), default_wrapper(), config);
             let analysis = match cg_cache {
                 Some(cache) => {
                     let (analysis, hit) = infoflow.analyze_app_cached(
@@ -479,10 +492,8 @@ fn run_single_lazy_impl(
         }
         Prepared::Micro { sdex, entry_class } => {
             sdex::decode_lazy(&mut p, sdex.clone()).expect("prepared sdex image loads");
-            let sources = SourceSinkManager::parse(MICRO_DEFS).expect("micro defs parse");
-            let wrapper = TaintWrapper::default_rules();
             let entry = p.find_method(entry_class, "main").expect("micro entry");
-            let infoflow = Infoflow::new(&sources, &wrapper, config);
+            let infoflow = Infoflow::new(micro_sources(), default_wrapper(), config);
             let results = match cg_cache {
                 Some(cache) => {
                     let (results, hit) = infoflow.run_demand_cached(

@@ -5,6 +5,7 @@
 
 use flowdroid_android::{generate_dummy_main, install_platform, CallbackAssociation, EntryPointModel};
 use flowdroid_bench::driver::{corpus_report, droidbench_corpus, run_corpus};
+use flowdroid_bench::{external_job, run_single};
 use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
 use flowdroid_core::InfoflowConfig;
 use flowdroid_droidbench::all_apps;
@@ -117,6 +118,64 @@ fn bitset_tables_report_identical_to_hash_tables() {
             "hash-table run unexpectedly reported density counters"
         );
     }
+}
+
+/// A single-activity app whose `onCreate` carries the IMEI down a heap
+/// chain of `k` boxes to one log sink: every box `x_i` is allocated and
+/// aliased (`a_i = x_i`) up front, then `x_i.f = t_i; t_{i+1} = a_i.f`
+/// runs down the chain, so every store starts a backward alias search
+/// past all the allocations and activation statements decide each read
+/// through the alias.
+fn alias_chain_code(k: usize) -> String {
+    let mut code = String::from(
+        "class chain.Box extends java.lang.Object {\n  field f: java.lang.String\n  \
+         method <init>() -> void {\n    return\n  }\n}\n\
+         class chain.Main extends android.app.Activity {\n  \
+         method onCreate(b: android.os.Bundle) -> void {\n    \
+         let o: java.lang.Object\n    let tm: android.telephony.TelephonyManager\n",
+    );
+    for i in 0..=k {
+        code += &format!("    let t{i}: java.lang.String\n");
+    }
+    for i in 0..k {
+        code += &format!("    let x{i}: chain.Box\n    let a{i}: chain.Box\n");
+    }
+    code += "    o = virtualinvoke this.<android.content.Context: java.lang.Object \
+             getSystemService(java.lang.String)>(\"phone\")\n    \
+             tm = (android.telephony.TelephonyManager) o\n    \
+             t0 = virtualinvoke tm.<android.telephony.TelephonyManager: \
+             java.lang.String getDeviceId()>()\n";
+    for i in 0..k {
+        code += &format!(
+            "    x{i} = new chain.Box\n    specialinvoke x{i}.<chain.Box: void <init>()>()\n    \
+             a{i} = x{i}\n"
+        );
+    }
+    for i in 0..k {
+        code += &format!("    x{i}.f = t{i}\n    t{} = a{i}.f\n", i + 1);
+    }
+    code += "    staticinvoke <android.util.Log: int i(java.lang.String,java.lang.String)>";
+    code += &format!("(\"T\", t{k})\n    return\n  }}\n}}\n");
+    code
+}
+
+/// The alias-heavy chain shape (`k = 20`): the parallel taint engine at
+/// 4 workers reports byte-for-byte what the sequential solver reports,
+/// with the same forward and backward propagation counts.
+#[test]
+fn parallel_taint_engine_matches_sequential_on_alias_chain() {
+    let manifest = "<manifest package=\"chain\">\n  <application>\n    \
+        <activity android:name=\".Main\">\n      <intent-filter><action \
+        android:name=\"android.intent.action.MAIN\"/></intent-filter>\n    \
+        </activity>\n  </application>\n</manifest>";
+    let job = external_job("chain/alias-20".into(), manifest.into(), vec![], alias_chain_code(20));
+    let sequential = run_single(&job, &InfoflowConfig::default());
+    assert_eq!(sequential.leaks, 1, "{}", sequential.report);
+    assert!(sequential.backward_propagations > 0, "the chain must exercise the alias search");
+    let parallel = run_single(&job, &InfoflowConfig::default().with_taint_threads(4));
+    assert_eq!(parallel.report, sequential.report);
+    assert_eq!(parallel.forward_propagations, sequential.forward_propagations);
+    assert_eq!(parallel.backward_propagations, sequential.backward_propagations);
 }
 
 /// Fact for [`DefinedLocals`]: `None` is zero, `Some(l)` means local

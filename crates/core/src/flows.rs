@@ -8,12 +8,14 @@
 //! only mutable state is the caller-supplied [`ReachCache`], a memo
 //! table over the immutable call graph that each engine (or worker
 //! thread) owns privately.
+//! Signature matching (roles and wrapper rules, paper §5) happens once
+//! per call site when the solve starts, in [`CallSites`].
 
 use crate::access_path::{AccessPath, ApBase};
 use crate::config::InfoflowConfig;
-use crate::sourcesink::SourceSinkManager;
+use crate::sourcesink::{CallRoles, SourceSinkManager};
 use crate::taint::{Fact, Taint};
-use crate::wrappers::{Pos, TaintWrapper};
+use crate::wrappers::{Pos, Rule, TaintWrapper};
 use flowdroid_callgraph::Icfg;
 use flowdroid_ir::{
     FieldId, FxHashMap, InvokeExpr, Local, MethodId, Operand, Place, Program, Rvalue, Stmt,
@@ -26,13 +28,73 @@ use flowdroid_ir::{
 /// per worker thread without coordination.
 pub(crate) type ReachCache = FxHashMap<(StmtRef, MethodId), bool>;
 
+/// The resolved roles and wrapper rules of one call site.
+#[derive(Debug)]
+pub struct CallSite<'w> {
+    /// Source / sanitizer / sink roles.
+    pub roles: CallRoles,
+    /// Wrapper rules covering the call (empty = native-call fallback).
+    pub rules: Vec<&'w Rule>,
+}
+
+/// What [`CallSites::site`] answers for a statement outside the table.
+static NO_ROLES: CallSite<'static> = CallSite {
+    roles: CallRoles { source: false, sanitizer: false, sink_args: Vec::new() },
+    rules: Vec::new(),
+};
+
+/// Every reachable call site's [`CallSite`] and every reachable
+/// method's `_SOURCE_PARAM_i_` indices, resolved once per solve. The
+/// zero fact reaches every reachable call site anyway, so resolving
+/// eagerly does no work a lazy memo would skip, and the table is
+/// immutable afterwards: solver workers share it without a lock.
+#[derive(Debug)]
+pub struct CallSites<'w> {
+    sites: FxHashMap<StmtRef, CallSite<'w>>,
+    param_sources: FxHashMap<MethodId, Vec<usize>>,
+}
+
+impl<'w> CallSites<'w> {
+    /// Resolves every `Invoke` in the methods `icfg`'s call graph
+    /// reaches, and every such method's parameter sources.
+    pub fn build(icfg: &Icfg<'_>, sources: &SourceSinkManager, wrapper: &'w TaintWrapper) -> Self {
+        let program = icfg.program();
+        let mut sites = FxHashMap::default();
+        let mut param_sources = FxHashMap::default();
+        for &m in icfg.callgraph().reachable_methods() {
+            param_sources.insert(m, sources.entry_param_sources(program, m));
+            let Some(body) = program.method(m).body() else { continue };
+            for (idx, stmt) in body.stmts().iter().enumerate() {
+                if let Some(call) = stmt.invoke_expr() {
+                    let site = CallSite {
+                        roles: sources.call_roles(program, call),
+                        rules: wrapper.rules_for(program, call),
+                    };
+                    sites.insert(StmtRef::new(m, idx), site);
+                }
+            }
+        }
+        CallSites { sites, param_sources }
+    }
+
+    /// The call site at `n` (no roles, no rules when `n` is not a call
+    /// in a reachable method).
+    pub fn site(&self, n: StmtRef) -> &CallSite<'w> {
+        self.sites.get(&n).unwrap_or(&NO_ROLES)
+    }
+
+    /// Parameter indices of `m` tainted at entry (sorted).
+    pub fn param_sources(&self, m: MethodId) -> &[usize] {
+        self.param_sources.get(&m).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// The immutable analysis inputs plus the pure flow functions over
-/// them. `Icfg` is `Copy`; the rest are shared borrows, so a `Flows`
-/// value can be referenced from many worker threads.
+/// them. `Icfg` is `Copy` and the call-site table is immutable, so a
+/// `Flows` value can be referenced from many worker threads.
 pub(crate) struct Flows<'a> {
     pub icfg: Icfg<'a>,
-    pub sources: &'a SourceSinkManager,
-    pub wrapper: &'a TaintWrapper,
+    pub sites: CallSites<'a>,
     pub config: &'a InfoflowConfig,
 }
 
@@ -60,6 +122,16 @@ pub(crate) struct BackwardAssignOut {
 }
 
 impl<'a> Flows<'a> {
+    /// Bundles the inputs, resolving the call-site table.
+    pub fn new(
+        icfg: Icfg<'a>,
+        sources: &SourceSinkManager,
+        wrapper: &'a TaintWrapper,
+        config: &'a InfoflowConfig,
+    ) -> Self {
+        Flows { sites: CallSites::build(&icfg, sources, wrapper), icfg, config }
+    }
+
     pub fn program(&self) -> &'a Program {
         self.icfg.program()
     }
@@ -218,9 +290,8 @@ impl<'a> Flows<'a> {
                 // Parameter sources: methods overriding framework
                 // callback signatures receive tainted data (locations,
                 // intents) from the framework.
-                let param_sources = self.sources.entry_param_sources(program, callee);
                 let starts = self.icfg.start_points_of(callee);
-                for i in param_sources {
+                for &i in self.sites.param_sources(callee) {
                     if i < m.param_count() {
                         let ap = AccessPath::local(m.param_local(i));
                         let f = Fact::T(Taint::active(ap));
@@ -317,7 +388,7 @@ impl<'a> Flows<'a> {
             };
         };
         let result = *result;
-        let program = self.program();
+        let site = self.sites.site(n);
         let mut out: Vec<Fact> = Vec::new();
         let mut alias_gens: Vec<Taint> = Vec::new();
         let mut leaks: Vec<Taint> = Vec::new();
@@ -325,7 +396,7 @@ impl<'a> Flows<'a> {
             Fact::Zero => {
                 out.push(Fact::Zero);
                 // Source calls generate fresh active taints.
-                if self.sources.is_source_call(program, call) {
+                if site.roles.source {
                     if let Some(res) = result {
                         out.push(Fact::T(Taint::active(AccessPath::local(res))));
                     }
@@ -334,8 +405,7 @@ impl<'a> Flows<'a> {
             Fact::T(t) => {
                 // Sink check happens on the incoming (pre-call) taint.
                 if t.active {
-                    let sink_args = self.sources.sink_args(program, call);
-                    for i in sink_args {
+                    for &i in &site.roles.sink_args {
                         if let Some(Operand::Local(a)) = call.args.get(i) {
                             if t.ap.base_local() == Some(*a) {
                                 leaks.push(*t);
@@ -351,15 +421,13 @@ impl<'a> Flows<'a> {
                 // Sanitizers return clean data: suppress every rule that
                 // would taint the result (extension; the paper lacks
                 // sanitizer support).
-                let sanitized = self.sources.is_sanitizer_call(program, call);
+                let sanitized = site.roles.sanitizer;
                 // Wrapper rules ("shortcut rules", paper §5).
                 let covers = |pos: Pos| -> bool {
                     TaintWrapper::pos_local(call, result, pos)
                         .is_some_and(|l| t.ap.base_local() == Some(l))
                 };
-                let targets = self.wrapper.apply(program, call, &covers);
-                let has_rule = self.wrapper.has_rule(program, call);
-                for pos in targets {
+                for pos in Rule::fire(&site.rules, covers) {
                     if sanitized && matches!(pos, Pos::Ret) {
                         continue;
                     }
@@ -374,7 +442,7 @@ impl<'a> Flows<'a> {
                 // Native-call fallback: no explicit rule, body-less
                 // target → the return value inherits taint from the
                 // receiver or any argument (paper §5).
-                if !has_rule
+                if site.rules.is_empty()
                     && !sanitized
                     && self.config.stub_default_taints_return
                     && self.icfg.callees_of_call(n).is_empty()
@@ -392,7 +460,7 @@ impl<'a> Flows<'a> {
                 }
             }
         }
-        let src_mark = d2f.is_zero() && self.sources.is_source_call(program, call);
+        let src_mark = d2f.is_zero() && site.roles.source;
         CallToReturnOut { out, alias_gens, leaks, src_mark }
     }
 

@@ -48,6 +48,7 @@ pub use access_path::{AccessPath, ApBase};
 pub use analysis::{AppAnalysis, Infoflow};
 pub use cg_cache::{CachedSetup, CgCache, CgCacheStats};
 pub use config::{InfoflowConfig, ProgressEvent, ProgressSink};
+pub use flows::{CallSite, CallSites};
 pub use icc::{analyze_app_linked, IccResults};
 pub use intern::{
     ApId, DirectDomain, FactDomain, FactId, InternedDomain, InternedHashDomain, Interner,
@@ -55,7 +56,7 @@ pub use intern::{
 };
 pub use flowdroid_ifds::{AbortHandle, AbortReason, SchedulerStats, TableStats};
 pub use results::{InfoflowResults, Leak};
-pub use sourcesink::{SourceSinkManager, SourceSinkParseError};
+pub use sourcesink::{CallRoles, SourceSinkManager, SourceSinkParseError};
 pub use summary_cache::{flush_summary_cache, SummaryCacheStats};
 pub use taint::{Fact, Taint};
 pub use wrappers::TaintWrapper;

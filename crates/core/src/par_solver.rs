@@ -145,12 +145,10 @@ impl<'a, D: ConcurrentKeyDomain<Fact> + Clone> ParBiSolver<'a, D> {
         threads: usize,
         dom: D,
     ) -> Self {
-        let cache = config
-            .summary_cache
-            .as_deref()
-            .map(|dir| SummaryCacheSession::new(dir, &icfg, sources, wrapper, config));
+        let flows = Flows::new(icfg, sources, wrapper, config);
+        let cache = SummaryCacheSession::open(&flows, sources, wrapper);
         ParBiSolver {
-            flows: Flows { icfg, sources, wrapper, config },
+            flows,
             threads: threads.max(1),
             fw: ConcurrentTabulator::with_domain(dom.clone()),
             bw: ConcurrentTabulator::with_domain(dom),

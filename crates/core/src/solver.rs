@@ -80,12 +80,10 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         wrapper: &'a TaintWrapper,
         config: &'a InfoflowConfig,
     ) -> Self {
-        let cache = config
-            .summary_cache
-            .as_deref()
-            .map(|dir| SummaryCacheSession::new(dir, &icfg, sources, wrapper, config));
+        let flows = Flows::new(icfg, sources, wrapper, config);
+        let cache = SummaryCacheSession::open(&flows, sources, wrapper);
         BiSolver {
-            flows: Flows { icfg, sources, wrapper, config },
+            flows,
             dom: D::new(config.max_access_path_length),
             fw: Tabulator::new(),
             bw: Tabulator::new(),

@@ -87,23 +87,17 @@ pub const DEFAULT_ANDROID_DEFS: &str = r#"
 <android.content.Context: void startService(android.content.Intent)> -> _SINK_
 "#;
 
-/// Builds the canonical signature string for a subsignature on a named
-/// class: `<cls: ret name(p1,p2)>`.
-pub fn sig_string(program: &Program, class_name: &str, subsig: &SubSig) -> String {
-    let params: Vec<String> = subsig.params.iter().map(|t| program.type_name(t)).collect();
-    format!(
-        "<{}: {} {}({})>",
-        class_name,
-        program.type_name(&subsig.ret),
-        program.str(subsig.name),
-        params.join(",")
-    )
-}
-
-/// All signature strings a method reference can match: its declared
-/// class and every transitive superclass / interface (sources are often
-/// declared on framework base types).
+/// All signature strings (`<cls: ret name(p1,p2)>`) a method reference
+/// can match: its declared class and every transitive superclass /
+/// interface (sources are often declared on framework base types).
+/// Only the resolvers ([`SourceSinkManager::call_roles`],
+/// [`SourceSinkManager::entry_param_sources`] and
+/// [`TaintWrapper::rules_for`](crate::TaintWrapper::rules_for)) call
+/// this; it allocates one string per class walked.
 pub fn matching_sigs(program: &Program, class: ClassId, subsig: &SubSig) -> Vec<String> {
+    let params: Vec<String> = subsig.params.iter().map(|t| program.type_name(t)).collect();
+    let (ret, name) = (program.type_name(&subsig.ret), program.str(subsig.name));
+    let tail = format!("{ret} {name}({})>", params.join(","));
     let mut out = Vec::new();
     let mut seen = HashSet::new();
     let mut stack = vec![class];
@@ -111,7 +105,7 @@ pub fn matching_sigs(program: &Program, class: ClassId, subsig: &SubSig) -> Vec<
         if !seen.insert(c) {
             continue;
         }
-        out.push(sig_string(program, program.class_name(c), subsig));
+        out.push(format!("<{}: {tail}", program.class_name(c)));
         let cd = program.class(c);
         if let Some(s) = cd.superclass() {
             stack.push(s);
@@ -119,6 +113,21 @@ pub fn matching_sigs(program: &Program, class: ClassId, subsig: &SubSig) -> Vec<
         stack.extend(cd.interfaces().iter().copied());
     }
     out
+}
+
+/// The source/sink roles of one call site (see
+/// [`SourceSinkManager::call_roles`]).
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct CallRoles {
+    /// The return value is a source (including password-field
+    /// `findViewById` lookups).
+    pub source: bool,
+    /// The return value is clean regardless of argument taint (an
+    /// extension: the paper lacks sanitizer support).
+    pub sanitizer: bool,
+    /// Argument positions whose taint leaks, sorted and deduplicated
+    /// (empty = not a sink).
+    pub sink_args: Vec<usize>,
 }
 
 /// The source/sink manager.
@@ -221,90 +230,40 @@ impl SourceSinkManager {
         self.password_ids.insert(id);
     }
 
-    /// Number of password ids registered.
-    pub fn password_id_count(&self) -> usize {
-        self.password_ids.len()
-    }
-
-    fn roles_of_call<'a>(&'a self, program: &Program, call: &InvokeExpr) -> Vec<&'a Role> {
-        let mut out = Vec::new();
-        for sig in matching_sigs(program, call.callee.class, &call.callee.subsig) {
-            if let Some(rs) = self.roles.get(&sig) {
-                out.extend(rs.iter());
+    /// Resolves every role of a call site in one hierarchy walk: the
+    /// resolver behind the per-solve call-site table, so flow functions
+    /// never match signatures themselves.
+    pub fn call_roles(&self, program: &Program, call: &InvokeExpr) -> CallRoles {
+        let mut roles = CallRoles::default();
+        let sigs = matching_sigs(program, call.callee.class, &call.callee.subsig);
+        for r in sigs.iter().filter_map(|sig| self.roles.get(sig)).flatten() {
+            match *r {
+                Role::SourceReturn => roles.source = true,
+                Role::Sanitizer => roles.sanitizer = true,
+                Role::SinkAll => roles.sink_args.extend(0..call.args.len()),
+                Role::SinkParam(i) => roles.sink_args.push(i),
+                Role::SourceParam(_) => {}
             }
         }
-        out
-    }
-
-    /// Returns `true` if the call's return value is a source (including
-    /// password-field `findViewById` lookups).
-    pub fn is_source_call(&self, program: &Program, call: &InvokeExpr) -> bool {
-        if self
-            .roles_of_call(program, call)
-            .iter()
-            .any(|r| matches!(r, Role::SourceReturn))
-        {
-            return true;
+        roles.sink_args.sort_unstable();
+        roles.sink_args.dedup();
+        // UI sources: `findViewById(<password widget id>)`.
+        if let Some(Operand::Const(Constant::Int(id))) = call.args.first() {
+            roles.source |= self.password_ids.contains(id)
+                && program.str(call.callee.subsig.name) == "findViewById";
         }
-        self.is_password_lookup(program, call)
-    }
-
-    fn is_password_lookup(&self, program: &Program, call: &InvokeExpr) -> bool {
-        if self.password_ids.is_empty() {
-            return false;
-        }
-        let name = program.str(call.callee.subsig.name);
-        if name != "findViewById" {
-            return false;
-        }
-        matches!(
-            call.args.first(),
-            Some(Operand::Const(Constant::Int(id))) if self.password_ids.contains(id)
-        )
-    }
-
-    /// Returns `true` if the call is a registered sanitizer: its return
-    /// value is clean regardless of argument taint. (An extension beyond
-    /// the paper, which notes that "FlowDroid does not support
-    /// sanitization at the moment".)
-    pub fn is_sanitizer_call(&self, program: &Program, call: &InvokeExpr) -> bool {
-        self.roles_of_call(program, call)
-            .iter()
-            .any(|r| matches!(r, Role::Sanitizer))
-    }
-
-    /// The argument positions whose taint leaks if this call is a sink
-    /// (empty = not a sink).
-    pub fn sink_args(&self, program: &Program, call: &InvokeExpr) -> Vec<usize> {
-        let mut out = Vec::new();
-        for r in self.roles_of_call(program, call) {
-            match r {
-                Role::SinkAll => {
-                    out.extend(0..call.args.len());
-                }
-                Role::SinkParam(i) => out.push(*i),
-                _ => {}
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        roles
     }
 
     /// Parameter indices of `method` tainted at entry because the
     /// method overrides a `_SOURCE_PARAM_i_` signature.
     pub fn entry_param_sources(&self, program: &Program, method: MethodId) -> Vec<usize> {
         let m = program.method(method);
-        let mut out = Vec::new();
-        for sig in matching_sigs(program, m.class(), m.subsig()) {
-            if let Some(rs) = self.roles.get(&sig) {
-                for r in rs {
-                    if let Role::SourceParam(i) = r {
-                        out.push(*i);
-                    }
-                }
-            }
-        }
+        let sigs = matching_sigs(program, m.class(), m.subsig());
+        let roles = sigs.iter().filter_map(|sig| self.roles.get(sig)).flatten();
+        let mut out: Vec<usize> = roles
+            .filter_map(|r| if let Role::SourceParam(i) = r { Some(*i) } else { None })
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -388,7 +347,7 @@ mod tests {
             s.clone(),
             0,
         );
-        assert!(m.is_source_call(&p, &src));
+        assert!(m.call_roles(&p, &src).source);
         let snk = call_expr(
             &mut p,
             flowdroid_ir::InvokeKind::Static,
@@ -398,7 +357,7 @@ mod tests {
             Type::Int,
             2,
         );
-        assert_eq!(m.sink_args(&p, &snk), vec![1]);
+        assert_eq!(m.call_roles(&p, &snk).sink_args, vec![1]);
         let not = call_expr(
             &mut p,
             flowdroid_ir::InvokeKind::Virtual,
@@ -408,8 +367,7 @@ mod tests {
             s,
             1,
         );
-        assert!(!m.is_source_call(&p, &not));
-        assert!(m.sink_args(&p, &not).is_empty());
+        assert_eq!(m.call_roles(&p, &not), CallRoles::default());
     }
 
     #[test]
@@ -429,7 +387,7 @@ mod tests {
             Type::Void,
             1,
         );
-        assert_eq!(m.sink_args(&p, &snk), vec![0]);
+        assert_eq!(m.call_roles(&p, &snk).sink_args, vec![0]);
     }
 
     #[test]
@@ -485,8 +443,8 @@ mod tests {
             vec![Operand::Const(Constant::Int(0x7f08_0002))],
         );
         b.finish();
-        assert!(m.is_source_call(&p, &pw));
-        assert!(!m.is_source_call(&p, &other));
+        assert!(m.call_roles(&p, &pw).source);
+        assert!(!m.call_roles(&p, &other).source);
     }
 
     #[test]

@@ -42,6 +42,7 @@
 
 use crate::access_path::{AccessPath, ApBase};
 use crate::config::InfoflowConfig;
+use crate::flows::{CallSites, Flows};
 use crate::sourcesink::SourceSinkManager;
 use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
@@ -125,15 +126,17 @@ pub(crate) struct SummaryCacheSession {
 }
 
 impl SummaryCacheSession {
-    /// Opens the store under `dir` and resolves every stored summary
-    /// that matches this program's fingerprints into lookup-ready form.
-    pub(crate) fn new(
-        dir: &Path,
-        icfg: &Icfg<'_>,
+    /// Opens the store under the configured `summary_cache` directory
+    /// (`None` when none is configured) and resolves every stored
+    /// summary that matches this program's fingerprints into
+    /// lookup-ready form.
+    pub(crate) fn open(
+        flows: &Flows<'_>,
         sources: &SourceSinkManager,
         wrapper: &TaintWrapper,
-        config: &InfoflowConfig,
-    ) -> Self {
+    ) -> Option<Self> {
+        let (icfg, config) = (&flows.icfg, flows.config);
+        let dir = config.summary_cache.as_deref()?;
         let program = icfg.program();
         // The namespace keys a disjoint store; it is *not* part of the
         // context hash — isolation comes from separate stores.
@@ -147,7 +150,7 @@ impl SummaryCacheSession {
         // Pass 1: per-method body hash, purity, and resolved callees.
         let mut local: FxHashMap<MethodId, LocalInfo> = FxHashMap::default();
         for &m in reachable {
-            local.insert(m, scan_method(program, icfg, sources, m));
+            local.insert(m, scan_method(program, icfg, &flows.sites, m));
         }
 
         // Pass 2: transitive closure hash + cacheability per method.
@@ -198,7 +201,7 @@ impl SummaryCacheSession {
             }
         });
 
-        SummaryCacheSession {
+        Some(SummaryCacheSession {
             store,
             info,
             resolved,
@@ -207,7 +210,7 @@ impl SummaryCacheSession {
             misses: AtomicU64::new(0),
             stale: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
-        }
+        })
     }
 
     /// Stored end summaries for `(callee, entry)`, if the callee is
@@ -299,21 +302,21 @@ fn context_hash(
 fn scan_method(
     program: &Program,
     icfg: &Icfg<'_>,
-    sources: &SourceSinkManager,
+    sites: &CallSites<'_>,
     m: MethodId,
 ) -> LocalInfo {
-    let mut impure = !sources.entry_param_sources(program, m).is_empty();
+    let mut impure = !sites.param_sources(m).is_empty();
     let mut callees: Vec<MethodId> = Vec::new();
     let mut cg: Vec<(u32, String)> = Vec::new();
     if let Some(body) = program.method(m).body() {
         for (idx, stmt) in body.stmts().iter().enumerate() {
-            if let Some(call) = stmt.invoke_expr() {
-                if sources.is_source_call(program, call)
-                    || !sources.sink_args(program, call).is_empty()
-                {
+            if stmt.is_call() {
+                let site = StmtRef::new(m, idx);
+                let roles = &sites.site(site).roles;
+                if roles.source || !roles.sink_args.is_empty() {
                     impure = true;
                 }
-                for &callee in icfg.callees_of_call(StmtRef::new(m, idx)) {
+                for &callee in icfg.callees_of_call(site) {
                     cg.push((idx as u32, program.signature(callee)));
                     if !callees.contains(&callee) {
                         callees.push(callee);

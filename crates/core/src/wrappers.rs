@@ -43,10 +43,31 @@ impl fmt::Display for Pos {
     }
 }
 
+/// One shortcut rule: if any `if_any` position is tainted, every
+/// `taint` position becomes tainted.
 #[derive(Clone, Debug)]
-struct Rule {
-    if_any: Vec<Pos>,
-    taint: Vec<Pos>,
+pub struct Rule {
+    /// Trigger positions.
+    pub if_any: Vec<Pos>,
+    /// Positions tainted when the rule fires.
+    pub taint: Vec<Pos>,
+}
+
+impl Rule {
+    /// The positions `rules` taint when the whole-object-tainted
+    /// positions of a call are those `tainted` accepts (first-seen
+    /// order, deduplicated).
+    pub fn fire(rules: &[&Rule], tainted: impl Fn(Pos) -> bool) -> Vec<Pos> {
+        let mut out = Vec::new();
+        for rule in rules.iter().filter(|r| r.if_any.iter().any(|&p| tainted(p))) {
+            for &t in &rule.taint {
+                if !out.contains(&t) {
+                    out.push(t);
+                }
+            }
+        }
+        out
+    }
 }
 
 /// The wrapper rule set.
@@ -151,42 +172,14 @@ impl TaintWrapper {
         Ok(())
     }
 
-    fn rules_of<'a>(&'a self, program: &Program, call: &InvokeExpr) -> Vec<&'a Rule> {
-        let mut out = Vec::new();
-        for sig in matching_sigs(program, call.callee.class, &call.callee.subsig) {
-            if let Some(rs) = self.rules.get(&sig) {
-                out.extend(rs.iter());
-            }
-        }
-        out
-    }
-
-    /// Returns `true` if any rule covers this call (used to suppress the
-    /// native-call fallback).
-    pub fn has_rule(&self, program: &Program, call: &InvokeExpr) -> bool {
-        !self.rules_of(program, call).is_empty()
-    }
-
-    /// Applies the rules: given the *whole-object-tainted* positions of
-    /// a call (the caller computes which positions a taint covers),
-    /// returns the positions to taint.
-    pub fn apply(
-        &self,
-        program: &Program,
-        call: &InvokeExpr,
-        tainted: &dyn Fn(Pos) -> bool,
-    ) -> Vec<Pos> {
-        let mut out = Vec::new();
-        for rule in self.rules_of(program, call) {
-            if rule.if_any.iter().any(|&p| tainted(p)) {
-                for &t in &rule.taint {
-                    if !out.contains(&t) {
-                        out.push(t);
-                    }
-                }
-            }
-        }
-        out
+    /// Every rule covering the call, in hierarchy-walk order (one walk;
+    /// empty = the native-call fallback applies).
+    pub fn rules_for(&self, program: &Program, call: &InvokeExpr) -> Vec<&Rule> {
+        matching_sigs(program, call.callee.class, &call.callee.subsig)
+            .iter()
+            .filter_map(|sig| self.rules.get(sig))
+            .flatten()
+            .collect()
     }
 
     /// Resolves a position to a local at a call site (`None` when the
@@ -257,13 +250,14 @@ mod tests {
             vec![Operand::Local(s)],
         );
         b.finish();
-        assert!(w.has_rule(&p, &call));
+        let rules = w.rules_for(&p, &call);
+        assert!(!rules.is_empty());
         // arg0 tainted → base and ret tainted.
-        let out = w.apply(&p, &call, &|pos| pos == Pos::Arg(0));
+        let out = Rule::fire(&rules, |pos| pos == Pos::Arg(0));
         assert!(out.contains(&Pos::Base));
         assert!(out.contains(&Pos::Ret));
         // nothing tainted → nothing.
-        assert!(w.apply(&p, &call, &|_| false).is_empty());
+        assert!(Rule::fire(&rules, |_| false).is_empty());
     }
 
     #[test]
@@ -288,9 +282,9 @@ mod tests {
             vec![Operand::Local(o)],
         );
         b.finish();
-        assert!(w.has_rule(&p, &call), "interface rule must match subclass call");
-        let out = w.apply(&p, &call, &|pos| pos == Pos::Arg(0));
-        assert_eq!(out, vec![Pos::Base]);
+        let rules = w.rules_for(&p, &call);
+        assert!(!rules.is_empty(), "interface rule must match subclass call");
+        assert_eq!(Rule::fire(&rules, |pos| pos == Pos::Arg(0)), vec![Pos::Base]);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 #
 # Usage: scripts/verify.sh [--full]
 #   default : tier-1 gate (release build + root tests) + solver stats
-#   --full  : additionally runs the whole workspace test suite
+#   --full  : additionally runs the whole workspace test suite and the
+#             perfbench smoke test (perfbench is a package of its own,
+#             outside the workspace, so `--workspace` does not reach it)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +18,8 @@ cargo test -q
 if [[ "${1:-}" == "--full" ]]; then
     echo "== full workspace test suite"
     cargo test --workspace -q
+    echo "== perfbench smoke test"
+    cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 fi
 
 # Snapshot the committed benchmark numbers before solver_stats
