@@ -9,7 +9,6 @@
 
 use crate::cg_cache::{CachedSetup, CgCache};
 use crate::config::InfoflowConfig;
-use crate::intern::{DirectDomain, InternedDomain, InternedHashDomain, SharedInternedKeys};
 use crate::par_solver::ParBiSolver;
 use crate::results::InfoflowResults;
 use crate::solver::BiSolver;
@@ -93,10 +92,7 @@ impl<'a> Infoflow<'a> {
     }
 
     /// Dispatches on the configured engine: the parallel work-stealing
-    /// engine when `taint_threads > 0`, else the sequential solver —
-    /// each with the configured fact-key and table representation
-    /// (`intern_facts` × `bitset_tables`; bitset rows need id keys, so
-    /// non-interned runs always use hash-map tables).
+    /// engine when `taint_threads > 0`, else the sequential solver.
     fn solve_with_domain(
         &self,
         icfg: Icfg<'_>,
@@ -105,27 +101,9 @@ impl<'a> Infoflow<'a> {
     ) -> InfoflowResults {
         let c = self.config;
         if c.taint_threads > 0 {
-            if c.intern_facts && c.bitset_tables {
-                let dom = SharedInternedKeys::new(c.max_access_path_length);
-                ParBiSolver::new(icfg, sources, self.wrapper, c, c.taint_threads, dom)
-                    .solve(entry_points)
-            } else {
-                ParBiSolver::new(
-                    icfg,
-                    sources,
-                    self.wrapper,
-                    c,
-                    c.taint_threads,
-                    flowdroid_ifds::IdentityKeys,
-                )
-                .solve(entry_points)
-            }
-        } else if c.intern_facts && c.bitset_tables {
-            BiSolver::<InternedDomain>::new(icfg, sources, self.wrapper, c).solve(entry_points)
-        } else if c.intern_facts {
-            BiSolver::<InternedHashDomain>::new(icfg, sources, self.wrapper, c).solve(entry_points)
+            ParBiSolver::new(icfg, sources, self.wrapper, c).solve(entry_points)
         } else {
-            BiSolver::<DirectDomain>::new(icfg, sources, self.wrapper, c).solve(entry_points)
+            BiSolver::new(icfg, sources, self.wrapper, c).solve(entry_points)
         }
     }
 

@@ -90,17 +90,6 @@ pub struct InfoflowConfig {
     /// Hard cap on forward path-edge propagations (0 = unlimited);
     /// protects harness runs against pathological inputs.
     pub max_propagations: u64,
-    /// Hash-cons facts and access paths into `u32` ids so the solver
-    /// tables key on `Copy` ids (default). Disabling keys tables on
-    /// whole facts instead; results are identical, only speed and
-    /// memory differ (kept for the benchmark comparison).
-    pub intern_facts: bool,
-    /// Store interned fact sets as bitset rows (hybrid sparse/dense,
-    /// default) instead of nested hash maps in the tabulation tables.
-    /// Requires `intern_facts` (id keys); ignored without it. Results
-    /// are identical either way — the toggle exists for one release so
-    /// the representations can be compared on identical inputs.
-    pub bitset_tables: bool,
     /// Worker threads for the parallel bidirectional taint engine.
     /// `0` (default) runs the sequential solver; `n > 0` runs forward
     /// and backward propagation as interleaved jobs over a work-stealing
@@ -153,8 +142,6 @@ impl Default for InfoflowConfig {
             cg_algorithm: CgAlgorithm::Cha,
             callback_association: CallbackAssociation::PerComponent,
             max_propagations: 0,
-            intern_facts: true,
-            bitset_tables: true,
             taint_threads: 0,
             summary_cache: None,
             cache_namespace: String::new(),
@@ -200,18 +187,6 @@ impl InfoflowConfig {
     /// Builder-style setter for callback association.
     pub fn with_callback_association(mut self, a: CallbackAssociation) -> Self {
         self.callback_association = a;
-        self
-    }
-
-    /// Builder-style setter for fact interning.
-    pub fn with_fact_interning(mut self, on: bool) -> Self {
-        self.intern_facts = on;
-        self
-    }
-
-    /// Builder-style setter for bitset-backed tabulation tables.
-    pub fn with_bitset_tables(mut self, on: bool) -> Self {
-        self.bitset_tables = on;
         self
     }
 

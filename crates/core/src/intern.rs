@@ -13,18 +13,16 @@
 //! assignment, which keeps downstream artifacts byte-for-byte
 //! deterministic.
 //!
-//! The [`FactDomain`] trait abstracts the solver over the key choice:
-//! [`InternedDomain`] (id keys, default) and [`DirectDomain`] (the
-//! pre-interning behavior, keeping whole facts as keys) share all
-//! transfer-function code, which is what lets the benchmark driver
-//! compare the two modes on identical inputs.
+//! Both taint engines key their tables this way: the sequential solver
+//! owns an [`Interner`], the parallel engine shares a
+//! [`SharedInterner`] between its workers through
+//! [`SharedInternedKeys`]. Dense ids are also what lets the tables
+//! store fact sets as bitset rows.
 
 use crate::access_path::AccessPath;
 use crate::taint::{Fact, Taint};
-use flowdroid_ifds::{BitsetSets, ConcurrentKeyDomain, FactSetDomain, HashSets};
+use flowdroid_ifds::ConcurrentKeyDomain;
 use flowdroid_ir::{fxhash64, FieldId, FxHashMap, FxHashSet, StmtRef};
-use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 // ================= field-sequence arena =================
@@ -320,7 +318,7 @@ impl SharedInterner {
 }
 
 /// Keys the concurrent tabulators on [`FactId`]s from a shared
-/// interner, with bitset-backed tables ([`BitsetSets`]).
+/// interner.
 ///
 /// Cloning shares the interner, so the forward and backward tabulators
 /// of one solve agree on ids.
@@ -335,11 +333,20 @@ impl SharedInternedKeys {
     pub fn new(max_ap_len: usize) -> Self {
         SharedInternedKeys { interner: Arc::new(SharedInterner::with_bound(max_ap_len)) }
     }
+
+    /// `(distinct facts, distinct access paths)` interned so far.
+    pub fn counts(&self) -> (usize, usize) {
+        self.interner.counts()
+    }
+
+    /// Fact interns whose access path was widened to the length bound.
+    pub fn widened_count(&self) -> u64 {
+        self.interner.widened_count()
+    }
 }
 
 impl ConcurrentKeyDomain<Fact> for SharedInternedKeys {
     type Key = FactId;
-    type Sets = BitsetSets;
 
     fn key(&self, f: &Fact) -> FactId {
         self.interner.intern(f)
@@ -347,165 +354,6 @@ impl ConcurrentKeyDomain<Fact> for SharedInternedKeys {
 
     fn fact(&self, k: &FactId) -> Fact {
         self.interner.resolve(*k)
-    }
-
-    fn stats(&self) -> Option<(usize, usize)> {
-        Some(self.interner.counts())
-    }
-
-    fn widened_count(&self) -> u64 {
-        self.interner.widened_count()
-    }
-}
-
-/// The solver's key choice: how facts are represented in its tables,
-/// and which table layout those keys get.
-///
-/// `intern` is the only way keys are produced and `resolve` the only way
-/// they are read back, so an implementation either hands facts through
-/// unchanged ([`DirectDomain`]) or hash-conses them ([`InternedDomain`],
-/// [`InternedHashDomain`]). `Sets` picks the tabulator's table
-/// representation for the keys — bitset rows require dense id keys, so
-/// the choice lives here rather than on the solver.
-pub trait FactDomain {
-    /// The table key type.
-    type Key: Clone + Eq + Hash + Debug;
-    /// Tabulation-table representation for the keys.
-    type Sets: FactSetDomain<Self::Key>;
-
-    /// Creates the domain; access paths longer than `max_ap_len` fields
-    /// are widened at the key boundary (ignored by non-interning
-    /// domains, whose keys carry the path verbatim).
-    fn new(max_ap_len: usize) -> Self;
-    /// Maps a fact to its key.
-    fn intern(&mut self, f: &Fact) -> Self::Key;
-    /// Maps a key back to its fact.
-    fn resolve(&self, k: &Self::Key) -> Fact;
-    /// The key of [`Fact::Zero`].
-    fn zero(&self) -> Self::Key;
-    /// Returns `true` if `k` is the key of [`Fact::Zero`].
-    fn is_zero(&self, k: &Self::Key) -> bool;
-    /// `(distinct facts, distinct access paths)` seen, when tracked.
-    fn stats(&self) -> Option<(usize, usize)>;
-    /// Intern calls that widened their access path (0 when the domain
-    /// does not widen).
-    fn widened_count(&self) -> u64 {
-        0
-    }
-}
-
-/// Keys tables on whole [`Fact`] values (the pre-interning behavior,
-/// kept for the benchmark comparison).
-#[derive(Debug, Default)]
-pub struct DirectDomain;
-
-impl FactDomain for DirectDomain {
-    type Key = Fact;
-    type Sets = HashSets;
-
-    fn new(_max_ap_len: usize) -> Self {
-        DirectDomain
-    }
-
-    fn intern(&mut self, f: &Fact) -> Fact {
-        f.clone()
-    }
-
-    fn resolve(&self, k: &Fact) -> Fact {
-        k.clone()
-    }
-
-    fn zero(&self) -> Fact {
-        Fact::Zero
-    }
-
-    fn is_zero(&self, k: &Fact) -> bool {
-        k.is_zero()
-    }
-
-    fn stats(&self) -> Option<(usize, usize)> {
-        None
-    }
-}
-
-/// Keys tables on [`FactId`]s via an [`Interner`], with bitset-backed
-/// tables (the default).
-#[derive(Debug)]
-pub struct InternedDomain {
-    interner: Interner,
-}
-
-impl FactDomain for InternedDomain {
-    type Key = FactId;
-    type Sets = BitsetSets;
-
-    fn new(max_ap_len: usize) -> Self {
-        InternedDomain { interner: Interner::with_bound(max_ap_len) }
-    }
-
-    fn intern(&mut self, f: &Fact) -> FactId {
-        self.interner.intern_fact(f)
-    }
-
-    fn resolve(&self, k: &FactId) -> Fact {
-        self.interner.resolve_fact(*k)
-    }
-
-    fn zero(&self) -> FactId {
-        FactId::ZERO
-    }
-
-    fn is_zero(&self, k: &FactId) -> bool {
-        *k == FactId::ZERO
-    }
-
-    fn stats(&self) -> Option<(usize, usize)> {
-        Some((self.interner.fact_count(), self.interner.ap_count()))
-    }
-
-    fn widened_count(&self) -> u64 {
-        self.interner.widened_count()
-    }
-}
-
-/// [`FactId`] keys with the original hash-map tables — the
-/// `bitset_tables = false` escape hatch, kept for one release so the
-/// table representations can be compared on identical inputs.
-#[derive(Debug)]
-pub struct InternedHashDomain {
-    interner: Interner,
-}
-
-impl FactDomain for InternedHashDomain {
-    type Key = FactId;
-    type Sets = HashSets;
-
-    fn new(max_ap_len: usize) -> Self {
-        InternedHashDomain { interner: Interner::with_bound(max_ap_len) }
-    }
-
-    fn intern(&mut self, f: &Fact) -> FactId {
-        self.interner.intern_fact(f)
-    }
-
-    fn resolve(&self, k: &FactId) -> Fact {
-        self.interner.resolve_fact(*k)
-    }
-
-    fn zero(&self) -> FactId {
-        FactId::ZERO
-    }
-
-    fn is_zero(&self, k: &FactId) -> bool {
-        *k == FactId::ZERO
-    }
-
-    fn stats(&self) -> Option<(usize, usize)> {
-        Some((self.interner.fact_count(), self.interner.ap_count()))
-    }
-
-    fn widened_count(&self) -> u64 {
-        self.interner.widened_count()
     }
 }
 
@@ -565,23 +413,6 @@ mod tests {
             .collect();
         let idx: Vec<usize> = ids.iter().map(|d| d.index()).collect();
         assert_eq!(idx, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn domains_agree_on_zero() {
-        let mut d = DirectDomain::new(5);
-        let mut n = InternedDomain::new(5);
-        let mut h = InternedHashDomain::new(5);
-        let z1 = d.intern(&Fact::Zero);
-        let z2 = n.intern(&Fact::Zero);
-        let z3 = h.intern(&Fact::Zero);
-        assert!(d.is_zero(&z1) && n.is_zero(&z2) && h.is_zero(&z3));
-        assert_eq!(d.zero(), z1);
-        assert_eq!(n.zero(), z2);
-        assert_eq!(h.zero(), z3);
-        assert!(d.stats().is_none());
-        assert_eq!(n.stats(), Some((1, 0)));
-        assert_eq!(h.stats(), Some((1, 0)));
     }
 
     /// Distinct over-long extensions of one prefix collapse onto the

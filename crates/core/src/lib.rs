@@ -50,10 +50,7 @@ pub use cg_cache::{CachedSetup, CgCache, CgCacheStats};
 pub use config::{InfoflowConfig, ProgressEvent, ProgressSink};
 pub use flows::{CallSite, CallSites};
 pub use icc::{analyze_app_linked, IccResults};
-pub use intern::{
-    ApId, DirectDomain, FactDomain, FactId, InternedDomain, InternedHashDomain, Interner,
-    SharedInternedKeys, SharedInterner,
-};
+pub use intern::{ApId, FactId, Interner, SharedInternedKeys, SharedInterner};
 pub use flowdroid_ifds::{AbortHandle, AbortReason, SchedulerStats, TableStats};
 pub use results::{InfoflowResults, Leak};
 pub use sourcesink::{CallRoles, SourceSinkManager, SourceSinkParseError};

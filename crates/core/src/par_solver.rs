@@ -40,6 +40,7 @@
 
 use crate::config::InfoflowConfig;
 use crate::flows::{Flows, ReachCache};
+use crate::intern::SharedInternedKeys;
 use crate::results::{InfoflowResults, Leak};
 use crate::sourcesink::SourceSinkManager;
 use crate::summary_cache::SummaryCacheSession;
@@ -47,8 +48,8 @@ use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
 use flowdroid_ifds::{
-    drive, AbortHandle, AbortReason, ConcurrentKeyDomain, ConcurrentTabulator, IdentityKeys,
-    WorkStealScheduler, WorkerState, DEFAULT_BATCH, DEFAULT_SHARDS,
+    drive, AbortHandle, AbortReason, ConcurrentTabulator, WorkStealScheduler, WorkerState,
+    DEFAULT_BATCH, DEFAULT_SHARDS,
 };
 use flowdroid_ir::{fxhash64, FxHashMap, MethodId, Stmt, StmtRef};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,17 +107,16 @@ impl WorkerState<Job> for WorkerCtx {
 /// The parallel engine. Public API mirrors
 /// [`BiSolver`](crate::solver::BiSolver).
 ///
-/// Generic over a [`ConcurrentKeyDomain`]: the engine itself always
-/// speaks [`Fact`]s (jobs, transfer functions, provenance), while the
-/// domain decides how the tabulators key and lay out their tables —
-/// [`IdentityKeys`] keeps the fact-keyed hash maps, the shared-interner
-/// domain ([`crate::intern::SharedInternedKeys`]) stores id-indexed
-/// bitset rows.
-pub(crate) struct ParBiSolver<'a, D: ConcurrentKeyDomain<Fact> = IdentityKeys> {
+/// The engine itself speaks [`Fact`]s (jobs, transfer functions,
+/// provenance); its tabulators key their bitset tables on [`FactId`]s
+/// from one shared interner ([`SharedInternedKeys`]).
+///
+/// [`FactId`]: crate::intern::FactId
+pub(crate) struct ParBiSolver<'a> {
     flows: Flows<'a>,
     threads: usize,
-    fw: ConcurrentTabulator<Fact, D>,
-    bw: ConcurrentTabulator<Fact, D>,
+    fw: ConcurrentTabulator<Fact, SharedInternedKeys>,
+    bw: ConcurrentTabulator<Fact, SharedInternedKeys>,
     sched: WorkStealScheduler<Job>,
     prov: Vec<Mutex<ProvShard>>,
     /// Persistent end-summary store session, when configured.
@@ -132,26 +132,24 @@ pub(crate) struct ParBiSolver<'a, D: ConcurrentKeyDomain<Fact> = IdentityKeys> {
     abort: AbortHandle,
 }
 
-impl<'a, D: ConcurrentKeyDomain<Fact> + Clone> ParBiSolver<'a, D> {
-    /// Creates an engine with `threads` workers (at least 1). Both
-    /// directions share `dom` (cloning must share interning state, as
-    /// `SharedInternedKeys` does), so forward and backward tables agree
-    /// on keys.
+impl<'a> ParBiSolver<'a> {
+    /// Creates an engine with `config.taint_threads` workers (at least
+    /// 1). Both directions share one interner, so forward and backward
+    /// tables agree on keys.
     pub fn new(
         icfg: Icfg<'a>,
         sources: &'a SourceSinkManager,
         wrapper: &'a TaintWrapper,
         config: &'a InfoflowConfig,
-        threads: usize,
-        dom: D,
     ) -> Self {
         let flows = Flows::new(icfg, sources, wrapper, config);
         let cache = SummaryCacheSession::open(&flows, sources, wrapper);
+        let keys = SharedInternedKeys::new(config.max_access_path_length);
         ParBiSolver {
             flows,
-            threads: threads.max(1),
-            fw: ConcurrentTabulator::with_domain(dom.clone()),
-            bw: ConcurrentTabulator::with_domain(dom),
+            threads: config.taint_threads.max(1),
+            fw: ConcurrentTabulator::with_domain(keys.clone()),
+            bw: ConcurrentTabulator::with_domain(keys),
             sched: WorkStealScheduler::new(DEFAULT_SHARDS, DEFAULT_BATCH),
             prov: (0..PROV_SHARDS).map(|_| Mutex::new(ProvShard::default())).collect(),
             cache,
@@ -159,9 +157,6 @@ impl<'a, D: ConcurrentKeyDomain<Fact> + Clone> ParBiSolver<'a, D> {
             abort: config.abort.clone().unwrap_or_default(),
         }
     }
-}
-
-impl<'a, D: ConcurrentKeyDomain<Fact>> ParBiSolver<'a, D> {
 
     fn config(&self) -> &'a InfoflowConfig {
         self.flows.config
@@ -197,10 +192,9 @@ impl<'a, D: ConcurrentKeyDomain<Fact>> ParBiSolver<'a, D> {
             }
         }
         self.publish(&mut seeds.pending, 0);
-        // The shared drive harness (also used by the generic IFDS
-        // solver) owns the claim/drain/spill loop, including the
-        // adaptive spill threshold that publishes more aggressively
-        // when workers sit idle.
+        // The shared drive harness owns the claim/drain/spill loop,
+        // including the adaptive spill threshold that publishes more
+        // aggressively when workers sit idle.
         let max = self.config().max_propagations;
         let workers = drive(
             &self.sched,
@@ -655,7 +649,7 @@ impl<'a, D: ConcurrentKeyDomain<Fact>> ParBiSolver<'a, D> {
         leaks.sort_by_key(|l| (l.sink, l.source));
         // The set of interned facts is the deterministic closure of
         // flow-function outputs (id *values* may race, counts do not).
-        let (distinct_facts, distinct_aps) = self.fw.domain().stats().unwrap_or((0, 0));
+        let (distinct_facts, distinct_aps) = self.fw.domain().counts();
         let fact_tables = {
             let mut t = self.fw.table_stats();
             t.merge(&self.bw.table_stats());

@@ -47,11 +47,10 @@ pub struct InfoflowResults {
     pub backward_propagations: u64,
     /// Methods reachable from the entry points.
     pub reachable_methods: usize,
-    /// Distinct facts hash-consed by the solver's interner (0 when
-    /// interning is disabled).
+    /// Distinct facts hash-consed by the solver's interner (including
+    /// the zero fact).
     pub distinct_facts: usize,
-    /// Distinct access paths hash-consed by the solver's interner (0
-    /// when interning is disabled).
+    /// Distinct access paths hash-consed by the solver's interner.
     pub distinct_aps: usize,
     /// Wall-clock duration of the data-flow phase.
     pub duration: std::time::Duration,
@@ -67,8 +66,7 @@ pub struct InfoflowResults {
     /// engine ran ([`crate::InfoflowConfig::taint_threads`] > 0).
     pub scheduler: Option<flowdroid_ifds::SchedulerStats>,
     /// Tabulation-table density and widening counters, present when the
-    /// solver ran on bitset-backed tables
-    /// ([`crate::InfoflowConfig::bitset_tables`]).
+    /// tables recorded at least one row or the interner widened a fact.
     pub fact_tables: Option<flowdroid_ifds::TableStats>,
     /// Summary-cache counters, present when a persistent summary store
     /// was configured ([`crate::InfoflowConfig::summary_cache`]).
@@ -117,14 +115,12 @@ impl InfoflowResults {
             )
             .unwrap();
         }
-        if self.distinct_facts > 0 {
-            writeln!(
-                out,
-                "  ({} distinct facts, {} distinct access paths interned)",
-                self.distinct_facts, self.distinct_aps
-            )
-            .unwrap();
-        }
+        writeln!(
+            out,
+            "  ({} distinct facts, {} distinct access paths interned)",
+            self.distinct_facts, self.distinct_aps
+        )
+        .unwrap();
         if let Some(ft) = &self.fact_tables {
             writeln!(
                 out,

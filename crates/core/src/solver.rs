@@ -27,43 +27,40 @@
 //! deterministic breadth-first search — does not depend on discovery
 //! order.
 //!
-//! The solver is generic over a [`FactDomain`]: with the default
-//! [`InternedDomain`](crate::intern::InternedDomain) every table keys on
-//! `u32` fact ids (hash-consed by the domain's interner), popped edges
-//! are resolved to real [`Fact`]s once per statement visit, and each
-//! produced fact is interned once before fan-out to successors /
-//! return sites. [`DirectDomain`](crate::intern::DirectDomain) keys on
-//! whole facts instead, preserving the pre-interning behavior for
-//! benchmark comparison.
+//! Every table keys on `u32` [`FactId`]s hash-consed by the solver's
+//! [`Interner`] and stores fact sets as bitset rows: popped edges are
+//! resolved to real [`Fact`]s once per statement visit, and each
+//! produced fact is interned once before fan-out to successors / return
+//! sites.
 
 use crate::config::InfoflowConfig;
 use crate::flows::{Flows, ReachCache};
-use crate::intern::FactDomain;
+use crate::intern::{FactId, Interner};
 use crate::results::{InfoflowResults, Leak};
 use crate::sourcesink::SourceSinkManager;
 use crate::summary_cache::SummaryCacheSession;
 use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
-use flowdroid_ifds::{AbortReason, Tabulator};
+use flowdroid_ifds::{AbortReason, BitsetSets, Tabulator};
 use flowdroid_ir::{FxHashMap, MethodId, Program, Stmt, StmtRef};
 
 /// Edges popped between [`AbortHandle`] polls in the sequential loop.
 const ABORT_CHECK_EVERY: usize = 128;
 
-/// The bidirectional solver, generic over the fact-key representation.
-pub struct BiSolver<'a, D: FactDomain> {
+/// The bidirectional solver.
+pub struct BiSolver<'a> {
     flows: Flows<'a>,
-    dom: D,
-    fw: Tabulator<D::Key, D::Sets>,
-    bw: Tabulator<D::Key, D::Sets>,
+    interner: Interner,
+    fw: Tabulator<FactId, BitsetSets>,
+    bw: Tabulator<FactId, BitsetSets>,
     leaks: Vec<(StmtRef, Taint)>,
     /// (stmt, fact) → all offered predecessor (stmt, fact) origins, for
     /// path reconstruction. The *set* of offers at the fixpoint is
     /// order-independent.
-    preds: FxHashMap<(StmtRef, D::Key), Vec<(StmtRef, D::Key)>>,
+    preds: FxHashMap<(StmtRef, FactId), Vec<(StmtRef, FactId)>>,
     /// (stmt, fact) → source statement that generated the fact.
-    gen_source: FxHashMap<(StmtRef, D::Key), StmtRef>,
+    gen_source: FxHashMap<(StmtRef, FactId), StmtRef>,
     /// Memoized "call site can transitively reach method" queries.
     reach_cache: ReachCache,
     /// Persistent end-summary store session, when configured.
@@ -72,7 +69,7 @@ pub struct BiSolver<'a, D: FactDomain> {
     abort_reason: Option<AbortReason>,
 }
 
-impl<'a, D: FactDomain> BiSolver<'a, D> {
+impl<'a> BiSolver<'a> {
     /// Creates a solver.
     pub fn new(
         icfg: Icfg<'a>,
@@ -84,7 +81,7 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         let cache = SummaryCacheSession::open(&flows, sources, wrapper);
         BiSolver {
             flows,
-            dom: D::new(config.max_access_path_length),
+            interner: Interner::with_bound(config.max_access_path_length),
             fw: Tabulator::new(),
             bw: Tabulator::new(),
             leaks: Vec::new(),
@@ -108,10 +105,9 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
     /// results.
     pub fn solve(mut self, entry_points: &[MethodId]) -> InfoflowResults {
         let start = std::time::Instant::now();
-        let zero = self.dom.zero();
         for &ep in entry_points {
             for sp in self.flows.icfg.start_points_of(ep) {
-                self.fw.propagate(zero.clone(), sp, zero.clone());
+                self.fw.propagate(FactId::ZERO, sp, FactId::ZERO);
             }
         }
         // The abort token: the caller's (deadline / external cancel)
@@ -176,12 +172,12 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
     /// reconstruction.
     fn fw_propagate(
         &mut self,
-        d1: D::Key,
+        d1: FactId,
         n: StmtRef,
-        d2: D::Key,
-        from: Option<(StmtRef, D::Key)>,
+        d2: FactId,
+        from: Option<(StmtRef, FactId)>,
     ) {
-        self.fw.propagate(d1, n, d2.clone());
+        self.fw.propagate(d1, n, d2);
         self.record_pred(n, d2, from);
     }
 
@@ -189,12 +185,12 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
     /// from both solvers share one map so alias detours stay walkable).
     fn bw_propagate(
         &mut self,
-        d1: D::Key,
+        d1: FactId,
         n: StmtRef,
-        d2: D::Key,
-        from: Option<(StmtRef, D::Key)>,
+        d2: FactId,
+        from: Option<(StmtRef, FactId)>,
     ) {
-        self.bw.propagate(d1, n, d2.clone());
+        self.bw.propagate(d1, n, d2);
         self.record_pred(n, d2, from);
     }
 
@@ -204,12 +200,12 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
     /// the same whatever the processing order, so the resulting
     /// provenance graph — and hence the deterministic walk in
     /// [`BiSolver::attribute`] — is independent of it.
-    fn record_pred(&mut self, n: StmtRef, d2: D::Key, from: Option<(StmtRef, D::Key)>) {
+    fn record_pred(&mut self, n: StmtRef, d2: FactId, from: Option<(StmtRef, FactId)>) {
         if !self.config().track_paths {
             return;
         }
         let Some(origin) = from else { return };
-        if origin == (n, d2.clone()) {
+        if origin == (n, d2) {
             return;
         }
         let v = self.preds.entry((n, d2)).or_default();
@@ -220,9 +216,9 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
 
     /// Marks `fact` at `n` as generated by the source statement `src`
     /// (least source statement wins, for order independence).
-    fn mark_source(&mut self, n: StmtRef, fact: &D::Key, src: StmtRef) {
+    fn mark_source(&mut self, n: StmtRef, fact: &FactId, src: StmtRef) {
         if self.config().track_paths {
-            let e = self.gen_source.entry((n, fact.clone())).or_insert(src);
+            let e = self.gen_source.entry((n, *fact)).or_insert(src);
             if src < *e {
                 *e = src;
             }
@@ -236,19 +232,19 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
     /// Injects an alias query for taint `g` (which holds after the heap
     /// write / wrapper call `n`) into the backward solver, with context
     /// injection of `d1` (Algorithm 1, line 16).
-    fn inject_alias_query(&mut self, d1: &D::Key, n: StmtRef, g: &Taint) {
+    fn inject_alias_query(&mut self, d1: &FactId, n: StmtRef, g: &Taint) {
         let Some(q) = self.flows.alias_query_taint(n, g) else { return };
         let ctx =
-            if self.config().enable_context_injection { d1.clone() } else { self.dom.zero() };
-        let origin = self.dom.intern(&Fact::T(*g));
-        let qk = self.dom.intern(&Fact::T(q));
+            if self.config().enable_context_injection { *d1 } else { FactId::ZERO };
+        let origin = self.interner.intern_fact(&Fact::T(*g));
+        let qk = self.interner.intern_fact(&Fact::T(q));
         self.bw_propagate(ctx, n, qk, Some((n, origin)));
     }
 
     // ================= forward solver =================
 
-    fn process_forward(&mut self, d1: D::Key, n: StmtRef, d2: D::Key) {
-        let d2f = self.dom.resolve(&d2);
+    fn process_forward(&mut self, d1: FactId, n: StmtRef, d2: FactId) {
+        let d2f = self.interner.resolve_fact(d2);
         let stmt = self.stmt(n);
         let has_body_callees = !self.flows.icfg.callees_of_call(n).is_empty();
         if stmt.is_call() && has_body_callees {
@@ -263,7 +259,7 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         }
     }
 
-    fn forward_normal(&mut self, d1: &D::Key, n: StmtRef, d2: &D::Key, d2f: &Fact) {
+    fn forward_normal(&mut self, d1: &FactId, n: StmtRef, d2: &FactId, d2f: &Fact) {
         let out = match (self.stmt(n), d2f) {
             (Stmt::Assign { lhs, rhs }, Fact::T(t)) => {
                 let (facts, alias_gens) = self.flows.forward_assign(lhs, rhs, t);
@@ -282,25 +278,25 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
                 Fact::T(t) => Fact::T(self.maybe_activate(n, t)),
                 z => *z,
             };
-            keys.push(self.dom.intern(&f));
+            keys.push(self.interner.intern_fact(&f));
         }
-        let origin = Some((n, d2.clone()));
+        let origin = Some((n, *d2));
         for succ in self.flows.icfg.succs_of(n) {
             for k in &keys {
-                self.fw_propagate(d1.clone(), succ, k.clone(), origin.clone());
+                self.fw_propagate(*d1, succ, *k, origin);
             }
         }
     }
 
-    fn forward_call(&mut self, n: StmtRef, d2: &D::Key, d2f: &Fact) {
+    fn forward_call(&mut self, n: StmtRef, d2: &FactId, d2f: &Fact) {
         let Stmt::Invoke { call, .. } = self.stmt(n) else { return };
         let call = call.clone();
         for &callee in self.flows.icfg.callees_of_call(n) {
             let starts = self.flows.icfg.start_points_of(callee);
             let entry_facts = self.flows.call_flow(&call, callee, d2f);
             for (d3f, src_mark) in entry_facts {
-                let d3 = self.dom.intern(&d3f);
-                self.fw.add_incoming(callee, d3.clone(), n, d2.clone());
+                let d3 = self.interner.intern_fact(&d3f);
+                self.fw.add_incoming(callee, d3, n, *d2);
                 let cached = self
                     .cache
                     .as_ref()
@@ -312,13 +308,13 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
                     // site for provenance (the interior chain is never
                     // built on a warm hit).
                     for (exit, exit_f) in cached {
-                        let ek = self.dom.intern(&exit_f);
-                        self.fw.install_summary(callee, d3.clone(), exit, ek.clone());
-                        self.record_pred(exit, ek, Some((n, d2.clone())));
+                        let ek = self.interner.intern_fact(&exit_f);
+                        self.fw.install_summary(callee, d3, exit, ek);
+                        self.record_pred(exit, ek, Some((n, *d2)));
                     }
                 } else {
                     for &sp in &starts {
-                        self.fw_propagate(d3.clone(), sp, d3.clone(), Some((n, d2.clone())));
+                        self.fw_propagate(d3, sp, d3, Some((n, *d2)));
                         if let Some(src) = src_mark {
                             self.mark_source(sp, &d3, src);
                         }
@@ -334,9 +330,9 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         }
     }
 
-    fn forward_exit(&mut self, d1: &D::Key, n: StmtRef, d2: &D::Key) {
+    fn forward_exit(&mut self, d1: &FactId, n: StmtRef, d2: &FactId) {
         let callee = self.flows.icfg.method_of(n);
-        self.fw.install_summary(callee, d1.clone(), n, d2.clone());
+        self.fw.install_summary(callee, *d1, n, *d2);
         for (call_site, d4) in self.fw.incoming_for(callee, d1) {
             self.apply_return_for_context(call_site, callee, n, d2, &d4);
         }
@@ -347,10 +343,10 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         call_site: StmtRef,
         callee: MethodId,
         exit: StmtRef,
-        exit_key: &D::Key,
-        d4: &D::Key,
+        exit_key: &FactId,
+        d4: &FactId,
     ) {
-        let exit_fact = self.dom.resolve(exit_key);
+        let exit_fact = self.interner.resolve_fact(*exit_key);
         let mapped = self.flows.return_flow(call_site, callee, exit, &exit_fact);
         if mapped.is_empty() {
             return;
@@ -372,17 +368,17 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         let mut acts = Vec::with_capacity(mapped.len());
         for t in &mapped {
             let t = self.maybe_activate(call_site, t);
-            let k = self.dom.intern(&Fact::T(t));
+            let k = self.interner.intern_fact(&Fact::T(t));
             acts.push((t, k));
         }
         for ret_site in self.flows.icfg.return_sites_of_call(call_site) {
             for (t, fk) in &acts {
                 for d3 in &d3s {
                     self.fw_propagate(
-                        d3.clone(),
+                        *d3,
                         ret_site,
-                        fk.clone(),
-                        Some((exit, exit_key.clone())),
+                        *fk,
+                        Some((exit, *exit_key)),
                     );
                     // Heap taints returning to the caller spawn a new
                     // alias search there (paper §4.2).
@@ -394,7 +390,7 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         }
     }
 
-    fn forward_call_to_return(&mut self, d1: &D::Key, n: StmtRef, d2: &D::Key, d2f: &Fact) {
+    fn forward_call_to_return(&mut self, d1: &FactId, n: StmtRef, d2: &FactId, d2f: &Fact) {
         let ctr = self.flows.call_to_return(n, d2f);
         for t in &ctr.leaks {
             self.leaks.push((n, *t));
@@ -415,23 +411,23 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
                 z => *z,
             };
             let non_zero = !f.is_zero();
-            keys.push((self.dom.intern(&f), non_zero));
+            keys.push((self.interner.intern_fact(&f), non_zero));
         }
-        let origin = Some((n, d2.clone()));
+        let origin = Some((n, *d2));
         for ret_site in self.flows.icfg.return_sites_of_call(n) {
             for (k, non_zero) in &keys {
                 if ctr.src_mark && *non_zero {
                     self.mark_source(ret_site, k, n);
                 }
-                self.fw_propagate(d1.clone(), ret_site, k.clone(), origin.clone());
+                self.fw_propagate(*d1, ret_site, *k, origin);
             }
         }
     }
 
     // ================= backward (alias) solver =================
 
-    fn process_backward(&mut self, d1: D::Key, n: StmtRef, d2: D::Key) {
-        let d2f = self.dom.resolve(&d2);
+    fn process_backward(&mut self, d1: FactId, n: StmtRef, d2: FactId) {
+        let d2f = self.interner.resolve_fact(d2);
         match self.stmt(n) {
             Stmt::Invoke { .. } => {
                 self.backward_call(&d1, n, &d2, &d2f);
@@ -453,26 +449,26 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
     /// summary, hand the fact to the forward solver (with the backward
     /// solver's calling contexts, so returns stay realizable), and
     /// stop; the backward analysis never returns into callers itself.
-    fn bw_to_preds(&mut self, d1: &D::Key, n: StmtRef, d: &D::Key) {
-        self.bw_to_preds_from(d1, n, d, Some((n, d.clone())));
+    fn bw_to_preds(&mut self, d1: &FactId, n: StmtRef, d: &FactId) {
+        self.bw_to_preds_from(d1, n, d, Some((n, *d)));
     }
 
     fn bw_to_preds_from(
         &mut self,
-        d1: &D::Key,
+        d1: &FactId,
         n: StmtRef,
-        d: &D::Key,
-        origin: Option<(StmtRef, D::Key)>,
+        d: &FactId,
+        origin: Option<(StmtRef, FactId)>,
     ) {
         let preds = self.flows.icfg.preds_of(n);
         if preds.is_empty() {
             let m = self.flows.icfg.method_of(n);
             let sp = StmtRef::new(m, 0);
-            self.bw.install_summary(m, d1.clone(), sp, d.clone());
-            self.fw_propagate(d1.clone(), sp, d.clone(), origin);
+            self.bw.install_summary(m, *d1, sp, *d);
+            self.fw_propagate(*d1, sp, *d, origin);
             let contexts = self.bw.incoming_for(m, d1);
             if !contexts.is_empty() {
-                self.fw.inject_incoming(m, d1.clone(), contexts.clone());
+                self.fw.inject_incoming(m, *d1, contexts.clone());
                 // The forward solver may already hold summaries for
                 // (m, d1) from an earlier handoff or a real forward
                 // call; apply them to every context known now. Contexts
@@ -488,39 +484,39 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
             return;
         }
         for pred in preds {
-            self.bw_propagate(d1.clone(), pred, d.clone(), origin.clone());
+            self.bw_propagate(*d1, pred, *d, origin);
         }
     }
 
     fn backward_assign(
         &mut self,
-        d1: &D::Key,
+        d1: &FactId,
         n: StmtRef,
-        d2: &D::Key,
+        d2: &FactId,
         d2f: &Fact,
         lhs: &flowdroid_ir::Place,
         rhs: &flowdroid_ir::Rvalue,
     ) {
         let Fact::T(t) = d2f else { return };
         let flows = self.flows.backward_assign(t, lhs, rhs);
-        let origin = Some((n, d2.clone()));
+        let origin = Some((n, *d2));
         for g in flows.back {
-            let k = self.dom.intern(&Fact::T(g));
-            self.bw_to_preds_from(d1, n, &k, origin.clone());
+            let k = self.interner.intern_fact(&Fact::T(g));
+            self.bw_to_preds_from(d1, n, &k, origin);
         }
         for g in flows.fwd_at_n {
-            let k = self.dom.intern(&Fact::T(g));
-            self.fw_propagate(d1.clone(), n, k, origin.clone());
+            let k = self.interner.intern_fact(&Fact::T(g));
+            self.fw_propagate(*d1, n, k, origin);
         }
         for g in flows.fwd_after {
-            let k = self.dom.intern(&Fact::T(g));
+            let k = self.interner.intern_fact(&Fact::T(g));
             for succ in self.flows.icfg.succs_of(n) {
-                self.fw_propagate(d1.clone(), succ, k.clone(), origin.clone());
+                self.fw_propagate(*d1, succ, k, origin);
             }
         }
     }
 
-    fn backward_call(&mut self, d1: &D::Key, n: StmtRef, d2: &D::Key, d2f: &Fact) {
+    fn backward_call(&mut self, d1: &FactId, n: StmtRef, d2: &FactId, d2f: &Fact) {
         let Stmt::Invoke { result, call } = self.stmt(n) else { return };
         let (result, call) = (*result, call.clone());
         let Fact::T(t) = d2f else { return };
@@ -534,10 +530,10 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         let callees: Vec<MethodId> = self.flows.icfg.callees_of_call(n).to_vec();
         for callee in callees {
             for (g, exits) in self.flows.backward_call_entries(t, result, &call, callee) {
-                let gk = self.dom.intern(&Fact::T(g));
-                self.bw.add_incoming(callee, gk.clone(), n, d2.clone());
+                let gk = self.interner.intern_fact(&Fact::T(g));
+                self.bw.add_incoming(callee, gk, n, *d2);
                 for exit in exits {
-                    self.bw_propagate(gk.clone(), exit, gk.clone(), Some((n, d2.clone())));
+                    self.bw_propagate(gk, exit, gk, Some((n, *d2)));
                 }
                 // If the backward search already reached this callee's
                 // start with entry fact `g` (a backward start-summary
@@ -548,7 +544,7 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
                 // contexts known at handoff time) every (context,
                 // summary) pair is applied regardless of order.
                 if !self.bw.summaries_for(callee, &gk).is_empty() {
-                    self.fw.inject_incoming(callee, gk.clone(), vec![(n, d2.clone())]);
+                    self.fw.inject_incoming(callee, gk, vec![(n, *d2)]);
                     for (exit, d2x) in self.fw.summaries_for(callee, &gk) {
                         self.apply_return_for_context(n, callee, exit, &d2x, d2);
                     }
@@ -572,8 +568,11 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
                     .map(|(m, d1, exits)| {
                         (
                             m,
-                            self.dom.resolve(&d1),
-                            exits.iter().map(|(e, k)| (*e, self.dom.resolve(k))).collect(),
+                            self.interner.resolve_fact(d1),
+                            exits
+                                .iter()
+                                .map(|(e, k)| (*e, self.interner.resolve_fact(*k)))
+                                .collect(),
                         )
                     })
                     .collect();
@@ -603,11 +602,10 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
             });
         }
         leaks.sort_by_key(|l| (l.sink, l.source));
-        let (distinct_facts, distinct_aps) = self.dom.stats().unwrap_or((0, 0));
         let fact_tables = {
             let mut t = self.fw.table_stats();
             t.merge(&self.bw.table_stats());
-            t.widened_facts = self.dom.widened_count();
+            t.widened_facts = self.interner.widened_count();
             (t.any() || t.widened_facts > 0).then_some(t)
         };
         InfoflowResults {
@@ -615,8 +613,8 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
             forward_propagations: self.fw.propagation_count(),
             backward_propagations: self.bw.propagation_count(),
             reachable_methods: self.flows.icfg.callgraph().reachable_methods().len(),
-            distinct_facts,
-            distinct_aps,
+            distinct_facts: self.interner.fact_count(),
+            distinct_aps: self.interner.ap_count(),
             duration,
             aborted: self.abort_reason.is_some(),
             abort_reason: self.abort_reason,
@@ -640,11 +638,11 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
         if !self.config().track_paths {
             return (None, Vec::new());
         }
-        let sink_key = self.dom.intern(&Fact::T(*taint));
+        let sink_key = self.interner.intern_fact(&Fact::T(*taint));
         let start = (sink, sink_key);
         let mut visited = std::collections::HashSet::new();
-        visited.insert(start.clone());
-        let mut parent: FxHashMap<(StmtRef, D::Key), (StmtRef, D::Key)> = FxHashMap::default();
+        visited.insert(start);
+        let mut parent: FxHashMap<(StmtRef, FactId), (StmtRef, FactId)> = FxHashMap::default();
         let mut queue = std::collections::VecDeque::from([start]);
         while let Some(cur) = queue.pop_front() {
             if let Some(&src) = self.gen_source.get(&cur) {
@@ -654,15 +652,15 @@ impl<'a, D: FactDomain> BiSolver<'a, D> {
                 let mut walk = cur;
                 while let Some(p) = parent.get(&walk) {
                     path.push(p.0);
-                    walk = p.clone();
+                    walk = *p;
                 }
                 return (Some(src), path);
             }
             let mut origins = self.preds.get(&cur).cloned().unwrap_or_default();
-            origins.sort_by_cached_key(|(s, k)| (*s, self.dom.resolve(k)));
+            origins.sort_by_cached_key(|(s, k)| (*s, self.interner.resolve_fact(*k)));
             for o in origins {
-                if visited.insert(o.clone()) {
-                    parent.insert(o.clone(), cur.clone());
+                if visited.insert(o) {
+                    parent.insert(o, cur);
                     queue.push_back(o);
                 }
             }

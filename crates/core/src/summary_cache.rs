@@ -461,7 +461,6 @@ mod tests {
         // Engine mechanics do not.
         let mut threads = base.clone();
         threads.taint_threads = 4;
-        threads.intern_facts = false;
         threads.track_paths = false;
         assert_eq!(h, context_hash(&threads, &sources, &wrapper));
     }

@@ -5,7 +5,7 @@
 //! driver's byte-identical reports rely on).
 
 use flowdroid_core::access_path::{AccessPath, ApBase};
-use flowdroid_core::intern::{intern_fields, FactDomain, Interner, InternedDomain};
+use flowdroid_core::intern::{intern_fields, FactId, Interner};
 use flowdroid_core::taint::{Fact, Taint};
 use flowdroid_ir::{FieldId, Local, MethodId, StmtRef};
 use proptest::prelude::*;
@@ -53,46 +53,46 @@ proptest! {
         prop_assert_eq!(ia == ib, a == b);
     }
 
-    /// `resolve(intern(f)) == f` for whole facts (through the domain
-    /// the solver actually uses).
+    /// `resolve(intern(f)) == f` for whole facts, under the bound the
+    /// solver uses.
     #[test]
     fn fact_interning_round_trips(f in fact_strategy()) {
-        let mut dom = InternedDomain::new(5);
-        let id = dom.intern(&f);
-        prop_assert_eq!(dom.resolve(&id), f.clone());
-        prop_assert_eq!(dom.is_zero(&id), f.is_zero());
+        let mut i = Interner::with_bound(5);
+        let id = i.intern_fact(&f);
+        prop_assert_eq!(i.resolve_fact(id), f);
+        prop_assert_eq!(id == FactId::ZERO, f.is_zero());
     }
 
     /// `intern(a) == intern(b)  ⇔  a == b` for facts.
     #[test]
     fn fact_ids_identify_equal_facts(a in fact_strategy(), b in fact_strategy()) {
-        let mut dom = InternedDomain::new(5);
-        let ia = dom.intern(&a);
-        let ib = dom.intern(&b);
+        let mut i = Interner::with_bound(5);
+        let ia = i.intern_fact(&a);
+        let ib = i.intern_fact(&b);
         prop_assert_eq!(ia == ib, a == b);
     }
 
     /// Interning is idempotent and never grows the arena on re-intern.
     #[test]
     fn reinterning_is_stable(facts in proptest::collection::vec(fact_strategy(), 1..16)) {
-        let mut dom = InternedDomain::new(5);
-        let first: Vec<_> = facts.iter().map(|f| dom.intern(f)).collect();
-        let count = dom.stats().unwrap();
-        let second: Vec<_> = facts.iter().map(|f| dom.intern(f)).collect();
+        let mut i = Interner::with_bound(5);
+        let first: Vec<_> = facts.iter().map(|f| i.intern_fact(f)).collect();
+        let count = (i.fact_count(), i.ap_count());
+        let second: Vec<_> = facts.iter().map(|f| i.intern_fact(f)).collect();
         prop_assert_eq!(&first, &second);
-        prop_assert_eq!(dom.stats().unwrap(), count);
+        prop_assert_eq!((i.fact_count(), i.ap_count()), count);
     }
 
     /// Id assignment is a pure function of encounter order: two
     /// interners fed the same sequence assign identical ids.
     #[test]
     fn encounter_order_determines_ids(facts in proptest::collection::vec(fact_strategy(), 1..16)) {
-        let mut a = InternedDomain::new(5);
-        let mut b = InternedDomain::new(5);
-        let ids_a: Vec<_> = facts.iter().map(|f| a.intern(f)).collect();
-        let ids_b: Vec<_> = facts.iter().map(|f| b.intern(f)).collect();
+        let mut a = Interner::with_bound(5);
+        let mut b = Interner::with_bound(5);
+        let ids_a: Vec<_> = facts.iter().map(|f| a.intern_fact(f)).collect();
+        let ids_b: Vec<_> = facts.iter().map(|f| b.intern_fact(f)).collect();
         prop_assert_eq!(ids_a, ids_b);
-        prop_assert_eq!(a.stats(), b.stats());
+        prop_assert_eq!((a.fact_count(), a.ap_count()), (b.fact_count(), b.ap_count()));
     }
 
     /// The field-sequence arena round-trips content exactly.

@@ -2,19 +2,16 @@
 //! path-edge, end-summary and incoming tables behind independently
 //! locked shards, usable from many worker threads.
 //!
-//! Extracted from the parallel IFDS solver so the bidirectional taint
-//! engine can drive two of them (forward + backward) over the same
-//! work-stealing scheduler. Shards are addressed by the Fx hash of the
-//! outer key (statement for edges, callee for summaries/incoming);
-//! workers touching different statements or callees never contend.
+//! The bidirectional taint engine drives two of them (forward +
+//! backward) over one work-stealing scheduler. Shards are addressed by
+//! the Fx hash of the outer key (statement for edges, callee for
+//! summaries/incoming); workers touching different statements or
+//! callees never contend.
 //!
-//! The table representation is chosen by a [`ConcurrentKeyDomain`]:
-//! [`IdentityKeys`] stores facts as-is in nested hash maps (any
-//! hashable fact), while a fact-interning domain (e.g. the taint
-//! engine's shared interner) maps facts to dense ids at the table
-//! boundary and stores bitset rows instead. The public API always
-//! speaks facts; keying is an internal representation choice, so the
-//! solver code is identical for both.
+//! Facts are mapped to dense ids at the table boundary by a
+//! [`ConcurrentKeyDomain`] (e.g. the taint engine's shared interner),
+//! and the tables store id-indexed bitset rows. The public API always
+//! speaks facts; keying is an internal representation choice.
 //!
 //! The cross-table handshake discipline (register your own half, then
 //! read the other's) works across threads because each shard is a
@@ -22,9 +19,9 @@
 //! summary shard orders the accesses such that of two racing
 //! (call-side, exit-side) updates at least one side observes the other.
 
-use crate::factset::{FactRel, FactSetDomain, HashSets, PairSet, TableStats};
+use crate::factset::{BitPairs, FactRel, PairSet, TableStats};
+use flowdroid_bitset::{Idx, SparseBitMatrix};
 use flowdroid_ir::{fxhash64, FxHashMap, MethodId, StmtRef};
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -32,8 +29,8 @@ use std::sync::Mutex;
 /// Number of independently locked shards per table (power of two).
 const SHARD_COUNT: usize = 16;
 
-/// Maps solver facts to the keys actually stored in the concurrent
-/// tables, and picks the table representation for those keys.
+/// Maps solver facts to the dense keys actually stored in the
+/// concurrent tables.
 ///
 /// `key` may intern (allocate an id for a first-seen fact) behind
 /// interior mutability; it is called under no table lock. Key
@@ -41,53 +38,21 @@ const SHARD_COUNT: usize = 16;
 /// fact ↔ key mapping to be a bijection within one domain instance,
 /// not any particular id order.
 pub trait ConcurrentKeyDomain<F>: Sync {
-    /// The stored key type.
-    type Key: Clone + Eq + Hash + Send;
-    /// Table representation for the stored keys (`Send` tables, so the
-    /// shards can be locked from any worker thread).
-    type Sets: FactSetDomain<Self::Key, Rel: Send, Pairs: Send>;
+    /// The stored key type: a dense index, so fact sets are bitset rows.
+    type Key: Idx + Hash + Send;
     /// The key for a fact (interning it on first sight).
     fn key(&self, f: &F) -> Self::Key;
     /// The fact a stored key denotes.
     fn fact(&self, k: &Self::Key) -> F;
-    /// `(distinct facts, distinct access paths)` interned so far, when
-    /// the domain tracks them.
-    fn stats(&self) -> Option<(usize, usize)> {
-        None
-    }
-    /// Fact interns whose access path was widened to the length bound,
-    /// when the domain widens.
-    fn widened_count(&self) -> u64 {
-        0
-    }
 }
 
-/// The identity domain: facts are their own keys, tables are nested
-/// hash maps. The only choice for non-interned fact types.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdentityKeys;
+type Key<F, D> = <D as ConcurrentKeyDomain<F>>::Key;
 
-impl<F: Clone + Eq + Hash + Send + Sync> ConcurrentKeyDomain<F> for IdentityKeys {
-    type Key = F;
-    type Sets = HashSets;
-
-    fn key(&self, f: &F) -> F {
-        f.clone()
-    }
-
-    fn fact(&self, k: &F) -> F {
-        k.clone()
-    }
-}
-
-type Rel<F, D> =
-    <<D as ConcurrentKeyDomain<F>>::Sets as FactSetDomain<<D as ConcurrentKeyDomain<F>>::Key>>::Rel;
-type Pairs<F, D> =
-    <<D as ConcurrentKeyDomain<F>>::Sets as FactSetDomain<<D as ConcurrentKeyDomain<F>>::Key>>::Pairs;
+/// The per-statement path-edge relation `d2 → {d1}`.
+type Rel<F, D> = SparseBitMatrix<Key<F, D>, Key<F, D>>;
 
 /// `callee → key → (statement, key)` pairs, one shard's worth.
-type MethodFactMap<F, D> =
-    FxHashMap<MethodId, FxHashMap<<D as ConcurrentKeyDomain<F>>::Key, Pairs<F, D>>>;
+type MethodFactMap<F, D> = FxHashMap<MethodId, FxHashMap<Key<F, D>, BitPairs<Key<F, D>>>>;
 
 /// A table split into independently locked shards, addressed by the Fx
 /// hash of a chosen outer key.
@@ -111,7 +76,7 @@ impl<T: Default> Shards<T> {
 
 /// Sharded path-edge / end-summary / incoming tables for one direction
 /// of a parallel tabulation.
-pub struct ConcurrentTabulator<F, D: ConcurrentKeyDomain<F> = IdentityKeys> {
+pub struct ConcurrentTabulator<F, D: ConcurrentKeyDomain<F>> {
     dom: D,
     /// n → d2 → d1 set, sharded by n.
     edges: Shards<FxHashMap<StmtRef, Rel<F, D>>>,
@@ -122,22 +87,7 @@ pub struct ConcurrentTabulator<F, D: ConcurrentKeyDomain<F> = IdentityKeys> {
     propagations: AtomicU64,
 }
 
-impl<F: Clone + Eq + Hash, D: ConcurrentKeyDomain<F> + Default> Default
-    for ConcurrentTabulator<F, D>
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<F: Clone + Eq + Hash, D: ConcurrentKeyDomain<F> + Default> ConcurrentTabulator<F, D> {
-    /// Creates empty tables with a default key domain.
-    pub fn new() -> Self {
-        Self::with_domain(D::default())
-    }
-}
-
-impl<F: Clone + Eq + Hash, D: ConcurrentKeyDomain<F>> ConcurrentTabulator<F, D> {
+impl<F, D: ConcurrentKeyDomain<F>> ConcurrentTabulator<F, D> {
     /// Creates empty tables keyed through `dom`.
     pub fn with_domain(dom: D) -> Self {
         ConcurrentTabulator {
@@ -166,7 +116,7 @@ impl<F: Clone + Eq + Hash, D: ConcurrentKeyDomain<F>> ConcurrentTabulator<F, D> 
     /// was new (the caller then schedules it).
     pub fn record_edge(&self, d1: &F, n: StmtRef, d2: &F) -> bool {
         let (k1, k2) = (self.dom.key(d1), self.dom.key(d2));
-        let inserted = self.edges.for_key(&n).lock().unwrap().entry(n).or_default().insert(&k2, &k1);
+        let inserted = self.edges.for_key(&n).lock().unwrap().entry(n).or_default().insert(k2, k1);
         if inserted {
             self.propagations.fetch_add(1, Ordering::Relaxed);
         }
@@ -255,7 +205,7 @@ impl<F: Clone + Eq + Hash, D: ConcurrentKeyDomain<F>> ConcurrentTabulator<F, D> 
             let shard = shard.lock().unwrap();
             for (m, by_fact) in shard.iter() {
                 for (d1, exits) in by_fact {
-                    raw.push((*m, d1.clone(), exits.to_vec()));
+                    raw.push((*m, *d1, exits.to_vec()));
                 }
             }
         }
@@ -267,8 +217,7 @@ impl<F: Clone + Eq + Hash, D: ConcurrentKeyDomain<F>> ConcurrentTabulator<F, D> 
         self.propagations.load(Ordering::Relaxed)
     }
 
-    /// Density counters across all shards of all tables (all zeros on
-    /// the hash-map representation).
+    /// Density counters across all shards of all tables.
     pub fn table_stats(&self) -> TableStats {
         let mut stats = TableStats::default();
         for shard in &self.edges.shards {
@@ -287,24 +236,30 @@ impl<F: Clone + Eq + Hash, D: ConcurrentKeyDomain<F>> ConcurrentTabulator<F, D> 
         }
         stats
     }
-
-    /// Consumes the tables into `n → facts-at-n` (the result shape of
-    /// the generic IFDS solver).
-    pub fn into_facts(self) -> HashMap<StmtRef, Vec<F>> {
-        let mut facts: HashMap<StmtRef, Vec<F>> = HashMap::new();
-        for shard in &self.edges.shards {
-            let shard = shard.lock().unwrap();
-            for (n, rel) in shard.iter() {
-                facts.entry(*n).or_default().extend(rel.keys().iter().map(|k| self.dom.fact(k)));
-            }
-        }
-        facts
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Facts that are already dense ids: each `u32` is its own key.
+    struct U32Keys;
+
+    impl ConcurrentKeyDomain<u32> for U32Keys {
+        type Key = u32;
+
+        fn key(&self, f: &u32) -> u32 {
+            *f
+        }
+
+        fn fact(&self, k: &u32) -> u32 {
+            *k
+        }
+    }
+
+    fn tabulator() -> ConcurrentTabulator<u32, U32Keys> {
+        ConcurrentTabulator::with_domain(U32Keys)
+    }
 
     fn sr(i: usize) -> StmtRef {
         StmtRef::new(MethodId::from_index(0), i)
@@ -312,7 +267,7 @@ mod tests {
 
     #[test]
     fn record_edge_dedupes_across_threads() {
-        let t: ConcurrentTabulator<u32> = ConcurrentTabulator::new();
+        let t = tabulator();
         let news = std::sync::atomic::AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -335,7 +290,7 @@ mod tests {
     #[test]
     fn incoming_and_summaries_dedupe() {
         let m = MethodId::from_index(3);
-        let t: ConcurrentTabulator<u32> = ConcurrentTabulator::new();
+        let t = tabulator();
         assert!(t.add_incoming(m, &1, sr(4), &5));
         assert!(!t.add_incoming(m, &1, sr(4), &5));
         assert_eq!(t.incoming_for(m, &1), vec![(sr(4), 5)]);
@@ -347,16 +302,17 @@ mod tests {
     }
 
     #[test]
-    fn into_facts_collects_by_statement() {
-        let t: ConcurrentTabulator<u32> = ConcurrentTabulator::new();
+    fn edges_group_by_statement() {
+        let t = tabulator();
         t.record_edge(&0, sr(2), &5);
         t.record_edge(&0, sr(2), &6);
         t.record_edge(&1, sr(2), &5);
         t.record_edge(&0, sr(3), &7);
-        let facts = t.into_facts();
-        let mut at2 = facts[&sr(2)].clone();
-        at2.sort_unstable();
-        assert_eq!(at2, vec![5, 6]);
-        assert_eq!(facts[&sr(3)], vec![7]);
+        assert_eq!(t.d1s_at(sr(2), &5), vec![0, 1]);
+        assert_eq!(t.d1s_at(sr(2), &6), vec![0]);
+        assert_eq!(t.d1s_at(sr(3), &7), vec![0]);
+        assert!(t.d1s_at(sr(3), &5).is_empty());
+        // One bitset row per (statement, d2).
+        assert_eq!(t.table_stats().rows, 3);
     }
 }

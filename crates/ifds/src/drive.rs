@@ -1,10 +1,8 @@
 //! The shared worker-drive loop for parallel tabulation.
 //!
-//! Both parallel engines — the generic [`ParallelSolver`]
-//! (crate::ParallelSolver) and the FlowDroid core's bidirectional taint
-//! engine — used to carry their own copy of the claim / drain / retire
-//! loop around [`WorkStealScheduler`]. This module is the single
-//! implementation: an engine supplies a per-worker state (anything
+//! The claim / drain / retire loop around [`WorkStealScheduler`] that
+//! the FlowDroid core's parallel bidirectional taint engine runs on: an
+//! engine supplies a per-worker state (anything
 //! implementing [`WorkerState`], typically holding caches and a local
 //! pending buffer) and a `step` function processing one job, and
 //! [`drive`] runs the loop to the scheduler's exact-termination
@@ -23,9 +21,6 @@
 
 use crate::abort::AbortHandle;
 use crate::scheduler::WorkStealScheduler;
-
-/// Default base spill threshold (jobs held locally before publishing).
-pub const DEFAULT_SPILL: usize = 64;
 
 /// Jobs a worker processes between [`AbortHandle`] polls. Bounds how
 /// far past a deadline a run can drift: one poll interval of work per

@@ -29,18 +29,16 @@ mod concurrent;
 mod drive;
 pub mod factset;
 pub mod ide;
-mod parallel;
 mod problem;
 mod scheduler;
 mod solver;
 mod tabulator;
 
 pub use abort::{AbortHandle, AbortReason};
-pub use concurrent::{ConcurrentKeyDomain, ConcurrentTabulator, IdentityKeys};
+pub use concurrent::{ConcurrentKeyDomain, ConcurrentTabulator};
 pub use factset::{BitsetSets, FactSetDomain, HashSets, TableStats};
-pub use drive::{drive, spill_threshold, WorkerState, DEFAULT_SPILL};
+pub use drive::{drive, spill_threshold, WorkerState};
 pub use ide::{EdgeTransfer, IdeProblem, IdeResults, IdeSolver};
-pub use parallel::ParallelSolver;
 pub use problem::IfdsProblem;
 pub use scheduler::{SchedulerStats, WorkStealScheduler, DEFAULT_BATCH, DEFAULT_SHARDS};
 pub use solver::{IfdsResults, Solver};

@@ -12,9 +12,9 @@
 //! its discoveries, so `queued == 0 && in_flight == 0` is observable
 //! only at the fixpoint.
 //!
-//! The scheduler is deliberately policy-free about job meaning — the
-//! generic IFDS solver and the bidirectional taint engine both drive it
-//! — and it records the counters (`steals`, per-shard pushes) that the
+//! The scheduler is deliberately policy-free about job meaning (the
+//! bidirectional taint engine's jobs carry a direction and two facts),
+//! and it records the counters (`steals`, per-shard pushes) that the
 //! benchmark suite reports.
 
 use flowdroid_ir::fxhash64;

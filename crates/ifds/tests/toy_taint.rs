@@ -2,7 +2,7 @@
 //! the IFDS solver's summaries, context sensitivity and fixpoints.
 
 use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
-use flowdroid_ifds::{IfdsProblem, ParallelSolver, Solver};
+use flowdroid_ifds::{IfdsProblem, Solver};
 use flowdroid_ir::{
     Local, MethodBuilder, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef, Type,
 };
@@ -241,67 +241,6 @@ fn recursion_reaches_fixed_point() {
     let results = Solver::new(&icfg, &problem).solve();
 
     assert_eq!(sink_arg_tainted(&icfg, &results, main), vec![true]);
-}
-
-/// The parallel solver reaches the identical fixed point as the
-/// sequential solver (the paper's Heros is multi-threaded).
-#[test]
-fn parallel_solver_matches_sequential() {
-    let mut p = Program::new();
-    declare_env(&mut p);
-    let c = p.declare_class("Main", None, &[]);
-    let st = string_ty(&mut p);
-
-    let mut ib = MethodBuilder::new_static_on(&mut p, c, "id", vec![st.clone()], st.clone());
-    let x = ib.param(0);
-    ib.ret(Some(x.into()));
-    ib.finish();
-
-    let mut mb = MethodBuilder::new_static_on(&mut p, c, "main", vec![], Type::Void);
-    let s = mb.local("s", st.clone());
-    let a = mb.local("a", st.clone());
-    let b = mb.local("b", st.clone());
-    mb.call_static(Some(s), "Env", "source", vec![], st.clone(), vec![]);
-    mb.call_static(Some(a), "Main", "id", vec![st.clone()], st.clone(), vec![s.into()]);
-    let cst = mb.program().intern("c");
-    mb.call_static(
-        Some(b),
-        "Main",
-        "id",
-        vec![st.clone()],
-        st.clone(),
-        vec![Operand::Const(flowdroid_ir::Constant::Str(cst))],
-    );
-    mb.call_static(None, "Env", "sink", vec![st.clone()], Type::Void, vec![a.into()]);
-    mb.call_static(None, "Env", "sink", vec![st.clone()], Type::Void, vec![b.into()]);
-    let main = mb.finish();
-
-    let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
-    let icfg = Icfg::new(&p, &cg);
-    let problem = ToyTaint { icfg, entry: main };
-    let sequential = Solver::new(&icfg, &problem).solve();
-    for threads in [1, 2, 4, 8] {
-        let parallel = ParallelSolver::new(&icfg, &problem, threads).solve();
-        // Identical fact sets at every reached statement.
-        let mut seq_stmts: Vec<_> = sequential.reached_stmts().collect();
-        seq_stmts.sort();
-        let mut par_stmts: Vec<_> = parallel.reached_stmts().collect();
-        par_stmts.sort();
-        assert_eq!(seq_stmts, par_stmts, "threads={threads}");
-        for n in sequential.reached_stmts() {
-            let mut a: Vec<_> = sequential.facts_at(*n).to_vec();
-            let mut b: Vec<_> = parallel.facts_at(*n).to_vec();
-            a.sort_by_key(|f| format!("{f:?}"));
-            b.sort_by_key(|f| format!("{f:?}"));
-            assert_eq!(a, b, "facts at {n:?} with {threads} threads");
-        }
-        assert_eq!(
-            sequential.propagation_count(),
-            parallel.propagation_count(),
-            "the fixed point is unique (threads={threads})"
-        );
-    }
-    assert_eq!(sink_arg_tainted(&icfg, &sequential, main), vec![true, false]);
 }
 
 #[test]

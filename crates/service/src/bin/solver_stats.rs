@@ -1,15 +1,14 @@
-//! Emits `BENCH_solver.json`: solver performance across four mode
-//! families — sequential with whole-fact keys, sequential with
-//! interned `u32` keys (the default), the parallel corpus driver at
+//! Emits `BENCH_solver.json`: solver performance across three mode
+//! families — the sequential solver, the parallel corpus driver at
 //! 1/2/4/8 threads, and the parallel *taint engine* (work-stealing
 //! bidirectional solver) at 1/2/4/8 workers — over the full
 //! DroidBench + SecuriBench corpus. Parallel-taint modes report the
 //! scheduler counters (pushes, steals, claims, shard occupancy).
 //!
-//! Heap allocations are counted with a wrapping global allocator, so
-//! the interned-vs-direct comparison measures exactly what interning
-//! buys. Leak reports are compared byte-for-byte across every mode;
-//! the binary exits non-zero if any run diverges.
+//! Heap allocations are counted with a wrapping global allocator. Leak
+//! reports are compared byte-for-byte across every mode against
+//! `sequential-interned`; the binary exits non-zero if any run
+//! diverges.
 //!
 //! The `demand-lazy` mode runs the corpus through the demand-driven
 //! frontend (platform snapshot clone + lazy method bodies); its report
@@ -45,9 +44,9 @@
 //!
 //! `--mode ground-truth` runs the seeded synthetic corpus from
 //! `flowdroid-truth` instead of the benchmark corpus: it sweeps every
-//! engine configuration (solver × table layout × frontend × cache
-//! temperature) over the generated apps, scores the reference engine
-//! per category against each app's ground-truth manifest, probes the
+//! engine configuration (solver × frontend × cache temperature) over
+//! the generated apps, scores the reference engine per category
+//! against each app's ground-truth manifest, probes the
 //! access-path k-limit on the widening chains, re-checks the ICC pairs
 //! in linked mode, and round-trips every packed `.rpk` through an
 //! in-process daemon under the `--allow-apps` path policy (including a
@@ -97,6 +96,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 struct ModeStats {
     name: &'static str,
     threads: usize,
+    taint_threads: usize,
     wall_ms: f64,
     app_time_ms: f64,
     dataflow_ms: f64,
@@ -135,6 +135,7 @@ fn measure(
     ModeStats {
         name,
         threads,
+        taint_threads: config.taint_threads,
         wall_ms: ms(run.wall),
         app_time_ms: ms(app_time),
         dataflow_ms: ms(dataflow),
@@ -198,23 +199,13 @@ fn fact_tables_json(s: &Option<TableStats>) -> String {
     }
 }
 
-/// Interning counters as JSON: `null` when untracked (interning off —
-/// the interner always holds at least the zero fact when it runs, so
-/// `0` can only mean "not measured" and is reported as such).
-fn count_json(n: usize) -> String {
-    if n == 0 {
-        "null".to_string()
-    } else {
-        n.to_string()
-    }
-}
-
 fn mode_json(m: &ModeStats, report_identical: bool) -> String {
     format!(
         concat!(
             "    {{\n",
             "      \"mode\": \"{}\",\n",
             "      \"threads\": {},\n",
+            "      \"taint_threads\": {},\n",
             "      \"wall_ms\": {:.3},\n",
             "      \"app_time_ms\": {:.3},\n",
             "      \"dataflow_ms\": {:.3},\n",
@@ -235,6 +226,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         ),
         m.name,
         m.threads,
+        m.taint_threads,
         m.wall_ms,
         m.app_time_ms,
         m.dataflow_ms,
@@ -245,8 +237,8 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.bodies_skipped,
         m.leaks,
         m.allocations,
-        count_json(m.distinct_facts),
-        count_json(m.distinct_aps),
+        m.distinct_facts,
+        m.distinct_aps,
         scheduler_json(&m.scheduler),
         fact_tables_json(&m.fact_tables),
         summary_cache_json(&m.summary_cache),
@@ -305,20 +297,13 @@ fn run_full(out_path: &str) {
         jobs.len()
     );
 
-    let direct = InfoflowConfig::default().with_fact_interning(false);
     let interned = InfoflowConfig::default();
 
+    // The baseline every other mode's report is compared against. The
+    // name is what verify.sh's regression gate looks up.
     let mut modes = Vec::new();
-    eprintln!("running sequential-direct (whole-fact keys) ...");
-    modes.push(measure("sequential-direct", &jobs, &direct, 1));
-    eprintln!("running sequential-interned (u32 fact ids, bitset tables) ...");
+    eprintln!("running sequential-interned (the sequential solver) ...");
     modes.push(measure("sequential-interned", &jobs, &interned, 1));
-    // The table-representation toggle: same id keys, nested hash maps
-    // instead of bitset rows. What the bitset tables buy is the delta
-    // between this row and sequential-interned.
-    let interned_hash = InfoflowConfig::default().with_bitset_tables(false);
-    eprintln!("running sequential-interned-hash (u32 fact ids, hash-map tables) ...");
-    modes.push(measure("sequential-interned-hash", &jobs, &interned_hash, 1));
     for threads in [1usize, 2, 4, 8] {
         eprintln!("running parallel corpus driver with {threads} thread(s) ...");
         modes.push(measure(
@@ -376,13 +361,6 @@ fn run_full(out_path: &str) {
     let baseline_report = modes[0].report.clone();
     let reports_identical = modes.iter().all(|m| m.report == baseline_report);
 
-    let direct_allocs = modes[0].allocations;
-    let interned_allocs = modes[1].allocations;
-    let alloc_reduction = if direct_allocs > 0 {
-        1.0 - interned_allocs as f64 / direct_allocs as f64
-    } else {
-        0.0
-    };
     let wall_1t = modes.iter().find(|m| m.name == "parallel-1").unwrap().wall_ms;
     let speedup = |name: &str| {
         let w = modes.iter().find(|m| m.name == name).unwrap().wall_ms;
@@ -409,28 +387,6 @@ fn run_full(out_path: &str) {
     }
     writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"comparison\": {{").unwrap();
-    writeln!(json, "    \"direct_allocations\": {direct_allocs},").unwrap();
-    writeln!(json, "    \"interned_allocations\": {interned_allocs},").unwrap();
-    writeln!(json, "    \"interning_alloc_reduction\": {alloc_reduction:.4},").unwrap();
-    writeln!(
-        json,
-        "    \"interning_strictly_fewer_allocations\": {},",
-        interned_allocs < direct_allocs
-    )
-    .unwrap();
-    let mode_by = |name: &str| modes.iter().find(|m| m.name == name).unwrap();
-    let bitset_mode = mode_by("sequential-interned");
-    let hash_mode = mode_by("sequential-interned-hash");
-    writeln!(json, "    \"hash_table_allocations\": {},", hash_mode.allocations).unwrap();
-    writeln!(json, "    \"bitset_table_allocations\": {},", bitset_mode.allocations).unwrap();
-    writeln!(
-        json,
-        "    \"bitset_strictly_fewer_allocations\": {},",
-        bitset_mode.allocations < hash_mode.allocations
-    )
-    .unwrap();
-    writeln!(json, "    \"hash_table_dataflow_ms\": {:.3},", hash_mode.dataflow_ms).unwrap();
-    writeln!(json, "    \"bitset_table_dataflow_ms\": {:.3},", bitset_mode.dataflow_ms).unwrap();
     writeln!(json, "    \"speedup_2t\": {:.3},", speedup("parallel-2")).unwrap();
     writeln!(json, "    \"speedup_4t\": {:.3},", speedup("parallel-4")).unwrap();
     writeln!(json, "    \"speedup_8t\": {:.3},", speedup("parallel-8")).unwrap();
@@ -521,31 +477,6 @@ fn run_full(out_path: &str) {
         eprintln!(
             "FAIL: demand-lazy mode decoded every body ({} materialized, 0 skipped)",
             lazy.bodies_materialized
-        );
-        std::process::exit(1);
-    }
-    // Since access-path field sequences moved into the global arena,
-    // whole-fact keys are `Copy` and the direct mode no longer pays
-    // per-propagation allocations — fact interning is now about compact
-    // `u32` table keys, not allocation avoidance. Guard against the
-    // interner itself becoming an allocation burden instead.
-    if interned_allocs as f64 > direct_allocs as f64 * 1.05 {
-        eprintln!(
-            "FAIL: interned mode allocates >5% more than direct ({interned_allocs} vs {direct_allocs})"
-        );
-        std::process::exit(1);
-    }
-    // Bitset rows replace the per-(statement, fact) hash sets; if they
-    // ever stop being strictly cheaper than the hash-map tables the
-    // representation has regressed.
-    let (bitset_allocs, hash_allocs) = {
-        let get = |name: &str| modes.iter().find(|m| m.name == name).unwrap().allocations;
-        (get("sequential-interned"), get("sequential-interned-hash"))
-    };
-    if bitset_allocs >= hash_allocs {
-        eprintln!(
-            "FAIL: bitset tables allocate no less than hash-map tables \
-             ({bitset_allocs} vs {hash_allocs})"
         );
         std::process::exit(1);
     }

@@ -7,9 +7,7 @@
 //!
 //! | engine            | configuration                                  |
 //! |-------------------|------------------------------------------------|
-//! | `seq-bitset`      | sequential, interned ids, bitset tables (ref)  |
-//! | `seq-hash`        | sequential, interned ids, hash-map tables      |
-//! | `seq-direct`      | sequential, whole-fact keys (no interning)     |
+//! | `seq-bitset`      | sequential solver (reference)                  |
 //! | `par-taint-1`     | work-stealing parallel solver, 1 worker        |
 //! | `par-taint-4`     | work-stealing parallel solver, 4 workers       |
 //! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX)  |
@@ -125,14 +123,6 @@ pub fn run_differential(apps: &[TruthApp], cache_dir: &Path) -> Differential {
 
     let reference = run_corpus(&jobs, &InfoflowConfig::default(), 1);
     engines.push(outcome("seq-bitset", &reference));
-    engines.push(outcome(
-        "seq-hash",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_bitset_tables(false), 1),
-    ));
-    engines.push(outcome(
-        "seq-direct",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_fact_interning(false), 1),
-    ));
     engines.push(outcome(
         "par-taint-1",
         &run_corpus(&jobs, &InfoflowConfig::default().with_taint_threads(1), 1),

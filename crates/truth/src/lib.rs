@@ -13,7 +13,7 @@
 //!   flows and the count a correct engine must report (which documents
 //!   the paper's known limitations, e.g. reflection misses);
 //! * [`differential`] — the engine matrix (sequential/parallel ×
-//!   hash/bitset × direct/interned × eager/lazy × cold/warm caches),
+//!   eager/lazy × cold/warm caches),
 //!   byte-for-byte report agreement, per-category precision/recall
 //!   scoring against the manifests via the shared
 //!   [`flowdroid_droidbench::ScoreBoard`], and the linked-ICC check

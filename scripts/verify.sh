@@ -177,8 +177,8 @@ if ! grep -q '"namespace_cold_hits": 0' BENCH_solver.json; then
 fi
 
 # Ground-truth harness: generate the seeded synthetic corpus, sweep the
-# full engine matrix (sequential/parallel x hash/bitset x eager/lazy x
-# cold/warm caches, at 1 and 4 taint threads) and serve the packed
+# full engine matrix (sequential/parallel at 1 and 4 taint threads x
+# eager/lazy x cold/warm caches) and serve the packed
 # archives through a daemon under the --allow-apps policy. The binary
 # gates byte-identical reports, manifest agreement, the k-limit probe
 # and the daemon leg itself; the checks below re-read the headline
