@@ -305,9 +305,9 @@ pub struct AppRun {
     pub forward_propagations: u64,
     /// Backward (alias) path-edge propagations.
     pub backward_propagations: u64,
-    /// Distinct facts interned (0 when interning is off).
+    /// Distinct facts interned.
     pub distinct_facts: usize,
-    /// Distinct access paths interned (0 when interning is off).
+    /// Distinct access paths interned.
     pub distinct_aps: usize,
     /// Whole-pipeline duration for this app (parse + model + call
     /// graph + data flow).
@@ -316,7 +316,8 @@ pub struct AppRun {
     pub dataflow: Duration,
     /// Work-stealing scheduler counters (parallel taint engine only).
     pub scheduler: Option<SchedulerStats>,
-    /// Tabulation-table density/widening counters (bitset tables only).
+    /// Tabulation-table density/widening counters (absent when the
+    /// tables recorded no row and the interner widened nothing).
     pub fact_tables: Option<TableStats>,
     /// Summary-cache counters (persistent summary store only).
     pub summary_cache: Option<SummaryCacheStats>,

@@ -36,7 +36,7 @@
 //! The configuration context (bound, switches, source/sink and wrapper
 //! fingerprints) is hashed into the store identity, so incompatible
 //! configurations never share summaries. Thread count, propagation
-//! budget and fact-interning mode are deliberately *excluded* — they
+//! budget and the engine are deliberately *excluded* — they
 //! change engine mechanics, not the fixpoint — so sequential and
 //! parallel runs share one cache.
 

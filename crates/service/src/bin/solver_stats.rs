@@ -27,9 +27,9 @@
 //! least one method body, or the binary exits non-zero.
 //!
 //! `--mode service-load` drives the daemon the way a fleet does: it
-//! attributes warm starts to each storage tier (memory LRU → local
-//! store file → content-addressed chunks) by evicting tiers between
-//! jobs, proves cache-namespace isolation, floods a single-worker
+//! stores two analysis contexts with one daemon, moves the cache
+//! directory and proves that a second daemon replays both from disk
+//! while a foreign cache namespace stays cold, floods a single-worker
 //! daemon with mixed-priority traffic to compare high- vs
 //! batch-priority latency percentiles, overloads a capped queue until
 //! submissions bounce with `rejected` backpressure, runs a cancel
@@ -37,10 +37,11 @@
 //! and 4 taint threads to prove the streamed final report is
 //! byte-identical to the non-streamed one. Results land in a
 //! `"service_load"` section of the same output file; the binary exits
-//! non-zero if any tier records no warm hit, a foreign namespace sees
-//! another tenant's summaries, high-priority p99 does not beat batch
-//! p99, the overloaded queue rejects nothing, the storm leaves jobs
-//! undrained, or any streamed report diverges.
+//! non-zero if a context does not get its own store file or replays
+//! nothing after the move, a foreign namespace sees another tenant's
+//! summaries, a p99 latency is not finite or high-priority p99 does not
+//! beat batch p99, the overloaded queue rejects nothing, the storm
+//! leaves jobs undrained, or any streamed report diverges.
 //!
 //! `--mode ground-truth` runs the seeded synthetic corpus from
 //! `flowdroid-truth` instead of the benchmark corpus: it sweeps every
@@ -814,69 +815,45 @@ fn run_service_load(out_path: &str) {
         sorted[(((sorted.len() - 1) as f64) * p).round() as usize]
     };
 
-    // ---- Phase T: per-tier warm-start attribution + namespaces ----
-    // The daemon runs in-process, so the process-global summaries
-    // registry can be manipulated directly between jobs: releasing the
-    // decoded store forces the next job's open back through the tier
-    // stack, and evicting tiers top-down attributes each warm start to
-    // exactly one tier.
-    eprintln!("service-load: tier attribution (memory -> local -> chunk) ...");
-    let cache =
-        std::env::temp_dir().join(format!("flowdroid-load-tiers-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
-    let (addr, h) = bind(2, 0, Some(cache.clone()));
+    // ---- Phase R: every context reloads from disk after a restart ----
+    // A cold daemon stores two contexts (insecurebank's password-field
+    // sources and SecuriBench's sources) in one cache directory. Moving
+    // the directory to a path this process never opened means the
+    // process-global store registry cannot answer: the second daemon's
+    // warm hits come from the store files alone.
+    const REOPEN_APPS: [&str; 2] = ["insecurebank", "securibench/Aliasing/Aliasing0"];
+    eprintln!("service-load: reopen (two contexts, cache moved between daemons) ...");
+    let cache_a =
+        std::env::temp_dir().join(format!("flowdroid-load-reopen-a-{}", std::process::id()));
+    let cache_b =
+        std::env::temp_dir().join(format!("flowdroid-load-reopen-b-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_a);
+    let _ = std::fs::remove_dir_all(&cache_b);
     let base_opts = AnalyzeOptions::default();
-    let tier_hits = |name: &str| -> u64 {
-        flowdroid_summaries::tier_stats(&cache)
-            .iter()
-            .find(|t| t.name == name)
-            .map_or(0, |t| t.stats.hits)
-    };
-    let tier_promotions = || -> u64 {
-        flowdroid_summaries::tier_stats(&cache).iter().map(|t| t.stats.promotions).sum()
-    };
-    let cold = analyze(&addr, "insecurebank", &base_opts);
-
-    let m0 = tier_hits("memory");
-    flowdroid_summaries::release_dir(&cache).expect("release store");
-    let warm_memory = analyze(&addr, "insecurebank", &base_opts);
-    let memory_hits = tier_hits("memory") - m0;
-
-    let l0 = tier_hits("local");
-    flowdroid_summaries::release_dir(&cache).expect("release store");
-    flowdroid_summaries::clear_memory_tier(&cache);
-    let warm_local = analyze(&addr, "insecurebank", &base_opts);
-    let local_hits = tier_hits("local") - l0;
-
-    let c0 = tier_hits("chunk");
-    let p0 = tier_promotions();
-    flowdroid_summaries::release_dir(&cache).expect("release store");
-    flowdroid_summaries::clear_memory_tier(&cache);
-    let local_file = flowdroid_summaries::local_store_dir(&cache, "")
-        .join(flowdroid_summaries::STORE_FILE_NAME);
-    std::fs::remove_file(&local_file).expect("evict local store file");
-    let warm_chunk = analyze(&addr, "insecurebank", &base_opts);
-    let chunk_hits = tier_hits("chunk") - c0;
-    let chunk_promotions = tier_promotions() - p0;
-
+    let (addr, h) = bind(2, 0, Some(cache_a.clone()));
+    let cold: Vec<JobResult> =
+        REOPEN_APPS.iter().map(|app| analyze(&addr, app, &base_opts)).collect();
+    stop(&addr, h);
+    let store_files = std::fs::read_dir(&cache_a)
+        .map(|d| d.flatten().filter(|e| e.path().extension() == Some("fdss".as_ref())).count())
+        .unwrap_or(0);
+    std::fs::rename(&cache_a, &cache_b).expect("move the cache directory");
+    let (addr, h) = bind(2, 0, Some(cache_b.clone()));
+    let warm: Vec<JobResult> =
+        REOPEN_APPS.iter().map(|app| analyze(&addr, app, &base_opts)).collect();
     let foreign_opts =
         AnalyzeOptions { namespace: "tenant-b".to_string(), ..Default::default() };
-    let foreign = analyze(&addr, "insecurebank", &foreign_opts);
+    let foreign = analyze(&addr, REOPEN_APPS[0], &foreign_opts);
     let namespace_cold_hits = foreign.summary_hits;
-
-    let mut ctl = Client::connect(&addr).expect("control connection");
-    let t_stats = ctl.stats().expect("stats");
-    let store_tiers_reported = t_stats.get("store_tiers").is_some();
-    drop(ctl);
     stop(&addr, h);
-    let _ = std::fs::remove_dir_all(&cache);
-    let tier_reports_identical = [&warm_memory, &warm_local, &warm_chunk, &foreign]
-        .iter()
-        .all(|r| r.report == cold.report);
-    let all_tiers_hit = memory_hits > 0 && local_hits > 0 && chunk_hits > 0;
+    let _ = std::fs::remove_dir_all(&cache_b);
+    let cold_hits: u64 = cold.iter().map(|r| r.summary_hits).sum();
+    let reopen_reports_identical = cold.iter().zip(&warm).all(|(c, w)| c.report == w.report)
+        && foreign.report == cold[0].report;
     eprintln!(
-        "service-load: tier hits memory={memory_hits} local={local_hits} chunk={chunk_hits} \
-         (chunk promotions {chunk_promotions}), tenant-b cold hits {namespace_cold_hits}"
+        "service-load: {store_files} store files, warm hits after reopen {} / {}, \
+         tenant-b cold hits {namespace_cold_hits}",
+        warm[0].summary_hits, warm[1].summary_hits
     );
 
     // ---- Phase L1: mixed-priority latency on a single worker ----
@@ -1048,21 +1025,15 @@ fn run_service_load(out_path: &str) {
     // ---- Emit the section and enforce the gates ----
     let mut section = String::new();
     writeln!(section, "{{").unwrap();
-    writeln!(section, "    \"tiers\": {{").unwrap();
-    writeln!(section, "      \"cold_summary_hits\": {},", cold.summary_hits).unwrap();
-    writeln!(section, "      \"memory_tier_hits\": {memory_hits},").unwrap();
-    writeln!(section, "      \"local_tier_hits\": {local_hits},").unwrap();
-    writeln!(section, "      \"chunk_tier_hits\": {chunk_hits},").unwrap();
-    writeln!(section, "      \"chunk_promotions\": {chunk_promotions},").unwrap();
-    writeln!(section, "      \"warm_memory_summary_hits\": {},", warm_memory.summary_hits)
+    writeln!(section, "    \"reopen\": {{").unwrap();
+    writeln!(section, "      \"store_files\": {store_files},").unwrap();
+    writeln!(section, "      \"cold_summary_hits\": {cold_hits},").unwrap();
+    writeln!(section, "      \"warm_insecurebank_summary_hits\": {},", warm[0].summary_hits)
         .unwrap();
-    writeln!(section, "      \"warm_local_summary_hits\": {},", warm_local.summary_hits)
-        .unwrap();
-    writeln!(section, "      \"warm_chunk_summary_hits\": {},", warm_chunk.summary_hits)
+    writeln!(section, "      \"warm_securibench_summary_hits\": {},", warm[1].summary_hits)
         .unwrap();
     writeln!(section, "      \"namespace_cold_hits\": {namespace_cold_hits},").unwrap();
-    writeln!(section, "      \"store_tiers_reported\": {store_tiers_reported},").unwrap();
-    writeln!(section, "      \"reports_identical\": {tier_reports_identical}").unwrap();
+    writeln!(section, "      \"reports_identical\": {reopen_reports_identical}").unwrap();
     writeln!(section, "    }},").unwrap();
     writeln!(section, "    \"latency\": {{").unwrap();
     writeln!(section, "      \"workers\": 1,").unwrap();
@@ -1112,31 +1083,27 @@ fn run_service_load(out_path: &str) {
         eprintln!("FAIL: {msg}");
         failed = true;
     };
-    if cold.summary_hits != 0 {
-        fail("tier phase: the cold job saw summary hits");
+    if cold_hits != 0 {
+        fail("reopen phase: a cold job saw summary hits");
     }
-    if !all_tiers_hit {
-        fail("tier phase: a storage tier recorded no warm hit");
+    if store_files != REOPEN_APPS.len() {
+        fail("reopen phase: the two contexts did not get one store file each");
     }
-    if warm_memory.summary_hits == 0
-        || warm_local.summary_hits == 0
-        || warm_chunk.summary_hits == 0
-    {
-        fail("tier phase: a warm job replayed no summaries");
+    if warm.iter().any(|r| r.summary_hits == 0) {
+        fail("reopen phase: a context replayed no summaries after the restart");
     }
     if namespace_cold_hits != 0 {
-        fail("tier phase: a foreign namespace observed another tenant's summaries");
+        fail("reopen phase: a foreign namespace observed another tenant's summaries");
     }
-    if !store_tiers_reported {
-        fail("tier phase: daemon stats carry no store_tiers section");
-    }
-    if !tier_reports_identical {
-        fail("tier phase: a warm or foreign-namespace report diverged");
+    if !reopen_reports_identical {
+        fail("reopen phase: a warm or foreign-namespace report diverged");
     }
     if batch_completed != 8 {
         fail("latency phase: batch jobs starved under high-priority traffic");
     }
-    if high_p99 >= batch_p99 {
+    if !high_p99.is_finite() || !batch_p99.is_finite() {
+        fail("latency phase: a p99 latency is not finite");
+    } else if high_p99 >= batch_p99 {
         fail("latency phase: high-priority p99 is not below batch p99");
     }
     if rejected == 0 {

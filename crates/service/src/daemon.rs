@@ -793,23 +793,7 @@ fn stats(shared: &Shared) -> Json {
         }
         jobs.push(obj(fields));
     }
-    let store_tiers = shared.summary_cache.as_ref().map(|dir| {
-        Json::Arr(
-            flowdroid_summaries::tier_stats(dir)
-                .into_iter()
-                .map(|t| {
-                    obj([
-                        ("tier", Json::from(t.name)),
-                        ("hits", Json::from(t.stats.hits)),
-                        ("misses", Json::from(t.stats.misses)),
-                        ("writes", Json::from(t.stats.writes)),
-                        ("promotions", Json::from(t.stats.promotions)),
-                    ])
-                })
-                .collect(),
-        )
-    });
-    let mut top = vec![
+    obj([
         ("type", Json::from("stats")),
         ("uptime_ms", Json::from(shared.started.elapsed().as_millis() as u64)),
         ("workers", Json::from(shared.workers)),
@@ -841,12 +825,8 @@ fn stats(shared: &Shared) -> Json {
         ("sched_pushed", Json::from(inner.sched_pushed)),
         ("sched_claims", Json::from(inner.sched_claims)),
         ("sched_steals", Json::from(inner.sched_steals)),
-    ];
-    if let Some(tiers) = store_tiers {
-        top.push(("store_tiers", tiers));
-    }
-    top.push(("jobs", Json::Arr(jobs)));
-    obj(top)
+        ("jobs", Json::Arr(jobs)),
+    ])
 }
 
 /// Marks the daemon as shutting down and closes the queue: no further

@@ -6,8 +6,8 @@
 //! under the `--allow-apps` path policy.
 
 use flowdroid_service::{
-    AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, Listen,
-    Priority, Request, Submitted,
+    AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, JobResult,
+    Listen, Priority, Request, Submitted,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -484,8 +484,10 @@ fn cancel_storm_drains_cleanly_with_reconciled_counters() {
 }
 
 /// With one worker pinned by a long job, a later `high` submission must
-/// finish before an earlier `batch` one: the dequeue order follows the
-/// priority lanes, not arrival order.
+/// start before an earlier `batch` one: the dequeue order follows the
+/// priority lanes, not arrival order. The order is read from the
+/// daemon's own record of each job's queue wait, not from client-side
+/// wake-up times.
 #[test]
 fn high_priority_overtakes_batch_in_the_queue() {
     let (addr, daemon) = spawn_daemon_capped(None, None, 1, 0);
@@ -507,48 +509,34 @@ fn high_priority_overtakes_batch_in_the_queue() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Batch first, high second — arrival order favors batch.
-    let mut batch = Client::connect(&addr).expect("batch conn");
-    let batch_opts = AnalyzeOptions {
-        deadline_ms: Some(2000),
-        priority: Priority::Batch,
-        ..Default::default()
+    // Batch first, high second — arrival order favors batch. Neither
+    // has a deadline, so both run however long the pin job takes.
+    let submit = |priority: Priority| {
+        let mut c = Client::connect(&addr).expect("job conn");
+        let opts = AnalyzeOptions { priority, ..Default::default() };
+        assert!(matches!(c.submit("stress/300", &opts).expect("submit"), Submitted::Queued(_)));
+        c
     };
-    assert!(matches!(
-        batch.submit("stress/2000", &batch_opts).expect("submit batch"),
-        Submitted::Queued(_)
-    ));
-    let mut high = Client::connect(&addr).expect("high conn");
-    let high_opts = AnalyzeOptions {
-        deadline_ms: Some(2000),
-        priority: Priority::High,
-        ..Default::default()
+    let mut batch = submit(Priority::Batch);
+    let mut high = submit(Priority::High);
+    let result = |c: &mut Client| {
+        JobResult::from_json(&c.read_response().expect("result line")).expect("well-formed result")
     };
-    assert!(matches!(
-        high.submit("stress/2000", &high_opts).expect("submit high"),
-        Submitted::Queued(_)
-    ));
-
-    let batch_done = std::thread::spawn(move || {
-        batch.read_response().expect("batch result");
-        Instant::now()
-    });
-    let high_done = std::thread::spawn(move || {
-        high.read_response().expect("high result");
-        Instant::now()
-    });
-    let batch_at = batch_done.join().expect("batch thread");
-    let high_at = high_done.join().expect("high thread");
-    assert!(high_at < batch_at, "high must complete before the earlier batch job");
+    let (batch, high) = (result(&mut batch), result(&mut high));
+    assert!(!batch.aborted && !high.aborted, "neither queued job may be aborted");
+    // Submitted later yet waited less: high left the queue first.
+    assert!(
+        high.queue_ms < batch.queue_ms,
+        "high must start before the earlier batch job (queued {} ms vs batch {} ms)",
+        high.queue_ms,
+        batch.queue_ms
+    );
 
     pin.read_response().expect("pin result");
     s.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
 }
 
-/// Jobs in different cache namespaces must not see each other's
-/// summaries: a tenant's first job starts cold even when another tenant
-/// has already warmed the same app in the same store directory.
 /// Like [`spawn_daemon_capped`] but with an external-app allow-list.
 fn spawn_daemon_allow(allow_apps: Vec<PathBuf>) -> (String, std::thread::JoinHandle<()>) {
     let daemon = Daemon::bind(DaemonOptions {
@@ -678,6 +666,9 @@ fn daemon_without_allow_apps_denies_all_paths() {
     daemon.join().expect("accept loop exits cleanly");
 }
 
+/// Jobs in different cache namespaces must not see each other's
+/// summaries: a tenant's first job starts cold even when another tenant
+/// has already warmed the same app in the same store directory.
 #[test]
 fn cache_namespaces_isolate_tenants_over_the_wire() {
     let cache = temp_cache("tenants");

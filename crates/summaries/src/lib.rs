@@ -20,18 +20,15 @@
 //! matches (`flowdroid_ir::body_fingerprint` extended transitively by
 //! the consumer), and equal fingerprints imply identical local tables.
 //!
-//! The on-disk format (one `summaries.fdss` file per cache directory
-//! and namespace) is versioned and checksummed; see [`wire`] for the
-//! exact layout. Corrupted, truncated or incompatible files are
-//! rejected with a clean [`StoreError`], never a panic — a bad cache
-//! degrades to a cold one.
-//!
-//! Persistence goes through the tier stack in `flowdroid-store`
-//! (in-memory LRU → local store files → content-addressed chunk
-//! store): opens replay the first valid blob any tier holds, flushes
-//! write through all of them, and per-client *cache namespaces* key
-//! disjoint stores inside one cache directory (see [`open_shared_ns`],
-//! [`release_dir`], [`tier_stats`]).
+//! Each cache directory holds one store file per cache *namespace*
+//! (a per-client directory) and analysis *context* (configuration
+//! fingerprint): `<dir>[/ns-…]/summaries-<context>.fdss`, laid out by
+//! `flowdroid-store` (see [`store_path`]). Namespaces never observe
+//! each other's summaries, and contexts never overwrite each other's
+//! file. The format is versioned and checksummed; see [`wire`] for the
+//! exact layout. Corrupted, truncated, incompatible or wrong-context
+//! files are rejected with a clean [`StoreError`], never a panic — a
+//! bad cache degrades to a cold one.
 //!
 //! [`SharedStore`] layers a process-wide *visible / fresh* split on
 //! top: lookups only see summaries loaded from disk (or explicitly
@@ -44,11 +41,9 @@
 mod store;
 pub mod wire;
 
-pub use flowdroid_store::{local_store_dir, TierStats, TierStatsNamed};
+pub use flowdroid_store::store_path;
 pub use store::{
-    clear_memory_tier, flush_dir, open_shared, open_shared_ns, release_dir, tier_stats,
-    tiered_store, Lookup, MethodSummaries, SharedStore, StoreError, SummaryStore,
-    STORE_FILE_NAME,
+    flush_dir, open_shared_ns, Lookup, MethodSummaries, SharedStore, StoreError, SummaryStore,
 };
 
 /// A field reference by value: declaring class name + field name.

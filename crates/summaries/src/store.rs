@@ -3,15 +3,11 @@
 
 use crate::wire::{fnv1a64, Reader, Writer, MAGIC, VERSION};
 use crate::{SymFact, SymSummary};
-use flowdroid_store::{BlobKey, TierStatsNamed, TieredStore};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-
-/// Name of the store file inside a cache directory.
-pub const STORE_FILE_NAME: &str = "summaries.fdss";
 
 /// An error loading a store file.
 #[derive(Debug)]
@@ -225,30 +221,6 @@ impl SummaryStore {
         }
         Ok(store)
     }
-
-    /// Loads the store file inside `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] (including not-found, which callers
-    /// usually treat as an empty store) or a decode error.
-    pub fn load_dir(dir: &Path) -> Result<SummaryStore, StoreError> {
-        let bytes = std::fs::read(dir.join(STORE_FILE_NAME))?;
-        Self::from_bytes(&bytes)
-    }
-
-    /// Atomically writes the store file inside `dir` (temp file +
-    /// rename), creating the directory if needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying I/O error.
-    pub fn save_dir(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{STORE_FILE_NAME}.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, dir.join(STORE_FILE_NAME))
-    }
 }
 
 /// A process-shared store with a *visible / fresh* split.
@@ -261,39 +233,17 @@ impl SummaryStore {
 /// uncached runs.
 #[derive(Debug)]
 pub struct SharedStore {
-    dir: PathBuf,
-    /// Per-client namespace inside the cache directory (`""` shares
-    /// the historical single-store layout).
-    namespace: String,
-    /// The tier stack this store loads from and flushes through.
-    tiered: Arc<TieredStore>,
+    /// The store file this store loads from and flushes to.
+    path: PathBuf,
     visible: RwLock<SummaryStore>,
     fresh: Mutex<SummaryStore>,
-    /// Which tier answered the open (`"memory"` / `"local"` /
-    /// `"chunk"`), or `None` if the store started cold.
-    loaded_from: Option<&'static str>,
-    /// Whether an existing store file failed to load (corrupt,
-    /// truncated or wrong version); the cache then starts cold instead
-    /// of failing the analysis.
+    /// Why an existing store file was unusable (corrupt, truncated,
+    /// wrong version or wrong context); the cache then starts cold
+    /// instead of failing the analysis.
     load_error: Option<String>,
 }
 
 impl SharedStore {
-    /// The cache directory this store persists to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The cache namespace this store belongs to.
-    pub fn namespace(&self) -> &str {
-        &self.namespace
-    }
-
-    /// Name of the tier that satisfied the open, if any.
-    pub fn loaded_from(&self) -> Option<&'static str> {
-        self.loaded_from
-    }
-
     /// The load failure message, if the on-disk file was unusable.
     pub fn load_error(&self) -> Option<&str> {
         self.load_error.as_deref()
@@ -330,21 +280,27 @@ impl SharedStore {
         self.fresh.lock().unwrap().insert(sig, body_hash, entry, exits);
     }
 
-    /// Promotes fresh summaries into the visible half and persists the
-    /// merged store through every tier (memory LRU, local file,
-    /// content-addressed chunk store). Returns the number of visible
-    /// methods after the merge.
+    /// Promotes fresh summaries into the visible half and atomically
+    /// rewrites the store file with the merged store. With nothing
+    /// staged it writes nothing. Returns the number of visible methods
+    /// after the merge.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error from writing a tier.
+    /// Returns the I/O error from writing the file; the staged
+    /// summaries then stay staged, so the next flush retries.
     pub fn flush(&self) -> io::Result<usize> {
         let mut visible = self.visible.write().unwrap();
         let mut fresh = self.fresh.lock().unwrap();
+        if fresh.is_empty() {
+            return Ok(visible.method_count());
+        }
         let staged = std::mem::replace(&mut *fresh, SummaryStore::new(visible.context_hash));
         visible.merge(&staged);
-        let key = BlobKey::new(&self.namespace, visible.context_hash);
-        self.tiered.store(&key, &visible.to_bytes())?;
+        if let Err(e) = flowdroid_store::write_atomic(&self.path, &visible.to_bytes()) {
+            *fresh = staged;
+            return Err(e);
+        }
         Ok(visible.method_count())
     }
 }
@@ -356,90 +312,53 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Default byte budget of the in-memory blob tier (per cache
-/// directory).
-const MEMORY_TIER_CAP: usize = 64 << 20;
-
-type TieredRegistry = Mutex<HashMap<PathBuf, Arc<TieredStore>>>;
-
-fn tiered_registry() -> &'static TieredRegistry {
-    static TIERED: OnceLock<TieredRegistry> = OnceLock::new();
-    TIERED.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The tier stack persisting cache directory `dir` (one per directory,
-/// shared by every namespace and context).
-pub fn tiered_store(dir: &Path) -> Arc<TieredStore> {
-    let mut reg = tiered_registry().lock().unwrap();
-    Arc::clone(
-        reg.entry(dir.to_path_buf())
-            .or_insert_with(|| Arc::new(TieredStore::standard(dir, MEMORY_TIER_CAP))),
-    )
+/// Reads and decodes the store file at `path`. A missing file is an
+/// empty store; a file whose embedded context hash disagrees with the
+/// one in its name is an error like any other corruption.
+fn load(path: &Path, context_hash: u64) -> Result<SummaryStore, StoreError> {
+    let Some(bytes) = flowdroid_store::read(path)? else {
+        return Ok(SummaryStore::new(context_hash));
+    };
+    let store = SummaryStore::from_bytes(&bytes)?;
+    if store.context_hash != context_hash {
+        return Err(StoreError::Corrupt("context hash disagrees with the file name"));
+    }
+    Ok(store)
 }
 
 /// Opens (or returns the already-open) shared store for `dir` under
-/// the default namespace. See [`open_shared_ns`].
-pub fn open_shared(dir: &Path, context_hash: u64) -> Arc<SharedStore> {
-    open_shared_ns(dir, "", context_hash)
-}
-
-/// Opens (or returns the already-open) shared store for `dir` under
-/// namespace `ns` and `context_hash`. On a registry miss the blob is
-/// fetched through the tier stack (memory LRU → local file →
-/// content-addressed chunks) and decoded once per `(directory,
-/// namespace, context)` triple; a missing blob starts cold, and a
-/// corrupt or incompatible local file is *rejected cleanly* — the
-/// store starts cold and remembers the reason (see
-/// [`SharedStore::load_error`]). A blob written under a different
-/// `context_hash` is treated as absent. Namespaces never observe each
-/// other's summaries.
+/// namespace `ns` and `context_hash`. On a registry miss the store file
+/// ([`store_path`](flowdroid_store::store_path)) is read and decoded
+/// once per `(directory, namespace, context)` triple. A missing file
+/// starts cold; an unusable one is *rejected cleanly* — the store
+/// starts cold and remembers the reason (see
+/// [`SharedStore::load_error`]). Every namespace and context has a file
+/// of its own, so none of them observes or overwrites another's
+/// summaries.
 pub fn open_shared_ns(dir: &Path, ns: &str, context_hash: u64) -> Arc<SharedStore> {
     let key = (dir.to_path_buf(), ns.to_string(), context_hash);
     let mut reg = registry().lock().unwrap();
     if let Some(existing) = reg.get(&key) {
         return Arc::clone(existing);
     }
-    let tiered = tiered_store(dir);
-    let blob_key = BlobKey::new(ns, context_hash);
-    let valid = |bytes: &[u8]| {
-        SummaryStore::from_bytes(bytes).map(|s| s.context_hash == context_hash).unwrap_or(false)
-    };
-    let (loaded, loaded_from) = match tiered.load(&blob_key, &valid) {
-        Some((bytes, tier)) => (
-            SummaryStore::from_bytes(&bytes).expect("validated blob decodes"),
-            Some(tier),
-        ),
-        None => (SummaryStore::new(context_hash), None),
-    };
-    // If every tier missed but a local store file exists, surface why
-    // it was unusable (corruption diagnostics; a context mismatch is
-    // not an error).
-    let load_error = if loaded_from.is_none() {
-        let ns_dir = flowdroid_store::local_store_dir(dir, ns);
-        match SummaryStore::load_dir(&ns_dir) {
-            Ok(_) => None,
-            Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => Some(e.to_string()),
-        }
-    } else {
-        None
+    let path = flowdroid_store::store_path(dir, ns, context_hash);
+    let (visible, load_error) = match load(&path, context_hash) {
+        Ok(store) => (store, None),
+        Err(e) => (SummaryStore::new(context_hash), Some(e.to_string())),
     };
     let shared = Arc::new(SharedStore {
-        dir: dir.to_path_buf(),
-        namespace: ns.to_string(),
-        tiered,
-        visible: RwLock::new(loaded),
+        path,
+        visible: RwLock::new(visible),
         fresh: Mutex::new(SummaryStore::new(context_hash)),
-        loaded_from,
         load_error,
     });
     reg.insert(key, Arc::clone(&shared));
     shared
 }
 
-/// Flushes every open shared store rooted at `dir` (all namespaces):
-/// fresh summaries become visible to later sessions in this process
-/// and are persisted through every tier.
+/// Flushes every open shared store rooted at `dir` (all namespaces and
+/// contexts): fresh summaries become visible to later sessions in this
+/// process and are written to their store files.
 ///
 /// # Errors
 ///
@@ -456,37 +375,6 @@ pub fn flush_dir(dir: &Path) -> io::Result<()> {
         s.flush()?;
     }
     Ok(())
-}
-
-/// Flushes and then *releases* every idle shared store rooted at `dir`
-/// (idle = no session holds it). Later opens re-fetch the blob through
-/// the tier stack — normally straight from the memory LRU — instead of
-/// pinning every decoded store for the life of the process. Returns
-/// the number of stores released.
-///
-/// # Errors
-///
-/// Returns the first I/O error from flushing.
-pub fn release_dir(dir: &Path) -> io::Result<usize> {
-    flush_dir(dir)?;
-    let mut reg = registry().lock().unwrap();
-    let before = reg.len();
-    // Holding the registry lock, a strong count of 1 means only the
-    // registry itself still references the store.
-    reg.retain(|(d, _, _), s| d != dir || Arc::strong_count(s) > 1);
-    Ok(before - reg.len())
-}
-
-/// Drops the in-memory blob tier for `dir` so the next open falls
-/// through to the local-file tier (used by load tests and cache
-/// maintenance; persisted tiers are untouched).
-pub fn clear_memory_tier(dir: &Path) {
-    tiered_store(dir).clear_memory();
-}
-
-/// Per-tier hit/miss/write counters for the stack rooted at `dir`.
-pub fn tier_stats(dir: &Path) -> Vec<TierStatsNamed> {
-    tiered_store(dir).stats()
 }
 
 #[cfg(test)]
@@ -579,41 +467,18 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_dir() {
-        let dir = std::env::temp_dir().join(format!("fdss-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let s = sample();
-        s.save_dir(&dir).unwrap();
-        let back = SummaryStore::load_dir(&dir).unwrap();
-        assert_eq!(back, s);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn shared_store_hides_fresh_until_flush() {
         let dir = std::env::temp_dir().join(format!("fdss-shared-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let shared = open_shared(&dir, 1);
+        let shared = open_shared_ns(&dir, "", 1);
         assert!(shared.load_error().is_none());
         shared.record("<A: void m()>", 7, SymFact::Zero, vec![]);
         assert_eq!(shared.lookup("<A: void m()>", 7, &SymFact::Zero), Lookup::Miss);
         flush_dir(&dir).unwrap();
         assert!(matches!(shared.lookup("<A: void m()>", 7, &SymFact::Zero), Lookup::Hit(_)));
         // A later open of the same (dir, context) sees the same store.
-        let again = open_shared(&dir, 1);
+        let again = open_shared_ns(&dir, "", 1);
         assert!(matches!(again.lookup("<A: void m()>", 7, &SymFact::Zero), Lookup::Hit(_)));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_store_file_starts_cold() {
-        let dir = std::env::temp_dir().join(format!("fdss-corrupt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(STORE_FILE_NAME), b"not a store").unwrap();
-        let shared = open_shared(&dir, 2);
-        assert!(shared.load_error().is_some());
-        assert_eq!(shared.visible_methods(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

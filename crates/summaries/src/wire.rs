@@ -1,4 +1,4 @@
-//! The `summaries.fdss` wire format.
+//! The `.fdss` store-file wire format.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -24,9 +24,10 @@
 //! class + name strings, truncated u8), an active u8 and an optional
 //! activation statement (tag u8, then method str + index u32).
 //!
-//! The checksum is FNV-1a rather than the workspace's Fx hash so this
-//! crate stays dependency-free; it guards against truncation and
-//! bit rot, not adversaries. Every decode path is bounds-checked and
+//! The checksum is FNV-1a ([`fnv1a64`], shared with `flowdroid-store`)
+//! rather than the workspace's Fx hash, so the format does not depend
+//! on the IR crates; it guards against truncation and bit rot, not
+//! adversaries. Every decode path is bounds-checked and
 //! returns [`StoreError::Corrupt`] instead of panicking.
 
 use crate::store::StoreError;
@@ -38,15 +39,7 @@ pub const MAGIC: [u8; 4] = *b"FDSS";
 /// Current format version.
 pub const VERSION: u32 = 1;
 
-/// FNV-1a 64-bit hash of `bytes`.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use flowdroid_store::fnv1a64;
 
 // ================= encoding =================
 
