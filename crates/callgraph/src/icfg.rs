@@ -40,15 +40,15 @@ impl<'a> Icfg<'a> {
     }
 
     /// Intraprocedural successors.
-    pub fn succs_of(&self, r: StmtRef) -> Vec<StmtRef> {
+    pub fn succs_of(&self, r: StmtRef) -> StmtRefs<'a> {
         let body = self.program.method(r.method).body().expect("method has no body");
-        body.cfg().succs(r.idx).iter().map(|&i| StmtRef::new(r.method, i)).collect()
+        StmtRefs { method: r.method, idxs: body.cfg().succs(r.idx).iter() }
     }
 
     /// Intraprocedural predecessors.
-    pub fn preds_of(&self, r: StmtRef) -> Vec<StmtRef> {
+    pub fn preds_of(&self, r: StmtRef) -> StmtRefs<'a> {
         let body = self.program.method(r.method).body().expect("method has no body");
-        body.cfg().preds(r.idx).iter().map(|&i| StmtRef::new(r.method, i)).collect()
+        StmtRefs { method: r.method, idxs: body.cfg().preds(r.idx).iter() }
     }
 
     /// Returns `true` if the statement is a call.
@@ -76,24 +76,24 @@ impl<'a> Icfg<'a> {
         self.callgraph.callers_of(m)
     }
 
-    /// The entry statement(s) of a method (single entry at index 0).
-    pub fn start_points_of(&self, m: MethodId) -> Vec<StmtRef> {
+    /// The entry statement(s) of a method: the single entry at index 0,
+    /// none when the method has no body.
+    pub fn start_points_of(&self, m: MethodId) -> std::option::IntoIter<StmtRef> {
         match self.program.method(m).body() {
-            Some(b) if !b.is_empty() => vec![StmtRef::new(m, b.entry())],
-            _ => vec![],
+            Some(b) if !b.is_empty() => Some(StmtRef::new(m, b.entry())),
+            _ => None,
         }
+        .into_iter()
     }
 
     /// All exit statements (returns/throws) of a method.
-    pub fn exit_stmts_of(&self, m: MethodId) -> Vec<StmtRef> {
-        match self.program.method(m).body() {
-            Some(b) => b.exits().map(|i| StmtRef::new(m, i)).collect(),
-            None => vec![],
-        }
+    pub fn exit_stmts_of(&self, m: MethodId) -> impl Iterator<Item = StmtRef> + 'a {
+        let body = self.program.method(m).body();
+        body.into_iter().flat_map(move |b| b.exits().map(move |i| StmtRef::new(m, i)))
     }
 
     /// Return sites of a call (its intraprocedural successors).
-    pub fn return_sites_of_call(&self, r: StmtRef) -> Vec<StmtRef> {
+    pub fn return_sites_of_call(&self, r: StmtRef) -> StmtRefs<'a> {
         self.succs_of(r)
     }
 
@@ -112,6 +112,29 @@ impl<'a> Icfg<'a> {
         self.program.method(m).body().map_or(0, |b| b.len())
     }
 }
+
+/// Statements of one method, borrowed from its CFG's index lists
+/// (successors, predecessors, return sites): iterating allocates
+/// nothing.
+#[derive(Clone, Debug)]
+pub struct StmtRefs<'a> {
+    method: MethodId,
+    idxs: std::slice::Iter<'a, StmtIdx>,
+}
+
+impl Iterator for StmtRefs<'_> {
+    type Item = StmtRef;
+
+    fn next(&mut self) -> Option<StmtRef> {
+        self.idxs.next().map(|&i| StmtRef::new(self.method, i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.idxs.size_hint()
+    }
+}
+
+impl ExactSizeIterator for StmtRefs<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -149,9 +172,10 @@ mod tests {
         let call = StmtRef::new(main, 0);
         assert!(icfg.is_call(call));
         assert_eq!(icfg.callees_of_call(call), &[callee]);
-        assert_eq!(icfg.return_sites_of_call(call), vec![StmtRef::new(main, 1)]);
-        assert_eq!(icfg.start_points_of(callee), vec![StmtRef::new(callee, 0)]);
-        assert_eq!(icfg.exit_stmts_of(callee), vec![StmtRef::new(callee, 0)]);
+        assert_eq!(icfg.return_sites_of_call(call).collect::<Vec<_>>(), [StmtRef::new(main, 1)]);
+        assert_eq!(icfg.preds_of(StmtRef::new(main, 1)).len(), 1);
+        assert_eq!(icfg.start_points_of(callee).collect::<Vec<_>>(), [StmtRef::new(callee, 0)]);
+        assert_eq!(icfg.exit_stmts_of(callee).collect::<Vec<_>>(), [StmtRef::new(callee, 0)]);
         assert_eq!(icfg.callers_of(callee), &[call]);
         assert!(icfg.is_exit(StmtRef::new(main, 1)));
         assert!(icfg.is_start_point(call));

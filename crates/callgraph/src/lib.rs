@@ -40,5 +40,5 @@ mod materialize;
 
 pub use graph::{CallGraph, CgAlgorithm};
 pub use hierarchy::Hierarchy;
-pub use icfg::Icfg;
+pub use icfg::{Icfg, StmtRefs};
 pub use materialize::{materialize_reachable, MaterializeStats};

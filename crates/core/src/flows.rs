@@ -7,13 +7,15 @@
 //! flow functions and compute identical fact sets by construction. The
 //! only mutable state is the caller-supplied [`ReachCache`], a memo
 //! table over the immutable call graph that each engine (or worker
-//! thread) owns privately.
+//! thread) owns privately. Functions with several outputs refill a
+//! caller-owned output value instead of returning fresh vectors, so the
+//! sequential solver reuses one buffer per function across all pops.
 //! Signature matching (roles and wrapper rules, paper §5) happens once
 //! per call site when the solve starts, in [`CallSites`].
 
 use crate::access_path::{AccessPath, ApBase};
 use crate::config::InfoflowConfig;
-use crate::sourcesink::{CallRoles, SourceSinkManager};
+use crate::sourcesink::{matching_sigs, CallRoles, SourceSinkManager};
 use crate::taint::{Fact, Taint};
 use crate::wrappers::{Pos, Rule, TaintWrapper};
 use flowdroid_callgraph::Icfg;
@@ -66,9 +68,10 @@ impl<'w> CallSites<'w> {
             let Some(body) = program.method(m).body() else { continue };
             for (idx, stmt) in body.stmts().iter().enumerate() {
                 if let Some(call) = stmt.invoke_expr() {
+                    let sigs = matching_sigs(program, call.callee.class, &call.callee.subsig);
                     let site = CallSite {
-                        roles: sources.call_roles(program, call),
-                        rules: wrapper.rules_for(program, call),
+                        roles: sources.call_roles_in(program, call, &sigs),
+                        rules: wrapper.rules_in(&sigs),
                     };
                     sites.insert(StmtRef::new(m, idx), site);
                 }
@@ -98,7 +101,20 @@ pub(crate) struct Flows<'a> {
     pub config: &'a InfoflowConfig,
 }
 
-/// Output of the forward call-to-return function at a call site.
+/// Output of the forward transfer function at an assignment. The
+/// solvers keep one and let [`Flows::forward_assign`] refill it for
+/// every popped edge.
+#[derive(Default)]
+pub(crate) struct ForwardAssignOut {
+    /// Facts holding after the assignment (before activation).
+    pub facts: Vec<Fact>,
+    /// Taints that require an alias query at the assignment.
+    pub alias_gens: Vec<Taint>,
+}
+
+/// Output of the forward call-to-return function at a call site,
+/// refilled by [`Flows::call_to_return`].
+#[derive(Default)]
 pub(crate) struct CallToReturnOut {
     /// Facts holding at the return sites (before activation).
     pub out: Vec<Fact>,
@@ -111,7 +127,9 @@ pub(crate) struct CallToReturnOut {
     pub src_mark: bool,
 }
 
-/// Output of the backward transfer function at an assignment.
+/// Output of the backward transfer function at an assignment, refilled
+/// by [`Flows::backward_assign`].
+#[derive(Default)]
 pub(crate) struct BackwardAssignOut {
     /// Taints continuing upward in the backward solver.
     pub back: Vec<Taint>,
@@ -215,11 +233,19 @@ impl<'a> Flows<'a> {
         })
     }
 
-    /// The forward transfer function for assignments (paper §4.1).
-    /// Returns (output facts, taints requiring an alias query).
-    pub fn forward_assign(&self, lhs: &Place, rhs: &Rvalue, t: &Taint) -> (Vec<Fact>, Vec<Taint>) {
-        let mut out = Vec::new();
-        let mut alias_gens = Vec::new();
+    /// The forward transfer function for assignments (paper §4.1):
+    /// refills `res` with the output facts and the taints requiring an
+    /// alias query.
+    pub fn forward_assign(
+        &self,
+        lhs: &Place,
+        rhs: &Rvalue,
+        t: &Taint,
+        res: &mut ForwardAssignOut,
+    ) {
+        let ForwardAssignOut { facts: out, alias_gens } = res;
+        out.clear();
+        alias_gens.clear();
         let lhs_is_local = matches!(lhs, Place::Local(_));
         // Strong update on locals only; `x = new` kills taints rooted at
         // `x`; heap locations are never strongly updated (paper §6.1:
@@ -271,37 +297,35 @@ impl<'a> Flows<'a> {
             }
             out.push(Fact::T(g));
         }
-        (out, alias_gens)
     }
 
-    /// Facts entering a callee, each with an optional source-statement
-    /// mark (for parameter sources).
+    /// Refills `out` with the facts entering a callee, each with an
+    /// optional source-statement mark (for parameter sources).
     pub fn call_flow(
         &self,
         call: &InvokeExpr,
         callee: MethodId,
         d2: &Fact,
-    ) -> Vec<(Fact, Option<StmtRef>)> {
+        out: &mut Vec<(Fact, Option<StmtRef>)>,
+    ) {
+        out.clear();
         let program = self.program();
         let m = program.method(callee);
         match d2 {
             Fact::Zero => {
-                let mut out = vec![(Fact::Zero, None)];
+                out.push((Fact::Zero, None));
                 // Parameter sources: methods overriding framework
                 // callback signatures receive tainted data (locations,
                 // intents) from the framework.
-                let starts = self.icfg.start_points_of(callee);
                 for &i in self.sites.param_sources(callee) {
                     if i < m.param_count() {
                         let ap = AccessPath::local(m.param_local(i));
                         let f = Fact::T(Taint::active(ap));
-                        out.push((f, starts.first().copied()));
+                        out.push((f, self.icfg.start_points_of(callee).next()));
                     }
                 }
-                out
             }
             Fact::T(t) => {
-                let mut out = Vec::new();
                 if let Some(base) = t.ap.base_local() {
                     for (i, arg) in call.args.iter().enumerate() {
                         if arg.as_local() == Some(base) && i < m.param_count() {
@@ -320,7 +344,6 @@ impl<'a> Flows<'a> {
                     // unchanged (globals).
                     out.push((Fact::T(*t), None));
                 }
-                out
             }
         }
     }
@@ -377,21 +400,16 @@ impl<'a> Flows<'a> {
 
     /// The forward call-to-return function: sources, sinks, wrapper
     /// ("shortcut") rules, sanitizers and the native-call fallback
-    /// (paper §5).
-    pub fn call_to_return(&self, n: StmtRef, d2f: &Fact) -> CallToReturnOut {
-        let Stmt::Invoke { result, call } = self.stmt(n) else {
-            return CallToReturnOut {
-                out: Vec::new(),
-                alias_gens: Vec::new(),
-                leaks: Vec::new(),
-                src_mark: false,
-            };
-        };
+    /// (paper §5). Refills `res`.
+    pub fn call_to_return(&self, n: StmtRef, d2f: &Fact, res: &mut CallToReturnOut) {
+        let CallToReturnOut { out, alias_gens, leaks, src_mark } = res;
+        out.clear();
+        alias_gens.clear();
+        leaks.clear();
+        *src_mark = false;
+        let Stmt::Invoke { result, call } = self.stmt(n) else { return };
         let result = *result;
         let site = self.sites.site(n);
-        let mut out: Vec<Fact> = Vec::new();
-        let mut alias_gens: Vec<Taint> = Vec::new();
-        let mut leaks: Vec<Taint> = Vec::new();
         match d2f {
             Fact::Zero => {
                 out.push(Fact::Zero);
@@ -460,18 +478,24 @@ impl<'a> Flows<'a> {
                 }
             }
         }
-        let src_mark = d2f.is_zero() && site.roles.source;
-        CallToReturnOut { out, alias_gens, leaks, src_mark }
+        *src_mark = d2f.is_zero() && site.roles.source;
     }
 
     /// The backward (alias-search) transfer function at an assignment
-    /// (Algorithm 2, lines 15–18).
-    pub fn backward_assign(&self, t: &Taint, lhs: &Place, rhs: &Rvalue) -> BackwardAssignOut {
+    /// (Algorithm 2, lines 15–18). Refills `res`.
+    pub fn backward_assign(
+        &self,
+        t: &Taint,
+        lhs: &Place,
+        rhs: &Rvalue,
+        res: &mut BackwardAssignOut,
+    ) {
+        let BackwardAssignOut { back, fwd_at_n, fwd_after } = res;
+        back.clear();
+        fwd_at_n.clear();
+        fwd_after.clear();
         let lhs_ap = AccessPath::of_place(lhs);
         let rhs_ap = Self::readable_rvalue(rhs);
-        let mut back: Vec<Taint> = Vec::new();
-        let mut fwd_at_n: Vec<Taint> = Vec::new();
-        let mut fwd_after: Vec<Taint> = Vec::new();
 
         // Case A (Algorithm 2, line 16: replace lhs by rhs): the traced
         // value was written here.
@@ -514,7 +538,6 @@ impl<'a> Flows<'a> {
                 }
             }
         }
-        BackwardAssignOut { back, fwd_at_n, fwd_after }
     }
 
     /// Entry facts for the backward descent into `callee` at call `n`,
@@ -531,7 +554,7 @@ impl<'a> Flows<'a> {
         let program = self.program();
         let m = program.method(callee);
         let mut out: Vec<(Taint, Vec<StmtRef>)> = Vec::new();
-        let all_exits = || self.icfg.exit_stmts_of(callee);
+        let all_exits = || self.icfg.exit_stmts_of(callee).collect();
         match t.ap.base_local() {
             None => out.push((*t, all_exits())), // statics
             Some(base) => {

@@ -39,7 +39,7 @@
 //! detection exact.
 
 use crate::config::InfoflowConfig;
-use crate::flows::{Flows, ReachCache};
+use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, ReachCache};
 use crate::intern::SharedInternedKeys;
 use crate::results::{InfoflowResults, Leak};
 use crate::sourcesink::SourceSinkManager;
@@ -339,11 +339,12 @@ impl<'a> ParBiSolver<'a> {
     fn forward_normal(&self, ctx: &mut WorkerCtx, d1: Fact, n: StmtRef, d2: Fact) {
         let out = match (self.stmt(n), &d2) {
             (Stmt::Assign { lhs, rhs }, Fact::T(t)) => {
-                let (facts, alias_gens) = self.flows.forward_assign(lhs, rhs, t);
-                for g in alias_gens {
+                let mut res = ForwardAssignOut::default();
+                self.flows.forward_assign(lhs, rhs, t, &mut res);
+                for g in res.alias_gens {
                     self.inject_alias_query(ctx, d1, n, &g);
                 }
-                facts
+                res.facts
             }
             _ => vec![d2],
         };
@@ -368,7 +369,8 @@ impl<'a> ParBiSolver<'a> {
         let Stmt::Invoke { call, .. } = self.stmt(n) else { return };
         for &callee in self.flows.icfg.callees_of_call(n) {
             let starts = self.flows.icfg.start_points_of(callee);
-            let entry_facts = self.flows.call_flow(call, callee, &d2);
+            let mut entry_facts = Vec::new();
+            self.flows.call_flow(call, callee, &d2, &mut entry_facts);
             for (d3, src_mark) in entry_facts {
                 self.fw.add_incoming(callee, &d3, n, &d2);
                 if let Some(cached) = self.cache.as_ref().and_then(|c| c.lookup(callee, &d3)) {
@@ -382,7 +384,7 @@ impl<'a> ParBiSolver<'a> {
                         self.record_pred(exit, ef, Some((n, d2)));
                     }
                 } else {
-                    for &sp in &starts {
+                    for sp in starts.clone() {
                         self.fw_propagate(ctx, d3, sp, d3, Some((n, d2)));
                         if let Some(src) = src_mark {
                             self.mark_source(sp, d3, src);
@@ -449,7 +451,8 @@ impl<'a> ParBiSolver<'a> {
     }
 
     fn forward_call_to_return(&self, ctx: &mut WorkerCtx, d1: Fact, n: StmtRef, d2: Fact) {
-        let ctr = self.flows.call_to_return(n, &d2);
+        let mut ctr = CallToReturnOut::default();
+        self.flows.call_to_return(n, &d2, &mut ctr);
         for t in &ctr.leaks {
             ctx.leaks.push((n, *t));
             if self.config().progress.is_some() {
@@ -514,7 +517,7 @@ impl<'a> ParBiSolver<'a> {
         origin: Option<(StmtRef, Fact)>,
     ) {
         let preds = self.flows.icfg.preds_of(n);
-        if preds.is_empty() {
+        if preds.len() == 0 {
             let m = self.flows.icfg.method_of(n);
             let sp = StmtRef::new(m, 0);
             self.bw.install_summary(m, &d1, sp, &d);
@@ -552,7 +555,8 @@ impl<'a> ParBiSolver<'a> {
         rhs: &flowdroid_ir::Rvalue,
     ) {
         let Fact::T(t) = d2 else { return };
-        let flows = self.flows.backward_assign(&t, lhs, rhs);
+        let mut flows = BackwardAssignOut::default();
+        self.flows.backward_assign(&t, lhs, rhs, &mut flows);
         let origin = Some((n, d2));
         for g in flows.back {
             self.bw_to_preds_from(ctx, d1, n, Fact::T(g), origin);

@@ -31,10 +31,15 @@
 //! [`Interner`] and stores fact sets as bitset rows: popped edges are
 //! resolved to real [`Fact`]s once per statement visit, and each
 //! produced fact is interned once before fan-out to successors / return
-//! sites.
+//! sites — or not at all when it is the popped fact itself.
+//!
+//! Propagating an edge allocates nothing in the steady state: CFG
+//! edges are borrowed from the method bodies, flow functions refill
+//! buffers the solver owns, and provenance lives in one arena
+//! ([`Provenance`]). What remains is table growth, amortized.
 
 use crate::config::InfoflowConfig;
-use crate::flows::{Flows, ReachCache};
+use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, ReachCache};
 use crate::intern::{FactId, Interner};
 use crate::results::{InfoflowResults, Leak};
 use crate::sourcesink::SourceSinkManager;
@@ -43,10 +48,104 @@ use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
 use flowdroid_ifds::{AbortReason, BitsetSets, Tabulator};
-use flowdroid_ir::{FxHashMap, MethodId, Program, Stmt, StmtRef};
+use flowdroid_ir::{FxHashMap, FxHashSet, MethodId, Program, Stmt, StmtRef};
+use std::collections::hash_map::Entry;
 
 /// Edges popped between [`AbortHandle`] polls in the sequential loop.
 const ABORT_CHECK_EVERY: usize = 128;
+
+/// A provenance node: a fact at a statement.
+type Node = (StmtRef, FactId);
+
+/// End of an origin chain in [`Provenance`].
+const NIL: u32 = u32::MAX;
+
+/// Every distinct origin offered for each provenance node, in one
+/// arena.
+///
+/// A node's first origin sits inline in its map value; further origins
+/// are chained by index through one shared vector. A node with one
+/// origin — most of them — costs no allocation of its own, and dropping
+/// the graph frees two blocks however many nodes it holds.
+#[derive(Default)]
+struct Provenance {
+    /// node → (first origin, index of the next one in `more`, or NIL).
+    heads: FxHashMap<Node, (Node, u32)>,
+    /// (origin, index of the node's next origin, or NIL).
+    more: Vec<(Node, u32)>,
+}
+
+impl Provenance {
+    /// Records `origin` for `node` unless it is recorded already.
+    fn offer(&mut self, node: Node, origin: Node) {
+        let head = match self.heads.entry(node) {
+            Entry::Vacant(v) => {
+                v.insert((origin, NIL));
+                return;
+            }
+            Entry::Occupied(o) => o.into_mut(),
+        };
+        if head.0 == origin {
+            return;
+        }
+        let new = u32::try_from(self.more.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("provenance arena overflow");
+        if head.1 == NIL {
+            head.1 = new;
+        } else {
+            let mut at = head.1 as usize;
+            loop {
+                let (o, next) = self.more[at];
+                if o == origin {
+                    return;
+                }
+                if next == NIL {
+                    break;
+                }
+                at = next as usize;
+            }
+            self.more[at].1 = new;
+        }
+        self.more.push((origin, NIL));
+    }
+
+    /// The origins recorded for `node`, in the order first offered.
+    fn origins(&self, node: Node) -> impl Iterator<Item = Node> + '_ {
+        let head = self.heads.get(&node).copied();
+        let mut first = head.map(|(o, _)| o);
+        let mut link = head.map_or(NIL, |(_, l)| l);
+        std::iter::from_fn(move || {
+            if let Some(o) = first.take() {
+                return Some(o);
+            }
+            if link == NIL {
+                return None;
+            }
+            let (o, next) = self.more[link as usize];
+            link = next;
+            Some(o)
+        })
+    }
+}
+
+/// Flow-function outputs and per-pop key lists, refilled on every pop
+/// so their capacity is reused. A handler takes a buffer out with
+/// `std::mem::take` and puts it back when done.
+#[derive(Default)]
+struct Buffers {
+    assign: ForwardAssignOut,
+    ctr: CallToReturnOut,
+    back: BackwardAssignOut,
+    entries: Vec<(Fact, Option<StmtRef>)>,
+    /// Output fact keys, with "is a non-zero fact".
+    keys: Vec<(FactId, bool)>,
+    /// Activated return taints and their keys.
+    acts: Vec<(Taint, FactId)>,
+    /// Caller contexts at a call site.
+    d3s: Vec<FactId>,
+}
 
 /// The bidirectional solver.
 pub struct BiSolver<'a> {
@@ -58,7 +157,7 @@ pub struct BiSolver<'a> {
     /// (stmt, fact) → all offered predecessor (stmt, fact) origins, for
     /// path reconstruction. The *set* of offers at the fixpoint is
     /// order-independent.
-    preds: FxHashMap<(StmtRef, FactId), Vec<(StmtRef, FactId)>>,
+    preds: Provenance,
     /// (stmt, fact) → source statement that generated the fact.
     gen_source: FxHashMap<(StmtRef, FactId), StmtRef>,
     /// Memoized "call site can transitively reach method" queries.
@@ -67,6 +166,7 @@ pub struct BiSolver<'a> {
     cache: Option<SummaryCacheSession>,
     /// Why the run aborted; `None` means the fixpoint was reached.
     abort_reason: Option<AbortReason>,
+    buf: Buffers,
 }
 
 impl<'a> BiSolver<'a> {
@@ -85,11 +185,12 @@ impl<'a> BiSolver<'a> {
             fw: Tabulator::new(),
             bw: Tabulator::new(),
             leaks: Vec::new(),
-            preds: FxHashMap::default(),
+            preds: Provenance::default(),
             gen_source: FxHashMap::default(),
             reach_cache: ReachCache::default(),
             cache,
             abort_reason: None,
+            buf: Buffers::default(),
         }
     }
 
@@ -208,10 +309,7 @@ impl<'a> BiSolver<'a> {
         if origin == (n, d2) {
             return;
         }
-        let v = self.preds.entry((n, d2)).or_default();
-        if !v.contains(&origin) {
-            v.push(origin);
-        }
+        self.preds.offer((n, d2), origin);
     }
 
     /// Marks `fact` at `n` as generated by the source statement `src`
@@ -227,6 +325,27 @@ impl<'a> BiSolver<'a> {
 
     fn maybe_activate(&mut self, n: StmtRef, t: &Taint) -> Taint {
         self.flows.maybe_activate(&mut self.reach_cache, n, t)
+    }
+
+    /// The id of fact `f`, where `d2` is the id of the popped fact
+    /// `d2f`: the identity flow — `f` is `d2f` itself — reuses `d2`
+    /// instead of interning.
+    fn key_of(&mut self, f: &Fact, d2: FactId, d2f: &Fact) -> FactId {
+        if f == d2f {
+            d2
+        } else {
+            self.interner.intern_fact(f)
+        }
+    }
+
+    /// The id of flow output `f` at `n` after activation, and whether it
+    /// is a non-zero fact.
+    fn output_key(&mut self, n: StmtRef, f: &Fact, d2: FactId, d2f: &Fact) -> (FactId, bool) {
+        let f = match f {
+            Fact::T(t) => Fact::T(self.maybe_activate(n, t)),
+            Fact::Zero => Fact::Zero,
+        };
+        (self.key_of(&f, d2, d2f), !f.is_zero())
     }
 
     /// Injects an alias query for taint `g` (which holds after the heap
@@ -246,11 +365,10 @@ impl<'a> BiSolver<'a> {
     fn process_forward(&mut self, d1: FactId, n: StmtRef, d2: FactId) {
         let d2f = self.interner.resolve_fact(d2);
         let stmt = self.stmt(n);
-        let has_body_callees = !self.flows.icfg.callees_of_call(n).is_empty();
-        if stmt.is_call() && has_body_callees {
-            self.forward_call(n, &d2, &d2f);
-            self.forward_call_to_return(&d1, n, &d2, &d2f);
-        } else if stmt.is_call() {
+        if stmt.is_call() {
+            if !self.flows.icfg.callees_of_call(n).is_empty() {
+                self.forward_call(n, &d2, &d2f);
+            }
             self.forward_call_to_return(&d1, n, &d2, &d2f);
         } else if stmt.is_exit() {
             self.forward_exit(&d1, n, &d2);
@@ -260,47 +378,46 @@ impl<'a> BiSolver<'a> {
     }
 
     fn forward_normal(&mut self, d1: &FactId, n: StmtRef, d2: &FactId, d2f: &Fact) {
-        let out = match (self.stmt(n), d2f) {
+        let mut keys = std::mem::take(&mut self.buf.keys);
+        keys.clear();
+        match (self.stmt(n), d2f) {
             (Stmt::Assign { lhs, rhs }, Fact::T(t)) => {
-                let (facts, alias_gens) = self.flows.forward_assign(lhs, rhs, t);
-                for g in alias_gens {
-                    self.inject_alias_query(d1, n, &g);
+                let mut res = std::mem::take(&mut self.buf.assign);
+                self.flows.forward_assign(lhs, rhs, t, &mut res);
+                for g in &res.alias_gens {
+                    self.inject_alias_query(d1, n, g);
                 }
-                facts
+                // Activation and interning depend only on `n`, so key
+                // each output fact once and fan the keys out to all
+                // successors.
+                for f in &res.facts {
+                    keys.push(self.output_key(n, f, *d2, d2f));
+                }
+                self.buf.assign = res;
             }
-            _ => vec![*d2f],
-        };
-        // Activation and interning depend only on `n`, so intern each
-        // output fact once and fan the keys out to all successors.
-        let mut keys = Vec::with_capacity(out.len());
-        for f in &out {
-            let f = match f {
-                Fact::T(t) => Fact::T(self.maybe_activate(n, t)),
-                z => *z,
-            };
-            keys.push(self.interner.intern_fact(&f));
+            _ => keys.push(self.output_key(n, d2f, *d2, d2f)),
         }
         let origin = Some((n, *d2));
         for succ in self.flows.icfg.succs_of(n) {
-            for k in &keys {
-                self.fw_propagate(*d1, succ, *k, origin);
+            for &(k, _) in &keys {
+                self.fw_propagate(*d1, succ, k, origin);
             }
         }
+        self.buf.keys = keys;
     }
 
     fn forward_call(&mut self, n: StmtRef, d2: &FactId, d2f: &Fact) {
         let Stmt::Invoke { call, .. } = self.stmt(n) else { return };
-        let call = call.clone();
+        let mut entries = std::mem::take(&mut self.buf.entries);
         for &callee in self.flows.icfg.callees_of_call(n) {
-            let starts = self.flows.icfg.start_points_of(callee);
-            let entry_facts = self.flows.call_flow(&call, callee, d2f);
-            for (d3f, src_mark) in entry_facts {
-                let d3 = self.interner.intern_fact(&d3f);
+            self.flows.call_flow(call, callee, d2f, &mut entries);
+            for (d3f, src_mark) in &entries {
+                let d3 = self.key_of(d3f, *d2, d2f);
                 self.fw.add_incoming(callee, d3, n, *d2);
                 let cached = self
                     .cache
                     .as_ref()
-                    .and_then(|c| c.lookup(callee, &d3f))
+                    .and_then(|c| c.lookup(callee, d3f))
                     .map(<[(StmtRef, Fact)]>::to_vec);
                 if let Some(cached) = cached {
                     // Persisted summaries replace tabulating the callee
@@ -313,10 +430,10 @@ impl<'a> BiSolver<'a> {
                         self.record_pred(exit, ek, Some((n, *d2)));
                     }
                 } else {
-                    for &sp in &starts {
+                    for sp in self.flows.icfg.start_points_of(callee) {
                         self.fw_propagate(d3, sp, d3, Some((n, *d2)));
                         if let Some(src) = src_mark {
-                            self.mark_source(sp, &d3, src);
+                            self.mark_source(sp, &d3, *src);
                         }
                     }
                 }
@@ -328,6 +445,7 @@ impl<'a> BiSolver<'a> {
                 }
             }
         }
+        self.buf.entries = entries;
     }
 
     fn forward_exit(&mut self, d1: &FactId, n: StmtRef, d2: &FactId) {
@@ -357,7 +475,9 @@ impl<'a> BiSolver<'a> {
         // the same fact may surface in both; taking the union (rather
         // than a time-sensitive fallback) keeps the result independent
         // of processing order.
-        let mut d3s = self.fw.d1s_at(call_site, d4);
+        let mut d3s = std::mem::take(&mut self.buf.d3s);
+        d3s.clear();
+        d3s.extend(self.fw.d1s_at(call_site, d4));
         for d in self.bw.d1s_at(call_site, d4) {
             if !d3s.contains(&d) {
                 d3s.push(d);
@@ -365,7 +485,8 @@ impl<'a> BiSolver<'a> {
         }
         // Activation depends only on the call site; intern once per
         // mapped taint, not per (return site × context).
-        let mut acts = Vec::with_capacity(mapped.len());
+        let mut acts = std::mem::take(&mut self.buf.acts);
+        acts.clear();
         for t in &mapped {
             let t = self.maybe_activate(call_site, t);
             let k = self.interner.intern_fact(&Fact::T(t));
@@ -388,10 +509,13 @@ impl<'a> BiSolver<'a> {
                 }
             }
         }
+        self.buf.acts = acts;
+        self.buf.d3s = d3s;
     }
 
     fn forward_call_to_return(&mut self, d1: &FactId, n: StmtRef, d2: &FactId, d2f: &Fact) {
-        let ctr = self.flows.call_to_return(n, d2f);
+        let mut ctr = std::mem::take(&mut self.buf.ctr);
+        self.flows.call_to_return(n, d2f, &mut ctr);
         for t in &ctr.leaks {
             self.leaks.push((n, *t));
             if self.config().progress.is_some() {
@@ -400,28 +524,26 @@ impl<'a> BiSolver<'a> {
                 self.emit_progress(Some((line, desc)));
             }
         }
-        for g in ctr.alias_gens {
-            self.inject_alias_query(d1, n, &g);
+        for g in &ctr.alias_gens {
+            self.inject_alias_query(d1, n, g);
         }
-        // Intern each output fact once; fan keys out to return sites.
-        let mut keys = Vec::with_capacity(ctr.out.len());
+        // Key each output fact once; fan keys out to return sites.
+        let mut keys = std::mem::take(&mut self.buf.keys);
+        keys.clear();
         for f in &ctr.out {
-            let f = match f {
-                Fact::T(t) => Fact::T(self.maybe_activate(n, t)),
-                z => *z,
-            };
-            let non_zero = !f.is_zero();
-            keys.push((self.interner.intern_fact(&f), non_zero));
+            keys.push(self.output_key(n, f, *d2, d2f));
         }
         let origin = Some((n, *d2));
         for ret_site in self.flows.icfg.return_sites_of_call(n) {
-            for (k, non_zero) in &keys {
-                if ctr.src_mark && *non_zero {
-                    self.mark_source(ret_site, k, n);
+            for &(k, non_zero) in &keys {
+                if ctr.src_mark && non_zero {
+                    self.mark_source(ret_site, &k, n);
                 }
-                self.fw_propagate(*d1, ret_site, *k, origin);
+                self.fw_propagate(*d1, ret_site, k, origin);
             }
         }
+        self.buf.keys = keys;
+        self.buf.ctr = ctr;
     }
 
     // ================= backward (alias) solver =================
@@ -433,8 +555,7 @@ impl<'a> BiSolver<'a> {
                 self.backward_call(&d1, n, &d2, &d2f);
             }
             Stmt::Assign { lhs, rhs } => {
-                let (lhs, rhs) = (lhs.clone(), rhs.clone());
-                self.backward_assign(&d1, n, &d2, &d2f, &lhs, &rhs);
+                self.backward_assign(&d1, n, &d2, &d2f, lhs, rhs);
             }
             _ => {
                 // Control flow and exits are transparent to aliasing.
@@ -461,14 +582,14 @@ impl<'a> BiSolver<'a> {
         origin: Option<(StmtRef, FactId)>,
     ) {
         let preds = self.flows.icfg.preds_of(n);
-        if preds.is_empty() {
+        if preds.len() == 0 {
             let m = self.flows.icfg.method_of(n);
             let sp = StmtRef::new(m, 0);
             self.bw.install_summary(m, *d1, sp, *d);
             self.fw_propagate(*d1, sp, *d, origin);
             let contexts = self.bw.incoming_for(m, d1);
             if !contexts.is_empty() {
-                self.fw.inject_incoming(m, *d1, contexts.clone());
+                self.fw.inject_incoming(m, *d1, &contexts);
                 // The forward solver may already hold summaries for
                 // (m, d1) from an earlier handoff or a real forward
                 // call; apply them to every context known now. Contexts
@@ -498,27 +619,29 @@ impl<'a> BiSolver<'a> {
         rhs: &flowdroid_ir::Rvalue,
     ) {
         let Fact::T(t) = d2f else { return };
-        let flows = self.flows.backward_assign(t, lhs, rhs);
+        let mut res = std::mem::take(&mut self.buf.back);
+        self.flows.backward_assign(t, lhs, rhs, &mut res);
         let origin = Some((n, *d2));
-        for g in flows.back {
-            let k = self.interner.intern_fact(&Fact::T(g));
+        for g in &res.back {
+            let k = self.key_of(&Fact::T(*g), *d2, d2f);
             self.bw_to_preds_from(d1, n, &k, origin);
         }
-        for g in flows.fwd_at_n {
-            let k = self.interner.intern_fact(&Fact::T(g));
+        for g in &res.fwd_at_n {
+            let k = self.interner.intern_fact(&Fact::T(*g));
             self.fw_propagate(*d1, n, k, origin);
         }
-        for g in flows.fwd_after {
-            let k = self.interner.intern_fact(&Fact::T(g));
+        for g in &res.fwd_after {
+            let k = self.interner.intern_fact(&Fact::T(*g));
             for succ in self.flows.icfg.succs_of(n) {
                 self.fw_propagate(*d1, succ, k, origin);
             }
         }
+        self.buf.back = res;
     }
 
     fn backward_call(&mut self, d1: &FactId, n: StmtRef, d2: &FactId, d2f: &Fact) {
         let Stmt::Invoke { result, call } = self.stmt(n) else { return };
-        let (result, call) = (*result, call.clone());
+        let result = *result;
         let Fact::T(t) = d2f else { return };
         // Pass over the call unless the traced value is its result.
         let rooted_at_result = result.is_some() && t.ap.base_local() == result;
@@ -527,9 +650,8 @@ impl<'a> BiSolver<'a> {
         }
         // Descend into body-having callees (aliases may be created
         // inside).
-        let callees: Vec<MethodId> = self.flows.icfg.callees_of_call(n).to_vec();
-        for callee in callees {
-            for (g, exits) in self.flows.backward_call_entries(t, result, &call, callee) {
+        for &callee in self.flows.icfg.callees_of_call(n) {
+            for (g, exits) in self.flows.backward_call_entries(t, result, call, callee) {
                 let gk = self.interner.intern_fact(&Fact::T(g));
                 self.bw.add_incoming(callee, gk, n, *d2);
                 for exit in exits {
@@ -544,7 +666,7 @@ impl<'a> BiSolver<'a> {
                 // contexts known at handoff time) every (context,
                 // summary) pair is applied regardless of order.
                 if !self.bw.summaries_for(callee, &gk).is_empty() {
-                    self.fw.inject_incoming(callee, gk, vec![(n, *d2)]);
+                    self.fw.inject_incoming(callee, gk, &[(n, *d2)]);
                     for (exit, d2x) in self.fw.summaries_for(callee, &gk) {
                         self.apply_return_for_context(n, callee, exit, &d2x, d2);
                     }
@@ -586,7 +708,7 @@ impl<'a> BiSolver<'a> {
         let mut recorded = std::mem::take(&mut self.leaks);
         recorded.sort();
         recorded.dedup();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         let mut leaks = Vec::new();
         for (sink, taint) in &recorded {
             let (source, path) = self.attribute(*sink, taint);
@@ -640,10 +762,11 @@ impl<'a> BiSolver<'a> {
         }
         let sink_key = self.interner.intern_fact(&Fact::T(*taint));
         let start = (sink, sink_key);
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = FxHashSet::default();
         visited.insert(start);
-        let mut parent: FxHashMap<(StmtRef, FactId), (StmtRef, FactId)> = FxHashMap::default();
+        let mut parent: FxHashMap<Node, Node> = FxHashMap::default();
         let mut queue = std::collections::VecDeque::from([start]);
+        let mut origins = Vec::new();
         while let Some(cur) = queue.pop_front() {
             if let Some(&src) = self.gen_source.get(&cur) {
                 // Parents lead from the generation point back to the
@@ -656,9 +779,10 @@ impl<'a> BiSolver<'a> {
                 }
                 return (Some(src), path);
             }
-            let mut origins = self.preds.get(&cur).cloned().unwrap_or_default();
-            origins.sort_by_cached_key(|(s, k)| (*s, self.interner.resolve_fact(*k)));
-            for o in origins {
+            origins.clear();
+            origins.extend(self.preds.origins(cur));
+            origins.sort_by_key(|(s, k)| (*s, self.interner.resolve_fact(*k)));
+            for &o in &origins {
                 if visited.insert(o) {
                     parent.insert(o, cur);
                     queue.push_back(o);
@@ -666,5 +790,42 @@ impl<'a> BiSolver<'a> {
             }
         }
         (None, vec![sink])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flowdroid_bitset::Idx;
+
+    fn node(stmt: usize, fact: usize) -> Node {
+        (StmtRef::new(MethodId::from_index(0), stmt), FactId::from_index(fact))
+    }
+
+    #[test]
+    fn provenance_keeps_each_distinct_origin_once() {
+        let mut p = Provenance::default();
+        let n = node(5, 1);
+        assert_eq!(p.origins(n).count(), 0);
+        p.offer(n, node(4, 1));
+        p.offer(n, node(4, 1));
+        assert_eq!(p.origins(n).collect::<Vec<_>>(), [node(4, 1)]);
+        assert!(p.more.is_empty(), "a single origin stays inline");
+
+        p.offer(n, node(3, 2));
+        p.offer(n, node(2, 7));
+        p.offer(n, node(3, 2));
+        p.offer(n, node(2, 7));
+        p.offer(n, node(4, 1));
+        assert_eq!(p.origins(n).collect::<Vec<_>>(), [node(4, 1), node(3, 2), node(2, 7)]);
+        assert_eq!(p.more.len(), 2, "the second and third origins are chained");
+
+        // Another node's chain interleaves in the arena without mixing.
+        let m = node(6, 1);
+        p.offer(m, node(5, 1));
+        p.offer(m, node(1, 1));
+        p.offer(n, node(0, 0));
+        assert_eq!(p.origins(m).collect::<Vec<_>>(), [node(5, 1), node(1, 1)]);
+        assert_eq!(p.origins(n).count(), 4);
     }
 }

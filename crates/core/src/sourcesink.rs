@@ -91,9 +91,11 @@ pub const DEFAULT_ANDROID_DEFS: &str = r#"
 /// can match: its declared class and every transitive superclass /
 /// interface (sources are often declared on framework base types).
 /// Only the resolvers ([`SourceSinkManager::call_roles`],
-/// [`SourceSinkManager::entry_param_sources`] and
-/// [`TaintWrapper::rules_for`](crate::TaintWrapper::rules_for)) call
-/// this; it allocates one string per class walked.
+/// [`SourceSinkManager::entry_param_sources`],
+/// [`TaintWrapper::rules_for`](crate::TaintWrapper::rules_for) and the
+/// per-solve call-site table, which walks once per call site for both
+/// roles and rules) call this; it allocates one string per class
+/// walked.
 pub fn matching_sigs(program: &Program, class: ClassId, subsig: &SubSig) -> Vec<String> {
     let params: Vec<String> = subsig.params.iter().map(|t| program.type_name(t)).collect();
     let (ret, name) = (program.type_name(&subsig.ret), program.str(subsig.name));
@@ -234,8 +236,19 @@ impl SourceSinkManager {
     /// resolver behind the per-solve call-site table, so flow functions
     /// never match signatures themselves.
     pub fn call_roles(&self, program: &Program, call: &InvokeExpr) -> CallRoles {
-        let mut roles = CallRoles::default();
         let sigs = matching_sigs(program, call.callee.class, &call.callee.subsig);
+        self.call_roles_in(program, call, &sigs)
+    }
+
+    /// [`SourceSinkManager::call_roles`] over the call's already walked
+    /// [`matching_sigs`], so one walk can serve the wrapper rules too.
+    pub(crate) fn call_roles_in(
+        &self,
+        program: &Program,
+        call: &InvokeExpr,
+        sigs: &[String],
+    ) -> CallRoles {
+        let mut roles = CallRoles::default();
         for r in sigs.iter().filter_map(|sig| self.roles.get(sig)).flatten() {
             match *r {
                 Role::SourceReturn => roles.source = true,

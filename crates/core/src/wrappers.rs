@@ -175,11 +175,13 @@ impl TaintWrapper {
     /// Every rule covering the call, in hierarchy-walk order (one walk;
     /// empty = the native-call fallback applies).
     pub fn rules_for(&self, program: &Program, call: &InvokeExpr) -> Vec<&Rule> {
-        matching_sigs(program, call.callee.class, &call.callee.subsig)
-            .iter()
-            .filter_map(|sig| self.rules.get(sig))
-            .flatten()
-            .collect()
+        self.rules_in(&matching_sigs(program, call.callee.class, &call.callee.subsig))
+    }
+
+    /// [`TaintWrapper::rules_for`] over a call's already walked
+    /// [`matching_sigs`].
+    pub(crate) fn rules_in(&self, sigs: &[String]) -> Vec<&Rule> {
+        sigs.iter().filter_map(|sig| self.rules.get(sig)).flatten().collect()
     }
 
     /// Resolves a position to a local at a call site (`None` when the

@@ -143,7 +143,9 @@ impl<F, D: ConcurrentKeyDomain<F>> ConcurrentTabulator<F, D> {
     pub fn add_incoming(&self, callee: MethodId, d3: &F, call_site: StmtRef, d2: &F) -> bool {
         let (k3, k2) = (self.dom.key(d3), self.dom.key(d2));
         let mut shard = self.incoming.for_key(&callee).lock().unwrap();
-        shard.entry(callee).or_default().entry(k3).or_default().insert(call_site, &k2)
+        // Sharded tables are counted by the sweep in `table_stats`.
+        let pairs = shard.entry(callee).or_default().entry(k3).or_default();
+        pairs.insert(call_site, &k2, None)
     }
 
     /// The call contexts recorded for `(callee, d1)`.
@@ -165,7 +167,8 @@ impl<F, D: ConcurrentKeyDomain<F>> ConcurrentTabulator<F, D> {
     pub fn install_summary(&self, callee: MethodId, d1: &F, exit: StmtRef, d2: &F) -> bool {
         let (k1, k2) = (self.dom.key(d1), self.dom.key(d2));
         let mut shard = self.summaries.for_key(&callee).lock().unwrap();
-        shard.entry(callee).or_default().entry(k1).or_default().insert(exit, &k2)
+        let pairs = shard.entry(callee).or_default().entry(k1).or_default();
+        pairs.insert(exit, &k2, None)
     }
 
     /// The end summaries recorded for `(callee, d1)`.

@@ -62,39 +62,76 @@ impl TableStats {
     }
 }
 
-fn count_hybrid<T: Idx>(set: &HybridBitSet<T>, stats: &mut TableStats) {
-    stats.rows += 1;
-    if set.is_dense() {
-        stats.dense_rows += 1;
-        stats.dense_words += set.word_count() as u64;
-    } else {
-        stats.sparse_rows += 1;
+/// A hybrid row's contribution to [`TableStats`]: `None` while the row
+/// does not exist, else whether it is dense and its word count.
+type Shape = Option<(bool, u64)>;
+
+fn shape_of<T: Idx>(set: Option<&HybridBitSet<T>>) -> Shape {
+    set.map(|s| (s.is_dense(), s.word_count() as u64))
+}
+
+impl TableStats {
+    fn add_shape(&mut self, shape: Shape) {
+        let Some((dense, words)) = shape else { return };
+        self.rows += 1;
+        if dense {
+            self.dense_rows += 1;
+            self.dense_words += words;
+        } else {
+            self.sparse_rows += 1;
+        }
+    }
+
+    fn sub_shape(&mut self, shape: Shape) {
+        let Some((dense, words)) = shape else { return };
+        self.rows -= 1;
+        if dense {
+            self.dense_rows -= 1;
+            self.dense_words -= words;
+        } else {
+            self.sparse_rows -= 1;
+        }
+    }
+
+    /// Moves one row's contribution from its shape before an insert to
+    /// its shape after (added first, so no counter dips below zero).
+    fn reshape(&mut self, before: Shape, after: Shape) {
+        if before != after {
+            self.add_shape(after);
+            self.sub_shape(before);
+        }
     }
 }
 
 /// The per-node path-edge relation `d2 → {d1}`.
 pub trait FactRel<F>: Default {
     /// Records `(d2, d1)`; returns `true` if it was not already present.
-    fn insert(&mut self, d2: &F, d1: &F) -> bool;
+    /// A row the insert creates, promotes or widens is counted into
+    /// `stats`, which must hold this relation's counts so far (no-op for
+    /// hash maps; `None` when the owner sweeps instead).
+    fn insert(&mut self, d2: &F, d1: &F, stats: Option<&mut TableStats>) -> bool;
     /// Whether `(d2, d1)` is recorded.
     fn contains(&self, d2: &F, d1: &F) -> bool;
     /// All `d1` recorded for `d2`.
     fn d1s(&self, d2: &F) -> Vec<F>;
     /// All `d2` with at least one entry.
     fn keys(&self) -> Vec<F>;
-    /// Accumulates density counters (no-op for hash maps).
+    /// Accumulates density counters by sweeping every row (no-op for
+    /// hash maps): the reference the insert-time counts must equal.
     fn collect_stats(&self, stats: &mut TableStats);
 }
 
 /// A set of `(statement, fact)` pairs (incoming contexts, summaries).
 pub trait PairSet<F>: Default {
     /// Records `(site, f)`; returns `true` if it was not already present.
-    fn insert(&mut self, site: StmtRef, f: &F) -> bool;
+    /// Counts row changes into `stats` like [`FactRel::insert`].
+    fn insert(&mut self, site: StmtRef, f: &F, stats: Option<&mut TableStats>) -> bool;
     /// Whether the set is empty.
     fn is_empty(&self) -> bool;
     /// All pairs, in a deterministic order.
     fn to_vec(&self) -> Vec<(StmtRef, F)>;
-    /// Accumulates density counters (no-op for the vector form).
+    /// Accumulates density counters by sweeping every row (no-op for
+    /// the vector form).
     fn collect_stats(&self, stats: &mut TableStats);
 }
 
@@ -116,7 +153,7 @@ impl<F: Clone + Eq + Hash> FactSetDomain<F> for HashSets {
 }
 
 impl<F: Clone + Eq + Hash> FactRel<F> for FxHashMap<F, FxHashSet<F>> {
-    fn insert(&mut self, d2: &F, d1: &F) -> bool {
+    fn insert(&mut self, d2: &F, d1: &F, _stats: Option<&mut TableStats>) -> bool {
         self.entry(d2.clone()).or_default().insert(d1.clone())
     }
 
@@ -147,7 +184,7 @@ impl<F> Default for VecPairs<F> {
 }
 
 impl<F: Clone + Eq> PairSet<F> for VecPairs<F> {
-    fn insert(&mut self, site: StmtRef, f: &F) -> bool {
+    fn insert(&mut self, site: StmtRef, f: &F, _stats: Option<&mut TableStats>) -> bool {
         if self.0.iter().any(|(s, d)| *s == site && d == f) {
             false
         } else {
@@ -177,8 +214,13 @@ impl<F: Idx> FactSetDomain<F> for BitsetSets {
 }
 
 impl<F: Idx> FactRel<F> for SparseBitMatrix<F, F> {
-    fn insert(&mut self, d2: &F, d1: &F) -> bool {
-        SparseBitMatrix::insert(self, *d2, *d1)
+    fn insert(&mut self, d2: &F, d1: &F, stats: Option<&mut TableStats>) -> bool {
+        let before = shape_of(self.row(*d2));
+        let new = SparseBitMatrix::insert(self, *d2, *d1);
+        if let (true, Some(stats)) = (new, stats) {
+            stats.reshape(before, shape_of(self.row(*d2)));
+        }
+        new
     }
 
     fn contains(&self, d2: &F, d1: &F) -> bool {
@@ -195,7 +237,7 @@ impl<F: Idx> FactRel<F> for SparseBitMatrix<F, F> {
 
     fn collect_stats(&self, stats: &mut TableStats) {
         for r in self.rows() {
-            count_hybrid(self.row(r).expect("touched row"), stats);
+            stats.add_shape(shape_of(self.row(r)));
         }
     }
 }
@@ -216,15 +258,23 @@ impl<F: Idx> Default for BitPairs<F> {
 }
 
 impl<F: Idx> PairSet<F> for BitPairs<F> {
-    fn insert(&mut self, site: StmtRef, f: &F) -> bool {
-        let set = match self.by_site.binary_search_by_key(&site, |(s, _)| *s) {
-            Ok(pos) => &mut self.by_site[pos].1,
+    fn insert(&mut self, site: StmtRef, f: &F, stats: Option<&mut TableStats>) -> bool {
+        let (set, before) = match self.by_site.binary_search_by_key(&site, |(s, _)| *s) {
+            Ok(pos) => {
+                let set = &mut self.by_site[pos].1;
+                let before = shape_of(Some(&*set));
+                (set, before)
+            }
             Err(pos) => {
                 self.by_site.insert(pos, (site, HybridBitSet::new()));
-                &mut self.by_site[pos].1
+                (&mut self.by_site[pos].1, None)
             }
         };
-        set.insert(*f)
+        let new = set.insert(*f);
+        if let (true, Some(stats)) = (new, stats) {
+            stats.reshape(before, shape_of(Some(&*set)));
+        }
+        new
     }
 
     fn is_empty(&self) -> bool {
@@ -241,7 +291,7 @@ impl<F: Idx> PairSet<F> for BitPairs<F> {
 
     fn collect_stats(&self, stats: &mut TableStats) {
         for (_, set) in &self.by_site {
-            count_hybrid(set, stats);
+            stats.add_shape(shape_of(Some(set)));
         }
     }
 }
@@ -262,8 +312,10 @@ mod tests {
         let mut vp: VecPairs<u32> = VecPairs::default();
         let mut bp: BitPairs<u32> = BitPairs::default();
         let inserts = [(3, 7u32), (1, 2), (3, 7), (3, 1), (0, 9), (1, 2)];
+        let mut stats = TableStats::default();
         for (s, f) in inserts {
-            assert_eq!(vp.insert(sr(s), &f), bp.insert(sr(s), &f), "({s},{f})");
+            let (v, b) = (vp.insert(sr(s), &f, None), bp.insert(sr(s), &f, Some(&mut stats)));
+            assert_eq!(v, b, "({s},{f})");
         }
         let mut a = vp.to_vec();
         let mut b = bp.to_vec();
@@ -279,8 +331,12 @@ mod tests {
         let mut hr: FxHashMap<u32, FxHashSet<u32>> = Default::default();
         let mut br: SparseBitMatrix<u32, u32> = Default::default();
         let inserts = [(5u32, 1u32), (5, 2), (5, 1), (0, 0), (9, 1)];
+        let mut stats = TableStats::default();
         for (d2, d1) in inserts {
-            assert_eq!(FactRel::insert(&mut hr, &d2, &d1), FactRel::insert(&mut br, &d2, &d1));
+            assert_eq!(
+                FactRel::insert(&mut hr, &d2, &d1, None),
+                FactRel::insert(&mut br, &d2, &d1, Some(&mut stats))
+            );
         }
         assert!(FactRel::contains(&hr, &5, &2) && FactRel::contains(&br, &5, &2));
         assert!(!FactRel::contains(&hr, &5, &9) && !FactRel::contains(&br, &5, &9));
@@ -295,12 +351,14 @@ mod tests {
     #[test]
     fn bitset_stats_count_rows() {
         let mut br: SparseBitMatrix<u32, u32> = Default::default();
+        let mut counted = TableStats::default();
         for d1 in 0..20u32 {
-            FactRel::insert(&mut br, &0, &d1);
+            FactRel::insert(&mut br, &0, &d1, Some(&mut counted));
         }
-        FactRel::insert(&mut br, &1, &1);
+        FactRel::insert(&mut br, &1, &1, Some(&mut counted));
         let mut stats = TableStats::default();
         br.collect_stats(&mut stats);
+        assert_eq!(counted, stats);
         assert_eq!(stats.rows, 2);
         assert_eq!(stats.dense_rows, 1);
         assert_eq!(stats.sparse_rows, 1);

@@ -87,7 +87,7 @@ impl<'a, P: IfdsProblem> Solver<'a, P> {
                 let starts = icfg.start_points_of(callee);
                 for d3 in self.problem.call_flow(n, callee, &d2) {
                     tab.add_incoming(callee, d3.clone(), n, d2.clone());
-                    for &sp in &starts {
+                    for sp in starts.clone() {
                         tab.propagate(d3.clone(), sp, d3.clone());
                     }
                     // Apply existing end summaries for this context.

@@ -44,6 +44,8 @@ pub struct Tabulator<F, S: FactSetDomain<F> = HashSets> {
     incoming: FxHashMap<MethodId, FxHashMap<F, S::Pairs>>,
     /// Number of path edges ever propagated (for statistics).
     propagation_count: u64,
+    /// Density counters of the three tables, kept as they grow.
+    stats: TableStats,
 }
 
 impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Default for Tabulator<F, S> {
@@ -61,13 +63,14 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
             end_summaries: FxHashMap::default(),
             incoming: FxHashMap::default(),
             propagation_count: 0,
+            stats: TableStats::default(),
         }
     }
 
     /// Records the path edge `⟨·, d1⟩ → ⟨n, d2⟩` and schedules it if it
     /// is new. Returns `true` if the edge was new.
     pub fn propagate(&mut self, d1: F, n: StmtRef, d2: F) -> bool {
-        let inserted = self.edges.entry(n).or_default().insert(&d2, &d1);
+        let inserted = self.edges.entry(n).or_default().insert(&d2, &d1, Some(&mut self.stats));
         if inserted {
             self.propagation_count += 1;
             self.worklist.push_back(PathEdge { d1, n, d2 });
@@ -99,7 +102,8 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// Records a call context: the callee was entered with `d3` from
     /// `call_site` where `d2` held. Returns `true` if new.
     pub fn add_incoming(&mut self, callee: MethodId, d3: F, call_site: StmtRef, d2: F) -> bool {
-        self.incoming.entry(callee).or_default().entry(d3).or_default().insert(call_site, &d2)
+        let pairs = self.incoming.entry(callee).or_default().entry(d3).or_default();
+        pairs.insert(call_site, &d2, Some(&mut self.stats))
     }
 
     /// The call contexts recorded for `(callee, d3)`.
@@ -113,16 +117,17 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
 
     /// Injects call contexts wholesale (used for cross-solver context
     /// injection in the bidirectional analysis).
-    pub fn inject_incoming(&mut self, callee: MethodId, d3: F, contexts: Vec<(StmtRef, F)>) {
+    pub fn inject_incoming(&mut self, callee: MethodId, d3: F, contexts: &[(StmtRef, F)]) {
         for (site, d2) in contexts {
-            self.add_incoming(callee, d3.clone(), site, d2);
+            self.add_incoming(callee, d3.clone(), *site, d2.clone());
         }
     }
 
     /// Installs the end summary `⟨callee, d1⟩ → (exit, d2)`. Returns
     /// `true` if new.
     pub fn install_summary(&mut self, callee: MethodId, d1: F, exit: StmtRef, d2: F) -> bool {
-        self.end_summaries.entry(callee).or_default().entry(d1).or_default().insert(exit, &d2)
+        let pairs = self.end_summaries.entry(callee).or_default().entry(d1).or_default();
+        pairs.insert(exit, &d2, Some(&mut self.stats))
     }
 
     /// The end summaries recorded for `(callee, d1)`.
@@ -166,8 +171,15 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     }
 
     /// Density counters across the edge, incoming and summary tables
-    /// (all zeros on the hash-map representation).
+    /// (all zeros on the hash-map representation), counted as the
+    /// tables grew.
     pub fn table_stats(&self) -> TableStats {
+        self.stats
+    }
+
+    /// The same counters by a sweep over every row.
+    #[cfg(test)]
+    fn swept_stats(&self) -> TableStats {
         let mut stats = TableStats::default();
         for rel in self.edges.values() {
             rel.collect_stats(&mut stats);
@@ -285,5 +297,26 @@ mod tests {
         let bstats = b.table_stats();
         assert!(bstats.any());
         assert_eq!(bstats.dense_rows, 0);
+    }
+
+    /// The counts kept as the tables grow equal a sweep over every row,
+    /// through row creation, promotion past the sparse bound and dense
+    /// rows widening to more words.
+    #[test]
+    fn incremental_table_stats_match_a_sweep() {
+        let m = MethodId::from_index(1);
+        let mut t: Tabulator<u32, BitsetSets> = Tabulator::new();
+        for d2 in 0..12u32 {
+            for d1 in 0..=d2 {
+                t.propagate(d1 * 37, sr(d2 as usize % 3), d2);
+                t.propagate(d1, sr(d2 as usize % 3), d2);
+            }
+            t.add_incoming(m, d2 % 2, sr(5), d2 * 70);
+            t.install_summary(m, d2 % 4, sr(7 + d2 as usize % 2), d2 * 3);
+            assert_eq!(t.table_stats(), t.swept_stats(), "after d2 = {d2}");
+        }
+        let stats = t.table_stats();
+        assert!(stats.dense_rows > 0 && stats.sparse_rows > 0);
+        assert!(stats.dense_words > stats.dense_rows, "some dense row widened");
     }
 }

@@ -641,19 +641,42 @@ impl Program {
     /// `<com.example.Foo: java.lang.String bar(int)>`.
     pub fn signature(&self, method: MethodId) -> String {
         let m = self.method(method);
-        let cls = self.class_name(m.class).to_owned();
-        let ret = self.type_name(&m.subsig.ret);
-        let name = self.str(m.subsig.name).to_owned();
-        let params: Vec<String> = m.subsig.params.iter().map(|t| self.type_name(t)).collect();
-        format!("<{}: {} {}({})>", cls, ret, name, params.join(","))
+        let mut out = String::from("<");
+        out.push_str(self.class_name(m.class));
+        out.push_str(": ");
+        self.push_type_name(&mut out, &m.subsig.ret);
+        out.push(' ');
+        out.push_str(self.str(m.subsig.name));
+        out.push('(');
+        for (i, t) in m.subsig.params.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            self.push_type_name(&mut out, t);
+        }
+        out.push_str(")>");
+        out
     }
 
     /// Resolves a type to its display name (`int`, `java.lang.String[]`, …).
     pub fn type_name(&self, ty: &Type) -> String {
+        let mut out = String::new();
+        self.push_type_name(&mut out, ty);
+        out
+    }
+
+    /// Appends [`Program::type_name`] of `ty` to `out`.
+    fn push_type_name(&self, out: &mut String, ty: &Type) {
         match ty {
-            Type::Ref(c) => self.class_name(*c).to_owned(),
-            Type::Array(e) => format!("{}[]", self.type_name(e)),
-            other => other.to_string(),
+            Type::Ref(c) => out.push_str(self.class_name(*c)),
+            Type::Array(e) => {
+                self.push_type_name(out, e);
+                out.push_str("[]");
+            }
+            other => {
+                use fmt::Write;
+                write!(out, "{other}").expect("writing to a String cannot fail");
+            }
         }
     }
 }

@@ -5,7 +5,9 @@
 //! DroidBench + SecuriBench corpus. Parallel-taint modes report the
 //! scheduler counters (pushes, steals, claims, shard occupancy).
 //!
-//! Heap allocations are counted with a wrapping global allocator. Leak
+//! Heap allocations are counted with a wrapping global allocator; each
+//! mode row also gives `allocations_per_propagation`, the run's
+//! allocations over its forward plus backward propagations. Leak
 //! reports are compared byte-for-byte across every mode against
 //! `sequential-interned`; the binary exits non-zero if any run
 //! diverges.
@@ -217,6 +219,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "      \"bodies_skipped\": {},\n",
             "      \"leaks\": {},\n",
             "      \"allocations\": {},\n",
+            "      \"allocations_per_propagation\": {:.3},\n",
             "      \"distinct_facts\": {},\n",
             "      \"distinct_aps\": {},\n",
             "      \"scheduler\": {},\n",
@@ -238,6 +241,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.bodies_skipped,
         m.leaks,
         m.allocations,
+        m.allocations as f64 / (m.forward_propagations + m.backward_propagations).max(1) as f64,
         m.distinct_facts,
         m.distinct_aps,
         scheduler_json(&m.scheduler),
