@@ -27,6 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// What kind of benchmark a corpus entry is.
+#[derive(Clone, Debug)]
 enum JobKind {
     /// An Android app (DroidBench / InsecureBank): full pipeline with
     /// lifecycle model and dummy main.
@@ -49,6 +50,7 @@ enum JobKind {
 }
 
 /// One app (or micro case) of the corpus, with a unique stable name.
+#[derive(Clone, Debug)]
 pub struct CorpusJob {
     /// Unique name (`droidbench/...`, `securibench/<group>/...`,
     /// `insecurebank`); the corpus report is sorted by it.
@@ -70,10 +72,11 @@ pub fn micro_job(case: MicroCase) -> CorpusJob {
 }
 
 /// Wraps raw app artifacts (manifest, layouts, `jasm` code) as a corpus
-/// job. `name` MUST be unique per *content*: the demand-driven frontend
-/// caches the prepared SDEX image by job name for the process lifetime,
-/// so callers loading arbitrary on-disk apps must fold a content hash
-/// into the name (see the daemon's external-app loader).
+/// job. `name` MUST be unique per *content*: [`run_single_lazy`] keeps
+/// each job's prepared SDEX image by name for the process lifetime, and
+/// the daemon's bounded prepared-job cache is keyed by name too, so
+/// callers loading arbitrary on-disk apps must fold a content hash into
+/// the name (see the daemon's external-app loader).
 pub fn external_job(
     name: String,
     manifest: String,
@@ -116,12 +119,18 @@ pub fn droidbench_corpus() -> Vec<CorpusJob> {
 /// Resolves a job by its corpus name (`droidbench/<Category>/<App>`,
 /// `securibench/<group>/<Case>`, `insecurebank`) or the synthetic
 /// `stress/<K>` chain (see [`stress_job`]). Returns `None` for unknown
-/// names.
+/// names. Corpus names are looked up in an index of [`full_corpus`]
+/// built on first use, so a lookup clones one job instead of
+/// generating the whole corpus.
 pub fn find_job(name: &str) -> Option<CorpusJob> {
+    static INDEX: OnceLock<FxHashMap<String, CorpusJob>> = OnceLock::new();
     if let Some(k) = name.strip_prefix("stress/") {
         return k.parse().ok().map(stress_job);
     }
-    full_corpus().into_iter().find(|j| j.name == name)
+    INDEX
+        .get_or_init(|| full_corpus().into_iter().map(|j| (j.name.clone(), j)).collect())
+        .get(name)
+        .cloned()
 }
 
 /// A synthetic straight-line stress app, `stress/<k>`: `k` string
@@ -164,7 +173,7 @@ pub fn stress_job(k: usize) -> CorpusJob {
 
 /// The process-wide platform snapshot lazy runs start from: built once,
 /// then cheaply cloned per job. The daemon builds (or loads) its own
-/// snapshot and passes it to [`run_single_lazy`] directly; this
+/// snapshot and passes it to [`prepare`] and [`run_prepared`]; this
 /// accessor backs standalone [`run_single`] calls with
 /// `config.lazy_frontend` set.
 pub fn shared_platform_snapshot() -> &'static Arc<PlatformSnapshot> {
@@ -211,12 +220,14 @@ enum Prepared {
     Micro { sdex: Arc<[u8]>, entry_class: String },
 }
 
-/// A [`Prepared`] job plus its fingerprint: FNV-1a 64 over the platform
-/// snapshot checksum and the SDEX bytes. The same transitive-hash
-/// discipline as the summary store — repeat jobs replay a cached
-/// callgraph only when both the app bytes and the platform they were
-/// computed against are unchanged.
-struct PreparedJob {
+/// A job ready to run: its name, its [`Prepared`] form and its
+/// fingerprint, FNV-1a 64 over the platform snapshot checksum and the
+/// SDEX bytes. The same transitive-hash discipline as the summary store
+/// — repeat jobs replay a cached callgraph only when both the app bytes
+/// and the platform they were computed against are unchanged. Built by
+/// [`prepare`], run (any number of times) by [`run_prepared`].
+pub struct PreparedJob {
+    name: String,
     fingerprint: u64,
     form: Prepared,
 }
@@ -232,64 +243,66 @@ fn app_fingerprint(platform_fingerprint: u64, sdex: &[u8]) -> u64 {
 }
 
 /// Returns the cached [`PreparedJob`] form of `job`, encoding it on
-/// first use. Keyed by the job's unique name; preparation is
-/// deterministic, so a racing duplicate insert is harmless (first one
-/// wins).
+/// first use. Keyed by the job's unique name and never evicted, which
+/// suits the bench and truth drivers' fixed job sets; the daemon keeps
+/// its own bounded cache instead. Preparation is deterministic, so a
+/// racing duplicate insert is harmless (first one wins).
 fn prepared_for(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Arc<PreparedJob> {
     static REG: OnceLock<Mutex<FxHashMap<String, Arc<PreparedJob>>>> = OnceLock::new();
     let reg = REG.get_or_init(|| Mutex::new(FxHashMap::default()));
     if let Some(p) = reg.lock().unwrap().get(&job.name) {
         return p.clone();
     }
-    let prepared = Arc::new(prepare(job, snapshot));
+    let prepared = Arc::new(prepare(job, snapshot).expect("corpus job parses"));
     reg.lock().unwrap().entry(job.name.clone()).or_insert(prepared).clone()
 }
 
-/// Parses a job's `jasm` text against a scratch platform program and
-/// encodes the app classes into an SDEX image.
-fn prepare(job: &CorpusJob, snapshot: &PlatformSnapshot) -> PreparedJob {
+/// Parses a job's `jasm` text against a scratch overlay of `snapshot`
+/// and encodes the app classes into an SDEX image, ready for
+/// [`run_prepared`].
+///
+/// # Errors
+///
+/// The parser's message when the job's sources do not parse. Built-in
+/// corpus jobs always parse; external apps may not.
+pub fn prepare(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Result<PreparedJob, String> {
     let mut scratch = snapshot.overlay_program();
-    match &job.kind {
+    let form = match &job.kind {
         JobKind::Droid(app) => {
-            let loaded = app.load(&mut scratch).expect("suite app parses");
-            let sdex: Arc<[u8]> = sdex::encode(&scratch, &loaded.classes).into();
-            PreparedJob {
-                fingerprint: app_fingerprint(snapshot.fingerprint, &sdex),
-                form: Prepared::Droid {
-                    manifest: loaded.manifest,
-                    layouts: loaded.layouts,
-                    resources: loaded.resources,
-                    sdex,
-                },
-            }
+            let loaded = app.load(&mut scratch).map_err(|e| e.to_string())?;
+            droid_form(&scratch, loaded)
         }
         JobKind::Micro(case) => {
             let rt = ResourceTable::new();
-            let mut classes = parse_jasm(&mut scratch, &rt, MICRO_ENV).expect("micro env parses");
-            classes
-                .extend(parse_jasm(&mut scratch, &rt, &case.code).expect("micro case parses"));
-            let sdex: Arc<[u8]> = sdex::encode(&scratch, &classes).into();
-            PreparedJob {
-                fingerprint: app_fingerprint(snapshot.fingerprint, &sdex),
-                form: Prepared::Micro { sdex, entry_class: case.entry_class.clone() },
-            }
+            let mut classes =
+                parse_jasm(&mut scratch, &rt, MICRO_ENV).map_err(|e| e.to_string())?;
+            classes.extend(parse_jasm(&mut scratch, &rt, &case.code).map_err(|e| e.to_string())?);
+            let sdex = sdex::encode(&scratch, &classes).into();
+            Prepared::Micro { sdex, entry_class: case.entry_class.clone() }
         }
         JobKind::External { manifest, layouts, code } => {
             let refs: Vec<(&str, &str)> =
                 layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
             let loaded = App::from_parts(&mut scratch, manifest, &refs, code)
-                .expect("external app parses");
-            let sdex: Arc<[u8]> = sdex::encode(&scratch, &loaded.classes).into();
-            PreparedJob {
-                fingerprint: app_fingerprint(snapshot.fingerprint, &sdex),
-                form: Prepared::Droid {
-                    manifest: loaded.manifest,
-                    layouts: loaded.layouts,
-                    resources: loaded.resources,
-                    sdex,
-                },
-            }
+                .map_err(|e| e.to_string())?;
+            droid_form(&scratch, loaded)
         }
+    };
+    let (Prepared::Droid { sdex, .. } | Prepared::Micro { sdex, .. }) = &form;
+    Ok(PreparedJob {
+        name: job.name.clone(),
+        fingerprint: app_fingerprint(snapshot.fingerprint, sdex),
+        form,
+    })
+}
+
+/// The [`Prepared::Droid`] form of an app parsed into `scratch`.
+fn droid_form(scratch: &Program, loaded: App) -> Prepared {
+    Prepared::Droid {
+        sdex: sdex::encode(scratch, &loaded.classes).into(),
+        manifest: loaded.manifest,
+        layouts: loaded.layouts,
+        resources: loaded.resources,
     }
 }
 
@@ -369,7 +382,7 @@ fn leak_report(name: &str, results: &InfoflowResults, p: &Program) -> String {
 
 /// Analyzes one corpus job with `config` (including any configured
 /// abort handle / summary cache) and returns its outcome. This is the
-/// unit the analysis daemon schedules on its worker pool.
+/// unit [`run_corpus`] fans across its threads.
 ///
 /// With `config.lazy_frontend` set the job runs through
 /// [`run_single_lazy`] against the process-wide platform snapshot;
@@ -414,15 +427,13 @@ pub fn run_single(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
             (analysis.results, report)
         }
     };
-    finish_run(job, start, results, report, 0, 0, 0, None)
+    finish_run(&job.name, start, results, report, 0, 0, 0, None)
 }
 
-/// Analyzes one corpus job through the demand-driven frontend: the job
-/// program starts as a copy-on-write overlay over `snapshot`'s shared
-/// platform base (no platform rebuild, no deep clone), app code is
-/// installed via lazy SDEX decode, and only callgraph-reachable method
-/// bodies are materialized. This is the warm path the analysis daemon
-/// runs per job.
+/// Analyzes one corpus job through the demand-driven frontend: the
+/// bench and truth drivers' form of [`run_prepared`], preparing `job`
+/// once per process (see [`prepared_for`]). The returned
+/// [`AppRun::total`] includes that preparation on a job's first run.
 ///
 /// When `cg_cache` is given, the per-app entry-point model, reachable
 /// closure and callgraph are served from (and recorded into) it, keyed
@@ -434,7 +445,11 @@ pub fn run_single_lazy(
     snapshot: &PlatformSnapshot,
     cg_cache: Option<&CgCache>,
 ) -> AppRun {
-    run_single_lazy_impl(job, config, snapshot, cg_cache, false)
+    let start = Instant::now();
+    let prepared = prepared_for(job, snapshot);
+    let mut run = run_prepared_impl(&prepared, config, snapshot, cg_cache, false);
+    run.total = start.elapsed();
+    run
 }
 
 /// Like [`run_single_lazy`], but deep-clones the platform program
@@ -445,18 +460,34 @@ pub fn run_single_lazy_deep_clone(
     config: &InfoflowConfig,
     snapshot: &PlatformSnapshot,
 ) -> AppRun {
-    run_single_lazy_impl(job, config, snapshot, None, true)
+    run_prepared_impl(&prepared_for(job, snapshot), config, snapshot, None, true)
 }
 
-fn run_single_lazy_impl(
-    job: &CorpusJob,
+/// Analyzes a [`prepare`]d job: the job program starts as a
+/// copy-on-write overlay over `snapshot`'s shared platform base (no
+/// platform rebuild, no deep clone), the prepared SDEX image is
+/// installed via lazy decode, and only callgraph-reachable method
+/// bodies are materialized. This is the path the analysis daemon runs
+/// per job; `snapshot` must be the one `prepared` was prepared against.
+/// `cg_cache` works as in [`run_single_lazy`].
+pub fn run_prepared(
+    prepared: &PreparedJob,
+    config: &InfoflowConfig,
+    snapshot: &PlatformSnapshot,
+    cg_cache: Option<&CgCache>,
+) -> AppRun {
+    run_prepared_impl(prepared, config, snapshot, cg_cache, false)
+}
+
+fn run_prepared_impl(
+    prepared: &PreparedJob,
     config: &InfoflowConfig,
     snapshot: &PlatformSnapshot,
     cg_cache: Option<&CgCache>,
     deep_clone: bool,
 ) -> AppRun {
     let start = Instant::now();
-    let prepared = prepared_for(job, snapshot);
+    let name = &prepared.name;
     let clone_start = Instant::now();
     let mut p = if deep_clone { snapshot.deep_program() } else { snapshot.overlay_program() };
     let platform_clone_us = u64::try_from(clone_start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -480,7 +511,7 @@ fn run_single_lazy_impl(
                         &loaded,
                         "corpus",
                         cache,
-                        &job.name,
+                        name,
                         prepared.fingerprint,
                     );
                     cache_hit = Some(hit);
@@ -488,7 +519,7 @@ fn run_single_lazy_impl(
                 }
                 None => infoflow.analyze_app(&mut p, &snapshot.info, &loaded, "corpus"),
             };
-            let report = leak_report(&job.name, &analysis.results, &p);
+            let report = leak_report(name, &analysis.results, &p);
             (analysis.results, report)
         }
         Prepared::Micro { sdex, entry_class } => {
@@ -501,7 +532,7 @@ fn run_single_lazy_impl(
                         &mut p,
                         &[entry],
                         cache,
-                        &job.name,
+                        name,
                         prepared.fingerprint,
                     );
                     cache_hit = Some(hit);
@@ -509,18 +540,18 @@ fn run_single_lazy_impl(
                 }
                 None => infoflow.run_demand(&mut p, &[entry]),
             };
-            let report = leak_report(&job.name, &results, &p);
+            let report = leak_report(name, &results, &p);
             (results, report)
         }
     };
     let materialized = p.bodies_materialized();
     let skipped = p.pending_body_count() as u64;
-    finish_run(job, start, results, report, materialized, skipped, platform_clone_us, cache_hit)
+    finish_run(name, start, results, report, materialized, skipped, platform_clone_us, cache_hit)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn finish_run(
-    job: &CorpusJob,
+    name: &str,
     start: Instant,
     results: InfoflowResults,
     report: String,
@@ -530,7 +561,7 @@ fn finish_run(
     cg_cache_hit: Option<bool>,
 ) -> AppRun {
     AppRun {
-        name: job.name.clone(),
+        name: name.to_string(),
         leaks: results.leak_count(),
         report,
         forward_propagations: results.forward_propagations,
@@ -727,6 +758,18 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), before, "corpus job names must be unique");
         assert!(before > 100, "corpus should cover both suites, got {before}");
+    }
+
+    #[test]
+    fn find_job_resolves_every_corpus_name_to_the_same_job() {
+        for job in full_corpus() {
+            let found = find_job(&job.name).unwrap_or_else(|| panic!("{} not found", job.name));
+            assert_eq!(format!("{found:?}"), format!("{job:?}"), "{} differs", job.name);
+        }
+        for unknown in ["", "droidbench", "insecurebank/x", "securibench/Basic", "stress/x"] {
+            assert!(find_job(unknown).is_none(), "`{unknown}` must not resolve");
+        }
+        assert_eq!(find_job("stress/7").map(|j| j.name), Some("stress/7".to_string()));
     }
 
     #[test]

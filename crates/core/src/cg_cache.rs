@@ -13,7 +13,9 @@
 //! [`crate::summary_cache`]): a lookup whose fingerprint disagrees with
 //! the stored one drops the stale entry and reports a miss, so editing
 //! an app or swapping the platform snapshot can never replay a setup
-//! computed against different code. Eviction is bounded LRU.
+//! computed against different code. Eviction is bounded LRU; the LRU
+//! itself ([`Lru`]) is generic over its value, and the daemon reuses it
+//! for its prepared-job cache.
 //!
 //! What is cached is deliberately *not* the materialized program — jobs
 //! own their cheap copy-on-write overlays — but the recipe to rebuild
@@ -59,7 +61,7 @@ pub enum CachedSetup {
 
 /// Counters describing a cache's lifetime behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CgCacheStats {
+pub struct LruStats {
     /// Lookups that returned a valid entry.
     pub hits: u64,
     /// Lookups that found nothing (or only a stale entry).
@@ -73,15 +75,15 @@ pub struct CgCacheStats {
 }
 
 #[derive(Debug)]
-struct Entry {
+struct Entry<V> {
     fingerprint: u64,
-    setup: Arc<CachedSetup>,
+    value: Arc<V>,
     last_used: u64,
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    entries: FxHashMap<String, Entry>,
+#[derive(Debug)]
+struct CacheInner<V> {
+    entries: FxHashMap<String, Entry<V>>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -89,40 +91,55 @@ struct CacheInner {
     invalidations: u64,
 }
 
-/// A bounded, fingerprint-validated LRU cache of [`CachedSetup`]s.
+/// A bounded, fingerprint-validated LRU map from names to shared
+/// values. The daemon keeps two: the [`CgCache`] of analysis setups and
+/// a cache of prepared jobs.
 ///
 /// Thread-safe: the daemon shares one behind an `Arc` across workers.
 #[derive(Debug)]
-pub struct CgCache {
+pub struct Lru<V> {
     capacity: usize,
-    inner: Mutex<CacheInner>,
+    inner: Mutex<CacheInner<V>>,
 }
 
-impl CgCache {
+/// A bounded, fingerprint-validated LRU cache of [`CachedSetup`]s.
+pub type CgCache = Lru<CachedSetup>;
+
+impl<V> Lru<V> {
     /// Creates a cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        CgCache { capacity: capacity.max(1), inner: Mutex::new(CacheInner::default()) }
+        Lru {
+            capacity: capacity.max(1),
+            inner: Mutex::new(CacheInner {
+                entries: FxHashMap::default(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                invalidations: 0,
+            }),
+        }
     }
 
-    /// Looks up the setup for `key`, validating it against
+    /// Looks up the value for `key`, validating it against
     /// `fingerprint`. A fingerprint mismatch drops the stale entry and
     /// counts as an invalidation plus a miss.
-    pub fn lookup(&self, key: &str, fingerprint: u64) -> Option<Arc<CachedSetup>> {
+    pub fn lookup(&self, key: &str, fingerprint: u64) -> Option<Arc<V>> {
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
         let found = match inner.entries.get_mut(key) {
             Some(e) if e.fingerprint == fingerprint => {
                 e.last_used = tick;
-                Ok(Arc::clone(&e.setup))
+                Ok(Arc::clone(&e.value))
             }
             Some(_) => Err(true),
             None => Err(false),
         };
         match found {
-            Ok(setup) => {
+            Ok(value) => {
                 inner.hits += 1;
-                Some(setup)
+                Some(value)
             }
             Err(stale) => {
                 if stale {
@@ -135,10 +152,10 @@ impl CgCache {
         }
     }
 
-    /// Stores `setup` for `key`, evicting the least-recently-used entry
+    /// Stores `value` for `key`, evicting the least-recently-used entry
     /// if the cache is full. Re-inserting an existing key replaces its
     /// entry in place (no eviction).
-    pub fn insert(&self, key: &str, fingerprint: u64, setup: Arc<CachedSetup>) {
+    pub fn insert(&self, key: &str, fingerprint: u64, value: Arc<V>) {
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
@@ -155,13 +172,13 @@ impl CgCache {
         }
         inner
             .entries
-            .insert(key.to_owned(), Entry { fingerprint, setup, last_used: tick });
+            .insert(key.to_owned(), Entry { fingerprint, value, last_used: tick });
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CgCacheStats {
+    pub fn stats(&self) -> LruStats {
         let inner = self.inner.lock().unwrap();
-        CgCacheStats {
+        LruStats {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,

@@ -46,7 +46,7 @@ pub mod wrappers;
 
 pub use access_path::{AccessPath, ApBase};
 pub use analysis::{AppAnalysis, Infoflow};
-pub use cg_cache::{CachedSetup, CgCache, CgCacheStats};
+pub use cg_cache::{CachedSetup, CgCache, Lru, LruStats};
 pub use config::{InfoflowConfig, ProgressEvent, ProgressSink};
 pub use flows::{CallSite, CallSites};
 pub use icc::{analyze_app_linked, IccResults};

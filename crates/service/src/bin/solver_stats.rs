@@ -25,8 +25,11 @@
 //! times as a `"service"` section spliced into the same output file
 //! (the `available_cores` field and the solver-mode sections are
 //! kept). The warm insecurebank job must spend no more time in setup
-//! than in the data-flow solver, and the lazy frontend must skip at
-//! least one method body, or the binary exits non-zero.
+//! than in the data-flow solver, the lazy frontend must skip at
+//! least one method body, and every cold-pass job must miss the
+//! daemon's prepared-job cache while every warm-pass job hits it
+//! (`cold_prepared_misses`, `warm_prepared_hits`), or the binary exits
+//! non-zero.
 //!
 //! `--mode service-load` drives the daemon the way a fleet does: it
 //! stores two analysis contexts with one daemon, moves the cache
@@ -539,11 +542,18 @@ fn run_service(out_path: &str) {
             })
             .collect()
     };
+    // The daemon's prepared-job cache counters (hits, misses) so far.
+    let prepared_counters = |stats: &flowdroid_service::Json| {
+        let field = |name| stats.u64_field(name).unwrap_or(0);
+        (field("prepared_cache_hits"), field("prepared_cache_misses"))
+    };
+    let mut ctl = Client::connect(&addr).expect("control connection");
     let cold = run_pass("cold");
+    let after_cold = prepared_counters(&ctl.stats().expect("stats"));
     let warm = run_pass("warm");
 
-    let mut ctl = Client::connect(&addr).expect("control connection");
     let stats = ctl.stats().expect("stats");
+    let after_warm = prepared_counters(&stats);
     ctl.shutdown().expect("shutdown");
     accept_loop.join().expect("accept loop exits cleanly");
     let _ = std::fs::remove_dir_all(&cache);
@@ -584,6 +594,9 @@ fn run_service(out_path: &str) {
     let cold_clone_us = total(&cold, |r| r.platform_clone_us);
     let warm_clone_us = total(&warm, |r| r.platform_clone_us);
     let cg_evictions = stats.u64_field("callgraph_cache_evictions").unwrap_or(0);
+    let (cold_prepared_hits, cold_prepared_misses) = after_cold;
+    let warm_prepared_hits = after_warm.0 - after_cold.0;
+    let warm_prepared_misses = after_warm.1 - after_cold.1;
     let snapshot_load_ms = stats.u64_field("snapshot_load_ms").unwrap_or(0);
     let snapshot_source = stats.str_field("snapshot_source").unwrap_or("unknown").to_string();
 
@@ -617,6 +630,8 @@ fn run_service(out_path: &str) {
     writeln!(section, "    \"cold_callgraph_misses\": {cold_cg_misses},").unwrap();
     writeln!(section, "    \"warm_callgraph_hits\": {warm_cg_hits},").unwrap();
     writeln!(section, "    \"callgraph_cache_evictions\": {cg_evictions},").unwrap();
+    writeln!(section, "    \"cold_prepared_misses\": {cold_prepared_misses},").unwrap();
+    writeln!(section, "    \"warm_prepared_hits\": {warm_prepared_hits},").unwrap();
     writeln!(section, "    \"cold_platform_clone_us_total\": {cold_clone_us},").unwrap();
     writeln!(section, "    \"warm_platform_clone_us_total\": {warm_clone_us},").unwrap();
     writeln!(
@@ -697,6 +712,18 @@ fn run_service(out_path: &str) {
     }
     if warm_cg_hits == 0 {
         eprintln!("FAIL: warm pass replayed no cached callgraph setups");
+        std::process::exit(1);
+    }
+    let jobs = names.len() as u64;
+    if (cold_prepared_hits, cold_prepared_misses) != (0, jobs)
+        || (warm_prepared_hits, warm_prepared_misses) != (jobs, 0)
+    {
+        eprintln!(
+            "FAIL: prepared-job cache: cold pass {cold_prepared_hits} hits / \
+             {cold_prepared_misses} misses, warm pass {warm_prepared_hits} hits / \
+             {warm_prepared_misses} misses; want every cold job to miss and every warm \
+             job to hit ({jobs} each)"
+        );
         std::process::exit(1);
     }
     if warm_setup_us >= cold_setup_us {

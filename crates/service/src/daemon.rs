@@ -24,6 +24,16 @@
 //! platform+app fingerprint, so repeat jobs replay the cached setup
 //! instead of re-discovering components and rebuilding the callgraph.
 //!
+//! Each app is parsed once per daemon: `submit` turns the request into
+//! a [`PreparedJob`] (manifest, layouts, resources, SDEX image,
+//! fingerprint) on the connection thread, so a malformed app is refused
+//! there, and the queue hands that same `Arc` to the worker, which runs
+//! it without parsing again. Prepared jobs live in a bounded LRU keyed
+//! by job name — the corpus name, or `external/<content-hash>/<stem>`
+//! for an on-disk app — so a repeat submission skips the parse (and,
+//! for corpus names, the corpus lookup) and the daemon's memory stays
+//! bounded however many distinct apps it serves.
+//!
 //! Concurrency layout:
 //!
 //! * the **accept loop** ([`Daemon::run`]) spawns one thread per
@@ -63,9 +73,9 @@ use crate::proto::{
     denied_line, error_line, rejected_line, AnalyzeRequest, JobResult, Priority, Request,
 };
 use flowdroid_android::{build_snapshot, load_snapshot, PlatformSnapshot};
-use flowdroid_bench::{find_job, run_single_lazy, CorpusJob};
+use flowdroid_bench::{find_job, prepare, run_prepared, CorpusJob, PreparedJob};
 use flowdroid_core::{
-    flush_summary_cache, AbortHandle, CgCache, InfoflowConfig, ProgressEvent, ProgressSink,
+    flush_summary_cache, AbortHandle, CgCache, InfoflowConfig, Lru, ProgressEvent, ProgressSink,
 };
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -81,6 +91,11 @@ pub const DEFAULT_QUEUE_CAP: usize = 1024;
 /// Consecutive non-batch dequeues after which a waiting batch job is
 /// served before further high/normal work (anti-starvation aging).
 const AGING_STREAK: u32 = 4;
+
+/// Entries in each of the daemon's caches (prepared jobs, callgraph
+/// setups): comfortably above the full corpus size, so a service
+/// benchmark sweep stays warm end to end.
+const CACHE_CAPACITY: usize = 256;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -133,7 +148,7 @@ struct PrioQueue {
 #[derive(Default)]
 struct QueueInner {
     /// One FIFO lane per [`Priority`], indexed by [`Priority::lane`].
-    lanes: [VecDeque<(u64, CorpusJob)>; 3],
+    lanes: [VecDeque<(u64, Arc<PreparedJob>)>; 3],
     /// Closed queues accept no pushes; pops drain what remains.
     closed: bool,
     /// Consecutive high/normal dequeues since the last batch dequeue.
@@ -151,7 +166,7 @@ impl PrioQueue {
 
     /// Blocks until a job is available (priority order with batch
     /// aging) or the queue is closed *and* drained.
-    fn pop(&self) -> Option<(u64, CorpusJob)> {
+    fn pop(&self) -> Option<(u64, Arc<PreparedJob>)> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if Self::depth(&inner) == 0 {
@@ -220,6 +235,9 @@ struct JobEntry {
     spec: JobSpec,
     submitted: Instant,
     queue_ms: u64,
+    /// Microseconds `submit` spent preparing the job; 0 on a
+    /// prepared-cache hit.
+    prepare_us: u64,
     cancel_requested: bool,
     /// Streaming sink handed to the worker when the job starts; the
     /// worker takes it (even for skipped jobs) so the relay's channel
@@ -266,6 +284,8 @@ struct Shared {
     /// Daemon-resident callgraph / entry-point cache shared by all
     /// workers; repeat jobs on the same app replay the cached setup.
     cg_cache: CgCache,
+    /// Prepared jobs by job name; repeat submissions skip the parse.
+    prepared: Lru<PreparedJob>,
     /// Time spent obtaining the platform model at bind time.
     snapshot_load_ms: u64,
     /// `"file"` when loaded from a `platform.fdps`, `"built"` otherwise.
@@ -321,9 +341,8 @@ impl Daemon {
             summary_cache: opts.summary_cache,
             policy,
             snapshot: Arc::new(snapshot),
-            // Comfortably above the full corpus size, so a service
-            // benchmark sweep stays warm end to end.
-            cg_cache: CgCache::new(256),
+            cg_cache: CgCache::new(CACHE_CAPACITY),
+            prepared: Lru::new(CACHE_CAPACITY),
             snapshot_load_ms,
             snapshot_source,
             addr,
@@ -387,9 +406,9 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
+fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
     let idx = (id - 1) as usize;
-    let (abort, spec, app, queue_ms, progress, skip) = {
+    let (abort, spec, app, queue_ms, prepare_us, progress, skip) = {
         let mut inner = shared.inner.lock().unwrap();
         let e = &mut inner.jobs[idx];
         e.queue_ms = e.submitted.elapsed().as_millis() as u64;
@@ -399,7 +418,8 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
         let skip = e.abort.poll().is_some();
         // Take the streaming sink even when skipping: dropping it is
         // what tells the relay no more events can arrive.
-        (e.abort.clone(), e.spec.clone(), e.app.clone(), e.queue_ms, e.progress.take(), skip)
+        let progress = e.progress.take();
+        (e.abort.clone(), e.spec.clone(), e.app.clone(), e.queue_ms, e.prepare_us, progress, skip)
     };
     let mut sched = None;
     let result = if skip {
@@ -410,6 +430,7 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
             aborted: true,
             abort_reason: abort.reason().map(|r| r.as_str().to_string()),
             queue_ms,
+            prepare_us,
             ..JobResult::default()
         }
     } else {
@@ -419,7 +440,7 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
         config.cache_namespace = spec.namespace;
         config.progress = progress;
         config.summary_cache.clone_from(&shared.summary_cache);
-        let mut run = run_single_lazy(job, &config, &shared.snapshot, Some(&shared.cg_cache));
+        let mut run = run_prepared(job, &config, &shared.snapshot, Some(&shared.cg_cache));
         if !run.aborted {
             if let Some(dir) = &shared.summary_cache {
                 // Promote this job's staged summaries so the *next* job
@@ -438,6 +459,7 @@ fn run_one(shared: &Shared, id: u64, job: &CorpusJob) {
             abort_reason: run.abort_reason.map(|r| r.as_str().to_string()),
             wall_ms: run.total.as_millis() as u64,
             queue_ms,
+            prepare_us,
             setup_us: run.setup().as_micros() as u64,
             dataflow_us: run.dataflow.as_micros() as u64,
             bodies_materialized: run.bodies_materialized,
@@ -649,10 +671,12 @@ enum Refusal {
 /// Admission and registration happen under the queue lock, so the
 /// waiting-job bound is exact even under concurrent submissions.
 ///
-/// Path-shaped names (leading `/`, `./`, `../` or a `.rpk` suffix) are
-/// external apps: they pass the allow-list policy, then load and parse
-/// *here*, against a throwaway overlay of the shared platform snapshot
-/// — a malformed app must be refused at submission, not panic a worker.
+/// The job is prepared (parsed and lowered to SDEX) *here*, on the
+/// connection thread, unless the prepared-job cache already holds its
+/// name. Path-shaped names (leading `/`, `./`, `../` or a `.rpk`
+/// suffix) are external apps: they pass the allow-list policy and are
+/// read from disk first, since their cache key hashes the content — a
+/// malformed app must be refused at submission, not panic a worker.
 fn submit(
     shared: &Shared,
     app: &str,
@@ -660,21 +684,32 @@ fn submit(
     spec: JobSpec,
     progress: Option<ProgressSink>,
 ) -> Result<u64, Refusal> {
-    let job = if is_path_request(app) {
+    let cannot_load = |e: String| Refusal::Error(format!("cannot load app `{app}`: {e}"));
+    let fingerprint = shared.snapshot.fingerprint;
+    let (job, prepare_us) = if is_path_request(app) {
         let real = shared.policy.resolve(app).map_err(|e| {
             shared.inner.lock().unwrap().denied += 1;
             Refusal::PolicyDenied(e.to_string())
         })?;
-        let mut scratch = shared.snapshot.overlay_program();
-        load_external_job(&real, &mut scratch)
-            .map_err(|e| Refusal::Error(format!("cannot load app `{app}`: {e}")))?
+        let job = load_external_job(&real).map_err(cannot_load)?;
+        match shared.prepared.lookup(&job.name, fingerprint) {
+            Some(prepared) => (prepared, 0),
+            None => prepare_and_cache(shared, &job.name, &job)
+                .map_err(|e| cannot_load(format!("{}: {e}", real.display())))?,
+        }
     } else {
-        find_job(app).ok_or_else(|| {
-            Refusal::Error(format!(
-                "unknown app `{app}` (expected a corpus name, `stress/<K>`, or an \
-                 allowed app path)"
-            ))
-        })?
+        match shared.prepared.lookup(app, fingerprint) {
+            Some(prepared) => (prepared, 0),
+            None => {
+                let job = find_job(app).ok_or_else(|| {
+                    Refusal::Error(format!(
+                        "unknown app `{app}` (expected a corpus name, `stress/<K>`, or an \
+                         allowed app path)"
+                    ))
+                })?;
+                prepare_and_cache(shared, app, &job).map_err(cannot_load)?
+            }
+        }
     };
     let abort = match deadline_ms {
         Some(ms) => AbortHandle::with_deadline(Duration::from_millis(ms)),
@@ -706,6 +741,7 @@ fn submit(
             spec,
             submitted: Instant::now(),
             queue_ms: 0,
+            prepare_us,
             cancel_requested: false,
             progress,
             result: None,
@@ -718,12 +754,31 @@ fn submit(
     Ok(id)
 }
 
+/// Prepares `job` and caches it under `key`; returns it with the
+/// preparation time in microseconds. A job that fails to parse is not
+/// cached, so resubmitting it fails again.
+fn prepare_and_cache(
+    shared: &Shared,
+    key: &str,
+    job: &CorpusJob,
+) -> Result<(Arc<PreparedJob>, u64), String> {
+    let start = Instant::now();
+    let prepared = Arc::new(prepare(job, &shared.snapshot)?);
+    let prepare_us = start.elapsed().as_micros() as u64;
+    shared.prepared.insert(key, shared.snapshot.fingerprint, Arc::clone(&prepared));
+    Ok((prepared, prepare_us))
+}
+
+/// Blocks until job `id` is done and returns its result. The report is
+/// moved out, not cloned: the submitting connection is its only reader,
+/// and the registry keeps just the counters `stats` reads.
 fn wait_done(shared: &Shared, id: u64) -> JobResult {
     let idx = (id - 1) as usize;
     let mut inner = shared.inner.lock().unwrap();
     loop {
-        if let Some(r) = &inner.jobs[idx].result {
-            return r.clone();
+        if let Some(r) = &mut inner.jobs[idx].result {
+            let report = std::mem::take(&mut r.report);
+            return JobResult { report, ..r.clone() };
         }
         inner = shared.done.wait(inner).unwrap();
     }
@@ -745,6 +800,7 @@ fn cancel(shared: &Shared, id: u64) -> Result<&'static str, String> {
 
 fn stats(shared: &Shared) -> Json {
     let cache = shared.cg_cache.stats();
+    let prepared = shared.prepared.stats();
     let inner = shared.inner.lock().unwrap();
     let mut by_state = [0u64; 3];
     let mut aborted = 0u64;
@@ -822,6 +878,10 @@ fn stats(shared: &Shared) -> Json {
         ("callgraph_cache_evictions", Json::from(cache.evictions)),
         ("callgraph_cache_invalidations", Json::from(cache.invalidations)),
         ("callgraph_cache_entries", Json::from(cache.entries as u64)),
+        ("prepared_cache_hits", Json::from(prepared.hits)),
+        ("prepared_cache_misses", Json::from(prepared.misses)),
+        ("prepared_cache_evictions", Json::from(prepared.evictions)),
+        ("prepared_cache_entries", Json::from(prepared.entries as u64)),
         ("sched_pushed", Json::from(inner.sched_pushed)),
         ("sched_claims", Json::from(inner.sched_claims)),
         ("sched_steals", Json::from(inner.sched_steals)),
@@ -864,4 +924,29 @@ fn write_line(conn: &mut Box<dyn Conn>, line: &str) -> io::Result<()> {
     conn.write_all(line.as_bytes())?;
     conn.write_all(b"\n")?;
     conn.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prepared_job_lru_shares_hits_and_evicts_the_coldest_job() {
+        let snapshot = flowdroid_bench::shared_platform_snapshot();
+        let prepared = |name: &str| {
+            Arc::new(prepare(&find_job(name).expect("stress job"), snapshot).expect("parses"))
+        };
+        let cache: Lru<PreparedJob> = Lru::new(2);
+        let fp = snapshot.fingerprint;
+        let a = prepared("stress/2");
+        cache.insert("stress/2", fp, Arc::clone(&a));
+        cache.insert("stress/3", fp, prepared("stress/3"));
+        let hit = cache.lookup("stress/2", fp).expect("hit");
+        assert!(Arc::ptr_eq(&hit, &a), "a hit hands out the cached job, not a copy");
+        cache.insert("stress/4", fp, prepared("stress/4"));
+        assert!(cache.lookup("stress/3", fp).is_none(), "the coldest job is evicted");
+        assert!(cache.lookup("stress/4", fp).is_some(), "the newest job stays");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions, s.entries), (2, 1, 1, 2));
+    }
 }

@@ -14,15 +14,15 @@
 //! * [`load_external_job`] — the loader. Accepts an on-disk app
 //!   directory (`AndroidManifest.xml`, `res/layout/*.xml`,
 //!   `classes.jasm`) or a packed `.rpk` archive, and builds a
-//!   [`CorpusJob`] whose name folds in a content hash: the bench
-//!   layer's prepared-job registry caches by name forever, so two
+//!   [`CorpusJob`] whose name folds in a content hash: the daemon's
+//!   prepared-job cache and callgraph cache are keyed by name, so two
 //!   different apps at the same path — or the same path edited between
-//!   submissions — must never collide on a name.
+//!   submissions — must never collide on a name. The loader only reads
+//!   and names the app; parsing it is [`flowdroid_bench::prepare`]'s
+//!   job, which the daemon skips when the name is already cached.
 
 use flowdroid_bench::{external_job, CorpusJob};
 use flowdroid_frontend::rpk::Archive;
-use flowdroid_frontend::App;
-use flowdroid_ir::Program;
 use std::path::{Path, PathBuf};
 
 /// The `serve --allow-apps` sandbox: the canonicalized roots external
@@ -195,25 +195,21 @@ fn load_rpk(path: &Path) -> Result<(String, Vec<(String, String)>, String), Stri
     Ok((manifest, layouts, code))
 }
 
-/// Loads an external app (directory or `.rpk`) from an
-/// *already-policy-resolved* path into a corpus job, validating that it
-/// parses against `scratch` (a throwaway platform overlay) first — a
-/// malformed app must fail the submitting connection, never the worker
-/// that later re-parses it. The job name is
-/// `external/<content-hash>/<stem>` — content-unique, so the prepared
-/// registry can never serve a stale parse for an edited app.
+/// Reads an external app (directory or `.rpk`) from an
+/// *already-policy-resolved* path into a corpus job. The job name is
+/// `external/<content-hash>/<stem>` — content-unique, so a cache keyed
+/// by it can never serve a stale parse for an edited app. The app's
+/// code is not parsed here: the daemon parses it with
+/// [`flowdroid_bench::prepare`] on the submitting connection, so a
+/// malformed app fails there, never on a worker.
 ///
 /// # Errors
 ///
 /// A human-readable message when the path is neither a readable app
-/// directory nor a well-formed, parseable archive.
-pub fn load_external_job(real: &Path, scratch: &mut Program) -> Result<CorpusJob, String> {
+/// directory nor a well-formed archive with the required entries.
+pub fn load_external_job(real: &Path) -> Result<CorpusJob, String> {
     let (manifest, layouts, code) =
         if real.is_dir() { load_dir(real) } else { load_rpk(real) }?;
-    let refs: Vec<(&str, &str)> =
-        layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
-    App::from_parts(scratch, &manifest, &refs, &code)
-        .map_err(|e| format!("{}: {e}", real.display()))?;
     let stem = real
         .file_stem()
         .and_then(|s| s.to_str())
@@ -301,10 +297,9 @@ mod tests {
     fn loader_rejects_junk() {
         let d = tmp("junk");
         std::fs::write(d.join("a.rpk"), b"not an archive").unwrap();
-        let mut scratch = Program::new();
-        assert!(load_external_job(&d.join("a.rpk"), &mut scratch).is_err());
+        assert!(load_external_job(&d.join("a.rpk")).is_err());
         // A directory without the required files.
-        assert!(load_external_job(&d, &mut scratch).is_err());
+        assert!(load_external_job(&d).is_err());
         let _ = std::fs::remove_dir_all(&d);
     }
 }

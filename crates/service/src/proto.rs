@@ -220,10 +220,16 @@ pub struct JobResult {
     pub wall_ms: u64,
     /// Time the job waited in the queue before a worker claimed it.
     pub queue_ms: u64,
-    /// Setup phase of the run in microseconds: parse/decode, entry-point
-    /// model, dummy main and call-graph construction — everything before
-    /// the data-flow solver. Warm daemon jobs against the shared
-    /// platform snapshot keep this below `dataflow_us`.
+    /// Microseconds the daemon spent preparing the job at submission:
+    /// parsing the app and lowering it to SDEX. 0 when the daemon's
+    /// prepared-job cache already held it. Not part of `setup_us` or
+    /// `wall_ms`.
+    pub prepare_us: u64,
+    /// Setup phase of the run in microseconds: lazy SDEX decode,
+    /// entry-point model, dummy main and call-graph construction —
+    /// everything before the data-flow solver (the parse at submission
+    /// is `prepare_us`). Warm daemon jobs against the shared platform
+    /// snapshot keep this below `dataflow_us`.
     pub setup_us: u64,
     /// Data-flow (solver) phase in microseconds.
     pub dataflow_us: u64,
@@ -275,6 +281,7 @@ impl JobResult {
         fields.extend([
             ("wall_ms", Json::from(self.wall_ms)),
             ("queue_ms", Json::from(self.queue_ms)),
+            ("prepare_us", Json::from(self.prepare_us)),
             ("setup_us", Json::from(self.setup_us)),
             ("dataflow_us", Json::from(self.dataflow_us)),
             ("bodies_materialized", Json::from(self.bodies_materialized)),
@@ -306,6 +313,7 @@ impl JobResult {
             abort_reason: v.str_field("abort_reason").map(str::to_string),
             wall_ms: v.u64_field("wall_ms")?,
             queue_ms: v.u64_field("queue_ms")?,
+            prepare_us: v.u64_field("prepare_us").unwrap_or(0),
             setup_us: v.u64_field("setup_us").unwrap_or(0),
             dataflow_us: v.u64_field("dataflow_us").unwrap_or(0),
             bodies_materialized: v.u64_field("bodies_materialized").unwrap_or(0),
@@ -410,6 +418,7 @@ mod tests {
             abort_reason: Some("deadline".to_string()),
             wall_ms: 120,
             queue_ms: 3,
+            prepare_us: 310,
             setup_us: 2500,
             dataflow_us: 117_000,
             bodies_materialized: 42,

@@ -614,15 +614,11 @@ fn daemon_serves_external_apps_under_path_policy() {
 
     // Allowed paths analyze; reports match a local run through the same
     // loader (content-hashed job names make them comparable).
-    let mut scratch = flowdroid_bench::shared_platform_snapshot().overlay_program();
     for path in [app_dir.clone(), root.join("field.rpk")] {
         let (_, result) =
             c.analyze(path.to_str().unwrap(), None, None, None).expect("external job");
         assert!(!result.aborted);
-        let job = flowdroid_service::load_external_job(&path, &mut scratch)
-            .expect("local load");
-        let local = flowdroid_bench::run_single(&job, &flowdroid_core::InfoflowConfig::default());
-        assert_eq!(result.report, local.report, "daemon leg must match local run");
+        assert_eq!(result.report, local_report(&path), "daemon leg must match local run");
     }
     // The generated app's manifest pins what the daemon must report.
     let (_, r) = c
@@ -645,6 +641,92 @@ fn daemon_serves_external_apps_under_path_policy() {
     daemon.join().expect("accept loop exits cleanly");
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&outside);
+}
+
+/// The report of a local, daemon-free run of the app at `path`, read
+/// through the daemon's loader.
+fn local_report(path: &std::path::Path) -> String {
+    let job = flowdroid_service::load_external_job(path).expect("local load");
+    flowdroid_bench::run_single(&job, &flowdroid_core::InfoflowConfig::default()).report
+}
+
+/// The daemon's `prepared_cache_{hits,misses,entries}` counters.
+fn prepared_counters(c: &mut Client) -> (u64, u64, u64) {
+    let stats = c.stats().expect("stats");
+    let field = |name: &str| stats.u64_field(name).unwrap_or_else(|| panic!("no `{name}`"));
+    (
+        field("prepared_cache_hits"),
+        field("prepared_cache_misses"),
+        field("prepared_cache_entries"),
+    )
+}
+
+/// The daemon parses an app once and serves repeats from its prepared-job
+/// cache: a resubmitted `.rpk` (and corpus name) hits with an identical
+/// report and `prepare_us` 0; the same path rewritten with other bytes
+/// misses and reports what a local run of the new bytes reports; an
+/// archive that cannot be read, or whose code does not parse, is refused
+/// with `cannot load app`, never cached, and refused again when resubmitted.
+#[test]
+fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
+    let root = temp_cache("prepared-root");
+    std::fs::create_dir_all(&root).unwrap();
+    let truth = flowdroid_truth::generate_corpus(11, 1);
+    let by_category = |cat: &str| truth.iter().find(|a| a.category == cat).unwrap();
+    let app = root.join("app.rpk");
+    std::fs::write(&app, by_category("field").rpk_bytes()).unwrap();
+
+    let (addr, daemon) = spawn_daemon_allow(vec![root.clone()]);
+    let mut c = Client::connect(&addr).expect("connect");
+    let analyze = |c: &mut Client, path: &std::path::Path| {
+        c.analyze(path.to_str().unwrap(), None, None, None).expect("external job").1
+    };
+
+    assert_eq!(prepared_counters(&mut c), (0, 0, 0));
+    let first = analyze(&mut c, &app);
+    assert_eq!(prepared_counters(&mut c), (0, 1, 1), "first submission parses");
+    let second = analyze(&mut c, &app);
+    assert_eq!(prepared_counters(&mut c), (1, 1, 1), "resubmission hits");
+    assert_eq!(second.prepare_us, 0, "a hit does no preparation");
+    assert_eq!(first.report, second.report);
+    assert_eq!(first.report, local_report(&app));
+
+    // Rewritten in place with another app: a new content hash, so a miss.
+    std::fs::write(&app, by_category("alias").rpk_bytes()).unwrap();
+    let rewritten = analyze(&mut c, &app);
+    assert_eq!(prepared_counters(&mut c), (1, 2, 2), "new bytes must be parsed");
+    assert_ne!(rewritten.report, first.report);
+    assert_eq!(rewritten.report, local_report(&app), "no stale parse is served");
+
+    // Corpus names are cached by name.
+    let cold = c.analyze("insecurebank", None, None, None).expect("corpus job").1;
+    let warm = c.analyze("insecurebank", None, None, None).expect("corpus job").1;
+    assert_eq!(prepared_counters(&mut c), (2, 3, 3));
+    assert_eq!((warm.prepare_us, warm.report), (0, cold.report));
+
+    // Unreadable archives and unparsable code are refused every time and
+    // leave no entry behind.
+    let junk = root.join("junk.rpk");
+    std::fs::write(&junk, b"not an archive").unwrap();
+    let bad_code = root.join("bad-code.rpk");
+    let manifest = &by_category("field").manifest;
+    std::fs::write(
+        &bad_code,
+        flowdroid_frontend::App::bundle(manifest, &[], "class {").to_bytes(),
+    )
+    .unwrap();
+    for path in [&junk, &bad_code, &junk, &bad_code] {
+        let err = c
+            .analyze(path.to_str().unwrap(), None, None, None)
+            .expect_err("malformed app");
+        assert!(err.to_string().contains("cannot load app"), "got: {err}");
+    }
+    let (hits, _, entries) = prepared_counters(&mut c);
+    assert_eq!((hits, entries), (2, 3), "malformed apps are never cached");
+
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("accept loop exits cleanly");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Without `--allow-apps` every path-shaped submission is denied — the

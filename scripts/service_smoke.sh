@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Serving-mode smoke test: writes a platform snapshot, boots the
 # analysis daemon from it, proves cold->warm summary-cache sharing
-# between two jobs for the same app, checks that warm jobs spend less
-# time in setup than in the data-flow solver, cancels an in-flight job
+# between two jobs for the same app, checks that the warm job reuses the
+# daemon's prepared (parsed) app and spends less time in setup than in
+# the data-flow solver, cancels an in-flight job
 # from a second connection, and shuts down cleanly.
 #
 # Expects target/release/flowdroid to exist (scripts/verify.sh builds
@@ -67,6 +68,14 @@ if ! grep -q '"summary_hits":[1-9]' <<<"$warm"; then
     exit 1
 fi
 echo "cold->warm summary-cache sharing: OK"
+
+# Prepared-job cache: the daemon parsed insecurebank for the cold job
+# and serves the warm job from its cache, preparing nothing.
+if ! grep -q '"prepare_us":0,' <<<"$warm"; then
+    echo "FAIL: warm job was prepared again (want prepare_us 0): $warm" >&2
+    exit 1
+fi
+echo "warm prepared-job cache hit: OK"
 
 # Daemon-resident callgraph cache: the cold job builds the entry-point
 # model and callgraph (miss), the warm job replays them (hit) and must
