@@ -3,7 +3,7 @@
 //!
 //! The paper motivates FlowDroid with apps leaking data "through a
 //! dangerously broad set of permissions granted by the user" and cites
-//! Bartel et al. [4] on reducing permission-based attack surface; this
+//! Bartel et al. \[4\] on reducing permission-based attack surface; this
 //! module provides that companion analysis on our substrate: a
 //! reachability-based map from protected API calls to the permissions
 //! they require, yielding the app's *over-privilege* (declared but

@@ -1,7 +1,7 @@
 //! The `platform.fdps` snapshot: the platform model serialized once,
 //! loaded at daemon boot, shared read-only across jobs.
 //!
-//! [`install_platform`](crate::install_platform) declares ~100 stub
+//! [`install_platform`] declares ~100 stub
 //! classes into a fresh program; every analysis job used to pay that
 //! cost again. A [`PlatformSnapshot`] freezes the result — the whole
 //! platform [`Program`] plus the [`PlatformInfo`] handles — so the
@@ -34,7 +34,7 @@
 //! Types are encoded as SDEX-style JVM descriptors (`I`, `Lfoo;`,
 //! `[J`). Every decode path is bounds-checked and returns
 //! [`SnapshotError::Corrupt`] instead of panicking; callers fall back
-//! to an eager [`install_platform`](crate::install_platform) on any
+//! to an eager [`install_platform`] on any
 //! error, so a damaged snapshot file degrades performance, never
 //! correctness.
 
@@ -122,7 +122,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Builds the platform snapshot from scratch (a fresh program +
-/// [`install_platform`](crate::install_platform)).
+/// [`install_platform`]).
 pub fn build_snapshot() -> PlatformSnapshot {
     let mut program = Program::new();
     let info = install_platform(&mut program);
@@ -299,7 +299,7 @@ impl<'a> Reader<'a> {
 /// Classes, fields and methods are replayed in arena order, so the
 /// resulting ids are identical to the program [`encode_snapshot`] read
 /// from — and therefore to a fresh
-/// [`install_platform`](crate::install_platform).
+/// [`install_platform`].
 ///
 /// # Errors
 ///

@@ -2,12 +2,11 @@
 //! across a `std::thread` pool, one whole app per work item.
 //!
 //! Each per-app analysis is single-threaded (the solver itself is
-//! deterministic: intern ids are assigned in first-encounter order by
-//! the sequential driver), so the only parallelism-induced
-//! nondeterminism is *which worker* finishes first. The driver removes
-//! it by sorting results by app name before reporting — the corpus
-//! leak report ([`corpus_report`]) is byte-for-byte identical across
-//! thread counts and runs.
+//! deterministic: intern ids are assigned in first-encounter order),
+//! so the only parallelism-induced nondeterminism is *which worker*
+//! finishes first. The driver removes it by sorting results by app
+//! name before reporting — the corpus leak report ([`corpus_report`])
+//! is byte-for-byte identical across thread counts and runs.
 
 use flowdroid_android::{build_snapshot, install_platform, PlatformSnapshot};
 use flowdroid_core::{
@@ -17,7 +16,7 @@ use flowdroid_core::{
 use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
 use flowdroid_frontend::layout::{Layout, ResourceTable};
 use flowdroid_frontend::manifest::Manifest;
-use flowdroid_core::{SchedulerStats, SummaryCacheStats, TableStats};
+use flowdroid_core::{SummaryCacheStats, TableStats};
 use std::path::Path;
 use flowdroid_frontend::{parse_jasm, sdex, App};
 use flowdroid_ir::{FxHashMap, Program};
@@ -220,7 +219,7 @@ enum Prepared {
     Micro { sdex: Arc<[u8]>, entry_class: String },
 }
 
-/// A job ready to run: its name, its [`Prepared`] form and its
+/// A job ready to run: its name, its `Prepared` form and its
 /// fingerprint, FNV-1a 64 over the platform snapshot checksum and the
 /// SDEX bytes. The same transitive-hash discipline as the summary store
 /// — repeat jobs replay a cached callgraph only when both the app bytes
@@ -327,8 +326,6 @@ pub struct AppRun {
     pub total: Duration,
     /// Data-flow (solver) phase duration only.
     pub dataflow: Duration,
-    /// Work-stealing scheduler counters (parallel taint engine only).
-    pub scheduler: Option<SchedulerStats>,
     /// Tabulation-table density/widening counters (absent when the
     /// tables recorded no row and the interner widened nothing).
     pub fact_tables: Option<TableStats>,
@@ -432,7 +429,7 @@ pub fn run_single(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
 
 /// Analyzes one corpus job through the demand-driven frontend: the
 /// bench and truth drivers' form of [`run_prepared`], preparing `job`
-/// once per process (see [`prepared_for`]). The returned
+/// once per process (see `prepared_for`). The returned
 /// [`AppRun::total`] includes that preparation on a job's first run.
 ///
 /// When `cg_cache` is given, the per-app entry-point model, reachable
@@ -570,7 +567,6 @@ fn finish_run(
         distinct_aps: results.distinct_aps,
         total: start.elapsed(),
         dataflow: results.duration,
-        scheduler: results.scheduler.clone(),
         fact_tables: results.fact_tables,
         summary_cache: results.summary_cache.clone(),
         aborted: results.aborted,
@@ -659,30 +655,6 @@ impl CorpusRun {
             t.store_methods = t.store_methods.max(s.store_methods);
             if t.load_error.is_none() {
                 t.load_error = s.load_error.clone();
-            }
-        }
-        total
-    }
-
-    /// Work-stealing scheduler counters summed across the corpus
-    /// (`None` when no app ran the parallel taint engine). Per-shard
-    /// pushes are added element-wise, so shard occupancy aggregates
-    /// too.
-    pub fn scheduler_totals(&self) -> Option<SchedulerStats> {
-        let mut total: Option<SchedulerStats> = None;
-        for s in self.apps.iter().filter_map(|a| a.scheduler.as_ref()) {
-            let t = total.get_or_insert_with(|| SchedulerStats {
-                shards: s.shards,
-                ..SchedulerStats::default()
-            });
-            t.pushed += s.pushed;
-            t.steals += s.steals;
-            t.claims += s.claims;
-            if t.pushed_per_shard.len() < s.pushed_per_shard.len() {
-                t.pushed_per_shard.resize(s.pushed_per_shard.len(), 0);
-            }
-            for (i, c) in s.pushed_per_shard.iter().enumerate() {
-                t.pushed_per_shard[i] += c;
             }
         }
         total

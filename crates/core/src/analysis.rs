@@ -9,7 +9,6 @@
 
 use crate::cg_cache::{CachedSetup, CgCache};
 use crate::config::InfoflowConfig;
-use crate::par_solver::ParBiSolver;
 use crate::results::InfoflowResults;
 use crate::solver::BiSolver;
 use crate::sourcesink::SourceSinkManager;
@@ -74,7 +73,7 @@ impl<'a> Infoflow<'a> {
     pub fn run(&self, program: &Program, entry_points: &[MethodId]) -> InfoflowResults {
         let cg = CallGraph::build(program, entry_points, self.config.cg_algorithm);
         let icfg = Icfg::new(program, &cg);
-        self.solve_with_domain(icfg, self.sources, entry_points)
+        self.solve(icfg, self.sources, entry_points)
     }
 
     /// Like [`Infoflow::run`], but materializes deferred method bodies
@@ -91,20 +90,14 @@ impl<'a> Infoflow<'a> {
         self.run(program, entry_points)
     }
 
-    /// Dispatches on the configured engine: the parallel work-stealing
-    /// engine when `taint_threads > 0`, else the sequential solver.
-    fn solve_with_domain(
+    /// Runs the bidirectional taint solver over `icfg`.
+    fn solve(
         &self,
         icfg: Icfg<'_>,
         sources: &SourceSinkManager,
         entry_points: &[MethodId],
     ) -> InfoflowResults {
-        let c = self.config;
-        if c.taint_threads > 0 {
-            ParBiSolver::new(icfg, sources, self.wrapper, c).solve(entry_points)
-        } else {
-            BiSolver::new(icfg, sources, self.wrapper, c).solve(entry_points)
-        }
+        BiSolver::new(icfg, sources, self.wrapper, self.config).solve(entry_points)
     }
 
     /// Runs the full Android pipeline on an already-loaded [`App`]
@@ -135,7 +128,7 @@ impl<'a> Infoflow<'a> {
         }
         let cg = CallGraph::build(program, &[dummy_main], self.config.cg_algorithm);
         let icfg = Icfg::new(program, &cg);
-        let results = self.solve_with_domain(icfg, sources, &[dummy_main]);
+        let results = self.solve(icfg, sources, &[dummy_main]);
         AppAnalysis { dummy_main, model, results }
     }
 
@@ -184,7 +177,7 @@ impl<'a> Infoflow<'a> {
                 program.ensure_body(m);
             }
             let icfg = Icfg::new(program, cg);
-            let results = self.solve_with_domain(icfg, sources, &[dummy_main]);
+            let results = self.solve(icfg, sources, &[dummy_main]);
             return (AppAnalysis { dummy_main, model: model.clone(), results }, true);
         }
 
@@ -212,7 +205,7 @@ impl<'a> Infoflow<'a> {
         cache.insert(key, fingerprint, Arc::clone(&setup));
         let CachedSetup::App { cg, .. } = &*setup else { unreachable!() };
         let icfg = Icfg::new(program, cg);
-        let results = self.solve_with_domain(icfg, sources, &[dummy_main]);
+        let results = self.solve(icfg, sources, &[dummy_main]);
         (AppAnalysis { dummy_main, model, results }, false)
     }
 
@@ -235,7 +228,7 @@ impl<'a> Infoflow<'a> {
                 program.ensure_body(m);
             }
             let icfg = Icfg::new(program, cg);
-            return (self.solve_with_domain(icfg, self.sources, entry_points), true);
+            return (self.solve(icfg, self.sources, entry_points), true);
         }
 
         let log_start = program.materialization_log().len();
@@ -249,7 +242,7 @@ impl<'a> Infoflow<'a> {
         cache.insert(key, fingerprint, Arc::clone(&setup));
         let CachedSetup::Entry { cg, .. } = &*setup else { unreachable!() };
         let icfg = Icfg::new(program, cg);
-        (self.solve_with_domain(icfg, self.sources, entry_points), false)
+        (self.solve(icfg, self.sources, entry_points), false)
     }
 
     /// UI password-field sources for `app` (paper §3: layout-declared

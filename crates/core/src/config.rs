@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A snapshot of solver progress, emitted through
-/// [`InfoflowConfig::progress`] at the engines' abort-poll points
+/// [`InfoflowConfig::progress`] at the solver's abort-poll points
 /// (every ~128 worklist steps) and whenever a leak is recorded.
 /// Consumers (the daemon's `--stream` mode) turn these into partial
 /// progress / leak frames while a job runs. Purely observational: the
@@ -90,16 +90,10 @@ pub struct InfoflowConfig {
     /// Hard cap on forward path-edge propagations (0 = unlimited);
     /// protects harness runs against pathological inputs.
     pub max_propagations: u64,
-    /// Worker threads for the parallel bidirectional taint engine.
-    /// `0` (default) runs the sequential solver; `n > 0` runs forward
-    /// and backward propagation as interleaved jobs over a work-stealing
-    /// scheduler with `n` workers. Results are bit-identical to the
-    /// sequential solver at any thread count.
-    pub taint_threads: usize,
-    /// Directory of the persistent end-summary store. When set, both
-    /// taint engines consult the store before tabulating a callee
+    /// Directory of the persistent end-summary store. When set, the
+    /// taint solver consults the store before tabulating a callee
     /// (skipping the body when a summary computed under the same
-    /// transitive code fingerprint exists) and record freshly computed
+    /// transitive code fingerprint exists) and records freshly computed
     /// summaries for the next run. `None` (default) disables caching.
     /// Staged summaries reach disk only via
     /// [`crate::flush_summary_cache`].
@@ -115,7 +109,7 @@ pub struct InfoflowConfig {
     /// [`ProgressSink`]. `None` (default) emits nothing.
     pub progress: Option<ProgressSink>,
     /// Cooperative abort token (wall-clock deadline and/or external
-    /// cancel). Both taint engines poll it at a bounded interval; when
+    /// cancel). The taint solver polls it at a bounded interval; when
     /// it trips, the run winds down and returns a partial result marked
     /// `aborted` with the tripping [`flowdroid_ifds::AbortReason`], and
     /// never stages summary-cache entries. `None` (default) means the
@@ -142,7 +136,6 @@ impl Default for InfoflowConfig {
             cg_algorithm: CgAlgorithm::Cha,
             callback_association: CallbackAssociation::PerComponent,
             max_propagations: 0,
-            taint_threads: 0,
             summary_cache: None,
             cache_namespace: String::new(),
             progress: None,
@@ -187,13 +180,6 @@ impl InfoflowConfig {
     /// Builder-style setter for callback association.
     pub fn with_callback_association(mut self, a: CallbackAssociation) -> Self {
         self.callback_association = a;
-        self
-    }
-
-    /// Builder-style setter for the parallel taint worker count
-    /// (0 = sequential).
-    pub fn with_taint_threads(mut self, threads: usize) -> Self {
-        self.taint_threads = threads;
         self
     }
 

@@ -1,15 +1,13 @@
 //! Direction-agnostic taint transfer functions (paper §4.1–§4.2).
 //!
 //! Every method here is a pure function of (statement, fact) plus the
-//! immutable analysis inputs — no solver tables, no worklists — so the
-//! sequential [`BiSolver`](crate::solver::BiSolver) and the parallel
-//! [`ParBiSolver`](crate::par_solver::ParBiSolver) share one set of
-//! flow functions and compute identical fact sets by construction. The
-//! only mutable state is the caller-supplied [`ReachCache`], a memo
-//! table over the immutable call graph that each engine (or worker
-//! thread) owns privately. Functions with several outputs refill a
+//! immutable analysis inputs — no solver tables, no worklists — which
+//! keeps them apart from the tabulation state of
+//! [`BiSolver`](crate::solver::BiSolver). The only mutable state is the
+//! caller-supplied [`ReachCache`], a memo table over the immutable call
+//! graph that the solver owns. Functions with several outputs refill a
 //! caller-owned output value instead of returning fresh vectors, so the
-//! sequential solver reuses one buffer per function across all pops.
+//! solver reuses one buffer per function across all pops.
 //! Signature matching (roles and wrapper rules, paper §5) happens once
 //! per call site when the solve starts, in [`CallSites`].
 
@@ -26,8 +24,8 @@ use flowdroid_ir::{
 
 /// Memo table for "call site transitively reaches method" queries
 /// (activation-statement call-tree lookups, paper §4.2). The underlying
-/// call-graph reachability is immutable, so engines may keep one cache
-/// per worker thread without coordination.
+/// call-graph reachability is immutable, so the cache never needs
+/// invalidating during a solve.
 pub(crate) type ReachCache = FxHashMap<(StmtRef, MethodId), bool>;
 
 /// The resolved roles and wrapper rules of one call site.
@@ -93,8 +91,7 @@ impl<'w> CallSites<'w> {
 }
 
 /// The immutable analysis inputs plus the pure flow functions over
-/// them. `Icfg` is `Copy` and the call-site table is immutable, so a
-/// `Flows` value can be referenced from many worker threads.
+/// them, built once per solve.
 pub(crate) struct Flows<'a> {
     pub icfg: Icfg<'a>,
     pub sites: CallSites<'a>,

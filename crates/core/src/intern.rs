@@ -9,27 +9,24 @@
 //! `Copy` ids, hashing a single word.
 //!
 //! Ids are assigned in **first-encounter order**: the same program
-//! analyzed by the same (sequential) driver always produces the same id
+//! analyzed by the same driver always produces the same id
 //! assignment, which keeps downstream artifacts byte-for-byte
 //! deterministic.
 //!
-//! Both taint engines key their tables this way: the sequential solver
-//! owns an [`Interner`], the parallel engine shares a
-//! [`SharedInterner`] between its workers through
-//! [`SharedInternedKeys`]. Dense ids are also what lets the tables
-//! store fact sets as bitset rows.
+//! The taint solver owns one [`Interner`] per solve and keys all its
+//! tables this way. Dense ids are also what lets the tables store fact
+//! sets as bitset rows.
 
 use crate::access_path::AccessPath;
 use crate::taint::{Fact, Taint};
-use flowdroid_ifds::ConcurrentKeyDomain;
 use flowdroid_ir::{fxhash64, FieldId, FxHashMap, FxHashSet, StmtRef};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock};
 
 // ================= field-sequence arena =================
 
 /// Number of independently locked shards of the field-sequence arena
-/// (power of two). Sharding keeps the arena usable from the parallel
-/// taint workers without a single global lock.
+/// (power of two). The arena is process-wide, so sharding keeps jobs
+/// running on concurrent worker threads off a single global lock.
 const FIELD_SHARDS: usize = 16;
 
 struct FieldArena {
@@ -219,24 +216,6 @@ impl Interner {
         self.intern_repr(repr)
     }
 
-    /// The id of `f` if (the widened form of) `f` has been interned,
-    /// without interning it. This is the read-only fast path of
-    /// [`SharedInterner`].
-    pub fn lookup_fact(&self, f: &Fact) -> Option<FactId> {
-        let repr = match f {
-            Fact::Zero => FactRepr::Zero,
-            Fact::T(t) => {
-                let ap = t.ap.widened(self.max_ap_len);
-                FactRepr::T {
-                    ap: *self.ap_ids.get(&ap)?,
-                    active: t.active,
-                    activation: t.activation,
-                }
-            }
-        };
-        self.fact_ids.get(&repr).copied()
-    }
-
     /// Reconstructs the fact behind `id`. Since access paths hold
     /// arena-interned field slices, this is a plain `Copy` — no
     /// allocation.
@@ -265,95 +244,6 @@ impl Interner {
     /// length bound.
     pub fn widened_count(&self) -> u64 {
         self.widened
-    }
-}
-
-// ================= shared (parallel) interner =================
-
-/// An [`Interner`] behind a read/write lock, shared by the parallel
-/// taint workers.
-///
-/// Interning is read-mostly once the fact universe stabilizes: the
-/// common case is a fact already interned, served by `lookup_fact`
-/// under the read lock; only first encounters take the write lock.
-/// Id *values* depend on which worker wins the first-encounter race,
-/// but the *set* of interned facts is the order-independent closure of
-/// flow-function outputs, so counts (and everything keyed back through
-/// `resolve`) stay deterministic.
-#[derive(Debug)]
-pub struct SharedInterner {
-    inner: RwLock<Interner>,
-}
-
-impl SharedInterner {
-    /// Creates a shared interner widening paths longer than
-    /// `max_ap_len` fields.
-    pub fn with_bound(max_ap_len: usize) -> Self {
-        SharedInterner { inner: RwLock::new(Interner::with_bound(max_ap_len)) }
-    }
-
-    /// Interns `f`, taking the write lock only on first encounter.
-    pub fn intern(&self, f: &Fact) -> FactId {
-        if let Some(id) = self.inner.read().unwrap().lookup_fact(f) {
-            return id;
-        }
-        self.inner.write().unwrap().intern_fact(f)
-    }
-
-    /// Reconstructs the fact behind `id`.
-    pub fn resolve(&self, id: FactId) -> Fact {
-        self.inner.read().unwrap().resolve_fact(id)
-    }
-
-    /// `(distinct facts, distinct access paths)` interned so far.
-    pub fn counts(&self) -> (usize, usize) {
-        let i = self.inner.read().unwrap();
-        (i.fact_count(), i.ap_count())
-    }
-
-    /// Number of intern calls that widened their access path.
-    pub fn widened_count(&self) -> u64 {
-        self.inner.read().unwrap().widened_count()
-    }
-}
-
-/// Keys the concurrent tabulators on [`FactId`]s from a shared
-/// interner.
-///
-/// Cloning shares the interner, so the forward and backward tabulators
-/// of one solve agree on ids.
-#[derive(Clone, Debug)]
-pub struct SharedInternedKeys {
-    interner: Arc<SharedInterner>,
-}
-
-impl SharedInternedKeys {
-    /// Creates a domain whose interner widens paths longer than
-    /// `max_ap_len` fields.
-    pub fn new(max_ap_len: usize) -> Self {
-        SharedInternedKeys { interner: Arc::new(SharedInterner::with_bound(max_ap_len)) }
-    }
-
-    /// `(distinct facts, distinct access paths)` interned so far.
-    pub fn counts(&self) -> (usize, usize) {
-        self.interner.counts()
-    }
-
-    /// Fact interns whose access path was widened to the length bound.
-    pub fn widened_count(&self) -> u64 {
-        self.interner.widened_count()
-    }
-}
-
-impl ConcurrentKeyDomain<Fact> for SharedInternedKeys {
-    type Key = FactId;
-
-    fn key(&self, f: &Fact) -> FactId {
-        self.interner.intern(f)
-    }
-
-    fn fact(&self, k: &FactId) -> Fact {
-        self.interner.resolve(*k)
     }
 }
 
@@ -443,38 +333,5 @@ mod tests {
             }
             Fact::Zero => panic!("widened fact resolved to zero"),
         }
-    }
-
-    /// `lookup_fact` agrees with `intern_fact` without mutating.
-    #[test]
-    fn lookup_matches_intern() {
-        let mut i = Interner::with_bound(3);
-        let f = Fact::T(Taint::active(ap(2, &[4])));
-        assert_eq!(i.lookup_fact(&f), None);
-        let id = i.intern_fact(&f);
-        assert_eq!(i.lookup_fact(&f), Some(id));
-        assert_eq!(i.lookup_fact(&Fact::Zero), Some(FactId::ZERO));
-    }
-
-    /// The shared interner agrees with itself across threads: every
-    /// thread's id for a fact resolves back to that fact.
-    #[test]
-    fn shared_interner_round_trips_across_threads() {
-        let s = SharedInterner::with_bound(5);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let s = &s;
-                scope.spawn(move || {
-                    for l in 0..50u32 {
-                        let f = Fact::T(Taint::active(ap(l, &[(l % 3) as usize])));
-                        let id = s.intern(&f);
-                        assert_eq!(s.resolve(id), f);
-                    }
-                });
-            }
-        });
-        // 50 distinct facts + zero, regardless of interleaving.
-        assert_eq!(s.counts().0, 51);
-        assert_eq!(s.widened_count(), 0);
     }
 }

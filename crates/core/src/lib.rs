@@ -36,7 +36,6 @@ pub mod config;
 mod flows;
 pub mod icc;
 pub mod intern;
-mod par_solver;
 pub mod results;
 pub mod solver;
 pub mod sourcesink;
@@ -50,8 +49,8 @@ pub use cg_cache::{CachedSetup, CgCache, Lru, LruStats};
 pub use config::{InfoflowConfig, ProgressEvent, ProgressSink};
 pub use flows::{CallSite, CallSites};
 pub use icc::{analyze_app_linked, IccResults};
-pub use intern::{ApId, FactId, Interner, SharedInternedKeys, SharedInterner};
-pub use flowdroid_ifds::{AbortHandle, AbortReason, SchedulerStats, TableStats};
+pub use intern::{ApId, FactId, Interner};
+pub use flowdroid_ifds::{AbortHandle, AbortReason, TableStats};
 pub use results::{InfoflowResults, Leak};
 pub use sourcesink::{CallRoles, SourceSinkManager, SourceSinkParseError};
 pub use summary_cache::{flush_summary_cache, SummaryCacheStats};

@@ -62,9 +62,6 @@ pub struct InfoflowResults {
     pub aborted: bool,
     /// Why the run aborted, when [`InfoflowResults::aborted`] is set.
     pub abort_reason: Option<AbortReason>,
-    /// Work-stealing scheduler counters, present when the parallel taint
-    /// engine ran ([`crate::InfoflowConfig::taint_threads`] > 0).
-    pub scheduler: Option<flowdroid_ifds::SchedulerStats>,
     /// Tabulation-table density and widening counters, present when the
     /// tables recorded at least one row or the interner widened a fact.
     pub fact_tables: Option<flowdroid_ifds::TableStats>,

@@ -12,14 +12,12 @@
 //! *before* `n`; a backward edge `(d1, n, d)` means `d` holds *after*
 //! `n` and the solver is searching upward for its aliases.
 //!
-//! The transfer functions live in [`Flows`] and are shared with the
-//! parallel engine ([`crate::par_solver`]); this driver owns only the
+//! The transfer functions live in `Flows`; this driver owns only the
 //! tabulation state. Every cross-solver handshake (summaries ×
 //! incoming contexts, forward × backward caller facts) is written so
 //! each side first records its own half and then reads the other's —
 //! the "covered pair" discipline that makes the computed fixpoint
-//! independent of processing order, which in turn is what lets the
-//! parallel engine produce bit-identical results.
+//! independent of processing order.
 //!
 //! Provenance (for leak-path reconstruction) is also canonical: every
 //! propagation offers its origin and *all* distinct origins are kept,
@@ -36,7 +34,7 @@
 //! Propagating an edge allocates nothing in the steady state: CFG
 //! edges are borrowed from the method bodies, flow functions refill
 //! buffers the solver owns, and provenance lives in one arena
-//! ([`Provenance`]). What remains is table growth, amortized.
+//! (`Provenance`). What remains is table growth, amortized.
 
 use crate::config::InfoflowConfig;
 use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, ReachCache};
@@ -438,8 +436,8 @@ impl<'a> BiSolver<'a> {
                     }
                 }
                 // Apply existing summaries (recorded *after* the
-                // incoming context above: a concurrent exit either sees
-                // the context or its summary is visible here).
+                // incoming context above: an exit reached later sees
+                // the context, an earlier one left its summary here).
                 for (exit, d4) in self.fw.summaries_for(callee, &d3) {
                     self.apply_return_for_context(n, callee, exit, &d4, d2);
                 }
@@ -740,7 +738,6 @@ impl<'a> BiSolver<'a> {
             duration,
             aborted: self.abort_reason.is_some(),
             abort_reason: self.abort_reason,
-            scheduler: None,
             fact_tables,
             summary_cache,
         }

@@ -1,13 +1,13 @@
 //! The persistent summary cache: incremental re-analysis across apps.
 //!
-//! Bridges the taint engines to the on-disk end-summary store of
-//! `flowdroid-summaries`. Before tabulating a callee, the engines ask
-//! [`SummaryCacheSession::lookup`] whether end summaries for
+//! Bridges the taint solver to the on-disk end-summary store of
+//! `flowdroid-summaries`. Before tabulating a callee, the solver asks
+//! `SummaryCacheSession::lookup` whether end summaries for
 //! `(callee, entry fact)` were persisted by an earlier run *under the
 //! same code and configuration*; on a hit the callee's body is not
 //! re-seeded — the cached exits are installed directly and the normal
 //! return handling applies them. At the fixpoint,
-//! [`SummaryCacheSession::record_all`] stages every computed summary of
+//! `SummaryCacheSession::record_all` stages every computed summary of
 //! a cacheable method for persistence (written to disk by
 //! [`flush_summary_cache`]).
 //!
@@ -35,10 +35,9 @@
 //! when the session opens; per-process arena ids never reach the disk.
 //! The configuration context (bound, switches, source/sink and wrapper
 //! fingerprints) is hashed into the store identity, so incompatible
-//! configurations never share summaries. Thread count, propagation
-//! budget and the engine are deliberately *excluded* — they
-//! change engine mechanics, not the fixpoint — so sequential and
-//! parallel runs share one cache.
+//! configurations never share summaries. The propagation budget and
+//! path tracking are deliberately *excluded* — they change solver
+//! mechanics, not the fixpoint.
 
 use crate::access_path::{AccessPath, ApBase};
 use crate::config::InfoflowConfig;
@@ -458,11 +457,11 @@ mod tests {
         // Different source lists change the context.
         let fewer = SourceSinkManager::new();
         assert_ne!(h, context_hash(&base, &fewer, &wrapper));
-        // Engine mechanics do not.
-        let mut threads = base.clone();
-        threads.taint_threads = 4;
-        threads.track_paths = false;
-        assert_eq!(h, context_hash(&threads, &sources, &wrapper));
+        // Solver mechanics do not.
+        let mut mechanics = base.clone();
+        mechanics.max_propagations = 1_000;
+        mechanics.track_paths = false;
+        assert_eq!(h, context_hash(&mechanics, &sources, &wrapper));
     }
 
     #[test]

@@ -108,8 +108,8 @@ pub trait FactRel<F>: Default {
     /// Records `(d2, d1)`; returns `true` if it was not already present.
     /// A row the insert creates, promotes or widens is counted into
     /// `stats`, which must hold this relation's counts so far (no-op for
-    /// hash maps; `None` when the owner sweeps instead).
-    fn insert(&mut self, d2: &F, d1: &F, stats: Option<&mut TableStats>) -> bool;
+    /// hash maps).
+    fn insert(&mut self, d2: &F, d1: &F, stats: &mut TableStats) -> bool;
     /// Whether `(d2, d1)` is recorded.
     fn contains(&self, d2: &F, d1: &F) -> bool;
     /// All `d1` recorded for `d2`.
@@ -125,7 +125,7 @@ pub trait FactRel<F>: Default {
 pub trait PairSet<F>: Default {
     /// Records `(site, f)`; returns `true` if it was not already present.
     /// Counts row changes into `stats` like [`FactRel::insert`].
-    fn insert(&mut self, site: StmtRef, f: &F, stats: Option<&mut TableStats>) -> bool;
+    fn insert(&mut self, site: StmtRef, f: &F, stats: &mut TableStats) -> bool;
     /// Whether the set is empty.
     fn is_empty(&self) -> bool;
     /// All pairs, in a deterministic order.
@@ -153,7 +153,7 @@ impl<F: Clone + Eq + Hash> FactSetDomain<F> for HashSets {
 }
 
 impl<F: Clone + Eq + Hash> FactRel<F> for FxHashMap<F, FxHashSet<F>> {
-    fn insert(&mut self, d2: &F, d1: &F, _stats: Option<&mut TableStats>) -> bool {
+    fn insert(&mut self, d2: &F, d1: &F, _stats: &mut TableStats) -> bool {
         self.entry(d2.clone()).or_default().insert(d1.clone())
     }
 
@@ -184,7 +184,7 @@ impl<F> Default for VecPairs<F> {
 }
 
 impl<F: Clone + Eq> PairSet<F> for VecPairs<F> {
-    fn insert(&mut self, site: StmtRef, f: &F, _stats: Option<&mut TableStats>) -> bool {
+    fn insert(&mut self, site: StmtRef, f: &F, _stats: &mut TableStats) -> bool {
         if self.0.iter().any(|(s, d)| *s == site && d == f) {
             false
         } else {
@@ -214,10 +214,10 @@ impl<F: Idx> FactSetDomain<F> for BitsetSets {
 }
 
 impl<F: Idx> FactRel<F> for SparseBitMatrix<F, F> {
-    fn insert(&mut self, d2: &F, d1: &F, stats: Option<&mut TableStats>) -> bool {
+    fn insert(&mut self, d2: &F, d1: &F, stats: &mut TableStats) -> bool {
         let before = shape_of(self.row(*d2));
         let new = SparseBitMatrix::insert(self, *d2, *d1);
-        if let (true, Some(stats)) = (new, stats) {
+        if new {
             stats.reshape(before, shape_of(self.row(*d2)));
         }
         new
@@ -258,7 +258,7 @@ impl<F: Idx> Default for BitPairs<F> {
 }
 
 impl<F: Idx> PairSet<F> for BitPairs<F> {
-    fn insert(&mut self, site: StmtRef, f: &F, stats: Option<&mut TableStats>) -> bool {
+    fn insert(&mut self, site: StmtRef, f: &F, stats: &mut TableStats) -> bool {
         let (set, before) = match self.by_site.binary_search_by_key(&site, |(s, _)| *s) {
             Ok(pos) => {
                 let set = &mut self.by_site[pos].1;
@@ -271,7 +271,7 @@ impl<F: Idx> PairSet<F> for BitPairs<F> {
             }
         };
         let new = set.insert(*f);
-        if let (true, Some(stats)) = (new, stats) {
+        if new {
             stats.reshape(before, shape_of(Some(&*set)));
         }
         new
@@ -314,7 +314,7 @@ mod tests {
         let inserts = [(3, 7u32), (1, 2), (3, 7), (3, 1), (0, 9), (1, 2)];
         let mut stats = TableStats::default();
         for (s, f) in inserts {
-            let (v, b) = (vp.insert(sr(s), &f, None), bp.insert(sr(s), &f, Some(&mut stats)));
+            let (v, b) = (vp.insert(sr(s), &f, &mut stats), bp.insert(sr(s), &f, &mut stats));
             assert_eq!(v, b, "({s},{f})");
         }
         let mut a = vp.to_vec();
@@ -334,8 +334,8 @@ mod tests {
         let mut stats = TableStats::default();
         for (d2, d1) in inserts {
             assert_eq!(
-                FactRel::insert(&mut hr, &d2, &d1, None),
-                FactRel::insert(&mut br, &d2, &d1, Some(&mut stats))
+                FactRel::insert(&mut hr, &d2, &d1, &mut stats),
+                FactRel::insert(&mut br, &d2, &d1, &mut stats)
             );
         }
         assert!(FactRel::contains(&hr, &5, &2) && FactRel::contains(&br, &5, &2));
@@ -353,9 +353,9 @@ mod tests {
         let mut br: SparseBitMatrix<u32, u32> = Default::default();
         let mut counted = TableStats::default();
         for d1 in 0..20u32 {
-            FactRel::insert(&mut br, &0, &d1, Some(&mut counted));
+            FactRel::insert(&mut br, &0, &d1, &mut counted);
         }
-        FactRel::insert(&mut br, &1, &1, Some(&mut counted));
+        FactRel::insert(&mut br, &1, &1, &mut counted);
         let mut stats = TableStats::default();
         br.collect_stats(&mut stats);
         assert_eq!(counted, stats);

@@ -25,21 +25,15 @@
 //! treatment beyond seeding.
 
 mod abort;
-mod concurrent;
-mod drive;
 pub mod factset;
 pub mod ide;
 mod problem;
-mod scheduler;
 mod solver;
 mod tabulator;
 
 pub use abort::{AbortHandle, AbortReason};
-pub use concurrent::{ConcurrentKeyDomain, ConcurrentTabulator};
 pub use factset::{BitsetSets, FactSetDomain, HashSets, TableStats};
-pub use drive::{drive, spill_threshold, WorkerState};
 pub use ide::{EdgeTransfer, IdeProblem, IdeResults, IdeSolver};
 pub use problem::IfdsProblem;
-pub use scheduler::{SchedulerStats, WorkStealScheduler, DEFAULT_BATCH, DEFAULT_SHARDS};
 pub use solver::{IfdsResults, Solver};
 pub use tabulator::{PathEdge, Tabulator};

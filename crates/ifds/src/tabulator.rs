@@ -70,7 +70,7 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// Records the path edge `⟨·, d1⟩ → ⟨n, d2⟩` and schedules it if it
     /// is new. Returns `true` if the edge was new.
     pub fn propagate(&mut self, d1: F, n: StmtRef, d2: F) -> bool {
-        let inserted = self.edges.entry(n).or_default().insert(&d2, &d1, Some(&mut self.stats));
+        let inserted = self.edges.entry(n).or_default().insert(&d2, &d1, &mut self.stats);
         if inserted {
             self.propagation_count += 1;
             self.worklist.push_back(PathEdge { d1, n, d2 });
@@ -103,7 +103,7 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// `call_site` where `d2` held. Returns `true` if new.
     pub fn add_incoming(&mut self, callee: MethodId, d3: F, call_site: StmtRef, d2: F) -> bool {
         let pairs = self.incoming.entry(callee).or_default().entry(d3).or_default();
-        pairs.insert(call_site, &d2, Some(&mut self.stats))
+        pairs.insert(call_site, &d2, &mut self.stats)
     }
 
     /// The call contexts recorded for `(callee, d3)`.
@@ -127,7 +127,7 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// `true` if new.
     pub fn install_summary(&mut self, callee: MethodId, d1: F, exit: StmtRef, d2: F) -> bool {
         let pairs = self.end_summaries.entry(callee).or_default().entry(d1).or_default();
-        pairs.insert(exit, &d2, Some(&mut self.stats))
+        pairs.insert(exit, &d2, &mut self.stats)
     }
 
     /// The end summaries recorded for `(callee, d1)`.

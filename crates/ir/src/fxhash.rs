@@ -96,7 +96,7 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// Hashes one value with [`FxHasher`] (used for shard selection in the
-/// parallel solver).
+/// field-sequence arena and for content fingerprints).
 pub fn fxhash64<T: std::hash::Hash>(value: &T) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);

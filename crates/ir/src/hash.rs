@@ -2,8 +2,9 @@
 //!
 //! The persistent summary store (`crates/summaries`) invalidates cached
 //! end summaries when a method's code changes. Arena ids ([`MethodId`],
-//! [`FieldId`], [`ClassId`], [`Symbol`], …) are assigned in load order
-//! and therefore differ between processes analyzing different apps, so
+//! [`FieldId`](crate::FieldId), [`ClassId`](crate::ClassId),
+//! [`Symbol`](crate::Symbol), …) are assigned in load order and
+//! therefore differ between processes analyzing different apps, so
 //! the fingerprint must resolve every id to its *name* before hashing:
 //! two processes that load the same platform stub — possibly at
 //! different arena indices — must compute the same fingerprint.

@@ -1,9 +1,8 @@
-//! Emits `BENCH_solver.json`: solver performance across three mode
-//! families — the sequential solver, the parallel corpus driver at
-//! 1/2/4/8 threads, and the parallel *taint engine* (work-stealing
-//! bidirectional solver) at 1/2/4/8 workers — over the full
-//! DroidBench + SecuriBench corpus. Parallel-taint modes report the
-//! scheduler counters (pushes, steals, claims, shard occupancy).
+//! Emits `BENCH_solver.json`: solver performance over the full
+//! DroidBench + SecuriBench corpus for the sequential corpus sweep, the
+//! parallel corpus driver at 1/2/4/8 threads (one app per worker at a
+//! time), the demand-driven frontend and the summary cache's cold and
+//! warm passes.
 //!
 //! Heap allocations are counted with a wrapping global allocator; each
 //! mode row also gives `allocations_per_propagation`, the run's
@@ -38,9 +37,9 @@
 //! daemon with mixed-priority traffic to compare high- vs
 //! batch-priority latency percentiles, overloads a capped queue until
 //! submissions bounce with `rejected` backpressure, runs a cancel
-//! storm, and replays the corpus with `--stream`-style streaming at 1
-//! and 4 taint threads to prove the streamed final report is
-//! byte-identical to the non-streamed one. Results land in a
+//! storm, and replays the corpus with `--stream`-style streaming to
+//! prove the streamed final report is byte-identical to the
+//! non-streamed one. Results land in a
 //! `"service_load"` section of the same output file; the binary exits
 //! non-zero if a context does not get its own store file or replays
 //! nothing after the move, a foreign namespace sees another tenant's
@@ -67,7 +66,7 @@
 //! `BENCH_solver.json`).
 
 use flowdroid_bench::driver::{corpus_report, full_corpus, run_corpus, CorpusJob, CorpusRun};
-use flowdroid_core::{InfoflowConfig, SchedulerStats, SummaryCacheStats, TableStats};
+use flowdroid_core::{InfoflowConfig, SummaryCacheStats, TableStats};
 use flowdroid_service::{Client, Daemon, DaemonOptions, JobResult, Listen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -102,7 +101,6 @@ static ALLOC: CountingAlloc = CountingAlloc;
 struct ModeStats {
     name: &'static str,
     threads: usize,
-    taint_threads: usize,
     wall_ms: f64,
     app_time_ms: f64,
     dataflow_ms: f64,
@@ -115,7 +113,6 @@ struct ModeStats {
     allocations: u64,
     distinct_facts: usize,
     distinct_aps: usize,
-    scheduler: Option<SchedulerStats>,
     fact_tables: Option<TableStats>,
     summary_cache: Option<SummaryCacheStats>,
     report: String,
@@ -141,7 +138,6 @@ fn measure(
     ModeStats {
         name,
         threads,
-        taint_threads: config.taint_threads,
         wall_ms: ms(run.wall),
         app_time_ms: ms(app_time),
         dataflow_ms: ms(dataflow),
@@ -154,7 +150,6 @@ fn measure(
         allocations,
         distinct_facts: run.total_distinct_facts(),
         distinct_aps: run.total_distinct_aps(),
-        scheduler: run.scheduler_totals(),
         fact_tables: run.fact_table_totals(),
         summary_cache: run.summary_cache_totals(),
         report: corpus_report(&run),
@@ -170,24 +165,6 @@ fn summary_cache_json(s: &Option<SummaryCacheStats>) -> String {
                 "\"store_methods\": {}, \"recorded\": {} }}"
             ),
             s.hits, s.misses, s.stale, s.store_methods, s.recorded
-        ),
-    }
-}
-
-fn scheduler_json(s: &Option<SchedulerStats>) -> String {
-    match s {
-        None => "null".to_string(),
-        Some(s) => format!(
-            concat!(
-                "{{ \"shards\": {}, \"pushed\": {}, \"steals\": {}, \"claims\": {}, ",
-                "\"occupied_shards\": {}, \"max_shard_pushes\": {} }}"
-            ),
-            s.shards,
-            s.pushed,
-            s.steals,
-            s.claims,
-            s.occupied_shards(),
-            s.max_shard_pushes()
         ),
     }
 }
@@ -211,7 +188,6 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "    {{\n",
             "      \"mode\": \"{}\",\n",
             "      \"threads\": {},\n",
-            "      \"taint_threads\": {},\n",
             "      \"wall_ms\": {:.3},\n",
             "      \"app_time_ms\": {:.3},\n",
             "      \"dataflow_ms\": {:.3},\n",
@@ -225,7 +201,6 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "      \"allocations_per_propagation\": {:.3},\n",
             "      \"distinct_facts\": {},\n",
             "      \"distinct_aps\": {},\n",
-            "      \"scheduler\": {},\n",
             "      \"fact_tables\": {},\n",
             "      \"summary_cache\": {},\n",
             "      \"report_identical_to_baseline\": {}\n",
@@ -233,7 +208,6 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         ),
         m.name,
         m.threads,
-        m.taint_threads,
         m.wall_ms,
         m.app_time_ms,
         m.dataflow_ms,
@@ -247,7 +221,6 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.allocations as f64 / (m.forward_propagations + m.backward_propagations).max(1) as f64,
         m.distinct_facts,
         m.distinct_aps,
-        scheduler_json(&m.scheduler),
         fact_tables_json(&m.fact_tables),
         summary_cache_json(&m.summary_cache),
         report_identical
@@ -326,25 +299,6 @@ fn run_full(out_path: &str) {
             threads,
         ));
     }
-    // The parallel *taint engine*: the corpus driver stays on one
-    // worker so the measured scaling is the solver's own.
-    let mut taint_configs = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        taint_configs.push((
-            match threads {
-                1 => "parallel-taint-1",
-                2 => "parallel-taint-2",
-                4 => "parallel-taint-4",
-                _ => "parallel-taint-8",
-            },
-            InfoflowConfig::default().with_taint_threads(threads),
-        ));
-    }
-    for (name, config) in &taint_configs {
-        eprintln!("running parallel taint engine ({name}) ...");
-        modes.push(measure(name, &jobs, config, 1));
-    }
-
     // The demand-driven frontend: each job clones the shared platform
     // snapshot and decodes only the method bodies the callgraph
     // closure reaches. Reports must stay byte-identical to eager
@@ -398,28 +352,6 @@ fn run_full(out_path: &str) {
     writeln!(json, "    \"speedup_2t\": {:.3},", speedup("parallel-2")).unwrap();
     writeln!(json, "    \"speedup_4t\": {:.3},", speedup("parallel-4")).unwrap();
     writeln!(json, "    \"speedup_8t\": {:.3},", speedup("parallel-8")).unwrap();
-    let dataflow_of = |name: &str| modes.iter().find(|m| m.name == name).unwrap().dataflow_ms;
-    let seq_df = dataflow_of("sequential-interned");
-    let taint_1t_df = dataflow_of("parallel-taint-1");
-    let taint_speedup = |name: &str| {
-        let w = dataflow_of(name);
-        if w > 0.0 {
-            taint_1t_df / w
-        } else {
-            0.0
-        }
-    };
-    writeln!(json, "    \"taint_1t_dataflow_ms\": {taint_1t_df:.3},").unwrap();
-    writeln!(json, "    \"sequential_dataflow_ms\": {seq_df:.3},").unwrap();
-    writeln!(
-        json,
-        "    \"taint_1t_vs_sequential\": {:.3},",
-        if seq_df > 0.0 { taint_1t_df / seq_df } else { 0.0 }
-    )
-    .unwrap();
-    writeln!(json, "    \"taint_speedup_2t\": {:.3},", taint_speedup("parallel-taint-2")).unwrap();
-    writeln!(json, "    \"taint_speedup_4t\": {:.3},", taint_speedup("parallel-taint-4")).unwrap();
-    writeln!(json, "    \"taint_speedup_8t\": {:.3},", taint_speedup("parallel-taint-8")).unwrap();
     let mode_of = |name: &str| modes.iter().find(|m| m.name == name).unwrap();
     let (cold, warm) = (mode_of("cache-cold"), mode_of("cache-warm"));
     let cold_edges = cold.forward_propagations + cold.backward_propagations;
@@ -530,7 +462,7 @@ fn run_service(out_path: &str) {
         let mut pending = Vec::new();
         for name in &names {
             let mut c = Client::connect(&addr).expect("connect");
-            c.analyze_async(name, None, None, None).expect("submit");
+            c.analyze_async(name, None, None).expect("submit");
             pending.push((name.clone(), c));
         }
         pending
@@ -1001,7 +933,7 @@ fn run_service_load(out_path: &str) {
 
     // ---- Phase S: streaming identity across the corpus ----
     eprintln!(
-        "service-load: streaming identity across {} apps at 1 and 4 taint threads ...",
+        "service-load: streaming identity across {} apps ...",
         names.len()
     );
     let (addr, h) = bind(2, 0, None);
@@ -1018,30 +950,22 @@ fn run_service_load(out_path: &str) {
             AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
             AnalyzeOutcome::Denied { .. } => panic!("corpus names never hit the path policy"),
         };
-        for threads in [1u64, 4] {
-            let opts = AnalyzeOptions {
-                stream: true,
-                taint_threads: Some(threads),
-                ..Default::default()
-            };
-            let streamed = match c
-                .analyze_with(name, &opts, &mut |frame| match frame.str_field("type") {
-                    Some("progress") => progress_frames += 1,
-                    Some("leak") => leak_frames += 1,
-                    other => panic!("unexpected frame type {other:?}"),
-                })
-                .expect("streamed job")
-            {
-                AnalyzeOutcome::Done { result, .. } => result,
-                AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
+        let opts = AnalyzeOptions { stream: true, ..Default::default() };
+        let streamed = match c
+            .analyze_with(name, &opts, &mut |frame| match frame.str_field("type") {
+                Some("progress") => progress_frames += 1,
+                Some("leak") => leak_frames += 1,
+                other => panic!("unexpected frame type {other:?}"),
+            })
+            .expect("streamed job")
+        {
+            AnalyzeOutcome::Done { result, .. } => result,
+            AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
             AnalyzeOutcome::Denied { .. } => panic!("corpus names never hit the path policy"),
-            };
-            if streamed.report != baseline.report {
-                stream_divergences += 1;
-                eprintln!(
-                    "service-load: STREAM DIVERGENCE on {name} at {threads} taint thread(s)"
-                );
-            }
+        };
+        if streamed.report != baseline.report {
+            stream_divergences += 1;
+            eprintln!("service-load: STREAM DIVERGENCE on {name}");
         }
     }
     drop(c);
@@ -1050,7 +974,7 @@ fn run_service_load(out_path: &str) {
     eprintln!(
         "service-load: {} streamed runs, {progress_frames} progress + {leak_frames} leak \
          frames, {stream_divergences} divergence(s)",
-        names.len() * 2
+        names.len()
     );
 
     // ---- Emit the section and enforce the gates ----
@@ -1097,7 +1021,7 @@ fn run_service_load(out_path: &str) {
     writeln!(section, "    }},").unwrap();
     writeln!(section, "    \"streaming\": {{").unwrap();
     writeln!(section, "      \"apps\": {},", names.len()).unwrap();
-    writeln!(section, "      \"streamed_runs\": {},", names.len() * 2).unwrap();
+    writeln!(section, "      \"streamed_runs\": {},", names.len()).unwrap();
     writeln!(section, "      \"progress_frames\": {progress_frames},").unwrap();
     writeln!(section, "      \"leak_frames\": {leak_frames},").unwrap();
     writeln!(section, "      \"divergences\": {stream_divergences},").unwrap();
@@ -1228,7 +1152,7 @@ fn run_ground_truth(out_path: &str) {
     let mut daemon_mismatches = 0usize;
     for (app, path) in &rpks {
         let (_, result) =
-            c.analyze(path.to_str().unwrap(), None, None, None).expect("external job");
+            c.analyze(path.to_str().unwrap(), None, None).expect("external job");
         let local = run_single(&app.job(), &InfoflowConfig::default());
         if result.leaks as usize != app.expected_reported
             || leak_lines(&result.report) != leak_lines(&local.report)

@@ -6,16 +6,13 @@ use crate::proto::{AnalyzeRequest, JobResult, Priority, Request};
 use std::io::{self, BufRead, BufReader, Write};
 
 /// Per-submission knobs beyond the app name. `Default` matches the
-/// wire defaults: no deadline, no budget, sequential taint engine,
-/// normal priority, shared cache namespace, no streaming.
+/// wire defaults: no deadline, no budget, normal priority, shared cache namespace, no streaming.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyzeOptions {
     /// Wall-clock deadline in milliseconds (None = unbounded).
     pub deadline_ms: Option<u64>,
     /// Propagation budget (None = unbounded).
     pub max_propagations: Option<u64>,
-    /// Taint worker threads (None = sequential solver).
-    pub taint_threads: Option<u64>,
     /// Admission lane.
     pub priority: Priority,
     /// Summary-cache namespace ("" = the shared default namespace).
@@ -30,7 +27,6 @@ impl AnalyzeOptions {
             app: app.to_string(),
             deadline_ms: self.deadline_ms,
             max_propagations: self.max_propagations,
-            taint_threads: self.taint_threads,
             priority: self.priority,
             namespace: self.namespace.clone(),
             stream: self.stream,
@@ -196,9 +192,8 @@ impl Client {
         app: &str,
         deadline_ms: Option<u64>,
         max_propagations: Option<u64>,
-        taint_threads: Option<u64>,
     ) -> io::Result<(u64, JobResult)> {
-        let opts = AnalyzeOptions { deadline_ms, max_propagations, taint_threads, ..Default::default() };
+        let opts = AnalyzeOptions { deadline_ms, max_propagations, ..Default::default() };
         match self.analyze_with(app, &opts, &mut |_| {})? {
             AnalyzeOutcome::Done { job, result } => Ok((job, result)),
             AnalyzeOutcome::Rejected { queue_depth, queue_cap } => Err(io::Error::other(format!(
@@ -218,9 +213,8 @@ impl Client {
         app: &str,
         deadline_ms: Option<u64>,
         max_propagations: Option<u64>,
-        taint_threads: Option<u64>,
     ) -> io::Result<u64> {
-        let opts = AnalyzeOptions { deadline_ms, max_propagations, taint_threads, ..Default::default() };
+        let opts = AnalyzeOptions { deadline_ms, max_propagations, ..Default::default() };
         match self.submit(app, &opts)? {
             Submitted::Queued(id) => Ok(id),
             Submitted::Rejected { queue_depth, queue_cap } => Err(io::Error::other(format!(

@@ -40,10 +40,9 @@
 //!   connection;
 //! * `analyze` requests enqueue on a bounded three-lane **priority
 //!   queue** (`high`/`normal`/`batch`) consumed by `workers` pool
-//!   threads (each job runs to completion on one worker; the job's own
-//!   solver may use further threads via `taint_threads`). Workers
+//!   threads (each job runs to completion on one worker). Workers
 //!   dequeue high before normal before batch, but after
-//!   [`AGING_STREAK`] consecutive non-batch picks a waiting batch job
+//!   `AGING_STREAK` consecutive non-batch picks a waiting batch job
 //!   is served first, so saturating interactive traffic cannot starve
 //!   bulk work. When [`DaemonOptions::queue_cap`] jobs are already
 //!   waiting, further `analyze` requests are rejected with a typed
@@ -223,7 +222,6 @@ impl JobState {
 #[derive(Clone, Debug, Default)]
 struct JobSpec {
     max_propagations: u64,
-    taint_threads: usize,
     priority: Priority,
     namespace: String,
 }
@@ -260,10 +258,6 @@ struct Inner {
     denied: u64,
     /// Accepted submissions per priority lane.
     submitted: [u64; 3],
-    /// Scheduler counters summed over completed parallel jobs.
-    sched_pushed: u64,
-    sched_claims: u64,
-    sched_steals: u64,
 }
 
 struct Shared {
@@ -421,7 +415,6 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
         let progress = e.progress.take();
         (e.abort.clone(), e.spec.clone(), e.app.clone(), e.queue_ms, e.prepare_us, progress, skip)
     };
-    let mut sched = None;
     let result = if skip {
         drop(progress);
         JobResult {
@@ -436,11 +429,10 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
     } else {
         let mut config = InfoflowConfig::default().with_abort(abort).with_lazy_frontend(true);
         config.max_propagations = spec.max_propagations;
-        config.taint_threads = spec.taint_threads;
         config.cache_namespace = spec.namespace;
         config.progress = progress;
         config.summary_cache.clone_from(&shared.summary_cache);
-        let mut run = run_prepared(job, &config, &shared.snapshot, Some(&shared.cg_cache));
+        let run = run_prepared(job, &config, &shared.snapshot, Some(&shared.cg_cache));
         if !run.aborted {
             if let Some(dir) = &shared.summary_cache {
                 // Promote this job's staged summaries so the *next* job
@@ -449,7 +441,6 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
                 let _ = flush_summary_cache(dir);
             }
         }
-        sched = run.scheduler.take();
         let sc = run.summary_cache.as_ref();
         JobResult {
             job: id,
@@ -477,11 +468,6 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
         }
     };
     let mut inner = shared.inner.lock().unwrap();
-    if let Some(s) = sched {
-        inner.sched_pushed += s.pushed;
-        inner.sched_claims += s.claims;
-        inner.sched_steals += s.steals;
-    }
     inner.jobs[idx].state = JobState::Done;
     inner.jobs[idx].result = Some(result);
     drop(inner);
@@ -554,12 +540,11 @@ fn handle_analyze(
 ) -> io::Result<()> {
     let spec = JobSpec {
         max_propagations: req.max_propagations.unwrap_or(0),
-        taint_threads: req.taint_threads.unwrap_or(0) as usize,
         priority: req.priority,
         namespace: req.namespace.clone(),
     };
-    // A streamed job gets a channel-backed sink: the solver's threads
-    // send events, this connection thread relays them as frames.
+    // A streamed job gets a channel-backed sink: the worker running the
+    // job sends events, this connection thread relays them as frames.
     let (progress, frames) = if req.stream {
         let (tx, rx) = mpsc::channel::<ProgressEvent>();
         let tx = Mutex::new(tx);
@@ -882,9 +867,6 @@ fn stats(shared: &Shared) -> Json {
         ("prepared_cache_misses", Json::from(prepared.misses)),
         ("prepared_cache_evictions", Json::from(prepared.evictions)),
         ("prepared_cache_entries", Json::from(prepared.entries as u64)),
-        ("sched_pushed", Json::from(inner.sched_pushed)),
-        ("sched_claims", Json::from(inner.sched_claims)),
-        ("sched_steals", Json::from(inner.sched_steals)),
         ("jobs", Json::Arr(jobs)),
     ])
 }

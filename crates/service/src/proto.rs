@@ -5,7 +5,7 @@
 //!
 //! | request | fields |
 //! |---|---|
-//! | `analyze`  | `app` (corpus name, `stress/<K>`, or an on-disk app path under the daemon's `--allow-apps` roots), optional `deadline_ms`, `max_propagations`, `taint_threads`, `priority` (`high`/`normal`/`batch`), `namespace`, `stream` |
+//! | `analyze`  | `app` (corpus name, `stress/<K>`, or an on-disk app path under the daemon's `--allow-apps` roots), optional `deadline_ms`, `max_propagations`, `priority` (`high`/`normal`/`batch`), `namespace`, `stream` |
 //! | `cancel`   | `job` |
 //! | `stats`    | — |
 //! | `shutdown` | — |
@@ -97,8 +97,6 @@ pub struct AnalyzeRequest {
     pub deadline_ms: Option<u64>,
     /// Path-edge propagation budget (0/absent = unlimited).
     pub max_propagations: Option<u64>,
-    /// Solver threads for this job (absent = sequential).
-    pub taint_threads: Option<u64>,
     /// Admission priority (absent = `normal`).
     pub priority: Priority,
     /// Summary-store namespace; jobs in different namespaces never
@@ -151,7 +149,6 @@ impl Request {
                     app: app.to_string(),
                     deadline_ms: v.u64_field("deadline_ms"),
                     max_propagations: v.u64_field("max_propagations"),
-                    taint_threads: v.u64_field("taint_threads"),
                     priority,
                     namespace,
                     stream: v.bool_field("stream").unwrap_or(false),
@@ -179,9 +176,6 @@ impl Request {
                 }
                 if let Some(m) = a.max_propagations {
                     fields.push(("max_propagations", Json::from(m)));
-                }
-                if let Some(t) = a.taint_threads {
-                    fields.push(("taint_threads", Json::from(t)));
                 }
                 if a.priority != Priority::Normal {
                     fields.push(("priority", Json::from(a.priority.as_str())));
@@ -368,7 +362,7 @@ mod tests {
             Request::Analyze(AnalyzeRequest {
                 app: "insecurebank".to_string(),
                 deadline_ms: Some(500),
-                taint_threads: Some(4),
+                max_propagations: Some(10_000),
                 ..AnalyzeRequest::default()
             }),
             Request::Analyze(AnalyzeRequest {

@@ -60,14 +60,14 @@ fn cold_then_warm_job_shares_summary_cache() {
     let (addr, daemon) = spawn_daemon(Some(cache.clone()));
     let mut c = Client::connect(&addr).expect("connect");
 
-    let (id1, cold) = c.analyze("insecurebank", None, None, None).expect("cold job");
+    let (id1, cold) = c.analyze("insecurebank", None, None).expect("cold job");
     assert_eq!(id1, 1);
     assert!(!cold.aborted);
     assert_eq!(cold.summary_hits, 0, "first job starts with an empty store");
     assert!(cold.summary_recorded > 0, "first job stages summaries");
     assert!(cold.leaks > 0, "insecurebank has known leaks");
 
-    let (_, warm) = c.analyze("insecurebank", None, None, None).expect("warm job");
+    let (_, warm) = c.analyze("insecurebank", None, None).expect("warm job");
     assert!(!warm.aborted);
     assert!(warm.summary_hits > 0, "second job replays the first job's flushed summaries");
     assert_eq!(warm.report, cold.report, "cache replay must not change the report");
@@ -99,7 +99,7 @@ fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
     let (addr, daemon) = spawn_daemon_with(None, Some(snap.clone()));
     let mut c = Client::connect(&addr).expect("connect");
 
-    let (_, r) = c.analyze("insecurebank", None, None, None).expect("job");
+    let (_, r) = c.analyze("insecurebank", None, None).expect("job");
     assert!(!r.aborted);
     assert!(r.bodies_materialized > 0, "the lazy frontend decodes reached bodies");
 
@@ -112,7 +112,7 @@ fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
     // An app with helper classes the callgraph never reaches: those
     // bodies must stay undecoded.
     let (_, r2) =
-        c.analyze("securibench/Collections/Collections5", None, None, None).expect("job 2");
+        c.analyze("securibench/Collections/Collections5", None, None).expect("job 2");
     assert!(!r2.aborted);
     assert!(r2.bodies_skipped > 0, "unreachable bodies stay undecoded");
 
@@ -139,7 +139,7 @@ fn corrupt_snapshot_falls_back_to_eager_platform_build() {
     // with unchanged results.
     let (addr, daemon) = spawn_daemon_with(None, Some(snap.clone()));
     let mut c = Client::connect(&addr).expect("connect");
-    let (_, r) = c.analyze("insecurebank", None, None, None).expect("job");
+    let (_, r) = c.analyze("insecurebank", None, None).expect("job");
     assert!(!r.aborted);
     assert!(r.leaks > 0);
 
@@ -158,7 +158,7 @@ fn deadline_job_aborts_promptly_and_stages_nothing() {
     let mut c = Client::connect(&addr).expect("connect");
 
     let start = Instant::now();
-    let (_, r) = c.analyze("stress/4000", Some(300), None, None).expect("deadline job");
+    let (_, r) = c.analyze("stress/4000", Some(300), None).expect("deadline job");
     let elapsed = start.elapsed();
     assert!(r.aborted, "stress/4000 cannot finish in 300ms");
     assert_eq!(r.abort_reason.as_deref(), Some("deadline"));
@@ -170,7 +170,7 @@ fn deadline_job_aborts_promptly_and_stages_nothing() {
     );
 
     // The poison check: a later *successful* job still flushes cleanly.
-    let (_, ok) = c.analyze("insecurebank", None, None, None).expect("follow-up job");
+    let (_, ok) = c.analyze("insecurebank", None, None).expect("follow-up job");
     assert!(!ok.aborted);
     assert!(ok.summary_recorded > 0);
 
@@ -183,7 +183,7 @@ fn deadline_job_aborts_promptly_and_stages_nothing() {
 fn cancel_from_second_connection_stops_inflight_job() {
     let (addr, daemon) = spawn_daemon(None);
     let mut a = Client::connect(&addr).expect("connection a");
-    let id = a.analyze_async("stress/6000", None, None, None).expect("submit");
+    let id = a.analyze_async("stress/6000", None, None).expect("submit");
 
     // From a second connection: wait until the job is running, then
     // cancel it.
@@ -219,9 +219,9 @@ fn cancelling_a_queued_job_skips_it_entirely() {
     let mut a = Client::connect(&addr).expect("a");
     let mut b = Client::connect(&addr).expect("b");
     let mut c = Client::connect(&addr).expect("c");
-    let _j1 = a.analyze_async("stress/6000", None, None, None).expect("submit 1");
-    let _j2 = b.analyze_async("stress/6000", None, None, None).expect("submit 2");
-    let j3 = c.analyze_async("stress/2000", None, None, None).expect("submit 3");
+    let _j1 = a.analyze_async("stress/6000", None, None).expect("submit 1");
+    let _j2 = b.analyze_async("stress/6000", None, None).expect("submit 2");
+    let j3 = c.analyze_async("stress/2000", None, None).expect("submit 3");
 
     let mut ctl = Client::connect(&addr).expect("control");
     ctl.cancel(j3).expect("cancel queued job");
@@ -262,7 +262,7 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     // A job long enough that its ~3s deadline, not its fixpoint, ends
     // it: the socket must vanish well before the job does.
     let mut a = Client::connect(&addr).expect("connection a");
-    let id = a.analyze_async("stress/6000", Some(3000), None, None).expect("submit");
+    let id = a.analyze_async("stress/6000", Some(3000), None).expect("submit");
 
     let mut b = Client::connect(&addr).expect("connection b");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -319,7 +319,7 @@ fn protocol_errors_keep_the_connection_alive() {
 fn budget_abort_reports_reason_over_the_wire() {
     let (addr, daemon) = spawn_daemon(None);
     let mut c = Client::connect(&addr).expect("connect");
-    let (_, r) = c.analyze("stress/2000", None, Some(1000), None).expect("budget job");
+    let (_, r) = c.analyze("stress/2000", None, Some(1000)).expect("budget job");
     assert!(r.aborted);
     assert_eq!(r.abort_reason.as_deref(), Some("budget"));
     c.shutdown().expect("shutdown");
@@ -334,7 +334,7 @@ fn streamed_job_emits_frames_and_identical_final_report() {
     let (addr, daemon) = spawn_daemon(None);
 
     let mut plain = Client::connect(&addr).expect("connect plain");
-    let (_, baseline) = plain.analyze("insecurebank", None, None, None).expect("plain job");
+    let (_, baseline) = plain.analyze("insecurebank", None, None).expect("plain job");
     assert!(baseline.leaks > 0, "insecurebank has known leaks");
 
     let mut streamed = Client::connect(&addr).expect("connect streamed");
@@ -365,18 +365,39 @@ fn streamed_job_emits_frames_and_identical_final_report() {
     assert_eq!(result.report, baseline.report, "streaming must not change the report");
     assert_eq!(result.leaks, baseline.leaks);
 
-    // The parallel engine streams through the same hook; its report
-    // stays identical too (determinism invariant).
-    let mut par = Client::connect(&addr).expect("connect parallel");
-    let par_opts =
-        AnalyzeOptions { stream: true, taint_threads: Some(2), ..Default::default() };
-    let outcome = par.analyze_with("insecurebank", &par_opts, &mut |_| {}).expect("par job");
-    let AnalyzeOutcome::Done { result: par_result, .. } = outcome else {
-        panic!("unbounded queue must not reject");
-    };
-    assert_eq!(par_result.report, baseline.report, "parallel streamed report must match");
-
     plain.shutdown().expect("shutdown");
+    daemon.join().expect("accept loop exits cleanly");
+}
+
+/// Older clients may still send the worker count of the deleted in-job
+/// parallel engine. The daemon ignores it like any unknown field: a
+/// huge value neither spawns threads nor changes the report, and the
+/// same daemon goes on serving jobs.
+#[test]
+fn legacy_thread_count_field_is_ignored() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, daemon) = spawn_daemon(None);
+
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect raw");
+    conn.write_all(b"{\"type\":\"analyze\",\"app\":\"insecurebank\",\"taint_threads\":1000000}\n")
+        .expect("send raw line");
+    let mut lines = BufReader::new(conn).lines();
+    let mut next = || {
+        let line = lines.next().expect("a response line").expect("read response line");
+        flowdroid_service::json::parse(&line).expect("well-formed response")
+    };
+    assert_eq!(next().str_field("type"), Some("queued"));
+    let result = JobResult::from_json(&next()).expect("result line");
+    assert!(!result.aborted);
+
+    let job = flowdroid_bench::find_job("insecurebank").expect("corpus job");
+    let local = flowdroid_bench::run_single(&job, &flowdroid_core::InfoflowConfig::default());
+    assert_eq!(result.report, local.report, "the ignored field must not change the report");
+
+    let mut c = Client::connect(&addr).expect("connect");
+    let (_, second) = c.analyze("securibench/Aliasing/Aliasing0", None, None).expect("second job");
+    assert!(!second.aborted, "the daemon keeps serving after the legacy request");
+    c.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
 }
 
@@ -494,7 +515,7 @@ fn high_priority_overtakes_batch_in_the_queue() {
 
     // Pin the only worker.
     let mut pin = Client::connect(&addr).expect("pin conn");
-    let pin_id = pin.analyze_async("stress/5000", Some(2500), None, None).expect("pin");
+    let pin_id = pin.analyze_async("stress/5000", Some(2500), None).expect("pin");
 
     // Wait until it is actually running so the next two stay queued.
     let mut s = Client::connect(&addr).expect("stats conn");
@@ -616,20 +637,20 @@ fn daemon_serves_external_apps_under_path_policy() {
     // loader (content-hashed job names make them comparable).
     for path in [app_dir.clone(), root.join("field.rpk")] {
         let (_, result) =
-            c.analyze(path.to_str().unwrap(), None, None, None).expect("external job");
+            c.analyze(path.to_str().unwrap(), None, None).expect("external job");
         assert!(!result.aborted);
         assert_eq!(result.report, local_report(&path), "daemon leg must match local run");
     }
     // The generated app's manifest pins what the daemon must report.
     let (_, r) = c
-        .analyze(root.join("field.rpk").to_str().unwrap(), None, None, None)
+        .analyze(root.join("field.rpk").to_str().unwrap(), None, None)
         .expect("rpk job");
     assert_eq!(r.leaks as usize, field.expected_reported);
 
     // A well-placed but malformed archive is an error, not a denial.
     std::fs::write(root.join("junk.rpk"), b"not an archive").unwrap();
     let err = c
-        .analyze(root.join("junk.rpk").to_str().unwrap(), None, None, None)
+        .analyze(root.join("junk.rpk").to_str().unwrap(), None, None)
         .expect_err("junk archive");
     assert!(err.to_string().contains("cannot load app"), "got: {err}");
 
@@ -679,7 +700,7 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     let (addr, daemon) = spawn_daemon_allow(vec![root.clone()]);
     let mut c = Client::connect(&addr).expect("connect");
     let analyze = |c: &mut Client, path: &std::path::Path| {
-        c.analyze(path.to_str().unwrap(), None, None, None).expect("external job").1
+        c.analyze(path.to_str().unwrap(), None, None).expect("external job").1
     };
 
     assert_eq!(prepared_counters(&mut c), (0, 0, 0));
@@ -699,8 +720,8 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     assert_eq!(rewritten.report, local_report(&app), "no stale parse is served");
 
     // Corpus names are cached by name.
-    let cold = c.analyze("insecurebank", None, None, None).expect("corpus job").1;
-    let warm = c.analyze("insecurebank", None, None, None).expect("corpus job").1;
+    let cold = c.analyze("insecurebank", None, None).expect("corpus job").1;
+    let warm = c.analyze("insecurebank", None, None).expect("corpus job").1;
     assert_eq!(prepared_counters(&mut c), (2, 3, 3));
     assert_eq!((warm.prepare_us, warm.report), (0, cold.report));
 
@@ -717,7 +738,7 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     .unwrap();
     for path in [&junk, &bad_code, &junk, &bad_code] {
         let err = c
-            .analyze(path.to_str().unwrap(), None, None, None)
+            .analyze(path.to_str().unwrap(), None, None)
             .expect_err("malformed app");
         assert!(err.to_string().contains("cannot load app"), "got: {err}");
     }
@@ -742,7 +763,7 @@ fn daemon_without_allow_apps_denies_all_paths() {
     };
     assert!(message.contains("--allow-apps"), "got: {message}");
     // Corpus jobs still work on the same connection.
-    let (_, r) = c.analyze("droidbench/Callbacks/Button1", None, None, None).expect("corpus job");
+    let (_, r) = c.analyze("droidbench/Callbacks/Button1", None, None).expect("corpus job");
     assert_eq!(r.leaks, 1);
     c.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");

@@ -87,7 +87,7 @@ proptest! {
 
     /// The store (and therefore the file bytes) does not depend on the
     /// order summaries were recorded in — required for stable bytes
-    /// under the parallel solver's nondeterministic completion order.
+    /// whatever order the solver (or concurrent jobs) recorded them.
     #[test]
     fn insertion_order_is_immaterial(ctx in 0u64..1000, items in items_strategy()) {
         let forward = build(ctx, &items);

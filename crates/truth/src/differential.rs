@@ -3,13 +3,13 @@
 //! the reference engine's per-app leak counts are scored against the
 //! ground-truth manifests.
 //!
-//! The matrix covers the axes grown over the repo's history:
+//! The matrix covers the solver's three interchangeable layers — how
+//! app code is loaded, whether the callgraph setup is replayed, and
+//! whether callee summaries come from the persistent store:
 //!
 //! | engine            | configuration                                  |
 //! |-------------------|------------------------------------------------|
 //! | `seq-bitset`      | sequential solver (reference)                  |
-//! | `par-taint-1`     | work-stealing parallel solver, 1 worker        |
-//! | `par-taint-4`     | work-stealing parallel solver, 4 workers       |
 //! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX)  |
 //! | `lazy-cg-warm`    | lazy + warm daemon-style callgraph cache       |
 //! | `cache-cold`      | persistent summary store, populating pass      |
@@ -123,14 +123,6 @@ pub fn run_differential(apps: &[TruthApp], cache_dir: &Path) -> Differential {
 
     let reference = run_corpus(&jobs, &InfoflowConfig::default(), 1);
     engines.push(outcome("seq-bitset", &reference));
-    engines.push(outcome(
-        "par-taint-1",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_taint_threads(1), 1),
-    ));
-    engines.push(outcome(
-        "par-taint-4",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_taint_threads(4), 1),
-    ));
     engines.push(outcome(
         "lazy",
         &run_corpus(&jobs, &InfoflowConfig::default().with_lazy_frontend(true), 1),

@@ -12,10 +12,10 @@
 //!   code together with a manifest of expected flows, expected-absent
 //!   flows and the count a correct engine must report (which documents
 //!   the paper's known limitations, e.g. reflection misses);
-//! * [`differential`] — the engine matrix (sequential/parallel ×
-//!   eager/lazy × cold/warm caches),
-//!   byte-for-byte report agreement, per-category precision/recall
-//!   scoring against the manifests via the shared
+//! * [`differential`] — the engine matrix (eager/lazy frontend ×
+//!   cold/warm callgraph and summary caches), byte-for-byte report
+//!   agreement, per-category precision/recall scoring against the
+//!   manifests via the shared
 //!   [`flowdroid_droidbench::ScoreBoard`], and the linked-ICC check
 //!   over generated sender/receiver pairs.
 //!

@@ -3,9 +3,10 @@
 #
 # Usage: scripts/verify.sh [--full]
 #   default : tier-1 gate (release build + root tests) + solver stats
-#   --full  : additionally runs the whole workspace test suite and the
+#   --full  : additionally runs the whole workspace test suite, the
 #             perfbench smoke test (perfbench is a package of its own,
 #             outside the workspace, so `--workspace` does not reach it)
+#             and the workspace rustdoc build with warnings as errors
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +21,8 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo test --workspace -q
     echo "== perfbench smoke test"
     cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+    echo "== rustdoc (warnings are errors)"
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 fi
 
 # Snapshot the committed benchmark numbers before solver_stats
@@ -89,9 +92,9 @@ echo "== service-load stats (splices \"service_load\" into BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- --mode service-load BENCH_solver.json >/dev/null
 
 # Ground-truth harness: generate the seeded synthetic corpus, sweep the
-# full engine matrix (sequential/parallel at 1 and 4 taint threads x
-# eager/lazy x cold/warm caches) and serve the packed archives through a
-# daemon under the --allow-apps policy.
+# five-engine matrix (eager reference, lazy frontend, lazy + warm
+# callgraph cache, cold and warm summary cache) and serve the packed
+# archives through a daemon under the --allow-apps policy.
 echo "== ground-truth stats (splices \"ground_truth\" into BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- --mode ground-truth BENCH_solver.json >/dev/null
 

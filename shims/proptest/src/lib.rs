@@ -18,7 +18,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Size specification for [`vec`]: a fixed size or a range.
+    /// Size specification for [`vec()`]: a fixed size or a range.
     pub trait SizeRange {
         /// Draws a length from the range.
         fn pick(&self, rng: &mut TestRng) -> usize;

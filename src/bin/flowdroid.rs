@@ -17,7 +17,6 @@
 //!   --sources <file>           extra source/sink definitions
 //!   --wrappers <file>          extra taint-wrapper rules
 //!   --no-paths                 skip leak-path reconstruction
-//!   --taint-threads <n>        parallel taint engine with n workers
 //!   --summary-cache <dir>      reuse method summaries across runs
 //!   --deadline-ms <ms>         abort (partial result) after a wall-clock budget
 //!   --max-propagations <n>     abort after n forward path-edge propagations
@@ -61,7 +60,7 @@ fn print_usage() {
     eprintln!("                  [--queue-cap <n>] [--platform-snapshot <platform.fdps>]");
     eprintln!("                  [--allow-apps <dir>]...   serve on-disk app dirs / .rpk under <dir>");
     eprintln!("  flowdroid client <addr> analyze <app | app-dir | app.rpk>");
-    eprintln!("                  [--deadline-ms <ms>] [--max-propagations <n>] [--taint-threads <n>]");
+    eprintln!("                  [--deadline-ms <ms>] [--max-propagations <n>]");
     eprintln!("                  [--priority high|normal|batch] [--namespace <ns>] [--stream]");
     eprintln!("  flowdroid client <addr> cancel <job> | stats | shutdown");
     eprintln!("  flowdroid pack <app-dir> -o <app.rpk>");
@@ -77,7 +76,6 @@ fn print_usage() {
     eprintln!("  --sources <file>           extra source/sink definitions");
     eprintln!("  --wrappers <file>          extra taint-wrapper rules");
     eprintln!("  --no-paths                 skip leak-path reconstruction");
-    eprintln!("  --taint-threads <n>        parallel taint engine with n workers");
     eprintln!("  --summary-cache <dir>      reuse method summaries across runs");
     eprintln!("  --deadline-ms <ms>         abort (partial result) after a wall-clock budget");
     eprintln!("  --max-propagations <n>     abort after n forward path-edge propagations");
@@ -110,14 +108,6 @@ fn analyze(args: &[String]) -> ExitCode {
                 config.max_access_path_length = k;
             }
             "--no-alias" => config.enable_alias_analysis = false,
-            "--taint-threads" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|v| v.parse().ok()) else {
-                    eprintln!("--taint-threads needs a number");
-                    return ExitCode::FAILURE;
-                };
-                config.taint_threads = n;
-            }
             "--no-paths" => config.track_paths = false,
             "--deadline-ms" => {
                 i += 1;
@@ -375,7 +365,6 @@ fn client(args: &[String]) -> ExitCode {
             };
             let mut deadline_ms = None;
             let mut max_propagations = None;
-            let mut taint_threads = None;
             let mut priority = flowdroid_service::Priority::Normal;
             let mut namespace = String::new();
             let mut stream = false;
@@ -421,13 +410,6 @@ fn client(args: &[String]) -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     },
-                    "--taint-threads" => match take_num(&mut i) {
-                        Some(n) => taint_threads = Some(n),
-                        None => {
-                            eprintln!("--taint-threads needs a number");
-                            return ExitCode::FAILURE;
-                        }
-                    },
                     other => {
                         eprintln!(
                             "client analyze: unknown option `{other}` (run `flowdroid help` for usage)"
@@ -441,7 +423,6 @@ fn client(args: &[String]) -> ExitCode {
                 app: app.to_string(),
                 deadline_ms,
                 max_propagations,
-                taint_threads,
                 priority,
                 namespace,
                 stream,
