@@ -311,6 +311,8 @@ pub struct AppRun {
     pub name: String,
     /// Leaks reported.
     pub leaks: usize,
+    /// Leaks whose source path tracking could not attribute.
+    pub unattributed_leaks: usize,
     /// Deterministic per-app leak report (header + sorted leak lines).
     pub report: String,
     /// Forward path-edge propagations.
@@ -321,6 +323,9 @@ pub struct AppRun {
     pub distinct_facts: usize,
     /// Distinct access paths interned.
     pub distinct_aps: usize,
+    /// Provenance nodes recorded for path reconstruction
+    /// ([`InfoflowResults::provenance_nodes`]).
+    pub provenance_nodes: usize,
     /// Whole-pipeline duration for this app (parse + model + call
     /// graph + data flow).
     pub total: Duration,
@@ -389,42 +394,51 @@ pub fn run_single(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
         return run_single_lazy(job, config, shared_platform_snapshot(), None);
     }
     let start = Instant::now();
-    let (results, report) = match &job.kind {
+    let (p, results) = analyze_eager(job, config);
+    let report = leak_report(&job.name, &results, &p);
+    finish_run(&job.name, start, results, report, 0, 0, 0, None)
+}
+
+/// The full [`InfoflowResults::report`] of `job` on the eager path:
+/// counters, source attribution and every leak's path, not just the
+/// leak lines of [`AppRun::report`].
+pub fn full_report(job: &CorpusJob, config: &InfoflowConfig) -> String {
+    let (p, results) = analyze_eager(job, config);
+    results.report(&p)
+}
+
+/// Builds `job`'s program from scratch (platform included) and
+/// analyzes it.
+fn analyze_eager(job: &CorpusJob, config: &InfoflowConfig) -> (Program, InfoflowResults) {
+    let mut p = Program::new();
+    let results = match &job.kind {
         JobKind::Droid(app) => {
-            let mut p = Program::new();
             let platform = install_platform(&mut p);
             let loaded = app.load(&mut p).expect("suite app parses");
-            let analysis = Infoflow::new(android_sources(), default_wrapper(), config)
-                .analyze_app(&mut p, &platform, &loaded, "corpus");
-            let report = leak_report(&job.name, &analysis.results, &p);
-            (analysis.results, report)
+            Infoflow::new(android_sources(), default_wrapper(), config)
+                .analyze_app(&mut p, &platform, &loaded, "corpus")
+                .results
         }
         JobKind::Micro(case) => {
-            let mut p = Program::new();
             install_platform(&mut p);
             let rt = ResourceTable::new();
             parse_jasm(&mut p, &rt, MICRO_ENV).expect("micro env parses");
             parse_jasm(&mut p, &rt, &case.code).expect("micro case parses");
             let entry = p.find_method(&case.entry_class, "main").expect("micro entry");
-            let infoflow = Infoflow::new(micro_sources(), default_wrapper(), config);
-            let results = infoflow.run(&p, &[entry]);
-            let report = leak_report(&job.name, &results, &p);
-            (results, report)
+            Infoflow::new(micro_sources(), default_wrapper(), config).run(&p, &[entry])
         }
         JobKind::External { manifest, layouts, code } => {
-            let mut p = Program::new();
             let platform = install_platform(&mut p);
             let refs: Vec<(&str, &str)> =
                 layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
             let loaded =
                 App::from_parts(&mut p, manifest, &refs, code).expect("external app parses");
-            let analysis = Infoflow::new(android_sources(), default_wrapper(), config)
-                .analyze_app(&mut p, &platform, &loaded, "corpus");
-            let report = leak_report(&job.name, &analysis.results, &p);
-            (analysis.results, report)
+            Infoflow::new(android_sources(), default_wrapper(), config)
+                .analyze_app(&mut p, &platform, &loaded, "corpus")
+                .results
         }
     };
-    finish_run(&job.name, start, results, report, 0, 0, 0, None)
+    (p, results)
 }
 
 /// Analyzes one corpus job through the demand-driven frontend: the
@@ -560,11 +574,13 @@ fn finish_run(
     AppRun {
         name: name.to_string(),
         leaks: results.leak_count(),
+        unattributed_leaks: results.leaks.iter().filter(|l| l.source.is_none()).count(),
         report,
         forward_propagations: results.forward_propagations,
         backward_propagations: results.backward_propagations,
         distinct_facts: results.distinct_facts,
         distinct_aps: results.distinct_aps,
+        provenance_nodes: results.provenance_nodes,
         total: start.elapsed(),
         dataflow: results.duration,
         fact_tables: results.fact_tables,
@@ -620,6 +636,11 @@ impl CorpusRun {
     /// Total distinct access paths interned across the corpus.
     pub fn total_distinct_aps(&self) -> usize {
         self.apps.iter().map(|a| a.distinct_aps).sum()
+    }
+
+    /// Total provenance nodes recorded across the corpus.
+    pub fn total_provenance_nodes(&self) -> usize {
+        self.apps.iter().map(|a| a.provenance_nodes).sum()
     }
 
     /// Total method bodies (materialized, skipped) across the corpus —

@@ -68,6 +68,11 @@ pub struct InfoflowResults {
     /// Summary-cache counters, present when a persistent summary store
     /// was configured ([`crate::InfoflowConfig::summary_cache`]).
     pub summary_cache: Option<crate::summary_cache::SummaryCacheStats>,
+    /// `(statement, fact)` nodes with at least one recorded provenance
+    /// origin (0 without path tracking). Identity flows record none, so
+    /// this tracks the facts a run generates, not its propagations. Not
+    /// rendered in [`InfoflowResults::report`].
+    pub provenance_nodes: usize,
 }
 
 impl InfoflowResults {

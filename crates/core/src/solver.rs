@@ -19,11 +19,16 @@
 //! the "covered pair" discipline that makes the computed fixpoint
 //! independent of processing order.
 //!
-//! Provenance (for leak-path reconstruction) is also canonical: every
-//! propagation offers its origin and *all* distinct origins are kept,
-//! so the provenance graph — over which attribution runs a
-//! deterministic breadth-first search — does not depend on discovery
-//! order.
+//! Provenance (for leak-path reconstruction) is also canonical: the
+//! origin set of a `(statement, fact)` node does not depend on
+//! discovery order, so neither does the deterministic breadth-first
+//! search attribution runs over it. Every propagation except one kind
+//! offers its origin and *all* distinct origins are kept. The exception
+//! is an *identity* output of a statement's local forward flow — the
+//! popped taint passing a statement that does not touch it, the bulk of
+//! all propagations. It records nothing; attribution rebuilds those
+//! origins from the forward path-edge table for the few nodes it
+//! visits, by re-running the same local flow.
 //!
 //! Every table keys on `u32` [`FactId`]s hash-consed by the solver's
 //! [`Interner`] and stores fact sets as bitset rows: popped edges are
@@ -33,8 +38,8 @@
 //!
 //! Propagating an edge allocates nothing in the steady state: CFG
 //! edges are borrowed from the method bodies, flow functions refill
-//! buffers the solver owns, and provenance lives in one arena
-//! (`Provenance`). What remains is table growth, amortized.
+//! buffers the solver owns, and the provenance that is recorded lives in
+//! one arena (`Provenance`). What remains is table growth, amortized.
 
 use crate::config::InfoflowConfig;
 use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, ReachCache};
@@ -133,11 +138,13 @@ impl Provenance {
 /// `std::mem::take` and puts it back when done.
 #[derive(Default)]
 struct Buffers {
+    /// A local forward flow's output facts, activation applied.
+    outs: Vec<Fact>,
     assign: ForwardAssignOut,
     ctr: CallToReturnOut,
     back: BackwardAssignOut,
     entries: Vec<(Fact, Option<StmtRef>)>,
-    /// Output fact keys, with "is a non-zero fact".
+    /// Output fact keys, with "is the popped fact itself".
     keys: Vec<(FactId, bool)>,
     /// Activated return taints and their keys.
     acts: Vec<(Taint, FactId)>,
@@ -154,8 +161,12 @@ pub struct BiSolver<'a> {
     leaks: Vec<(StmtRef, Taint)>,
     /// (stmt, fact) → all offered predecessor (stmt, fact) origins, for
     /// path reconstruction. The *set* of offers at the fixpoint is
-    /// order-independent.
+    /// order-independent. Identity outputs are not offered (see
+    /// [`BiSolver::identity_origins`]).
     preds: Provenance,
+    /// Forward nodes whose every path edge was still queued when the run
+    /// aborted: no flow ran from them. Empty at a fixpoint.
+    unprocessed: FxHashSet<Node>,
     /// (stmt, fact) → source statement that generated the fact.
     gen_source: FxHashMap<(StmtRef, FactId), StmtRef>,
     /// Memoized "call site can transitively reach method" queries.
@@ -184,6 +195,7 @@ impl<'a> BiSolver<'a> {
             bw: Tabulator::new(),
             leaks: Vec::new(),
             preds: Provenance::default(),
+            unprocessed: FxHashSet::default(),
             gen_source: FxHashMap::default(),
             reach_cache: ReachCache::default(),
             cache,
@@ -293,12 +305,14 @@ impl<'a> BiSolver<'a> {
         self.record_pred(n, d2, from);
     }
 
-    /// Offers a provenance link for `(n, d2)`. Every propagation offers
-    /// its origin (not just the edge-inserting one), and *all* distinct
-    /// origins are kept: the set of propagation calls at the fixpoint is
-    /// the same whatever the processing order, so the resulting
-    /// provenance graph — and hence the deterministic walk in
-    /// [`BiSolver::attribute`] — is independent of it.
+    /// Offers a provenance link for `(n, d2)`. Every propagation but an
+    /// identity output of a local flow offers its origin (not just the
+    /// edge-inserting one), and *all* distinct origins are kept: the set
+    /// of propagation calls at the fixpoint is the same whatever the
+    /// processing order, so the resulting provenance graph — and hence
+    /// the deterministic walk in [`BiSolver::attribute`] — is
+    /// independent of it. The identity origins left out are a function
+    /// of the forward path-edge table, which is order-independent too.
     fn record_pred(&mut self, n: StmtRef, d2: FactId, from: Option<(StmtRef, FactId)>) {
         if !self.config().track_paths {
             return;
@@ -336,14 +350,82 @@ impl<'a> BiSolver<'a> {
         }
     }
 
-    /// The id of flow output `f` at `n` after activation, and whether it
-    /// is a non-zero fact.
-    fn output_key(&mut self, n: StmtRef, f: &Fact, d2: FactId, d2f: &Fact) -> (FactId, bool) {
-        let f = match f {
+    /// `n`'s local forward flow on the popped fact `d2f`: the
+    /// call-to-return flow at a call, the normal flow at any other
+    /// statement (never called at an exit). Refills `outs` with the
+    /// output facts, activation applied; the alias gens, leaks and source
+    /// mark stay in `self.buf.assign` / `self.buf.ctr`. Interns nothing.
+    ///
+    /// Propagation and [`Self::identity_origins`] both call this, so the
+    /// identity outputs one leaves unrecorded are exactly those the other
+    /// rebuilds.
+    fn local_flow(&mut self, n: StmtRef, d2f: &Fact, outs: &mut Vec<Fact>) {
+        outs.clear();
+        let stmt = self.stmt(n);
+        if stmt.is_call() {
+            let mut ctr = std::mem::take(&mut self.buf.ctr);
+            self.flows.call_to_return(n, d2f, &mut ctr);
+            for f in &ctr.out {
+                outs.push(self.activated(n, f));
+            }
+            self.buf.ctr = ctr;
+            return;
+        }
+        let mut res = std::mem::take(&mut self.buf.assign);
+        match (stmt, d2f) {
+            (Stmt::Assign { lhs, rhs }, Fact::T(t)) => {
+                self.flows.forward_assign(lhs, rhs, t, &mut res);
+            }
+            _ => {
+                res.facts.clear();
+                res.alias_gens.clear();
+                res.facts.push(*d2f);
+            }
+        }
+        for f in &res.facts {
+            outs.push(self.activated(n, f));
+        }
+        self.buf.assign = res;
+    }
+
+    /// `f` with its taint activated at `n`, if `n` activates it.
+    fn activated(&mut self, n: StmtRef, f: &Fact) -> Fact {
+        match f {
             Fact::T(t) => Fact::T(self.maybe_activate(n, t)),
             Fact::Zero => Fact::Zero,
-        };
-        (self.key_of(&f, d2, d2f), !f.is_zero())
+        }
+    }
+
+    /// Refills `keys` with the ids of a local flow's outputs, each with
+    /// whether it is the popped fact `d2f` itself.
+    fn output_keys(
+        &mut self,
+        outs: &[Fact],
+        d2: FactId,
+        d2f: &Fact,
+        keys: &mut Vec<(FactId, bool)>,
+    ) {
+        keys.clear();
+        for f in outs {
+            keys.push((self.key_of(f, d2, d2f), f == d2f));
+        }
+    }
+
+    /// Propagates output `k` of `(n, d2)`'s local flow to `succ`. An
+    /// identity output records no provenance:
+    /// [`Self::identity_origins`] rebuilds it when attribution asks.
+    fn fw_propagate_local(
+        &mut self,
+        d1: FactId,
+        (n, d2): Node,
+        succ: StmtRef,
+        (k, identity): (FactId, bool),
+    ) {
+        if identity {
+            self.fw.propagate(d1, succ, k);
+        } else {
+            self.fw_propagate(d1, succ, k, Some((n, d2)));
+        }
     }
 
     /// Injects an alias query for taint `g` (which holds after the heap
@@ -376,32 +458,24 @@ impl<'a> BiSolver<'a> {
     }
 
     fn forward_normal(&mut self, d1: &FactId, n: StmtRef, d2: &FactId, d2f: &Fact) {
-        let mut keys = std::mem::take(&mut self.buf.keys);
-        keys.clear();
-        match (self.stmt(n), d2f) {
-            (Stmt::Assign { lhs, rhs }, Fact::T(t)) => {
-                let mut res = std::mem::take(&mut self.buf.assign);
-                self.flows.forward_assign(lhs, rhs, t, &mut res);
-                for g in &res.alias_gens {
-                    self.inject_alias_query(d1, n, g);
-                }
-                // Activation and interning depend only on `n`, so key
-                // each output fact once and fan the keys out to all
-                // successors.
-                for f in &res.facts {
-                    keys.push(self.output_key(n, f, *d2, d2f));
-                }
-                self.buf.assign = res;
-            }
-            _ => keys.push(self.output_key(n, d2f, *d2, d2f)),
+        let mut outs = std::mem::take(&mut self.buf.outs);
+        self.local_flow(n, d2f, &mut outs);
+        let res = std::mem::take(&mut self.buf.assign);
+        for g in &res.alias_gens {
+            self.inject_alias_query(d1, n, g);
         }
-        let origin = Some((n, *d2));
+        self.buf.assign = res;
+        // Activation and interning depend only on `n`, so key each
+        // output fact once and fan the keys out to all successors.
+        let mut keys = std::mem::take(&mut self.buf.keys);
+        self.output_keys(&outs, *d2, d2f, &mut keys);
         for succ in self.flows.icfg.succs_of(n) {
-            for &(k, _) in &keys {
-                self.fw_propagate(*d1, succ, k, origin);
+            for &key in &keys {
+                self.fw_propagate_local(*d1, (n, *d2), succ, key);
             }
         }
         self.buf.keys = keys;
+        self.buf.outs = outs;
     }
 
     fn forward_call(&mut self, n: StmtRef, d2: &FactId, d2f: &Fact) {
@@ -512,8 +586,9 @@ impl<'a> BiSolver<'a> {
     }
 
     fn forward_call_to_return(&mut self, d1: &FactId, n: StmtRef, d2: &FactId, d2f: &Fact) {
-        let mut ctr = std::mem::take(&mut self.buf.ctr);
-        self.flows.call_to_return(n, d2f, &mut ctr);
+        let mut outs = std::mem::take(&mut self.buf.outs);
+        self.local_flow(n, d2f, &mut outs);
+        let ctr = std::mem::take(&mut self.buf.ctr);
         for t in &ctr.leaks {
             self.leaks.push((n, *t));
             if self.config().progress.is_some() {
@@ -527,20 +602,17 @@ impl<'a> BiSolver<'a> {
         }
         // Key each output fact once; fan keys out to return sites.
         let mut keys = std::mem::take(&mut self.buf.keys);
-        keys.clear();
-        for f in &ctr.out {
-            keys.push(self.output_key(n, f, *d2, d2f));
-        }
-        let origin = Some((n, *d2));
+        self.output_keys(&outs, *d2, d2f, &mut keys);
         for ret_site in self.flows.icfg.return_sites_of_call(n) {
-            for &(k, non_zero) in &keys {
-                if ctr.src_mark && non_zero {
+            for &(k, identity) in &keys {
+                if ctr.src_mark && k != FactId::ZERO {
                     self.mark_source(ret_site, &k, n);
                 }
-                self.fw_propagate(*d1, ret_site, k, origin);
+                self.fw_propagate_local(*d1, (n, *d2), ret_site, (k, identity));
             }
         }
         self.buf.keys = keys;
+        self.buf.outs = outs;
         self.buf.ctr = ctr;
     }
 
@@ -700,6 +772,9 @@ impl<'a> BiSolver<'a> {
             }
             c.stats()
         });
+        if self.abort_reason.is_some() && self.config().track_paths {
+            self.unprocessed = self.unprocessed_nodes();
+        }
         // Canonical order before (sink, source) dedup: recorded leaks
         // are sorted by (sink, taint value) so which representative
         // survives never depends on discovery order.
@@ -740,15 +815,57 @@ impl<'a> BiSolver<'a> {
             abort_reason: self.abort_reason,
             fact_tables,
             summary_cache,
+            provenance_nodes: self.preds.heads.len(),
         }
+    }
+
+    /// The forward nodes every path edge of which is still queued. Only
+    /// an aborted run has any.
+    fn unprocessed_nodes(&self) -> FxHashSet<Node> {
+        let mut queued: FxHashMap<Node, usize> = FxHashMap::default();
+        for e in self.fw.queued() {
+            *queued.entry((e.n, e.d2)).or_default() += 1;
+        }
+        queued
+            .into_iter()
+            .filter(|&((n, d2), count)| self.fw.d1s_at(n, &d2).len() == count)
+            .map(|(node, _)| node)
+            .collect()
+    }
+
+    /// Appends the origins of `(m, f)` that propagation left unrecorded:
+    /// every `(p, f)` where `p` is an intraprocedural predecessor of `m`
+    /// other than `m` itself, the forward solver processed `(p, f)`, `p`
+    /// is not an exit, and `p`'s local flow ([`Self::local_flow`])
+    /// outputs `f` itself. These are exactly the links processing
+    /// `(p, f)` would have offered had identity outputs recorded, so
+    /// the origin set is the same either way.
+    fn identity_origins(&mut self, (m, f): Node, origins: &mut Vec<Node>) {
+        let ff = self.interner.resolve_fact(f);
+        let mut outs = std::mem::take(&mut self.buf.outs);
+        for p in self.flows.icfg.preds_of(m) {
+            if p == m
+                || !self.fw.has_node(p, &f)
+                || self.unprocessed.contains(&(p, f))
+                || self.stmt(p).is_exit()
+            {
+                continue;
+            }
+            self.local_flow(p, &ff, &mut outs);
+            if outs.contains(&ff) {
+                origins.push((p, f));
+            }
+        }
+        self.buf.outs = outs;
     }
 
     /// Walks the provenance graph back from a leak to the source that
     /// generated the taint.
     ///
-    /// Breadth-first search with the origin sets expanded in (statement,
-    /// fact *value*) order: the provenance graph is order-independent
-    /// (see [`BiSolver::record_pred`]), so the first generating source
+    /// Breadth-first search with the origin sets — recorded ones plus
+    /// the rebuilt identity origins — expanded in (statement, fact
+    /// *value*) order: the provenance graph is order-independent (see
+    /// [`BiSolver::record_pred`]), so the first generating source
     /// this walk reaches — and the parent chain behind it — is the same
     /// whatever order the solver discovered the edges in. Cycles in the
     /// graph are harmless: the visited set skips them and the search
@@ -778,6 +895,7 @@ impl<'a> BiSolver<'a> {
             }
             origins.clear();
             origins.extend(self.preds.origins(cur));
+            self.identity_origins(cur, &mut origins);
             origins.sort_by_key(|(s, k)| (*s, self.interner.resolve_fact(*k)));
             for &o in &origins {
                 if visited.insert(o) {

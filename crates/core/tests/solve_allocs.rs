@@ -94,13 +94,16 @@ fn chain(k: usize) -> String {
     format!("class S {{\n  static method main() -> void {{\n{body}  }}\n}}\n")
 }
 
+/// Chain length.
+const K: usize = 200;
+
 #[test]
 fn solve_allocates_under_one_per_ten_propagations() {
     let mut p = Program::new();
     flowdroid_android::install_platform(&mut p);
     let rt = ResourceTable::new();
     parse_jasm(&mut p, &rt, ENV).unwrap();
-    parse_jasm(&mut p, &rt, &chain(200)).unwrap();
+    parse_jasm(&mut p, &rt, &chain(K)).unwrap();
     let sources = SourceSinkManager::parse(DEFS).unwrap();
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
@@ -115,11 +118,15 @@ fn solve_allocates_under_one_per_ten_propagations() {
 
     assert_eq!(results.leak_count(), 1);
     let props = results.forward_propagations;
-    eprintln!("{allocs} allocations, {props} forward propagations");
+    let nodes = results.provenance_nodes;
+    eprintln!("{allocs} allocations, {props} forward propagations, {nodes} provenance nodes");
     assert!(props > 15_000, "the chain should propagate about k²/2 edges, got {props}");
     assert!(
         allocs * 10 <= props,
         "{allocs} allocations for {props} forward propagations ({:.3} per propagation)",
         allocs as f64 / props as f64
     );
+    // Each local is generated once and then passes the rest of the
+    // chain unchanged; those identity flows record no provenance.
+    assert!(nodes <= 2 * K, "{nodes} provenance nodes for a k = {K} chain");
 }

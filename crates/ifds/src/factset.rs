@@ -112,6 +112,8 @@ pub trait FactRel<F>: Default {
     fn insert(&mut self, d2: &F, d1: &F, stats: &mut TableStats) -> bool;
     /// Whether `(d2, d1)` is recorded.
     fn contains(&self, d2: &F, d1: &F) -> bool;
+    /// Whether some `(d2, ·)` is recorded.
+    fn has_key(&self, d2: &F) -> bool;
     /// All `d1` recorded for `d2`.
     fn d1s(&self, d2: &F) -> Vec<F>;
     /// All `d2` with at least one entry.
@@ -159,6 +161,10 @@ impl<F: Clone + Eq + Hash> FactRel<F> for FxHashMap<F, FxHashSet<F>> {
 
     fn contains(&self, d2: &F, d1: &F) -> bool {
         self.get(d2).is_some_and(|s| s.contains(d1))
+    }
+
+    fn has_key(&self, d2: &F) -> bool {
+        self.contains_key(d2)
     }
 
     fn d1s(&self, d2: &F) -> Vec<F> {
@@ -225,6 +231,10 @@ impl<F: Idx> FactRel<F> for SparseBitMatrix<F, F> {
 
     fn contains(&self, d2: &F, d1: &F) -> bool {
         SparseBitMatrix::contains(self, *d2, *d1)
+    }
+
+    fn has_key(&self, d2: &F) -> bool {
+        self.row(*d2).is_some_and(|row| !row.is_empty())
     }
 
     fn d1s(&self, d2: &F) -> Vec<F> {

@@ -88,6 +88,12 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
         self.worklist.is_empty()
     }
 
+    /// The edges still waiting to be processed. After a run stops
+    /// early these are the recorded edges its driver never handled.
+    pub fn queued(&self) -> impl Iterator<Item = &PathEdge<F>> {
+        self.worklist.iter()
+    }
+
     /// All source facts `d1` of path edges targeting `(n, d2)`. The
     /// lookup borrows `d2`; only the returned facts are materialized.
     pub fn d1s_at(&self, n: StmtRef, d2: &F) -> Vec<F> {
@@ -97,6 +103,12 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// Returns `true` if the edge `⟨·, d1⟩ → ⟨n, d2⟩` has been recorded.
     pub fn has_edge(&self, d1: &F, n: StmtRef, d2: &F) -> bool {
         self.edges.get(&n).is_some_and(|rel| rel.contains(d2, d1))
+    }
+
+    /// Returns `true` if some path edge targets `(n, d2)`, whatever its
+    /// source fact. Allocates nothing.
+    pub fn has_node(&self, n: StmtRef, d2: &F) -> bool {
+        self.edges.get(&n).is_some_and(|rel| rel.has_key(d2))
     }
 
     /// Records a call context: the callee was entered with `d3` from
@@ -214,9 +226,12 @@ mod tests {
         d1s.sort_unstable();
         assert_eq!(d1s, vec![0, 1]);
         assert!(t.pop().is_some());
+        let queued: Vec<_> = t.queued().cloned().collect();
+        assert_eq!(queued, vec![PathEdge { d1: 1, n: sr(1), d2: 7 }]);
         assert!(t.pop().is_some());
         assert!(t.pop().is_none());
         assert!(t.is_idle());
+        assert_eq!(t.queued().count(), 0);
     }
 
     #[test]
@@ -251,6 +266,9 @@ mod tests {
         assert!(t.has_edge(&0, sr(2), &5));
         assert!(!t.has_edge(&1, sr(2), &5));
         assert!(!t.has_edge(&0, sr(3), &5));
+        assert!(t.has_node(sr(2), &5));
+        assert!(!t.has_node(sr(2), &0));
+        assert!(!t.has_node(sr(3), &5));
         let mut reached = t.reached();
         reached.sort();
         assert_eq!(reached, vec![(sr(2), 5)]);
@@ -274,6 +292,9 @@ mod tests {
         }
         assert_eq!(h.has_edge(&1, sr(1), &7), b.has_edge(&1, sr(1), &7));
         assert_eq!(h.has_edge(&1, sr(1), &8), b.has_edge(&1, sr(1), &8));
+        for (n, d2) in [(1, 7), (1, 8), (2, 3), (3, 3)] {
+            assert_eq!(h.has_node(sr(n), &d2), b.has_node(sr(n), &d2));
+        }
         let (mut hf, mut bf) = (h.facts_at(sr(1)), b.facts_at(sr(1)));
         hf.sort_unstable();
         bf.sort_unstable();

@@ -23,12 +23,13 @@
 //! records per-job wall-clock, queue-wait and setup/dataflow split
 //! times as a `"service"` section spliced into the same output file
 //! (the `available_cores` field and the solver-mode sections are
-//! kept). The warm insecurebank job must spend no more time in setup
-//! than in the data-flow solver, the lazy frontend must skip at
-//! least one method body, and every cold-pass job must miss the
-//! daemon's prepared-job cache while every warm-pass job hits it
-//! (`cold_prepared_misses`, `warm_prepared_hits`), or the binary exits
-//! non-zero.
+//! kept). The warm insecurebank job must hit the prepared-job and
+//! callgraph caches and decode no body the cold job did not (its
+//! setup and dataflow timings are reported only), the lazy frontend
+//! must skip at least one method body, and every cold-pass job must
+//! miss the daemon's prepared-job cache while every warm-pass job
+//! hits it (`cold_prepared_misses`, `warm_prepared_hits`), or the
+//! binary exits non-zero.
 //!
 //! `--mode service-load` drives the daemon the way a fleet does: it
 //! stores two analysis contexts with one daemon, moves the cache
@@ -113,6 +114,7 @@ struct ModeStats {
     allocations: u64,
     distinct_facts: usize,
     distinct_aps: usize,
+    provenance_nodes: usize,
     fact_tables: Option<TableStats>,
     summary_cache: Option<SummaryCacheStats>,
     report: String,
@@ -150,6 +152,7 @@ fn measure(
         allocations,
         distinct_facts: run.total_distinct_facts(),
         distinct_aps: run.total_distinct_aps(),
+        provenance_nodes: run.total_provenance_nodes(),
         fact_tables: run.fact_table_totals(),
         summary_cache: run.summary_cache_totals(),
         report: corpus_report(&run),
@@ -201,6 +204,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "      \"allocations_per_propagation\": {:.3},\n",
             "      \"distinct_facts\": {},\n",
             "      \"distinct_aps\": {},\n",
+            "      \"provenance_nodes\": {},\n",
             "      \"fact_tables\": {},\n",
             "      \"summary_cache\": {},\n",
             "      \"report_identical_to_baseline\": {}\n",
@@ -221,6 +225,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.allocations as f64 / (m.forward_propagations + m.backward_propagations).max(1) as f64,
         m.distinct_facts,
         m.distinct_aps,
+        m.provenance_nodes,
         fact_tables_json(&m.fact_tables),
         summary_cache_json(&m.summary_cache),
         report_identical
@@ -507,15 +512,23 @@ fn run_service(out_path: &str) {
 
     let warm_setup_us = total(&warm, |r| r.setup_us);
     let warm_dataflow_us = total(&warm, |r| r.dataflow_us);
-    // The "warm job wall time ≈ dataflow time" claim is gated on the
-    // substantial app: micro benchmark apps finish their data-flow in
-    // tens of microseconds, below any per-job call-graph cost, so an
-    // aggregate would only measure corpus composition.
-    let warm_bank = warm
-        .iter()
-        .find(|(name, _)| name == "insecurebank")
-        .map(|(_, r)| (r.setup_us, r.dataflow_us))
-        .expect("insecurebank is in the corpus");
+    // A warm job's setup is cheap because the daemon skips work, which
+    // is gated on the substantial app by counters: the prepared-job
+    // cache served its parse (`prepare_us` is 0 exactly on a hit), the
+    // callgraph cache replayed its entry-point model and callgraph, and
+    // it decoded no body the cold job did not. Its setup and dataflow
+    // timings are reported, not gated: they swing with the host.
+    let bank = |pass: &[(String, JobResult)]| -> JobResult {
+        pass.iter()
+            .find(|(name, _)| name == "insecurebank")
+            .map(|(_, r)| r.clone())
+            .expect("insecurebank is in the corpus")
+    };
+    let (cold_bank, warm_bank) = (bank(&cold), bank(&warm));
+    let warm_bank_prepared_hit = warm_bank.prepare_us == 0;
+    let warm_bank_cg_hit =
+        warm_bank.callgraph_cache_hits == 1 && warm_bank.callgraph_cache_misses == 0;
+    let warm_bank_no_extra_bodies = warm_bank.bodies_materialized <= cold_bank.bodies_materialized;
     let bodies_materialized = total(&cold, |r| r.bodies_materialized)
         + total(&warm, |r| r.bodies_materialized);
     let bodies_skipped =
@@ -548,12 +561,22 @@ fn run_service(out_path: &str) {
         .unwrap();
     writeln!(section, "    \"warm_setup_us_total\": {warm_setup_us},").unwrap();
     writeln!(section, "    \"warm_dataflow_us_total\": {warm_dataflow_us},").unwrap();
-    writeln!(section, "    \"warm_insecurebank_setup_us\": {},", warm_bank.0).unwrap();
-    writeln!(section, "    \"warm_insecurebank_dataflow_us\": {},", warm_bank.1).unwrap();
+    writeln!(section, "    \"warm_insecurebank_setup_us\": {},", warm_bank.setup_us).unwrap();
+    writeln!(section, "    \"warm_insecurebank_dataflow_us\": {},", warm_bank.dataflow_us)
+        .unwrap();
+    writeln!(section, "    \"warm_insecurebank_prepared_hit\": {warm_bank_prepared_hit},")
+        .unwrap();
+    writeln!(section, "    \"warm_insecurebank_callgraph_hit\": {warm_bank_cg_hit},").unwrap();
     writeln!(
         section,
-        "    \"warm_setup_below_dataflow\": {},",
-        warm_bank.0 <= warm_bank.1
+        "    \"cold_insecurebank_bodies_materialized\": {},",
+        cold_bank.bodies_materialized
+    )
+    .unwrap();
+    writeln!(
+        section,
+        "    \"warm_insecurebank_bodies_materialized\": {},",
+        warm_bank.bodies_materialized
     )
     .unwrap();
     writeln!(section, "    \"bodies_materialized_total\": {bodies_materialized},").unwrap();
@@ -634,11 +657,16 @@ fn run_service(out_path: &str) {
         eprintln!("FAIL: the daemon's lazy frontend decoded every method body");
         std::process::exit(1);
     }
-    if warm_bank.0 > warm_bank.1 {
+    if !(warm_bank_prepared_hit && warm_bank_cg_hit && warm_bank_no_extra_bodies) {
         eprintln!(
-            "FAIL: warm insecurebank job spent more time in setup ({} us) than in the \
-             data-flow solver ({} us)",
-            warm_bank.0, warm_bank.1
+            "FAIL: warm insecurebank setup skipped too little: prepare_us {} (want 0), \
+             callgraph cache {} hit(s) / {} miss(es) (want 1 / 0), {} bodies materialized \
+             (cold job: {})",
+            warm_bank.prepare_us,
+            warm_bank.callgraph_cache_hits,
+            warm_bank.callgraph_cache_misses,
+            warm_bank.bodies_materialized,
+            cold_bank.bodies_materialized
         );
         std::process::exit(1);
     }
@@ -1150,10 +1178,16 @@ fn run_ground_truth(out_path: &str) {
     let leak_lines =
         |report: &str| -> String { report.lines().skip(1).collect::<Vec<_>>().join("\n") };
     let mut daemon_mismatches = 0usize;
+    // Leaks of the reference run that path reconstruction could not
+    // trace to a source (reported, not gated: DESIGN.md §7 explains the
+    // alias-injection gap behind them).
+    let (mut reference_leaks, mut unattributed_leaks) = (0usize, 0usize);
     for (app, path) in &rpks {
         let (_, result) =
             c.analyze(path.to_str().unwrap(), None, None).expect("external job");
         let local = run_single(&app.job(), &InfoflowConfig::default());
+        reference_leaks += local.leaks;
+        unattributed_leaks += local.unattributed_leaks;
         if result.leaks as usize != app.expected_reported
             || leak_lines(&result.report) != leak_lines(&local.report)
         {
@@ -1222,6 +1256,8 @@ fn run_ground_truth(out_path: &str) {
     writeln!(section, "    \"daemon_apps\": {},", rpks.len()).unwrap();
     writeln!(section, "    \"daemon_mismatches\": {daemon_mismatches},").unwrap();
     writeln!(section, "    \"daemon_external_ok\": {daemon_external_ok},").unwrap();
+    writeln!(section, "    \"reference_leaks\": {reference_leaks},").unwrap();
+    writeln!(section, "    \"unattributed_leaks\": {unattributed_leaks},").unwrap();
     writeln!(section, "    \"policy_denied_works\": {policy_denied_works}").unwrap();
     write!(section, "  }}").unwrap();
 

@@ -73,8 +73,9 @@ fi
 
 # Serving-mode smoke: platform-snapshot round trip, daemon boot from
 # the snapshot, cold->warm cache sharing between jobs, warm
-# callgraph-cache replay with setup strictly below the cold job's,
-# warm setup below dataflow, in-flight cancellation, clean shutdown.
+# callgraph-cache replay with setup strictly below the cold job's, no
+# more bodies decoded warm than cold, in-flight cancellation, clean
+# shutdown.
 echo "== serving-mode smoke"
 scripts/service_smoke.sh
 
