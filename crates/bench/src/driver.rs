@@ -19,7 +19,7 @@ use flowdroid_frontend::manifest::Manifest;
 use flowdroid_core::{SummaryCacheStats, TableStats};
 use std::path::Path;
 use flowdroid_frontend::{parse_jasm, sdex, App};
-use flowdroid_ir::{FxHashMap, Program};
+use flowdroid_ir::{FxHashMap, MethodId, Program};
 use flowdroid_securibench::{cases_in, Group, MicroCase, MICRO_DEFS, MICRO_ENV};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -407,9 +407,34 @@ pub fn full_report(job: &CorpusJob, config: &InfoflowConfig) -> String {
     results.report(&p)
 }
 
+/// The eager program of a SecuriBench-style job (a Micro case or a
+/// [`stress_job`]) and its entry method, ready for [`analyze_micro`];
+/// `None` for Android jobs. Lets a caller measure the taint analysis
+/// apart from loading.
+pub fn micro_program(job: &CorpusJob) -> Option<(Program, MethodId)> {
+    let JobKind::Micro(case) = &job.kind else { return None };
+    let mut p = Program::new();
+    install_platform(&mut p);
+    let rt = ResourceTable::new();
+    parse_jasm(&mut p, &rt, MICRO_ENV).expect("micro env parses");
+    parse_jasm(&mut p, &rt, &case.code).expect("micro case parses");
+    let entry = p.find_method(&case.entry_class, "main").expect("micro entry");
+    Some((p, entry))
+}
+
+/// Runs the taint analysis (callgraph, ICFG and solve) on a program
+/// from [`micro_program`] with the SecuriBench source/sink list.
+pub fn analyze_micro(p: &Program, entry: MethodId, config: &InfoflowConfig) -> InfoflowResults {
+    Infoflow::new(micro_sources(), default_wrapper(), config).run(p, &[entry])
+}
+
 /// Builds `job`'s program from scratch (platform included) and
 /// analyzes it.
 fn analyze_eager(job: &CorpusJob, config: &InfoflowConfig) -> (Program, InfoflowResults) {
+    if let Some((p, entry)) = micro_program(job) {
+        let results = analyze_micro(&p, entry, config);
+        return (p, results);
+    }
     let mut p = Program::new();
     let results = match &job.kind {
         JobKind::Droid(app) => {
@@ -419,14 +444,7 @@ fn analyze_eager(job: &CorpusJob, config: &InfoflowConfig) -> (Program, Infoflow
                 .analyze_app(&mut p, &platform, &loaded, "corpus")
                 .results
         }
-        JobKind::Micro(case) => {
-            install_platform(&mut p);
-            let rt = ResourceTable::new();
-            parse_jasm(&mut p, &rt, MICRO_ENV).expect("micro env parses");
-            parse_jasm(&mut p, &rt, &case.code).expect("micro case parses");
-            let entry = p.find_method(&case.entry_class, "main").expect("micro entry");
-            Infoflow::new(micro_sources(), default_wrapper(), config).run(&p, &[entry])
-        }
+        JobKind::Micro(_) => unreachable!("handled by micro_program"),
         JobKind::External { manifest, layouts, code } => {
             let platform = install_platform(&mut p);
             let refs: Vec<(&str, &str)> =

@@ -5,8 +5,8 @@
 //! `u32`s handed out in first-encounter order. Hash-map-of-hash-set
 //! chains waste both space (an `FxHashSet` per `(node, d2)` pair) and
 //! time (hash + probe per membership test) on what is really "a few
-//! small integers per row". This crate provides the three containers
-//! that replace them:
+//! small integers per row". This crate provides the two sets that
+//! replace them:
 //!
 //! * [`BitSet<T>`] — a growable word-array set; one bit per id.
 //! * [`HybridBitSet<T>`] — stays an inline sorted array while the set
@@ -14,12 +14,14 @@
 //!   promotes to a dense [`BitSet`] on overflow. Most IFDS rows hold a
 //!   handful of facts; the hybrid makes those rows allocation-free
 //!   while keeping dense rows O(1) per membership test.
-//! * [`SparseBitMatrix<R, C>`] — rows allocated on first touch, each a
-//!   `HybridBitSet<C>`; the shape of "per-statement fact relations"
-//!   where most statements are never reached.
 //!
-//! All containers iterate in ascending index order, so iteration order
-//! is a pure function of set contents — a property the deterministic
+//! The per-statement path-edge relation built from them lives next to
+//! the tabulator (`flowdroid_ifds::factset::SlotRel`): it keeps a lone
+//! `d1` inline in an 8-byte slot and spills to a [`HybridBitSet`] only
+//! on the second.
+//!
+//! Both sets iterate in ascending index order, so iteration order is a
+//! pure function of set contents — a property the deterministic
 //! solvers above rely on.
 
 /// A type usable as a dense index: convertible to and from `usize`.
@@ -311,66 +313,6 @@ impl<T: Idx> Iterator for HybridIter<'_, T> {
     }
 }
 
-/// A relation `R × C` stored as on-demand rows of [`HybridBitSet<C>`].
-///
-/// Rows that are never touched cost one `None` slot; touched rows cost
-/// an inline hybrid set until they grow past [`SPARSE_MAX`]. This is
-/// the backing store for per-row fact relations where the row domain
-/// (e.g. interned fact ids at one statement) is dense but mostly
-/// unused.
-#[derive(Clone, Debug)]
-pub struct SparseBitMatrix<R: Idx, C: Idx> {
-    rows: Vec<Option<HybridBitSet<C>>>,
-    marker: std::marker::PhantomData<R>,
-}
-
-impl<R: Idx, C: Idx> Default for SparseBitMatrix<R, C> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<R: Idx, C: Idx> SparseBitMatrix<R, C> {
-    /// An empty matrix.
-    pub fn new() -> SparseBitMatrix<R, C> {
-        SparseBitMatrix { rows: Vec::new(), marker: std::marker::PhantomData }
-    }
-
-    /// Inserts `(r, c)`; returns `true` if it was not already present.
-    pub fn insert(&mut self, r: R, c: C) -> bool {
-        let ri = r.index();
-        if ri >= self.rows.len() {
-            self.rows.resize_with(ri + 1, || None);
-        }
-        self.rows[ri].get_or_insert_with(HybridBitSet::new).insert(c)
-    }
-
-    /// Whether `(r, c)` is in the relation.
-    pub fn contains(&self, r: R, c: C) -> bool {
-        self.row(r).is_some_and(|row| row.contains(c))
-    }
-
-    /// The row for `r`, if it was ever touched.
-    pub fn row(&self, r: R) -> Option<&HybridBitSet<C>> {
-        self.rows.get(r.index()).and_then(|row| row.as_ref())
-    }
-
-    /// Row indices that were touched (possibly empty rows included),
-    /// ascending.
-    pub fn rows(&self) -> impl Iterator<Item = R> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, row)| row.is_some())
-            .map(|(i, _)| R::from_index(i))
-    }
-
-    /// Number of touched rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,20 +383,5 @@ mod tests {
         sorted.sort_unstable();
         assert!(s.is_dense());
         assert_eq!(s.iter().collect::<Vec<_>>(), sorted);
-    }
-
-    #[test]
-    fn matrix_rows_on_demand() {
-        let mut m: SparseBitMatrix<usize, u32> = SparseBitMatrix::new();
-        assert!(m.insert(5, 10));
-        assert!(m.insert(5, 2));
-        assert!(!m.insert(5, 10));
-        assert!(m.insert(0, 1));
-        assert!(m.contains(5, 2));
-        assert!(!m.contains(4, 2));
-        assert!(m.row(3).is_none());
-        assert_eq!(m.row(5).unwrap().iter().collect::<Vec<_>>(), vec![2, 10]);
-        assert_eq!(m.rows().collect::<Vec<_>>(), vec![0, 5]);
-        assert_eq!(m.row_count(), 2);
     }
 }

@@ -1,11 +1,12 @@
 //! Property tests for the bitset structures against a `BTreeSet`
 //! model: whatever operation sequence is thrown at them, a
 //! [`HybridBitSet`] must behave exactly like a set of integers across
-//! its sparse→dense promotion, and a [`SparseBitMatrix`] exactly like a
-//! map of row sets. These are the invariants the IFDS tabulators'
-//! correctness rides on when fact sets switch representation.
+//! its sparse→dense promotion. This is the invariant the IFDS
+//! tabulators' correctness rides on when fact sets switch
+//! representation (the path-edge relation built on it is modelled in
+//! `crates/ifds/tests/factset_props.rs`).
 
-use flowdroid_bitset::{BitSet, HybridBitSet, SparseBitMatrix, SPARSE_MAX};
+use flowdroid_bitset::{BitSet, HybridBitSet, SPARSE_MAX};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -100,36 +101,5 @@ proptest! {
         let got: Vec<u32> = h.iter().collect();
         let want: Vec<u32> = model.iter().copied().collect();
         prop_assert_eq!(got, want);
-    }
-
-    /// A matrix row holds exactly the columns inserted under that row:
-    /// rows never bleed into each other, and row iteration matches the
-    /// per-row model.
-    #[test]
-    fn matrix_rows_match_model(
-        pairs in proptest::collection::vec((0u32..12, elem()), 0..60),
-    ) {
-        let mut m: SparseBitMatrix<u32, u32> = SparseBitMatrix::new();
-        let mut model: std::collections::BTreeMap<u32, BTreeSet<u32>> = Default::default();
-        for (r, c) in &pairs {
-            prop_assert_eq!(
-                m.insert(*r, *c),
-                model.entry(*r).or_default().insert(*c),
-                "insert({}, {}) novelty", r, c
-            );
-        }
-        let rows: Vec<u32> = m.rows().collect();
-        let want_rows: Vec<u32> = model.keys().copied().collect();
-        prop_assert_eq!(rows, want_rows);
-        for (r, cols) in &model {
-            let got: Vec<u32> = m.row(*r).expect("touched row").iter().collect();
-            let want: Vec<u32> = cols.iter().copied().collect();
-            prop_assert_eq!(got, want, "row {}", r);
-            for c in cols {
-                prop_assert!(m.contains(*r, *c));
-            }
-        }
-        // Untouched rows read as absent.
-        prop_assert!(!m.contains(100, 0));
     }
 }

@@ -1,14 +1,17 @@
-//! Allocation gate on the sequential solver's edge propagation.
+//! Allocation gates on the sequential solver's edge propagation.
 //!
 //! Solves a `stress/k`-shaped concat chain (`v_i = v_{i-1} + v_{i-1}`,
 //! k = 200: about k²/2 forward propagations, one leak) and counts the
-//! heap allocations made inside `BiSolver::solve` with a counting
-//! global allocator. Propagating an edge must allocate nothing in the
-//! steady state — CFG edges are borrowed, flow outputs land in reused
-//! buffers and provenance lives in one arena — so what remains is
-//! amortized table growth plus result collection, far below one
-//! allocation per ten propagations. The count is deterministic: one
-//! thread, one fixed program.
+//! heap allocations made inside `BiSolver::solve`, and the bytes they
+//! request, with a counting global allocator. Propagating an edge must
+//! allocate nothing in the steady state — CFG edges are borrowed, flow
+//! outputs land in reused buffers and provenance lives in one arena —
+//! so what remains is amortized table growth plus result collection,
+//! far below one allocation per ten propagations. The bytes measure the
+//! tables' layout: a path-edge node costs one 8-byte slot (a lone `d1`
+//! inline), so the chain requests under 48 bytes per propagation, slot
+//! vectors' doubling growth included. Both counts are deterministic:
+//! one thread, one fixed program.
 
 use flowdroid_callgraph::{CallGraph, Icfg};
 use flowdroid_core::solver::BiSolver;
@@ -24,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Counting is on for this thread only, so the test harness's own
@@ -31,9 +35,11 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
-fn note_alloc() {
+/// Counts one allocation (or reallocation) requesting `bytes`.
+fn note_alloc(bytes: usize) {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 }
 
@@ -41,7 +47,7 @@ fn note_alloc() {
 // unchanged; the counter is a side effect that allocates nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -52,13 +58,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -97,6 +103,9 @@ fn chain(k: usize) -> String {
 /// Chain length.
 const K: usize = 200;
 
+/// Bytes `solve` may request per forward propagation on the chain.
+const MAX_BYTES_PER_PROPAGATION: u64 = 48;
+
 #[test]
 fn solve_allocates_under_one_per_ten_propagations() {
     let mut p = Program::new();
@@ -115,16 +124,25 @@ fn solve_allocates_under_one_per_ten_propagations() {
     let results = solver.solve(&[main]);
     COUNTING.with(|c| c.set(false));
     let allocs = ALLOCS.load(Ordering::Relaxed);
+    let bytes = BYTES.load(Ordering::Relaxed);
 
     assert_eq!(results.leak_count(), 1);
     let props = results.forward_propagations;
     let nodes = results.provenance_nodes;
-    eprintln!("{allocs} allocations, {props} forward propagations, {nodes} provenance nodes");
+    eprintln!(
+        "{allocs} allocations requesting {bytes} bytes, {props} forward propagations, \
+         {nodes} provenance nodes"
+    );
     assert!(props > 15_000, "the chain should propagate about k²/2 edges, got {props}");
     assert!(
         allocs * 10 <= props,
         "{allocs} allocations for {props} forward propagations ({:.3} per propagation)",
         allocs as f64 / props as f64
+    );
+    assert!(
+        bytes <= MAX_BYTES_PER_PROPAGATION * props,
+        "{bytes} bytes requested for {props} forward propagations ({:.1} per propagation)",
+        bytes as f64 / props as f64
     );
     // Each local is generated once and then passes the rest of the
     // chain unchanged; those identity flows record no provenance.

@@ -9,18 +9,20 @@
 //! * [`HashSets`] — the original `FxHashMap`/`FxHashSet`/`Vec` nesting.
 //!   Works for any `Clone + Eq + Hash` fact; the only choice for
 //!   whole-struct fact keys.
-//! * [`BitsetSets`] — fact-id-indexed bitset rows
-//!   ([`SparseBitMatrix`]/[`HybridBitSet`] from `flowdroid-bitset`) for
-//!   facts that are dense indices ([`Idx`]), i.e. interned fact ids.
-//!   Small rows live inline with zero heap allocations; hot rows
-//!   promote to dense words with O(1) membership.
+//! * [`BitsetSets`] — fact-id-indexed tables for facts that are dense
+//!   indices ([`Idx`]), i.e. interned fact ids. The path-edge relation
+//!   is a [`SlotRel`]: one 8-byte slot per `d2` that holds a lone `d1`
+//!   inline (almost every IFDS node has exactly one) and spills to a
+//!   [`HybridBitSet`] from `flowdroid-bitset` on the second. Pair sets
+//!   are site-sorted hybrid rows. Small rows cost no heap allocation;
+//!   hot rows promote to dense words with O(1) membership.
 //!
 //! Both representations iterate sets in a deterministic order that is
 //! a pure function of set *contents* (hash iteration is only used where
 //! consumers canonicalize), so swapping one for the other never changes
 //! solver results — the determinism sweeps assert exactly this.
 
-use flowdroid_bitset::{HybridBitSet, Idx, SparseBitMatrix};
+use flowdroid_bitset::{HybridBitSet, Idx};
 use flowdroid_ir::{FxHashMap, FxHashSet, StmtRef};
 use std::hash::Hash;
 
@@ -215,39 +217,128 @@ impl<F: Clone + Eq> PairSet<F> for VecPairs<F> {
 pub struct BitsetSets;
 
 impl<F: Idx> FactSetDomain<F> for BitsetSets {
-    type Rel = SparseBitMatrix<F, F>;
+    type Rel = SlotRel<F>;
     type Pairs = BitPairs<F>;
 }
 
-impl<F: Idx> FactRel<F> for SparseBitMatrix<F, F> {
+/// One `d2`'s entry in a [`SlotRel`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Slot {
+    /// No `d1` recorded.
+    #[default]
+    Empty,
+    /// Exactly one `d1`, stored inline.
+    One(u32),
+    /// Two or more `d1`s: the index of their set in the relation's
+    /// `spilled` arena.
+    Many(u32),
+}
+
+// The whole point of the layout: one node costs 8 bytes.
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
+
+/// An inline slot's [`TableStats`] shape: one sparse row, no words.
+const INLINE: Shape = Some((false, 0));
+
+/// The bitset path-edge relation `d2 → {d1}` of one statement: a slot
+/// per fact id up to the highest `d2` seen, each at most 8 bytes.
+///
+/// Nearly every `(statement, d2)` node is reached from exactly one
+/// `d1`, so a slot holds that `d1` inline; the second distinct `d1`
+/// spills the row to a [`HybridBitSet`] in the relation's own arena.
+/// For [`TableStats`] an inline slot is one sparse row with no words
+/// and a spilled row counts by its hybrid set's shape, so the counts
+/// equal those of one hybrid set per row.
+#[derive(Clone, Debug)]
+pub struct SlotRel<F: Idx> {
+    slots: Vec<Slot>,
+    spilled: Vec<HybridBitSet<F>>,
+}
+
+impl<F: Idx> Default for SlotRel<F> {
+    fn default() -> Self {
+        SlotRel { slots: Vec::new(), spilled: Vec::new() }
+    }
+}
+
+impl<F: Idx> SlotRel<F> {
+    fn slot(&self, d2: F) -> Slot {
+        self.slots.get(d2.index()).copied().unwrap_or_default()
+    }
+}
+
+impl<F: Idx> FactRel<F> for SlotRel<F> {
     fn insert(&mut self, d2: &F, d1: &F, stats: &mut TableStats) -> bool {
-        let before = shape_of(self.row(*d2));
-        let new = SparseBitMatrix::insert(self, *d2, *d1);
-        if new {
-            stats.reshape(before, shape_of(self.row(*d2)));
+        let i = d2.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::Empty);
         }
-        new
+        let raw = d1.index() as u32;
+        match self.slots[i] {
+            Slot::Empty => {
+                self.slots[i] = Slot::One(raw);
+                stats.add_shape(INLINE);
+                true
+            }
+            Slot::One(only) if only == raw => false,
+            // A two-element hybrid set has the inline shape, so the
+            // spill leaves the stats as they are.
+            Slot::One(only) => {
+                let mut set = HybridBitSet::new();
+                set.insert(F::from_index(only as usize));
+                set.insert(*d1);
+                self.slots[i] = Slot::Many(self.spilled.len() as u32);
+                self.spilled.push(set);
+                true
+            }
+            Slot::Many(k) => {
+                let set = &mut self.spilled[k as usize];
+                let before = shape_of(Some(&*set));
+                let new = set.insert(*d1);
+                if new {
+                    stats.reshape(before, shape_of(Some(&*set)));
+                }
+                new
+            }
+        }
     }
 
     fn contains(&self, d2: &F, d1: &F) -> bool {
-        SparseBitMatrix::contains(self, *d2, *d1)
+        match self.slot(*d2) {
+            Slot::Empty => false,
+            Slot::One(only) => only as usize == d1.index(),
+            Slot::Many(k) => self.spilled[k as usize].contains(*d1),
+        }
     }
 
     fn has_key(&self, d2: &F) -> bool {
-        self.row(*d2).is_some_and(|row| !row.is_empty())
+        self.slot(*d2) != Slot::Empty
     }
 
     fn d1s(&self, d2: &F) -> Vec<F> {
-        self.row(*d2).map(|row| row.iter().collect()).unwrap_or_default()
+        match self.slot(*d2) {
+            Slot::Empty => Vec::new(),
+            Slot::One(only) => vec![F::from_index(only as usize)],
+            Slot::Many(k) => self.spilled[k as usize].iter().collect(),
+        }
     }
 
     fn keys(&self) -> Vec<F> {
-        self.rows().collect()
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| **slot != Slot::Empty)
+            .map(|(i, _)| F::from_index(i))
+            .collect()
     }
 
     fn collect_stats(&self, stats: &mut TableStats) {
-        for r in self.rows() {
-            stats.add_shape(shape_of(self.row(r)));
+        for slot in &self.slots {
+            stats.add_shape(match *slot {
+                Slot::Empty => None,
+                Slot::One(_) => INLINE,
+                Slot::Many(k) => shape_of(Some(&self.spilled[k as usize])),
+            });
         }
     }
 }
@@ -339,7 +430,7 @@ mod tests {
     #[test]
     fn rels_agree() {
         let mut hr: FxHashMap<u32, FxHashSet<u32>> = Default::default();
-        let mut br: SparseBitMatrix<u32, u32> = Default::default();
+        let mut br: SlotRel<u32> = Default::default();
         let inserts = [(5u32, 1u32), (5, 2), (5, 1), (0, 0), (9, 1)];
         let mut stats = TableStats::default();
         for (d2, d1) in inserts {
@@ -360,20 +451,31 @@ mod tests {
 
     #[test]
     fn bitset_stats_count_rows() {
-        let mut br: SparseBitMatrix<u32, u32> = Default::default();
+        use flowdroid_bitset::SPARSE_MAX;
+        let mut br: SlotRel<u32> = Default::default();
         let mut counted = TableStats::default();
-        for d1 in 0..20u32 {
-            FactRel::insert(&mut br, &0, &d1, &mut counted);
+        let mut step = |br: &mut SlotRel<u32>, d2: u32, d1: u32| {
+            FactRel::insert(br, &d2, &d1, &mut counted);
+            let mut swept = TableStats::default();
+            br.collect_stats(&mut swept);
+            assert_eq!(counted, swept, "after ({d2}, {d1})");
+            (counted.rows, counted.sparse_rows, counted.dense_rows, counted.dense_words)
+        };
+        // Empty → inline: one sparse row with no words.
+        assert_eq!(step(&mut br, 5, 40), (1, 1, 0, 0));
+        // Inline → spilled: still one sparse row.
+        assert_eq!(step(&mut br, 5, 3), (1, 1, 0, 0));
+        // A second row stays inline beside the spilled one.
+        assert_eq!(step(&mut br, 1, 0), (2, 2, 0, 0));
+        for d1 in 10..10 + SPARSE_MAX as u32 - 2 {
+            step(&mut br, 5, d1);
         }
-        FactRel::insert(&mut br, &1, &1, &mut counted);
-        let mut stats = TableStats::default();
-        br.collect_stats(&mut stats);
-        assert_eq!(counted, stats);
-        assert_eq!(stats.rows, 2);
-        assert_eq!(stats.dense_rows, 1);
-        assert_eq!(stats.sparse_rows, 1);
-        assert!(stats.dense_words > 0);
-        assert!(stats.any());
+        // Spilled → dense past SPARSE_MAX ids, one word per 64 ids.
+        assert_eq!(step(&mut br, 5, 100), (2, 1, 1, 2));
+        // A dense row widens with a larger id.
+        assert_eq!(step(&mut br, 5, 250), (2, 1, 1, 4));
+        assert_eq!(br.d1s(&5).len(), SPARSE_MAX + 2);
+        assert!(counted.any());
 
         let hr: FxHashMap<u32, FxHashSet<u32>> = Default::default();
         let mut hstats = TableStats::default();

@@ -321,8 +321,9 @@ mod tests {
     }
 
     /// The counts kept as the tables grow equal a sweep over every row,
-    /// through row creation, promotion past the sparse bound and dense
-    /// rows widening to more words.
+    /// through row creation, an inline `d1` spilling when a second one
+    /// arrives, promotion past the sparse bound and dense rows widening
+    /// to more words.
     #[test]
     fn incremental_table_stats_match_a_sweep() {
         let m = MethodId::from_index(1);
@@ -332,10 +333,21 @@ mod tests {
                 t.propagate(d1 * 37, sr(d2 as usize % 3), d2);
                 t.propagate(d1, sr(d2 as usize % 3), d2);
             }
+            // A node with one inline d1 at a fourth statement...
+            t.propagate(d2, sr(3), 100 + d2);
             t.add_incoming(m, d2 % 2, sr(5), d2 * 70);
             t.install_summary(m, d2 % 4, sr(7 + d2 as usize % 2), d2 * 3);
             assert_eq!(t.table_stats(), t.swept_stats(), "after d2 = {d2}");
         }
+        let inline_only = t.table_stats();
+        // ...gains a second d1 on every other node: each spills and
+        // stays one sparse row.
+        for d2 in (0..12u32).step_by(2) {
+            assert!(t.propagate(d2 + 1, sr(3), 100 + d2));
+            assert_eq!(t.d1s_at(sr(3), &(100 + d2)), vec![d2, d2 + 1]);
+            assert_eq!(t.table_stats(), t.swept_stats(), "after spilling d2 = {}", 100 + d2);
+        }
+        assert_eq!(t.table_stats(), inline_only);
         let stats = t.table_stats();
         assert!(stats.dense_rows > 0 && stats.sparse_rows > 0);
         assert!(stats.dense_words > stats.dense_rows, "some dense row widened");

@@ -4,12 +4,20 @@
 //! time), the demand-driven frontend and the summary cache's cold and
 //! warm passes.
 //!
-//! Heap allocations are counted with a wrapping global allocator; each
-//! mode row also gives `allocations_per_propagation`, the run's
-//! allocations over its forward plus backward propagations. Leak
-//! reports are compared byte-for-byte across every mode against
-//! `sequential-interned`; the binary exits non-zero if any run
-//! diverges.
+//! Heap allocations are counted with a wrapping global allocator, as a
+//! count and as the bytes they request (`alloc` size plus `realloc`
+//! new size); each mode row gives `allocations`, `allocated_bytes` and
+//! `allocations_per_propagation`, the run's allocations over its
+//! forward plus backward propagations. Leak reports are compared
+//! byte-for-byte across every mode against `sequential-interned`; the
+//! binary exits non-zero if any run diverges.
+//!
+//! The `ladder` section solves `stress/k` chains of growing `k` on
+//! their own, counting allocations inside the taint analysis only, and
+//! reports each rung's propagations, table rows, allocations, bytes,
+//! `dataflow_ms` and propagations per second. The binary exits non-zero
+//! if a rung requests more than 48 bytes per propagation; its timings
+//! are reported, not gated.
 //!
 //! The `demand-lazy` mode runs the corpus through the demand-driven
 //! frontend (platform snapshot clone + lazy method bodies); its report
@@ -66,7 +74,10 @@
 //! [output.json]` (default mode `full`, default output
 //! `BENCH_solver.json`).
 
-use flowdroid_bench::driver::{corpus_report, full_corpus, run_corpus, CorpusJob, CorpusRun};
+use flowdroid_bench::driver::{
+    analyze_micro, corpus_report, full_corpus, micro_program, run_corpus, stress_job, CorpusJob,
+    CorpusRun,
+};
 use flowdroid_core::{InfoflowConfig, SummaryCacheStats, TableStats};
 use flowdroid_service::{Client, Daemon, DaemonOptions, JobResult, Listen};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,15 +85,33 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation (and reallocation) made through the global
-/// allocator. `Relaxed` is fine: the counter is read only between
-/// runs, after all worker threads have joined.
+/// allocator and the bytes each requests. `Relaxed` is fine: the
+/// counters are read only between runs, after all worker threads have
+/// joined.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn note_alloc(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+/// Zeroes the allocation counters.
+fn reset_alloc_counters() {
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    ALLOCATED_BYTES.store(0, Ordering::Relaxed);
+}
+
+/// Allocations and bytes requested since the last reset.
+fn alloc_counters() -> (u64, u64) {
+    (ALLOCATIONS.load(Ordering::Relaxed), ALLOCATED_BYTES.load(Ordering::Relaxed))
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_alloc(layout.size());
         System.alloc(layout)
     }
 
@@ -91,7 +120,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -112,6 +141,7 @@ struct ModeStats {
     bodies_skipped: u64,
     leaks: usize,
     allocations: u64,
+    allocated_bytes: u64,
     distinct_facts: usize,
     distinct_aps: usize,
     provenance_nodes: usize,
@@ -130,9 +160,9 @@ fn measure(
     config: &InfoflowConfig,
     threads: usize,
 ) -> ModeStats {
-    ALLOCATIONS.store(0, Ordering::Relaxed);
+    reset_alloc_counters();
     let run: CorpusRun = run_corpus(jobs, config, threads);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+    let (allocations, allocated_bytes) = alloc_counters();
     let (fw, bw) = run.total_propagations();
     let (materialized, skipped) = run.total_bodies();
     let app_time = run.total_app_time();
@@ -150,6 +180,7 @@ fn measure(
         bodies_skipped: skipped,
         leaks: run.total_leaks(),
         allocations,
+        allocated_bytes,
         distinct_facts: run.total_distinct_facts(),
         distinct_aps: run.total_distinct_aps(),
         provenance_nodes: run.total_provenance_nodes(),
@@ -157,6 +188,78 @@ fn measure(
         summary_cache: run.summary_cache_totals(),
         report: corpus_report(&run),
     }
+}
+
+/// The scaling ladder's chain lengths. `stress/2000` (about 2 s of
+/// dataflow) stays out to keep the run short.
+const LADDER: [usize; 2] = [250, 1000];
+
+/// Bytes a ladder rung's solve may request per propagation.
+const LADDER_MAX_BYTES_PER_PROPAGATION: f64 = 48.0;
+
+/// One rung of the scaling ladder: a `stress/k` chain solved on its
+/// own, with allocations counted inside the taint analysis only
+/// (callgraph, ICFG and solve; loading the program is not counted).
+struct Rung {
+    job: String,
+    forward_propagations: u64,
+    backward_propagations: u64,
+    table_rows: u64,
+    leaks: usize,
+    solve_allocations: u64,
+    solve_allocated_bytes: u64,
+    dataflow_ms: f64,
+}
+
+impl Rung {
+    fn propagations(&self) -> u64 {
+        self.forward_propagations + self.backward_propagations
+    }
+
+    fn bytes_per_propagation(&self) -> f64 {
+        self.solve_allocated_bytes as f64 / self.propagations().max(1) as f64
+    }
+}
+
+fn measure_rung(k: usize, config: &InfoflowConfig) -> Rung {
+    let job = stress_job(k);
+    let (p, entry) = micro_program(&job).expect("stress jobs are micro cases");
+    reset_alloc_counters();
+    let results = analyze_micro(&p, entry, config);
+    let (solve_allocations, solve_allocated_bytes) = alloc_counters();
+    Rung {
+        job: job.name,
+        forward_propagations: results.forward_propagations,
+        backward_propagations: results.backward_propagations,
+        table_rows: results.fact_tables.map_or(0, |t| t.rows),
+        leaks: results.leak_count(),
+        solve_allocations,
+        solve_allocated_bytes,
+        dataflow_ms: ms(results.duration),
+    }
+}
+
+fn rung_json(r: &Rung) -> String {
+    let secs = r.dataflow_ms / 1e3;
+    format!(
+        concat!(
+            "    {{ \"job\": \"{}\", \"forward_propagations\": {}, ",
+            "\"backward_propagations\": {}, \"table_rows\": {}, \"leaks\": {}, ",
+            "\"solve_allocations\": {}, \"solve_allocated_bytes\": {}, ",
+            "\"bytes_per_propagation\": {:.3}, \"dataflow_ms\": {:.3}, ",
+            "\"propagations_per_s\": {:.0} }}"
+        ),
+        r.job,
+        r.forward_propagations,
+        r.backward_propagations,
+        r.table_rows,
+        r.leaks,
+        r.solve_allocations,
+        r.solve_allocated_bytes,
+        r.bytes_per_propagation(),
+        r.dataflow_ms,
+        if secs > 0.0 { r.propagations() as f64 / secs } else { 0.0 }
+    )
 }
 
 fn summary_cache_json(s: &Option<SummaryCacheStats>) -> String {
@@ -201,6 +304,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "      \"bodies_skipped\": {},\n",
             "      \"leaks\": {},\n",
             "      \"allocations\": {},\n",
+            "      \"allocated_bytes\": {},\n",
             "      \"allocations_per_propagation\": {:.3},\n",
             "      \"distinct_facts\": {},\n",
             "      \"distinct_aps\": {},\n",
@@ -222,6 +326,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.bodies_skipped,
         m.leaks,
         m.allocations,
+        m.allocated_bytes,
         m.allocations as f64 / (m.forward_propagations + m.backward_propagations).max(1) as f64,
         m.distinct_facts,
         m.distinct_aps,
@@ -325,6 +430,14 @@ fn run_full(out_path: &str) {
     modes.push(measure("cache-warm", &jobs, &cached, 1));
     let _ = std::fs::remove_dir_all(&cache_dir);
 
+    let ladder: Vec<Rung> = LADDER
+        .iter()
+        .map(|&k| {
+            eprintln!("running ladder rung stress/{k} ...");
+            measure_rung(k, &interned)
+        })
+        .collect();
+
     let baseline_report = modes[0].report.clone();
     let reports_identical = modes.iter().all(|m| m.report == baseline_report);
 
@@ -397,7 +510,13 @@ fn run_full(out_path: &str) {
         .unwrap();
     }
     writeln!(json, "    \"reports_identical\": {reports_identical}").unwrap();
-    writeln!(json, "  }}").unwrap();
+    writeln!(json, "  }},").unwrap();
+    writeln!(json, "  \"ladder\": [").unwrap();
+    for (i, r) in ladder.iter().enumerate() {
+        let sep = if i + 1 < ladder.len() { "," } else { "" };
+        writeln!(json, "{}{sep}", rung_json(r)).unwrap();
+    }
+    writeln!(json, "  ]").unwrap();
     writeln!(json, "}}").unwrap();
 
     std::fs::write(&out_path, &json).expect("write BENCH_solver.json");
@@ -417,6 +536,19 @@ fn run_full(out_path: &str) {
             "FAIL: warm pass saved no path edges (cold {cold_edges}, warm {warm_edges})"
         );
         std::process::exit(1);
+    }
+    for r in &ladder {
+        if r.bytes_per_propagation() > LADDER_MAX_BYTES_PER_PROPAGATION {
+            eprintln!(
+                "FAIL: ladder rung {} requested {} bytes for {} propagations \
+                 ({:.1} per propagation, bound {LADDER_MAX_BYTES_PER_PROPAGATION})",
+                r.job,
+                r.solve_allocated_bytes,
+                r.propagations(),
+                r.bytes_per_propagation()
+            );
+            std::process::exit(1);
+        }
     }
     if lazy.bodies_skipped == 0 {
         eprintln!(
@@ -943,9 +1075,11 @@ fn run_service_load(out_path: &str) {
         canceller.cancel(*id).expect("cancel");
     }
     let t0 = Instant::now();
+    let mut storm_cancelled = 0u64;
     for (_, mut c) in pending {
         let line = c.read_response().expect("result line");
-        JobResult::from_json(&line).expect("well-formed result");
+        let r = JobResult::from_json(&line).expect("well-formed result");
+        storm_cancelled += u64::from(r.abort_reason.as_deref() == Some("cancelled"));
     }
     let storm_drain_ms = t0.elapsed().as_secs_f64() * 1e3;
     let s_stats = canceller.stats().expect("stats");
@@ -956,7 +1090,8 @@ fn run_service_load(out_path: &str) {
     stop(&addr, h);
     eprintln!(
         "service-load: storm drained in {storm_drain_ms:.0} ms \
-         ({storm_completed} done, {storm_cancel_requests} cancel requests)"
+         ({storm_completed} done, {storm_cancelled} cancelled, \
+         {storm_cancel_requests} cancel requests)"
     );
 
     // ---- Phase S: streaming identity across the corpus ----
@@ -1041,7 +1176,7 @@ fn run_service_load(out_path: &str) {
     writeln!(section, "    }},").unwrap();
     writeln!(section, "    \"cancel_storm\": {{").unwrap();
     writeln!(section, "      \"jobs\": 10,").unwrap();
-    writeln!(section, "      \"cancelled\": 8,").unwrap();
+    writeln!(section, "      \"cancelled\": {storm_cancelled},").unwrap();
     writeln!(section, "      \"completed\": {storm_completed},").unwrap();
     writeln!(section, "      \"cancel_requests\": {storm_cancel_requests},").unwrap();
     writeln!(section, "      \"queue_depth_after\": {storm_queue_depth},").unwrap();

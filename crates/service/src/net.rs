@@ -41,6 +41,11 @@ impl std::fmt::Display for Listen {
 }
 
 /// One accepted (or dialed) connection.
+///
+/// TCP connections have Nagle's algorithm turned off: a message is
+/// written as its line and then its newline, and on a reused
+/// connection Nagle would hold that newline until the peer's delayed
+/// ACK, stalling each request–reply by tens of milliseconds.
 pub trait Conn: Read + Write + Send {}
 impl<T: Read + Write + Send> Conn for T {}
 
@@ -88,6 +93,7 @@ impl Listener {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
                 Ok(Box::new(s))
             }
             #[cfg(unix)]
@@ -111,7 +117,11 @@ impl Drop for Listener {
 /// Dials the address.
 pub fn connect(listen: &Listen) -> io::Result<Box<dyn Conn>> {
     match listen {
-        Listen::Tcp(addr) => TcpStream::connect(addr.as_str()).map(|s| Box::new(s) as _),
+        Listen::Tcp(addr) => {
+            let s = TcpStream::connect(addr.as_str())?;
+            s.set_nodelay(true)?;
+            Ok(Box::new(s))
+        }
         #[cfg(unix)]
         Listen::Unix(path) => UnixStream::connect(path).map(|s| Box::new(s) as _),
         #[cfg(not(unix))]

@@ -41,32 +41,44 @@ cargo run --release -p flowdroid-service --bin solver_stats -- BENCH_solver.json
 echo "== BENCH_solver.json comparison block"
 sed -n '/"comparison"/,$p' BENCH_solver.json
 
-# Allocation/latency regression gate: the default sequential corpus
-# sweep must not allocate more than ~5% over the committed baseline,
-# and dataflow time must stay within 1.5x (generous — wall time on the
-# shared single-core runner is noisy; allocations are deterministic).
+# Allocation regression gate: the default sequential corpus sweep must
+# not allocate more than 5% over the committed baseline, counted both
+# as allocations and as bytes requested. Both counts are deterministic
+# (one thread, fixed corpus), so the gate does not flake with the host.
+# dataflow_ms is printed for the record but not gated: a single-shot
+# timing against a number recorded on another host is noise;
+# perfbench owns repeated, host-scaled timing. A baseline that predates
+# the allocated_bytes field skips the byte gate.
 mode_field() { # <file> <mode> <field>
     awk -v mode="\"$2\"," -v field="\"$3\":" '
         $1 == "\"mode\":" { in_mode = ($2 == mode) }
         in_mode && $1 == field { gsub(/,/, "", $2); print $2; exit }
     ' "$1"
 }
+within_5pct() { # <new> <base>
+    awk -v new="$1" -v base="$2" 'BEGIN { exit !(new <= base * 1.05) }'
+}
 echo "== regression gate vs committed BENCH_solver.json"
 base_allocs=$(mode_field BENCH_solver.baseline.json sequential-interned allocations)
-base_dataflow=$(mode_field BENCH_solver.baseline.json sequential-interned dataflow_ms)
+base_bytes=$(mode_field BENCH_solver.baseline.json sequential-interned allocated_bytes)
 rm -f BENCH_solver.baseline.json
-if [[ -z "${base_allocs}" || -z "${base_dataflow}" ]]; then
+new_allocs=$(mode_field BENCH_solver.json sequential-interned allocations)
+new_bytes=$(mode_field BENCH_solver.json sequential-interned allocated_bytes)
+new_dataflow=$(mode_field BENCH_solver.json sequential-interned dataflow_ms)
+echo "allocations: ${new_allocs} (baseline ${base_allocs:-none})," \
+    "allocated_bytes: ${new_bytes} (baseline ${base_bytes:-none})," \
+    "dataflow_ms: ${new_dataflow} (not gated)"
+if [[ -z "${base_allocs}" ]]; then
     echo "no committed sequential-interned baseline; skipping regression gate"
 else
-    new_allocs=$(mode_field BENCH_solver.json sequential-interned allocations)
-    new_dataflow=$(mode_field BENCH_solver.json sequential-interned dataflow_ms)
-    echo "allocations: ${new_allocs} (baseline ${base_allocs}), dataflow_ms: ${new_dataflow} (baseline ${base_dataflow})"
-    if ! awk -v new="$new_allocs" -v base="$base_allocs" 'BEGIN { exit !(new <= base * 1.05) }'; then
+    if ! within_5pct "$new_allocs" "$base_allocs"; then
         echo "FAIL: corpus allocations regressed beyond 5% of the committed baseline" >&2
         exit 1
     fi
-    if ! awk -v new="$new_dataflow" -v base="$base_dataflow" 'BEGIN { exit !(new <= base * 1.5) }'; then
-        echo "FAIL: corpus dataflow time regressed beyond 1.5x the committed baseline" >&2
+    if [[ -z "${base_bytes}" ]]; then
+        echo "committed baseline has no allocated_bytes; skipping the byte gate"
+    elif ! within_5pct "$new_bytes" "$base_bytes"; then
+        echo "FAIL: corpus allocated bytes regressed beyond 5% of the committed baseline" >&2
         exit 1
     fi
 fi
