@@ -8,8 +8,8 @@
 //! daemon can decode it once (or build it once) and hand each job a
 //! cheap clone.
 //!
-//! Layout (all integers little-endian, following the `summaries.fdss`
-//! wire-format discipline):
+//! Layout (all integers little-endian; a `str` is a u32 byte length
+//! followed by UTF-8 bytes):
 //!
 //! ```text
 //! magic        4 bytes   "FDPS"
@@ -110,8 +110,8 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit hash (same guard as the summary store: truncation and
-/// bit rot, not adversaries).
+/// FNV-1a 64-bit hash of the payload: guards against truncation and bit
+/// rot, not adversaries.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

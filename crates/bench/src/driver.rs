@@ -16,8 +16,7 @@ use flowdroid_core::{
 use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
 use flowdroid_frontend::layout::{Layout, ResourceTable};
 use flowdroid_frontend::manifest::Manifest;
-use flowdroid_core::{SummaryCacheStats, TableStats};
-use std::path::Path;
+use flowdroid_core::TableStats;
 use flowdroid_frontend::{parse_jasm, sdex, App};
 use flowdroid_ir::{FxHashMap, MethodId, Program};
 use flowdroid_securibench::{cases_in, Group, MicroCase, MICRO_DEFS, MICRO_ENV};
@@ -221,10 +220,9 @@ enum Prepared {
 
 /// A job ready to run: its name, its `Prepared` form and its
 /// fingerprint, FNV-1a 64 over the platform snapshot checksum and the
-/// SDEX bytes. The same transitive-hash discipline as the summary store
-/// — repeat jobs replay a cached callgraph only when both the app bytes
-/// and the platform they were computed against are unchanged. Built by
-/// [`prepare`], run (any number of times) by [`run_prepared`].
+/// SDEX bytes. Repeat jobs replay a cached callgraph only when both the
+/// app bytes and the platform they were computed against are unchanged.
+/// Built by [`prepare`], run (any number of times) by [`run_prepared`].
 pub struct PreparedJob {
     name: String,
     fingerprint: u64,
@@ -334,8 +332,6 @@ pub struct AppRun {
     /// Tabulation-table density/widening counters (absent when the
     /// tables recorded no row and the interner widened nothing).
     pub fact_tables: Option<TableStats>,
-    /// Summary-cache counters (persistent summary store only).
-    pub summary_cache: Option<SummaryCacheStats>,
     /// Whether the run aborted before the fixpoint (budget, deadline or
     /// cancellation); the report is then a lower bound.
     pub aborted: bool,
@@ -383,7 +379,7 @@ fn leak_report(name: &str, results: &InfoflowResults, p: &Program) -> String {
 }
 
 /// Analyzes one corpus job with `config` (including any configured
-/// abort handle / summary cache) and returns its outcome. This is the
+/// abort handle) and returns its outcome. This is the
 /// unit [`run_corpus`] fans across its threads.
 ///
 /// With `config.lazy_frontend` set the job runs through
@@ -602,7 +598,6 @@ fn finish_run(
         total: start.elapsed(),
         dataflow: results.duration,
         fact_tables: results.fact_tables,
-        summary_cache: results.summary_cache.clone(),
         aborted: results.aborted,
         abort_reason: results.abort_reason,
         bodies_materialized,
@@ -678,26 +673,6 @@ impl CorpusRun {
         }
         total
     }
-
-    /// Summary-cache counters summed across the corpus (`None` when no
-    /// app ran with a persistent summary store). `store_methods` takes
-    /// the maximum rather than the sum — every app sees the same
-    /// store — and the first load error encountered is kept.
-    pub fn summary_cache_totals(&self) -> Option<SummaryCacheStats> {
-        let mut total: Option<SummaryCacheStats> = None;
-        for s in self.apps.iter().filter_map(|a| a.summary_cache.as_ref()) {
-            let t = total.get_or_insert_with(SummaryCacheStats::default);
-            t.hits += s.hits;
-            t.misses += s.misses;
-            t.stale += s.stale;
-            t.recorded += s.recorded;
-            t.store_methods = t.store_methods.max(s.store_methods);
-            if t.load_error.is_none() {
-                t.load_error = s.load_error.clone();
-            }
-        }
-        total
-    }
 }
 
 /// Analyzes every job of `jobs` with `config`, fanning apps across
@@ -733,27 +708,6 @@ pub fn run_corpus(jobs: &[CorpusJob], config: &InfoflowConfig, threads: usize) -
 /// byte-for-byte identical across thread counts and repeat runs.
 pub fn corpus_report(run: &CorpusRun) -> String {
     run.apps.iter().map(|a| a.report.as_str()).collect()
-}
-
-/// Runs the corpus twice against the persistent summary store in
-/// `cache_dir`: a *cold* pass that computes (and then flushes) every
-/// end summary, followed by a *warm* pass that replays them. The cold
-/// pass consumes nothing from the store it is populating (the store's
-/// visible/fresh split guarantees this), so its leak report is
-/// bit-identical to an uncached run; the warm pass must reproduce the
-/// same report while skipping the tabulation work the cache covers.
-pub fn run_corpus_cold_warm(
-    jobs: &[CorpusJob],
-    config: &InfoflowConfig,
-    threads: usize,
-    cache_dir: &Path,
-) -> (CorpusRun, CorpusRun) {
-    let mut config = config.clone();
-    config.summary_cache = Some(cache_dir.to_path_buf());
-    let cold = run_corpus(jobs, &config, threads);
-    flowdroid_core::flush_summary_cache(cache_dir).expect("flush summary cache");
-    let warm = run_corpus(jobs, &config, threads);
-    (cold, warm)
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! works on a private clone of the platform snapshot, so an abort —
 //! however it lands relative to body materialization — must leave the
 //! shared snapshot byte-identical, and a follow-up clean run over the
-//! same snapshot must match an eager run exactly.
+//! same snapshot must match an eager run exactly. A clean run of a
+//! synthetic stress chain pins its single leak.
 
 use flowdroid_android::encode_snapshot;
 use flowdroid_bench::{find_job, run_single, run_single_lazy, shared_platform_snapshot};
@@ -45,4 +46,12 @@ fn aborted_lazy_job_leaves_shared_snapshot_untouched() {
     assert!(!clean.aborted);
     assert_eq!(clean.report, eager.report, "post-abort lazy run diverged from eager");
     assert_eq!(encode_snapshot(snapshot), before, "clean lazy job mutated the snapshot");
+}
+
+#[test]
+fn stress_chain_has_exactly_one_leak() {
+    let job = find_job("stress/50").expect("stress jobs resolve by name");
+    let run = run_single(&job, &InfoflowConfig::default());
+    assert!(!run.aborted);
+    assert_eq!(run.leaks, 1, "the synthetic chain leaks its source once");
 }

@@ -66,10 +66,10 @@ impl AccessPath {
         Self::make(base, &fields, &[], false, max_len)
     }
 
-    /// Reconstructs a path from serialized parts, preserving a
-    /// `truncated` flag even when the fields fit the bound (the
-    /// summary store round-trips paths that were truncated under the
-    /// original bound).
+    /// Builds a path from explicit parts without applying any bound,
+    /// keeping `truncated` as given (tests use it to construct
+    /// over-long paths that [`AccessPath::new`] would cut).
+    #[cfg(test)]
     pub(crate) fn from_raw_parts(
         base: ApBase,
         fields: &[FieldId],
@@ -162,10 +162,8 @@ impl AccessPath {
     /// a field chain longer than the bound is cut to its first
     /// `max_len` fields and marked truncated, so it stands for every
     /// extension of that prefix. Paths within the bound are returned
-    /// unchanged. This is how the interner collapses over-long paths
-    /// (e.g. replayed from a summary store recorded under a larger
-    /// bound) into one widened id, keeping the dense fact universe
-    /// bounded.
+    /// unchanged. This is how the interner collapses any over-long path
+    /// into one widened id, keeping the dense fact universe bounded.
     pub fn widened(&self, max_len: usize) -> AccessPath {
         if self.fields.len() <= max_len {
             return *self;

@@ -9,8 +9,7 @@
 //!
 //! An entry is keyed by app name and validated against a *fingerprint*
 //! (FNV-1a 64 over the platform snapshot checksum and the app's SDEX
-//! bytes, the same transitive-hash discipline as
-//! [`crate::summary_cache`]): a lookup whose fingerprint disagrees with
+//! bytes): a lookup whose fingerprint disagrees with
 //! the stored one drops the stale entry and reports a miss, so editing
 //! an app or swapping the platform snapshot can never replay a setup
 //! computed against different code. Eviction is bounded LRU; the LRU

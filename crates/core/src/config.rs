@@ -4,7 +4,6 @@ use flowdroid_android::CallbackAssociation;
 use flowdroid_callgraph::CgAlgorithm;
 use flowdroid_ifds::AbortHandle;
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,8 +22,6 @@ pub struct ProgressEvent {
     pub backward_propagations: u64,
     /// Method bodies the demand-driven frontend has decoded so far.
     pub bodies_materialized: u64,
-    /// Summary-cache hits so far.
-    pub summary_hits: u64,
     /// Leaks recorded so far (pre-dedup lower bound; the final report
     /// dedups by sink/source).
     pub leaks: u64,
@@ -90,30 +87,15 @@ pub struct InfoflowConfig {
     /// Hard cap on forward path-edge propagations (0 = unlimited);
     /// protects harness runs against pathological inputs.
     pub max_propagations: u64,
-    /// Directory of the persistent end-summary store. When set, the
-    /// taint solver consults the store before tabulating a callee
-    /// (skipping the body when a summary computed under the same
-    /// transitive code fingerprint exists) and records freshly computed
-    /// summaries for the next run. `None` (default) disables caching.
-    /// Staged summaries reach disk only via
-    /// [`crate::flush_summary_cache`].
-    pub summary_cache: Option<PathBuf>,
-    /// Cache namespace inside the summary store. Namespaces key
-    /// disjoint stores in one cache directory, so tenants sharing a
-    /// daemon never observe each other's summaries. `""` (default) is
-    /// the shared default namespace (the historical flat layout).
-    /// Deliberately excluded from the configuration fingerprint —
-    /// isolation comes from separate stores, not separate contexts.
-    pub cache_namespace: String,
     /// Progress sink for streaming partial results; see
     /// [`ProgressSink`]. `None` (default) emits nothing.
     pub progress: Option<ProgressSink>,
     /// Cooperative abort token (wall-clock deadline and/or external
     /// cancel). The taint solver polls it at a bounded interval; when
     /// it trips, the run winds down and returns a partial result marked
-    /// `aborted` with the tripping [`flowdroid_ifds::AbortReason`], and
-    /// never stages summary-cache entries. `None` (default) means the
-    /// run can only abort via `max_propagations`.
+    /// `aborted` with the tripping [`flowdroid_ifds::AbortReason`].
+    /// `None` (default) means the run can only abort via
+    /// `max_propagations`.
     pub abort: Option<AbortHandle>,
     /// Load app code through the demand-driven frontend: SDEX method
     /// bodies are indexed but not decoded at load time, and only the
@@ -136,8 +118,6 @@ impl Default for InfoflowConfig {
             cg_algorithm: CgAlgorithm::Cha,
             callback_association: CallbackAssociation::PerComponent,
             max_propagations: 0,
-            summary_cache: None,
-            cache_namespace: String::new(),
             progress: None,
             abort: None,
             lazy_frontend: false,
@@ -180,18 +160,6 @@ impl InfoflowConfig {
     /// Builder-style setter for callback association.
     pub fn with_callback_association(mut self, a: CallbackAssociation) -> Self {
         self.callback_association = a;
-        self
-    }
-
-    /// Builder-style setter for the persistent summary-cache directory.
-    pub fn with_summary_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.summary_cache = Some(dir.into());
-        self
-    }
-
-    /// Builder-style setter for the summary-cache namespace.
-    pub fn with_cache_namespace(mut self, ns: impl Into<String>) -> Self {
-        self.cache_namespace = ns.into();
         self
     }
 

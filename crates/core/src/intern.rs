@@ -127,9 +127,8 @@ enum FactRepr {
 /// boundary: a fact whose path exceeds `max_ap_len` fields is
 /// **widened** — collapsed onto the id of its truncated (and therefore
 /// covering) `max_ap_len`-prefix. Normal fact construction already
-/// truncates, so widening fires only on paths that bypass it (e.g.
-/// summary-store entries recorded under a larger bound), but it is what
-/// guarantees the dense fact universe stays bounded no matter where
+/// truncates, so widening fires only on paths that bypass it, but it is
+/// what guarantees the dense fact universe stays bounded no matter where
 /// facts come from.
 #[derive(Debug)]
 pub struct Interner {
@@ -314,7 +313,7 @@ mod tests {
         let base = ApBase::Local(Local(7));
         let fid = FieldId::from_index;
         // Build paths longer than the bound by hand (append truncates,
-        // so go through raw parts like the summary store does).
+        // so go through raw parts).
         let long_a = AccessPath::from_raw_parts(base, &[fid(1), fid(2), fid(3)], false);
         let long_b = AccessPath::from_raw_parts(base, &[fid(1), fid(2), fid(9)], false);
         // The canonical widened form: the 2-prefix, marked truncated.

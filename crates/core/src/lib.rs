@@ -39,7 +39,6 @@ pub mod intern;
 pub mod results;
 pub mod solver;
 pub mod sourcesink;
-pub mod summary_cache;
 pub mod taint;
 pub mod wrappers;
 
@@ -53,6 +52,5 @@ pub use intern::{ApId, FactId, Interner};
 pub use flowdroid_ifds::{AbortHandle, AbortReason, TableStats};
 pub use results::{InfoflowResults, Leak};
 pub use sourcesink::{CallRoles, SourceSinkManager, SourceSinkParseError};
-pub use summary_cache::{flush_summary_cache, SummaryCacheStats};
 pub use taint::{Fact, Taint};
 pub use wrappers::TaintWrapper;

@@ -58,16 +58,13 @@ pub struct InfoflowResults {
     /// propagation budget ([`crate::InfoflowConfig::max_propagations`])
     /// ran out, the wall-clock deadline passed, or the job was
     /// cancelled ([`crate::InfoflowConfig::abort`]). The reported leaks
-    /// are then a lower bound and no summaries were staged.
+    /// are then a lower bound.
     pub aborted: bool,
     /// Why the run aborted, when [`InfoflowResults::aborted`] is set.
     pub abort_reason: Option<AbortReason>,
     /// Tabulation-table density and widening counters, present when the
     /// tables recorded at least one row or the interner widened a fact.
     pub fact_tables: Option<flowdroid_ifds::TableStats>,
-    /// Summary-cache counters, present when a persistent summary store
-    /// was configured ([`crate::InfoflowConfig::summary_cache`]).
-    pub summary_cache: Option<crate::summary_cache::SummaryCacheStats>,
     /// `(statement, fact)` nodes with at least one recorded provenance
     /// origin (0 without path tracking). Identity flows record none, so
     /// this tracks the facts a run generates, not its propagations. Not
@@ -128,14 +125,6 @@ impl InfoflowResults {
                 out,
                 "  (fact tables: {} rows, {} sparse / {} dense ({} words), {} widened facts)",
                 ft.rows, ft.sparse_rows, ft.dense_rows, ft.dense_words, ft.widened_facts
-            )
-            .unwrap();
-        }
-        if let Some(sc) = &self.summary_cache {
-            writeln!(
-                out,
-                "  (summary cache: {} hits, {} misses, {} stale; {} stored methods, {} recorded)",
-                sc.hits, sc.misses, sc.stale, sc.store_methods, sc.recorded
             )
             .unwrap();
         }

@@ -46,7 +46,6 @@ use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, 
 use crate::intern::{FactId, Interner};
 use crate::results::{InfoflowResults, Leak};
 use crate::sourcesink::SourceSinkManager;
-use crate::summary_cache::SummaryCacheSession;
 use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
@@ -171,8 +170,6 @@ pub struct BiSolver<'a> {
     gen_source: FxHashMap<(StmtRef, FactId), StmtRef>,
     /// Memoized "call site can transitively reach method" queries.
     reach_cache: ReachCache,
-    /// Persistent end-summary store session, when configured.
-    cache: Option<SummaryCacheSession>,
     /// Why the run aborted; `None` means the fixpoint was reached.
     abort_reason: Option<AbortReason>,
     buf: Buffers,
@@ -187,7 +184,6 @@ impl<'a> BiSolver<'a> {
         config: &'a InfoflowConfig,
     ) -> Self {
         let flows = Flows::new(icfg, sources, wrapper, config);
-        let cache = SummaryCacheSession::open(&flows, sources, wrapper);
         BiSolver {
             flows,
             interner: Interner::with_bound(config.max_access_path_length),
@@ -198,7 +194,6 @@ impl<'a> BiSolver<'a> {
             unprocessed: FxHashSet::default(),
             gen_source: FxHashMap::default(),
             reach_cache: ReachCache::default(),
-            cache,
             abort_reason: None,
             buf: Buffers::default(),
         }
@@ -273,7 +268,6 @@ impl<'a> BiSolver<'a> {
             forward_propagations: self.fw.propagation_count(),
             backward_propagations: self.bw.propagation_count(),
             bodies_materialized: self.program().bodies_materialized(),
-            summary_hits: self.cache.as_ref().map_or(0, |c| c.hits_so_far()),
             leaks: self.leaks.len() as u64,
             new_leak,
         });
@@ -486,27 +480,10 @@ impl<'a> BiSolver<'a> {
             for (d3f, src_mark) in &entries {
                 let d3 = self.key_of(d3f, *d2, d2f);
                 self.fw.add_incoming(callee, d3, n, *d2);
-                let cached = self
-                    .cache
-                    .as_ref()
-                    .and_then(|c| c.lookup(callee, d3f))
-                    .map(<[(StmtRef, Fact)]>::to_vec);
-                if let Some(cached) = cached {
-                    // Persisted summaries replace tabulating the callee
-                    // body: install the exits and link them to this call
-                    // site for provenance (the interior chain is never
-                    // built on a warm hit).
-                    for (exit, exit_f) in cached {
-                        let ek = self.interner.intern_fact(&exit_f);
-                        self.fw.install_summary(callee, d3, exit, ek);
-                        self.record_pred(exit, ek, Some((n, *d2)));
-                    }
-                } else {
-                    for sp in self.flows.icfg.start_points_of(callee) {
-                        self.fw_propagate(d3, sp, d3, Some((n, *d2)));
-                        if let Some(src) = src_mark {
-                            self.mark_source(sp, &d3, *src);
-                        }
+                for sp in self.flows.icfg.start_points_of(callee) {
+                    self.fw_propagate(d3, sp, d3, Some((n, *d2)));
+                    if let Some(src) = src_mark {
+                        self.mark_source(sp, &d3, *src);
                     }
                 }
                 // Apply existing summaries (recorded *after* the
@@ -749,29 +726,6 @@ impl<'a> BiSolver<'a> {
 
     fn collect_results(mut self, duration: std::time::Duration) -> InfoflowResults {
         let program = self.program();
-        let summary_cache = self.cache.as_ref().map(|c| {
-            // Only a completed fixpoint is persisted — partial
-            // summaries from an aborted run would be unsound to replay.
-            if self.abort_reason.is_none() {
-                let resolved = self
-                    .fw
-                    .all_summaries()
-                    .into_iter()
-                    .map(|(m, d1, exits)| {
-                        (
-                            m,
-                            self.interner.resolve_fact(d1),
-                            exits
-                                .iter()
-                                .map(|(e, k)| (*e, self.interner.resolve_fact(*k)))
-                                .collect(),
-                        )
-                    })
-                    .collect();
-                c.record_all(program, resolved);
-            }
-            c.stats()
-        });
         if self.abort_reason.is_some() && self.config().track_paths {
             self.unprocessed = self.unprocessed_nodes();
         }
@@ -814,7 +768,6 @@ impl<'a> BiSolver<'a> {
             aborted: self.abort_reason.is_some(),
             abort_reason: self.abort_reason,
             fact_tables,
-            summary_cache,
             provenance_nodes: self.preds.heads.len(),
         }
     }

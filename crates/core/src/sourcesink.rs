@@ -282,19 +282,6 @@ impl SourceSinkManager {
         out
     }
 
-    /// A stable hash of the configured definitions, independent of map
-    /// iteration order. Part of the summary cache's context hash:
-    /// summaries computed under different source/sink lists must not be
-    /// shared.
-    pub fn fingerprint(&self) -> u64 {
-        let mut entries: Vec<String> =
-            self.roles.iter().map(|(sig, roles)| format!("{sig}:{roles:?}")).collect();
-        entries.sort_unstable();
-        let mut ids: Vec<i64> = self.password_ids.iter().copied().collect();
-        ids.sort_unstable();
-        flowdroid_ir::fxhash64(&(entries, ids))
-    }
-
     /// Number of configured signature entries.
     pub fn len(&self) -> usize {
         self.roles.len()

@@ -197,17 +197,6 @@ impl TaintWrapper {
         }
     }
 
-    /// A stable hash of the configured rules, independent of map
-    /// iteration order (per-signature rule order is preserved — it is
-    /// part of the configuration). Part of the summary cache's context
-    /// hash.
-    pub fn fingerprint(&self) -> u64 {
-        let mut entries: Vec<String> =
-            self.rules.iter().map(|(sig, rules)| format!("{sig}:{rules:?}")).collect();
-        entries.sort_unstable();
-        flowdroid_ir::fxhash64(&entries)
-    }
-
     /// Number of rule signatures.
     pub fn len(&self) -> usize {
         self.rules.len()

@@ -151,18 +151,6 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
             .unwrap_or_default()
     }
 
-    /// Snapshots every end summary as `(callee, entry fact, exits)`
-    /// (used to persist summaries at the fixpoint).
-    pub fn all_summaries(&self) -> Vec<(MethodId, F, Vec<(StmtRef, F)>)> {
-        let mut out = Vec::new();
-        for (m, by_fact) in &self.end_summaries {
-            for (d1, exits) in by_fact {
-                out.push((*m, d1.clone(), exits.to_vec()));
-            }
-        }
-        out
-    }
-
     /// All facts recorded as holding before `n` (ignoring source facts).
     pub fn facts_at(&self, n: StmtRef) -> Vec<F> {
         self.edges.get(&n).map(|rel| rel.keys()).unwrap_or_default()

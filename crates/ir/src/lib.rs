@@ -36,7 +36,6 @@ mod body;
 mod builder;
 mod class;
 pub mod fxhash;
-pub mod hash;
 mod pretty;
 mod program;
 mod stmt;
@@ -46,7 +45,6 @@ mod types;
 pub use body::{Body, Cfg, LocalDecl, StmtIdx, StmtRef};
 pub use fxhash::{fxhash64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use builder::{Label, MethodBuilder};
-pub use hash::body_fingerprint;
 pub use class::{Class, ClassId, Field, FieldId, Method, MethodId, MethodRef, SubSig};
 pub use pretty::ProgramPrinter;
 pub use program::{BodySource, Program, ProgramBase};

@@ -1,8 +1,9 @@
 //! Emits `BENCH_solver.json`: solver performance over the full
 //! DroidBench + SecuriBench corpus for the sequential corpus sweep, the
 //! parallel corpus driver at 1/2/4/8 threads (one app per worker at a
-//! time), the demand-driven frontend and the summary cache's cold and
-//! warm passes.
+//! time; a thread count above the host's available cores is skipped,
+//! since it would only measure oversubscription) and the demand-driven
+//! frontend.
 //!
 //! Heap allocations are counted with a wrapping global allocator, as a
 //! count and as the bytes they request (`alloc` size plus `realloc`
@@ -27,38 +28,35 @@
 //! `--mode service` benchmarks the analysis *daemon* instead: it
 //! saves a `platform.fdps` snapshot, binds an in-process daemon on an
 //! ephemeral port that boots from it, floods it with the whole corpus
-//! twice (cold then warm against one shared summary cache), and
-//! records per-job wall-clock, queue-wait and setup/dataflow split
-//! times as a `"service"` section spliced into the same output file
-//! (the `available_cores` field and the solver-mode sections are
-//! kept). The warm insecurebank job must hit the prepared-job and
-//! callgraph caches and decode no body the cold job did not (its
-//! setup and dataflow timings are reported only), the lazy frontend
-//! must skip at least one method body, and every cold-pass job must
-//! miss the daemon's prepared-job cache while every warm-pass job
-//! hits it (`cold_prepared_misses`, `warm_prepared_hits`), or the
-//! binary exits non-zero.
+//! twice (cold, then warm against the daemon's prepared-job and
+//! callgraph caches), and records per-job wall-clock, queue-wait and
+//! setup/dataflow split times as a `"service"` section spliced into the
+//! same output file (the `available_cores` field and the solver-mode
+//! sections are kept). The warm insecurebank job must hit the
+//! prepared-job and callgraph caches and decode no body the cold job
+//! did not, the lazy frontend must skip at least one method body, and
+//! every cold-pass job must miss the daemon's prepared-job cache while
+//! every warm-pass job hits it (`cold_prepared_misses`,
+//! `warm_prepared_hits`), or the binary exits non-zero. Setup and
+//! dataflow timings, and whether the warm pass's setup came in below
+//! the cold pass's, are reported only: they swing with the host.
 //!
 //! `--mode service-load` drives the daemon the way a fleet does: it
-//! stores two analysis contexts with one daemon, moves the cache
-//! directory and proves that a second daemon replays both from disk
-//! while a foreign cache namespace stays cold, floods a single-worker
-//! daemon with mixed-priority traffic to compare high- vs
-//! batch-priority latency percentiles, overloads a capped queue until
-//! submissions bounce with `rejected` backpressure, runs a cancel
+//! floods a single-worker daemon with mixed-priority traffic and
+//! records the order in which jobs finish, overloads a capped queue
+//! until submissions bounce with `rejected` backpressure, runs a cancel
 //! storm, and replays the corpus with `--stream`-style streaming to
 //! prove the streamed final report is byte-identical to the
-//! non-streamed one. Results land in a
-//! `"service_load"` section of the same output file; the binary exits
-//! non-zero if a context does not get its own store file or replays
-//! nothing after the move, a foreign namespace sees another tenant's
-//! summaries, a p99 latency is not finite or high-priority p99 does not
-//! beat batch p99, the overloaded queue rejects nothing, the storm
-//! leaves jobs undrained, or any streamed report diverges.
+//! non-streamed one. Results land in a `"service_load"` section of the
+//! same output file; the binary exits non-zero if fewer than 6 of the
+//! 8 batch jobs finish after the last high-priority job (priority lanes
+//! give 7, a FIFO queue 0), a batch job starves, the overloaded queue
+//! rejects nothing, the storm leaves jobs undrained, or any streamed
+//! report diverges. Latency percentiles are reported, not gated.
 //!
 //! `--mode ground-truth` runs the seeded synthetic corpus from
 //! `flowdroid-truth` instead of the benchmark corpus: it sweeps every
-//! engine configuration (solver × frontend × cache temperature) over
+//! engine configuration (frontend × callgraph-cache temperature) over
 //! the generated apps, scores the reference engine per category
 //! against each app's ground-truth manifest, probes the
 //! access-path k-limit on the widening chains, re-checks the ICC pairs
@@ -78,7 +76,7 @@ use flowdroid_bench::driver::{
     analyze_micro, corpus_report, full_corpus, micro_program, run_corpus, stress_job, CorpusJob,
     CorpusRun,
 };
-use flowdroid_core::{InfoflowConfig, SummaryCacheStats, TableStats};
+use flowdroid_core::{InfoflowConfig, TableStats};
 use flowdroid_service::{Client, Daemon, DaemonOptions, JobResult, Listen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -146,7 +144,6 @@ struct ModeStats {
     distinct_aps: usize,
     provenance_nodes: usize,
     fact_tables: Option<TableStats>,
-    summary_cache: Option<SummaryCacheStats>,
     report: String,
 }
 
@@ -185,10 +182,13 @@ fn measure(
         distinct_aps: run.total_distinct_aps(),
         provenance_nodes: run.total_provenance_nodes(),
         fact_tables: run.fact_table_totals(),
-        summary_cache: run.summary_cache_totals(),
         report: corpus_report(&run),
     }
 }
+
+/// The parallel corpus driver's modes: thread count and mode name.
+const PARALLEL_MODES: [(usize, &str); 4] =
+    [(1, "parallel-1"), (2, "parallel-2"), (4, "parallel-4"), (8, "parallel-8")];
 
 /// The scaling ladder's chain lengths. `stress/2000` (about 2 s of
 /// dataflow) stays out to keep the run short.
@@ -262,19 +262,6 @@ fn rung_json(r: &Rung) -> String {
     )
 }
 
-fn summary_cache_json(s: &Option<SummaryCacheStats>) -> String {
-    match s {
-        None => "null".to_string(),
-        Some(s) => format!(
-            concat!(
-                "{{ \"hits\": {}, \"misses\": {}, \"stale\": {}, ",
-                "\"store_methods\": {}, \"recorded\": {} }}"
-            ),
-            s.hits, s.misses, s.stale, s.store_methods, s.recorded
-        ),
-    }
-}
-
 fn fact_tables_json(s: &Option<TableStats>) -> String {
     match s {
         None => "null".to_string(),
@@ -310,7 +297,6 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "      \"distinct_aps\": {},\n",
             "      \"provenance_nodes\": {},\n",
             "      \"fact_tables\": {},\n",
-            "      \"summary_cache\": {},\n",
             "      \"report_identical_to_baseline\": {}\n",
             "    }}"
         ),
@@ -332,7 +318,6 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.distinct_aps,
         m.provenance_nodes,
         fact_tables_json(&m.fact_tables),
-        summary_cache_json(&m.summary_cache),
         report_identical
     )
 }
@@ -395,19 +380,15 @@ fn run_full(out_path: &str) {
     let mut modes = Vec::new();
     eprintln!("running sequential-interned (the sequential solver) ...");
     modes.push(measure("sequential-interned", &jobs, &interned, 1));
-    for threads in [1usize, 2, 4, 8] {
+    // More workers than cores would measure oversubscription, not the
+    // driver: such thread counts are skipped (and so is their speedup).
+    for (threads, name) in PARALLEL_MODES {
+        if threads > cores {
+            eprintln!("skipping {name}: only {cores} core(s) available");
+            continue;
+        }
         eprintln!("running parallel corpus driver with {threads} thread(s) ...");
-        modes.push(measure(
-            match threads {
-                1 => "parallel-1",
-                2 => "parallel-2",
-                4 => "parallel-4",
-                _ => "parallel-8",
-            },
-            &jobs,
-            &interned,
-            threads,
-        ));
+        modes.push(measure(name, &jobs, &interned, threads));
     }
     // The demand-driven frontend: each job clones the shared platform
     // snapshot and decodes only the method bodies the callgraph
@@ -415,20 +396,6 @@ fn run_full(out_path: &str) {
     // loading; the skipped-body count is what laziness bought.
     eprintln!("running demand-driven frontend (lazy bodies) ...");
     modes.push(measure("demand-lazy", &jobs, &interned.clone().with_lazy_frontend(true), 1));
-
-    // The persistent summary store: a cold pass populates the cache,
-    // the flush promotes it, and a warm pass replays the stored end
-    // summaries instead of re-tabulating cacheable callees.
-    let cache_dir =
-        std::env::temp_dir().join(format!("flowdroid-solver-stats-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let cached = interned.clone().with_summary_cache(&cache_dir);
-    eprintln!("running summary-cache cold pass ...");
-    modes.push(measure("cache-cold", &jobs, &cached, 1));
-    flowdroid_core::flush_summary_cache(&cache_dir).expect("flush summary cache");
-    eprintln!("running summary-cache warm pass ...");
-    modes.push(measure("cache-warm", &jobs, &cached, 1));
-    let _ = std::fs::remove_dir_all(&cache_dir);
 
     let ladder: Vec<Rung> = LADDER
         .iter()
@@ -441,15 +408,8 @@ fn run_full(out_path: &str) {
     let baseline_report = modes[0].report.clone();
     let reports_identical = modes.iter().all(|m| m.report == baseline_report);
 
-    let wall_1t = modes.iter().find(|m| m.name == "parallel-1").unwrap().wall_ms;
-    let speedup = |name: &str| {
-        let w = modes.iter().find(|m| m.name == name).unwrap().wall_ms;
-        if w > 0.0 {
-            wall_1t / w
-        } else {
-            0.0
-        }
-    };
+    let mode_of = |name: &str| modes.iter().find(|m| m.name == name);
+    let wall_1t = mode_of("parallel-1").expect("parallel-1 always runs").wall_ms;
 
     let mut json = String::new();
     writeln!(json, "{{").unwrap();
@@ -467,29 +427,13 @@ fn run_full(out_path: &str) {
     }
     writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"comparison\": {{").unwrap();
-    writeln!(json, "    \"speedup_2t\": {:.3},", speedup("parallel-2")).unwrap();
-    writeln!(json, "    \"speedup_4t\": {:.3},", speedup("parallel-4")).unwrap();
-    writeln!(json, "    \"speedup_8t\": {:.3},", speedup("parallel-8")).unwrap();
-    let mode_of = |name: &str| modes.iter().find(|m| m.name == name).unwrap();
-    let (cold, warm) = (mode_of("cache-cold"), mode_of("cache-warm"));
-    let cold_edges = cold.forward_propagations + cold.backward_propagations;
-    let warm_edges = warm.forward_propagations + warm.backward_propagations;
-    let edges_saved = cold_edges.saturating_sub(warm_edges);
-    let warm_stats = warm.summary_cache.clone().unwrap_or_default();
-    let warm_lookups = warm_stats.hits + warm_stats.misses + warm_stats.stale;
-    writeln!(json, "    \"cache_cold_path_edges\": {cold_edges},").unwrap();
-    writeln!(json, "    \"cache_warm_path_edges\": {warm_edges},").unwrap();
-    writeln!(json, "    \"cache_path_edges_saved\": {edges_saved},").unwrap();
-    writeln!(json, "    \"cache_warm_hits\": {},", warm_stats.hits).unwrap();
-    writeln!(
-        json,
-        "    \"cache_warm_hit_rate\": {:.4},",
-        if warm_lookups > 0 { warm_stats.hits as f64 / warm_lookups as f64 } else { 0.0 }
-    )
-    .unwrap();
-    writeln!(json, "    \"cache_dataflow_ms_cold\": {:.3},", cold.dataflow_ms).unwrap();
-    writeln!(json, "    \"cache_dataflow_ms_warm\": {:.3},", warm.dataflow_ms).unwrap();
-    let lazy = mode_of("demand-lazy");
+    for (threads, name) in &PARALLEL_MODES[1..] {
+        if let Some(m) = mode_of(name) {
+            let speedup = if m.wall_ms > 0.0 { wall_1t / m.wall_ms } else { 0.0 };
+            writeln!(json, "    \"speedup_{threads}t\": {speedup:.3},").unwrap();
+        }
+    }
+    let lazy = mode_of("demand-lazy").expect("demand-lazy always runs");
     writeln!(json, "    \"lazy_bodies_materialized\": {},", lazy.bodies_materialized).unwrap();
     writeln!(json, "    \"lazy_bodies_skipped\": {},", lazy.bodies_skipped).unwrap();
     writeln!(json, "    \"lazy_setup_ms\": {:.3},", lazy.setup_ms).unwrap();
@@ -527,16 +471,6 @@ fn run_full(out_path: &str) {
         eprintln!("FAIL: leak reports diverged across modes/thread counts");
         std::process::exit(1);
     }
-    if warm_stats.hits == 0 {
-        eprintln!("FAIL: warm summary-cache pass produced no hits");
-        std::process::exit(1);
-    }
-    if edges_saved == 0 {
-        eprintln!(
-            "FAIL: warm pass saved no path edges (cold {cold_edges}, warm {warm_edges})"
-        );
-        std::process::exit(1);
-    }
     for r in &ladder {
         if r.bytes_per_propagation() > LADDER_MAX_BYTES_PER_PROPAGATION {
             eprintln!(
@@ -560,16 +494,14 @@ fn run_full(out_path: &str) {
 }
 
 /// Benchmarks the daemon: binds it in-process on an ephemeral port,
-/// submits the whole corpus twice (cold, then warm against the shared
-/// summary cache) with one connection per job so jobs genuinely queue,
-/// and splices the per-job wall/queue times into `out_path`.
+/// submits the whole corpus twice (cold, then warm against the daemon's
+/// prepared-job and callgraph caches) with one connection per job so
+/// jobs genuinely queue, and splices the per-job wall/queue times into
+/// `out_path`.
 fn run_service(out_path: &str) {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let workers = cores.clamp(1, 4);
     let names: Vec<String> = full_corpus().into_iter().map(|j| j.name).collect();
-    let cache = std::env::temp_dir()
-        .join(format!("flowdroid-solver-stats-service-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
 
     // Boot the daemon from a platform snapshot file, the deployment
     // configuration the benchmark is meant to measure.
@@ -582,7 +514,6 @@ fn run_service(out_path: &str) {
         listen: Listen::parse("127.0.0.1:0"),
         workers,
         queue_cap: 0,
-        summary_cache: Some(cache.clone()),
         platform_snapshot: Some(snap_path.clone()),
         allow_apps: Vec::new(),
     })
@@ -625,7 +556,6 @@ fn run_service(out_path: &str) {
     let after_warm = prepared_counters(&stats);
     ctl.shutdown().expect("shutdown");
     accept_loop.join().expect("accept loop exits cleanly");
-    let _ = std::fs::remove_dir_all(&cache);
     let _ = std::fs::remove_file(&snap_path);
 
     let aborted = cold.iter().chain(&warm).filter(|(_, r)| r.aborted).count();
@@ -633,7 +563,6 @@ fn run_service(out_path: &str) {
         .iter()
         .zip(&warm)
         .all(|((_, c), (_, w))| c.report == w.report);
-    let warm_hits: u64 = warm.iter().map(|(_, r)| r.summary_hits).sum();
     let total =
         |pass: &[(String, JobResult)], f: fn(&JobResult) -> u64| -> u64 {
             pass.iter().map(|(_, r)| f(r)).sum()
@@ -713,7 +642,6 @@ fn run_service(out_path: &str) {
     .unwrap();
     writeln!(section, "    \"bodies_materialized_total\": {bodies_materialized},").unwrap();
     writeln!(section, "    \"bodies_skipped_total\": {bodies_skipped},").unwrap();
-    writeln!(section, "    \"warm_summary_hits\": {warm_hits},").unwrap();
     writeln!(section, "    \"cold_callgraph_misses\": {cold_cg_misses},").unwrap();
     writeln!(section, "    \"warm_callgraph_hits\": {warm_cg_hits},").unwrap();
     writeln!(section, "    \"callgraph_cache_evictions\": {cg_evictions},").unwrap();
@@ -739,8 +667,7 @@ fn run_service(out_path: &str) {
                     "      {{ \"app\": \"{}\", \"pass\": \"{}\", \"wall_ms\": {}, ",
                     "\"queue_ms\": {}, \"setup_us\": {}, \"dataflow_us\": {}, ",
                     "\"bodies_materialized\": {}, \"bodies_skipped\": {}, ",
-                    "\"summary_hits\": {}, \"platform_clone_us\": {}, ",
-                    "\"callgraph_cache_hits\": {} }}"
+                    "\"platform_clone_us\": {}, \"callgraph_cache_hits\": {} }}"
                 ),
                 name,
                 pass,
@@ -750,7 +677,6 @@ fn run_service(out_path: &str) {
                 r.dataflow_us,
                 r.bodies_materialized,
                 r.bodies_skipped,
-                r.summary_hits,
                 r.platform_clone_us,
                 r.callgraph_cache_hits
             )
@@ -764,7 +690,7 @@ fn run_service(out_path: &str) {
     std::fs::write(out_path, &json).expect("write service benchmark");
     eprintln!("wrote {out_path} (service section)");
     eprintln!(
-        "service: {} jobs/pass, warm hits {warm_hits}, max cold queue wait {} ms",
+        "service: {} jobs/pass, warm callgraph hits {warm_cg_hits}, max cold queue wait {} ms",
         names.len(),
         peak(&cold, |r| r.queue_ms)
     );
@@ -775,10 +701,6 @@ fn run_service(out_path: &str) {
     }
     if !reports_identical {
         eprintln!("FAIL: warm-pass reports diverged from the cold pass");
-        std::process::exit(1);
-    }
-    if warm_hits == 0 {
-        eprintln!("FAIL: warm pass replayed no summaries from the shared cache");
         std::process::exit(1);
     }
     if snapshot_source != "file" {
@@ -815,13 +737,6 @@ fn run_service(out_path: &str) {
              {cold_prepared_misses} misses, warm pass {warm_prepared_hits} hits / \
              {warm_prepared_misses} misses; want every cold job to miss and every warm \
              job to hit ({jobs} each)"
-        );
-        std::process::exit(1);
-    }
-    if warm_setup_us >= cold_setup_us {
-        eprintln!(
-            "FAIL: warm pass setup ({warm_setup_us} us) is not below the cold pass \
-             ({cold_setup_us} us) despite the callgraph cache"
         );
         std::process::exit(1);
     }
@@ -893,7 +808,8 @@ fn splice_tail_section(
 /// module docs for the phase list and gates.
 fn run_service_load(out_path: &str) {
     use flowdroid_service::{AnalyzeOptions, AnalyzeOutcome, Priority, Submitted};
-    use std::path::PathBuf;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -904,12 +820,11 @@ fn run_service_load(out_path: &str) {
     flowdroid_android::save_snapshot(&snap_path, &flowdroid_android::build_snapshot())
         .expect("save platform snapshot");
 
-    let bind = |workers: usize, queue_cap: usize, cache: Option<PathBuf>| {
+    let bind = |workers: usize, queue_cap: usize| {
         let daemon = Daemon::bind(DaemonOptions {
             listen: Listen::parse("127.0.0.1:0"),
             workers,
             queue_cap,
-            summary_cache: cache,
             platform_snapshot: Some(snap_path.clone()),
             allow_apps: Vec::new(),
         })
@@ -923,14 +838,6 @@ fn run_service_load(out_path: &str) {
         c.shutdown().expect("shutdown");
         h.join().expect("accept loop exits cleanly");
     };
-    let analyze = |addr: &str, app: &str, opts: &AnalyzeOptions| -> JobResult {
-        let mut c = Client::connect(addr).expect("connect");
-        match c.analyze_with(app, opts, &mut |_| {}).expect("job") {
-            AnalyzeOutcome::Done { result, .. } => result,
-            AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
-            AnalyzeOutcome::Denied { .. } => panic!("corpus names never hit the path policy"),
-        }
-    };
     let pct = |sorted: &[f64], p: f64| -> f64 {
         if sorted.is_empty() {
             return 0.0;
@@ -938,59 +845,27 @@ fn run_service_load(out_path: &str) {
         sorted[(((sorted.len() - 1) as f64) * p).round() as usize]
     };
 
-    // ---- Phase R: every context reloads from disk after a restart ----
-    // A cold daemon stores two contexts (insecurebank's password-field
-    // sources and SecuriBench's sources) in one cache directory. Moving
-    // the directory to a path this process never opened means the
-    // process-global store registry cannot answer: the second daemon's
-    // warm hits come from the store files alone.
-    const REOPEN_APPS: [&str; 2] = ["insecurebank", "securibench/Aliasing/Aliasing0"];
-    eprintln!("service-load: reopen (two contexts, cache moved between daemons) ...");
-    let cache_a =
-        std::env::temp_dir().join(format!("flowdroid-load-reopen-a-{}", std::process::id()));
-    let cache_b =
-        std::env::temp_dir().join(format!("flowdroid-load-reopen-b-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_a);
-    let _ = std::fs::remove_dir_all(&cache_b);
-    let base_opts = AnalyzeOptions::default();
-    let (addr, h) = bind(2, 0, Some(cache_a.clone()));
-    let cold: Vec<JobResult> =
-        REOPEN_APPS.iter().map(|app| analyze(&addr, app, &base_opts)).collect();
-    stop(&addr, h);
-    let store_files = std::fs::read_dir(&cache_a)
-        .map(|d| d.flatten().filter(|e| e.path().extension() == Some("fdss".as_ref())).count())
-        .unwrap_or(0);
-    std::fs::rename(&cache_a, &cache_b).expect("move the cache directory");
-    let (addr, h) = bind(2, 0, Some(cache_b.clone()));
-    let warm: Vec<JobResult> =
-        REOPEN_APPS.iter().map(|app| analyze(&addr, app, &base_opts)).collect();
-    let foreign_opts =
-        AnalyzeOptions { namespace: "tenant-b".to_string(), ..Default::default() };
-    let foreign = analyze(&addr, REOPEN_APPS[0], &foreign_opts);
-    let namespace_cold_hits = foreign.summary_hits;
-    stop(&addr, h);
-    let _ = std::fs::remove_dir_all(&cache_b);
-    let cold_hits: u64 = cold.iter().map(|r| r.summary_hits).sum();
-    let reopen_reports_identical = cold.iter().zip(&warm).all(|(c, w)| c.report == w.report)
-        && foreign.report == cold[0].report;
-    eprintln!(
-        "service-load: {store_files} store files, warm hits after reopen {} / {}, \
-         tenant-b cold hits {namespace_cold_hits}",
-        warm[0].summary_hits, warm[1].summary_hits
-    );
-
     // ---- Phase L1: mixed-priority latency on a single worker ----
+    // On one worker the daemon runs jobs one at a time, so the order in
+    // which results come back is the order the queue served them. Each
+    // client takes a ticket from a shared counter when its result
+    // arrives; the gate reads those tickets, not the latencies.
     eprintln!("service-load: mixed-priority latency (1 worker, 8 batch + 4 high) ...");
-    let (addr, h) = bind(1, 0, None);
-    let timed = |addr: String, prio: Priority| -> std::thread::JoinHandle<f64> {
+    let (addr, h) = bind(1, 0);
+    let finished = Arc::new(AtomicUsize::new(0));
+    let timed = |addr: String, prio: Priority| -> std::thread::JoinHandle<(f64, usize)> {
+        let finished = Arc::clone(&finished);
         std::thread::spawn(move || {
             let mut c = Client::connect(&addr).expect("connect");
             let opts = AnalyzeOptions { priority: prio, ..Default::default() };
             let t0 = Instant::now();
             match c.analyze_with("stress/2500", &opts, &mut |_| {}).expect("job") {
-                AnalyzeOutcome::Done { .. } => t0.elapsed().as_secs_f64() * 1e3,
+                AnalyzeOutcome::Done { .. } => {
+                    let ms = t0.elapsed().as_secs_f64() * 1e3;
+                    (ms, finished.fetch_add(1, Ordering::SeqCst))
+                }
                 AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
-            AnalyzeOutcome::Denied { .. } => panic!("corpus names never hit the path policy"),
+                AnalyzeOutcome::Denied { .. } => panic!("corpus names never hit the path policy"),
             }
         })
     };
@@ -999,24 +874,31 @@ fn run_service_load(out_path: &str) {
     // traffic they must not starve.
     std::thread::sleep(Duration::from_millis(30));
     let high_handles: Vec<_> = (0..4).map(|_| timed(addr.clone(), Priority::High)).collect();
-    let mut batch_ms: Vec<f64> =
+    let batch: Vec<(f64, usize)> =
         batch_handles.into_iter().map(|h| h.join().expect("batch job")).collect();
-    let mut high_ms: Vec<f64> =
+    let high: Vec<(f64, usize)> =
         high_handles.into_iter().map(|h| h.join().expect("high job")).collect();
     stop(&addr, h);
-    batch_ms.sort_by(f64::total_cmp);
-    high_ms.sort_by(f64::total_cmp);
+    let last_high = high.iter().map(|&(_, order)| order).max().unwrap_or(0);
+    let batch_after_last_high = batch.iter().filter(|&&(_, order)| order > last_high).count();
+    let sorted_ms = |jobs: &[(f64, usize)]| -> Vec<f64> {
+        let mut ms: Vec<f64> = jobs.iter().map(|&(ms, _)| ms).collect();
+        ms.sort_by(f64::total_cmp);
+        ms
+    };
+    let (batch_ms, high_ms) = (sorted_ms(&batch), sorted_ms(&high));
     let (high_p50, high_p99) = (pct(&high_ms, 0.50), pct(&high_ms, 0.99));
     let (batch_p50, batch_p99) = (pct(&batch_ms, 0.50), pct(&batch_ms, 0.99));
     let batch_completed = batch_ms.len();
     eprintln!(
         "service-load: high p50/p99 {high_p50:.1}/{high_p99:.1} ms, \
-         batch p50/p99 {batch_p50:.1}/{batch_p99:.1} ms"
+         batch p50/p99 {batch_p50:.1}/{batch_p99:.1} ms, \
+         {batch_after_last_high} of 8 batch jobs finished after the last high job"
     );
 
     // ---- Phase L2: overload against a capped queue ----
     eprintln!("service-load: overload (1 worker, queue cap 4, 20 submissions) ...");
-    let (addr, h) = bind(1, 4, None);
+    let (addr, h) = bind(1, 4);
     let overload_opts = AnalyzeOptions { deadline_ms: Some(3000), ..Default::default() };
     let mut inflight = Vec::new();
     let mut rejected = 0u64;
@@ -1054,7 +936,7 @@ fn run_service_load(out_path: &str) {
 
     // ---- Phase C: cancel storm ----
     eprintln!("service-load: cancel storm (10 jobs, 8 cancelled) ...");
-    let (addr, h) = bind(2, 0, None);
+    let (addr, h) = bind(2, 0);
     let lanes = [Priority::High, Priority::Normal, Priority::Batch];
     let mut pending = Vec::new();
     for i in 0..10 {
@@ -1099,7 +981,7 @@ fn run_service_load(out_path: &str) {
         "service-load: streaming identity across {} apps ...",
         names.len()
     );
-    let (addr, h) = bind(2, 0, None);
+    let (addr, h) = bind(2, 0);
     let mut c = Client::connect(&addr).expect("connect");
     let mut progress_frames = 0u64;
     let mut leak_frames = 0u64;
@@ -1143,16 +1025,6 @@ fn run_service_load(out_path: &str) {
     // ---- Emit the section and enforce the gates ----
     let mut section = String::new();
     writeln!(section, "{{").unwrap();
-    writeln!(section, "    \"reopen\": {{").unwrap();
-    writeln!(section, "      \"store_files\": {store_files},").unwrap();
-    writeln!(section, "      \"cold_summary_hits\": {cold_hits},").unwrap();
-    writeln!(section, "      \"warm_insecurebank_summary_hits\": {},", warm[0].summary_hits)
-        .unwrap();
-    writeln!(section, "      \"warm_securibench_summary_hits\": {},", warm[1].summary_hits)
-        .unwrap();
-    writeln!(section, "      \"namespace_cold_hits\": {namespace_cold_hits},").unwrap();
-    writeln!(section, "      \"reports_identical\": {reopen_reports_identical}").unwrap();
-    writeln!(section, "    }},").unwrap();
     writeln!(section, "    \"latency\": {{").unwrap();
     writeln!(section, "      \"workers\": 1,").unwrap();
     writeln!(section, "      \"high_jobs\": {},", high_ms.len()).unwrap();
@@ -1162,8 +1034,7 @@ fn run_service_load(out_path: &str) {
     writeln!(section, "      \"high_p99_ms\": {high_p99:.3},").unwrap();
     writeln!(section, "      \"batch_p50_ms\": {batch_p50:.3},").unwrap();
     writeln!(section, "      \"batch_p99_ms\": {batch_p99:.3},").unwrap();
-    writeln!(section, "      \"high_p99_below_batch_p99\": {}", high_p99 < batch_p99)
-        .unwrap();
+    writeln!(section, "      \"batch_after_last_high\": {batch_after_last_high}").unwrap();
     writeln!(section, "    }},").unwrap();
     writeln!(section, "    \"overload\": {{").unwrap();
     writeln!(section, "      \"workers\": 1,").unwrap();
@@ -1201,28 +1072,11 @@ fn run_service_load(out_path: &str) {
         eprintln!("FAIL: {msg}");
         failed = true;
     };
-    if cold_hits != 0 {
-        fail("reopen phase: a cold job saw summary hits");
-    }
-    if store_files != REOPEN_APPS.len() {
-        fail("reopen phase: the two contexts did not get one store file each");
-    }
-    if warm.iter().any(|r| r.summary_hits == 0) {
-        fail("reopen phase: a context replayed no summaries after the restart");
-    }
-    if namespace_cold_hits != 0 {
-        fail("reopen phase: a foreign namespace observed another tenant's summaries");
-    }
-    if !reopen_reports_identical {
-        fail("reopen phase: a warm or foreign-namespace report diverged");
-    }
     if batch_completed != 8 {
         fail("latency phase: batch jobs starved under high-priority traffic");
     }
-    if !high_p99.is_finite() || !batch_p99.is_finite() {
-        fail("latency phase: a p99 latency is not finite");
-    } else if high_p99 >= batch_p99 {
-        fail("latency phase: high-priority p99 is not below batch p99");
+    if batch_after_last_high < 6 {
+        fail("latency phase: fewer than 6 of 8 batch jobs finished after the last high job");
     }
     if rejected == 0 {
         fail("overload phase: a full queue rejected nothing");
@@ -1271,11 +1125,7 @@ fn run_ground_truth(out_path: &str) {
         apps.len()
     );
 
-    let cache = std::env::temp_dir()
-        .join(format!("flowdroid-ground-truth-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
-    let d = run_differential(&apps, &cache);
-    let _ = std::fs::remove_dir_all(&cache);
+    let d = run_differential(&apps);
 
     eprintln!("ground-truth: linked-ICC re-check ...");
     let icc = check_icc_linked(&apps);
@@ -1298,7 +1148,6 @@ fn run_ground_truth(out_path: &str) {
         listen: Listen::parse("127.0.0.1:0"),
         workers: 2,
         queue_cap: 0,
-        summary_cache: None,
         platform_snapshot: None,
         allow_apps: vec![root.clone()],
     })

@@ -6,7 +6,7 @@ use crate::proto::{AnalyzeRequest, JobResult, Priority, Request};
 use std::io::{self, BufRead, BufReader, Write};
 
 /// Per-submission knobs beyond the app name. `Default` matches the
-/// wire defaults: no deadline, no budget, normal priority, shared cache namespace, no streaming.
+/// wire defaults: no deadline, no budget, normal priority, no streaming.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyzeOptions {
     /// Wall-clock deadline in milliseconds (None = unbounded).
@@ -15,8 +15,6 @@ pub struct AnalyzeOptions {
     pub max_propagations: Option<u64>,
     /// Admission lane.
     pub priority: Priority,
-    /// Summary-cache namespace ("" = the shared default namespace).
-    pub namespace: String,
     /// Request `progress`/`leak` frames before the result line.
     pub stream: bool,
 }
@@ -28,7 +26,6 @@ impl AnalyzeOptions {
             deadline_ms: self.deadline_ms,
             max_propagations: self.max_propagations,
             priority: self.priority,
-            namespace: self.namespace.clone(),
             stream: self.stream,
         }
     }
@@ -236,7 +233,7 @@ impl Client {
         self.roundtrip(&Request::Stats)
     }
 
-    /// Asks the daemon to drain, flush and stop; returns its final
+    /// Asks the daemon to drain and stop; returns its final
     /// `ok` line.
     pub fn shutdown(&mut self) -> io::Result<Json> {
         self.roundtrip(&Request::Shutdown)

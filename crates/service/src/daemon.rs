@@ -2,12 +2,8 @@
 //! JSON socket protocol (see [`crate::proto`]).
 //!
 //! One daemon process serves many analysis jobs and amortizes warm
-//! state across them: all jobs share the process-global summary-store
-//! registry, and the daemon promotes each completed job's staged
-//! summaries (one `flush` per non-aborted job), so the second analysis
-//! of an app — or of any app sharing library code with an earlier one —
-//! starts from a warm cache. Aborted jobs never stage summaries, so a
-//! deadline or cancel can't poison the cache for later jobs.
+//! state across them. Each job's taint analysis itself starts from
+//! scratch: its IFDS end summaries live in the solver for that one run.
 //!
 //! The Android platform model is built (or loaded from a
 //! `platform.fdps` snapshot, see [`DaemonOptions::platform_snapshot`])
@@ -61,9 +57,8 @@
 //! * `shutdown` closes the queue (workers drain what is already
 //!   queued and exit), wakes the accept loop and unlinks a Unix socket
 //!   path *before* draining — so the address disappears promptly even
-//!   when workers are mid-job — then waits for every job to finish and
-//!   flushes the summary cache a final time; the worker threads are
-//!   joined before [`Daemon::run`] returns.
+//!   when workers are mid-job — then waits for every job to finish;
+//!   the worker threads are joined before [`Daemon::run`] returns.
 
 use crate::external::{is_path_request, load_external_job, AppPolicy};
 use crate::json::{obj, Json};
@@ -73,9 +68,7 @@ use crate::proto::{
 };
 use flowdroid_android::{build_snapshot, load_snapshot, PlatformSnapshot};
 use flowdroid_bench::{find_job, prepare, run_prepared, CorpusJob, PreparedJob};
-use flowdroid_core::{
-    flush_summary_cache, AbortHandle, CgCache, InfoflowConfig, Lru, ProgressEvent, ProgressSink,
-};
+use flowdroid_core::{AbortHandle, CgCache, InfoflowConfig, Lru, ProgressEvent, ProgressSink};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -103,8 +96,6 @@ pub struct DaemonOptions {
     pub listen: Listen,
     /// Worker pool size; `0` uses the available parallelism.
     pub workers: usize,
-    /// Persistent summary store shared by all jobs (optional).
-    pub summary_cache: Option<PathBuf>,
     /// Path to a `platform.fdps` platform snapshot. When set and valid,
     /// the daemon loads the Android platform model from it at bind time
     /// instead of rebuilding it; a missing or corrupt file falls back to
@@ -129,7 +120,6 @@ impl DaemonOptions {
         DaemonOptions {
             listen,
             workers: 0,
-            summary_cache: None,
             platform_snapshot: None,
             queue_cap: DEFAULT_QUEUE_CAP,
             allow_apps: Vec::new(),
@@ -223,7 +213,6 @@ impl JobState {
 struct JobSpec {
     max_propagations: u64,
     priority: Priority,
-    namespace: String,
 }
 
 struct JobEntry {
@@ -270,7 +259,6 @@ struct Shared {
     queue_cap: usize,
     /// Set before the accept loop is woken for the last time.
     stop_accept: AtomicBool,
-    summary_cache: Option<PathBuf>,
     /// The external-app sandbox ([`DaemonOptions::allow_apps`]).
     policy: AppPolicy,
     /// The shared, read-only platform model every job overlays.
@@ -332,7 +320,6 @@ impl Daemon {
             queue: PrioQueue::new(),
             queue_cap: opts.queue_cap,
             stop_accept: AtomicBool::new(false),
-            summary_cache: opts.summary_cache,
             policy,
             snapshot: Arc::new(snapshot),
             cg_cache: CgCache::new(CACHE_CAPACITY),
@@ -429,19 +416,8 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
     } else {
         let mut config = InfoflowConfig::default().with_abort(abort).with_lazy_frontend(true);
         config.max_propagations = spec.max_propagations;
-        config.cache_namespace = spec.namespace;
         config.progress = progress;
-        config.summary_cache.clone_from(&shared.summary_cache);
         let run = run_prepared(job, &config, &shared.snapshot, Some(&shared.cg_cache));
-        if !run.aborted {
-            if let Some(dir) = &shared.summary_cache {
-                // Promote this job's staged summaries so the *next* job
-                // starts warm. Aborted jobs staged nothing, so skipping
-                // the flush there is just noise avoidance.
-                let _ = flush_summary_cache(dir);
-            }
-        }
-        let sc = run.summary_cache.as_ref();
         JobResult {
             job: id,
             app,
@@ -457,10 +433,6 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
             bodies_skipped: run.bodies_skipped,
             forward_propagations: run.forward_propagations,
             backward_propagations: run.backward_propagations,
-            summary_hits: sc.map_or(0, |s| s.hits),
-            summary_misses: sc.map_or(0, |s| s.misses),
-            summary_stale: sc.map_or(0, |s| s.stale),
-            summary_recorded: sc.map_or(0, |s| s.recorded),
             platform_clone_us: run.platform_clone_us,
             callgraph_cache_hits: u64::from(run.cg_cache_hit == Some(true)),
             callgraph_cache_misses: u64::from(run.cg_cache_hit == Some(false)),
@@ -541,7 +513,6 @@ fn handle_analyze(
     let spec = JobSpec {
         max_propagations: req.max_propagations.unwrap_or(0),
         priority: req.priority,
-        namespace: req.namespace.clone(),
     };
     // A streamed job gets a channel-backed sink: the worker running the
     // job sends events, this connection thread relays them as frames.
@@ -634,7 +605,6 @@ fn write_progress_frame(
         ("forward_propagations", Json::from(e.forward_propagations)),
         ("backward_propagations", Json::from(e.backward_propagations)),
         ("bodies_materialized", Json::from(e.bodies_materialized)),
-        ("summary_hits", Json::from(e.summary_hits)),
         ("leaks", Json::from(e.leaks)),
     ]);
     write_line(conn, &frame.to_line())
@@ -790,10 +760,6 @@ fn stats(shared: &Shared) -> Json {
     let mut by_state = [0u64; 3];
     let mut aborted = 0u64;
     let mut cancel_requests = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut stale = 0u64;
-    let mut recorded = 0u64;
     let mut materialized = 0u64;
     let mut skipped = 0u64;
     let mut clone_us = 0u64;
@@ -814,10 +780,6 @@ fn stats(shared: &Shared) -> Json {
         }
         if let Some(r) = &e.result {
             aborted += u64::from(r.aborted);
-            hits += r.summary_hits;
-            misses += r.summary_misses;
-            stale += r.summary_stale;
-            recorded += r.summary_recorded;
             materialized += r.bodies_materialized;
             skipped += r.bodies_skipped;
             clone_us += r.platform_clone_us;
@@ -849,10 +811,6 @@ fn stats(shared: &Shared) -> Json {
         ("submitted_normal", Json::from(inner.submitted[Priority::Normal.lane()])),
         ("submitted_batch", Json::from(inner.submitted[Priority::Batch.lane()])),
         ("cancel_requests", Json::from(cancel_requests)),
-        ("summary_hits", Json::from(hits)),
-        ("summary_misses", Json::from(misses)),
-        ("summary_stale", Json::from(stale)),
-        ("summary_recorded", Json::from(recorded)),
         ("snapshot_load_ms", Json::from(shared.snapshot_load_ms)),
         ("snapshot_source", Json::from(shared.snapshot_source)),
         ("bodies_materialized", Json::from(materialized)),
@@ -882,9 +840,9 @@ fn close_queue(shared: &Shared) {
     shared.queue.close();
 }
 
-/// Waits for every accepted job to finish and flushes the summary
-/// cache. Idempotent: a second `shutdown` request waits for the same
-/// drain and reports the same counts.
+/// Waits for every accepted job to finish. Idempotent: a second
+/// `shutdown` request waits for the same drain and reports the same
+/// counts.
 fn drain(shared: &Shared) -> Json {
     let mut inner = shared.inner.lock().unwrap();
     while inner.jobs.iter().any(|e| e.state != JobState::Done) {
@@ -892,9 +850,6 @@ fn drain(shared: &Shared) -> Json {
     }
     let completed = inner.jobs.len() as u64;
     drop(inner);
-    if let Some(dir) = &shared.summary_cache {
-        let _ = flush_summary_cache(dir);
-    }
     obj([
         ("type", Json::from("ok")),
         ("op", Json::from("shutdown")),

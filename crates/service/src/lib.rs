@@ -2,15 +2,15 @@
 
 //! The FlowDroid analysis service: a long-running daemon that accepts
 //! analysis jobs over a line-delimited JSON protocol (TCP or Unix
-//! socket), runs them on a bounded worker pool, and shares one
-//! persistent summary cache across jobs so repeated analyses start
-//! warm.
+//! socket), runs them on a bounded worker pool, and shares its
+//! callgraph and prepared-job caches across jobs so repeated analyses
+//! of an app skip the parse and the callgraph build.
 //!
 //! Layers:
 //!
 //! * [`json`] — a minimal std-only JSON value (no external deps);
 //! * [`proto`] — the request/response wire types: [`AnalyzeRequest`]
-//!   with [`Priority`] lanes, cache namespaces and opt-in streaming;
+//!   with [`Priority`] lanes and opt-in streaming;
 //! * [`daemon`] — the server: accept loop, three-lane priority queue
 //!   with admission control (bounded depth, `rejected` backpressure
 //!   replies), worker pool, job registry with per-job

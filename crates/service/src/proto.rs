@@ -5,7 +5,7 @@
 //!
 //! | request | fields |
 //! |---|---|
-//! | `analyze`  | `app` (corpus name, `stress/<K>`, or an on-disk app path under the daemon's `--allow-apps` roots), optional `deadline_ms`, `max_propagations`, `priority` (`high`/`normal`/`batch`), `namespace`, `stream` |
+//! | `analyze`  | `app` (corpus name, `stress/<K>`, or an on-disk app path under the daemon's `--allow-apps` roots), optional `deadline_ms`, `max_propagations`, `priority` (`high`/`normal`/`batch`), `stream` |
 //! | `cancel`   | `job` |
 //! | `stats`    | — |
 //! | `shutdown` | — |
@@ -69,22 +69,6 @@ impl Priority {
     }
 }
 
-/// Maximum accepted `namespace` length.
-pub const MAX_NAMESPACE_LEN: usize = 64;
-
-/// Validates a summary-store namespace: `[A-Za-z0-9._-]`, at most
-/// [`MAX_NAMESPACE_LEN`] bytes. The empty string is the shared default
-/// namespace.
-pub fn validate_namespace(ns: &str) -> Result<(), String> {
-    if ns.len() > MAX_NAMESPACE_LEN {
-        return Err(format!("namespace longer than {MAX_NAMESPACE_LEN} bytes"));
-    }
-    match ns.chars().find(|c| !(c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))) {
-        Some(c) => Err(format!("namespace contains `{c}` (allowed: [A-Za-z0-9._-])")),
-        None => Ok(()),
-    }
-}
-
 /// The body of an `analyze` request.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AnalyzeRequest {
@@ -99,9 +83,6 @@ pub struct AnalyzeRequest {
     pub max_propagations: Option<u64>,
     /// Admission priority (absent = `normal`).
     pub priority: Priority,
-    /// Summary-store namespace; jobs in different namespaces never
-    /// observe each other's summaries. Empty = the shared default.
-    pub namespace: String,
     /// Stream `progress`/`leak` frames while the job runs.
     pub stream: bool,
 }
@@ -125,7 +106,7 @@ pub enum Request {
     },
     /// Report daemon statistics.
     Stats,
-    /// Drain the queue, flush the summary cache, stop the daemon.
+    /// Drain the queue, stop the daemon.
     Shutdown,
 }
 
@@ -143,14 +124,11 @@ impl Request {
                         format!("analyze: unknown priority `{p}` (high, normal, batch)")
                     })?,
                 };
-                let namespace = v.str_field("namespace").unwrap_or("").to_string();
-                validate_namespace(&namespace).map_err(|e| format!("analyze: {e}"))?;
                 Ok(Request::Analyze(AnalyzeRequest {
                     app: app.to_string(),
                     deadline_ms: v.u64_field("deadline_ms"),
                     max_propagations: v.u64_field("max_propagations"),
                     priority,
-                    namespace,
                     stream: v.bool_field("stream").unwrap_or(false),
                 }))
             }
@@ -179,9 +157,6 @@ impl Request {
                 }
                 if a.priority != Priority::Normal {
                     fields.push(("priority", Json::from(a.priority.as_str())));
-                }
-                if !a.namespace.is_empty() {
-                    fields.push(("namespace", Json::from(a.namespace.as_str())));
                 }
                 if a.stream {
                     fields.push(("stream", Json::from(true)));
@@ -237,14 +212,6 @@ pub struct JobResult {
     pub forward_propagations: u64,
     /// Backward (alias) path-edge propagations.
     pub backward_propagations: u64,
-    /// Summary-cache hits (0 without a cache).
-    pub summary_hits: u64,
-    /// Summary-cache misses.
-    pub summary_misses: u64,
-    /// Summary-cache stale entries.
-    pub summary_stale: u64,
-    /// Summaries staged for the next flush (always 0 when `aborted`).
-    pub summary_recorded: u64,
     /// Time spent obtaining the job's private program from the shared
     /// platform snapshot, in microseconds. Copy-on-write overlays keep
     /// this near zero; a deep clone pays the full arena copy.
@@ -282,10 +249,6 @@ impl JobResult {
             ("bodies_skipped", Json::from(self.bodies_skipped)),
             ("forward_propagations", Json::from(self.forward_propagations)),
             ("backward_propagations", Json::from(self.backward_propagations)),
-            ("summary_hits", Json::from(self.summary_hits)),
-            ("summary_misses", Json::from(self.summary_misses)),
-            ("summary_stale", Json::from(self.summary_stale)),
-            ("summary_recorded", Json::from(self.summary_recorded)),
             ("platform_clone_us", Json::from(self.platform_clone_us)),
             ("callgraph_cache_hits", Json::from(self.callgraph_cache_hits)),
             ("callgraph_cache_misses", Json::from(self.callgraph_cache_misses)),
@@ -314,10 +277,6 @@ impl JobResult {
             bodies_skipped: v.u64_field("bodies_skipped").unwrap_or(0),
             forward_propagations: v.u64_field("forward_propagations")?,
             backward_propagations: v.u64_field("backward_propagations")?,
-            summary_hits: v.u64_field("summary_hits").unwrap_or(0),
-            summary_misses: v.u64_field("summary_misses").unwrap_or(0),
-            summary_stale: v.u64_field("summary_stale").unwrap_or(0),
-            summary_recorded: v.u64_field("summary_recorded").unwrap_or(0),
             platform_clone_us: v.u64_field("platform_clone_us").unwrap_or(0),
             callgraph_cache_hits: v.u64_field("callgraph_cache_hits").unwrap_or(0),
             callgraph_cache_misses: v.u64_field("callgraph_cache_misses").unwrap_or(0),
@@ -368,7 +327,6 @@ mod tests {
             Request::Analyze(AnalyzeRequest {
                 app: "stress/2000".to_string(),
                 priority: Priority::Batch,
-                namespace: "tenant-a".to_string(),
                 stream: true,
                 ..AnalyzeRequest::default()
             }),
@@ -388,18 +346,6 @@ mod tests {
         assert!(Request::parse(r#"{"type":"analyze"}"#).is_err());
         assert!(Request::parse(r#"{"type":"cancel"}"#).is_err());
         assert!(Request::parse(r#"{"type":"analyze","app":"a","priority":"urgent"}"#).is_err());
-        assert!(Request::parse(r#"{"type":"analyze","app":"a","namespace":"../x"}"#).is_err());
-        let long = "n".repeat(MAX_NAMESPACE_LEN + 1);
-        let line = format!(r#"{{"type":"analyze","app":"a","namespace":"{long}"}}"#);
-        assert!(Request::parse(&line).is_err());
-    }
-
-    #[test]
-    fn namespace_validation() {
-        assert!(validate_namespace("").is_ok());
-        assert!(validate_namespace("tenant-a.v2_x").is_ok());
-        assert!(validate_namespace("a/b").is_err());
-        assert!(validate_namespace("a b").is_err());
     }
 
     #[test]
@@ -419,10 +365,6 @@ mod tests {
             bodies_skipped: 7,
             forward_propagations: 123456,
             backward_propagations: 7,
-            summary_hits: 2,
-            summary_misses: 9,
-            summary_stale: 0,
-            summary_recorded: 0,
             platform_clone_us: 12,
             callgraph_cache_hits: 1,
             callgraph_cache_misses: 0,

@@ -1,9 +1,9 @@
 //! End-to-end daemon round trips over a real TCP socket: cold→warm
-//! cache sharing between jobs, platform-snapshot boot (including the
-//! corrupt-file fallback), deadline aborts, cross-connection
-//! cancellation, stats, clean shutdown, prompt Unix-socket unlink
-//! on shutdown while jobs are still draining, and external-app serving
-//! under the `--allow-apps` path policy.
+//! callgraph-cache sharing between jobs, platform-snapshot boot
+//! (including the corrupt-file fallback), deadline aborts,
+//! cross-connection cancellation, stats, clean shutdown, prompt
+//! Unix-socket unlink on shutdown while jobs are still draining, and
+//! external-app serving under the `--allow-apps` path policy.
 
 use flowdroid_service::{
     AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, JobResult,
@@ -15,21 +15,17 @@ use std::time::{Duration, Instant};
 /// Binds a daemon on an ephemeral local port, runs its accept loop on a
 /// background thread, and returns the resolved address plus the join
 /// handle (joined by each test to prove a leak-free shutdown).
-fn spawn_daemon(cache: Option<PathBuf>) -> (String, std::thread::JoinHandle<()>) {
-    spawn_daemon_with(cache, None)
+fn spawn_daemon() -> (String, std::thread::JoinHandle<()>) {
+    spawn_daemon_with(None)
 }
 
-fn spawn_daemon_with(
-    cache: Option<PathBuf>,
-    snapshot: Option<PathBuf>,
-) -> (String, std::thread::JoinHandle<()>) {
-    spawn_daemon_capped(cache, snapshot, 2, 0)
+fn spawn_daemon_with(snapshot: Option<PathBuf>) -> (String, std::thread::JoinHandle<()>) {
+    spawn_daemon_capped(snapshot, 2, 0)
 }
 
 /// Like [`spawn_daemon_with`] but with explicit worker count and queue
 /// cap (0 = unbounded), for the backpressure and priority tests.
 fn spawn_daemon_capped(
-    cache: Option<PathBuf>,
     snapshot: Option<PathBuf>,
     workers: usize,
     queue_cap: usize,
@@ -38,7 +34,6 @@ fn spawn_daemon_capped(
         listen: Listen::parse("127.0.0.1:0"),
         workers,
         queue_cap,
-        summary_cache: cache,
         platform_snapshot: snapshot,
         allow_apps: Vec::new(),
     })
@@ -48,28 +43,24 @@ fn spawn_daemon_capped(
     (addr, handle)
 }
 
-fn temp_cache(tag: &str) -> PathBuf {
+fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("flowdroid-svc-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 #[test]
-fn cold_then_warm_job_shares_summary_cache() {
-    let cache = temp_cache("coldwarm");
-    let (addr, daemon) = spawn_daemon(Some(cache.clone()));
+fn cold_then_warm_job_replays_cached_callgraph() {
+    let (addr, daemon) = spawn_daemon();
     let mut c = Client::connect(&addr).expect("connect");
 
     let (id1, cold) = c.analyze("insecurebank", None, None).expect("cold job");
     assert_eq!(id1, 1);
     assert!(!cold.aborted);
-    assert_eq!(cold.summary_hits, 0, "first job starts with an empty store");
-    assert!(cold.summary_recorded > 0, "first job stages summaries");
     assert!(cold.leaks > 0, "insecurebank has known leaks");
 
     let (_, warm) = c.analyze("insecurebank", None, None).expect("warm job");
     assert!(!warm.aborted);
-    assert!(warm.summary_hits > 0, "second job replays the first job's flushed summaries");
     assert_eq!(warm.report, cold.report, "cache replay must not change the report");
     assert_eq!(cold.callgraph_cache_misses, 1, "first job builds its setup cold");
     assert_eq!(cold.callgraph_cache_hits, 0);
@@ -79,7 +70,6 @@ fn cold_then_warm_job_shares_summary_cache() {
     let mut c2 = Client::connect(&addr).expect("second connection");
     let stats = c2.stats().expect("stats");
     assert_eq!(stats.u64_field("completed"), Some(2));
-    assert!(stats.u64_field("summary_hits").unwrap() > 0);
     assert_eq!(stats.u64_field("callgraph_cache_hits"), Some(1));
     assert_eq!(stats.u64_field("callgraph_cache_misses"), Some(1));
     assert_eq!(stats.u64_field("callgraph_cache_entries"), Some(1));
@@ -87,7 +77,6 @@ fn cold_then_warm_job_shares_summary_cache() {
 
     c2.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
@@ -96,7 +85,7 @@ fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
         .join(format!("flowdroid-svc-snap-{}.fdps", std::process::id()));
     flowdroid_android::save_snapshot(&snap, &flowdroid_android::build_snapshot())
         .expect("save snapshot");
-    let (addr, daemon) = spawn_daemon_with(None, Some(snap.clone()));
+    let (addr, daemon) = spawn_daemon_with(Some(snap.clone()));
     let mut c = Client::connect(&addr).expect("connect");
 
     let (_, r) = c.analyze("insecurebank", None, None).expect("job");
@@ -137,7 +126,7 @@ fn corrupt_snapshot_falls_back_to_eager_platform_build() {
 
     // The daemon must come up anyway (eager fallback) and serve jobs
     // with unchanged results.
-    let (addr, daemon) = spawn_daemon_with(None, Some(snap.clone()));
+    let (addr, daemon) = spawn_daemon_with(Some(snap.clone()));
     let mut c = Client::connect(&addr).expect("connect");
     let (_, r) = c.analyze("insecurebank", None, None).expect("job");
     assert!(!r.aborted);
@@ -152,9 +141,8 @@ fn corrupt_snapshot_falls_back_to_eager_platform_build() {
 }
 
 #[test]
-fn deadline_job_aborts_promptly_and_stages_nothing() {
-    let cache = temp_cache("deadline");
-    let (addr, daemon) = spawn_daemon(Some(cache.clone()));
+fn deadline_job_aborts_promptly_and_the_daemon_keeps_serving() {
+    let (addr, daemon) = spawn_daemon();
     let mut c = Client::connect(&addr).expect("connect");
 
     let start = Instant::now();
@@ -162,26 +150,24 @@ fn deadline_job_aborts_promptly_and_stages_nothing() {
     let elapsed = start.elapsed();
     assert!(r.aborted, "stress/4000 cannot finish in 300ms");
     assert_eq!(r.abort_reason.as_deref(), Some("deadline"));
-    assert_eq!(r.summary_recorded, 0, "aborted jobs must stage no summaries");
     // Deadline plus a generous bound on one batch-check interval.
     assert!(
         elapsed < Duration::from_secs(10),
         "aborted job should return promptly, took {elapsed:?}"
     );
 
-    // The poison check: a later *successful* job still flushes cleanly.
+    // A later job on the same daemon still runs to its fixpoint.
     let (_, ok) = c.analyze("insecurebank", None, None).expect("follow-up job");
     assert!(!ok.aborted);
-    assert!(ok.summary_recorded > 0);
+    assert!(ok.leaks > 0);
 
     c.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
 fn cancel_from_second_connection_stops_inflight_job() {
-    let (addr, daemon) = spawn_daemon(None);
+    let (addr, daemon) = spawn_daemon();
     let mut a = Client::connect(&addr).expect("connection a");
     let id = a.analyze_async("stress/6000", None, None).expect("submit");
 
@@ -213,7 +199,7 @@ fn cancel_from_second_connection_stops_inflight_job() {
 
 #[test]
 fn cancelling_a_queued_job_skips_it_entirely() {
-    let (addr, daemon) = spawn_daemon(None);
+    let (addr, daemon) = spawn_daemon();
     // Two workers: saturate them with two long jobs, queue a third,
     // cancel the third before any worker reaches it.
     let mut a = Client::connect(&addr).expect("a");
@@ -251,7 +237,6 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
         listen: Listen::Unix(sock.clone()),
         workers: 2,
         queue_cap: 0,
-        summary_cache: None,
         platform_snapshot: None,
         allow_apps: Vec::new(),
     })
@@ -299,7 +284,7 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
 
 #[test]
 fn protocol_errors_keep_the_connection_alive() {
-    let (addr, daemon) = spawn_daemon(None);
+    let (addr, daemon) = spawn_daemon();
     let mut c = Client::connect(&addr).expect("connect");
 
     let err = c
@@ -317,7 +302,7 @@ fn protocol_errors_keep_the_connection_alive() {
 
 #[test]
 fn budget_abort_reports_reason_over_the_wire() {
-    let (addr, daemon) = spawn_daemon(None);
+    let (addr, daemon) = spawn_daemon();
     let mut c = Client::connect(&addr).expect("connect");
     let (_, r) = c.analyze("stress/2000", None, Some(1000)).expect("budget job");
     assert!(r.aborted);
@@ -331,7 +316,7 @@ fn budget_abort_reports_reason_over_the_wire() {
 /// reports without streaming — streaming is observational only.
 #[test]
 fn streamed_job_emits_frames_and_identical_final_report() {
-    let (addr, daemon) = spawn_daemon(None);
+    let (addr, daemon) = spawn_daemon();
 
     let mut plain = Client::connect(&addr).expect("connect plain");
     let (_, baseline) = plain.analyze("insecurebank", None, None).expect("plain job");
@@ -376,7 +361,7 @@ fn streamed_job_emits_frames_and_identical_final_report() {
 #[test]
 fn legacy_thread_count_field_is_ignored() {
     use std::io::{BufRead, BufReader, Write};
-    let (addr, daemon) = spawn_daemon(None);
+    let (addr, daemon) = spawn_daemon();
 
     let mut conn = std::net::TcpStream::connect(&addr).expect("connect raw");
     conn.write_all(b"{\"type\":\"analyze\",\"app\":\"insecurebank\",\"taint_threads\":1000000}\n")
@@ -406,7 +391,7 @@ fn legacy_thread_count_field_is_ignored() {
 /// and the stats line must account for every refusal.
 #[test]
 fn full_queue_rejects_submissions_with_backpressure() {
-    let (addr, daemon) = spawn_daemon_capped(None, None, 1, 2);
+    let (addr, daemon) = spawn_daemon_capped(None, 1, 2);
 
     // Blast more work than worker + queue can hold. Each job carries a
     // deadline so the drain below stays fast.
@@ -450,7 +435,7 @@ fn full_queue_rejects_submissions_with_backpressure() {
 /// counters reconcile.
 #[test]
 fn cancel_storm_drains_cleanly_with_reconciled_counters() {
-    let (addr, daemon) = spawn_daemon(None);
+    let (addr, daemon) = spawn_daemon();
     let lanes = [Priority::High, Priority::Normal, Priority::Batch];
 
     let mut pending = Vec::new();
@@ -511,7 +496,7 @@ fn cancel_storm_drains_cleanly_with_reconciled_counters() {
 /// wake-up times.
 #[test]
 fn high_priority_overtakes_batch_in_the_queue() {
-    let (addr, daemon) = spawn_daemon_capped(None, None, 1, 0);
+    let (addr, daemon) = spawn_daemon_capped(None, 1, 0);
 
     // Pin the only worker.
     let mut pin = Client::connect(&addr).expect("pin conn");
@@ -564,7 +549,6 @@ fn spawn_daemon_allow(allow_apps: Vec<PathBuf>) -> (String, std::thread::JoinHan
         listen: Listen::parse("127.0.0.1:0"),
         workers: 2,
         queue_cap: 0,
-        summary_cache: None,
         platform_snapshot: None,
         allow_apps,
     })
@@ -581,8 +565,8 @@ fn spawn_daemon_allow(allow_apps: Vec<PathBuf>) -> (String, std::thread::JoinHan
 /// symlink planted inside the root — gets the typed `denied` reply.
 #[test]
 fn daemon_serves_external_apps_under_path_policy() {
-    let root = temp_cache("allow-root");
-    let outside = temp_cache("outside-root");
+    let root = temp_dir("allow-root");
+    let outside = temp_dir("outside-root");
     std::fs::create_dir_all(&root).unwrap();
     std::fs::create_dir_all(&outside).unwrap();
 
@@ -690,7 +674,7 @@ fn prepared_counters(c: &mut Client) -> (u64, u64, u64) {
 /// with `cannot load app`, never cached, and refused again when resubmitted.
 #[test]
 fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
-    let root = temp_cache("prepared-root");
+    let root = temp_dir("prepared-root");
     std::fs::create_dir_all(&root).unwrap();
     let truth = flowdroid_truth::generate_corpus(11, 1);
     let by_category = |cat: &str| truth.iter().find(|a| a.category == cat).unwrap();
@@ -754,7 +738,7 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
 /// closed-by-default posture.
 #[test]
 fn daemon_without_allow_apps_denies_all_paths() {
-    let (addr, daemon) = spawn_daemon(None);
+    let (addr, daemon) = spawn_daemon();
     let mut c = Client::connect(&addr).expect("connect");
     let denied =
         c.submit("/etc/hosts.rpk", &AnalyzeOptions::default()).expect("submit path");
@@ -767,38 +751,4 @@ fn daemon_without_allow_apps_denies_all_paths() {
     assert_eq!(r.leaks, 1);
     c.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
-}
-
-/// Jobs in different cache namespaces must not see each other's
-/// summaries: a tenant's first job starts cold even when another tenant
-/// has already warmed the same app in the same store directory.
-#[test]
-fn cache_namespaces_isolate_tenants_over_the_wire() {
-    let cache = temp_cache("tenants");
-    let (addr, daemon) = spawn_daemon(Some(cache.clone()));
-    let mut c = Client::connect(&addr).expect("connect");
-
-    let tenant = |ns: &str| AnalyzeOptions { namespace: ns.to_string(), ..Default::default() };
-    let run = |c: &mut Client, opts: &AnalyzeOptions| match c
-        .analyze_with("insecurebank", opts, &mut |_| {})
-        .expect("job")
-    {
-        AnalyzeOutcome::Done { result, .. } => result,
-        AnalyzeOutcome::Rejected { .. } => panic!("unbounded queue must not reject"),
-        AnalyzeOutcome::Denied { .. } => panic!("corpus names never hit the path policy"),
-    };
-
-    let a_cold = run(&mut c, &tenant("tenant-a"));
-    assert_eq!(a_cold.summary_hits, 0, "tenant-a starts cold");
-    assert!(a_cold.summary_recorded > 0);
-    let a_warm = run(&mut c, &tenant("tenant-a"));
-    assert!(a_warm.summary_hits > 0, "tenant-a warms up its own namespace");
-
-    let b_cold = run(&mut c, &tenant("tenant-b"));
-    assert_eq!(b_cold.summary_hits, 0, "tenant-b must not see tenant-a's summaries");
-    assert_eq!(b_cold.report, a_cold.report, "isolation must not change results");
-
-    c.shutdown().expect("shutdown");
-    daemon.join().expect("accept loop exits cleanly");
-    let _ = std::fs::remove_dir_all(&cache);
 }

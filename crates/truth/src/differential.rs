@@ -3,17 +3,14 @@
 //! the reference engine's per-app leak counts are scored against the
 //! ground-truth manifests.
 //!
-//! The matrix covers the solver's three interchangeable layers — how
-//! app code is loaded, whether the callgraph setup is replayed, and
-//! whether callee summaries come from the persistent store:
+//! The matrix covers the solver's two interchangeable layers — how app
+//! code is loaded and whether the callgraph setup is replayed:
 //!
 //! | engine            | configuration                                  |
 //! |-------------------|------------------------------------------------|
 //! | `seq-bitset`      | sequential solver (reference)                  |
 //! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX)  |
 //! | `lazy-cg-warm`    | lazy + warm daemon-style callgraph cache       |
-//! | `cache-cold`      | persistent summary store, populating pass      |
-//! | `cache-warm`      | persistent summary store, replaying pass       |
 //!
 //! (The through-the-daemon leg lives in `solver_stats --mode
 //! ground-truth`, which boots an in-process daemon and round-trips the
@@ -22,14 +19,12 @@
 use crate::generate::TruthApp;
 use flowdroid_android::install_platform;
 use flowdroid_bench::{
-    corpus_report, run_corpus, run_corpus_cold_warm, run_single_lazy, shared_platform_snapshot,
-    CorpusJob, CorpusRun,
+    corpus_report, run_corpus, run_single_lazy, shared_platform_snapshot, CorpusJob, CorpusRun,
 };
 use flowdroid_core::{icc, CgCache, InfoflowConfig, SourceSinkManager, TaintWrapper};
 use flowdroid_droidbench::{AppScore, ScoreBoard};
 use flowdroid_frontend::App;
 use flowdroid_ir::Program;
-use std::path::Path;
 
 /// One engine's sweep over the corpus.
 pub struct EngineOutcome {
@@ -115,9 +110,8 @@ fn outcome(name: &'static str, run: &CorpusRun) -> EngineOutcome {
     }
 }
 
-/// Sweeps every engine configuration over `apps`. `cache_dir` hosts the
-/// cold/warm summary store legs (created and torn down by the caller).
-pub fn run_differential(apps: &[TruthApp], cache_dir: &Path) -> Differential {
+/// Sweeps every engine configuration over `apps`.
+pub fn run_differential(apps: &[TruthApp]) -> Differential {
     let jobs: Vec<CorpusJob> = apps.iter().map(|a| a.job()).collect();
     let mut engines = Vec::new();
 
@@ -147,12 +141,6 @@ pub fn run_differential(apps: &[TruthApp], cache_dir: &Path) -> Differential {
             leaks: warm.iter().map(|a| (a.name.clone(), a.leaks)).collect(),
         });
     }
-
-    // Cold/warm persistent summary store.
-    let (cold, warm) =
-        run_corpus_cold_warm(&jobs, &InfoflowConfig::default(), 1, cache_dir);
-    engines.push(outcome("cache-cold", &cold));
-    engines.push(outcome("cache-warm", &warm));
 
     let n = engines.len();
     let mut agreement = vec![vec![true; n]; n];
@@ -286,17 +274,10 @@ mod tests {
     use super::*;
     use crate::generate::{generate_corpus, CONSTRUCTIVE_CATEGORIES};
 
-    fn temp_cache(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("flowdroid-truth-{tag}-{}", std::process::id()))
-    }
-
     #[test]
     fn reference_engine_matches_ground_truth() {
         let apps = generate_corpus(1, 1);
-        let cache = temp_cache("ref");
-        let _ = std::fs::remove_dir_all(&cache);
-        let d = run_differential(&apps, &cache);
-        let _ = std::fs::remove_dir_all(&cache);
+        let d = run_differential(&apps);
         assert!(d.drift.is_empty(), "ground-truth drift: {:?}", d.drift);
         assert_eq!(d.divergent_pairs, 0, "engines diverged");
         assert_eq!(d.constructive.fp, 0, "constructive false positive");

@@ -13,7 +13,7 @@
 //!   flows and the count a correct engine must report (which documents
 //!   the paper's known limitations, e.g. reflection misses);
 //! * [`differential`] — the engine matrix (eager/lazy frontend ×
-//!   cold/warm callgraph and summary caches), byte-for-byte report
+//!   cold/warm callgraph cache), byte-for-byte report
 //!   agreement, per-category precision/recall scoring against the
 //!   manifests via the shared
 //!   [`flowdroid_droidbench::ScoreBoard`], and the linked-ICC check

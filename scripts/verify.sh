@@ -30,9 +30,9 @@ fi
 git show HEAD:BENCH_solver.json > BENCH_solver.baseline.json 2>/dev/null || : > BENCH_solver.baseline.json
 
 # Every solver_stats mode enforces its own gates and exits nonzero when
-# one fails (report identity across modes, warm summary-cache hits and
-# saved path edges, lazy bodies skipped, the service and service-load
-# phases, ground-truth agreement); see the binary's module docs. This
+# one fails (report identity across modes, lazy bodies skipped, the
+# ladder's bytes per propagation, the service and service-load phases,
+# ground-truth agreement); see the binary's module docs. This
 # script only runs the modes, plus the one gate that needs the committed
 # baseline.
 echo "== solver stats (writes BENCH_solver.json)"
@@ -84,30 +84,27 @@ else
 fi
 
 # Serving-mode smoke: platform-snapshot round trip, daemon boot from
-# the snapshot, cold->warm cache sharing between jobs, warm
-# callgraph-cache replay with setup strictly below the cold job's, no
-# more bodies decoded warm than cold, in-flight cancellation, clean
+# the snapshot, warm prepared-job and callgraph-cache replay, no more
+# bodies decoded warm than cold, in-flight cancellation, clean
 # shutdown.
 echo "== serving-mode smoke"
 scripts/service_smoke.sh
 
-# Service benchmark: floods the daemon with the corpus twice (cold then
-# warm against one summary cache) and splices per-job wall/queue times
-# into BENCH_solver.json.
+# Service benchmark: floods the daemon with the corpus twice (cold, then
+# warm against its prepared-job and callgraph caches) and splices
+# per-job wall/queue times into BENCH_solver.json.
 echo "== service stats (splices \"service\" into BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- --mode service BENCH_solver.json >/dev/null
 
-# Fleet-load benchmark: two contexts reloaded from disk after the cache
-# directory moves between daemons, namespace isolation, priority
-# latency, overload backpressure, cancel storm and streamed-report
-# identity.
+# Fleet-load benchmark: priority ordering on one worker, overload
+# backpressure, cancel storm and streamed-report identity.
 echo "== service-load stats (splices \"service_load\" into BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- --mode service-load BENCH_solver.json >/dev/null
 
 # Ground-truth harness: generate the seeded synthetic corpus, sweep the
-# five-engine matrix (eager reference, lazy frontend, lazy + warm
-# callgraph cache, cold and warm summary cache) and serve the packed
-# archives through a daemon under the --allow-apps policy.
+# three-engine matrix (eager reference, lazy frontend, lazy + warm
+# callgraph cache) and serve the packed archives through a daemon under
+# the --allow-apps policy.
 echo "== ground-truth stats (splices \"ground_truth\" into BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- --mode ground-truth BENCH_solver.json >/dev/null
 

@@ -17,7 +17,6 @@
 //!   --sources <file>           extra source/sink definitions
 //!   --wrappers <file>          extra taint-wrapper rules
 //!   --no-paths                 skip leak-path reconstruction
-//!   --summary-cache <dir>      reuse method summaries across runs
 //!   --deadline-ms <ms>         abort (partial result) after a wall-clock budget
 //!   --max-propagations <n>     abort after n forward path-edge propagations
 //!
@@ -56,12 +55,12 @@ fn main() -> ExitCode {
 fn print_usage() {
     eprintln!("usage:");
     eprintln!("  flowdroid analyze <app-dir | app.rpk> [options]");
-    eprintln!("  flowdroid serve --listen <addr> [--summary-cache <dir>] [--workers <n>]");
-    eprintln!("                  [--queue-cap <n>] [--platform-snapshot <platform.fdps>]");
+    eprintln!("  flowdroid serve --listen <addr> [--workers <n>] [--queue-cap <n>]");
+    eprintln!("                  [--platform-snapshot <platform.fdps>]");
     eprintln!("                  [--allow-apps <dir>]...   serve on-disk app dirs / .rpk under <dir>");
     eprintln!("  flowdroid client <addr> analyze <app | app-dir | app.rpk>");
     eprintln!("                  [--deadline-ms <ms>] [--max-propagations <n>]");
-    eprintln!("                  [--priority high|normal|batch] [--namespace <ns>] [--stream]");
+    eprintln!("                  [--priority high|normal|batch] [--stream]");
     eprintln!("  flowdroid client <addr> cancel <job> | stats | shutdown");
     eprintln!("  flowdroid pack <app-dir> -o <app.rpk>");
     eprintln!("  flowdroid disas <app-dir | app.rpk>");
@@ -76,7 +75,6 @@ fn print_usage() {
     eprintln!("  --sources <file>           extra source/sink definitions");
     eprintln!("  --wrappers <file>          extra taint-wrapper rules");
     eprintln!("  --no-paths                 skip leak-path reconstruction");
-    eprintln!("  --summary-cache <dir>      reuse method summaries across runs");
     eprintln!("  --deadline-ms <ms>         abort (partial result) after a wall-clock budget");
     eprintln!("  --max-propagations <n>     abort after n forward path-edge propagations");
     eprintln!();
@@ -124,14 +122,6 @@ fn analyze(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 config.max_propagations = n;
-            }
-            "--summary-cache" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--summary-cache needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                config.summary_cache = Some(dir.into());
             }
             "--global-callbacks" => {
                 config.callback_association = CallbackAssociation::Global;
@@ -219,11 +209,6 @@ fn analyze(args: &[String]) -> ExitCode {
     let analysis = Infoflow::new(&sources, &wrapper, &config)
         .analyze_app(&mut program, &platform, &app, "cli");
     print!("{}", analysis.results.report(&program));
-    if let Some(dir) = &config.summary_cache {
-        if let Err(e) = flowdroid_core::flush_summary_cache(dir) {
-            eprintln!("summary cache {}: {e}", dir.display());
-        }
-    }
     if analysis.results.aborted {
         let why = analysis.results.abort_reason.map_or("budget", |r| r.as_str());
         eprintln!("analysis aborted ({why}); reported leaks are a lower bound");
@@ -237,15 +222,13 @@ fn analyze(args: &[String]) -> ExitCode {
     }
 }
 
-/// `flowdroid serve --listen <addr> [--summary-cache <dir>] [--workers <n>]
-/// [--queue-cap <n>] [--platform-snapshot <platform.fdps>]
-/// [--allow-apps <dir>]...`
+/// `flowdroid serve --listen <addr> [--workers <n>] [--queue-cap <n>]
+/// [--platform-snapshot <platform.fdps>] [--allow-apps <dir>]...`
 fn serve(args: &[String]) -> ExitCode {
     use flowdroid_service::{Daemon, DaemonOptions, Listen, DEFAULT_QUEUE_CAP};
     let mut listen = None;
     let mut workers = 0usize;
     let mut queue_cap = DEFAULT_QUEUE_CAP;
-    let mut summary_cache = None;
     let mut platform_snapshot = None;
     let mut allow_apps = Vec::new();
     let mut i = 0;
@@ -274,14 +257,6 @@ fn serve(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 workers = n;
-            }
-            "--summary-cache" => {
-                i += 1;
-                let Some(dir) = args.get(i) else {
-                    eprintln!("--summary-cache needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                summary_cache = Some(dir.into());
             }
             "--platform-snapshot" => {
                 i += 1;
@@ -314,7 +289,6 @@ fn serve(args: &[String]) -> ExitCode {
         listen,
         workers,
         queue_cap,
-        summary_cache,
         platform_snapshot,
         allow_apps,
     }) {
@@ -366,7 +340,6 @@ fn client(args: &[String]) -> ExitCode {
             let mut deadline_ms = None;
             let mut max_propagations = None;
             let mut priority = flowdroid_service::Priority::Normal;
-            let mut namespace = String::new();
             let mut stream = false;
             let mut i = 3;
             while i < args.len() {
@@ -386,14 +359,6 @@ fn client(args: &[String]) -> ExitCode {
                                 return ExitCode::FAILURE;
                             }
                         }
-                    }
-                    "--namespace" => {
-                        i += 1;
-                        let Some(ns) = args.get(i) else {
-                            eprintln!("--namespace needs a name ([A-Za-z0-9._-], <= 64 bytes)");
-                            return ExitCode::FAILURE;
-                        };
-                        namespace = ns.to_string();
                     }
                     "--stream" => stream = true,
                     "--deadline-ms" => match take_num(&mut i) {
@@ -424,7 +389,6 @@ fn client(args: &[String]) -> ExitCode {
                 deadline_ms,
                 max_propagations,
                 priority,
-                namespace,
                 stream,
             }));
             if let Err(e) = send {
