@@ -665,7 +665,8 @@ impl CorpusRun {
     }
 
     /// Tabulation-table density/widening counters summed across the
-    /// corpus (`None` when no app ran on bitset tables).
+    /// corpus (`None` when no app recorded a table row or widened a
+    /// fact).
     pub fn fact_table_totals(&self) -> Option<TableStats> {
         let mut total: Option<TableStats> = None;
         for s in self.apps.iter().filter_map(|a| a.fact_tables.as_ref()) {

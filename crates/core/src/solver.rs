@@ -49,7 +49,7 @@ use crate::sourcesink::SourceSinkManager;
 use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
-use flowdroid_ifds::{AbortReason, BitsetSets, Tabulator};
+use flowdroid_ifds::{AbortReason, Tabulator};
 use flowdroid_ir::{FxHashMap, FxHashSet, MethodId, Program, Stmt, StmtRef};
 use std::collections::hash_map::Entry;
 
@@ -155,8 +155,8 @@ struct Buffers {
 pub struct BiSolver<'a> {
     flows: Flows<'a>,
     interner: Interner,
-    fw: Tabulator<FactId, BitsetSets>,
-    bw: Tabulator<FactId, BitsetSets>,
+    fw: Tabulator<FactId>,
+    bw: Tabulator<FactId>,
     leaks: Vec<(StmtRef, Taint)>,
     /// (stmt, fact) → all offered predecessor (stmt, fact) origins, for
     /// path reconstruction. The *set* of offers at the fixpoint is

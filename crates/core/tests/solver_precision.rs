@@ -133,6 +133,29 @@ class Main {
     assert_eq!(r.leak_count(), 1);
 }
 
+#[test]
+fn taint_generated_inside_callee_returns_to_caller() {
+    let (_, r) = analyze(
+        r#"
+class Main {
+  static method get() -> java.lang.String {
+    let t: java.lang.String
+    t = staticinvoke <Env: java.lang.String source()>()
+    return t
+  }
+  static method main() -> void {
+    let x: java.lang.String
+    x = staticinvoke <Main: java.lang.String get()>()
+    staticinvoke <Env: void sink(java.lang.String)>(x)
+    return
+  }
+}
+"#,
+        ("Main", "main"),
+    );
+    assert_eq!(r.leak_count(), 1, "a taint the callee generates returns to its caller: {r:#?}");
+}
+
 // ====================== field sensitivity (§2) ======================
 
 #[test]

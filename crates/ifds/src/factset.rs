@@ -1,37 +1,29 @@
-//! Pluggable fact-set representations for the tabulation tables.
+//! The fact-id-indexed tables behind a [`crate::Tabulator`].
 //!
-//! The tabulators store three relations per direction: path edges
+//! A tabulator stores three relations per direction: path edges
 //! (`n → d2 → {d1}`), incoming call contexts and end summaries
-//! (`callee → fact → {(stmt, fact)}`). [`FactSetDomain`] abstracts how
-//! the inner sets are laid out so one tabulator implementation serves
-//! two representations:
+//! (`callee → fact → {(stmt, fact)}`). Facts are dense indices
+//! ([`Idx`]), i.e. interned fact ids, so the inner sets are laid out by
+//! fact id:
 //!
-//! * [`HashSets`] — the original `FxHashMap`/`FxHashSet`/`Vec` nesting.
-//!   Works for any `Clone + Eq + Hash` fact; the only choice for
-//!   whole-struct fact keys.
-//! * [`BitsetSets`] — fact-id-indexed tables for facts that are dense
-//!   indices ([`Idx`]), i.e. interned fact ids. The path-edge relation
-//!   is a [`SlotRel`]: one 8-byte slot per `d2` that holds a lone `d1`
-//!   inline (almost every IFDS node has exactly one) and spills to a
-//!   [`HybridBitSet`] from `flowdroid-bitset` on the second. Pair sets
-//!   are site-sorted hybrid rows. Small rows cost no heap allocation;
-//!   hot rows promote to dense words with O(1) membership.
+//! * [`SlotRel`] — the path-edge relation of one statement: one 8-byte
+//!   slot per `d2` that holds a lone `d1` inline (almost every IFDS node
+//!   has exactly one) and spills to a [`HybridBitSet`] from
+//!   `flowdroid-bitset` on the second.
+//! * [`BitPairs`] — an incoming or summary set: site-sorted hybrid rows.
 //!
-//! Both representations iterate sets in a deterministic order that is
-//! a pure function of set *contents* (hash iteration is only used where
-//! consumers canonicalize), so swapping one for the other never changes
-//! solver results — the determinism sweeps assert exactly this.
+//! Small rows cost no heap allocation; hot rows promote to dense words
+//! with O(1) membership. Both tables iterate in an order that is a pure
+//! function of their contents, so solver results are deterministic.
 
 use flowdroid_bitset::{HybridBitSet, Idx};
-use flowdroid_ir::{FxHashMap, FxHashSet, StmtRef};
-use std::hash::Hash;
+use flowdroid_ir::StmtRef;
 
 /// Density and promotion counters for one tabulator's tables.
 ///
-/// All zeros on the hash-map representation (it has no notion of
-/// rows/promotion); on the bitset representation `dense_rows` counts
-/// hybrid rows that promoted past the sparse threshold and
-/// `dense_words` the `u64` words backing them.
+/// `rows` counts the table rows ever touched, `dense_rows` the hybrid
+/// rows that promoted past the sparse threshold and `dense_words` the
+/// `u64` words backing them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Hybrid set rows ever touched (edge rows + incoming/summary sets).
@@ -58,7 +50,7 @@ impl TableStats {
         self.widened_facts += other.widened_facts;
     }
 
-    /// Whether any row was ever counted (false on the hash-map path).
+    /// Whether any row was ever counted (false before the first insert).
     pub fn any(&self) -> bool {
         self.rows > 0
     }
@@ -68,8 +60,8 @@ impl TableStats {
 /// does not exist, else whether it is dense and its word count.
 type Shape = Option<(bool, u64)>;
 
-fn shape_of<T: Idx>(set: Option<&HybridBitSet<T>>) -> Shape {
-    set.map(|s| (s.is_dense(), s.word_count() as u64))
+fn shape_of<T: Idx>(set: &HybridBitSet<T>) -> Shape {
+    Some((set.is_dense(), set.word_count() as u64))
 }
 
 impl TableStats {
@@ -103,122 +95,6 @@ impl TableStats {
             self.sub_shape(before);
         }
     }
-}
-
-/// The per-node path-edge relation `d2 → {d1}`.
-pub trait FactRel<F>: Default {
-    /// Records `(d2, d1)`; returns `true` if it was not already present.
-    /// A row the insert creates, promotes or widens is counted into
-    /// `stats`, which must hold this relation's counts so far (no-op for
-    /// hash maps).
-    fn insert(&mut self, d2: &F, d1: &F, stats: &mut TableStats) -> bool;
-    /// Whether `(d2, d1)` is recorded.
-    fn contains(&self, d2: &F, d1: &F) -> bool;
-    /// Whether some `(d2, ·)` is recorded.
-    fn has_key(&self, d2: &F) -> bool;
-    /// All `d1` recorded for `d2`.
-    fn d1s(&self, d2: &F) -> Vec<F>;
-    /// All `d2` with at least one entry.
-    fn keys(&self) -> Vec<F>;
-    /// Accumulates density counters by sweeping every row (no-op for
-    /// hash maps): the reference the insert-time counts must equal.
-    fn collect_stats(&self, stats: &mut TableStats);
-}
-
-/// A set of `(statement, fact)` pairs (incoming contexts, summaries).
-pub trait PairSet<F>: Default {
-    /// Records `(site, f)`; returns `true` if it was not already present.
-    /// Counts row changes into `stats` like [`FactRel::insert`].
-    fn insert(&mut self, site: StmtRef, f: &F, stats: &mut TableStats) -> bool;
-    /// Whether the set is empty.
-    fn is_empty(&self) -> bool;
-    /// All pairs, in a deterministic order.
-    fn to_vec(&self) -> Vec<(StmtRef, F)>;
-    /// Accumulates density counters by sweeping every row (no-op for
-    /// the vector form).
-    fn collect_stats(&self, stats: &mut TableStats);
-}
-
-/// Chooses the concrete table types for a fact type `F`.
-pub trait FactSetDomain<F> {
-    /// Path-edge relation representation.
-    type Rel: FactRel<F>;
-    /// Incoming/summary pair-set representation.
-    type Pairs: PairSet<F>;
-}
-
-/// The hash-map representation (any hashable fact).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HashSets;
-
-impl<F: Clone + Eq + Hash> FactSetDomain<F> for HashSets {
-    type Rel = FxHashMap<F, FxHashSet<F>>;
-    type Pairs = VecPairs<F>;
-}
-
-impl<F: Clone + Eq + Hash> FactRel<F> for FxHashMap<F, FxHashSet<F>> {
-    fn insert(&mut self, d2: &F, d1: &F, _stats: &mut TableStats) -> bool {
-        self.entry(d2.clone()).or_default().insert(d1.clone())
-    }
-
-    fn contains(&self, d2: &F, d1: &F) -> bool {
-        self.get(d2).is_some_and(|s| s.contains(d1))
-    }
-
-    fn has_key(&self, d2: &F) -> bool {
-        self.contains_key(d2)
-    }
-
-    fn d1s(&self, d2: &F) -> Vec<F> {
-        self.get(d2).map(|s| s.iter().cloned().collect()).unwrap_or_default()
-    }
-
-    fn keys(&self) -> Vec<F> {
-        self.keys().cloned().collect()
-    }
-
-    fn collect_stats(&self, _stats: &mut TableStats) {}
-}
-
-/// Insertion-ordered pair vector with linear-scan dedup (the original
-/// incoming/summary representation; sets are small).
-#[derive(Clone, Debug)]
-pub struct VecPairs<F>(Vec<(StmtRef, F)>);
-
-impl<F> Default for VecPairs<F> {
-    fn default() -> Self {
-        VecPairs(Vec::new())
-    }
-}
-
-impl<F: Clone + Eq> PairSet<F> for VecPairs<F> {
-    fn insert(&mut self, site: StmtRef, f: &F, _stats: &mut TableStats) -> bool {
-        if self.0.iter().any(|(s, d)| *s == site && d == f) {
-            false
-        } else {
-            self.0.push((site, f.clone()));
-            true
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn to_vec(&self) -> Vec<(StmtRef, F)> {
-        self.0.clone()
-    }
-
-    fn collect_stats(&self, _stats: &mut TableStats) {}
-}
-
-/// The bitset representation (facts that are dense indices).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BitsetSets;
-
-impl<F: Idx> FactSetDomain<F> for BitsetSets {
-    type Rel = SlotRel<F>;
-    type Pairs = BitPairs<F>;
 }
 
 /// One `d2`'s entry in a [`SlotRel`].
@@ -265,10 +141,11 @@ impl<F: Idx> SlotRel<F> {
     fn slot(&self, d2: F) -> Slot {
         self.slots.get(d2.index()).copied().unwrap_or_default()
     }
-}
 
-impl<F: Idx> FactRel<F> for SlotRel<F> {
-    fn insert(&mut self, d2: &F, d1: &F, stats: &mut TableStats) -> bool {
+    /// Records `(d2, d1)`; returns `true` if it was not already present.
+    /// A row the insert creates, promotes or widens is counted into
+    /// `stats`, which must hold this relation's counts so far.
+    pub fn insert(&mut self, d2: F, d1: F, stats: &mut TableStats) -> bool {
         let i = d2.index();
         if i >= self.slots.len() {
             self.slots.resize(i + 1, Slot::Empty);
@@ -286,64 +163,52 @@ impl<F: Idx> FactRel<F> for SlotRel<F> {
             Slot::One(only) => {
                 let mut set = HybridBitSet::new();
                 set.insert(F::from_index(only as usize));
-                set.insert(*d1);
+                set.insert(d1);
                 self.slots[i] = Slot::Many(self.spilled.len() as u32);
                 self.spilled.push(set);
                 true
             }
             Slot::Many(k) => {
                 let set = &mut self.spilled[k as usize];
-                let before = shape_of(Some(&*set));
-                let new = set.insert(*d1);
+                let before = shape_of(set);
+                let new = set.insert(d1);
                 if new {
-                    stats.reshape(before, shape_of(Some(&*set)));
+                    stats.reshape(before, shape_of(set));
                 }
                 new
             }
         }
     }
 
-    fn contains(&self, d2: &F, d1: &F) -> bool {
-        match self.slot(*d2) {
-            Slot::Empty => false,
-            Slot::One(only) => only as usize == d1.index(),
-            Slot::Many(k) => self.spilled[k as usize].contains(*d1),
-        }
+    /// Whether some `(d2, ·)` is recorded.
+    pub fn has_key(&self, d2: F) -> bool {
+        self.slot(d2) != Slot::Empty
     }
 
-    fn has_key(&self, d2: &F) -> bool {
-        self.slot(*d2) != Slot::Empty
-    }
-
-    fn d1s(&self, d2: &F) -> Vec<F> {
-        match self.slot(*d2) {
+    /// All `d1` recorded for `d2`, ascending.
+    pub fn d1s(&self, d2: F) -> Vec<F> {
+        match self.slot(d2) {
             Slot::Empty => Vec::new(),
             Slot::One(only) => vec![F::from_index(only as usize)],
             Slot::Many(k) => self.spilled[k as usize].iter().collect(),
         }
     }
 
-    fn keys(&self) -> Vec<F> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| **slot != Slot::Empty)
-            .map(|(i, _)| F::from_index(i))
-            .collect()
-    }
-
-    fn collect_stats(&self, stats: &mut TableStats) {
+    /// Accumulates density counters by sweeping every row: the
+    /// reference the insert-time counts must equal.
+    pub fn collect_stats(&self, stats: &mut TableStats) {
         for slot in &self.slots {
             stats.add_shape(match *slot {
                 Slot::Empty => None,
                 Slot::One(_) => INLINE,
-                Slot::Many(k) => shape_of(Some(&self.spilled[k as usize])),
+                Slot::Many(k) => shape_of(&self.spilled[k as usize]),
             });
         }
     }
 }
 
-/// Pairs grouped by statement, each statement's facts a hybrid bitset.
+/// A set of `(statement, fact)` pairs (incoming contexts, summaries),
+/// grouped by statement, each statement's facts a hybrid bitset.
 ///
 /// Statements stay sorted, facts iterate id-ascending, so `to_vec`
 /// order is a pure function of set contents.
@@ -358,12 +223,14 @@ impl<F: Idx> Default for BitPairs<F> {
     }
 }
 
-impl<F: Idx> PairSet<F> for BitPairs<F> {
-    fn insert(&mut self, site: StmtRef, f: &F, stats: &mut TableStats) -> bool {
+impl<F: Idx> BitPairs<F> {
+    /// Records `(site, f)`; returns `true` if it was not already present.
+    /// Counts row changes into `stats` like [`SlotRel::insert`].
+    pub fn insert(&mut self, site: StmtRef, f: F, stats: &mut TableStats) -> bool {
         let (set, before) = match self.by_site.binary_search_by_key(&site, |(s, _)| *s) {
             Ok(pos) => {
                 let set = &mut self.by_site[pos].1;
-                let before = shape_of(Some(&*set));
+                let before = shape_of(set);
                 (set, before)
             }
             Err(pos) => {
@@ -371,18 +238,15 @@ impl<F: Idx> PairSet<F> for BitPairs<F> {
                 (&mut self.by_site[pos].1, None)
             }
         };
-        let new = set.insert(*f);
+        let new = set.insert(f);
         if new {
-            stats.reshape(before, shape_of(Some(&*set)));
+            stats.reshape(before, shape_of(set));
         }
         new
     }
 
-    fn is_empty(&self) -> bool {
-        self.by_site.is_empty()
-    }
-
-    fn to_vec(&self) -> Vec<(StmtRef, F)> {
+    /// All pairs, sorted by site and then by fact id.
+    pub fn to_vec(&self) -> Vec<(StmtRef, F)> {
         let mut out = Vec::new();
         for (site, set) in &self.by_site {
             out.extend(set.iter().map(|f| (*site, f)));
@@ -390,9 +254,11 @@ impl<F: Idx> PairSet<F> for BitPairs<F> {
         out
     }
 
-    fn collect_stats(&self, stats: &mut TableStats) {
+    /// Accumulates density counters by sweeping every row, like
+    /// [`SlotRel::collect_stats`].
+    pub fn collect_stats(&self, stats: &mut TableStats) {
         for (_, set) in &self.by_site {
-            stats.add_shape(shape_of(Some(set)));
+            stats.add_shape(shape_of(set));
         }
     }
 }
@@ -400,54 +266,6 @@ impl<F: Idx> PairSet<F> for BitPairs<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowdroid_ir::MethodId;
-
-    fn sr(i: usize) -> StmtRef {
-        StmtRef::new(MethodId::from_index(0), i)
-    }
-
-    /// Both pair-set representations agree on membership and contents
-    /// under the same insertion sequence.
-    #[test]
-    fn pair_sets_agree() {
-        let mut vp: VecPairs<u32> = VecPairs::default();
-        let mut bp: BitPairs<u32> = BitPairs::default();
-        let inserts = [(3, 7u32), (1, 2), (3, 7), (3, 1), (0, 9), (1, 2)];
-        let mut stats = TableStats::default();
-        for (s, f) in inserts {
-            let (v, b) = (vp.insert(sr(s), &f, &mut stats), bp.insert(sr(s), &f, &mut stats));
-            assert_eq!(v, b, "({s},{f})");
-        }
-        let mut a = vp.to_vec();
-        let mut b = bp.to_vec();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
-        assert!(!vp.is_empty() && !bp.is_empty());
-    }
-
-    /// Both relation representations agree on insert/contains/rows.
-    #[test]
-    fn rels_agree() {
-        let mut hr: FxHashMap<u32, FxHashSet<u32>> = Default::default();
-        let mut br: SlotRel<u32> = Default::default();
-        let inserts = [(5u32, 1u32), (5, 2), (5, 1), (0, 0), (9, 1)];
-        let mut stats = TableStats::default();
-        for (d2, d1) in inserts {
-            assert_eq!(
-                FactRel::insert(&mut hr, &d2, &d1, &mut stats),
-                FactRel::insert(&mut br, &d2, &d1, &mut stats)
-            );
-        }
-        assert!(FactRel::contains(&hr, &5, &2) && FactRel::contains(&br, &5, &2));
-        assert!(!FactRel::contains(&hr, &5, &9) && !FactRel::contains(&br, &5, &9));
-        let mut ha = FactRel::d1s(&hr, &5);
-        ha.sort_unstable();
-        assert_eq!(ha, FactRel::d1s(&br, &5));
-        let mut hk = FactRel::keys(&hr);
-        hk.sort_unstable();
-        assert_eq!(hk, FactRel::keys(&br));
-    }
 
     #[test]
     fn bitset_stats_count_rows() {
@@ -455,7 +273,7 @@ mod tests {
         let mut br: SlotRel<u32> = Default::default();
         let mut counted = TableStats::default();
         let mut step = |br: &mut SlotRel<u32>, d2: u32, d1: u32| {
-            FactRel::insert(br, &d2, &d1, &mut counted);
+            br.insert(d2, d1, &mut counted);
             let mut swept = TableStats::default();
             br.collect_stats(&mut swept);
             assert_eq!(counted, swept, "after ({d2}, {d1})");
@@ -474,12 +292,7 @@ mod tests {
         assert_eq!(step(&mut br, 5, 100), (2, 1, 1, 2));
         // A dense row widens with a larger id.
         assert_eq!(step(&mut br, 5, 250), (2, 1, 1, 4));
-        assert_eq!(br.d1s(&5).len(), SPARSE_MAX + 2);
+        assert_eq!(br.d1s(5).len(), SPARSE_MAX + 2);
         assert!(counted.any());
-
-        let hr: FxHashMap<u32, FxHashSet<u32>> = Default::default();
-        let mut hstats = TableStats::default();
-        hr.collect_stats(&mut hstats);
-        assert!(!hstats.any());
     }
 }

@@ -1,7 +1,8 @@
 //! The path-edge / summary / incoming-set state machine underlying the
 //! IFDS tabulation algorithm.
 
-use crate::factset::{FactRel, FactSetDomain, HashSets, PairSet, TableStats};
+use crate::factset::{BitPairs, SlotRel, TableStats};
+use flowdroid_bitset::Idx;
 use flowdroid_ir::{FxHashMap, MethodId, StmtRef};
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -25,36 +26,27 @@ pub struct PathEdge<F> {
 /// Worklist, path-edge table, end summaries and incoming sets for one
 /// IFDS solver instance.
 ///
-/// The table layout is chosen by the [`FactSetDomain`] parameter `S`:
-/// nested hash maps ([`HashSets`], the default, any hashable fact) or
-/// fact-id-indexed bitset rows ([`crate::BitsetSets`], interned ids).
-/// Outer keys (statement, callee) stay Fx-hashed either way; `S` only
-/// decides the inner `fact → …` sets — the hot part.
+/// Facts are dense indices (interned fact ids). Outer keys (statement,
+/// callee, entry fact) are Fx-hashed; the inner `fact → …` sets — the
+/// hot part — are the fact-id-indexed [`SlotRel`] and [`BitPairs`].
 ///
-/// [`crate::Solver`] drives a `Tabulator` automatically; the FlowDroid
-/// bidirectional analysis drives two of them manually so it can hand
-/// edges from one to the other (context injection).
-pub struct Tabulator<F, S: FactSetDomain<F> = HashSets> {
+/// The FlowDroid bidirectional analysis drives two of them manually so
+/// it can hand edges from one to the other (context injection).
+pub struct Tabulator<F: Idx> {
     worklist: VecDeque<PathEdge<F>>,
     /// n → d2 → set of d1 for all recorded path edges.
-    edges: FxHashMap<StmtRef, S::Rel>,
+    edges: FxHashMap<StmtRef, SlotRel<F>>,
     /// callee → d1-at-entry → exit facts (exit stmt, d2-at-exit).
-    end_summaries: FxHashMap<MethodId, FxHashMap<F, S::Pairs>>,
+    end_summaries: FxHashMap<MethodId, FxHashMap<F, BitPairs<F>>>,
     /// callee → d3-at-entry → call contexts (call site, d2-at-call).
-    incoming: FxHashMap<MethodId, FxHashMap<F, S::Pairs>>,
+    incoming: FxHashMap<MethodId, FxHashMap<F, BitPairs<F>>>,
     /// Number of path edges ever propagated (for statistics).
     propagation_count: u64,
     /// Density counters of the three tables, kept as they grow.
     stats: TableStats,
 }
 
-impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Default for Tabulator<F, S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
+impl<F: Idx + Hash> Tabulator<F> {
     /// Creates an empty tabulator.
     pub fn new() -> Self {
         Self {
@@ -70,7 +62,7 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// Records the path edge `⟨·, d1⟩ → ⟨n, d2⟩` and schedules it if it
     /// is new. Returns `true` if the edge was new.
     pub fn propagate(&mut self, d1: F, n: StmtRef, d2: F) -> bool {
-        let inserted = self.edges.entry(n).or_default().insert(&d2, &d1, &mut self.stats);
+        let inserted = self.edges.entry(n).or_default().insert(d2, d1, &mut self.stats);
         if inserted {
             self.propagation_count += 1;
             self.worklist.push_back(PathEdge { d1, n, d2 });
@@ -83,11 +75,6 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
         self.worklist.pop_front()
     }
 
-    /// Returns `true` if the worklist is empty.
-    pub fn is_idle(&self) -> bool {
-        self.worklist.is_empty()
-    }
-
     /// The edges still waiting to be processed. After a run stops
     /// early these are the recorded edges its driver never handled.
     pub fn queued(&self) -> impl Iterator<Item = &PathEdge<F>> {
@@ -97,25 +84,20 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// All source facts `d1` of path edges targeting `(n, d2)`. The
     /// lookup borrows `d2`; only the returned facts are materialized.
     pub fn d1s_at(&self, n: StmtRef, d2: &F) -> Vec<F> {
-        self.edges.get(&n).map(|rel| rel.d1s(d2)).unwrap_or_default()
-    }
-
-    /// Returns `true` if the edge `⟨·, d1⟩ → ⟨n, d2⟩` has been recorded.
-    pub fn has_edge(&self, d1: &F, n: StmtRef, d2: &F) -> bool {
-        self.edges.get(&n).is_some_and(|rel| rel.contains(d2, d1))
+        self.edges.get(&n).map(|rel| rel.d1s(*d2)).unwrap_or_default()
     }
 
     /// Returns `true` if some path edge targets `(n, d2)`, whatever its
     /// source fact. Allocates nothing.
     pub fn has_node(&self, n: StmtRef, d2: &F) -> bool {
-        self.edges.get(&n).is_some_and(|rel| rel.has_key(d2))
+        self.edges.get(&n).is_some_and(|rel| rel.has_key(*d2))
     }
 
     /// Records a call context: the callee was entered with `d3` from
     /// `call_site` where `d2` held. Returns `true` if new.
     pub fn add_incoming(&mut self, callee: MethodId, d3: F, call_site: StmtRef, d2: F) -> bool {
         let pairs = self.incoming.entry(callee).or_default().entry(d3).or_default();
-        pairs.insert(call_site, &d2, &mut self.stats)
+        pairs.insert(call_site, d2, &mut self.stats)
     }
 
     /// The call contexts recorded for `(callee, d3)`.
@@ -131,7 +113,7 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// injection in the bidirectional analysis).
     pub fn inject_incoming(&mut self, callee: MethodId, d3: F, contexts: &[(StmtRef, F)]) {
         for (site, d2) in contexts {
-            self.add_incoming(callee, d3.clone(), *site, d2.clone());
+            self.add_incoming(callee, d3, *site, *d2);
         }
     }
 
@@ -139,7 +121,7 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
     /// `true` if new.
     pub fn install_summary(&mut self, callee: MethodId, d1: F, exit: StmtRef, d2: F) -> bool {
         let pairs = self.end_summaries.entry(callee).or_default().entry(d1).or_default();
-        pairs.insert(exit, &d2, &mut self.stats)
+        pairs.insert(exit, d2, &mut self.stats)
     }
 
     /// The end summaries recorded for `(callee, d1)`.
@@ -151,28 +133,13 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
             .unwrap_or_default()
     }
 
-    /// All facts recorded as holding before `n` (ignoring source facts).
-    pub fn facts_at(&self, n: StmtRef) -> Vec<F> {
-        self.edges.get(&n).map(|rel| rel.keys()).unwrap_or_default()
-    }
-
-    /// All `(n, d2)` pairs with at least one path edge.
-    pub fn reached(&self) -> Vec<(StmtRef, F)> {
-        let mut out = Vec::new();
-        for (n, rel) in &self.edges {
-            out.extend(rel.keys().into_iter().map(|d| (*n, d)));
-        }
-        out
-    }
-
     /// Number of `propagate` calls that inserted a new edge.
     pub fn propagation_count(&self) -> u64 {
         self.propagation_count
     }
 
-    /// Density counters across the edge, incoming and summary tables
-    /// (all zeros on the hash-map representation), counted as the
-    /// tables grew.
+    /// Density counters across the edge, incoming and summary tables,
+    /// counted as the tables grew.
     pub fn table_stats(&self) -> TableStats {
         self.stats
     }
@@ -196,7 +163,6 @@ impl<F: Clone + Eq + Hash, S: FactSetDomain<F>> Tabulator<F, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factset::BitsetSets;
     use flowdroid_ir::MethodId;
 
     fn sr(i: usize) -> StmtRef {
@@ -210,15 +176,12 @@ mod tests {
         assert!(!t.propagate(0, sr(1), 7));
         assert!(t.propagate(1, sr(1), 7));
         assert_eq!(t.propagation_count(), 2);
-        let mut d1s = t.d1s_at(sr(1), &7);
-        d1s.sort_unstable();
-        assert_eq!(d1s, vec![0, 1]);
+        assert_eq!(t.d1s_at(sr(1), &7), vec![0, 1]);
         assert!(t.pop().is_some());
         let queued: Vec<_> = t.queued().cloned().collect();
         assert_eq!(queued, vec![PathEdge { d1: 1, n: sr(1), d2: 7 }]);
         assert!(t.pop().is_some());
         assert!(t.pop().is_none());
-        assert!(t.is_idle());
         assert_eq!(t.queued().count(), 0);
     }
 
@@ -237,75 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn facts_at_collects_all() {
+    fn has_node_borrows_and_matches() {
         let mut t: Tabulator<u32> = Tabulator::new();
         t.propagate(0, sr(2), 5);
-        t.propagate(0, sr(2), 6);
-        t.propagate(0, sr(3), 7);
-        let mut facts = t.facts_at(sr(2));
-        facts.sort_unstable();
-        assert_eq!(facts, vec![5, 6]);
-    }
-
-    #[test]
-    fn has_edge_borrows_and_matches() {
-        let mut t: Tabulator<u32> = Tabulator::new();
-        t.propagate(0, sr(2), 5);
-        assert!(t.has_edge(&0, sr(2), &5));
-        assert!(!t.has_edge(&1, sr(2), &5));
-        assert!(!t.has_edge(&0, sr(3), &5));
+        assert_eq!(t.d1s_at(sr(2), &5), vec![0]);
+        assert!(t.d1s_at(sr(3), &5).is_empty());
         assert!(t.has_node(sr(2), &5));
         assert!(!t.has_node(sr(2), &0));
         assert!(!t.has_node(sr(3), &5));
-        let mut reached = t.reached();
-        reached.sort();
-        assert_eq!(reached, vec![(sr(2), 5)]);
-    }
-
-    /// The bitset-backed tabulator behaves identically to the hash-map
-    /// one over the full API surface.
-    #[test]
-    fn bitset_tabulator_matches_hash_tabulator() {
-        let m = MethodId::from_index(2);
-        let mut h: Tabulator<u32> = Tabulator::new();
-        let mut b: Tabulator<u32, BitsetSets> = Tabulator::new();
-        for (d1, n, d2) in [(0, 1, 7), (0, 1, 7), (1, 1, 7), (0, 2, 3), (2, 1, 9)] {
-            assert_eq!(h.propagate(d1, sr(n), d2), b.propagate(d1, sr(n), d2));
-        }
-        assert_eq!(h.propagation_count(), b.propagation_count());
-        for (n, d2) in [(1, 7), (1, 9), (2, 3), (3, 0)] {
-            let mut hd = h.d1s_at(sr(n), &d2);
-            hd.sort_unstable();
-            assert_eq!(hd, b.d1s_at(sr(n), &d2));
-        }
-        assert_eq!(h.has_edge(&1, sr(1), &7), b.has_edge(&1, sr(1), &7));
-        assert_eq!(h.has_edge(&1, sr(1), &8), b.has_edge(&1, sr(1), &8));
-        for (n, d2) in [(1, 7), (1, 8), (2, 3), (3, 3)] {
-            assert_eq!(h.has_node(sr(n), &d2), b.has_node(sr(n), &d2));
-        }
-        let (mut hf, mut bf) = (h.facts_at(sr(1)), b.facts_at(sr(1)));
-        hf.sort_unstable();
-        bf.sort_unstable();
-        assert_eq!(hf, bf);
-        let (mut hr, mut br) = (h.reached(), b.reached());
-        hr.sort();
-        br.sort();
-        assert_eq!(hr, br);
-
-        assert_eq!(h.add_incoming(m, 1, sr(4), 5), b.add_incoming(m, 1, sr(4), 5));
-        assert_eq!(h.add_incoming(m, 1, sr(4), 5), b.add_incoming(m, 1, sr(4), 5));
-        assert_eq!(h.install_summary(m, 1, sr(9), 2), b.install_summary(m, 1, sr(9), 2));
-        let mut hi = h.incoming_for(m, &1);
-        hi.sort();
-        assert_eq!(hi, b.incoming_for(m, &1));
-        let mut hs = h.summaries_for(m, &1);
-        hs.sort();
-        assert_eq!(hs, b.summaries_for(m, &1));
-
-        assert!(!h.table_stats().any());
-        let bstats = b.table_stats();
-        assert!(bstats.any());
-        assert_eq!(bstats.dense_rows, 0);
     }
 
     /// The counts kept as the tables grow equal a sweep over every row,
@@ -315,7 +217,7 @@ mod tests {
     #[test]
     fn incremental_table_stats_match_a_sweep() {
         let m = MethodId::from_index(1);
-        let mut t: Tabulator<u32, BitsetSets> = Tabulator::new();
+        let mut t: Tabulator<u32> = Tabulator::new();
         for d2 in 0..12u32 {
             for d1 in 0..=d2 {
                 t.propagate(d1 * 37, sr(d2 as usize % 3), d2);

@@ -1,37 +1,35 @@
-//! Property tests for the bitset path-edge relation ([`SlotRel`])
-//! against a `BTreeMap<d2, BTreeSet<d1>>` model.
+//! Property tests for the tabulator's tables against `BTreeSet` models:
+//! the path-edge relation ([`SlotRel`]) against a
+//! `BTreeMap<d2, BTreeSet<d1>>`, and the incoming/summary pair set
+//! ([`BitPairs`]) against a `BTreeSet<(StmtRef, u32)>`.
 //!
-//! Whatever insertion sequence is thrown at it, the relation must
-//! answer like the model — insert novelty, `contains`, `has_key`, and
-//! `d1s`/`keys` in ascending order — while each row moves from empty to
-//! one inline `d1`, to a spilled sparse set and on to a dense one. The
-//! [`TableStats`] it counts as it grows must equal a sweep over every
+//! Whatever insertion sequence is thrown at them, the tables must
+//! answer like their models — insert novelty and contents in ascending
+//! order — while each row moves from empty to sparse and on to dense
+//! (a [`SlotRel`] row first holds one inline `d1`, then spills). The
+//! [`TableStats`] each counts as it grows must equal a sweep over every
 //! row, and both must equal the counts the model implies: one row per
-//! key, dense past [`SPARSE_MAX`] `d1`s, one word per 64 ids up to the
+//! key, dense past [`SPARSE_MAX`] members, one word per 64 ids up to the
 //! row's largest.
 
 use flowdroid_bitset::SPARSE_MAX;
-use flowdroid_ifds::factset::{FactRel, SlotRel};
+use flowdroid_ifds::factset::{BitPairs, SlotRel};
 use flowdroid_ifds::TableStats;
+use flowdroid_ir::{MethodId, StmtRef};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 type Model = BTreeMap<u32, BTreeSet<u32>>;
 
-fn swept(rel: &SlotRel<u32>) -> TableStats {
+/// The counts of one row per model key, by the size and largest id of
+/// its members.
+fn model_stats<'a>(rows: impl Iterator<Item = &'a BTreeSet<u32>>) -> TableStats {
     let mut stats = TableStats::default();
-    rel.collect_stats(&mut stats);
-    stats
-}
-
-/// The counts a relation holding exactly `model` must report.
-fn model_stats(model: &Model) -> TableStats {
-    let mut stats = TableStats::default();
-    for d1s in model.values() {
+    for members in rows {
         stats.rows += 1;
-        if d1s.len() > SPARSE_MAX {
+        if members.len() > SPARSE_MAX {
             stats.dense_rows += 1;
-            stats.dense_words += u64::from(*d1s.last().unwrap()) / 64 + 1;
+            stats.dense_words += u64::from(*members.last().unwrap()) / 64 + 1;
         } else {
             stats.sparse_rows += 1;
         }
@@ -42,21 +40,16 @@ fn model_stats(model: &Model) -> TableStats {
 /// Checks every query of `rel` against `model` over a probe universe
 /// wider than anything inserted.
 fn assert_matches(rel: &SlotRel<u32>, model: &Model) {
-    let keys: Vec<u32> = model.keys().copied().collect();
-    assert_eq!(FactRel::keys(rel), keys);
     for d2 in 0..12u32 {
         let want = model.get(&d2);
-        assert_eq!(rel.has_key(&d2), want.is_some(), "has_key({d2})");
+        assert_eq!(rel.has_key(d2), want.is_some(), "has_key({d2})");
         let d1s: Vec<u32> = want.map(|s| s.iter().copied().collect()).unwrap_or_default();
-        assert_eq!(rel.d1s(&d2), d1s, "d1s({d2})");
-        for d1 in 0..260u32 {
-            assert_eq!(
-                rel.contains(&d2, &d1),
-                want.is_some_and(|s| s.contains(&d1)),
-                "contains({d2}, {d1})"
-            );
-        }
+        assert_eq!(rel.d1s(d2), d1s, "d1s({d2})");
     }
+}
+
+fn sr(i: u32) -> StmtRef {
+    StmtRef::new(MethodId::from_index(i as usize % 2), i as usize)
 }
 
 proptest! {
@@ -69,16 +62,42 @@ proptest! {
         let mut rel: SlotRel<u32> = SlotRel::default();
         let mut model = Model::new();
         let mut counted = TableStats::default();
-        for (d2, d1) in &pairs {
+        for &(d2, d1) in &pairs {
             prop_assert_eq!(
                 rel.insert(d2, d1, &mut counted),
-                model.entry(*d2).or_default().insert(*d1),
+                model.entry(d2).or_default().insert(d1),
                 "insert({}, {}) novelty", d2, d1
             );
-            prop_assert!(rel.contains(d2, d1));
-            prop_assert_eq!(counted, swept(&rel), "counted stats after ({}, {})", d2, d1);
+            let mut swept = TableStats::default();
+            rel.collect_stats(&mut swept);
+            prop_assert_eq!(counted, swept, "counted stats after ({}, {})", d2, d1);
         }
         assert_matches(&rel, &model);
-        prop_assert_eq!(counted, model_stats(&model));
+        prop_assert_eq!(counted, model_stats(model.values()));
+    }
+
+    /// Sites span two methods, so `to_vec` must order by the whole
+    /// statement reference and then by fact id.
+    #[test]
+    fn bit_pairs_match_model(pairs in proptest::collection::vec((0u32..6, 0u32..200), 0..90)) {
+        let mut set: BitPairs<u32> = BitPairs::default();
+        let mut model: BTreeSet<(StmtRef, u32)> = BTreeSet::new();
+        let mut counted = TableStats::default();
+        for &(site, f) in &pairs {
+            prop_assert_eq!(
+                set.insert(sr(site), f, &mut counted),
+                model.insert((sr(site), f)),
+                "insert({}, {}) novelty", site, f
+            );
+            let mut swept = TableStats::default();
+            set.collect_stats(&mut swept);
+            prop_assert_eq!(counted, swept, "counted stats after ({}, {})", site, f);
+        }
+        prop_assert_eq!(set.to_vec(), model.iter().copied().collect::<Vec<_>>());
+        let mut by_site: BTreeMap<StmtRef, BTreeSet<u32>> = BTreeMap::new();
+        for &(site, f) in &model {
+            by_site.entry(site).or_default().insert(f);
+        }
+        prop_assert_eq!(counted, model_stats(by_site.values()));
     }
 }

@@ -17,7 +17,7 @@
 //! | [`frontend`] | `jasm` text language, XML/manifest/layout parsing, SDEX binary classes, RPK archives |
 //! | [`android`] | platform stubs, component lifecycle, callback discovery, dummy-main generation |
 //! | [`callgraph`] | CHA/RTA call graphs and the interprocedural CFG |
-//! | [`ifds`] | generic IFDS tabulation solver |
+//! | [`ifds`] | IFDS tabulation tables the taint solver drives |
 //! | [`core`] | the taint analysis: bidirectional solvers, access paths, activation statements |
 //! | [`baselines`] | AppScan-like / Fortify-like comparison models |
 //! | [`droidbench`] | the DroidBench 1.0 suite and InsecureBank, with ground truth |
