@@ -24,11 +24,13 @@
 //! discovery order, so neither does the deterministic breadth-first
 //! search attribution runs over it. Every propagation except one kind
 //! offers its origin and *all* distinct origins are kept. The exception
-//! is an *identity* output of a statement's local forward flow — the
-//! popped taint passing a statement that does not touch it, the bulk of
-//! all propagations. It records nothing; attribution rebuilds those
-//! origins from the forward path-edge table for the few nodes it
-//! visits, by re-running the same local flow.
+//! is an *identity* flow — the popped fact passing a statement that
+//! does not touch it, the bulk of all propagations: a forward local
+//! flow's output equal to its input, or a backward fact sent on
+//! unchanged to the statement's predecessors. It records nothing;
+//! attribution rebuilds those origins for the few nodes it visits, from
+//! the forward and backward path-edge tables, by re-running the same
+//! flow.
 //!
 //! Every table keys on `u32` [`FactId`]s hash-consed by the solver's
 //! [`Interner`] and stores fact sets as bitset rows: popped edges are
@@ -50,7 +52,7 @@ use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
 use flowdroid_ifds::{AbortReason, Tabulator};
-use flowdroid_ir::{FxHashMap, FxHashSet, MethodId, Program, Stmt, StmtRef};
+use flowdroid_ir::{FxHashMap, FxHashSet, Local, MethodId, Program, Stmt, StmtRef};
 use std::collections::hash_map::Entry;
 
 /// Edges popped between [`AbortHandle`] polls in the sequential loop.
@@ -160,12 +162,18 @@ pub struct BiSolver<'a> {
     leaks: Vec<(StmtRef, Taint)>,
     /// (stmt, fact) → all offered predecessor (stmt, fact) origins, for
     /// path reconstruction. The *set* of offers at the fixpoint is
-    /// order-independent. Identity outputs are not offered (see
+    /// order-independent. Identity flows are not offered (see
     /// [`BiSolver::identity_origins`]).
     preds: Provenance,
     /// Forward nodes whose every path edge was still queued when the run
     /// aborted: no flow ran from them. Empty at a fixpoint.
-    unprocessed: FxHashSet<Node>,
+    fw_unprocessed: FxHashSet<Node>,
+    /// The same for backward nodes.
+    bw_unprocessed: FxHashSet<Node>,
+    /// Every offer, identity ones included, for the origin-equality
+    /// test.
+    #[cfg(test)]
+    offers: FxHashMap<Node, FxHashSet<Node>>,
     /// (stmt, fact) → source statement that generated the fact.
     gen_source: FxHashMap<(StmtRef, FactId), StmtRef>,
     /// Memoized "call site can transitively reach method" queries.
@@ -191,7 +199,10 @@ impl<'a> BiSolver<'a> {
             bw: Tabulator::new(),
             leaks: Vec::new(),
             preds: Provenance::default(),
-            unprocessed: FxHashSet::default(),
+            fw_unprocessed: FxHashSet::default(),
+            bw_unprocessed: FxHashSet::default(),
+            #[cfg(test)]
+            offers: FxHashMap::default(),
             gen_source: FxHashMap::default(),
             reach_cache: ReachCache::default(),
             abort_reason: None,
@@ -211,6 +222,13 @@ impl<'a> BiSolver<'a> {
     /// results.
     pub fn solve(mut self, entry_points: &[MethodId]) -> InfoflowResults {
         let start = std::time::Instant::now();
+        self.run(entry_points);
+        self.collect_results(start.elapsed())
+    }
+
+    /// Tabulates until the fixpoint or an abort; an aborted run that
+    /// tracks paths then notes the nodes no flow ran from.
+    fn run(&mut self, entry_points: &[MethodId]) {
         for &ep in entry_points {
             for sp in self.flows.icfg.start_points_of(ep) {
                 self.fw.propagate(FactId::ZERO, sp, FactId::ZERO);
@@ -252,7 +270,10 @@ impl<'a> BiSolver<'a> {
             }
             break;
         }
-        self.collect_results(start.elapsed())
+        if self.abort_reason.is_some() && self.config().track_paths {
+            self.fw_unprocessed = unprocessed_nodes(&self.fw);
+            self.bw_unprocessed = unprocessed_nodes(&self.bw);
+        }
     }
 
     // ================= shared helpers =================
@@ -300,14 +321,16 @@ impl<'a> BiSolver<'a> {
     }
 
     /// Offers a provenance link for `(n, d2)`. Every propagation but an
-    /// identity output of a local flow offers its origin (not just the
-    /// edge-inserting one), and *all* distinct origins are kept: the set
-    /// of propagation calls at the fixpoint is the same whatever the
-    /// processing order, so the resulting provenance graph — and hence
-    /// the deterministic walk in [`BiSolver::attribute`] — is
-    /// independent of it. The identity origins left out are a function
-    /// of the forward path-edge table, which is order-independent too.
+    /// identity flow — forward or backward — offers its origin (not
+    /// just the edge-inserting one), and *all* distinct origins are
+    /// kept: the set of propagation calls at the fixpoint is the same
+    /// whatever the processing order, so the resulting provenance graph
+    /// — and hence the deterministic walk in [`BiSolver::attribute`] —
+    /// is independent of it. The identity origins left out are a
+    /// function of the forward and backward path-edge tables, which are
+    /// order-independent too.
     fn record_pred(&mut self, n: StmtRef, d2: FactId, from: Option<(StmtRef, FactId)>) {
+        self.note_offer((n, d2), from);
         if !self.config().track_paths {
             return;
         }
@@ -317,6 +340,19 @@ impl<'a> BiSolver<'a> {
         }
         self.preds.offer((n, d2), origin);
     }
+
+    /// Notes an offer, recorded or not, under the same filters as
+    /// [`Self::record_pred`].
+    #[cfg(test)]
+    fn note_offer(&mut self, node: Node, from: Option<Node>) {
+        if let Some(origin) = from.filter(|&o| o != node && self.config().track_paths) {
+            self.offers.entry(node).or_default().insert(origin);
+        }
+    }
+
+    #[cfg(not(test))]
+    #[inline(always)]
+    fn note_offer(&mut self, _: Node, _: Option<Node>) {}
 
     /// Marks `fact` at `n` as generated by the source statement `src`
     /// (least source statement wins, for order independence).
@@ -417,6 +453,7 @@ impl<'a> BiSolver<'a> {
     ) {
         if identity {
             self.fw.propagate(d1, succ, k);
+            self.note_offer((succ, k), Some((n, d2)));
         } else {
             self.fw_propagate(d1, succ, k, Some((n, d2)));
         }
@@ -651,8 +688,16 @@ impl<'a> BiSolver<'a> {
             }
             return;
         }
+        // The popped fact passing on unchanged is an identity flow: it
+        // records no provenance, [`Self::identity_origins`] rebuilds it.
+        let identity = origin == Some((n, *d));
         for pred in preds {
-            self.bw_propagate(*d1, pred, *d, origin);
+            if identity {
+                self.bw.propagate(*d1, pred, *d);
+                self.note_offer((pred, *d), origin);
+            } else {
+                self.bw_propagate(*d1, pred, *d, origin);
+            }
         }
     }
 
@@ -691,8 +736,7 @@ impl<'a> BiSolver<'a> {
         let result = *result;
         let Fact::T(t) = d2f else { return };
         // Pass over the call unless the traced value is its result.
-        let rooted_at_result = result.is_some() && t.ap.base_local() == result;
-        if !rooted_at_result {
+        if !rooted_at_result(result, t) {
             self.bw_to_preds(d1, n, d2);
         }
         // Descend into body-having callees (aliases may be created
@@ -726,9 +770,6 @@ impl<'a> BiSolver<'a> {
 
     fn collect_results(mut self, duration: std::time::Duration) -> InfoflowResults {
         let program = self.program();
-        if self.abort_reason.is_some() && self.config().track_paths {
-            self.unprocessed = self.unprocessed_nodes();
-        }
         // Canonical order before (sink, source) dedup: recorded leaks
         // are sorted by (sink, taint value) so which representative
         // survives never depends on discovery order.
@@ -772,34 +813,24 @@ impl<'a> BiSolver<'a> {
         }
     }
 
-    /// The forward nodes every path edge of which is still queued. Only
-    /// an aborted run has any.
-    fn unprocessed_nodes(&self) -> FxHashSet<Node> {
-        let mut queued: FxHashMap<Node, usize> = FxHashMap::default();
-        for e in self.fw.queued() {
-            *queued.entry((e.n, e.d2)).or_default() += 1;
-        }
-        queued
-            .into_iter()
-            .filter(|&((n, d2), count)| self.fw.d1s_at(n, &d2).len() == count)
-            .map(|(node, _)| node)
-            .collect()
-    }
-
-    /// Appends the origins of `(m, f)` that propagation left unrecorded:
-    /// every `(p, f)` where `p` is an intraprocedural predecessor of `m`
-    /// other than `m` itself, the forward solver processed `(p, f)`, `p`
-    /// is not an exit, and `p`'s local flow ([`Self::local_flow`])
-    /// outputs `f` itself. These are exactly the links processing
-    /// `(p, f)` would have offered had identity outputs recorded, so
-    /// the origin set is the same either way.
+    /// Appends the origins of `(m, f)` that propagation left unrecorded.
+    /// Forward, every `(p, f)` where `p` is an intraprocedural
+    /// predecessor of `m` other than `m` itself, the forward solver
+    /// processed `(p, f)`, `p` is not an exit, and `p`'s local flow
+    /// ([`Self::local_flow`]) outputs `f` itself. Backward, every
+    /// `(s, f)` where `s` is an intraprocedural successor of `m` other
+    /// than `m` itself, the backward solver processed `(s, f)`, and `s`'s
+    /// backward flow ([`Self::bw_passes`]) sends `f` on unchanged. These
+    /// are exactly the links processing `(p, f)` or `(s, f)` would have
+    /// offered had identity flows recorded, so the origin set is the
+    /// same either way.
     fn identity_origins(&mut self, (m, f): Node, origins: &mut Vec<Node>) {
         let ff = self.interner.resolve_fact(f);
         let mut outs = std::mem::take(&mut self.buf.outs);
         for p in self.flows.icfg.preds_of(m) {
             if p == m
                 || !self.fw.has_node(p, &f)
-                || self.unprocessed.contains(&(p, f))
+                || self.fw_unprocessed.contains(&(p, f))
                 || self.stmt(p).is_exit()
             {
                 continue;
@@ -810,6 +841,35 @@ impl<'a> BiSolver<'a> {
             }
         }
         self.buf.outs = outs;
+        for s in self.flows.icfg.succs_of(m) {
+            if s != m
+                && self.bw.has_node(s, &f)
+                && !self.bw_unprocessed.contains(&(s, f))
+                && self.bw_passes(s, &ff)
+            {
+                origins.push((s, f));
+            }
+        }
+    }
+
+    /// Whether `s`'s backward flow ([`Self::process_backward`]) sends
+    /// the fact `sf` on to `s`'s predecessors unchanged: a call passes a
+    /// taint not rooted at its result, an assignment one its
+    /// [`Flows::backward_assign`] keeps, and every other statement
+    /// anything.
+    fn bw_passes(&mut self, s: StmtRef, sf: &Fact) -> bool {
+        match (self.stmt(s), sf) {
+            (Stmt::Invoke { result, .. }, Fact::T(t)) => !rooted_at_result(*result, t),
+            (Stmt::Assign { lhs, rhs }, Fact::T(t)) => {
+                let mut res = std::mem::take(&mut self.buf.back);
+                self.flows.backward_assign(t, lhs, rhs, &mut res);
+                let passes = res.back.contains(t);
+                self.buf.back = res;
+                passes
+            }
+            (Stmt::Invoke { .. } | Stmt::Assign { .. }, Fact::Zero) => false,
+            _ => true,
+        }
     }
 
     /// Walks the provenance graph back from a leak to the source that
@@ -861,6 +921,26 @@ impl<'a> BiSolver<'a> {
     }
 }
 
+/// Whether the backward taint `t` at a call with result local `result`
+/// traces that result: the search then only descends into the callees.
+fn rooted_at_result(result: Option<Local>, t: &Taint) -> bool {
+    result.is_some() && t.ap.base_local() == result
+}
+
+/// The nodes of `tab` every path edge of which is still queued. Only
+/// an aborted run has any.
+fn unprocessed_nodes(tab: &Tabulator<FactId>) -> FxHashSet<Node> {
+    let mut queued: FxHashMap<Node, usize> = FxHashMap::default();
+    for e in tab.queued() {
+        *queued.entry((e.n, e.d2)).or_default() += 1;
+    }
+    queued
+        .into_iter()
+        .filter(|&((n, d2), count)| tab.d1s_at(n, &d2).len() == count)
+        .map(|(node, _)| node)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -895,5 +975,238 @@ mod tests {
         p.offer(n, node(0, 0));
         assert_eq!(p.origins(m).collect::<Vec<_>>(), [node(5, 1), node(1, 1)]);
         assert_eq!(p.origins(n).count(), 4);
+    }
+
+    const ENV: &str = r#"
+class Env {
+  static native method source() -> java.lang.String
+  static native method sink(s: java.lang.String) -> void
+}
+"#;
+
+    const DEFS: &str = "\
+<Env: java.lang.String source()> -> _SOURCE_\n\
+<Env: void sink(java.lang.String)> -> _SINK_\n";
+
+    /// `tests/report_format.rs`'s branchy alias program: a heap field
+    /// written through either of two aliases on two branches.
+    const BRANCHY_ALIAS: &str = r#"
+class Box { field f: java.lang.String }
+class A {
+  static method main() -> void {
+    let x: Box
+    let a: Box
+    let t: java.lang.String
+    let u: java.lang.String
+    let i: int
+    x = new Box
+    a = x
+    t = staticinvoke <Env: java.lang.String source()>()
+    i = 0
+    if i >= 1 goto other
+    x.f = t
+    goto join
+  label other:
+    a.f = t
+  label join:
+    u = a.f
+    staticinvoke <Env: void sink(java.lang.String)>(u)
+    return
+  }
+}
+"#;
+
+    /// Two stores, each right after a branch that redefines the stored
+    /// object's local on one side — by a call's result, then by a copy.
+    /// The alias search from each store passes the other side up to the
+    /// branch, a node the leak's path visits, and stops at the
+    /// redefinition.
+    const REDEFINED_ON_A_BRANCH: &str = r#"
+class Box { field f: java.lang.String }
+class Mk { static native method make() -> Box }
+class R {
+  static method main() -> void {
+    let x: Box
+    let a: Box
+    let v: Box
+    let b: Box
+    let y: Box
+    let t: java.lang.String
+    let u: java.lang.String
+    let i: int
+    x = new Box
+    a = x
+    v = new Box
+    b = v
+    y = new Box
+    t = staticinvoke <Env: java.lang.String source()>()
+    i = 0
+    if i >= 1 goto one
+    x = staticinvoke <Mk: Box make()>()
+  label one:
+    x.f = t
+    u = a.f
+    staticinvoke <Env: void sink(java.lang.String)>(u)
+    if i >= 2 goto two
+    v = y
+  label two:
+    v.f = t
+    u = b.f
+    staticinvoke <Env: void sink(java.lang.String)>(u)
+    return
+  }
+}
+"#;
+
+    /// A heap chain of `k` links: every box `x_i` is allocated and
+    /// aliased (`a_i = x_i`) up front, then `x_i.f = t_i; t_{i+1} =
+    /// a_i.f` runs down the chain, so every store starts a backward
+    /// alias search past all the allocations.
+    fn heap_chain(k: usize) -> String {
+        use std::fmt::Write;
+        let mut code = String::from(
+            "class Box {\n  field f: java.lang.String\n\
+             \x20 method <init>() -> void {\n    return\n  }\n}\n\
+             class H {\n  static method main() -> void {\n",
+        );
+        for i in 0..=k {
+            writeln!(code, "    let t{i}: java.lang.String").unwrap();
+        }
+        for i in 0..k {
+            writeln!(code, "    let x{i}: Box\n    let a{i}: Box").unwrap();
+        }
+        code.push_str("    t0 = staticinvoke <Env: java.lang.String source()>()\n");
+        for i in 0..k {
+            writeln!(code, "    x{i} = new Box").unwrap();
+            writeln!(code, "    specialinvoke x{i}.<Box: void <init>()>()\n    a{i} = x{i}").unwrap();
+        }
+        for i in 0..k {
+            writeln!(code, "    x{i}.f = t{i}\n    t{} = a{i}.f", i + 1).unwrap();
+        }
+        writeln!(code, "    staticinvoke <Env: void sink(java.lang.String)>(t{k})").unwrap();
+        code.push_str("    return\n  }\n}\n");
+        code
+    }
+
+    /// A program with its entry method and source/sink definitions.
+    struct Case {
+        name: String,
+        program: Program,
+        entry: MethodId,
+        sources: SourceSinkManager,
+    }
+
+    /// A plain program entered at `class.main`, with `Env`'s source and
+    /// sink.
+    fn plain(name: &str, code: &str, class: &str) -> Case {
+        let mut program = Program::new();
+        flowdroid_android::install_platform(&mut program);
+        let rt = flowdroid_frontend::layout::ResourceTable::new();
+        flowdroid_frontend::parse_jasm(&mut program, &rt, ENV).unwrap();
+        flowdroid_frontend::parse_jasm(&mut program, &rt, code).unwrap();
+        let entry = program.find_method(class, "main").unwrap();
+        let sources = SourceSinkManager::parse(DEFS).unwrap();
+        Case { name: name.to_string(), program, entry, sources }
+    }
+
+    /// A generated ground-truth app, entered at its dummy main.
+    fn truth_app(app: &flowdroid_truth::TruthApp) -> Case {
+        let mut program = Program::new();
+        let platform = flowdroid_android::install_platform(&mut program);
+        let layouts: Vec<(&str, &str)> =
+            app.layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
+        let loaded =
+            flowdroid_frontend::App::from_parts(&mut program, &app.manifest, &layouts, &app.code)
+                .unwrap();
+        let model = flowdroid_android::EntryPointModel::build(
+            &mut program,
+            &platform,
+            &loaded,
+            InfoflowConfig::default().callback_association,
+        );
+        let entry = flowdroid_android::generate_dummy_main(&mut program, &platform, &model, "o");
+        let sources = SourceSinkManager::default_android();
+        Case { name: app.name.clone(), program, entry, sources }
+    }
+
+    /// Solves `case` under a propagation budget (0: none), then walks
+    /// every node reachable from a leak over the noted offers and checks
+    /// that the recorded origins plus the rebuilt identity ones are
+    /// exactly the noted ones. Returns (forward propagations, nodes
+    /// checked, whether the run aborted).
+    fn check_origins(case: &Case, max_propagations: u64) -> (u64, usize, bool) {
+        let config = InfoflowConfig { max_propagations, ..InfoflowConfig::default() };
+        let wrapper = TaintWrapper::default_rules();
+        let cg = flowdroid_callgraph::CallGraph::build(
+            &case.program,
+            &[case.entry],
+            config.cg_algorithm,
+        );
+        let mut s = BiSolver::new(Icfg::new(&case.program, &cg), &case.sources, &wrapper, &config);
+        s.run(&[case.entry]);
+        let mut leaks = std::mem::take(&mut s.leaks);
+        leaks.sort();
+        leaks.dedup();
+        let mut visited = FxHashSet::default();
+        let mut queue = std::collections::VecDeque::new();
+        for (sink, taint) in &leaks {
+            let start = (*sink, s.interner.intern_fact(&Fact::T(*taint)));
+            if visited.insert(start) {
+                queue.push_back(start);
+            }
+        }
+        let mut got = Vec::new();
+        while let Some(cur) = queue.pop_front() {
+            got.clear();
+            got.extend(s.preds.origins(cur));
+            s.identity_origins(cur, &mut got);
+            let got: FxHashSet<Node> = got.iter().copied().collect();
+            let want = s.offers.get(&cur).cloned().unwrap_or_default();
+            assert_eq!(
+                got, want,
+                "{} (budget {max_propagations}): origins of {cur:?}",
+                case.name
+            );
+            for o in want {
+                if visited.insert(o) {
+                    queue.push_back(o);
+                }
+            }
+        }
+        (s.fw.propagation_count(), visited.len(), s.abort_reason.is_some())
+    }
+
+    /// Identity flows record no provenance; attribution rebuilds them.
+    /// Recorded plus rebuilt origins must equal every offer made, identity
+    /// ones included, at each node attribution can reach — on complete
+    /// runs and on runs aborted at every stage of the search, where
+    /// nodes still queued must not count as processed.
+    #[test]
+    fn rebuilt_origins_equal_every_offer() {
+        let mut cases = vec![
+            plain("heap chain", &heap_chain(6), "H"),
+            plain("branchy alias", BRANCHY_ALIAS, "A"),
+            plain("redefined on a branch", REDEFINED_ON_A_BRANCH, "R"),
+        ];
+        for app in flowdroid_truth::generate_corpus(41, 3) {
+            if matches!(app.category, "alias" | "widening") {
+                cases.push(truth_app(&app));
+            }
+        }
+        let (mut runs, mut nodes, mut aborted) = (0, 0, 0);
+        for case in &cases {
+            let (props, n, _) = check_origins(case, 0);
+            nodes += n;
+            runs += 1;
+            for budget in (1..props).step_by((props / 40).max(1) as usize) {
+                let (_, n, a) = check_origins(case, budget);
+                nodes += n;
+                runs += 1;
+                aborted += usize::from(a);
+            }
+        }
+        eprintln!("{runs} runs ({aborted} aborted), {nodes} nodes checked");
+        assert!(aborted * 2 >= runs, "{aborted} of {runs} runs aborted");
+        assert!(nodes > 1_000, "only {nodes} nodes checked");
     }
 }

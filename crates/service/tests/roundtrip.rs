@@ -231,6 +231,10 @@ fn cancelling_a_queued_job_skips_it_entirely() {
 #[cfg(unix)]
 #[test]
 fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
+    const JOB_DEADLINE_MS: u64 = 1500;
+    // Shorter than the deadline, so the socket is gone while the job
+    // still runs.
+    const UNLINK_WINDOW: Duration = Duration::from_millis(1000);
     let sock = std::env::temp_dir()
         .join(format!("flowdroid-svc-unlink-{}.sock", std::process::id()));
     let daemon = Daemon::bind(DaemonOptions {
@@ -244,10 +248,14 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     let addr = daemon.local_addr().to_string();
     let accept_loop = std::thread::spawn(move || daemon.run().expect("daemon run"));
 
-    // A job long enough that its ~3s deadline, not its fixpoint, ends
-    // it: the socket must vanish well before the job does.
+    // A job long enough that its deadline, not its fixpoint, ends it:
+    // undeadlined, `stress/12000` runs about 10 s in a release build on
+    // a 2-CPU x86-64 host, over 4x the deadline plus the unlink window
+    // below. The socket must vanish well before the job ends.
     let mut a = Client::connect(&addr).expect("connection a");
-    let id = a.analyze_async("stress/6000", Some(3000), None).expect("submit");
+    let id = a
+        .analyze_async("stress/12000", Some(JOB_DEADLINE_MS), None)
+        .expect("submit");
 
     let mut b = Client::connect(&addr).expect("connection b");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -264,7 +272,7 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     // `shutdown` blocks its connection until the drain completes, so
     // issue it from a helper thread and watch the path from here.
     let shutdown = std::thread::spawn(move || b.shutdown().expect("shutdown"));
-    let unlink_deadline = Instant::now() + Duration::from_secs(2);
+    let unlink_deadline = Instant::now() + UNLINK_WINDOW;
     while sock.exists() {
         assert!(
             Instant::now() < unlink_deadline,

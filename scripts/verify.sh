@@ -4,9 +4,11 @@
 # Usage: scripts/verify.sh [--full]
 #   default : tier-1 gate (release build + root tests) + solver stats
 #   --full  : additionally runs the whole workspace test suite, the
-#             perfbench smoke test (perfbench is a package of its own,
-#             outside the workspace, so `--workspace` does not reach it)
-#             and the workspace rustdoc build with warnings as errors
+#             service crate's tests again in release (their timing-bound
+#             tests must hold at release speed too), the perfbench smoke
+#             test (perfbench is a package of its own, outside the
+#             workspace, so `--workspace` does not reach it) and the
+#             workspace rustdoc build with warnings as errors
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,6 +21,8 @@ cargo test -q
 if [[ "${1:-}" == "--full" ]]; then
     echo "== full workspace test suite"
     cargo test --workspace -q
+    echo "== service tests in release"
+    cargo test --release -q -p flowdroid-service
     echo "== perfbench smoke test"
     cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
     echo "== rustdoc (warnings are errors)"
