@@ -84,8 +84,17 @@ pub struct InfoflowConfig {
     pub cg_algorithm: CgAlgorithm,
     /// How callbacks are associated with components (§3).
     pub callback_association: CallbackAssociation,
-    /// Hard cap on forward path-edge propagations (0 = unlimited);
-    /// protects harness runs against pathological inputs.
+    /// Budget of recorded forward path edges (0 = unlimited); protects
+    /// harness runs against pathological inputs. Backward (alias) edges
+    /// do not count. The count is checked before each worklist pop and
+    /// as each edge of a walk down straight-line code is recorded: a
+    /// walk that goes over the budget queues the edge in hand and stops,
+    /// and the run stops at its next pop. So a run overshoots the budget
+    /// by at most the other edges the pop in hand records (a statement's
+    /// generated facts, callee entries and returns), one edge when it
+    /// only walks. The deadline and cancel poll of [`Self::abort`] stays
+    /// at every 128 pops, and one pop may now walk a whole straight-line
+    /// run.
     pub max_propagations: u64,
     /// Progress sink for streaming partial results; see
     /// [`ProgressSink`]. `None` (default) emits nothing.

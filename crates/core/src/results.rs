@@ -45,6 +45,15 @@ pub struct InfoflowResults {
     pub forward_propagations: u64,
     /// Backward (alias) path-edge propagations performed.
     pub backward_propagations: u64,
+    /// Forward path edges popped off the worklist. A fact that
+    /// statements pass on unchanged is recorded down straight-line code
+    /// without being queued, so this is below
+    /// [`InfoflowResults::forward_propagations`]. Not rendered in
+    /// [`InfoflowResults::report`].
+    pub forward_pops: u64,
+    /// Backward path edges popped off the worklist, likewise. Not
+    /// rendered in [`InfoflowResults::report`].
+    pub backward_pops: u64,
     /// Methods reachable from the entry points.
     pub reachable_methods: usize,
     /// Distinct facts hash-consed by the solver's interner (including

@@ -32,16 +32,32 @@
 //! the forward and backward path-edge tables, by re-running the same
 //! flow.
 //!
+//! An identity flow is not queued edge by edge either: it *walks*. Its
+//! edge is recorded, and while the statement reached certainly passes
+//! the fact on unchanged and does nothing else (`fw_walks_through`,
+//! `bw_walks_through`: cheap syntactic checks that may say "no" too
+//! often, never "yes" wrongly), the walk records the edge at that
+//! statement's successors — predecessors, backward — from a reused
+//! stack, without queueing it (emulated tail recursion). The first
+//! statement that might touch the fact gets its edge queued and is
+//! processed as usual. A walked statement counts as processed, so a
+//! run reaches the same tables, counts and provenance as one that
+//! queued every edge; only the worklist pops shrink.
+//!
 //! Every table keys on `u32` [`FactId`]s hash-consed by the solver's
 //! [`Interner`] and stores fact sets as bitset rows: popped edges are
 //! resolved to real [`Fact`]s once per statement visit, and each
 //! produced fact is interned once before fan-out to successors / return
-//! sites — or not at all when it is the popped fact itself.
+//! sites — or not at all when it is the popped fact itself. Statements
+//! are numbered densely once per solve ([`StmtNumbering`]), so finding
+//! an edge's row is two index lookups.
 //!
 //! Propagating an edge allocates nothing in the steady state: CFG
 //! edges are borrowed from the method bodies, flow functions refill
-//! buffers the solver owns, and the provenance that is recorded lives in
-//! one arena (`Provenance`). What remains is table growth, amortized.
+//! buffers the solver owns, a walk reuses one stack, and the provenance
+//! that is recorded lives in one arena (`Provenance`). One walk step is
+//! a row lookup, an 8-byte slot write and a statement check. What
+//! remains is table growth, amortized.
 
 use crate::config::InfoflowConfig;
 use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, ReachCache};
@@ -51,9 +67,12 @@ use crate::sourcesink::SourceSinkManager;
 use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
-use flowdroid_ifds::{AbortReason, Tabulator};
-use flowdroid_ir::{FxHashMap, FxHashSet, Local, MethodId, Program, Stmt, StmtRef};
+use flowdroid_ifds::{AbortReason, StmtNumbering, Tabulator};
+use flowdroid_ir::{
+    FxHashMap, FxHashSet, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef,
+};
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// Edges popped between [`AbortHandle`] polls in the sequential loop.
 const ABORT_CHECK_EVERY: usize = 128;
@@ -151,6 +170,9 @@ struct Buffers {
     acts: Vec<(Taint, FactId)>,
     /// Caller contexts at a call site.
     d3s: Vec<FactId>,
+    /// A walk's pending steps: (statement reached, statement walked
+    /// from).
+    walk: Vec<(StmtRef, StmtRef)>,
 }
 
 /// The bidirectional solver.
@@ -192,11 +214,14 @@ impl<'a> BiSolver<'a> {
         config: &'a InfoflowConfig,
     ) -> Self {
         let flows = Flows::new(icfg, sources, wrapper, config);
+        let numbering = Arc::new(StmtNumbering::new(
+            icfg.callgraph().reachable_methods().iter().map(|&m| (m, icfg.body_len(m))),
+        ));
         BiSolver {
             flows,
             interner: Interner::with_bound(config.max_access_path_length),
-            fw: Tabulator::new(),
-            bw: Tabulator::new(),
+            fw: Tabulator::new(Arc::clone(&numbering)),
+            bw: Tabulator::new(numbering),
             leaks: Vec::new(),
             preds: Provenance::default(),
             fw_unprocessed: FxHashSet::default(),
@@ -441,22 +466,79 @@ impl<'a> BiSolver<'a> {
         }
     }
 
-    /// Propagates output `k` of `(n, d2)`'s local flow to `succ`. An
-    /// identity output records no provenance:
+    /// Propagates output `k` of `(n, d2)`'s local flow to `succ`, where
+    /// `d2f` is the popped fact. An identity output walks on
+    /// ([`Self::fw_walk`]) and records no provenance:
     /// [`Self::identity_origins`] rebuilds it when attribution asks.
     fn fw_propagate_local(
         &mut self,
         d1: FactId,
         (n, d2): Node,
+        d2f: &Fact,
         succ: StmtRef,
         (k, identity): (FactId, bool),
     ) {
         if identity {
-            self.fw.propagate(d1, succ, k);
-            self.note_offer((succ, k), Some((n, d2)));
+            self.fw_walk(d1, (n, d2), d2f, succ);
         } else {
             self.fw_propagate(d1, succ, k, Some((n, d2)));
         }
+    }
+
+    /// Records the identity edge `(d1, succ, d)` — fact `d` (value `df`)
+    /// passing `n` unchanged — and walks on: while the statement reached
+    /// certainly passes `df` on unchanged and does nothing else
+    /// ([`Self::fw_walks_through`]), its successors get the edge too,
+    /// recorded without being queued, so the walked statements count as
+    /// processed. The first statement that might touch the fact gets its
+    /// edge queued and is processed as usual. The budget is checked as
+    /// each edge is recorded: once over it, the edge in hand is queued
+    /// and the walk stops.
+    fn fw_walk(&mut self, d1: FactId, (n, d): Node, df: &Fact, succ: StmtRef) {
+        let budget = self.config().max_propagations;
+        let mut stack = std::mem::take(&mut self.buf.walk);
+        stack.push((succ, n));
+        while let Some((s, from)) = stack.pop() {
+            self.note_offer((s, d), Some((from, d)));
+            if !self.fw.insert(d1, s, d) {
+                continue;
+            }
+            if budget > 0 && self.fw.propagation_count() > budget {
+                self.fw.enqueue(d1, s, d);
+                // Each dropped step leaves a walked statement whose edge
+                // is never recorded. Its offer is still noted:
+                // `identity_origins` rebuilds it should the target node
+                // be recorded from elsewhere.
+                for (s, from) in stack.drain(..) {
+                    self.note_offer((s, d), Some((from, d)));
+                }
+                break;
+            }
+            if self.fw_walks_through(s, df) {
+                stack.extend(self.flows.icfg.succs_of(s).map(|next| (next, s)));
+            } else {
+                self.fw.enqueue(d1, s, d);
+            }
+        }
+        self.buf.walk = stack;
+    }
+
+    /// Whether `s`'s forward flow certainly outputs exactly `f` and does
+    /// nothing else — no call or exit handling, no alias query, no
+    /// activation — so a walk may pass `s` without processing it. It may
+    /// answer `false` for a statement that passes `f`, never `true` for
+    /// one that does not: `s` is neither a call nor an exit, and unless
+    /// `f` is the zero fact, `f` is rooted at a local that `s` does not
+    /// mention and `s` is not the activation statement of an inactive
+    /// `f`. Facts rooted at a static field never walk.
+    fn fw_walks_through(&self, s: StmtRef, f: &Fact) -> bool {
+        let stmt = self.stmt(s);
+        if stmt.is_call() || stmt.is_exit() {
+            return false;
+        }
+        let Fact::T(t) = f else { return true };
+        let Some(l) = t.ap.base_local() else { return false };
+        (t.active || t.activation != Some(s)) && !mentions(stmt, l)
     }
 
     /// Injects an alias query for taint `g` (which holds after the heap
@@ -502,7 +584,7 @@ impl<'a> BiSolver<'a> {
         self.output_keys(&outs, *d2, d2f, &mut keys);
         for succ in self.flows.icfg.succs_of(n) {
             for &key in &keys {
-                self.fw_propagate_local(*d1, (n, *d2), succ, key);
+                self.fw_propagate_local(*d1, (n, *d2), d2f, succ, key);
             }
         }
         self.buf.keys = keys;
@@ -622,7 +704,7 @@ impl<'a> BiSolver<'a> {
                 if ctr.src_mark && k != FactId::ZERO {
                     self.mark_source(ret_site, &k, n);
                 }
-                self.fw_propagate_local(*d1, (n, *d2), ret_site, (k, identity));
+                self.fw_propagate_local(*d1, (n, *d2), d2f, ret_site, (k, identity));
             }
         }
         self.buf.keys = keys;
@@ -643,7 +725,7 @@ impl<'a> BiSolver<'a> {
             }
             _ => {
                 // Control flow and exits are transparent to aliasing.
-                self.bw_to_preds(&d1, n, &d2);
+                self.bw_to_preds(&d1, n, &d2, &d2f);
             }
         }
     }
@@ -654,8 +736,9 @@ impl<'a> BiSolver<'a> {
     /// summary, hand the fact to the forward solver (with the backward
     /// solver's calling contexts, so returns stay realizable), and
     /// stop; the backward analysis never returns into callers itself.
-    fn bw_to_preds(&mut self, d1: &FactId, n: StmtRef, d: &FactId) {
-        self.bw_to_preds_from(d1, n, d, Some((n, *d)));
+    /// `df` is `d`'s value.
+    fn bw_to_preds(&mut self, d1: &FactId, n: StmtRef, d: &FactId, df: &Fact) {
+        self.bw_to_preds_from(d1, n, d, df, Some((n, *d)));
     }
 
     fn bw_to_preds_from(
@@ -663,6 +746,7 @@ impl<'a> BiSolver<'a> {
         d1: &FactId,
         n: StmtRef,
         d: &FactId,
+        df: &Fact,
         origin: Option<(StmtRef, FactId)>,
     ) {
         let preds = self.flows.icfg.preds_of(n);
@@ -689,15 +773,55 @@ impl<'a> BiSolver<'a> {
             return;
         }
         // The popped fact passing on unchanged is an identity flow: it
-        // records no provenance, [`Self::identity_origins`] rebuilds it.
-        let identity = origin == Some((n, *d));
+        // walks on and records no provenance; [`Self::identity_origins`]
+        // rebuilds it.
+        if origin == Some((n, *d)) {
+            self.bw_walk(*d1, (n, *d), df);
+            return;
+        }
         for pred in preds {
-            if identity {
-                self.bw.propagate(*d1, pred, *d);
-                self.note_offer((pred, *d), origin);
-            } else {
-                self.bw_propagate(*d1, pred, *d, origin);
+            self.bw_propagate(*d1, pred, *d, origin);
+        }
+    }
+
+    /// Records the backward identity edges `(d1, p, d)` for each
+    /// predecessor `p` of `n` — fact `d` (value `df`) passing `n`
+    /// unchanged — and walks on upward like [`Self::fw_walk`], through
+    /// the statements [`Self::bw_walks_through`] admits. Backward edges
+    /// do not count against the budget.
+    fn bw_walk(&mut self, d1: FactId, (n, d): Node, df: &Fact) {
+        let mut stack = std::mem::take(&mut self.buf.walk);
+        stack.extend(self.flows.icfg.preds_of(n).map(|p| (p, n)));
+        while let Some((s, from)) = stack.pop() {
+            self.note_offer((s, d), Some((from, d)));
+            if !self.bw.insert(d1, s, d) {
+                continue;
             }
+            if self.bw_walks_through(s, df) {
+                stack.extend(self.flows.icfg.preds_of(s).map(|p| (p, s)));
+            } else {
+                self.bw.enqueue(d1, s, d);
+            }
+        }
+        self.buf.walk = stack;
+    }
+
+    /// Whether `s`'s backward flow certainly sends exactly `f` on to its
+    /// predecessors and does nothing else — no callee descent, no
+    /// forward handoff at a method start, no alias found — so a walk may
+    /// pass `s` without processing it. Like [`Self::fw_walks_through`]
+    /// it may answer `false` too often, never `true` wrongly: `s` is not
+    /// a call and has predecessors, and at an assignment `f` is rooted at
+    /// a local the assignment does not mention. Facts rooted at a static
+    /// field never walk.
+    fn bw_walks_through(&self, s: StmtRef, f: &Fact) -> bool {
+        let stmt = self.stmt(s);
+        if stmt.is_call() || self.flows.icfg.preds_of(s).len() == 0 {
+            return false;
+        }
+        match f {
+            Fact::Zero => !matches!(stmt, Stmt::Assign { .. }),
+            Fact::T(t) => t.ap.base_local().is_some_and(|l| !mentions(stmt, l)),
         }
     }
 
@@ -715,8 +839,9 @@ impl<'a> BiSolver<'a> {
         self.flows.backward_assign(t, lhs, rhs, &mut res);
         let origin = Some((n, *d2));
         for g in &res.back {
-            let k = self.key_of(&Fact::T(*g), *d2, d2f);
-            self.bw_to_preds_from(d1, n, &k, origin);
+            let gf = Fact::T(*g);
+            let k = self.key_of(&gf, *d2, d2f);
+            self.bw_to_preds_from(d1, n, &k, &gf, origin);
         }
         for g in &res.fwd_at_n {
             let k = self.interner.intern_fact(&Fact::T(*g));
@@ -737,7 +862,7 @@ impl<'a> BiSolver<'a> {
         let Fact::T(t) = d2f else { return };
         // Pass over the call unless the traced value is its result.
         if !rooted_at_result(result, t) {
-            self.bw_to_preds(d1, n, d2);
+            self.bw_to_preds(d1, n, d2, d2f);
         }
         // Descend into body-having callees (aliases may be created
         // inside).
@@ -802,6 +927,8 @@ impl<'a> BiSolver<'a> {
             leaks,
             forward_propagations: self.fw.propagation_count(),
             backward_propagations: self.bw.propagation_count(),
+            forward_pops: self.fw.pop_count(),
+            backward_pops: self.bw.pop_count(),
             reachable_methods: self.flows.icfg.callgraph().reachable_methods().len(),
             distinct_facts: self.interner.fact_count(),
             distinct_aps: self.interner.ap_count(),
@@ -925,6 +1052,23 @@ impl<'a> BiSolver<'a> {
 /// traces that result: the search then only descends into the callees.
 fn rooted_at_result(result: Option<Local>, t: &Taint) -> bool {
     result.is_some() && t.ap.base_local() == result
+}
+
+/// Whether `stmt` is an assignment that writes or reads local `l`.
+fn mentions(stmt: &Stmt, l: Local) -> bool {
+    let is_l = |o: &Operand| o.as_local() == Some(l);
+    let place = |p: &Place| p.base() == Some(l) || matches!(p, Place::ArrayElem(_, i) if is_l(i));
+    let Stmt::Assign { lhs, rhs } = stmt else { return false };
+    place(lhs)
+        || match rhs {
+            Rvalue::Read(p) => place(p),
+            Rvalue::Const(_) | Rvalue::New(_) => false,
+            Rvalue::NewArray(_, o)
+            | Rvalue::UnOp(_, o)
+            | Rvalue::Cast(_, o)
+            | Rvalue::InstanceOf(o, _) => is_l(o),
+            Rvalue::BinOp(_, a, b) => is_l(a) || is_l(b),
+        }
 }
 
 /// The nodes of `tab` every path edge of which is still queued. Only
@@ -1129,10 +1273,11 @@ class R {
         Case { name: app.name.clone(), program, entry, sources }
     }
 
-    /// Solves `case` under a propagation budget (0: none), then walks
-    /// every node reachable from a leak over the noted offers and checks
-    /// that the recorded origins plus the rebuilt identity ones are
-    /// exactly the noted ones. Returns (forward propagations, nodes
+    /// Solves `case` under a propagation budget (0: none), checks the
+    /// walk predicates at every processed node ([`walk_violations`]),
+    /// then walks every node reachable from a leak over the noted offers
+    /// and checks that the recorded origins plus the rebuilt identity
+    /// ones are exactly the noted ones. Returns (forward propagations, nodes
     /// checked, whether the run aborted).
     fn check_origins(case: &Case, max_propagations: u64) -> (u64, usize, bool) {
         let config = InfoflowConfig { max_propagations, ..InfoflowConfig::default() };
@@ -1144,6 +1289,13 @@ class R {
         );
         let mut s = BiSolver::new(Icfg::new(&case.program, &cg), &case.sources, &wrapper, &config);
         s.run(&[case.entry]);
+        let (walkable, bad) = walk_violations(&mut s, BiSolver::fw_walks_through);
+        assert!(bad.is_empty(), "{} (budget {max_propagations}): {bad:?}", case.name);
+        assert!(
+            walkable > 0 || max_propagations > 0,
+            "{}: no processed node admits a walk",
+            case.name
+        );
         let mut leaks = std::mem::take(&mut s.leaks);
         leaks.sort();
         leaks.dedup();
@@ -1176,11 +1328,108 @@ class R {
         (s.fw.propagation_count(), visited.len(), s.abort_reason.is_some())
     }
 
+    /// Checks the walk predicates against the flows they stand for, at
+    /// every node of `s`'s forward and backward tables whose flow ran
+    /// (the run's own `fw_walks_through` is replaced by `fw_walks`).
+    /// Where a predicate admits a walk, the forward flow must output
+    /// exactly the fact, with no alias query, leak or activation, and
+    /// the backward flow must send exactly the fact to the predecessors,
+    /// with no forward handoff. Returns how many nodes admit a walk and
+    /// a description of each violation.
+    fn walk_violations<'a>(
+        s: &mut BiSolver<'a>,
+        fw_walks: fn(&BiSolver<'a>, StmtRef, &Fact) -> bool,
+    ) -> (usize, Vec<String>) {
+        let (mut walkable, mut bad) = (0, Vec::new());
+        let methods = s.flows.icfg.callgraph().reachable_methods();
+        let facts = s.interner.fact_count();
+        let mut outs = Vec::new();
+        for &m in methods {
+            for idx in 0..s.flows.icfg.body_len(m) {
+                let n = StmtRef::new(m, idx);
+                for f in (0..facts).map(FactId::from_index) {
+                    let ff = s.interner.resolve_fact(f);
+                    if s.fw.has_node(n, &f)
+                        && !s.fw_unprocessed.contains(&(n, f))
+                        && fw_walks(s, n, &ff)
+                    {
+                        walkable += 1;
+                        let stmt = s.stmt(n);
+                        s.local_flow(n, &ff, &mut outs);
+                        if stmt.is_call()
+                            || stmt.is_exit()
+                            || outs != [ff]
+                            || !s.buf.assign.alias_gens.is_empty()
+                        {
+                            bad.push(format!("forward {n:?} {ff:?}: {outs:?}"));
+                        }
+                    }
+                    if s.bw.has_node(n, &f)
+                        && !s.bw_unprocessed.contains(&(n, f))
+                        && s.bw_walks_through(n, &ff)
+                    {
+                        walkable += 1;
+                        if !bw_sends_only(s, n, &ff) {
+                            bad.push(format!("backward {n:?} {ff:?}"));
+                        }
+                    }
+                }
+            }
+        }
+        (walkable, bad)
+    }
+
+    /// Whether processing backward fact `f` at `n`
+    /// ([`BiSolver::process_backward`]) does nothing but send `f` itself
+    /// to `n`'s predecessors.
+    fn bw_sends_only(s: &mut BiSolver<'_>, n: StmtRef, f: &Fact) -> bool {
+        if s.flows.icfg.preds_of(n).len() == 0 {
+            return false; // the method-start handoff
+        }
+        match (s.stmt(n), f) {
+            (Stmt::Invoke { .. }, _) => false, // callee descent
+            (Stmt::Assign { lhs, rhs }, Fact::T(t)) => {
+                let mut res = BackwardAssignOut::default();
+                s.flows.backward_assign(t, lhs, rhs, &mut res);
+                res.back == [*t] && res.fwd_at_n.is_empty() && res.fwd_after.is_empty()
+            }
+            (Stmt::Assign { .. }, Fact::Zero) => false,
+            _ => true,
+        }
+    }
+
+    /// A walk through an activation statement would skip the
+    /// activation: the check catches a forward predicate that allows it.
+    #[test]
+    fn walk_check_catches_a_walk_through_an_activation_statement() {
+        fn ignores_activation(s: &BiSolver<'_>, n: StmtRef, f: &Fact) -> bool {
+            match f {
+                Fact::T(t) => s.fw_walks_through(n, &Fact::T(t.activated())),
+                Fact::Zero => s.fw_walks_through(n, f),
+            }
+        }
+        let case = plain("heap chain", &heap_chain(6), "H");
+        let config = InfoflowConfig::default();
+        let wrapper = TaintWrapper::default_rules();
+        let cg = flowdroid_callgraph::CallGraph::build(
+            &case.program,
+            &[case.entry],
+            config.cg_algorithm,
+        );
+        let mut s = BiSolver::new(Icfg::new(&case.program, &cg), &case.sources, &wrapper, &config);
+        s.run(&[case.entry]);
+        let (_, bad) = walk_violations(&mut s, BiSolver::fw_walks_through);
+        assert!(bad.is_empty(), "{bad:?}");
+        let (_, bad) = walk_violations(&mut s, ignores_activation);
+        assert!(!bad.is_empty(), "the mutant predicate went unnoticed");
+    }
+
     /// Identity flows record no provenance; attribution rebuilds them.
     /// Recorded plus rebuilt origins must equal every offer made, identity
     /// ones included, at each node attribution can reach — on complete
     /// runs and on runs aborted at every stage of the search, where
-    /// nodes still queued must not count as processed.
+    /// nodes still queued must not count as processed. The same runs
+    /// check the walk predicates.
     #[test]
     fn rebuilt_origins_equal_every_offer() {
         let mut cases = vec![

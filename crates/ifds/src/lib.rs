@@ -15,7 +15,8 @@
 //! them *manually* to interleave its forward taint and backward alias
 //! solvers (Algorithms 1 and 2 of the paper). Facts are dense indices
 //! (interned fact ids), stored in the fact-id-indexed tables of
-//! [`factset`].
+//! [`factset`]; statements are numbered densely per solve
+//! ([`StmtNumbering`]), so a path edge's row is found without hashing.
 
 mod abort;
 pub mod factset;
@@ -23,4 +24,4 @@ mod tabulator;
 
 pub use abort::{AbortHandle, AbortReason};
 pub use factset::TableStats;
-pub use tabulator::{PathEdge, Tabulator};
+pub use tabulator::{PathEdge, StmtNumbering, Tabulator};

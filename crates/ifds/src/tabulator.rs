@@ -6,6 +6,7 @@ use flowdroid_bitset::Idx;
 use flowdroid_ir::{FxHashMap, MethodId, StmtRef};
 use std::collections::VecDeque;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// A path edge `⟨sp, d1⟩ → ⟨n, d2⟩`.
 ///
@@ -23,56 +24,157 @@ pub struct PathEdge<F> {
     pub d2: F,
 }
 
+/// Marks a method outside a [`StmtNumbering`] and a statement without a
+/// path-edge row.
+const NONE: u32 = u32::MAX;
+
+/// A dense numbering of the statements of a fixed set of methods: each
+/// method's statements take consecutive numbers from the method's
+/// offset on. A solve builds one over its reachable methods, so a
+/// statement's path-edge row is found by two index lookups instead of a
+/// hash.
+#[derive(Debug, Default)]
+pub struct StmtNumbering {
+    /// Method index → number of its first statement, or `NONE`.
+    offsets: Vec<u32>,
+    /// Statements numbered.
+    len: u32,
+}
+
+impl StmtNumbering {
+    /// Numbers the statements of `methods`, given as (method, statement
+    /// count) pairs; a method listed twice keeps its first offset.
+    pub fn new(methods: impl IntoIterator<Item = (MethodId, usize)>) -> Self {
+        let mut numbering = StmtNumbering::default();
+        for (m, stmts) in methods {
+            let i = m.index();
+            if i >= numbering.offsets.len() {
+                numbering.offsets.resize(i + 1, NONE);
+            }
+            if numbering.offsets[i] == NONE {
+                numbering.offsets[i] = numbering.len;
+                numbering.len = u32::try_from(stmts)
+                    .ok()
+                    .and_then(|n| numbering.len.checked_add(n))
+                    .filter(|&end| end != NONE)
+                    .expect("statement numbering overflow");
+            }
+        }
+        numbering
+    }
+
+    /// Statements numbered.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether no statement is numbered.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The number of `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n`'s method is not numbered. An index past the
+    /// method's statement count aliases a later method's statement.
+    pub fn number(&self, n: StmtRef) -> usize {
+        match self.offsets.get(n.method.index()) {
+            Some(&off) if off != NONE => off as usize + n.idx,
+            _ => panic!("{:?} is outside the statement numbering", n.method),
+        }
+    }
+}
+
 /// Worklist, path-edge table, end summaries and incoming sets for one
 /// IFDS solver instance.
 ///
-/// Facts are dense indices (interned fact ids). Outer keys (statement,
-/// callee, entry fact) are Fx-hashed; the inner `fact → …` sets — the
-/// hot part — are the fact-id-indexed [`SlotRel`] and [`BitPairs`].
+/// Facts are dense indices (interned fact ids). Path edges are kept per
+/// statement of a [`StmtNumbering`]: each statement holds a 4-byte row
+/// id into an arena of [`SlotRel`]s, which gains a row the first time
+/// the statement is touched. Callee and entry-fact keys are Fx-hashed,
+/// with [`BitPairs`] sets inside.
 ///
 /// The FlowDroid bidirectional analysis drives two of them manually so
 /// it can hand edges from one to the other (context injection).
 pub struct Tabulator<F: Idx> {
     worklist: VecDeque<PathEdge<F>>,
-    /// n → d2 → set of d1 for all recorded path edges.
-    edges: FxHashMap<StmtRef, SlotRel<F>>,
+    numbering: Arc<StmtNumbering>,
+    /// Statement number → index of its row in `rels`, or `NONE`.
+    rows: Vec<u32>,
+    /// d2 → set of d1 for all recorded path edges, one row per touched
+    /// statement.
+    rels: Vec<SlotRel<F>>,
     /// callee → d1-at-entry → exit facts (exit stmt, d2-at-exit).
     end_summaries: FxHashMap<MethodId, FxHashMap<F, BitPairs<F>>>,
     /// callee → d3-at-entry → call contexts (call site, d2-at-call).
     incoming: FxHashMap<MethodId, FxHashMap<F, BitPairs<F>>>,
-    /// Number of path edges ever propagated (for statistics).
+    /// Number of path edges ever recorded (for statistics).
     propagation_count: u64,
+    /// Number of edges ever popped off the worklist.
+    pop_count: u64,
     /// Density counters of the three tables, kept as they grow.
     stats: TableStats,
 }
 
 impl<F: Idx + Hash> Tabulator<F> {
-    /// Creates an empty tabulator.
-    pub fn new() -> Self {
+    /// Creates an empty tabulator whose path edges may target the
+    /// statements of `numbering`.
+    pub fn new(numbering: Arc<StmtNumbering>) -> Self {
         Self {
             worklist: VecDeque::new(),
-            edges: FxHashMap::default(),
+            rows: vec![NONE; numbering.len()],
+            numbering,
+            rels: Vec::new(),
             end_summaries: FxHashMap::default(),
             incoming: FxHashMap::default(),
             propagation_count: 0,
+            pop_count: 0,
             stats: TableStats::default(),
         }
+    }
+
+    /// Records the path edge `⟨·, d1⟩ → ⟨n, d2⟩` without scheduling it.
+    /// Returns `true` if the edge was new; a new edge counts as a
+    /// propagation. A solver that records an edge this way either
+    /// handles it itself or passes it to [`Tabulator::enqueue`].
+    pub fn insert(&mut self, d1: F, n: StmtRef, d2: F) -> bool {
+        let at = self.numbering.number(n);
+        let mut row = self.rows[at];
+        if row == NONE {
+            row = u32::try_from(self.rels.len())
+                .ok()
+                .filter(|&r| r != NONE)
+                .expect("path-edge row overflow");
+            self.rows[at] = row;
+            self.rels.push(SlotRel::default());
+        }
+        let inserted = self.rels[row as usize].insert(d2, d1, &mut self.stats);
+        self.propagation_count += u64::from(inserted);
+        inserted
+    }
+
+    /// Schedules the recorded edge `⟨·, d1⟩ → ⟨n, d2⟩` for processing.
+    pub fn enqueue(&mut self, d1: F, n: StmtRef, d2: F) {
+        self.worklist.push_back(PathEdge { d1, n, d2 });
     }
 
     /// Records the path edge `⟨·, d1⟩ → ⟨n, d2⟩` and schedules it if it
     /// is new. Returns `true` if the edge was new.
     pub fn propagate(&mut self, d1: F, n: StmtRef, d2: F) -> bool {
-        let inserted = self.edges.entry(n).or_default().insert(d2, d1, &mut self.stats);
+        let inserted = self.insert(d1, n, d2);
         if inserted {
-            self.propagation_count += 1;
-            self.worklist.push_back(PathEdge { d1, n, d2 });
+            self.enqueue(d1, n, d2);
         }
         inserted
     }
 
     /// Pops the next edge to process.
     pub fn pop(&mut self) -> Option<PathEdge<F>> {
-        self.worklist.pop_front()
+        let edge = self.worklist.pop_front();
+        self.pop_count += u64::from(edge.is_some());
+        edge
     }
 
     /// The edges still waiting to be processed. After a run stops
@@ -81,16 +183,22 @@ impl<F: Idx + Hash> Tabulator<F> {
         self.worklist.iter()
     }
 
+    /// The path-edge row of `n`, if some edge targets it.
+    fn rel(&self, n: StmtRef) -> Option<&SlotRel<F>> {
+        let row = self.rows[self.numbering.number(n)];
+        (row != NONE).then(|| &self.rels[row as usize])
+    }
+
     /// All source facts `d1` of path edges targeting `(n, d2)`. The
     /// lookup borrows `d2`; only the returned facts are materialized.
     pub fn d1s_at(&self, n: StmtRef, d2: &F) -> Vec<F> {
-        self.edges.get(&n).map(|rel| rel.d1s(*d2)).unwrap_or_default()
+        self.rel(n).map(|rel| rel.d1s(*d2)).unwrap_or_default()
     }
 
     /// Returns `true` if some path edge targets `(n, d2)`, whatever its
     /// source fact. Allocates nothing.
     pub fn has_node(&self, n: StmtRef, d2: &F) -> bool {
-        self.edges.get(&n).is_some_and(|rel| rel.has_key(*d2))
+        self.rel(n).is_some_and(|rel| rel.has_key(*d2))
     }
 
     /// Records a call context: the callee was entered with `d3` from
@@ -133,9 +241,15 @@ impl<F: Idx + Hash> Tabulator<F> {
             .unwrap_or_default()
     }
 
-    /// Number of `propagate` calls that inserted a new edge.
+    /// Number of path edges recorded, by [`Tabulator::insert`] or
+    /// [`Tabulator::propagate`].
     pub fn propagation_count(&self) -> u64 {
         self.propagation_count
+    }
+
+    /// Number of edges popped off the worklist.
+    pub fn pop_count(&self) -> u64 {
+        self.pop_count
     }
 
     /// Density counters across the edge, incoming and summary tables,
@@ -148,7 +262,7 @@ impl<F: Idx + Hash> Tabulator<F> {
     #[cfg(test)]
     fn swept_stats(&self) -> TableStats {
         let mut stats = TableStats::default();
-        for rel in self.edges.values() {
+        for rel in &self.rels {
             rel.collect_stats(&mut stats);
         }
         for by_fact in self.end_summaries.values().chain(self.incoming.values()) {
@@ -169,9 +283,51 @@ mod tests {
         StmtRef::new(MethodId::from_index(0), i)
     }
 
+    /// A tabulator over one 16-statement method.
+    fn tab() -> Tabulator<u32> {
+        Tabulator::new(Arc::new(StmtNumbering::new([(MethodId::from_index(0), 16)])))
+    }
+
+    #[test]
+    fn numbering_is_dense_per_method() {
+        let m = MethodId::from_index;
+        let numbering = StmtNumbering::new([(m(4), 3), (m(1), 5), (m(4), 9), (m(7), 0)]);
+        assert_eq!(numbering.len(), 8);
+        assert_eq!(numbering.number(StmtRef::new(m(4), 0)), 0);
+        assert_eq!(numbering.number(StmtRef::new(m(4), 2)), 2);
+        assert_eq!(numbering.number(StmtRef::new(m(1), 0)), 3);
+        assert_eq!(numbering.number(StmtRef::new(m(1), 4)), 7);
+        assert!(StmtNumbering::new([(m(7), 0)]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the statement numbering")]
+    fn unnumbered_method_panics() {
+        let numbering = StmtNumbering::new([(MethodId::from_index(2), 4)]);
+        numbering.number(sr(0));
+    }
+
+    #[test]
+    fn insert_records_and_counts_without_scheduling() {
+        let mut t = tab();
+        assert!(t.insert(0, sr(1), 7));
+        assert!(!t.insert(0, sr(1), 7));
+        assert!(!t.propagate(0, sr(1), 7));
+        assert_eq!(t.propagation_count(), 1);
+        assert!(t.has_node(sr(1), &7));
+        assert_eq!(t.queued().count(), 0);
+        t.enqueue(0, sr(1), 7);
+        assert!(t.propagate(0, sr(2), 7));
+        assert_eq!(t.propagation_count(), 2);
+        assert_eq!(t.pop(), Some(PathEdge { d1: 0, n: sr(1), d2: 7 }));
+        assert_eq!(t.pop(), Some(PathEdge { d1: 0, n: sr(2), d2: 7 }));
+        assert_eq!(t.pop(), None);
+        assert_eq!(t.pop_count(), 2);
+    }
+
     #[test]
     fn propagate_dedupes() {
-        let mut t: Tabulator<u32> = Tabulator::new();
+        let mut t = tab();
         assert!(t.propagate(0, sr(1), 7));
         assert!(!t.propagate(0, sr(1), 7));
         assert!(t.propagate(1, sr(1), 7));
@@ -188,7 +344,7 @@ mod tests {
     #[test]
     fn summaries_and_incoming_dedupe() {
         let m = MethodId::from_index(3);
-        let mut t: Tabulator<u32> = Tabulator::new();
+        let mut t = tab();
         assert!(t.install_summary(m, 1, sr(9), 2));
         assert!(!t.install_summary(m, 1, sr(9), 2));
         assert_eq!(t.summaries_for(m, &1), vec![(sr(9), 2)]);
@@ -201,7 +357,7 @@ mod tests {
 
     #[test]
     fn has_node_borrows_and_matches() {
-        let mut t: Tabulator<u32> = Tabulator::new();
+        let mut t = tab();
         t.propagate(0, sr(2), 5);
         assert_eq!(t.d1s_at(sr(2), &5), vec![0]);
         assert!(t.d1s_at(sr(3), &5).is_empty());
@@ -217,7 +373,7 @@ mod tests {
     #[test]
     fn incremental_table_stats_match_a_sweep() {
         let m = MethodId::from_index(1);
-        let mut t: Tabulator<u32> = Tabulator::new();
+        let mut t = tab();
         for d2 in 0..12u32 {
             for d1 in 0..=d2 {
                 t.propagate(d1 * 37, sr(d2 as usize % 3), d2);

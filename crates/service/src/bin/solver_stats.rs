@@ -15,10 +15,11 @@
 //!
 //! The `ladder` section solves `stress/k` chains of growing `k` on
 //! their own, counting allocations inside the taint analysis only, and
-//! reports each rung's propagations, table rows, allocations, bytes,
-//! `dataflow_ms` and propagations per second. The binary exits non-zero
-//! if a rung requests more than 48 bytes per propagation; its timings
-//! are reported, not gated.
+//! reports each rung's propagations, worklist pops (forward and
+//! backward), table rows, allocations, bytes, `dataflow_ms` and
+//! propagations per second. The binary exits non-zero if a rung
+//! requests more than 48 bytes per propagation; its timings are
+//! reported, not gated.
 //!
 //! The `demand-lazy` mode runs the corpus through the demand-driven
 //! frontend (platform snapshot clone + lazy method bodies); its report
@@ -204,6 +205,8 @@ struct Rung {
     job: String,
     forward_propagations: u64,
     backward_propagations: u64,
+    forward_pops: u64,
+    backward_pops: u64,
     table_rows: u64,
     leaks: usize,
     solve_allocations: u64,
@@ -231,6 +234,8 @@ fn measure_rung(k: usize, config: &InfoflowConfig) -> Rung {
         job: job.name,
         forward_propagations: results.forward_propagations,
         backward_propagations: results.backward_propagations,
+        forward_pops: results.forward_pops,
+        backward_pops: results.backward_pops,
         table_rows: results.fact_tables.map_or(0, |t| t.rows),
         leaks: results.leak_count(),
         solve_allocations,
@@ -244,7 +249,8 @@ fn rung_json(r: &Rung) -> String {
     format!(
         concat!(
             "    {{ \"job\": \"{}\", \"forward_propagations\": {}, ",
-            "\"backward_propagations\": {}, \"table_rows\": {}, \"leaks\": {}, ",
+            "\"backward_propagations\": {}, \"forward_pops\": {}, \"backward_pops\": {}, ",
+            "\"table_rows\": {}, \"leaks\": {}, ",
             "\"solve_allocations\": {}, \"solve_allocated_bytes\": {}, ",
             "\"bytes_per_propagation\": {:.3}, \"dataflow_ms\": {:.3}, ",
             "\"propagations_per_s\": {:.0} }}"
@@ -252,6 +258,8 @@ fn rung_json(r: &Rung) -> String {
         r.job,
         r.forward_propagations,
         r.backward_propagations,
+        r.forward_pops,
+        r.backward_pops,
         r.table_rows,
         r.leaks,
         r.solve_allocations,

@@ -3,9 +3,10 @@
 #
 # Usage: scripts/verify.sh [--full]
 #   default : tier-1 gate (release build + root tests) + solver stats
-#   --full  : additionally runs the whole workspace test suite, the
-#             service crate's tests again in release (their timing-bound
-#             tests must hold at release speed too), the perfbench smoke
+#   --full  : additionally runs the whole workspace test suite (every
+#             test binary, even after one fails), the service crate's
+#             tests again in release (their timing-bound tests must
+#             hold at release speed too), the perfbench smoke
 #             test (perfbench is a package of its own, outside the
 #             workspace, so `--workspace` does not reach it) and the
 #             workspace rustdoc build with warnings as errors
@@ -20,7 +21,9 @@ cargo test -q
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "== full workspace test suite"
-    cargo test --workspace -q
+    # Every test binary runs even after one fails, so a failure does not
+    # hide the results of the binaries after it.
+    cargo test --workspace -q --no-fail-fast
     echo "== service tests in release"
     cargo test --release -q -p flowdroid-service
     echo "== perfbench smoke test"
