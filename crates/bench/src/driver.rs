@@ -211,7 +211,7 @@ enum Prepared {
     Droid {
         manifest: Manifest,
         layouts: FxHashMap<String, Layout>,
-        resources: ResourceTable,
+        resources: Box<ResourceTable>,
         sdex: Arc<[u8]>,
     },
     /// A SecuriBench Micro case: env + case classes, one entry class.
@@ -299,7 +299,7 @@ fn droid_form(scratch: &Program, loaded: App) -> Prepared {
         sdex: sdex::encode(scratch, &loaded.classes).into(),
         manifest: loaded.manifest,
         layouts: loaded.layouts,
-        resources: loaded.resources,
+        resources: Box::new(loaded.resources),
     }
 }
 
@@ -524,7 +524,7 @@ fn run_prepared_impl(
             let loaded = App {
                 manifest: manifest.clone(),
                 layouts: layouts.clone(),
-                resources: resources.clone(),
+                resources: ResourceTable::clone(resources),
                 classes,
             };
             let infoflow = Infoflow::new(android_sources(), default_wrapper(), config);

@@ -32,17 +32,31 @@
 //! the forward and backward path-edge tables, by re-running the same
 //! flow.
 //!
-//! An identity flow is not queued edge by edge either: it *walks*. Its
-//! edge is recorded, and while the statement reached certainly passes
-//! the fact on unchanged and does nothing else (`fw_walks_through`,
-//! `bw_walks_through`: cheap syntactic checks that may say "no" too
-//! often, never "yes" wrongly), the walk records the edge at that
-//! statement's successors — predecessors, backward — from a reused
-//! stack, without queueing it (emulated tail recursion). The first
-//! statement that might touch the fact gets its edge queued and is
-//! processed as usual. A walked statement counts as processed, so a
-//! run reaches the same tables, counts and provenance as one that
-//! queued every edge; only the worklist pops shrink.
+//! The output of a statement's local flow — forward to its successors,
+//! backward to its predecessors — is not queued edge by edge either: it
+//! *walks*. Its edge is recorded (a generated fact offering its origin,
+//! an identity flow nothing), and while the statement reached certainly
+//! passes the fact on unchanged and does nothing else
+//! (`fw_walks_through`, `bw_walks_through`: cheap syntactic checks that
+//! may say "no" too often, never "yes" wrongly), the walk records the
+//! edge at that statement's successors — predecessors, backward — as an
+//! identity flow, from a reused stack, without queueing it (emulated
+//! tail recursion). The first statement that might touch the fact gets
+//! its edge queued and is processed as usual. A walked statement counts
+//! as processed, so a run reaches the same tables, counts and
+//! provenance as one that queued every edge; only the worklist pops
+//! shrink.
+//!
+//! A walk passes calls too. A taint rooted at a local that a call does
+//! not mention — not its receiver, an argument or its result — enters
+//! no callee, and its call-to-return flow passes it on unchanged (paper
+//! §4, Algorithm 1); backward, the alias search neither descends with
+//! it nor stops at the call. Forward, the call must also leave an
+//! inactive taint inactive: it is not the taint's activation statement
+//! and reaches no method holding one. The zero fact, facts rooted at
+//! static fields and exits still stop a walk. A walk never leaves its
+//! method, so it looks the method's body up once and steps by statement
+//! index.
 //!
 //! Every table keys on `u32` [`FactId`]s hash-consed by the solver's
 //! [`Interner`] and stores fact sets as bitset rows: popped edges are
@@ -69,7 +83,8 @@ use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
 use flowdroid_ifds::{AbortReason, StmtNumbering, Tabulator};
 use flowdroid_ir::{
-    FxHashMap, FxHashSet, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef,
+    Body, FxHashMap, FxHashSet, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtIdx,
+    StmtRef,
 };
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -79,6 +94,10 @@ const ABORT_CHECK_EVERY: usize = 128;
 
 /// A provenance node: a fact at a statement.
 type Node = (StmtRef, FactId);
+
+/// The statement a walk step comes from when the step's provenance is
+/// already offered: the first step of a fact a flow generated.
+const OFFERED: StmtIdx = StmtIdx::MAX;
 
 /// End of an origin chain in [`Provenance`].
 const NIL: u32 = u32::MAX;
@@ -164,15 +183,15 @@ struct Buffers {
     ctr: CallToReturnOut,
     back: BackwardAssignOut,
     entries: Vec<(Fact, Option<StmtRef>)>,
-    /// Output fact keys, with "is the popped fact itself".
-    keys: Vec<(FactId, bool)>,
+    /// Output fact keys.
+    keys: Vec<FactId>,
     /// Activated return taints and their keys.
     acts: Vec<(Taint, FactId)>,
     /// Caller contexts at a call site.
     d3s: Vec<FactId>,
     /// A walk's pending steps: (statement reached, statement walked
-    /// from).
-    walk: Vec<(StmtRef, StmtRef)>,
+    /// from), as indices into the walked method's body.
+    walk: Vec<(StmtIdx, StmtIdx)>,
 }
 
 /// The bidirectional solver.
@@ -305,6 +324,11 @@ impl<'a> BiSolver<'a> {
 
     fn stmt(&self, n: StmtRef) -> &'a Stmt {
         self.flows.stmt(n)
+    }
+
+    /// The body of `m`, which the call graph reached.
+    fn body(&self, m: MethodId) -> &'a Body {
+        self.program().method(m).body().expect("method has no body")
     }
 
     /// Delivers a progress snapshot to the configured sink, if any.
@@ -451,55 +475,46 @@ impl<'a> BiSolver<'a> {
         }
     }
 
-    /// Refills `keys` with the ids of a local flow's outputs, each with
-    /// whether it is the popped fact `d2f` itself.
-    fn output_keys(
-        &mut self,
-        outs: &[Fact],
-        d2: FactId,
-        d2f: &Fact,
-        keys: &mut Vec<(FactId, bool)>,
-    ) {
+    /// Refills `keys` with the ids of a local flow's outputs.
+    fn output_keys(&mut self, outs: &[Fact], d2: FactId, d2f: &Fact, keys: &mut Vec<FactId>) {
         keys.clear();
         for f in outs {
-            keys.push((self.key_of(f, d2, d2f), f == d2f));
+            keys.push(self.key_of(f, d2, d2f));
         }
     }
 
-    /// Propagates output `k` of `(n, d2)`'s local flow to `succ`, where
-    /// `d2f` is the popped fact. An identity output walks on
-    /// ([`Self::fw_walk`]) and records no provenance:
-    /// [`Self::identity_origins`] rebuilds it when attribution asks.
-    fn fw_propagate_local(
-        &mut self,
-        d1: FactId,
-        (n, d2): Node,
-        d2f: &Fact,
-        succ: StmtRef,
-        (k, identity): (FactId, bool),
-    ) {
-        if identity {
-            self.fw_walk(d1, (n, d2), d2f, succ);
-        } else {
-            self.fw_propagate(d1, succ, k, Some((n, d2)));
-        }
-    }
-
-    /// Records the identity edge `(d1, succ, d)` — fact `d` (value `df`)
-    /// passing `n` unchanged — and walks on: while the statement reached
-    /// certainly passes `df` on unchanged and does nothing else
-    /// ([`Self::fw_walks_through`]), its successors get the edge too,
-    /// recorded without being queued, so the walked statements count as
-    /// processed. The first statement that might touch the fact gets its
-    /// edge queued and is processed as usual. The budget is checked as
-    /// each edge is recorded: once over it, the edge in hand is queued
-    /// and the walk stops.
-    fn fw_walk(&mut self, d1: FactId, (n, d): Node, df: &Fact, succ: StmtRef) {
+    /// Records the edge `(d1, succ, d)` — fact `d` (value `df`), an
+    /// output of the popped node `(n, d2)`'s local flow — and walks on:
+    /// while the statement reached certainly passes `df` on unchanged
+    /// and does nothing else ([`Self::fw_walks_through`]), its
+    /// successors get the edge too, recorded without being queued, so
+    /// the walked statements count as processed. The first statement
+    /// that might touch the fact gets its edge queued and is processed
+    /// as usual. The budget is checked as each edge is recorded: once
+    /// over it, the edge in hand is queued and the walk stops.
+    ///
+    /// Only a generated fact (`d` ≠ `d2`) offers its first step's
+    /// origin; every step of an identity flow is left for
+    /// [`Self::identity_origins`] to rebuild. A walk never leaves `n`'s
+    /// method, so it looks the body up once and steps by statement
+    /// index.
+    fn fw_walk(&mut self, d1: FactId, (n, d2): Node, (succ, d): Node, df: &Fact) {
         let budget = self.config().max_propagations;
+        let m = n.method;
+        let body = self.body(m);
+        let at = |idx| StmtRef::new(m, idx);
         let mut stack = std::mem::take(&mut self.buf.walk);
-        stack.push((succ, n));
-        while let Some((s, from)) = stack.pop() {
-            self.note_offer((s, d), Some((from, d)));
+        if d2 == d {
+            stack.push((succ.idx, n.idx));
+        } else {
+            self.record_pred(succ, d, Some((n, d2)));
+            stack.push((succ.idx, OFFERED));
+        }
+        while let Some((idx, from)) = stack.pop() {
+            let s = at(idx);
+            if from != OFFERED {
+                self.note_offer((s, d), Some((at(from), d)));
+            }
             if !self.fw.insert(d1, s, d) {
                 continue;
             }
@@ -509,13 +524,13 @@ impl<'a> BiSolver<'a> {
                 // is never recorded. Its offer is still noted:
                 // `identity_origins` rebuilds it should the target node
                 // be recorded from elsewhere.
-                for (s, from) in stack.drain(..) {
-                    self.note_offer((s, d), Some((from, d)));
+                for (idx, from) in stack.drain(..) {
+                    self.note_offer((at(idx), d), Some((at(from), d)));
                 }
                 break;
             }
-            if self.fw_walks_through(s, df) {
-                stack.extend(self.flows.icfg.succs_of(s).map(|next| (next, s)));
+            if self.fw_walks_through(body, s, df) {
+                stack.extend(body.cfg().succs(idx).iter().map(|&next| (next, idx)));
             } else {
                 self.fw.enqueue(d1, s, d);
             }
@@ -524,21 +539,33 @@ impl<'a> BiSolver<'a> {
     }
 
     /// Whether `s`'s forward flow certainly outputs exactly `f` and does
-    /// nothing else — no call or exit handling, no alias query, no
-    /// activation — so a walk may pass `s` without processing it. It may
-    /// answer `false` for a statement that passes `f`, never `true` for
-    /// one that does not: `s` is neither a call nor an exit, and unless
-    /// `f` is the zero fact, `f` is rooted at a local that `s` does not
-    /// mention and `s` is not the activation statement of an inactive
-    /// `f`. Facts rooted at a static field never walk.
-    fn fw_walks_through(&self, s: StmtRef, f: &Fact) -> bool {
-        let stmt = self.stmt(s);
-        if stmt.is_call() || stmt.is_exit() {
+    /// nothing else — no exit handling, no callee entered, no alias
+    /// query, leak or activation — so a walk may pass `s` without
+    /// processing it. `body` is the body of `s`'s method. It may answer
+    /// `false` for a statement that passes `f`, never `true` for one
+    /// that does not: `s` is not an exit, and `f` is either the zero
+    /// fact at a statement other than a call, or a taint rooted at a
+    /// local that `s` does not mention (not its receiver, an argument or
+    /// its result, at a call) which `s` leaves inactive if it is: `s` is
+    /// not its activation statement, and a call at `s` does not reach
+    /// that statement's method ([`Flows::maybe_activate`]). Facts rooted
+    /// at a static field never walk.
+    fn fw_walks_through(&mut self, body: &Body, s: StmtRef, f: &Fact) -> bool {
+        let stmt = body.stmt(s.idx);
+        if stmt.is_exit() {
             return false;
         }
-        let Fact::T(t) = f else { return true };
+        let Fact::T(t) = f else { return !stmt.is_call() };
         let Some(l) = t.ap.base_local() else { return false };
-        (t.active || t.activation != Some(s)) && !mentions(stmt, l)
+        if mentions(stmt, l) {
+            return false;
+        }
+        t.active
+            || if stmt.is_call() {
+                self.maybe_activate(s, t) == *t
+            } else {
+                t.activation != Some(s)
+            }
     }
 
     /// Injects an alias query for taint `g` (which holds after the heap
@@ -583,8 +610,8 @@ impl<'a> BiSolver<'a> {
         let mut keys = std::mem::take(&mut self.buf.keys);
         self.output_keys(&outs, *d2, d2f, &mut keys);
         for succ in self.flows.icfg.succs_of(n) {
-            for &key in &keys {
-                self.fw_propagate_local(*d1, (n, *d2), d2f, succ, key);
+            for (&k, kf) in keys.iter().zip(&outs) {
+                self.fw_walk(*d1, (n, *d2), (succ, k), kf);
             }
         }
         self.buf.keys = keys;
@@ -700,11 +727,11 @@ impl<'a> BiSolver<'a> {
         let mut keys = std::mem::take(&mut self.buf.keys);
         self.output_keys(&outs, *d2, d2f, &mut keys);
         for ret_site in self.flows.icfg.return_sites_of_call(n) {
-            for &(k, identity) in &keys {
+            for (&k, kf) in keys.iter().zip(&outs) {
                 if ctr.src_mark && k != FactId::ZERO {
                     self.mark_source(ret_site, &k, n);
                 }
-                self.fw_propagate_local(*d1, (n, *d2), d2f, ret_site, (k, identity));
+                self.fw_walk(*d1, (n, *d2), (ret_site, k), kf);
             }
         }
         self.buf.keys = keys;
@@ -738,23 +765,18 @@ impl<'a> BiSolver<'a> {
     /// stop; the backward analysis never returns into callers itself.
     /// `df` is `d`'s value.
     fn bw_to_preds(&mut self, d1: &FactId, n: StmtRef, d: &FactId, df: &Fact) {
-        self.bw_to_preds_from(d1, n, d, df, Some((n, *d)));
+        self.bw_to_preds_from(d1, n, d, df, (n, *d));
     }
 
-    fn bw_to_preds_from(
-        &mut self,
-        d1: &FactId,
-        n: StmtRef,
-        d: &FactId,
-        df: &Fact,
-        origin: Option<(StmtRef, FactId)>,
-    ) {
+    /// [`Self::bw_to_preds`] for a fact `d` that `n`'s backward flow
+    /// produced from the popped node `origin`.
+    fn bw_to_preds_from(&mut self, d1: &FactId, n: StmtRef, d: &FactId, df: &Fact, origin: Node) {
         let preds = self.flows.icfg.preds_of(n);
         if preds.len() == 0 {
             let m = self.flows.icfg.method_of(n);
             let sp = StmtRef::new(m, 0);
             self.bw.install_summary(m, *d1, sp, *d);
-            self.fw_propagate(*d1, sp, *d, origin);
+            self.fw_propagate(*d1, sp, *d, Some(origin));
             let contexts = self.bw.incoming_for(m, d1);
             if !contexts.is_empty() {
                 self.fw.inject_incoming(m, *d1, &contexts);
@@ -772,57 +794,43 @@ impl<'a> BiSolver<'a> {
             }
             return;
         }
-        // The popped fact passing on unchanged is an identity flow: it
-        // walks on and records no provenance; [`Self::identity_origins`]
-        // rebuilds it.
-        if origin == Some((n, *d)) {
-            self.bw_walk(*d1, (n, *d), df);
-            return;
-        }
-        for pred in preds {
-            self.bw_propagate(*d1, pred, *d, origin);
-        }
+        self.bw_walk(*d1, origin, (n, *d), df);
     }
 
-    /// Records the backward identity edges `(d1, p, d)` for each
-    /// predecessor `p` of `n` — fact `d` (value `df`) passing `n`
-    /// unchanged — and walks on upward like [`Self::fw_walk`], through
-    /// the statements [`Self::bw_walks_through`] admits. Backward edges
-    /// do not count against the budget.
-    fn bw_walk(&mut self, d1: FactId, (n, d): Node, df: &Fact) {
+    /// Records the backward edges `(d1, p, d)` for each predecessor `p`
+    /// of `n` — fact `d` (value `df`) flowing above `n` out of the node
+    /// `origin` — and walks on upward like [`Self::fw_walk`], through
+    /// the statements [`bw_walks_through`] admits. Backward edges do not
+    /// count against the budget.
+    fn bw_walk(&mut self, d1: FactId, origin: Node, (n, d): Node, df: &Fact) {
+        let m = n.method;
+        let body = self.body(m);
+        let at = |idx| StmtRef::new(m, idx);
+        let identity = origin == (n, d);
         let mut stack = std::mem::take(&mut self.buf.walk);
-        stack.extend(self.flows.icfg.preds_of(n).map(|p| (p, n)));
-        while let Some((s, from)) = stack.pop() {
-            self.note_offer((s, d), Some((from, d)));
+        for &p in body.cfg().preds(n.idx) {
+            if identity {
+                stack.push((p, n.idx));
+            } else {
+                self.record_pred(at(p), d, Some(origin));
+                stack.push((p, OFFERED));
+            }
+        }
+        while let Some((idx, from)) = stack.pop() {
+            let s = at(idx);
+            if from != OFFERED {
+                self.note_offer((s, d), Some((at(from), d)));
+            }
             if !self.bw.insert(d1, s, d) {
                 continue;
             }
-            if self.bw_walks_through(s, df) {
-                stack.extend(self.flows.icfg.preds_of(s).map(|p| (p, s)));
+            if bw_walks_through(body, idx, df) {
+                stack.extend(body.cfg().preds(idx).iter().map(|&p| (p, idx)));
             } else {
                 self.bw.enqueue(d1, s, d);
             }
         }
         self.buf.walk = stack;
-    }
-
-    /// Whether `s`'s backward flow certainly sends exactly `f` on to its
-    /// predecessors and does nothing else — no callee descent, no
-    /// forward handoff at a method start, no alias found — so a walk may
-    /// pass `s` without processing it. Like [`Self::fw_walks_through`]
-    /// it may answer `false` too often, never `true` wrongly: `s` is not
-    /// a call and has predecessors, and at an assignment `f` is rooted at
-    /// a local the assignment does not mention. Facts rooted at a static
-    /// field never walk.
-    fn bw_walks_through(&self, s: StmtRef, f: &Fact) -> bool {
-        let stmt = self.stmt(s);
-        if stmt.is_call() || self.flows.icfg.preds_of(s).len() == 0 {
-            return false;
-        }
-        match f {
-            Fact::Zero => !matches!(stmt, Stmt::Assign { .. }),
-            Fact::T(t) => t.ap.base_local().is_some_and(|l| !mentions(stmt, l)),
-        }
     }
 
     fn backward_assign(
@@ -837,7 +845,7 @@ impl<'a> BiSolver<'a> {
         let Fact::T(t) = d2f else { return };
         let mut res = std::mem::take(&mut self.buf.back);
         self.flows.backward_assign(t, lhs, rhs, &mut res);
-        let origin = Some((n, *d2));
+        let origin = (n, *d2);
         for g in &res.back {
             let gf = Fact::T(*g);
             let k = self.key_of(&gf, *d2, d2f);
@@ -845,12 +853,12 @@ impl<'a> BiSolver<'a> {
         }
         for g in &res.fwd_at_n {
             let k = self.interner.intern_fact(&Fact::T(*g));
-            self.fw_propagate(*d1, n, k, origin);
+            self.fw_propagate(*d1, n, k, Some(origin));
         }
         for g in &res.fwd_after {
             let k = self.interner.intern_fact(&Fact::T(*g));
             for succ in self.flows.icfg.succs_of(n) {
-                self.fw_propagate(*d1, succ, k, origin);
+                self.fw_propagate(*d1, succ, k, Some(origin));
             }
         }
         self.buf.back = res;
@@ -1054,21 +1062,51 @@ fn rooted_at_result(result: Option<Local>, t: &Taint) -> bool {
     result.is_some() && t.ap.base_local() == result
 }
 
-/// Whether `stmt` is an assignment that writes or reads local `l`.
+/// Whether the statement at `idx` of `body` certainly sends the
+/// backward fact `f` exactly on to its predecessors and does nothing
+/// else — no callee descent, no forward handoff at a method start, no
+/// alias found — so a walk may pass it without processing it. Like
+/// [`BiSolver::fw_walks_through`] it may answer `false` too often, never
+/// `true` wrongly: the statement has predecessors, and `f` is either the
+/// zero fact at a statement that is neither an assignment nor a call, or
+/// a taint rooted at a local the statement does not mention (so at a
+/// call it is not the result, and no callee's
+/// [`Flows::backward_call_entries`] takes it). Facts rooted at a static
+/// field never walk.
+fn bw_walks_through(body: &Body, idx: StmtIdx, f: &Fact) -> bool {
+    if body.cfg().preds(idx).is_empty() {
+        return false;
+    }
+    let stmt = body.stmt(idx);
+    match f {
+        Fact::Zero => !matches!(stmt, Stmt::Assign { .. } | Stmt::Invoke { .. }),
+        Fact::T(t) => t.ap.base_local().is_some_and(|l| !mentions(stmt, l)),
+    }
+}
+
+/// Whether `stmt` writes or reads local `l`: an assignment through
+/// either side, a call as its receiver, an argument or its result.
 fn mentions(stmt: &Stmt, l: Local) -> bool {
     let is_l = |o: &Operand| o.as_local() == Some(l);
     let place = |p: &Place| p.base() == Some(l) || matches!(p, Place::ArrayElem(_, i) if is_l(i));
-    let Stmt::Assign { lhs, rhs } = stmt else { return false };
-    place(lhs)
-        || match rhs {
-            Rvalue::Read(p) => place(p),
-            Rvalue::Const(_) | Rvalue::New(_) => false,
-            Rvalue::NewArray(_, o)
-            | Rvalue::UnOp(_, o)
-            | Rvalue::Cast(_, o)
-            | Rvalue::InstanceOf(o, _) => is_l(o),
-            Rvalue::BinOp(_, a, b) => is_l(a) || is_l(b),
+    match stmt {
+        Stmt::Assign { lhs, rhs } => {
+            place(lhs)
+                || match rhs {
+                    Rvalue::Read(p) => place(p),
+                    Rvalue::Const(_) | Rvalue::New(_) => false,
+                    Rvalue::NewArray(_, o)
+                    | Rvalue::UnOp(_, o)
+                    | Rvalue::Cast(_, o)
+                    | Rvalue::InstanceOf(o, _) => is_l(o),
+                    Rvalue::BinOp(_, a, b) => is_l(a) || is_l(b),
+                }
         }
+        Stmt::Invoke { result, call } => {
+            *result == Some(l) || call.base == Some(l) || call.args.iter().any(is_l)
+        }
+        _ => false,
+    }
 }
 
 /// The nodes of `tab` every path edge of which is still queued. Only
@@ -1202,16 +1240,58 @@ class R {
 }
 "#;
 
+    /// A heap write in a method that a call in its own body reaches
+    /// again (`fill` → `spin` → `fill`). The alias `a.f` found from the
+    /// write `x.f = t` is inactive until that write, and the call to
+    /// `spin` above the write activates it: the write sits in one of the
+    /// call's callees, though the call mentions neither `a` nor `x`.
+    const ACTIVATING_CALL: &str = r#"
+class Box { field f: java.lang.String }
+class P {
+  static method main() -> void {
+    let b: Box
+    b = new Box
+    staticinvoke <P: void fill(Box)>(b)
+    return
+  }
+  static method spin() -> void {
+    let y: Box
+    y = new Box
+    staticinvoke <P: void fill(Box)>(y)
+    return
+  }
+  static method fill(x: Box) -> void {
+    let a: Box
+    let t: java.lang.String
+    let u: java.lang.String
+    let i: int
+    a = x
+    i = 0
+    if i >= 1 goto skip
+    staticinvoke <P: void spin()>()
+  label skip:
+    t = staticinvoke <Env: java.lang.String source()>()
+    x.f = t
+    u = a.f
+    staticinvoke <Env: void sink(java.lang.String)>(u)
+    return
+  }
+}
+"#;
+
     /// A heap chain of `k` links: every box `x_i` is allocated and
     /// aliased (`a_i = x_i`) up front, then `x_i.f = t_i; t_{i+1} =
     /// a_i.f` runs down the chain, so every store starts a backward
-    /// alias search past all the allocations.
-    fn heap_chain(k: usize) -> String {
+    /// alias search past all the allocations. With `ticks`, a call to
+    /// the empty `H.tick()` follows each link: a call-dense program
+    /// whose calls touch no taint.
+    fn heap_chain(k: usize, ticks: bool) -> String {
         use std::fmt::Write;
         let mut code = String::from(
             "class Box {\n  field f: java.lang.String\n\
              \x20 method <init>() -> void {\n    return\n  }\n}\n\
-             class H {\n  static method main() -> void {\n",
+             class H {\n  static method tick() -> void {\n    return\n  }\n\
+             \x20 static method main() -> void {\n",
         );
         for i in 0..=k {
             writeln!(code, "    let t{i}: java.lang.String").unwrap();
@@ -1226,6 +1306,9 @@ class R {
         }
         for i in 0..k {
             writeln!(code, "    x{i}.f = t{i}\n    t{} = a{i}.f", i + 1).unwrap();
+            if ticks {
+                code.push_str("    staticinvoke <H: void tick()>()\n");
+            }
         }
         writeln!(code, "    staticinvoke <Env: void sink(java.lang.String)>(t{k})").unwrap();
         code.push_str("    return\n  }\n}\n");
@@ -1328,45 +1411,52 @@ class R {
         (s.fw.propagation_count(), visited.len(), s.abort_reason.is_some())
     }
 
+    /// A forward walk predicate: [`BiSolver::fw_walks_through`] or a
+    /// mutant of it.
+    type FwWalks<'a> = fn(&mut BiSolver<'a>, &Body, StmtRef, &Fact) -> bool;
+
     /// Checks the walk predicates against the flows they stand for, at
     /// every node of `s`'s forward and backward tables whose flow ran
     /// (the run's own `fw_walks_through` is replaced by `fw_walks`).
     /// Where a predicate admits a walk, the forward flow must output
-    /// exactly the fact, with no alias query, leak or activation, and
-    /// the backward flow must send exactly the fact to the predecessors,
-    /// with no forward handoff. Returns how many nodes admit a walk and
-    /// a description of each violation.
-    fn walk_violations<'a>(
-        s: &mut BiSolver<'a>,
-        fw_walks: fn(&BiSolver<'a>, StmtRef, &Fact) -> bool,
-    ) -> (usize, Vec<String>) {
+    /// exactly the fact, with no alias query, leak, activation or callee
+    /// entered, and the backward flow must send exactly the fact to the
+    /// predecessors, with no callee descent or forward handoff. Returns
+    /// how many nodes admit a walk and a description of each violation.
+    fn walk_violations<'a>(s: &mut BiSolver<'a>, fw_walks: FwWalks<'a>) -> (usize, Vec<String>) {
         let (mut walkable, mut bad) = (0, Vec::new());
         let methods = s.flows.icfg.callgraph().reachable_methods();
         let facts = s.interner.fact_count();
         let mut outs = Vec::new();
         for &m in methods {
-            for idx in 0..s.flows.icfg.body_len(m) {
+            let body = s.body(m);
+            for idx in 0..body.len() {
                 let n = StmtRef::new(m, idx);
                 for f in (0..facts).map(FactId::from_index) {
                     let ff = s.interner.resolve_fact(f);
                     if s.fw.has_node(n, &f)
                         && !s.fw_unprocessed.contains(&(n, f))
-                        && fw_walks(s, n, &ff)
+                        && fw_walks(s, body, n, &ff)
                     {
                         walkable += 1;
                         let stmt = s.stmt(n);
                         s.local_flow(n, &ff, &mut outs);
-                        if stmt.is_call()
-                            || stmt.is_exit()
-                            || outs != [ff]
-                            || !s.buf.assign.alias_gens.is_empty()
-                        {
+                        let quiet = if stmt.is_call() {
+                            let ctr = &s.buf.ctr;
+                            ctr.leaks.is_empty()
+                                && ctr.alias_gens.is_empty()
+                                && !ctr.src_mark
+                                && enters_no_callee(s, n, &ff)
+                        } else {
+                            s.buf.assign.alias_gens.is_empty()
+                        };
+                        if stmt.is_exit() || outs != [ff] || !quiet {
                             bad.push(format!("forward {n:?} {ff:?}: {outs:?}"));
                         }
                     }
                     if s.bw.has_node(n, &f)
                         && !s.bw_unprocessed.contains(&(n, f))
-                        && s.bw_walks_through(n, &ff)
+                        && bw_walks_through(body, idx, &ff)
                     {
                         walkable += 1;
                         if !bw_sends_only(s, n, &ff) {
@@ -1379,6 +1469,17 @@ class R {
         (walkable, bad)
     }
 
+    /// Whether forward fact `f` at the call `n` enters none of its
+    /// callees ([`Flows::call_flow`] is empty for each).
+    fn enters_no_callee(s: &BiSolver<'_>, n: StmtRef, f: &Fact) -> bool {
+        let Stmt::Invoke { call, .. } = s.stmt(n) else { return false };
+        let mut entries = Vec::new();
+        s.flows.icfg.callees_of_call(n).iter().all(|&callee| {
+            s.flows.call_flow(call, callee, f, &mut entries);
+            entries.is_empty()
+        })
+    }
+
     /// Whether processing backward fact `f` at `n`
     /// ([`BiSolver::process_backward`]) does nothing but send `f` itself
     /// to `n`'s predecessors.
@@ -1387,7 +1488,13 @@ class R {
             return false; // the method-start handoff
         }
         match (s.stmt(n), f) {
-            (Stmt::Invoke { .. }, _) => false, // callee descent
+            (Stmt::Invoke { result, call }, Fact::T(t)) => {
+                !rooted_at_result(*result, t)
+                    && s.flows.icfg.callees_of_call(n).iter().all(|&callee| {
+                        s.flows.backward_call_entries(t, *result, call, callee).is_empty()
+                    })
+            }
+            (Stmt::Invoke { .. }, Fact::Zero) => false, // dropped at calls
             (Stmt::Assign { lhs, rhs }, Fact::T(t)) => {
                 let mut res = BackwardAssignOut::default();
                 s.flows.backward_assign(t, lhs, rhs, &mut res);
@@ -1402,13 +1509,13 @@ class R {
     /// activation: the check catches a forward predicate that allows it.
     #[test]
     fn walk_check_catches_a_walk_through_an_activation_statement() {
-        fn ignores_activation(s: &BiSolver<'_>, n: StmtRef, f: &Fact) -> bool {
+        fn ignores_activation(s: &mut BiSolver<'_>, body: &Body, n: StmtRef, f: &Fact) -> bool {
             match f {
-                Fact::T(t) => s.fw_walks_through(n, &Fact::T(t.activated())),
-                Fact::Zero => s.fw_walks_through(n, f),
+                Fact::T(t) => s.fw_walks_through(body, n, &Fact::T(t.activated())),
+                Fact::Zero => s.fw_walks_through(body, n, f),
             }
         }
-        let case = plain("heap chain", &heap_chain(6), "H");
+        let case = plain("heap chain", &heap_chain(6, false), "H");
         let config = InfoflowConfig::default();
         let wrapper = TaintWrapper::default_rules();
         let cg = flowdroid_callgraph::CallGraph::build(
@@ -1424,6 +1531,36 @@ class R {
         assert!(!bad.is_empty(), "the mutant predicate went unnoticed");
     }
 
+    /// A walk through a call that reaches an inactive taint's activation
+    /// statement would skip the activation: the check catches a forward
+    /// predicate that judges calls by the activation statement alone.
+    #[test]
+    fn walk_check_catches_a_walk_through_an_activating_call() {
+        fn ignores_call_reach(s: &mut BiSolver<'_>, body: &Body, n: StmtRef, f: &Fact) -> bool {
+            match f {
+                Fact::T(t) if !t.active && t.activation != Some(n) => {
+                    s.fw_walks_through(body, n, &Fact::T(t.activated()))
+                }
+                _ => s.fw_walks_through(body, n, f),
+            }
+        }
+        let case = plain("activating call", ACTIVATING_CALL, "P");
+        let config = InfoflowConfig::default();
+        let wrapper = TaintWrapper::default_rules();
+        let cg = flowdroid_callgraph::CallGraph::build(
+            &case.program,
+            &[case.entry],
+            config.cg_algorithm,
+        );
+        let mut s = BiSolver::new(Icfg::new(&case.program, &cg), &case.sources, &wrapper, &config);
+        s.run(&[case.entry]);
+        assert!(!s.leaks.is_empty(), "the alias reaches the sink");
+        let (_, bad) = walk_violations(&mut s, BiSolver::fw_walks_through);
+        assert!(bad.is_empty(), "{bad:?}");
+        let (_, bad) = walk_violations(&mut s, ignores_call_reach);
+        assert!(!bad.is_empty(), "the mutant predicate went unnoticed");
+    }
+
     /// Identity flows record no provenance; attribution rebuilds them.
     /// Recorded plus rebuilt origins must equal every offer made, identity
     /// ones included, at each node attribution can reach — on complete
@@ -1433,9 +1570,11 @@ class R {
     #[test]
     fn rebuilt_origins_equal_every_offer() {
         let mut cases = vec![
-            plain("heap chain", &heap_chain(6), "H"),
+            plain("heap chain", &heap_chain(6, false), "H"),
+            plain("ticking heap chain", &heap_chain(6, true), "H"),
             plain("branchy alias", BRANCHY_ALIAS, "A"),
             plain("redefined on a branch", REDEFINED_ON_A_BRANCH, "R"),
+            plain("activating call", ACTIVATING_CALL, "P"),
         ];
         for app in flowdroid_truth::generate_corpus(41, 3) {
             if matches!(app.category, "alias" | "widening") {

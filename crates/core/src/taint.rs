@@ -43,7 +43,7 @@ impl Taint {
 
     /// The activated version of this taint.
     pub fn activated(&self) -> Taint {
-        Taint { ap: self.ap.clone(), active: true, activation: None }
+        Taint { ap: self.ap, active: true, activation: None }
     }
 }
 
@@ -86,7 +86,7 @@ mod tests {
     fn activation_lifecycle() {
         let ap = AccessPath::local(Local(0));
         let act = StmtRef::new(MethodId::from_index(0), 3);
-        let t = Taint::inactive(ap.clone(), act);
+        let t = Taint::inactive(ap, act);
         assert!(!t.active);
         let a = t.activated();
         assert!(a.active);
@@ -99,7 +99,7 @@ mod tests {
         let ap = AccessPath::local(Local(0));
         let ap2 = AccessPath::local(Local(1));
         let act = StmtRef::new(MethodId::from_index(0), 3);
-        let t = Taint::inactive(ap, act).with_ap(ap2.clone());
+        let t = Taint::inactive(ap, act).with_ap(ap2);
         assert_eq!(t.ap, ap2);
         assert!(!t.active);
         assert_eq!(t.activation, Some(act));
@@ -110,6 +110,6 @@ mod tests {
         assert!(Fact::Zero.is_zero());
         assert!(Fact::Zero.taint().is_none());
         let t = Taint::active(AccessPath::local(Local(0)));
-        assert!(Fact::from(t.clone()).taint().is_some());
+        assert!(Fact::from(t).taint().is_some());
     }
 }

@@ -63,8 +63,7 @@ fn report_contains_everything_a_triage_needs() {
 
 #[test]
 fn paths_can_be_disabled() {
-    let mut config = InfoflowConfig::default();
-    config.track_paths = false;
+    let config = InfoflowConfig { track_paths: false, ..InfoflowConfig::default() };
     let (p, r) = run(&config);
     assert_eq!(r.leak_count(), 1, "leak still found");
     let leak = &r.leaks[0];

@@ -1,9 +1,9 @@
 //! Classes, fields, methods and cross-references between them.
 
 use crate::body::Body;
+use crate::fxhash::FxHashMap;
 use crate::symbols::Symbol;
 use crate::types::Type;
-use std::collections::HashMap;
 use std::fmt;
 
 macro_rules! id_type {
@@ -222,8 +222,8 @@ pub struct Class {
     pub(crate) interfaces: Vec<ClassId>,
     pub(crate) fields: Vec<FieldId>,
     pub(crate) methods: Vec<MethodId>,
-    pub(crate) method_by_subsig: HashMap<SubSig, MethodId>,
-    pub(crate) field_by_name: HashMap<Symbol, FieldId>,
+    pub(crate) method_by_subsig: FxHashMap<SubSig, MethodId>,
+    pub(crate) field_by_name: FxHashMap<Symbol, FieldId>,
     pub(crate) is_interface: bool,
     pub(crate) is_abstract: bool,
     pub(crate) is_declared: bool,

@@ -5,7 +5,6 @@ use crate::class::{Class, ClassId, Field, FieldId, Method, MethodId, MethodRef, 
 use crate::fxhash::FxHashMap;
 use crate::symbols::{Interner, Symbol};
 use crate::types::Type;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -54,7 +53,7 @@ impl fmt::Debug for PendingBody {
 pub struct ProgramBase {
     interner: Arc<Interner>,
     classes: Vec<Class>,
-    class_by_name: HashMap<Symbol, ClassId>,
+    class_by_name: FxHashMap<Symbol, ClassId>,
     methods: Vec<Method>,
     fields: Vec<Field>,
 }
@@ -97,7 +96,7 @@ pub struct Program {
     base: Option<Arc<ProgramBase>>,
     interner: Interner,
     classes: Vec<Class>,
-    class_by_name: HashMap<Symbol, ClassId>,
+    class_by_name: FxHashMap<Symbol, ClassId>,
     methods: Vec<Method>,
     fields: Vec<Field>,
     class_overrides: FxHashMap<u32, Class>,
@@ -142,7 +141,7 @@ impl Program {
             interner: Interner::with_base(Arc::clone(&base.interner)),
             base: Some(base),
             classes: Vec::new(),
-            class_by_name: HashMap::new(),
+            class_by_name: FxHashMap::default(),
             methods: Vec::new(),
             fields: Vec::new(),
             class_overrides: FxHashMap::default(),
@@ -265,8 +264,8 @@ impl Program {
             interfaces: Vec::new(),
             fields: Vec::new(),
             methods: Vec::new(),
-            method_by_subsig: HashMap::new(),
-            field_by_name: HashMap::new(),
+            method_by_subsig: FxHashMap::default(),
+            field_by_name: FxHashMap::default(),
             is_interface: false,
             is_abstract: false,
             is_declared: false,

@@ -36,6 +36,9 @@ pub struct Interner {
     base: Option<Arc<Interner>>,
     base_len: u32,
     strings: Vec<Box<str>>,
+    /// Keyed by strings read from external apps, so it keeps std's
+    /// SipHash: a weak hash here would let a crafted app flood one
+    /// bucket.
     map: HashMap<Box<str>, Symbol>,
 }
 

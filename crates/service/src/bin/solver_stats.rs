@@ -471,7 +471,7 @@ fn run_full(out_path: &str) {
     writeln!(json, "  ]").unwrap();
     writeln!(json, "}}").unwrap();
 
-    std::fs::write(&out_path, &json).expect("write BENCH_solver.json");
+    std::fs::write(out_path, &json).expect("write BENCH_solver.json");
     println!("{json}");
     eprintln!("wrote {out_path}");
 

@@ -141,9 +141,13 @@ fn read_str(path: &Path) -> Result<String, String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
+/// An app's text parts: manifest XML, (layout name, layout XML) pairs
+/// and `jasm` code.
+type AppParts = (String, Vec<(String, String)>, String);
+
 /// Reads an app directory: `AndroidManifest.xml` + `classes.jasm` +
 /// optional `res/layout/*.xml`.
-fn load_dir(dir: &Path) -> Result<(String, Vec<(String, String)>, String), String> {
+fn load_dir(dir: &Path) -> Result<AppParts, String> {
     let manifest = read_str(&dir.join("AndroidManifest.xml"))?;
     let code = read_str(&dir.join("classes.jasm"))?;
     let mut layouts = Vec::new();
@@ -170,7 +174,7 @@ fn load_dir(dir: &Path) -> Result<(String, Vec<(String, String)>, String), Strin
 /// Unpacks a `.rpk` archive: same required entries as a directory, with
 /// layouts under `res/layout/`. Unknown entries (e.g. a `truth.json`
 /// ground-truth manifest) are ignored, matching the frontend loader.
-fn load_rpk(path: &Path) -> Result<(String, Vec<(String, String)>, String), String> {
+fn load_rpk(path: &Path) -> Result<AppParts, String> {
     let bytes =
         std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let ar = Archive::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -246,7 +250,7 @@ mod tests {
         std::fs::write(outside.join("x.rpk"), b"junk").unwrap();
         std::fs::create_dir_all(root.join("sub")).unwrap();
         std::fs::write(root.join("sub/ok.rpk"), b"junk").unwrap();
-        let policy = AppPolicy::new(&[root.clone()]).unwrap();
+        let policy = AppPolicy::new(std::slice::from_ref(&root)).unwrap();
 
         // Inside (even via a `..` that stays inside) resolves.
         assert!(policy.resolve(&format!("{}/sub/ok.rpk", root.display())).is_ok());

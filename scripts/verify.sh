@@ -9,7 +9,8 @@
 #             hold at release speed too), the perfbench smoke
 #             test (perfbench is a package of its own, outside the
 #             workspace, so `--workspace` does not reach it) and the
-#             workspace rustdoc build with warnings as errors
+#             workspace rustdoc build and clippy on every target, both
+#             with warnings as errors
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +31,8 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
     echo "== rustdoc (warnings are errors)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+    echo "== clippy (warnings are errors)"
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 fi
 
 # Snapshot the committed benchmark numbers before solver_stats
