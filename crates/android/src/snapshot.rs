@@ -40,7 +40,7 @@
 
 use crate::platform::{install_platform, PlatformInfo};
 use flowdroid_frontend::sdex::{parse_type_descriptor, type_descriptor};
-use flowdroid_ir::{ClassId, FxHashSet, MethodId, Program, ProgramBase, SubSig};
+use flowdroid_ir::{fnv1a64, ClassId, FxHashSet, MethodId, Program, ProgramBase, SubSig};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -55,17 +55,13 @@ pub const VERSION: u32 = 1;
 ///
 /// The program lives behind a shared [`ProgramBase`] so each job takes a
 /// copy-on-write [`PlatformSnapshot::overlay_program`] instead of a deep
-/// clone; `fingerprint` is the snapshot's wire checksum, used to key
-/// derived caches (callgraphs, entry-point models) on the exact platform
-/// bytes they were computed against.
+/// clone.
 #[derive(Debug)]
 pub struct PlatformSnapshot {
     /// The frozen platform declarations, shared across jobs.
     pub base: Arc<ProgramBase>,
     /// Handles into that program.
     pub info: PlatformInfo,
-    /// FNV-1a 64 checksum of the encoded snapshot (the wire trailer).
-    pub fingerprint: u64,
 }
 
 impl PlatformSnapshot {
@@ -110,25 +106,12 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit hash of the payload: guards against truncation and bit
-/// rot, not adversaries.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Builds the platform snapshot from scratch (a fresh program +
 /// [`install_platform`]).
 pub fn build_snapshot() -> PlatformSnapshot {
     let mut program = Program::new();
     let info = install_platform(&mut program);
-    let bytes = encode_parts(&program, &info);
-    let fingerprint = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    PlatformSnapshot { base: program.freeze(), info, fingerprint }
+    PlatformSnapshot { base: program.freeze(), info }
 }
 
 // ================= encoding =================
@@ -482,7 +465,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<PlatformSnapshot, SnapshotError> 
             callback_interfaces,
             stub_methods,
         },
-        fingerprint: stored,
     })
 }
 
@@ -536,16 +518,6 @@ mod tests {
 
         // Re-encoding the decoded snapshot is byte-identical.
         assert_eq!(encode_snapshot(&decoded), bytes);
-    }
-
-    #[test]
-    fn fingerprint_is_the_wire_checksum_and_survives_round_trips() {
-        let snap = build_snapshot();
-        let bytes = encode_snapshot(&snap);
-        let trailer = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        assert_eq!(snap.fingerprint, trailer);
-        let decoded = decode_snapshot(&bytes).expect("round trip");
-        assert_eq!(decoded.fingerprint, snap.fingerprint);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use flowdroid_android::{build_snapshot, install_platform, PlatformSnapshot};
 use flowdroid_core::{
-    AbortReason, CgCache, Infoflow, InfoflowConfig, InfoflowResults, SourceSinkManager,
-    TaintWrapper,
+    AbortReason, AppSetup, EntrySetup, Infoflow, InfoflowConfig, InfoflowResults,
+    SourceSinkManager, TaintWrapper,
 };
 use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
 use flowdroid_frontend::layout::{Layout, ResourceTable};
@@ -70,11 +70,11 @@ pub fn micro_job(case: MicroCase) -> CorpusJob {
 }
 
 /// Wraps raw app artifacts (manifest, layouts, `jasm` code) as a corpus
-/// job. `name` MUST be unique per *content*: [`run_single_lazy`] keeps
-/// each job's prepared SDEX image by name for the process lifetime, and
-/// the daemon's bounded prepared-job cache is keyed by name too, so
-/// callers loading arbitrary on-disk apps must fold a content hash into
-/// the name (see the daemon's external-app loader).
+/// job. The daemon's prepared-job cache is keyed by job name and a
+/// [`PreparedJob`] carries its app's callgraph setup, so a daemon
+/// loading arbitrary on-disk apps must give different content
+/// different names (its external-app loader folds a content hash into
+/// the name).
 pub fn external_job(
     name: String,
     manifest: String,
@@ -172,8 +172,7 @@ pub fn stress_job(k: usize) -> CorpusJob {
 /// The process-wide platform snapshot lazy runs start from: built once,
 /// then cheaply cloned per job. The daemon builds (or loads) its own
 /// snapshot and passes it to [`prepare`] and [`run_prepared`]; this
-/// accessor backs standalone [`run_single`] calls with
-/// `config.lazy_frontend` set.
+/// accessor backs [`run_single_lazy`].
 pub fn shared_platform_snapshot() -> &'static Arc<PlatformSnapshot> {
     static SNAP: OnceLock<Arc<PlatformSnapshot>> = OnceLock::new();
     SNAP.get_or_init(|| Arc::new(build_snapshot()))
@@ -203,8 +202,9 @@ fn default_wrapper() -> &'static TaintWrapper {
 /// code encoded as an SDEX image (so method bodies have a byte index to
 /// defer to) plus the non-code artifacts, parsed once and cloned per
 /// run. Corpus apps are authored in `jasm` text, which has no body
-/// index — this registry is what makes `bodies_skipped` possible on
-/// them.
+/// index — this form is what makes `bodies_skipped` possible on them.
+/// Each form carries the write-once slot its first run fills with the
+/// app's callgraph setup.
 enum Prepared {
     /// An Android app: everything [`App::from_archive_lazy`] would
     /// produce, split so the job program only pays for lazy SDEX decode.
@@ -213,45 +213,22 @@ enum Prepared {
         layouts: FxHashMap<String, Layout>,
         resources: Box<ResourceTable>,
         sdex: Arc<[u8]>,
+        setup: OnceLock<AppSetup>,
     },
     /// A SecuriBench Micro case: env + case classes, one entry class.
-    Micro { sdex: Arc<[u8]>, entry_class: String },
+    Micro { sdex: Arc<[u8]>, entry_class: String, setup: OnceLock<EntrySetup> },
 }
 
-/// A job ready to run: its name, its `Prepared` form and its
-/// fingerprint, FNV-1a 64 over the platform snapshot checksum and the
-/// SDEX bytes. Repeat jobs replay a cached callgraph only when both the
-/// app bytes and the platform they were computed against are unchanged.
-/// Built by [`prepare`], run (any number of times) by [`run_prepared`].
+/// A job ready to run: its name and its `Prepared` form. Built by
+/// [`prepare`], run (any number of times) by [`run_prepared`]: the
+/// first run computes the app's entry-point model, reachable closure
+/// and callgraph and stores them on the job, and every later run
+/// replays them. The setup is computed from this job's own code over
+/// the snapshot it was prepared against, so it can never be replayed
+/// against other code.
 pub struct PreparedJob {
     name: String,
-    fingerprint: u64,
     form: Prepared,
-}
-
-/// FNV-1a 64 over the platform fingerprint and the app's SDEX image.
-fn app_fingerprint(platform_fingerprint: u64, sdex: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in platform_fingerprint.to_le_bytes().into_iter().chain(sdex.iter().copied()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Returns the cached [`PreparedJob`] form of `job`, encoding it on
-/// first use. Keyed by the job's unique name and never evicted, which
-/// suits the bench and truth drivers' fixed job sets; the daemon keeps
-/// its own bounded cache instead. Preparation is deterministic, so a
-/// racing duplicate insert is harmless (first one wins).
-fn prepared_for(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Arc<PreparedJob> {
-    static REG: OnceLock<Mutex<FxHashMap<String, Arc<PreparedJob>>>> = OnceLock::new();
-    let reg = REG.get_or_init(|| Mutex::new(FxHashMap::default()));
-    if let Some(p) = reg.lock().unwrap().get(&job.name) {
-        return p.clone();
-    }
-    let prepared = Arc::new(prepare(job, snapshot).expect("corpus job parses"));
-    reg.lock().unwrap().entry(job.name.clone()).or_insert(prepared).clone()
 }
 
 /// Parses a job's `jasm` text against a scratch overlay of `snapshot`
@@ -275,7 +252,11 @@ pub fn prepare(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Result<PreparedJ
                 parse_jasm(&mut scratch, &rt, MICRO_ENV).map_err(|e| e.to_string())?;
             classes.extend(parse_jasm(&mut scratch, &rt, &case.code).map_err(|e| e.to_string())?);
             let sdex = sdex::encode(&scratch, &classes).into();
-            Prepared::Micro { sdex, entry_class: case.entry_class.clone() }
+            Prepared::Micro {
+                sdex,
+                entry_class: case.entry_class.clone(),
+                setup: OnceLock::new(),
+            }
         }
         JobKind::External { manifest, layouts, code } => {
             let refs: Vec<(&str, &str)> =
@@ -285,12 +266,7 @@ pub fn prepare(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Result<PreparedJ
             droid_form(&scratch, loaded)
         }
     };
-    let (Prepared::Droid { sdex, .. } | Prepared::Micro { sdex, .. }) = &form;
-    Ok(PreparedJob {
-        name: job.name.clone(),
-        fingerprint: app_fingerprint(snapshot.fingerprint, sdex),
-        form,
-    })
+    Ok(PreparedJob { name: job.name.clone(), form })
 }
 
 /// The [`Prepared::Droid`] form of an app parsed into `scratch`.
@@ -300,6 +276,7 @@ fn droid_form(scratch: &Program, loaded: App) -> Prepared {
         manifest: loaded.manifest,
         layouts: loaded.layouts,
         resources: Box::new(loaded.resources),
+        setup: OnceLock::new(),
     }
 }
 
@@ -347,9 +324,10 @@ pub struct AppRun {
     /// shared platform snapshot (copy-on-write overlay on lazy runs; 0
     /// on eager runs, which build the platform from scratch).
     pub platform_clone_us: u64,
-    /// Whether the job's analysis setup came from a callgraph cache:
-    /// `None` when no cache was offered, else hit (`true`) / miss.
-    pub cg_cache_hit: Option<bool>,
+    /// Whether the job replayed the callgraph setup its prepared job
+    /// already held (`false` on a prepared job's first run and on eager
+    /// runs).
+    pub setup_replayed: bool,
 }
 
 impl AppRun {
@@ -378,21 +356,15 @@ fn leak_report(name: &str, results: &InfoflowResults, p: &Program) -> String {
     out
 }
 
-/// Analyzes one corpus job with `config` (including any configured
-/// abort handle) and returns its outcome. This is the
-/// unit [`run_corpus`] fans across its threads.
-///
-/// With `config.lazy_frontend` set the job runs through
-/// [`run_single_lazy`] against the process-wide platform snapshot;
-/// leak reports are byte-identical either way.
+/// Analyzes one corpus job on the eager path with `config` (including
+/// any configured abort handle) and returns its outcome: the platform
+/// is built and every method body decoded up front. Leak reports are
+/// byte-identical to [`run_single_lazy`].
 pub fn run_single(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
-    if config.lazy_frontend {
-        return run_single_lazy(job, config, shared_platform_snapshot(), None);
-    }
     let start = Instant::now();
     let (p, results) = analyze_eager(job, config);
     let report = leak_report(&job.name, &results, &p);
-    finish_run(&job.name, start, results, report, 0, 0, 0, None)
+    finish_run(&job.name, start, results, report, 0, 0, 0, false)
 }
 
 /// The full [`InfoflowResults::report`] of `job` on the eager path:
@@ -456,23 +428,15 @@ fn analyze_eager(job: &CorpusJob, config: &InfoflowConfig) -> (Program, Infoflow
 }
 
 /// Analyzes one corpus job through the demand-driven frontend: the
-/// bench and truth drivers' form of [`run_prepared`], preparing `job`
-/// once per process (see `prepared_for`). The returned
-/// [`AppRun::total`] includes that preparation on a job's first run.
-///
-/// When `cg_cache` is given, the per-app entry-point model, reachable
-/// closure and callgraph are served from (and recorded into) it, keyed
-/// by job name and validated against the app+platform fingerprint; leak
-/// reports are byte-identical with or without the cache.
-pub fn run_single_lazy(
-    job: &CorpusJob,
-    config: &InfoflowConfig,
-    snapshot: &PlatformSnapshot,
-    cg_cache: Option<&CgCache>,
-) -> AppRun {
+/// bench and truth drivers' form of [`run_prepared`]. It prepares `job`
+/// afresh against the process-wide platform snapshot, so the run is
+/// cold and [`AppRun::total`] includes the preparation. Leak reports
+/// are byte-identical to [`run_single`].
+pub fn run_single_lazy(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
     let start = Instant::now();
-    let prepared = prepared_for(job, snapshot);
-    let mut run = run_prepared_impl(&prepared, config, snapshot, cg_cache, false);
+    let snapshot = shared_platform_snapshot();
+    let prepared = prepare(job, snapshot).expect("corpus job parses");
+    let mut run = run_prepared_impl(&prepared, config, snapshot, false);
     run.total = start.elapsed();
     run
 }
@@ -480,12 +444,10 @@ pub fn run_single_lazy(
 /// Like [`run_single_lazy`], but deep-clones the platform program
 /// instead of overlaying it — the comparison path determinism tests use
 /// to prove the overlay representation cannot influence results.
-pub fn run_single_lazy_deep_clone(
-    job: &CorpusJob,
-    config: &InfoflowConfig,
-    snapshot: &PlatformSnapshot,
-) -> AppRun {
-    run_prepared_impl(&prepared_for(job, snapshot), config, snapshot, None, true)
+pub fn run_single_lazy_deep_clone(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
+    let snapshot = shared_platform_snapshot();
+    let prepared = prepare(job, snapshot).expect("corpus job parses");
+    run_prepared_impl(&prepared, config, snapshot, true)
 }
 
 /// Analyzes a [`prepare`]d job: the job program starts as a
@@ -494,21 +456,21 @@ pub fn run_single_lazy_deep_clone(
 /// installed via lazy decode, and only callgraph-reachable method
 /// bodies are materialized. This is the path the analysis daemon runs
 /// per job; `snapshot` must be the one `prepared` was prepared against.
-/// `cg_cache` works as in [`run_single_lazy`].
+/// The job's first run stores its callgraph setup on `prepared`, and
+/// later runs replay it ([`AppRun::setup_replayed`]); leak reports are
+/// byte-identical either way.
 pub fn run_prepared(
     prepared: &PreparedJob,
     config: &InfoflowConfig,
     snapshot: &PlatformSnapshot,
-    cg_cache: Option<&CgCache>,
 ) -> AppRun {
-    run_prepared_impl(prepared, config, snapshot, cg_cache, false)
+    run_prepared_impl(prepared, config, snapshot, false)
 }
 
 fn run_prepared_impl(
     prepared: &PreparedJob,
     config: &InfoflowConfig,
     snapshot: &PlatformSnapshot,
-    cg_cache: Option<&CgCache>,
     deep_clone: bool,
 ) -> AppRun {
     let start = Instant::now();
@@ -516,9 +478,8 @@ fn run_prepared_impl(
     let clone_start = Instant::now();
     let mut p = if deep_clone { snapshot.deep_program() } else { snapshot.overlay_program() };
     let platform_clone_us = u64::try_from(clone_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let mut cache_hit = None;
-    let (results, report) = match &prepared.form {
-        Prepared::Droid { manifest, layouts, resources, sdex } => {
+    let (results, report, replayed) = match &prepared.form {
+        Prepared::Droid { manifest, layouts, resources, sdex, setup } => {
             let classes =
                 sdex::decode_lazy(&mut p, sdex.clone()).expect("prepared sdex image loads");
             let loaded = App {
@@ -527,51 +488,23 @@ fn run_prepared_impl(
                 resources: ResourceTable::clone(resources),
                 classes,
             };
-            let infoflow = Infoflow::new(android_sources(), default_wrapper(), config);
-            let analysis = match cg_cache {
-                Some(cache) => {
-                    let (analysis, hit) = infoflow.analyze_app_cached(
-                        &mut p,
-                        &snapshot.info,
-                        &loaded,
-                        "corpus",
-                        cache,
-                        name,
-                        prepared.fingerprint,
-                    );
-                    cache_hit = Some(hit);
-                    analysis
-                }
-                None => infoflow.analyze_app(&mut p, &snapshot.info, &loaded, "corpus"),
-            };
+            let (analysis, replayed) = Infoflow::new(android_sources(), default_wrapper(), config)
+                .analyze_app_cached(&mut p, &snapshot.info, &loaded, "corpus", setup);
             let report = leak_report(name, &analysis.results, &p);
-            (analysis.results, report)
+            (analysis.results, report, replayed)
         }
-        Prepared::Micro { sdex, entry_class } => {
+        Prepared::Micro { sdex, entry_class, setup } => {
             sdex::decode_lazy(&mut p, sdex.clone()).expect("prepared sdex image loads");
             let entry = p.find_method(entry_class, "main").expect("micro entry");
-            let infoflow = Infoflow::new(micro_sources(), default_wrapper(), config);
-            let results = match cg_cache {
-                Some(cache) => {
-                    let (results, hit) = infoflow.run_demand_cached(
-                        &mut p,
-                        &[entry],
-                        cache,
-                        name,
-                        prepared.fingerprint,
-                    );
-                    cache_hit = Some(hit);
-                    results
-                }
-                None => infoflow.run_demand(&mut p, &[entry]),
-            };
+            let (results, replayed) = Infoflow::new(micro_sources(), default_wrapper(), config)
+                .run_demand_cached(&mut p, &[entry], setup);
             let report = leak_report(name, &results, &p);
-            (results, report)
+            (results, report, replayed)
         }
     };
     let materialized = p.bodies_materialized();
     let skipped = p.pending_body_count() as u64;
-    finish_run(name, start, results, report, materialized, skipped, platform_clone_us, cache_hit)
+    finish_run(name, start, results, report, materialized, skipped, platform_clone_us, replayed)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -583,7 +516,7 @@ fn finish_run(
     bodies_materialized: u64,
     bodies_skipped: u64,
     platform_clone_us: u64,
-    cg_cache_hit: Option<bool>,
+    setup_replayed: bool,
 ) -> AppRun {
     AppRun {
         name: name.to_string(),
@@ -603,7 +536,7 @@ fn finish_run(
         bodies_materialized,
         bodies_skipped,
         platform_clone_us,
-        cg_cache_hit,
+        setup_replayed,
     }
 }
 
@@ -676,11 +609,17 @@ impl CorpusRun {
     }
 }
 
-/// Analyzes every job of `jobs` with `config`, fanning apps across
-/// `threads` workers (work is claimed from a shared counter, so large
-/// apps don't serialize behind one worker). Results come back sorted
-/// by app name regardless of completion order.
-pub fn run_corpus(jobs: &[CorpusJob], config: &InfoflowConfig, threads: usize) -> CorpusRun {
+/// Analyzes every job of `jobs` with `config` through `run` (the eager
+/// [`run_single`] or the demand-driven [`run_single_lazy`]), fanning
+/// apps across `threads` workers (work is claimed from a shared
+/// counter, so large apps don't serialize behind one worker). Results
+/// come back sorted by app name regardless of completion order.
+pub fn run_corpus(
+    jobs: &[CorpusJob],
+    config: &InfoflowConfig,
+    threads: usize,
+    run: fn(&CorpusJob, &InfoflowConfig) -> AppRun,
+) -> CorpusRun {
     let threads = threads.max(1);
     let start = Instant::now();
     let next = AtomicUsize::new(0);
@@ -694,7 +633,7 @@ pub fn run_corpus(jobs: &[CorpusJob], config: &InfoflowConfig, threads: usize) -
                     if i >= jobs.len() {
                         break;
                     }
-                    local.push(run_single(&jobs[i], config));
+                    local.push(run(&jobs[i], config));
                 }
                 results.lock().unwrap().extend(local);
             });
@@ -745,11 +684,10 @@ mod tests {
             .filter(|j| j.name.contains("Basic1") || j.name == "insecurebank")
             .collect();
         assert!(jobs.len() >= 2);
-        let eager_cfg = InfoflowConfig::default();
-        let lazy_cfg = InfoflowConfig::default().with_lazy_frontend(true);
+        let config = InfoflowConfig::default();
         for job in &jobs {
-            let eager = run_single(job, &eager_cfg);
-            let lazy = run_single(job, &lazy_cfg);
+            let eager = run_single(job, &config);
+            let lazy = run_single_lazy(job, &config);
             assert_eq!(eager.report, lazy.report, "{} diverged", job.name);
             assert_eq!(eager.bodies_materialized, 0);
             assert!(lazy.bodies_materialized > 0, "{} decoded nothing", job.name);
@@ -763,7 +701,7 @@ mod tests {
         let jobs: Vec<CorpusJob> =
             full_corpus().into_iter().filter(|j| j.name.contains("Basic1")).collect();
         assert!(!jobs.is_empty());
-        let run = run_corpus(&jobs, &InfoflowConfig::default(), 1);
+        let run = run_corpus(&jobs, &InfoflowConfig::default(), 1, run_single);
         assert_eq!(run.apps.len(), jobs.len());
         let report = corpus_report(&run);
         assert!(report.contains("leak(s)"));

@@ -23,8 +23,6 @@ fn aborted_lazy_job_leaves_shared_snapshot_untouched() {
     let aborted = run_single_lazy(
         &job,
         &InfoflowConfig::default().with_abort(AbortHandle::with_deadline(Duration::ZERO)),
-        snapshot,
-        None,
     );
     assert!(aborted.aborted, "zero deadline must abort");
     assert_eq!(aborted.abort_reason, Some(AbortReason::Deadline));
@@ -42,7 +40,7 @@ fn aborted_lazy_job_leaves_shared_snapshot_untouched() {
     // matches a from-scratch eager run byte for byte.
     let eager = run_single(&job, &InfoflowConfig::default());
     assert!(!eager.aborted);
-    let clean = run_single_lazy(&job, &InfoflowConfig::default(), snapshot, None);
+    let clean = run_single_lazy(&job, &InfoflowConfig::default());
     assert!(!clean.aborted);
     assert_eq!(clean.report, eager.report, "post-abort lazy run diverged from eager");
     assert_eq!(encode_snapshot(snapshot), before, "clean lazy job mutated the snapshot");

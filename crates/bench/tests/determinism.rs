@@ -4,7 +4,7 @@
 //! *what* is computed.
 
 use flowdroid_bench::driver::{corpus_report, droidbench_corpus, run_corpus, CorpusRun};
-use flowdroid_bench::{external_job, run_single};
+use flowdroid_bench::{external_job, run_single, run_single_lazy};
 use flowdroid_core::InfoflowConfig;
 
 /// The parallel corpus driver's leak report is byte-for-byte identical
@@ -14,16 +14,16 @@ use flowdroid_core::InfoflowConfig;
 fn corpus_driver_report_identical_across_thread_counts() {
     let jobs = droidbench_corpus();
     let config = InfoflowConfig::default();
-    let baseline_run = run_corpus(&jobs, &config, 1);
+    let baseline_run = run_corpus(&jobs, &config, 1, run_single);
     assert_table_rows(&baseline_run);
     let baseline = corpus_report(&baseline_run);
     assert!(baseline.contains("leak(s)"));
     for threads in [2usize, 4, 8] {
-        let report = corpus_report(&run_corpus(&jobs, &config, threads));
+        let report = corpus_report(&run_corpus(&jobs, &config, threads, run_single));
         assert_eq!(report, baseline, "corpus report diverged at {threads} threads");
     }
     // Repeat run: same bytes again.
-    let again = corpus_report(&run_corpus(&jobs, &config, 4));
+    let again = corpus_report(&run_corpus(&jobs, &config, 4, run_single));
     assert_eq!(again, baseline, "corpus report not stable across repeat runs");
 }
 
@@ -35,7 +35,7 @@ fn assert_table_rows(run: &CorpusRun) {
 }
 
 /// The demand-driven frontend (platform snapshot clone + lazy method
-/// bodies, see `InfoflowConfig::lazy_frontend`) produces byte-for-byte
+/// bodies, see `flowdroid_bench::run_single_lazy`) produces byte-for-byte
 /// the same leak report as eager loading on the whole corpus — laziness
 /// must only move *when* bodies are decoded, never what is analyzed.
 /// The lazy sweep must also leave at least one body undecoded overall,
@@ -44,10 +44,9 @@ fn assert_table_rows(run: &CorpusRun) {
 fn lazy_frontend_report_identical_to_eager() {
     use flowdroid_bench::full_corpus;
     let jobs = full_corpus();
-    let eager = InfoflowConfig::default();
-    let lazy = eager.clone().with_lazy_frontend(true);
-    let eager_run = run_corpus(&jobs, &eager, 1);
-    let lazy_run = run_corpus(&jobs, &lazy, 1);
+    let config = InfoflowConfig::default();
+    let eager_run = run_corpus(&jobs, &config, 1, run_single);
+    let lazy_run = run_corpus(&jobs, &config, 1, run_single_lazy);
     assert_eq!(
         corpus_report(&lazy_run),
         corpus_report(&eager_run),

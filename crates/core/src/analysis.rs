@@ -7,7 +7,6 @@
 //! callbacks) → generate the dummy main → build the call graph → run the
 //! bidirectional taint analysis.
 
-use crate::cg_cache::{CachedSetup, CgCache};
 use crate::config::InfoflowConfig;
 use crate::results::InfoflowResults;
 use crate::solver::BiSolver;
@@ -17,7 +16,7 @@ use flowdroid_android::{generate_dummy_main, EntryPointModel, PlatformInfo};
 use flowdroid_callgraph::{materialize_reachable, CallGraph, Hierarchy, Icfg};
 use flowdroid_frontend::App;
 use flowdroid_ir::{MethodId, Program};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 /// The analysis driver.
 ///
@@ -76,20 +75,6 @@ impl<'a> Infoflow<'a> {
         self.solve(icfg, self.sources, entry_points)
     }
 
-    /// Like [`Infoflow::run`], but materializes deferred method bodies
-    /// reachable from the entry points first (the demand-driven frontend
-    /// path for programs loaded via
-    /// [`flowdroid_frontend::App::from_archive_lazy`] or
-    /// [`flowdroid_frontend::sdex::decode_lazy`]). On a fully decoded
-    /// program this is exactly [`Infoflow::run`].
-    pub fn run_demand(&self, program: &mut Program, entry_points: &[MethodId]) -> InfoflowResults {
-        if program.has_pending_bodies() {
-            let hierarchy = Hierarchy::build(program);
-            materialize_reachable(program, &hierarchy, entry_points);
-        }
-        self.run(program, entry_points)
-    }
-
     /// Runs the bidirectional taint solver over `icfg`.
     fn solve(
         &self,
@@ -113,136 +98,116 @@ impl<'a> Infoflow<'a> {
         app: &App,
         tag: &str,
     ) -> AppAnalysis {
-        let sources_owned = self.app_sources(app);
-        let sources: &SourceSinkManager = sources_owned.as_ref().unwrap_or(self.sources);
-        let model =
-            EntryPointModel::build(program, platform, app, self.config.callback_association);
-        let dummy_main = generate_dummy_main(program, platform, &model, tag);
-        // Lazily loaded apps: decode any remaining bodies the dummy main
-        // can reach (the model-building pass above already materialized
-        // per-component slices; this picks up static initializers and
-        // the dummy-main glue). No-op on eager programs.
-        if program.has_pending_bodies() {
-            let hierarchy = Hierarchy::build(program);
-            materialize_reachable(program, &hierarchy, &[dummy_main]);
-        }
-        let cg = CallGraph::build(program, &[dummy_main], self.config.cg_algorithm);
-        let icfg = Icfg::new(program, &cg);
-        let results = self.solve(icfg, sources, &[dummy_main]);
-        AppAnalysis { dummy_main, model, results }
+        let setup = self.app_setup(program, platform, app, tag);
+        let results = self.solve_app(program, app, &setup);
+        AppAnalysis { dummy_main: setup.dummy_main, model: setup.model, results }
     }
 
-    /// Like [`Infoflow::analyze_app`], but consults (and fills) a
-    /// [`CgCache`]: on a hit the component-discovery fixpoint, reachable
-    /// closure and callgraph construction are all skipped — the cached
-    /// materialization log is replayed through
-    /// [`Program::ensure_body`], which reproduces the cold path's arena
-    /// state exactly (decoding is deterministic and ids are minted in
-    /// replay order), and the cached callgraph is reused as-is. Returns
-    /// the analysis plus whether the cache hit.
+    /// Like [`Infoflow::analyze_app`], but keeps the app's setup in
+    /// `slot`. The first run fills the slot through the same cold path
+    /// as [`Infoflow::analyze_app`]; every later run skips the
+    /// component-discovery fixpoint, reachable closure and callgraph
+    /// construction: it replays the recorded materialization log
+    /// through [`Program::ensure_body`], which reproduces the cold
+    /// path's arena state exactly (decoding is deterministic and ids
+    /// are minted in replay order), and reuses the recorded callgraph.
+    /// Returns the analysis plus whether the setup was replayed.
     ///
-    /// `key` names the app (the daemon uses the job name) and
-    /// `fingerprint` must cover the app bytes *and* the platform
-    /// snapshot (see [`CgCache`]); a mismatch invalidates the entry and
-    /// runs the cold path.
-    #[allow(clippy::too_many_arguments)]
+    /// The slot belongs to one loaded app: every run must load the same
+    /// code over the same platform, under the same `cg_algorithm` and
+    /// `callback_association`.
     pub fn analyze_app_cached(
         &self,
         program: &mut Program,
         platform: &PlatformInfo,
         app: &App,
         tag: &str,
-        cache: &CgCache,
-        key: &str,
-        fingerprint: u64,
+        slot: &OnceLock<AppSetup>,
     ) -> (AppAnalysis, bool) {
-        let sources_owned = self.app_sources(app);
-        let sources: &SourceSinkManager = sources_owned.as_ref().unwrap_or(self.sources);
-
-        if let Some(setup) = cache.lookup(key, fingerprint) {
-            let CachedSetup::App { model, pre_main, dummy_main: expected, post_main, cg } =
-                &*setup
-            else {
-                panic!("cg-cache entry for `{key}` has the wrong shape");
-            };
-            for &m in pre_main {
+        let mut replayed = true;
+        // The setup is stored before solving: it stays valid when the
+        // solver aborts on a deadline, so a retry still starts warm.
+        let setup = slot.get_or_init(|| {
+            replayed = false;
+            self.app_setup(program, platform, app, tag)
+        });
+        if replayed {
+            for &m in &setup.pre_main {
                 program.ensure_body(m);
             }
-            let dummy_main = generate_dummy_main(program, platform, model, tag);
-            assert_eq!(
-                dummy_main, *expected,
-                "cg-cache replay for `{key}` diverged from the cold path"
-            );
-            for &m in post_main {
+            let dummy_main = generate_dummy_main(program, platform, &setup.model, tag);
+            assert_eq!(dummy_main, setup.dummy_main, "setup replay diverged from the cold path");
+            for &m in &setup.post_main {
                 program.ensure_body(m);
             }
-            let icfg = Icfg::new(program, cg);
-            let results = self.solve(icfg, sources, &[dummy_main]);
-            return (AppAnalysis { dummy_main, model: model.clone(), results }, true);
         }
+        let results = self.solve_app(program, app, setup);
+        let analysis =
+            AppAnalysis { dummy_main: setup.dummy_main, model: setup.model.clone(), results };
+        (analysis, replayed)
+    }
 
+    /// The cold setup of an app: entry-point model, dummy main, the
+    /// bodies a lazily loaded program still needs, and the callgraph.
+    fn app_setup(
+        &self,
+        program: &mut Program,
+        platform: &PlatformInfo,
+        app: &App,
+        tag: &str,
+    ) -> AppSetup {
         let log_start = program.materialization_log().len();
         let model =
             EntryPointModel::build(program, platform, app, self.config.callback_association);
         let pre_main = program.materialization_log()[log_start..].to_vec();
         let dummy_main = generate_dummy_main(program, platform, &model, tag);
+        // Lazily loaded apps: decode any remaining bodies the dummy main
+        // can reach (the model-building pass above already materialized
+        // per-component slices; this picks up static initializers and
+        // the dummy-main glue). No-op on eager programs.
         let log_mid = program.materialization_log().len();
-        if program.has_pending_bodies() {
-            let hierarchy = Hierarchy::build(program);
-            materialize_reachable(program, &hierarchy, &[dummy_main]);
-        }
+        materialize_pending(program, &[dummy_main]);
         let post_main = program.materialization_log()[log_mid..].to_vec();
         let cg = CallGraph::build(program, &[dummy_main], self.config.cg_algorithm);
-        let setup = Arc::new(CachedSetup::App {
-            model: model.clone(),
-            pre_main,
-            dummy_main,
-            post_main,
-            cg,
-        });
-        // Store before solving: the setup is valid even if the solver
-        // aborts on a deadline, so the retry still gets a warm start.
-        cache.insert(key, fingerprint, Arc::clone(&setup));
-        let CachedSetup::App { cg, .. } = &*setup else { unreachable!() };
-        let icfg = Icfg::new(program, cg);
-        let results = self.solve(icfg, sources, &[dummy_main]);
-        (AppAnalysis { dummy_main, model, results }, false)
+        AppSetup { model, pre_main, dummy_main, post_main, cg }
     }
 
-    /// Like [`Infoflow::run_demand`], but consults (and fills) a
-    /// [`CgCache`] keyed like [`Infoflow::analyze_app_cached`]. Used for
-    /// non-Android jobs with explicit entry points (micro benchmarks).
+    /// Solves an app from its dummy main over `setup`'s callgraph.
+    fn solve_app(&self, program: &Program, app: &App, setup: &AppSetup) -> InfoflowResults {
+        let sources_owned = self.app_sources(app);
+        let sources: &SourceSinkManager = sources_owned.as_ref().unwrap_or(self.sources);
+        let icfg = Icfg::new(program, &setup.cg);
+        self.solve(icfg, sources, &[setup.dummy_main])
+    }
+
+    /// Like [`Infoflow::run`] on a program loaded through the
+    /// demand-driven frontend ([`flowdroid_frontend::sdex::decode_lazy`]),
+    /// keeping the setup in `slot` as [`Infoflow::analyze_app_cached`]
+    /// does: the first run materializes the bodies reachable from
+    /// `entry_points` and builds the callgraph, later runs replay both.
+    /// Returns the results plus whether the setup was replayed.
     pub fn run_demand_cached(
         &self,
         program: &mut Program,
         entry_points: &[MethodId],
-        cache: &CgCache,
-        key: &str,
-        fingerprint: u64,
+        slot: &OnceLock<EntrySetup>,
     ) -> (InfoflowResults, bool) {
-        if let Some(setup) = cache.lookup(key, fingerprint) {
-            let CachedSetup::Entry { materialized, cg } = &*setup else {
-                panic!("cg-cache entry for `{key}` has the wrong shape");
-            };
-            for &m in materialized {
+        let mut replayed = true;
+        let setup = slot.get_or_init(|| {
+            replayed = false;
+            let log_start = program.materialization_log().len();
+            materialize_pending(program, entry_points);
+            let materialized = program.materialization_log()[log_start..].to_vec();
+            let cg = CallGraph::build(program, entry_points, self.config.cg_algorithm);
+            EntrySetup { materialized, cg }
+        });
+        if replayed {
+            for &m in &setup.materialized {
                 program.ensure_body(m);
             }
-            let icfg = Icfg::new(program, cg);
-            return (self.solve(icfg, self.sources, entry_points), true);
         }
-
-        let log_start = program.materialization_log().len();
-        if program.has_pending_bodies() {
-            let hierarchy = Hierarchy::build(program);
-            materialize_reachable(program, &hierarchy, entry_points);
-        }
-        let materialized = program.materialization_log()[log_start..].to_vec();
-        let cg = CallGraph::build(program, entry_points, self.config.cg_algorithm);
-        let setup = Arc::new(CachedSetup::Entry { materialized, cg });
-        cache.insert(key, fingerprint, Arc::clone(&setup));
-        let CachedSetup::Entry { cg, .. } = &*setup else { unreachable!() };
-        let icfg = Icfg::new(program, cg);
-        (self.solve(icfg, self.sources, entry_points), false)
+        let icfg = Icfg::new(program, &setup.cg);
+        (self.solve(icfg, self.sources, entry_points), replayed)
     }
 
     /// UI password-field sources for `app` (paper §3: layout-declared
@@ -270,6 +235,40 @@ impl<'a> Infoflow<'a> {
         }
         Some(s)
     }
+}
+
+/// Materializes the pending bodies reachable from `entry_points`; a
+/// no-op on eagerly loaded programs.
+fn materialize_pending(program: &mut Program, entry_points: &[MethodId]) {
+    if program.has_pending_bodies() {
+        let hierarchy = Hierarchy::build(program);
+        materialize_reachable(program, &hierarchy, entry_points);
+    }
+}
+
+/// An app's analysis setup, everything between "program loaded" and
+/// "solver starts": the entry-point model, the materialization-log slices a fresh load of
+/// the same app replays to reproduce the cold path's bodies, the dummy
+/// main that replay must regenerate, and the callgraph. Filled and
+/// replayed by [`Infoflow::analyze_app_cached`].
+#[derive(Debug)]
+pub struct AppSetup {
+    model: EntryPointModel,
+    /// Bodies materialized during component discovery, in order.
+    pre_main: Vec<MethodId>,
+    dummy_main: MethodId,
+    /// Bodies materialized by the post-dummy-main closure, in order.
+    post_main: Vec<MethodId>,
+    cg: CallGraph,
+}
+
+/// The setup of a program analyzed from explicit entry points: the
+/// bodies its reachable closure materialized, in order, and the
+/// callgraph. Filled and replayed by [`Infoflow::run_demand_cached`].
+#[derive(Debug)]
+pub struct EntrySetup {
+    materialized: Vec<MethodId>,
+    cg: CallGraph,
 }
 
 /// The outcome of an app analysis: the entry-point model, the generated

@@ -106,13 +106,6 @@ pub struct InfoflowConfig {
     /// `None` (default) means the run can only abort via
     /// `max_propagations`.
     pub abort: Option<AbortHandle>,
-    /// Load app code through the demand-driven frontend: SDEX method
-    /// bodies are indexed but not decoded at load time, and only the
-    /// bodies the callgraph closure reaches are materialized (see
-    /// [`flowdroid_frontend::App::from_archive_lazy`]). Leak reports are
-    /// byte-identical to eager loading; only load cost shifts. `false`
-    /// (default) decodes everything up front.
-    pub lazy_frontend: bool,
 }
 
 impl Default for InfoflowConfig {
@@ -129,7 +122,6 @@ impl Default for InfoflowConfig {
             max_propagations: 0,
             progress: None,
             abort: None,
-            lazy_frontend: false,
         }
     }
 }
@@ -188,12 +180,6 @@ impl InfoflowConfig {
     /// after `budget` of wall-clock time (measured from this call).
     pub fn with_deadline(self, budget: Duration) -> Self {
         self.with_abort(AbortHandle::with_deadline(budget))
-    }
-
-    /// Builder-style setter for the demand-driven frontend.
-    pub fn with_lazy_frontend(mut self, on: bool) -> Self {
-        self.lazy_frontend = on;
-        self
     }
 }
 

@@ -31,7 +31,6 @@
 
 pub mod access_path;
 pub mod analysis;
-pub mod cg_cache;
 pub mod config;
 mod flows;
 pub mod icc;
@@ -43,8 +42,7 @@ pub mod taint;
 pub mod wrappers;
 
 pub use access_path::{AccessPath, ApBase};
-pub use analysis::{AppAnalysis, Infoflow};
-pub use cg_cache::{CachedSetup, CgCache, Lru, LruStats};
+pub use analysis::{AppAnalysis, AppSetup, EntrySetup, Infoflow};
 pub use config::{InfoflowConfig, ProgressEvent, ProgressSink};
 pub use flows::{CallSite, CallSites};
 pub use icc::{analyze_app_linked, IccResults};

@@ -9,6 +9,10 @@
 //! 64-bit constant derived from the golden ratio. Inputs here are
 //! internal ids, never attacker-controlled, so HashDoS is not a
 //! concern.
+//!
+//! [`Fnv1a64`] is the byte hash for values that must not change with
+//! the hasher's implementation: snapshot checksums, seed splits and
+//! content-derived job names.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -96,10 +100,42 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// Hashes one value with [`FxHasher`] (used for shard selection in the
-/// field-sequence arena and for content fingerprints).
+/// field-sequence arena).
 pub fn fxhash64<T: std::hash::Hash>(value: &T) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);
+    h.finish()
+}
+
+/// The FNV-1a 64 hasher: one xor and one multiply per byte, with the
+/// offset basis and prime fixed by the FNV specification. Callers that
+/// hash several variable-length parts write each part's length before
+/// its bytes, so the part boundaries are hashed too.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv1a64 {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// [`Fnv1a64`] over one byte string.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::default();
+    h.write(bytes);
     h.finish()
 }
 
@@ -140,6 +176,13 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

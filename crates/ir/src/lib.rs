@@ -43,7 +43,7 @@ mod symbols;
 mod types;
 
 pub use body::{Body, Cfg, LocalDecl, StmtIdx, StmtRef};
-pub use fxhash::{fxhash64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{fnv1a64, fxhash64, Fnv1a64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use builder::{Label, MethodBuilder};
 pub use class::{Class, ClassId, Field, FieldId, Method, MethodId, MethodRef, SubSig};
 pub use pretty::ProgramPrinter;

@@ -29,12 +29,12 @@
 //! `--mode service` benchmarks the analysis *daemon* instead: it
 //! saves a `platform.fdps` snapshot, binds an in-process daemon on an
 //! ephemeral port that boots from it, floods it with the whole corpus
-//! twice (cold, then warm against the daemon's prepared-job and
-//! callgraph caches), and records per-job wall-clock, queue-wait and
+//! twice (cold, then warm against the daemon's per-app cache of
+//! prepared jobs and their callgraph setups), and records per-job wall-clock, queue-wait and
 //! setup/dataflow split times as a `"service"` section spliced into the
 //! same output file (the `available_cores` field and the solver-mode
-//! sections are kept). The warm insecurebank job must hit the
-//! prepared-job and callgraph caches and decode no body the cold job
+//! sections are kept). The warm insecurebank job must reuse its
+//! prepared job and replay its callgraph setup, and decode no body the cold job
 //! did not, the lazy frontend must skip at least one method body, and
 //! every cold-pass job must miss the daemon's prepared-job cache while
 //! every warm-pass job hits it (`cold_prepared_misses`,
@@ -57,7 +57,7 @@
 //!
 //! `--mode ground-truth` runs the seeded synthetic corpus from
 //! `flowdroid-truth` instead of the benchmark corpus: it sweeps every
-//! engine configuration (frontend × callgraph-cache temperature) over
+//! engine configuration (eager, lazy cold, lazy replayed setup) over
 //! the generated apps, scores the reference engine per category
 //! against each app's ground-truth manifest, probes the
 //! access-path k-limit on the widening chains, re-checks the ICC pairs
@@ -74,8 +74,8 @@
 //! `BENCH_solver.json`).
 
 use flowdroid_bench::driver::{
-    analyze_micro, corpus_report, full_corpus, micro_program, run_corpus, stress_job, CorpusJob,
-    CorpusRun,
+    analyze_micro, corpus_report, full_corpus, micro_program, run_corpus, run_single,
+    run_single_lazy, stress_job, AppRun, CorpusJob, CorpusRun,
 };
 use flowdroid_core::{InfoflowConfig, TableStats};
 use flowdroid_service::{Client, Daemon, DaemonOptions, JobResult, Listen};
@@ -157,9 +157,10 @@ fn measure(
     jobs: &[CorpusJob],
     config: &InfoflowConfig,
     threads: usize,
+    run_job: fn(&CorpusJob, &InfoflowConfig) -> AppRun,
 ) -> ModeStats {
     reset_alloc_counters();
-    let run: CorpusRun = run_corpus(jobs, config, threads);
+    let run: CorpusRun = run_corpus(jobs, config, threads, run_job);
     let (allocations, allocated_bytes) = alloc_counters();
     let (fw, bw) = run.total_propagations();
     let (materialized, skipped) = run.total_bodies();
@@ -387,7 +388,7 @@ fn run_full(out_path: &str) {
     // name is what verify.sh's regression gate looks up.
     let mut modes = Vec::new();
     eprintln!("running sequential-interned (the sequential solver) ...");
-    modes.push(measure("sequential-interned", &jobs, &interned, 1));
+    modes.push(measure("sequential-interned", &jobs, &interned, 1, run_single));
     // More workers than cores would measure oversubscription, not the
     // driver: such thread counts are skipped (and so is their speedup).
     for (threads, name) in PARALLEL_MODES {
@@ -396,14 +397,14 @@ fn run_full(out_path: &str) {
             continue;
         }
         eprintln!("running parallel corpus driver with {threads} thread(s) ...");
-        modes.push(measure(name, &jobs, &interned, threads));
+        modes.push(measure(name, &jobs, &interned, threads, run_single));
     }
     // The demand-driven frontend: each job clones the shared platform
     // snapshot and decodes only the method bodies the callgraph
     // closure reaches. Reports must stay byte-identical to eager
     // loading; the skipped-body count is what laziness bought.
     eprintln!("running demand-driven frontend (lazy bodies) ...");
-    modes.push(measure("demand-lazy", &jobs, &interned.clone().with_lazy_frontend(true), 1));
+    modes.push(measure("demand-lazy", &jobs, &interned, 1, run_single_lazy));
 
     let ladder: Vec<Rung> = LADDER
         .iter()
@@ -503,7 +504,7 @@ fn run_full(out_path: &str) {
 
 /// Benchmarks the daemon: binds it in-process on an ephemeral port,
 /// submits the whole corpus twice (cold, then warm against the daemon's
-/// prepared-job and callgraph caches) with one connection per job so
+/// per-app cache of prepared jobs) with one connection per job so
 /// jobs genuinely queue, and splices the per-job wall/queue times into
 /// `out_path`.
 fn run_service(out_path: &str) {
@@ -584,7 +585,7 @@ fn run_service(out_path: &str) {
     // A warm job's setup is cheap because the daemon skips work, which
     // is gated on the substantial app by counters: the prepared-job
     // cache served its parse (`prepare_us` is 0 exactly on a hit), the
-    // callgraph cache replayed its entry-point model and callgraph, and
+    // prepared job replayed its stored entry-point model and callgraph, and
     // it decoded no body the cold job did not. Its setup and dataflow
     // timings are reported, not gated: they swing with the host.
     let bank = |pass: &[(String, JobResult)]| -> JobResult {
@@ -607,7 +608,6 @@ fn run_service(out_path: &str) {
     let warm_cg_hits = total(&warm, |r| r.callgraph_cache_hits);
     let cold_clone_us = total(&cold, |r| r.platform_clone_us);
     let warm_clone_us = total(&warm, |r| r.platform_clone_us);
-    let cg_evictions = stats.u64_field("callgraph_cache_evictions").unwrap_or(0);
     let (cold_prepared_hits, cold_prepared_misses) = after_cold;
     let warm_prepared_hits = after_warm.0 - after_cold.0;
     let warm_prepared_misses = after_warm.1 - after_cold.1;
@@ -652,7 +652,6 @@ fn run_service(out_path: &str) {
     writeln!(section, "    \"bodies_skipped_total\": {bodies_skipped},").unwrap();
     writeln!(section, "    \"cold_callgraph_misses\": {cold_cg_misses},").unwrap();
     writeln!(section, "    \"warm_callgraph_hits\": {warm_cg_hits},").unwrap();
-    writeln!(section, "    \"callgraph_cache_evictions\": {cg_evictions},").unwrap();
     writeln!(section, "    \"cold_prepared_misses\": {cold_prepared_misses},").unwrap();
     writeln!(section, "    \"warm_prepared_hits\": {warm_prepared_hits},").unwrap();
     writeln!(section, "    \"cold_platform_clone_us_total\": {cold_clone_us},").unwrap();
@@ -1119,7 +1118,6 @@ fn run_service_load(out_path: &str) {
 /// under the `--allow-apps` path policy. See the module docs for the
 /// gates.
 fn run_ground_truth(out_path: &str) {
-    use flowdroid_bench::driver::run_single;
     use flowdroid_service::{AnalyzeOptions, Submitted};
     use flowdroid_truth::{check_icc_linked, generate_corpus, run_differential};
 

@@ -15,20 +15,21 @@
 //! app decode plus call-graph work — not the platform build or copy —
 //! and an aborted job can never leave partially materialized bodies
 //! behind: materialization happens in the job's private overlay only.
-//! On top of that, a daemon-resident [`CgCache`] keeps each app's
-//! entry-point model, materialization log and callgraph keyed by a
-//! platform+app fingerprint, so repeat jobs replay the cached setup
-//! instead of re-discovering components and rebuilding the callgraph.
 //!
-//! Each app is parsed once per daemon: `submit` turns the request into
-//! a [`PreparedJob`] (manifest, layouts, resources, SDEX image,
-//! fingerprint) on the connection thread, so a malformed app is refused
-//! there, and the queue hands that same `Arc` to the worker, which runs
-//! it without parsing again. Prepared jobs live in a bounded LRU keyed
-//! by job name — the corpus name, or `external/<content-hash>/<stem>`
-//! for an on-disk app — so a repeat submission skips the parse (and,
-//! for corpus names, the corpus lookup) and the daemon's memory stays
-//! bounded however many distinct apps it serves.
+//! The daemon keeps one per-app cache. Each app is parsed once:
+//! `submit` turns the request into a [`PreparedJob`] (manifest,
+//! layouts, resources, SDEX image) on the connection thread, so a
+//! malformed app is refused there, and the queue hands that same `Arc`
+//! to the worker, which runs it without parsing again. The job's first
+//! run stores the app's entry-point model, materialization log and
+//! callgraph on the prepared job, and every later run replays that
+//! setup instead of re-discovering components and rebuilding the
+//! callgraph. Prepared jobs live in a bounded LRU keyed by job name —
+//! the corpus name, or `external/<content-hash>/<stem>` for an on-disk
+//! app — so a repeat submission skips the parse (and, for corpus
+//! names, the corpus lookup) and the daemon's memory stays bounded
+//! however many distinct apps it serves; evicting a job drops its
+//! setup with it.
 //!
 //! Concurrency layout:
 //!
@@ -62,13 +63,14 @@
 
 use crate::external::{is_path_request, load_external_job, AppPolicy};
 use crate::json::{obj, Json};
+use crate::lru::Lru;
 use crate::net::{connect, Conn, Listen, Listener};
 use crate::proto::{
     denied_line, error_line, rejected_line, AnalyzeRequest, JobResult, Priority, Request,
 };
 use flowdroid_android::{build_snapshot, load_snapshot, PlatformSnapshot};
 use flowdroid_bench::{find_job, prepare, run_prepared, CorpusJob, PreparedJob};
-use flowdroid_core::{AbortHandle, CgCache, InfoflowConfig, Lru, ProgressEvent, ProgressSink};
+use flowdroid_core::{AbortHandle, InfoflowConfig, ProgressEvent, ProgressSink};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -84,9 +86,9 @@ pub const DEFAULT_QUEUE_CAP: usize = 1024;
 /// served before further high/normal work (anti-starvation aging).
 const AGING_STREAK: u32 = 4;
 
-/// Entries in each of the daemon's caches (prepared jobs, callgraph
-/// setups): comfortably above the full corpus size, so a service
-/// benchmark sweep stays warm end to end.
+/// Entries in the daemon's prepared-job cache: comfortably above the
+/// full corpus size, so a service benchmark sweep stays warm end to
+/// end.
 const CACHE_CAPACITY: usize = 256;
 
 /// Daemon configuration.
@@ -263,10 +265,9 @@ struct Shared {
     policy: AppPolicy,
     /// The shared, read-only platform model every job overlays.
     snapshot: Arc<PlatformSnapshot>,
-    /// Daemon-resident callgraph / entry-point cache shared by all
-    /// workers; repeat jobs on the same app replay the cached setup.
-    cg_cache: CgCache,
-    /// Prepared jobs by job name; repeat submissions skip the parse.
+    /// Prepared jobs by job name, each with the callgraph setup its
+    /// first run stored; repeat submissions skip the parse and replay
+    /// the setup.
     prepared: Lru<PreparedJob>,
     /// Time spent obtaining the platform model at bind time.
     snapshot_load_ms: u64,
@@ -322,7 +323,6 @@ impl Daemon {
             stop_accept: AtomicBool::new(false),
             policy,
             snapshot: Arc::new(snapshot),
-            cg_cache: CgCache::new(CACHE_CAPACITY),
             prepared: Lru::new(CACHE_CAPACITY),
             snapshot_load_ms,
             snapshot_source,
@@ -414,10 +414,10 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
             ..JobResult::default()
         }
     } else {
-        let mut config = InfoflowConfig::default().with_abort(abort).with_lazy_frontend(true);
+        let mut config = InfoflowConfig::default().with_abort(abort);
         config.max_propagations = spec.max_propagations;
         config.progress = progress;
-        let run = run_prepared(job, &config, &shared.snapshot, Some(&shared.cg_cache));
+        let run = run_prepared(job, &config, &shared.snapshot);
         JobResult {
             job: id,
             app,
@@ -434,8 +434,8 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
             forward_propagations: run.forward_propagations,
             backward_propagations: run.backward_propagations,
             platform_clone_us: run.platform_clone_us,
-            callgraph_cache_hits: u64::from(run.cg_cache_hit == Some(true)),
-            callgraph_cache_misses: u64::from(run.cg_cache_hit == Some(false)),
+            callgraph_cache_hits: u64::from(run.setup_replayed),
+            callgraph_cache_misses: u64::from(!run.setup_replayed),
             report: run.report,
         }
     };
@@ -640,20 +640,19 @@ fn submit(
     progress: Option<ProgressSink>,
 ) -> Result<u64, Refusal> {
     let cannot_load = |e: String| Refusal::Error(format!("cannot load app `{app}`: {e}"));
-    let fingerprint = shared.snapshot.fingerprint;
     let (job, prepare_us) = if is_path_request(app) {
         let real = shared.policy.resolve(app).map_err(|e| {
             shared.inner.lock().unwrap().denied += 1;
             Refusal::PolicyDenied(e.to_string())
         })?;
         let job = load_external_job(&real).map_err(cannot_load)?;
-        match shared.prepared.lookup(&job.name, fingerprint) {
+        match shared.prepared.lookup(&job.name) {
             Some(prepared) => (prepared, 0),
             None => prepare_and_cache(shared, &job.name, &job)
                 .map_err(|e| cannot_load(format!("{}: {e}", real.display())))?,
         }
     } else {
-        match shared.prepared.lookup(app, fingerprint) {
+        match shared.prepared.lookup(app) {
             Some(prepared) => (prepared, 0),
             None => {
                 let job = find_job(app).ok_or_else(|| {
@@ -720,7 +719,7 @@ fn prepare_and_cache(
     let start = Instant::now();
     let prepared = Arc::new(prepare(job, &shared.snapshot)?);
     let prepare_us = start.elapsed().as_micros() as u64;
-    shared.prepared.insert(key, shared.snapshot.fingerprint, Arc::clone(&prepared));
+    shared.prepared.insert(key, Arc::clone(&prepared));
     Ok((prepared, prepare_us))
 }
 
@@ -754,7 +753,6 @@ fn cancel(shared: &Shared, id: u64) -> Result<&'static str, String> {
 }
 
 fn stats(shared: &Shared) -> Json {
-    let cache = shared.cg_cache.stats();
     let prepared = shared.prepared.stats();
     let inner = shared.inner.lock().unwrap();
     let mut by_state = [0u64; 3];
@@ -818,9 +816,6 @@ fn stats(shared: &Shared) -> Json {
         ("platform_clone_us", Json::from(clone_us)),
         ("callgraph_cache_hits", Json::from(cg_hits)),
         ("callgraph_cache_misses", Json::from(cg_misses)),
-        ("callgraph_cache_evictions", Json::from(cache.evictions)),
-        ("callgraph_cache_invalidations", Json::from(cache.invalidations)),
-        ("callgraph_cache_entries", Json::from(cache.entries as u64)),
         ("prepared_cache_hits", Json::from(prepared.hits)),
         ("prepared_cache_misses", Json::from(prepared.misses)),
         ("prepared_cache_evictions", Json::from(prepared.evictions)),
@@ -873,16 +868,24 @@ mod tests {
         let prepared = |name: &str| {
             Arc::new(prepare(&find_job(name).expect("stress job"), snapshot).expect("parses"))
         };
+        let replayed = |job: &PreparedJob| {
+            run_prepared(job, &InfoflowConfig::default(), snapshot).setup_replayed
+        };
         let cache: Lru<PreparedJob> = Lru::new(2);
-        let fp = snapshot.fingerprint;
         let a = prepared("stress/2");
-        cache.insert("stress/2", fp, Arc::clone(&a));
-        cache.insert("stress/3", fp, prepared("stress/3"));
-        let hit = cache.lookup("stress/2", fp).expect("hit");
+        assert!(!replayed(&a), "a job's first run computes its setup");
+        cache.insert("stress/2", Arc::clone(&a));
+        let b = prepared("stress/3");
+        assert!(!replayed(&b));
+        cache.insert("stress/3", b);
+        let hit = cache.lookup("stress/2").expect("hit");
         assert!(Arc::ptr_eq(&hit, &a), "a hit hands out the cached job, not a copy");
-        cache.insert("stress/4", fp, prepared("stress/4"));
-        assert!(cache.lookup("stress/3", fp).is_none(), "the coldest job is evicted");
-        assert!(cache.lookup("stress/4", fp).is_some(), "the newest job stays");
+        assert!(replayed(&hit), "the retained job replays the setup it holds");
+        cache.insert("stress/4", prepared("stress/4"));
+        assert!(cache.lookup("stress/3").is_none(), "the coldest job is evicted");
+        let again = prepared("stress/3");
+        assert!(!replayed(&again), "the evicted job's setup went with it: it runs cold");
+        assert!(cache.lookup("stress/4").is_some(), "the newest job stays");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions, s.entries), (2, 1, 1, 2));
     }

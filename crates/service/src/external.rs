@@ -15,14 +15,19 @@
 //!   directory (`AndroidManifest.xml`, `res/layout/*.xml`,
 //!   `classes.jasm`) or a packed `.rpk` archive, and builds a
 //!   [`CorpusJob`] whose name folds in a content hash: the daemon's
-//!   prepared-job cache and callgraph cache are keyed by name, so two
-//!   different apps at the same path — or the same path edited between
-//!   submissions — must never collide on a name. The loader only reads
-//!   and names the app; parsing it is [`flowdroid_bench::prepare`]'s
-//!   job, which the daemon skips when the name is already cached.
+//!   per-app cache is keyed by name, and a cached prepared job carries
+//!   its app's callgraph setup, so two different apps at the same path
+//!   — or the same path edited between submissions — must never
+//!   collide on a name. The hash covers each part's length as well as
+//!   its bytes, so no two apps whose parts merely concatenate to the
+//!   same bytes share one. The loader only reads and names the app;
+//!   parsing it is [`flowdroid_bench::prepare`]'s job, which the
+//!   daemon skips when the name is already cached.
 
 use flowdroid_bench::{external_job, CorpusJob};
 use flowdroid_frontend::rpk::Archive;
+use flowdroid_ir::Fnv1a64;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 /// The `serve --allow-apps` sandbox: the canonicalized roots external
@@ -118,22 +123,18 @@ pub fn is_path_request(app: &str) -> bool {
         || app.ends_with(".rpk")
 }
 
-/// FNV-1a over the app's content, folded into the job name.
+/// FNV-1a 64 over the app's content, folded into the job name: the
+/// layout count, then each part's length and bytes, so the parts'
+/// boundaries are hashed too.
 fn content_hash(manifest: &str, layouts: &[(String, String)], code: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(manifest.as_bytes());
-    for (name, xml) in layouts {
-        eat(name.as_bytes());
-        eat(xml.as_bytes());
+    let mut h = Fnv1a64::default();
+    h.write_u64(layouts.len() as u64);
+    let layout_parts = layouts.iter().flat_map(|(name, xml)| [name.as_str(), xml.as_str()]);
+    for part in std::iter::once(manifest).chain(layout_parts).chain([code]) {
+        h.write_u64(part.len() as u64);
+        h.write(part.as_bytes());
     }
-    eat(code.as_bytes());
-    h
+    h.finish()
 }
 
 fn read_str(path: &Path) -> Result<String, String> {
@@ -295,6 +296,30 @@ mod tests {
         assert!(!is_path_request("droidbench/Button1"));
         assert!(!is_path_request("stress/2000"));
         assert!(!is_path_request("insecurebank"));
+    }
+
+    #[test]
+    fn apps_whose_parts_concatenate_alike_get_different_names() {
+        // Same stem, and manifest + layout name + layout XML + code
+        // concatenate to the same bytes in both apps.
+        let write_app = |tag: &str, manifest: &str, layout: (&str, &str), code: &str| {
+            let dir = tmp(tag).join("app");
+            std::fs::create_dir_all(dir.join("res/layout")).unwrap();
+            std::fs::write(dir.join("AndroidManifest.xml"), manifest).unwrap();
+            std::fs::write(dir.join(format!("res/layout/{}.xml", layout.0)), layout.1).unwrap();
+            std::fs::write(dir.join("classes.jasm"), code).unwrap();
+            load_external_job(&dir).expect("loads").name
+        };
+        let a = write_app("concat-a", "<m/>", ("ab", "c"), "x");
+        let b = write_app("concat-b", "<m/>", ("a", "bc"), "x");
+        let c = write_app("concat-c", "<m/>a", ("b", "c"), "x");
+        assert!(a.ends_with("/app") && b.ends_with("/app"), "{a} {b}");
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(b, c);
+        for tag in ["concat-a", "concat-b", "concat-c"] {
+            let _ = std::fs::remove_dir_all(tmp(tag));
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 
 //! The FlowDroid analysis service: a long-running daemon that accepts
 //! analysis jobs over a line-delimited JSON protocol (TCP or Unix
-//! socket), runs them on a bounded worker pool, and shares its
-//! callgraph and prepared-job caches across jobs so repeated analyses
-//! of an app skip the parse and the callgraph build.
+//! socket), runs them on a bounded worker pool, and keeps each app's
+//! prepared job, with the callgraph setup its first run stored on it,
+//! in one bounded per-app cache, so repeated analyses of an app skip
+//! the parse and the callgraph build.
 //!
 //! Layers:
 //!
@@ -30,6 +31,7 @@ pub mod client;
 pub mod daemon;
 pub mod external;
 pub mod json;
+mod lru;
 pub mod net;
 pub mod proto;
 

@@ -216,11 +216,12 @@ pub struct JobResult {
     /// platform snapshot, in microseconds. Copy-on-write overlays keep
     /// this near zero; a deep clone pays the full arena copy.
     pub platform_clone_us: u64,
-    /// Callgraph-cache hits for this job (1 when the daemon replayed a
-    /// cached entry-point model + callgraph instead of rebuilding them).
+    /// Callgraph-cache hits for this job (1 when it replayed the
+    /// entry-point model + callgraph its prepared job already held
+    /// instead of rebuilding them).
     pub callgraph_cache_hits: u64,
-    /// Callgraph-cache misses for this job (1 on the cold run that
-    /// populates the cache).
+    /// Callgraph-cache misses for this job (1 on the prepared job's
+    /// first run, which computes and stores the setup).
     pub callgraph_cache_misses: u64,
     /// The deterministic per-app leak report.
     pub report: String,

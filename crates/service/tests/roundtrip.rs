@@ -1,5 +1,5 @@
 //! End-to-end daemon round trips over a real TCP socket: cold→warm
-//! callgraph-cache sharing between jobs, platform-snapshot boot
+//! callgraph-setup replay between jobs, platform-snapshot boot
 //! (including the corrupt-file fallback), deadline aborts,
 //! cross-connection cancellation, stats, clean shutdown, prompt
 //! Unix-socket unlink on shutdown while jobs are still draining, and
@@ -72,7 +72,8 @@ fn cold_then_warm_job_replays_cached_callgraph() {
     assert_eq!(stats.u64_field("completed"), Some(2));
     assert_eq!(stats.u64_field("callgraph_cache_hits"), Some(1));
     assert_eq!(stats.u64_field("callgraph_cache_misses"), Some(1));
-    assert_eq!(stats.u64_field("callgraph_cache_entries"), Some(1));
+    // One per-app entry: the prepared job, holding the setup.
+    assert_eq!(stats.u64_field("prepared_cache_entries"), Some(1));
     assert_eq!(stats.get("jobs").unwrap().as_arr().unwrap().len(), 2);
 
     c2.shutdown().expect("shutdown");

@@ -6,11 +6,12 @@
 //! The matrix covers the solver's two interchangeable layers — how app
 //! code is loaded and whether the callgraph setup is replayed:
 //!
-//! | engine            | configuration                                  |
-//! |-------------------|------------------------------------------------|
-//! | `seq-bitset`      | sequential solver (reference)                  |
-//! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX)  |
-//! | `lazy-cg-warm`    | lazy + warm daemon-style callgraph cache       |
+//! | engine            | configuration                                   |
+//! |-------------------|-------------------------------------------------|
+//! | `seq-bitset`      | sequential solver (reference)                   |
+//! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX)   |
+//! | `lazy-cg-warm`    | second run of the same prepared job: its stored |
+//! |                   | callgraph setup replayed, as in the daemon      |
 //!
 //! (The through-the-daemon leg lives in `solver_stats --mode
 //! ground-truth`, which boots an in-process daemon and round-trips the
@@ -19,9 +20,10 @@
 use crate::generate::TruthApp;
 use flowdroid_android::install_platform;
 use flowdroid_bench::{
-    corpus_report, run_corpus, run_single_lazy, shared_platform_snapshot, CorpusJob, CorpusRun,
+    corpus_report, prepare, run_corpus, run_prepared, run_single, shared_platform_snapshot,
+    AppRun, CorpusJob, CorpusRun,
 };
-use flowdroid_core::{icc, CgCache, InfoflowConfig, SourceSinkManager, TaintWrapper};
+use flowdroid_core::{icc, InfoflowConfig, SourceSinkManager, TaintWrapper};
 use flowdroid_droidbench::{AppScore, ScoreBoard};
 use flowdroid_frontend::App;
 use flowdroid_ir::Program;
@@ -115,30 +117,30 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
     let jobs: Vec<CorpusJob> = apps.iter().map(|a| a.job()).collect();
     let mut engines = Vec::new();
 
-    let reference = run_corpus(&jobs, &InfoflowConfig::default(), 1);
+    let config = InfoflowConfig::default();
+    let reference = run_corpus(&jobs, &config, 1, run_single);
     engines.push(outcome("seq-bitset", &reference));
-    engines.push(outcome(
-        "lazy",
-        &run_corpus(&jobs, &InfoflowConfig::default().with_lazy_frontend(true), 1),
-    ));
 
-    // Lazy + warm callgraph cache: the daemon's repeat-job path. Run
-    // each job twice against one cache; keep the warm (replayed) run.
-    {
-        let cache = CgCache::new(jobs.len().max(1));
-        let snapshot = shared_platform_snapshot();
-        let config = InfoflowConfig::default().with_lazy_frontend(true);
-        let mut warm = Vec::new();
-        for job in &jobs {
-            let _cold = run_single_lazy(job, &config, snapshot, Some(&cache));
-            warm.push(run_single_lazy(job, &config, snapshot, Some(&cache)));
-        }
-        warm.sort_by(|a, b| a.name.cmp(&b.name));
-        let report: String = warm.iter().map(|a| a.report.as_str()).collect();
+    // The daemon's path: each job is prepared once and run twice. The
+    // first (cold) run stores the callgraph setup on the prepared job,
+    // the second replays it.
+    let snapshot = shared_platform_snapshot();
+    let (mut cold, mut warm): (Vec<AppRun>, Vec<AppRun>) = jobs
+        .iter()
+        .map(|job| {
+            let prepared = prepare(job, snapshot).expect("truth app parses");
+            let cold = run_prepared(&prepared, &config, snapshot);
+            let warm = run_prepared(&prepared, &config, snapshot);
+            assert!(!cold.setup_replayed && warm.setup_replayed, "{}: no replay", job.name);
+            (cold, warm)
+        })
+        .unzip();
+    for (name, runs) in [("lazy", &mut cold), ("lazy-cg-warm", &mut warm)] {
+        runs.sort_by(|a, b| a.name.cmp(&b.name));
         engines.push(EngineOutcome {
-            name: "lazy-cg-warm",
-            report,
-            leaks: warm.iter().map(|a| (a.name.clone(), a.leaks)).collect(),
+            name,
+            report: runs.iter().map(|a| a.report.as_str()).collect(),
+            leaks: runs.iter().map(|a| (a.name.clone(), a.leaks)).collect(),
         });
     }
 
@@ -190,6 +192,7 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
             &jobs,
             &InfoflowConfig::default().with_access_path_length(LOOSE_AP_BOUND),
             1,
+            run_single,
         );
         for app in &widening {
             let at = |run: &CorpusRun| {

@@ -15,6 +15,7 @@
 //! Generation is deterministic: the same `(seed, per_category)` always
 //! produces byte-identical apps, so app names double as content keys.
 
+use flowdroid_ir::fnv1a64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write;
@@ -46,8 +47,8 @@ pub const CONSTRUCTIVE_CATEGORIES: &[&str] =
 #[derive(Clone, Debug)]
 pub struct TruthApp {
     /// Unique corpus name: `truth/<category>/s<seed>-<index>[…]`.
-    /// Doubles as the content key in the prepared-job registry, so the
-    /// generator must stay deterministic per name.
+    /// Doubles as the content key in the daemon's prepared-job cache, so
+    /// the generator must stay deterministic per name.
     pub name: String,
     /// Scenario category (one of [`CATEGORIES`]).
     pub category: &'static str,
@@ -152,11 +153,7 @@ pub fn generate_corpus(seed: u64, per_category: usize) -> Vec<TruthApp> {
 /// Per-(category, index) RNG: a seed split keyed by the category name
 /// so adding a category never reshuffles the others.
 fn rng_for(seed: u64, category: &str, index: usize) -> StdRng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in category.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a64(category.as_bytes());
     StdRng::seed_from_u64(seed ^ h ^ (index as u64).wrapping_mul(0x9e37_79b9))
 }
 

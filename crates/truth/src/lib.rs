@@ -12,8 +12,8 @@
 //!   code together with a manifest of expected flows, expected-absent
 //!   flows and the count a correct engine must report (which documents
 //!   the paper's known limitations, e.g. reflection misses);
-//! * [`differential`] — the engine matrix (eager/lazy frontend ×
-//!   cold/warm callgraph cache), byte-for-byte report
+//! * [`differential`] — the engine matrix (eager, lazy cold, and
+//!   lazy with the prepared job's callgraph setup replayed), byte-for-byte report
 //!   agreement, per-category precision/recall scoring against the
 //!   manifests via the shared
 //!   [`flowdroid_droidbench::ScoreBoard`], and the linked-ICC check

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Serving-mode smoke test: writes a platform snapshot, boots the
 # analysis daemon from it, runs the same app twice and checks that the
-# second (warm) job reuses the daemon's prepared (parsed) app and cached
-# callgraph and decodes no more bodies than the cold one, cancels an
+# second (warm) job reuses the daemon's prepared (parsed) app, replays
+# the callgraph setup the first run stored on it, and decodes no more
+# bodies than the cold one, cancels an
 # in-flight job from a second connection, and shuts down cleanly.
 #
 # Expects target/release/flowdroid to exist (scripts/verify.sh builds
@@ -51,38 +52,40 @@ if [[ -z "$addr" ]]; then
 fi
 echo "daemon listening on $addr"
 
-# Two jobs for the same app: the first fills the daemon's caches, the
-# second replays them. (`|| true`: the client exits 2 when the analysis
+# Two jobs for the same app: the first prepares it and stores its
+# callgraph setup in the daemon's per-app cache, the second replays
+# both. (`|| true`: the client exits 2 when the analysis
 # reports leaks, which insecurebank does by design.)
 cold=$("$bin" client "$addr" analyze insecurebank || true)
 warm=$("$bin" client "$addr" analyze insecurebank || true)
 
-# Prepared-job cache: the daemon parsed insecurebank for the cold job
-# and serves the warm job from its cache, preparing nothing.
+# Prepared job: the daemon parsed insecurebank for the cold job and
+# serves the warm job from its per-app cache, preparing nothing.
 if ! grep -q '"prepare_us":0,' <<<"$warm"; then
     echo "FAIL: warm job was prepared again (want prepare_us 0): $warm" >&2
     exit 1
 fi
 echo "warm prepared-job cache hit: OK"
 
-# Daemon-resident callgraph cache: the cold job builds the entry-point
-# model and callgraph (miss), the warm job replays them (hit). Both
-# setup timings are printed, not compared: they swing with the host.
+# Callgraph setup on the prepared job: the cold job builds the
+# entry-point model and callgraph (miss), the warm job replays them
+# (hit). Both setup timings are printed, not compared: they swing with
+# the host.
 if ! grep -q '"callgraph_cache_misses":1' <<<"$cold"; then
-    echo "FAIL: cold job should miss the callgraph cache: $cold" >&2
+    echo "FAIL: cold job should build its callgraph setup: $cold" >&2
     exit 1
 fi
 if ! grep -q '"callgraph_cache_hits":1' <<<"$warm"; then
-    echo "FAIL: warm job replayed no cached callgraph: $warm" >&2
+    echo "FAIL: warm job replayed no stored callgraph setup: $warm" >&2
     exit 1
 fi
 cold_setup=$(grep -o '"setup_us":[0-9]*' <<<"$cold" | grep -o '[0-9]*$')
 warm_cg_setup=$(grep -o '"setup_us":[0-9]*' <<<"$warm" | grep -o '[0-9]*$')
-echo "warm callgraph-cache replay (setup ${warm_cg_setup:-?} us, cold ${cold_setup:-?} us): OK"
+echo "warm callgraph-setup replay (setup ${warm_cg_setup:-?} us, cold ${cold_setup:-?} us): OK"
 
 # Demand-driven frontend: jobs run against the shared platform
 # snapshot and decode bodies on demand; the warm job, whose setup the
-# two caches above cut short, decodes no more bodies than the cold one.
+# replay above cut short, decodes no more bodies than the cold one.
 # Its setup and dataflow timings are printed, not compared: both swing
 # with the host.
 if ! grep -q '"bodies_materialized":[1-9]' <<<"$cold"; then

@@ -94,14 +94,14 @@ else
 fi
 
 # Serving-mode smoke: platform-snapshot round trip, daemon boot from
-# the snapshot, warm prepared-job and callgraph-cache replay, no more
+# the snapshot, warm prepared-job reuse and callgraph-setup replay, no more
 # bodies decoded warm than cold, in-flight cancellation, clean
 # shutdown.
 echo "== serving-mode smoke"
 scripts/service_smoke.sh
 
 # Service benchmark: floods the daemon with the corpus twice (cold, then
-# warm against its prepared-job and callgraph caches) and splices
+# warm against its per-app cache of prepared jobs) and splices
 # per-job wall/queue times into BENCH_solver.json.
 echo "== service stats (splices \"service\" into BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- --mode service BENCH_solver.json >/dev/null
@@ -112,8 +112,8 @@ echo "== service-load stats (splices \"service_load\" into BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- --mode service-load BENCH_solver.json >/dev/null
 
 # Ground-truth harness: generate the seeded synthetic corpus, sweep the
-# three-engine matrix (eager reference, lazy frontend, lazy + warm
-# callgraph cache) and serve the packed archives through a daemon under
+# three-engine matrix (eager reference, lazy cold, lazy with the
+# callgraph setup replayed) and serve the packed archives through a daemon under
 # the --allow-apps policy.
 echo "== ground-truth stats (splices \"ground_truth\" into BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- --mode ground-truth BENCH_solver.json >/dev/null

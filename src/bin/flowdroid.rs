@@ -451,13 +451,14 @@ fn client(args: &[String]) -> ExitCode {
                 println!("{}", v.to_line());
                 let f = |name| v.u64_field(name).unwrap_or(0);
                 println!(
-                    "callgraph cache: {} hit(s), {} miss(es), {} eviction(s), \
-                     {} invalidation(s), {} resident",
+                    "per-app cache: {} resident, prepared {} hit(s) / {} miss(es) / \
+                     {} eviction(s), callgraph setup {} replayed / {} built",
+                    f("prepared_cache_entries"),
+                    f("prepared_cache_hits"),
+                    f("prepared_cache_misses"),
+                    f("prepared_cache_evictions"),
                     f("callgraph_cache_hits"),
                     f("callgraph_cache_misses"),
-                    f("callgraph_cache_evictions"),
-                    f("callgraph_cache_invalidations"),
-                    f("callgraph_cache_entries"),
                 );
                 println!(
                     "platform clone: {}us total across {} completed job(s)",
