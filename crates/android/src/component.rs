@@ -155,17 +155,6 @@ impl EntryPointModel {
 
         EntryPointModel { components, static_initializers }
     }
-
-    /// All entry methods across components (lifecycle + callbacks),
-    /// useful for building call graphs without a dummy main.
-    pub fn all_entry_methods(&self) -> Vec<MethodId> {
-        let mut out: Vec<MethodId> = self.static_initializers.clone();
-        for c in &self.components {
-            out.extend(c.lifecycle.iter().copied());
-            out.extend(c.callbacks.iter().map(|cb| cb.method));
-        }
-        out
-    }
 }
 
 /// Lifecycle methods of `class` that override the platform's, in

@@ -27,16 +27,14 @@ use std::time::{Duration, Instant};
 /// What kind of benchmark a corpus entry is.
 #[derive(Clone, Debug)]
 enum JobKind {
-    /// An Android app (DroidBench / InsecureBank): full pipeline with
-    /// lifecycle model and dummy main.
-    Droid(Box<BenchApp>),
     /// A SecuriBench Micro case: plain-Java analysis from an explicit
     /// `main` entry point.
     Micro(Box<MicroCase>),
-    /// An app supplied from outside the built-in suites — a generated
-    /// ground-truth app or an on-disk directory / `.rpk` archive the
-    /// daemon was allowed to serve. Carries the raw artifacts
-    /// (`App::from_parts` inputs) so the job owns its sources.
+    /// An Android app, run through the full pipeline with lifecycle
+    /// model and dummy main: a DroidBench or InsecureBank app, a
+    /// generated ground-truth app, or an on-disk directory / `.rpk`
+    /// archive the daemon was allowed to serve. Carries the raw
+    /// artifacts (`App::from_parts` inputs) so the job owns its sources.
     External {
         /// `AndroidManifest.xml` text.
         manifest: String,
@@ -54,13 +52,6 @@ pub struct CorpusJob {
     /// `insecurebank`); the corpus report is sorted by it.
     pub name: String,
     kind: JobKind,
-}
-
-/// Wraps a DroidBench-style [`BenchApp`] as a corpus job under an
-/// explicit name (the ground-truth harness names its generated apps by
-/// scenario and seed).
-pub fn droid_job(name: String, app: BenchApp) -> CorpusJob {
-    CorpusJob { name, kind: JobKind::Droid(Box::new(app)) }
 }
 
 /// Wraps a SecuriBench-style [`MicroCase`] as a corpus job named after
@@ -87,17 +78,15 @@ pub fn external_job(
 /// The full benchmark corpus: every DroidBench app (table and
 /// supplementary), InsecureBank, and every SecuriBench Micro case.
 pub fn full_corpus() -> Vec<CorpusJob> {
+    let bench_job = |name: String, app: BenchApp| {
+        let layouts = app.layouts.iter().map(|&(n, x)| (n.to_string(), x.to_string())).collect();
+        external_job(name, app.manifest, layouts, app.code)
+    };
     let mut jobs = Vec::new();
     for app in all_apps() {
-        jobs.push(CorpusJob {
-            name: format!("droidbench/{:?}/{}", app.category, app.name),
-            kind: JobKind::Droid(Box::new(app)),
-        });
+        jobs.push(bench_job(format!("droidbench/{:?}/{}", app.category, app.name), app));
     }
-    jobs.push(CorpusJob {
-        name: "insecurebank".to_string(),
-        kind: JobKind::Droid(Box::new(insecurebank::insecure_bank())),
-    });
+    jobs.push(bench_job("insecurebank".to_string(), insecurebank::insecure_bank()));
     for group in Group::all() {
         for case in cases_in(group) {
             jobs.push(CorpusJob {
@@ -242,10 +231,6 @@ pub struct PreparedJob {
 pub fn prepare(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Result<PreparedJob, String> {
     let mut scratch = snapshot.overlay_program();
     let form = match &job.kind {
-        JobKind::Droid(app) => {
-            let loaded = app.load(&mut scratch).map_err(|e| e.to_string())?;
-            droid_form(&scratch, loaded)
-        }
         JobKind::Micro(case) => {
             let rt = ResourceTable::new();
             let mut classes =
@@ -263,21 +248,16 @@ pub fn prepare(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Result<PreparedJ
                 layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
             let loaded = App::from_parts(&mut scratch, manifest, &refs, code)
                 .map_err(|e| e.to_string())?;
-            droid_form(&scratch, loaded)
+            Prepared::Droid {
+                sdex: sdex::encode(&scratch, &loaded.classes).into(),
+                manifest: loaded.manifest,
+                layouts: loaded.layouts,
+                resources: Box::new(loaded.resources),
+                setup: OnceLock::new(),
+            }
         }
     };
     Ok(PreparedJob { name: job.name.clone(), form })
-}
-
-/// The [`Prepared::Droid`] form of an app parsed into `scratch`.
-fn droid_form(scratch: &Program, loaded: App) -> Prepared {
-    Prepared::Droid {
-        sdex: sdex::encode(scratch, &loaded.classes).into(),
-        manifest: loaded.manifest,
-        layouts: loaded.layouts,
-        resources: Box::new(loaded.resources),
-        setup: OnceLock::new(),
-    }
 }
 
 /// The outcome of analyzing one corpus entry.
@@ -403,27 +383,16 @@ fn analyze_eager(job: &CorpusJob, config: &InfoflowConfig) -> (Program, Infoflow
         let results = analyze_micro(&p, entry, config);
         return (p, results);
     }
-    let mut p = Program::new();
-    let results = match &job.kind {
-        JobKind::Droid(app) => {
-            let platform = install_platform(&mut p);
-            let loaded = app.load(&mut p).expect("suite app parses");
-            Infoflow::new(android_sources(), default_wrapper(), config)
-                .analyze_app(&mut p, &platform, &loaded, "corpus")
-                .results
-        }
-        JobKind::Micro(_) => unreachable!("handled by micro_program"),
-        JobKind::External { manifest, layouts, code } => {
-            let platform = install_platform(&mut p);
-            let refs: Vec<(&str, &str)> =
-                layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
-            let loaded =
-                App::from_parts(&mut p, manifest, &refs, code).expect("external app parses");
-            Infoflow::new(android_sources(), default_wrapper(), config)
-                .analyze_app(&mut p, &platform, &loaded, "corpus")
-                .results
-        }
+    let JobKind::External { manifest, layouts, code } = &job.kind else {
+        unreachable!("micro jobs are handled by micro_program")
     };
+    let mut p = Program::new();
+    let platform = install_platform(&mut p);
+    let refs: Vec<(&str, &str)> = layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
+    let loaded = App::from_parts(&mut p, manifest, &refs, code).expect("app parses");
+    let results = Infoflow::new(android_sources(), default_wrapper(), config)
+        .analyze_app(&mut p, &platform, &loaded, "corpus")
+        .results;
     (p, results)
 }
 

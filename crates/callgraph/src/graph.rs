@@ -20,14 +20,13 @@ pub enum CgAlgorithm {
 /// A call graph: callees per call site and callers per method, restricted
 /// to methods reachable from the entry points.
 ///
-/// Edges to body-less methods (natives, phantom framework stubs) are
-/// recorded separately as *stub* edges; analyses handle those with
-/// explicit rules rather than by descending into them.
+/// Calls to body-less methods (natives, phantom framework stubs) get no
+/// edge; analyses handle those with explicit rules rather than by
+/// descending into them.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     entry_points: Vec<MethodId>,
     callees_at: FxHashMap<StmtRef, Vec<MethodId>>,
-    stub_callees_at: FxHashMap<StmtRef, Vec<MethodId>>,
     callers_of: FxHashMap<MethodId, Vec<StmtRef>>,
     reachable: Vec<MethodId>,
     reachable_set: FxHashSet<MethodId>,
@@ -103,16 +102,12 @@ impl CallGraph {
                         t
                     }
                 };
-                for t in targets {
-                    if program.method(t).has_body() {
-                        cg.callees_at.entry(site).or_default().push(t);
-                        cg.callers_of.entry(t).or_default().push(site);
-                        if cg.reachable_set.insert(t) {
-                            cg.reachable.push(t);
-                            queue.push_back(t);
-                        }
-                    } else {
-                        cg.stub_callees_at.entry(site).or_default().push(t);
+                for t in targets.into_iter().filter(|&t| program.method(t).has_body()) {
+                    cg.callees_at.entry(site).or_default().push(t);
+                    cg.callers_of.entry(t).or_default().push(site);
+                    if cg.reachable_set.insert(t) {
+                        cg.reachable.push(t);
+                        queue.push_back(t);
                     }
                 }
             }
@@ -153,11 +148,6 @@ impl CallGraph {
     /// Callees with bodies at a call site.
     pub fn callees_at(&self, site: StmtRef) -> &[MethodId] {
         self.callees_at.get(&site).map_or(&[], Vec::as_slice)
-    }
-
-    /// Body-less (stub/native/phantom) callees at a call site.
-    pub fn stub_callees_at(&self, site: StmtRef) -> &[MethodId] {
-        self.stub_callees_at.get(&site).map_or(&[], Vec::as_slice)
     }
 
     /// Call sites invoking `m`.
@@ -242,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn stub_edges_for_bodyless_targets() {
+    fn bodyless_targets_get_no_call_edges() {
         let mut p = Program::new();
         let c = p.declare_class("Main", None, &[]);
         let mut b = MethodBuilder::new_static_on(&mut p, c, "main", vec![], Type::Void);
@@ -255,7 +245,6 @@ mod tests {
         let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
         let site = StmtRef::new(main, 0);
         assert!(cg.callees_at(site).is_empty());
-        assert_eq!(cg.stub_callees_at(site), &[m]);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl<'a> Icfg<'a> {
         self.callgraph.callees_at(r)
     }
 
-    /// Body-less (stub) callees of a call site.
-    pub fn stub_callees_of_call(&self, r: StmtRef) -> &'a [MethodId] {
-        self.callgraph.stub_callees_at(r)
-    }
-
     /// Call sites that invoke `m`.
     pub fn callers_of(&self, m: MethodId) -> &'a [StmtRef] {
         self.callgraph.callers_of(m)

@@ -73,10 +73,6 @@ pub struct InfoflowConfig {
     /// Disabling makes alias results flow-insensitive (Andromeda-style
     /// false positives).
     pub enable_activation_statements: bool,
-    /// Fallback for body-less calls without a wrapper rule: taint the
-    /// return value if the receiver or any argument is tainted (the
-    /// paper's native-call default).
-    pub stub_default_taints_return: bool,
     /// Record predecessor links for leak-path reconstruction (§5:
     /// "reports include full path information").
     pub track_paths: bool,
@@ -115,7 +111,6 @@ impl Default for InfoflowConfig {
             enable_alias_analysis: true,
             enable_context_injection: true,
             enable_activation_statements: true,
-            stub_default_taints_return: true,
             track_paths: true,
             cg_algorithm: CgAlgorithm::Cha,
             callback_association: CallbackAssociation::PerComponent,
@@ -127,11 +122,6 @@ impl Default for InfoflowConfig {
 }
 
 impl InfoflowConfig {
-    /// The paper's default configuration.
-    pub fn paper_defaults() -> Self {
-        Self::default()
-    }
-
     /// Builder-style setter for the access-path bound.
     pub fn with_access_path_length(mut self, k: usize) -> Self {
         self.max_access_path_length = k;
@@ -161,12 +151,6 @@ impl InfoflowConfig {
     /// Builder-style setter for callback association.
     pub fn with_callback_association(mut self, a: CallbackAssociation) -> Self {
         self.callback_association = a;
-        self
-    }
-
-    /// Builder-style setter for the streaming progress sink.
-    pub fn with_progress(mut self, sink: ProgressSink) -> Self {
-        self.progress = Some(sink);
         self
     }
 

@@ -457,10 +457,7 @@ impl<'a> Flows<'a> {
                 // Native-call fallback: no explicit rule, body-less
                 // target → the return value inherits taint from the
                 // receiver or any argument (paper §5).
-                if site.rules.is_empty()
-                    && !sanitized
-                    && self.config.stub_default_taints_return
-                    && self.icfg.callees_of_call(n).is_empty()
+                if site.rules.is_empty() && !sanitized && self.icfg.callees_of_call(n).is_empty()
                 {
                     let base_tainted = call.base.is_some_and(|b| t.ap.base_local() == Some(b));
                     let arg_tainted = call

@@ -69,12 +69,6 @@ pub fn intern_fields(fields: &[FieldId]) -> &'static [FieldId] {
     leaked
 }
 
-/// Number of distinct non-empty field sequences interned process-wide
-/// (diagnostic; monotone over the process lifetime).
-pub fn interned_field_seq_count() -> usize {
-    field_arena().shards.iter().map(|s| s.lock().unwrap().len()).sum()
-}
-
 /// Id of an interned [`AccessPath`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ApId(u32);

@@ -37,14 +37,28 @@
 //! references `@id/name` / `@layout/name` resolved against a
 //! [`ResourceTable`].
 
+//!
+//! # Parsing in one pass
+//!
+//! The lexer yields tokens that borrow the source text. A first walk
+//! over them reads class headers and member signatures and records where
+//! each method body starts, skipping the body to its closing `}`.
+//! Declarations then follow in a fixed order, so that every class,
+//! method, field and interned name gets the same id whatever the file
+//! holds: all class headers in file order, then each class's fields and
+//! method signatures, then the bodies. Each body is parsed statement by
+//! statement straight into a [`MethodBuilder`], with its parameters and
+//! hoisted `let`s registered first.
+
 use crate::layout::ResourceTable;
 use flowdroid_ir::{
-    BinOp, ClassId, CmpOp, Constant, FxHashMap, FxHashSet, InvokeKind, Label, Local,
-    MethodBuilder, Operand, Place, Program, Rvalue, Type, UnOp,
+    BinOp, ClassId, CmpOp, Constant, FieldId, FxHashMap, InvokeKind, Label, Local,
+    MethodBuilder, MethodId, Operand, Place, Program, Rvalue, SubSig, Type, UnOp,
 };
+use std::borrow::Cow;
 use std::fmt;
 
-/// A parse or lowering error with source line.
+/// A syntax or name-resolution error with source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Description of the problem.
@@ -71,26 +85,45 @@ impl std::error::Error for ParseError {}
 /// # Errors
 ///
 /// Returns [`ParseError`] on syntax errors, unknown locals/labels,
-/// unresolvable resource references, or class redeclaration.
+/// unresolvable resource references, or a class, field or method
+/// declared twice.
 pub fn parse_jasm(
     program: &mut Program,
     resources: &ResourceTable,
     src: &str,
 ) -> Result<Vec<ClassId>, ParseError> {
-    let tokens = lex(src)?;
-    let ast = Parser { tokens: &tokens, pos: 0 }.parse_file()?;
-    lower(program, resources, &ast)
+    let toks = lex(src)?;
+    let classes = Cursor { src, toks: &toks, pos: 0 }.classes()?;
+    let ids = classes.iter().map(|c| c.declare(program)).collect::<Result<Vec<_>, _>>()?;
+    let mut methods = Vec::new();
+    for (c, &cid) in classes.iter().zip(&ids) {
+        for f in &c.fields {
+            f.declare(program, cid)?;
+        }
+        for m in &c.methods {
+            methods.push((m.declare(program, cid)?, m));
+        }
+    }
+    for (mid, m) in methods {
+        if let Some(pos) = m.body {
+            let cur = Cursor { src, toks: &toks, pos };
+            BodyParser::new(program, resources, cur, mid, m)?.parse()?;
+        }
+    }
+    Ok(ids)
 }
 
 // ===================== Lexer =====================
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, PartialEq)]
+enum Tok<'src> {
+    Ident(&'src str),
     Int(i64),
-    Str(String),
+    /// String literal contents; owned only when it held an escape or a
+    /// non-ASCII byte.
+    Str(Cow<'src, str>),
     /// `@kind/name` resource reference.
-    Res(String, String),
+    Res(&'src str, &'src str),
     LBrace,
     RBrace,
     LParen,
@@ -120,18 +153,44 @@ enum Tok {
     Shr,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct SpannedTok {
-    tok: Tok,
+struct Token<'src> {
+    tok: Tok<'src>,
     line: u32,
 }
 
-fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
-    let mut out = Vec::new();
+/// `bytes` read as Latin-1, one `char` per byte.
+fn latin1(bytes: &[u8]) -> String {
+    bytes.iter().map(|&c| c as char).collect()
+}
+
+/// `s` with its `_` digit separators removed.
+fn without_underscores(s: &str) -> Cow<'_, str> {
+    if s.contains('_') {
+        Cow::Owned(s.replace('_', ""))
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// The byte offset of `s`, a slice of `src`, within `src`.
+fn offset(src: &str, s: &str) -> usize {
+    s.as_ptr() as usize - src.as_ptr() as usize
+}
+
+fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
+    let mut out = Vec::with_capacity(src.len() / 4);
     let b = src.as_bytes();
     let mut i = 0;
     let mut line: u32 = 1;
     let err = |msg: &str, line: u32| ParseError { message: msg.to_owned(), line };
+    // Identifier-like runs: letters, digits, `_` (and `$` where allowed).
+    let run = |mut i: usize, dollar: bool| {
+        while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || (dollar && b[i] == b'$'))
+        {
+            i += 1;
+        }
+        i
+    };
     while i < b.len() {
         let c = b[i];
         match c {
@@ -152,7 +211,8 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
             }
             b'"' => {
                 i += 1;
-                let mut s = String::new();
+                let start = i;
+                let mut owned: Option<String> = None;
                 loop {
                     if i >= b.len() {
                         return Err(err("unterminated string literal", line));
@@ -163,71 +223,59 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
                             break;
                         }
                         b'\\' if i + 1 < b.len() => {
-                            let e = b[i + 1];
-                            s.push(match e {
+                            let s = owned.get_or_insert_with(|| latin1(&b[start..i]));
+                            s.push(match b[i + 1] {
                                 b'n' => '\n',
                                 b't' => '\t',
-                                b'\\' => '\\',
-                                b'"' => '"',
                                 other => other as char,
                             });
                             i += 2;
                         }
                         b'\n' => return Err(err("newline in string literal", line)),
                         other => {
-                            s.push(other as char);
+                            if let Some(s) = &mut owned {
+                                s.push(other as char);
+                            } else if !other.is_ascii() {
+                                owned = Some(latin1(&b[start..=i]));
+                            }
                             i += 1;
                         }
                     }
                 }
-                out.push(SpannedTok { tok: Tok::Str(s), line });
+                let text = owned.map_or(Cow::Borrowed(&src[start..i - 1]), Cow::Owned);
+                out.push(Token { tok: Tok::Str(text), line });
             }
             b'@' => {
-                i += 1;
-                let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                    i += 1;
-                }
-                let kind = String::from_utf8_lossy(&b[start..i]).into_owned();
-                if i >= b.len() || b[i] != b'/' {
+                let kind_end = run(i + 1, false);
+                if kind_end >= b.len() || b[kind_end] != b'/' {
                     return Err(err("expected '/' in resource reference", line));
                 }
-                i += 1;
-                let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                    i += 1;
-                }
-                let name = String::from_utf8_lossy(&b[start..i]).into_owned();
+                let name_end = run(kind_end + 1, false);
+                let (kind, name) = (&src[i + 1..kind_end], &src[kind_end + 1..name_end]);
                 if kind.is_empty() || name.is_empty() {
                     return Err(err("malformed resource reference", line));
                 }
-                out.push(SpannedTok { tok: Tok::Res(kind, name), line });
+                out.push(Token { tok: Tok::Res(kind, name), line });
+                i = name_end;
             }
             b'0'..=b'9' => {
-                let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                    i += 1;
-                }
-                let text = String::from_utf8_lossy(&b[start..i]).into_owned();
+                let end = run(i, false);
+                let text = &src[i..end];
                 let v = if let Some(hex) = text.strip_prefix("0x") {
-                    i64::from_str_radix(&hex.replace('_', ""), 16)
+                    i64::from_str_radix(&without_underscores(hex), 16)
                 } else {
-                    text.replace('_', "").parse()
+                    without_underscores(text).parse()
                 };
                 match v {
-                    Ok(v) => out.push(SpannedTok { tok: Tok::Int(v), line }),
+                    Ok(v) => out.push(Token { tok: Tok::Int(v), line }),
                     Err(_) => return Err(err(&format!("bad integer literal `{text}`"), line)),
                 }
+                i = end;
             }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
-                let start = i;
-                while i < b.len()
-                    && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b'$')
-                {
-                    i += 1;
-                }
-                let text = String::from_utf8_lossy(&b[start..i]).into_owned();
-                out.push(SpannedTok { tok: Tok::Ident(text), line });
+                let end = run(i, true);
+                out.push(Token { tok: Tok::Ident(&src[i..end]), line });
+                i = end;
             }
             _ => {
                 let two = if i + 1 < b.len() { &b[i..i + 2] } else { &b[i..i + 1] };
@@ -268,7 +316,7 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
                         }
                     },
                 };
-                out.push(SpannedTok { tok, line });
+                out.push(Token { tok, line });
                 i += len;
             }
         }
@@ -276,147 +324,69 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
     Ok(out)
 }
 
-// ===================== AST =====================
+// ===================== Token cursor =====================
 
-#[derive(Debug, Clone, PartialEq)]
-enum AstType {
-    Void,
-    Boolean,
-    Byte,
-    Char,
-    Short,
-    Int,
-    Long,
-    Float,
-    Double,
-    Named(String),
-    Array(Box<AstType>),
+/// A type as written: a primitive or a class name, with its array depth.
+struct TypeRef<'t> {
+    /// `Ok` for a primitive, `Err` with the class name otherwise.
+    base: Result<Type, Cow<'t, str>>,
+    dims: usize,
 }
 
-#[derive(Debug)]
-struct AstFile {
-    classes: Vec<AstClass>,
+impl TypeRef<'_> {
+    fn resolve(&self, program: &mut Program) -> Type {
+        let mut t = match &self.base {
+            Ok(prim) => prim.clone(),
+            Err(name) => program.ref_type(name),
+        };
+        for _ in 0..self.dims {
+            t = t.array_of();
+        }
+        t
+    }
 }
 
-#[derive(Debug)]
-struct AstClass {
-    name: String,
-    is_interface: bool,
-    is_abstract: bool,
-    extends: Option<String>,
-    implements: Vec<String>,
-    fields: Vec<AstField>,
-    methods: Vec<AstMethod>,
-}
-
-#[derive(Debug)]
-struct AstField {
-    name: String,
-    ty: AstType,
-    is_static: bool,
-}
-
-#[derive(Debug)]
-struct AstMethod {
-    name: String,
-    params: Vec<(String, AstType)>,
-    ret: AstType,
-    is_static: bool,
-    is_native: bool,
-    is_abstract: bool,
-    body: Option<Vec<AstStmt>>,
-}
-
-#[derive(Debug, Clone)]
-struct AstSig {
-    class: String,
-    ret: AstType,
-    name: String,
-    params: Vec<AstType>,
-}
-
-#[derive(Debug, Clone)]
-enum AstOperand {
-    Local(String),
+/// An operand as written, resolved once its turn comes.
+#[derive(Clone, Copy)]
+enum Opnd<'t> {
+    Local(&'t str),
     Int(i64),
-    Str(String),
+    Str(&'t str),
     Null,
-    Res(String, String),
+    /// The whole `@kind/name` text.
+    Res(&'t str),
 }
 
-#[derive(Debug, Clone)]
-enum AstPlace {
-    Local(String),
-    Field(String, String),
-    StaticField(String, String),
-    ArrayElem(String, AstOperand),
-}
-
-#[derive(Debug, Clone)]
-enum AstRhs {
-    Operand(AstOperand),
-    Read(AstPlace),
-    New(String),
-    NewArray(AstType, AstOperand),
-    Bin(BinOp, AstOperand, AstOperand),
-    Un(UnOp, AstOperand),
-    Cast(AstType, AstOperand),
-    InstanceOf(AstOperand, AstType),
-}
-
-#[derive(Debug, Clone)]
-enum AstStmt {
-    Let { name: String, ty: AstType, line: u32 },
-    Assign { lhs: AstPlace, rhs: AstRhs, line: u32 },
-    Invoke {
-        result: Option<String>,
-        kind: InvokeKind,
-        base: Option<String>,
-        sig: AstSig,
-        args: Vec<AstOperand>,
-        line: u32,
-    },
-    If { cond: Option<(CmpOp, AstOperand, AstOperand)>, target: String, line: u32 },
-    Goto { target: String, line: u32 },
-    LabelDecl { name: String },
-    Return { value: Option<AstOperand>, line: u32 },
-    Throw { value: AstOperand, line: u32 },
-    Nop { line: u32 },
-}
-
-// ===================== Parser =====================
-
-struct Parser<'t> {
-    tokens: &'t [SpannedTok],
+struct Cursor<'t> {
+    src: &'t str,
+    toks: &'t [Token<'t>],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'t> Cursor<'t> {
     fn line(&self) -> u32 {
-        self.tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map_or(0, |t| t.line)
+        self.toks.get(self.pos.min(self.toks.len().saturating_sub(1))).map_or(0, |t| t.line)
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError { message: msg.into(), line: self.line() }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|t| &t.tok)
+    fn peek(&self) -> Option<&'t Tok<'t>> {
+        self.toks.get(self.pos).map(|t| &t.tok)
     }
 
-    fn peek2(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos + 1).map(|t| &t.tok)
+    fn peek2(&self) -> Option<&'t Tok<'t>> {
+        self.toks.get(self.pos + 1).map(|t| &t.tok)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|t| t.tok.clone());
+    fn bump(&mut self) -> Option<&'t Tok<'t>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: &Tok<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -425,7 +395,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, t: &Tok<'_>, what: &str) -> Result<(), ParseError> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -433,10 +403,9 @@ impl Parser<'_> {
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn ident(&mut self, what: &str) -> Result<&'t str, ParseError> {
         match self.peek() {
             Some(Tok::Ident(s)) => {
-                let s = s.clone();
                 self.pos += 1;
                 Ok(s)
             }
@@ -445,7 +414,7 @@ impl Parser<'_> {
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if s == kw)
+        matches!(self.peek(), Some(Tok::Ident(s)) if *s == kw)
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -465,61 +434,201 @@ impl Parser<'_> {
         }
     }
 
-    /// Dotted name: `a.b.c`.
-    fn dotted(&mut self, what: &str) -> Result<String, ParseError> {
-        let mut s = self.ident(what)?;
-        while self.peek() == Some(&Tok::Dot) {
-            // Only consume the dot if an identifier follows.
-            if matches!(self.peek2(), Some(Tok::Ident(_))) {
-                self.pos += 1;
-                s.push('.');
-                s.push_str(&self.ident("name segment")?);
-            } else {
-                break;
-            }
+    /// Dotted name: `a.b.c`. Borrows the source unless whitespace or a
+    /// comment sits around a dot.
+    fn dotted(&mut self, what: &str) -> Result<Cow<'t, str>, ParseError> {
+        let start = self.pos;
+        let first = self.ident(what)?;
+        let (mut last, mut len) = (first, first.len());
+        // Only consume a dot if an identifier follows.
+        while self.peek() == Some(&Tok::Dot) && matches!(self.peek2(), Some(Tok::Ident(_))) {
+            self.pos += 1;
+            last = self.ident("name segment")?;
+            len += 1 + last.len();
         }
-        Ok(s)
+        let text = &self.src[offset(self.src, first)..offset(self.src, last) + last.len()];
+        if text.len() == len {
+            return Ok(Cow::Borrowed(text));
+        }
+        let segments = self.toks[start..self.pos].iter().filter_map(|t| match t.tok {
+            Tok::Ident(s) => Some(s),
+            _ => None,
+        });
+        Ok(Cow::Owned(segments.collect::<Vec<_>>().join(".")))
     }
 
-    fn parse_type(&mut self) -> Result<AstType, ParseError> {
+    fn ty(&mut self) -> Result<TypeRef<'t>, ParseError> {
         let head = match self.peek() {
-            Some(Tok::Ident(s)) => s.clone(),
+            Some(Tok::Ident(s)) => *s,
             other => return Err(self.err(format!("expected type, found {other:?}"))),
         };
-        let base = match head.as_str() {
-            "void" => AstType::Void,
-            "boolean" => AstType::Boolean,
-            "byte" => AstType::Byte,
-            "char" => AstType::Char,
-            "short" => AstType::Short,
-            "int" => AstType::Int,
-            "long" => AstType::Long,
-            "float" => AstType::Float,
-            "double" => AstType::Double,
-            _ => AstType::Named(self.dotted("type name")?),
+        let prim = match head {
+            "void" => Some(Type::Void),
+            "boolean" => Some(Type::Boolean),
+            "byte" => Some(Type::Byte),
+            "char" => Some(Type::Char),
+            "short" => Some(Type::Short),
+            "int" => Some(Type::Int),
+            "long" => Some(Type::Long),
+            "float" => Some(Type::Float),
+            "double" => Some(Type::Double),
+            _ => None,
         };
-        if !matches!(base, AstType::Named(_)) {
-            self.pos += 1;
-        }
-        let mut t = base;
+        let base = match prim {
+            Some(t) => {
+                self.pos += 1;
+                Ok(t)
+            }
+            None => Err(self.dotted("type name")?),
+        };
+        let mut dims = 0;
         while self.peek() == Some(&Tok::LBracket) && self.peek2() == Some(&Tok::RBracket) {
             self.pos += 2;
-            t = AstType::Array(Box::new(t));
+            dims += 1;
         }
-        Ok(t)
+        Ok(TypeRef { base, dims })
     }
 
-    // (array suffixes handled above)
+    /// A method name, possibly `<init>` or `<clinit>`.
+    fn method_name(&mut self) -> Result<Cow<'t, str>, ParseError> {
+        if !self.eat(&Tok::Lt) {
+            return self.ident("method name").map(Cow::Borrowed);
+        }
+        let n = self.ident("constructor name")?;
+        self.expect(&Tok::Gt, "`>`")?;
+        // `<init>` written without spaces is a slice of the source.
+        let start = offset(self.src, n);
+        Ok(match self.src.get(start - 1..start + n.len() + 1) {
+            Some(text) if text.starts_with('<') && text.ends_with('>') => Cow::Borrowed(text),
+            _ => Cow::Owned(format!("<{n}>")),
+        })
+    }
 
-    fn parse_file(mut self) -> Result<AstFile, ParseError> {
+    fn operand(&mut self) -> Result<Opnd<'t>, ParseError> {
+        let o = match self.peek() {
+            Some(Tok::Ident("null")) => Opnd::Null,
+            Some(Tok::Ident(s)) => Opnd::Local(s),
+            Some(Tok::Int(v)) => Opnd::Int(*v),
+            Some(Tok::Minus) => {
+                self.pos += 1;
+                return match self.bump() {
+                    Some(Tok::Int(v)) => Ok(Opnd::Int(-v)),
+                    other => Err(self.err(format!("expected integer after `-`, found {other:?}"))),
+                };
+            }
+            Some(Tok::Str(s)) => Opnd::Str(s),
+            // The lexer reads `@kind/name` with nothing in between.
+            Some(Tok::Res(kind, name)) => Opnd::Res(
+                &self.src[offset(self.src, kind) - 1..offset(self.src, name) + name.len()],
+            ),
+            other => return Err(self.err(format!("expected operand, found {other:?}"))),
+        };
+        self.pos += 1;
+        Ok(o)
+    }
+}
+
+// ===================== Class headers and member signatures =====================
+
+struct ClassDecl<'t> {
+    name: Cow<'t, str>,
+    line: u32,
+    is_interface: bool,
+    is_abstract: bool,
+    extends: Option<Cow<'t, str>>,
+    implements: Vec<Cow<'t, str>>,
+    fields: Vec<FieldDecl<'t>>,
+    methods: Vec<MethodDecl<'t>>,
+}
+
+struct FieldDecl<'t> {
+    name: &'t str,
+    line: u32,
+    ty: TypeRef<'t>,
+    is_static: bool,
+}
+
+struct MethodDecl<'t> {
+    name: Cow<'t, str>,
+    line: u32,
+    params: Vec<(&'t str, TypeRef<'t>)>,
+    ret: TypeRef<'t>,
+    is_static: bool,
+    is_native: bool,
+    is_abstract: bool,
+    /// Index of the body's first token, for methods with a body.
+    body: Option<usize>,
+}
+
+/// The error for a second declaration of `what`.
+fn declared_twice(what: String, line: u32) -> ParseError {
+    ParseError { message: format!("{what} declared twice"), line }
+}
+
+impl ClassDecl<'_> {
+    fn declare(&self, program: &mut Program) -> Result<ClassId, ParseError> {
+        if program.find_class(&self.name).is_some_and(|c| program.class(c).is_declared()) {
+            return Err(declared_twice(format!("class `{}`", self.name), self.line));
+        }
+        let id = if self.is_interface {
+            let ext: Vec<&str> =
+                self.extends.iter().chain(&self.implements).map(|s| &**s).collect();
+            program.declare_interface(&self.name, &ext)
+        } else {
+            let extends = self.extends.as_deref().or(Some("java.lang.Object"));
+            let impls: Vec<&str> = self.implements.iter().map(|s| &**s).collect();
+            program.declare_class(&self.name, extends, &impls)
+        };
+        if self.is_abstract {
+            program.set_abstract(id, true);
+        }
+        Ok(id)
+    }
+}
+
+impl FieldDecl<'_> {
+    fn declare(&self, program: &mut Program, class: ClassId) -> Result<(), ParseError> {
+        let ty = self.ty.resolve(program);
+        let name = program.intern(self.name);
+        if program.class(class).field_by_name(name).is_some() {
+            let what = format!("field `{}` on class {}", self.name, program.class_name(class));
+            return Err(declared_twice(what, self.line));
+        }
+        program.declare_field(class, self.name, ty, self.is_static);
+        Ok(())
+    }
+}
+
+impl MethodDecl<'_> {
+    fn declare(&self, program: &mut Program, class: ClassId) -> Result<MethodId, ParseError> {
+        let params = self.params.iter().map(|(_, t)| t.resolve(program)).collect();
+        let ret = self.ret.resolve(program);
+        let sig = SubSig { name: program.intern(&self.name), params, ret };
+        if program.class(class).method_by_subsig(&sig).is_some() {
+            let what = format!("method `{}` on class {}", self.name, program.class_name(class));
+            return Err(declared_twice(what, self.line));
+        }
+        let mid = program.declare_method(class, &self.name, sig.params, sig.ret, self.is_static);
+        if self.is_native {
+            program.set_native(mid, true);
+        }
+        if self.is_abstract {
+            program.set_method_abstract(mid, true);
+        }
+        Ok(mid)
+    }
+}
+
+impl<'t> Cursor<'t> {
+    fn classes(mut self) -> Result<Vec<ClassDecl<'t>>, ParseError> {
         let mut classes = Vec::new();
         while self.peek().is_some() {
-            classes.push(self.parse_class()?);
+            classes.push(self.class()?);
         }
-        Ok(AstFile { classes })
+        Ok(classes)
     }
 
-    fn parse_class(&mut self) -> Result<AstClass, ParseError> {
+    fn class(&mut self) -> Result<ClassDecl<'t>, ParseError> {
         let is_abstract = self.eat_kw("abstract");
         let is_interface = if self.eat_kw("interface") {
             true
@@ -527,6 +636,7 @@ impl Parser<'_> {
             self.expect_kw("class")?;
             false
         };
+        let line = self.line();
         let name = self.dotted("class name")?;
         let mut extends = None;
         let mut implements = Vec::new();
@@ -544,8 +654,16 @@ impl Parser<'_> {
             }
         }
         self.expect(&Tok::LBrace, "`{`")?;
-        let mut fields = Vec::new();
-        let mut methods = Vec::new();
+        let mut class = ClassDecl {
+            name,
+            line,
+            is_interface,
+            is_abstract,
+            extends,
+            implements,
+            fields: Vec::new(),
+            methods: Vec::new(),
+        };
         while !self.eat(&Tok::RBrace) {
             if self.peek().is_none() {
                 return Err(self.err("unterminated class body"));
@@ -563,16 +681,31 @@ impl Parser<'_> {
                     break;
                 }
             }
+            let line = self.line();
             if self.eat_kw("field") {
                 if is_native || is_abs {
                     return Err(self.err("fields cannot be native or abstract"));
                 }
-                let fname = self.ident("field name")?;
+                let name = self.ident("field name")?;
                 self.expect(&Tok::Colon, "`:`")?;
-                let ty = self.parse_type()?;
-                fields.push(AstField { name: fname, ty, is_static });
+                let ty = self.ty()?;
+                class.fields.push(FieldDecl { name, line, ty, is_static });
             } else if self.eat_kw("method") {
-                methods.push(self.parse_method(is_static, is_native, is_abs || is_interface)?);
+                let m = self.method(line, is_static, is_native, is_abs || is_interface)?;
+                let has_body = m.body.is_some();
+                class.methods.push(m);
+                // No statement contains a `}`, so a body ends at the first
+                // one. A body that runs to the end of input is the last
+                // thing in the file; parsing it reports the error.
+                if has_body {
+                    match self.toks[self.pos..].iter().position(|t| t.tok == Tok::RBrace) {
+                        Some(n) => self.pos += n + 1,
+                        None => {
+                            self.pos = self.toks.len();
+                            return Ok(class);
+                        }
+                    }
+                }
             } else {
                 return Err(self.err(format!(
                     "expected `field` or `method`, found {:?}",
@@ -580,15 +713,18 @@ impl Parser<'_> {
                 )));
             }
         }
-        Ok(AstClass { name, is_interface, is_abstract, extends, implements, fields, methods })
+        Ok(class)
     }
 
-    fn parse_method(
+    /// A method's signature, up to and including the `{` opening its
+    /// body, if it has one.
+    fn method(
         &mut self,
+        line: u32,
         is_static: bool,
         is_native: bool,
         is_abstract: bool,
-    ) -> Result<AstMethod, ParseError> {
+    ) -> Result<MethodDecl<'t>, ParseError> {
         let name = self.method_name()?;
         self.expect(&Tok::LParen, "`(`")?;
         let mut params = Vec::new();
@@ -596,8 +732,7 @@ impl Parser<'_> {
             loop {
                 let pname = self.ident("parameter name")?;
                 self.expect(&Tok::Colon, "`:`")?;
-                let ty = self.parse_type()?;
-                params.push((pname, ty));
+                params.push((pname, self.ty()?));
                 if self.eat(&Tok::RParen) {
                     break;
                 }
@@ -605,339 +740,55 @@ impl Parser<'_> {
             }
         }
         self.expect(&Tok::Arrow, "`->`")?;
-        let ret = self.parse_type()?;
+        let ret = self.ty()?;
         let body = if is_native || is_abstract {
             None
         } else {
             self.expect(&Tok::LBrace, "`{`")?;
-            let mut stmts = Vec::new();
-            while !self.eat(&Tok::RBrace) {
-                if self.peek().is_none() {
-                    return Err(self.err("unterminated method body"));
-                }
-                stmts.push(self.parse_stmt()?);
-            }
-            Some(stmts)
+            Some(self.pos)
         };
-        Ok(AstMethod { name, params, ret, is_static, is_native, is_abstract, body })
+        Ok(MethodDecl { name, line, params, ret, is_static, is_native, is_abstract, body })
     }
+}
 
-    /// A method name, possibly `<init>` or `<clinit>`.
-    fn method_name(&mut self) -> Result<String, ParseError> {
-        if self.eat(&Tok::Lt) {
-            let n = self.ident("constructor name")?;
-            self.expect(&Tok::Gt, "`>`")?;
-            Ok(format!("<{n}>"))
-        } else {
-            self.ident("method name")
-        }
+// ===================== Method bodies =====================
+
+fn invoke_kind(kw: &str) -> Option<InvokeKind> {
+    match kw {
+        "virtualinvoke" => Some(InvokeKind::Virtual),
+        "interfaceinvoke" => Some(InvokeKind::Interface),
+        "specialinvoke" => Some(InvokeKind::Special),
+        "staticinvoke" => Some(InvokeKind::Static),
+        _ => None,
     }
+}
 
-    fn parse_operand(&mut self) -> Result<AstOperand, ParseError> {
-        match self.peek().cloned() {
-            Some(Tok::Ident(s)) if s == "null" => {
-                self.pos += 1;
-                Ok(AstOperand::Null)
-            }
-            Some(Tok::Ident(s)) => {
-                self.pos += 1;
-                Ok(AstOperand::Local(s))
-            }
-            Some(Tok::Int(v)) => {
-                self.pos += 1;
-                Ok(AstOperand::Int(v))
-            }
-            Some(Tok::Minus) => {
-                self.pos += 1;
-                match self.bump() {
-                    Some(Tok::Int(v)) => Ok(AstOperand::Int(-v)),
-                    other => Err(self.err(format!("expected integer after `-`, found {other:?}"))),
-                }
-            }
-            Some(Tok::Str(s)) => {
-                self.pos += 1;
-                Ok(AstOperand::Str(s))
-            }
-            Some(Tok::Res(k, n)) => {
-                self.pos += 1;
-                Ok(AstOperand::Res(k, n))
-            }
-            other => Err(self.err(format!("expected operand, found {other:?}"))),
-        }
+fn cmp_of(t: &Tok<'_>) -> Option<CmpOp> {
+    match t {
+        Tok::EqEq => Some(CmpOp::Eq),
+        Tok::Ne => Some(CmpOp::Ne),
+        Tok::Lt => Some(CmpOp::Lt),
+        Tok::Le => Some(CmpOp::Le),
+        Tok::Gt => Some(CmpOp::Gt),
+        Tok::Ge => Some(CmpOp::Ge),
+        _ => None,
     }
+}
 
-    /// `<Class: RetType name(T1,T2)>`
-    fn parse_sig(&mut self) -> Result<AstSig, ParseError> {
-        self.expect(&Tok::Lt, "`<` starting a signature")?;
-        let class = self.dotted("class name")?;
-        self.expect(&Tok::Colon, "`:`")?;
-        let ret = self.parse_type()?;
-        let name = self.method_name()?;
-        self.expect(&Tok::LParen, "`(`")?;
-        let mut params = Vec::new();
-        if !self.eat(&Tok::RParen) {
-            loop {
-                params.push(self.parse_type()?);
-                if self.eat(&Tok::RParen) {
-                    break;
-                }
-                self.expect(&Tok::Comma, "`,`")?;
-            }
-        }
-        self.expect(&Tok::Gt, "`>` ending the signature")?;
-        Ok(AstSig { class, ret, name, params })
-    }
-
-    fn parse_args(&mut self) -> Result<Vec<AstOperand>, ParseError> {
-        self.expect(&Tok::LParen, "`(`")?;
-        let mut args = Vec::new();
-        if !self.eat(&Tok::RParen) {
-            loop {
-                args.push(self.parse_operand()?);
-                if self.eat(&Tok::RParen) {
-                    break;
-                }
-                self.expect(&Tok::Comma, "`,`")?;
-            }
-        }
-        Ok(args)
-    }
-
-    fn invoke_kind(kw: &str) -> Option<InvokeKind> {
-        match kw {
-            "virtualinvoke" => Some(InvokeKind::Virtual),
-            "interfaceinvoke" => Some(InvokeKind::Interface),
-            "specialinvoke" => Some(InvokeKind::Special),
-            "staticinvoke" => Some(InvokeKind::Static),
-            _ => None,
-        }
-    }
-
-    /// Parses `kindinvoke [base.]<sig>(args)`.
-    fn parse_invoke(
-        &mut self,
-        result: Option<String>,
-        kind: InvokeKind,
-        line: u32,
-    ) -> Result<AstStmt, ParseError> {
-        let base = if kind == InvokeKind::Static {
-            None
-        } else {
-            let b = self.ident("receiver local")?;
-            self.expect(&Tok::Dot, "`.`")?;
-            Some(b)
-        };
-        let sig = self.parse_sig()?;
-        let args = self.parse_args()?;
-        if sig.params.len() != args.len() {
-            return Err(self.err(format!(
-                "signature has {} parameters but {} arguments given",
-                sig.params.len(),
-                args.len()
-            )));
-        }
-        Ok(AstStmt::Invoke { result, kind, base, sig, args, line })
-    }
-
-    fn cmp_of(t: &Tok) -> Option<CmpOp> {
-        match t {
-            Tok::EqEq => Some(CmpOp::Eq),
-            Tok::Ne => Some(CmpOp::Ne),
-            Tok::Lt => Some(CmpOp::Lt),
-            Tok::Le => Some(CmpOp::Le),
-            Tok::Gt => Some(CmpOp::Gt),
-            Tok::Ge => Some(CmpOp::Ge),
-            _ => None,
-        }
-    }
-
-    fn binop_of(t: &Tok) -> Option<BinOp> {
-        match t {
-            Tok::Plus => Some(BinOp::Add),
-            Tok::Minus => Some(BinOp::Sub),
-            Tok::Star => Some(BinOp::Mul),
-            Tok::Slash => Some(BinOp::Div),
-            Tok::Percent => Some(BinOp::Rem),
-            Tok::Amp => Some(BinOp::And),
-            Tok::Pipe => Some(BinOp::Or),
-            Tok::Caret => Some(BinOp::Xor),
-            Tok::Shl => Some(BinOp::Shl),
-            Tok::Shr => Some(BinOp::Shr),
-            _ => None,
-        }
-    }
-
-    fn parse_stmt(&mut self) -> Result<AstStmt, ParseError> {
-        let line = self.line();
-        // Keyword statements.
-        if self.eat_kw("let") {
-            let name = self.ident("local name")?;
-            self.expect(&Tok::Colon, "`:`")?;
-            let ty = self.parse_type()?;
-            return Ok(AstStmt::Let { name, ty, line });
-        }
-        if self.eat_kw("label") {
-            let name = self.ident("label name")?;
-            self.expect(&Tok::Colon, "`:`")?;
-            let _ = line;
-            return Ok(AstStmt::LabelDecl { name });
-        }
-        if self.eat_kw("goto") {
-            let target = self.ident("label name")?;
-            return Ok(AstStmt::Goto { target, line });
-        }
-        if self.eat_kw("if") {
-            if self.eat_kw("opaque") {
-                self.expect_kw("goto")?;
-                let target = self.ident("label name")?;
-                return Ok(AstStmt::If { cond: None, target, line });
-            }
-            let a = self.parse_operand()?;
-            let op = match self.bump() {
-                Some(t) => Self::cmp_of(&t)
-                    .ok_or_else(|| self.err(format!("expected comparison operator, found {t:?}")))?,
-                None => return Err(self.err("unexpected end of input in `if`")),
-            };
-            let b = self.parse_operand()?;
-            self.expect_kw("goto")?;
-            let target = self.ident("label name")?;
-            return Ok(AstStmt::If { cond: Some((op, a, b)), target, line });
-        }
-        if self.eat_kw("return") {
-            // A value follows unless the next token closes the body or
-            // starts another statement... `return` is always last on its
-            // logical line; we detect a value by operand-start tokens,
-            // except identifiers that begin a new statement cannot be
-            // distinguished — so `return` with a value is required to be
-            // written as `return x` and void returns as plain `return`
-            // followed by a non-operand token or statement keyword.
-            let value = match self.peek() {
-                Some(Tok::Int(_) | Tok::Str(_) | Tok::Res(..) | Tok::Minus) => {
-                    Some(self.parse_operand()?)
-                }
-                Some(Tok::Ident(s)) if !is_stmt_keyword(s) => Some(self.parse_operand()?),
-                _ => None,
-            };
-            return Ok(AstStmt::Return { value, line });
-        }
-        if self.eat_kw("throw") {
-            let value = self.parse_operand()?;
-            return Ok(AstStmt::Throw { value, line });
-        }
-        if self.eat_kw("nop") {
-            return Ok(AstStmt::Nop { line });
-        }
-        // Standalone invokes.
-        if let Some(Tok::Ident(kw)) = self.peek() {
-            if let Some(kind) = Self::invoke_kind(kw) {
-                self.pos += 1;
-                return self.parse_invoke(None, kind, line);
-            }
-        }
-        // `static C.f = rhs` (static field store).
-        if self.eat_kw("static") {
-            let dotted = self.dotted("static field reference")?;
-            let (class, field) = split_field_ref(&dotted)
-                .ok_or_else(|| self.err("static field reference needs `Class.field`"))?;
-            self.expect(&Tok::Assign, "`=`")?;
-            let rhs = self.parse_rhs()?;
-            return Ok(AstStmt::Assign {
-                lhs: AstPlace::StaticField(class, field),
-                rhs,
-                line,
-            });
-        }
-        // Assignments starting with a local.
-        let name = self.ident("statement")?;
-        let lhs = if self.eat(&Tok::Dot) {
-            let field = self.ident("field name")?;
-            AstPlace::Field(name, field)
-        } else if self.eat(&Tok::LBracket) {
-            let idx = self.parse_operand()?;
-            self.expect(&Tok::RBracket, "`]`")?;
-            AstPlace::ArrayElem(name, idx)
-        } else {
-            AstPlace::Local(name)
-        };
-        self.expect(&Tok::Assign, "`=`")?;
-        // Invoke with result?
-        if let Some(Tok::Ident(kw)) = self.peek() {
-            if let Some(kind) = Self::invoke_kind(kw) {
-                let result = match &lhs {
-                    AstPlace::Local(l) => l.clone(),
-                    _ => return Err(self.err("invoke results must be assigned to a local")),
-                };
-                self.pos += 1;
-                return self.parse_invoke(Some(result), kind, line);
-            }
-        }
-        let rhs = self.parse_rhs()?;
-        Ok(AstStmt::Assign { lhs, rhs, line })
-    }
-
-    fn parse_rhs(&mut self) -> Result<AstRhs, ParseError> {
-        // Cast: `(T) x`.
-        if self.peek() == Some(&Tok::LParen) {
-            self.pos += 1;
-            let ty = self.parse_type()?;
-            self.expect(&Tok::RParen, "`)`")?;
-            let v = self.parse_operand()?;
-            return Ok(AstRhs::Cast(ty, v));
-        }
-        if self.eat_kw("new") {
-            let class = self.dotted("class name")?;
-            return Ok(AstRhs::New(class));
-        }
-        if self.eat_kw("newarray") {
-            let ty = self.parse_type()?;
-            self.expect(&Tok::LBracket, "`[`")?;
-            let n = self.parse_operand()?;
-            self.expect(&Tok::RBracket, "`]`")?;
-            return Ok(AstRhs::NewArray(ty, n));
-        }
-        if self.eat_kw("neg") {
-            return Ok(AstRhs::Un(UnOp::Neg, self.parse_operand()?));
-        }
-        if self.eat_kw("lengthof") {
-            return Ok(AstRhs::Un(UnOp::Len, self.parse_operand()?));
-        }
-        if self.eat_kw("static") {
-            let dotted = self.dotted("static field reference")?;
-            let (class, field) = split_field_ref(&dotted)
-                .ok_or_else(|| self.err("static field reference needs `Class.field`"))?;
-            return Ok(AstRhs::Read(AstPlace::StaticField(class, field)));
-        }
-        // Operand-led: move, field read, array read, binop, instanceof.
-        let first = self.parse_operand()?;
-        if let AstOperand::Local(base) = &first {
-            if self.eat(&Tok::Dot) {
-                let field = self.ident("field name")?;
-                return Ok(AstRhs::Read(AstPlace::Field(base.clone(), field)));
-            }
-            if self.peek() == Some(&Tok::LBracket) && self.peek2() != Some(&Tok::RBracket) {
-                self.pos += 1;
-                let idx = self.parse_operand()?;
-                self.expect(&Tok::RBracket, "`]`")?;
-                return Ok(AstRhs::Read(AstPlace::ArrayElem(base.clone(), idx)));
-            }
-        }
-        if self.eat_kw("instanceof") {
-            let ty = self.parse_type()?;
-            return Ok(AstRhs::InstanceOf(first, ty));
-        }
-        if let Some(t) = self.peek() {
-            if let Some(op) = Self::binop_of(t) {
-                self.pos += 1;
-                let second = self.parse_operand()?;
-                return Ok(AstRhs::Bin(op, first, second));
-            }
-            if t == &Tok::Ident("cmp".to_owned()) {
-                self.pos += 1;
-                let second = self.parse_operand()?;
-                return Ok(AstRhs::Bin(BinOp::Cmp, first, second));
-            }
-        }
-        Ok(AstRhs::Operand(first))
+fn binop_of(t: &Tok<'_>) -> Option<BinOp> {
+    match t {
+        Tok::Plus => Some(BinOp::Add),
+        Tok::Minus => Some(BinOp::Sub),
+        Tok::Star => Some(BinOp::Mul),
+        Tok::Slash => Some(BinOp::Div),
+        Tok::Percent => Some(BinOp::Rem),
+        Tok::Amp => Some(BinOp::And),
+        Tok::Pipe => Some(BinOp::Or),
+        Tok::Caret => Some(BinOp::Xor),
+        Tok::Shl => Some(BinOp::Shl),
+        Tok::Shr => Some(BinOp::Shr),
+        Tok::Ident("cmp") => Some(BinOp::Cmp),
+        _ => None,
     }
 }
 
@@ -959,403 +810,467 @@ fn is_stmt_keyword(s: &str) -> bool {
     )
 }
 
-fn split_field_ref(dotted: &str) -> Option<(String, String)> {
-    let idx = dotted.rfind('.')?;
-    Some((dotted[..idx].to_owned(), dotted[idx + 1..].to_owned()))
+/// The place an assignment writes, held while its right side resolves.
+enum Target<'t> {
+    Local(&'t str),
+    Field(&'t str, &'t str),
+    /// `Class.field` and the index of its last dot.
+    Static(Cow<'t, str>, usize),
+    Elem(&'t str, Opnd<'t>),
 }
 
-// ===================== Lowering =====================
+/// How the statements so far end, for the checks at the closing `}`.
+#[derive(PartialEq)]
+enum Tail {
+    Open,
+    Label,
+    Jump,
+}
 
-fn lower(
-    program: &mut Program,
-    resources: &ResourceTable,
-    ast: &AstFile,
-) -> Result<Vec<ClassId>, ParseError> {
-    // Pass 1: declare classes, fields and method signatures.
-    let mut class_ids = Vec::new();
-    for c in &ast.classes {
-        let id = if c.is_interface {
-            let extends: Vec<&str> = c.implements.iter().map(String::as_str).collect();
-            let mut ext = extends;
-            if let Some(e) = &c.extends {
-                ext.insert(0, e.as_str());
-            }
-            program.declare_interface(&c.name, &ext)
-        } else {
-            let extends = c.extends.as_deref().or(Some("java.lang.Object"));
-            let impls: Vec<&str> = c.implements.iter().map(String::as_str).collect();
-            program.declare_class(&c.name, extends, &impls)
+struct BodyParser<'p, 't> {
+    cur: Cursor<'t>,
+    b: MethodBuilder<'p>,
+    resources: &'p ResourceTable,
+    /// Each local with the class of its declared type, if a class type.
+    locals: FxHashMap<&'t str, (Local, Option<ClassId>)>,
+    /// Each label mentioned so far and whether it was declared.
+    labels: FxHashMap<&'t str, (Label, bool)>,
+    returns_void: bool,
+    /// Line of the statement being parsed.
+    line: u32,
+    tail: Tail,
+}
+
+impl<'p, 't> BodyParser<'p, 't> {
+    /// Starts `mid`'s body at `cur`, with `this`, the parameters and
+    /// every `let` of the body in scope.
+    fn new(
+        program: &'p mut Program,
+        resources: &'p ResourceTable,
+        cur: Cursor<'t>,
+        mid: MethodId,
+        m: &MethodDecl<'t>,
+    ) -> Result<Self, ParseError> {
+        let method = program.method(mid);
+        let returns_void = method.subsig().ret == Type::Void;
+        let mut locals = FxHashMap::default();
+        if !method.is_static() {
+            locals.insert("this", (Local(0), Some(method.class())));
+        }
+        let mut b = MethodBuilder::for_method(program, mid);
+        for (i, (name, _)) in m.params.iter().enumerate() {
+            let l = b.param(i);
+            b.rename_local(l, name);
+            let class = b.program().method(mid).subsig().params[i].as_class();
+            locals.insert(*name, (l, class));
+        }
+        let mut p = BodyParser {
+            cur,
+            b,
+            resources,
+            locals,
+            labels: FxHashMap::default(),
+            returns_void,
+            line: 0,
+            tail: Tail::Open,
         };
-        if c.is_abstract {
-            program.set_abstract(id, true);
-        }
-        class_ids.push(id);
-    }
-    let mut method_ids = Vec::new();
-    for (c, &cid) in ast.classes.iter().zip(&class_ids) {
-        for f in &c.fields {
-            let ty = lower_type(program, &f.ty);
-            program.declare_field(cid, &f.name, ty, f.is_static);
-        }
-        let mut per_class = Vec::new();
-        for m in &c.methods {
-            let params: Vec<Type> = m.params.iter().map(|(_, t)| lower_type(program, t)).collect();
-            let ret = lower_type(program, &m.ret);
-            let mid = program.declare_method(cid, &m.name, params, ret, m.is_static);
-            if m.is_native {
-                program.set_native(mid, true);
-            }
-            if m.is_abstract {
-                program.set_method_abstract(mid, true);
-            }
-            per_class.push(mid);
-        }
-        method_ids.push(per_class);
-    }
-    // Pass 2: lower bodies.
-    for (ci, c) in ast.classes.iter().enumerate() {
-        for (mi, m) in c.methods.iter().enumerate() {
-            let Some(body) = &m.body else { continue };
-            let mid = method_ids[ci][mi];
-            lower_body(program, resources, mid, m, body)?;
-        }
-    }
-    Ok(class_ids)
-}
-
-fn lower_type(program: &mut Program, t: &AstType) -> Type {
-    match t {
-        AstType::Void => Type::Void,
-        AstType::Boolean => Type::Boolean,
-        AstType::Byte => Type::Byte,
-        AstType::Char => Type::Char,
-        AstType::Short => Type::Short,
-        AstType::Int => Type::Int,
-        AstType::Long => Type::Long,
-        AstType::Float => Type::Float,
-        AstType::Double => Type::Double,
-        AstType::Named(n) => program.ref_type(n),
-        AstType::Array(e) => lower_type(program, e).array_of(),
+        p.hoist_lets()?;
+        Ok(p)
     }
 }
 
-struct BodyCx<'a> {
-    locals: FxHashMap<String, (Local, Type)>,
-    labels: FxHashMap<String, Label>,
-    bound_labels: FxHashSet<String>,
-    resources: &'a ResourceTable,
-}
-
-impl BodyCx<'_> {
-    fn local(&self, name: &str, line: u32) -> Result<(Local, Type), ParseError> {
-        self.locals
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ParseError { message: format!("unknown local `{name}`"), line })
-    }
-
-    fn label(&mut self, b: &mut MethodBuilder<'_>, name: &str) -> Label {
-        if let Some(&l) = self.labels.get(name) {
-            l
-        } else {
-            let l = b.fresh_label();
-            self.labels.insert(name.to_owned(), l);
-            l
-        }
-    }
-
-    fn operand(&self, program: &mut Program, o: &AstOperand, line: u32) -> Result<Operand, ParseError> {
-        Ok(match o {
-            AstOperand::Local(n) => Operand::Local(self.local(n, line)?.0),
-            AstOperand::Int(v) => Operand::Const(Constant::Int(*v)),
-            AstOperand::Str(s) => Operand::Const(Constant::Str(program.intern(s))),
-            AstOperand::Null => Operand::Const(Constant::Null),
-            AstOperand::Res(kind, name) => {
-                let sym = format!("@{kind}/{name}");
-                let id = self.resources.resolve(&sym).ok_or_else(|| ParseError {
-                    message: format!("unresolved resource reference `{sym}`"),
-                    line,
-                })?;
-                Operand::Const(Constant::Int(id))
-            }
-        })
-    }
-}
-
-/// Resolves `base.field` against the static type of `base`, declaring
-/// the field on phantom classes when necessary (framework stubs).
-fn resolve_instance_field(
-    program: &mut Program,
-    base_ty: &Type,
-    field: &str,
-    line: u32,
-) -> Result<flowdroid_ir::FieldId, ParseError> {
-    let Some(class) = base_ty.as_class() else {
-        return Err(ParseError {
-            message: format!("field access `.{field}` on non-class type"),
-            line,
-        });
-    };
-    let sym = program.intern(field);
-    if let Some(f) = program.resolve_field(class, sym) {
-        return Ok(f);
-    }
-    if !program.class(class).is_declared() {
-        let obj = program.ref_type("java.lang.Object");
-        return Ok(program.declare_field(class, field, obj, false));
-    }
-    Err(ParseError {
-        message: format!(
-            "unknown field `{}` on class {}",
-            field,
-            program.class_name(class)
-        ),
-        line,
-    })
-}
-
-fn resolve_static_field(
-    program: &mut Program,
-    class: &str,
-    field: &str,
-    line: u32,
-) -> Result<flowdroid_ir::FieldId, ParseError> {
-    let cid = program.class_id(class);
-    let sym = program.intern(field);
-    if let Some(f) = program.resolve_field(cid, sym) {
-        return Ok(f);
-    }
-    if !program.class(cid).is_declared() {
-        let obj = program.ref_type("java.lang.Object");
-        return Ok(program.declare_field(cid, field, obj, true));
-    }
-    Err(ParseError {
-        message: format!("unknown static field `{field}` on class {class}"),
-        line,
-    })
-}
-
-fn lower_place(
-    b: &mut MethodBuilder<'_>,
-    cx: &BodyCx<'_>,
-    p: &AstPlace,
-    line: u32,
-) -> Result<Place, ParseError> {
-    Ok(match p {
-        AstPlace::Local(n) => Place::Local(cx.local(n, line)?.0),
-        AstPlace::Field(base, field) => {
-            let (l, ty) = cx.local(base, line)?;
-            let f = resolve_instance_field(b.program(), &ty, field, line)?;
-            Place::InstanceField(l, f)
-        }
-        AstPlace::StaticField(class, field) => {
-            let f = resolve_static_field(b.program(), class, field, line)?;
-            Place::StaticField(f)
-        }
-        AstPlace::ArrayElem(base, idx) => {
-            let (l, _) = cx.local(base, line)?;
-            let i = cx.operand(b.program(), idx, line)?;
-            Place::ArrayElem(l, i)
-        }
-    })
-}
-
-fn lower_body(
-    program: &mut Program,
-    resources: &ResourceTable,
-    mid: flowdroid_ir::MethodId,
-    m: &AstMethod,
-    stmts: &[AstStmt],
-) -> Result<(), ParseError> {
-    let mut b = MethodBuilder::for_method(program, mid);
-    let mut cx = BodyCx {
-        locals: FxHashMap::default(),
-        labels: FxHashMap::default(),
-        bound_labels: FxHashSet::default(),
-        resources,
-    };
-    // Pre-register `this` and parameters.
-    {
-        let method = b.program().method(mid);
-        let is_static = method.is_static();
-        let class = method.class();
-        if !is_static {
-            cx.locals.insert("this".to_owned(), (Local(0), Type::Ref(class)));
-        }
-    }
-    for (i, (pname, pty)) in m.params.iter().enumerate() {
-        let ty = lower_type(b.program(), pty);
-        let l = b.param(i);
-        b.rename_local(l, pname);
-        cx.locals.insert(pname.clone(), (l, ty));
-    }
-    // Pre-scan `let` declarations so locals can be referenced before
-    // their textual declaration (labels too).
-    for s in stmts {
-        if let AstStmt::Let { name, ty, line } = s {
-            if cx.locals.contains_key(name) {
-                return Err(ParseError {
-                    message: format!("local `{name}` declared twice"),
-                    line: *line,
-                });
-            }
-            let ty = lower_type(b.program(), ty);
-            let l = b.local(name, ty.clone());
-            cx.locals.insert(name.clone(), (l, ty));
-        }
-    }
-    for s in stmts {
-        match s {
-            AstStmt::Let { .. } => {}
-            AstStmt::LabelDecl { name } => {
-                if !cx.bound_labels.insert(name.clone()) {
-                    return Err(ParseError {
-                        message: format!("label `{name}` declared twice"),
-                        line: 0,
-                    });
+impl<'t> BodyParser<'_, 't> {
+    /// Declares every `let name: T` of the body, in order, before any
+    /// statement is parsed: a local may be used above its `let`. Only a
+    /// `let` statement puts `let`, a name and `:` in a row.
+    fn hoist_lets(&mut self) -> Result<(), ParseError> {
+        let toks = self.cur.toks;
+        let mut i = self.cur.pos;
+        while let Some(t) = toks.get(i) {
+            match (&t.tok, toks.get(i + 1).map(|t| &t.tok), toks.get(i + 2).map(|t| &t.tok)) {
+                (Tok::RBrace, ..) => break,
+                (Tok::Ident("let"), Some(Tok::Ident(name)), Some(Tok::Colon)) => {
+                    if self.locals.contains_key(name) {
+                        return Err(ParseError {
+                            message: format!("local `{name}` declared twice"),
+                            line: t.line,
+                        });
+                    }
+                    let mut c = Cursor { pos: i + 3, ..self.cur };
+                    let ty = c.ty()?.resolve(self.b.program());
+                    let class = ty.as_class();
+                    let l = self.b.local(name, ty);
+                    self.locals.insert(name, (l, class));
+                    i = c.pos;
                 }
-                let l = cx.label(&mut b, name);
-                b.bind(l);
-            }
-            AstStmt::Goto { target, line } => {
-                b.line(*line);
-                let l = cx.label(&mut b, target);
-                b.goto(l);
-            }
-            AstStmt::If { cond, target, line } => {
-                b.line(*line);
-                let l = cx.label(&mut b, target);
-                match cond {
-                    None => {
-                        b.if_opaque(l);
-                    }
-                    Some((op, x, y)) => {
-                        let x = cx.operand(b.program(), x, *line)?;
-                        let y = cx.operand(b.program(), y, *line)?;
-                        b.if_cmp(*op, x, y, l);
-                    }
-                }
-            }
-            AstStmt::Return { value, line } => {
-                b.line(*line);
-                let v = match value {
-                    Some(o) => Some(cx.operand(b.program(), o, *line)?),
-                    None => None,
-                };
-                b.ret(v);
-            }
-            AstStmt::Throw { value, line } => {
-                b.line(*line);
-                let v = cx.operand(b.program(), value, *line)?;
-                b.throw(v);
-            }
-            AstStmt::Nop { line } => {
-                b.line(*line);
-                b.nop();
-            }
-            AstStmt::Assign { lhs, rhs, line } => {
-                b.line(*line);
-                let rv = match rhs {
-                    AstRhs::Operand(o) => match o {
-                        AstOperand::Local(n) => {
-                            Rvalue::Read(Place::Local(cx.local(n, *line)?.0))
-                        }
-                        other => {
-                            let op = cx.operand(b.program(), other, *line)?;
-                            match op {
-                                Operand::Const(c) => Rvalue::Const(c),
-                                Operand::Local(l) => Rvalue::Read(Place::Local(l)),
-                            }
-                        }
-                    },
-                    AstRhs::Read(p) => Rvalue::Read(lower_place(&mut b, &cx, p, *line)?),
-                    AstRhs::New(cname) => {
-                        let cid = b.program().class_id(cname);
-                        Rvalue::New(cid)
-                    }
-                    AstRhs::NewArray(t, n) => {
-                        let ty = lower_type(b.program(), t);
-                        let n = cx.operand(b.program(), n, *line)?;
-                        Rvalue::NewArray(ty, n)
-                    }
-                    AstRhs::Bin(op, x, y) => {
-                        let x = cx.operand(b.program(), x, *line)?;
-                        let y = cx.operand(b.program(), y, *line)?;
-                        Rvalue::BinOp(*op, x, y)
-                    }
-                    AstRhs::Un(op, x) => {
-                        let x = cx.operand(b.program(), x, *line)?;
-                        Rvalue::UnOp(*op, x)
-                    }
-                    AstRhs::Cast(t, x) => {
-                        let ty = lower_type(b.program(), t);
-                        let x = cx.operand(b.program(), x, *line)?;
-                        Rvalue::Cast(ty, x)
-                    }
-                    AstRhs::InstanceOf(x, t) => {
-                        let ty = lower_type(b.program(), t);
-                        let x = cx.operand(b.program(), x, *line)?;
-                        Rvalue::InstanceOf(x, ty)
-                    }
-                };
-                let place = lower_place(&mut b, &cx, lhs, *line)?;
-                b.assign(place, rv);
-            }
-            AstStmt::Invoke { result, kind, base, sig, args, line } => {
-                b.line(*line);
-                let result = match result {
-                    Some(r) => Some(cx.local(r, *line)?.0),
-                    None => None,
-                };
-                let base = match base {
-                    Some(bl) => Some(cx.local(bl, *line)?.0),
-                    None => None,
-                };
-                let params: Vec<Type> =
-                    sig.params.iter().map(|t| lower_type(b.program(), t)).collect();
-                let ret = lower_type(b.program(), &sig.ret);
-                let mut ops = Vec::with_capacity(args.len());
-                for a in args {
-                    ops.push(cx.operand(b.program(), a, *line)?);
-                }
-                let call =
-                    b.invoke_expr(*kind, base, &sig.class, &sig.name, params, ret, ops);
-                b.push_invoke(result, call);
+                _ => i += 1,
             }
         }
+        Ok(())
     }
-    // Every referenced label must have been declared; the builder would
-    // otherwise panic on the unbound label.
-    for name in cx.labels.keys() {
-        if !cx.bound_labels.contains(name) {
+
+    fn parse(mut self) -> Result<(), ParseError> {
+        while !self.cur.eat(&Tok::RBrace) {
+            if self.cur.peek().is_none() {
+                return Err(self.cur.err("unterminated method body"));
+            }
+            self.stmt()?;
+        }
+        // Every referenced label must have been declared; the builder would
+        // otherwise panic on the unbound label.
+        if let Some((name, _)) = self.labels.iter().find(|(_, &(_, declared))| !declared) {
             return Err(ParseError {
                 message: format!("label `{name}` is never declared"),
                 line: 0,
             });
         }
+        // Termination checks the builder would otherwise panic on: a label
+        // at the very end needs a statement to bind to, and non-void
+        // methods must not fall off the end.
+        if self.tail == Tail::Label {
+            self.b.nop();
+        }
+        if self.tail != Tail::Jump && !self.returns_void {
+            return Err(ParseError {
+                message: "non-void method may fall off the end of its body".to_owned(),
+                line: 0,
+            });
+        }
+        self.b.finish();
+        Ok(())
     }
-    // Termination checks the builder would otherwise panic on: a label
-    // at the very end needs a statement to bind to, and non-void
-    // methods must not fall off the end.
-    let last_real = stmts.iter().rev().find(|s| !matches!(s, AstStmt::Let { .. }));
-    let ends_with_label = matches!(last_real, Some(AstStmt::LabelDecl { .. }));
-    if ends_with_label {
-        b.nop();
+
+    fn err(&self, message: String) -> ParseError {
+        ParseError { message, line: self.line }
     }
-    let terminated = !ends_with_label
-        && matches!(
-            last_real,
-            Some(AstStmt::Return { .. } | AstStmt::Throw { .. } | AstStmt::Goto { .. })
-        );
-    let is_void = b.program().method(mid).subsig().ret == Type::Void;
-    if !terminated && !is_void {
-        return Err(ParseError {
-            message: "non-void method may fall off the end of its body".to_owned(),
-            line: 0,
-        });
+
+    fn local(&self, name: &str) -> Result<(Local, Option<ClassId>), ParseError> {
+        self.locals.get(name).copied().ok_or_else(|| self.err(format!("unknown local `{name}`")))
     }
-    b.finish();
-    Ok(())
+
+    fn label(&mut self, name: &'t str) -> &mut (Label, bool) {
+        let b = &mut self.b;
+        self.labels.entry(name).or_insert_with(|| (b.fresh_label(), false))
+    }
+
+    /// The label named at the cursor, which the statement jumps to.
+    fn target(&mut self) -> Result<Label, ParseError> {
+        let name = self.cur.ident("label name")?;
+        Ok(self.label(name).0)
+    }
+
+    fn value(&mut self, o: Opnd<'t>) -> Result<Operand, ParseError> {
+        Ok(Operand::Const(match o {
+            Opnd::Local(n) => return Ok(Operand::Local(self.local(n)?.0)),
+            Opnd::Int(v) => Constant::Int(v),
+            Opnd::Str(s) => Constant::Str(self.b.program().intern(s)),
+            Opnd::Null => Constant::Null,
+            Opnd::Res(text) => Constant::Int(self.resources.resolve(text).ok_or_else(|| {
+                self.err(format!("unresolved resource reference `{text}`"))
+            })?),
+        }))
+    }
+
+    /// Parses and resolves one operand.
+    fn operand(&mut self) -> Result<Operand, ParseError> {
+        let o = self.cur.operand()?;
+        self.value(o)
+    }
+
+    fn ty(&mut self) -> Result<Type, ParseError> {
+        let t = self.cur.ty()?;
+        Ok(t.resolve(self.b.program()))
+    }
+
+    fn stmt(&mut self) -> Result<(), ParseError> {
+        self.line = self.cur.line();
+        if self.cur.eat_kw("let") {
+            // Declared by `hoist_lets`.
+            self.cur.ident("local name")?;
+            self.cur.expect(&Tok::Colon, "`:`")?;
+            self.cur.ty()?;
+            return Ok(());
+        }
+        if self.cur.eat_kw("label") {
+            let name = self.cur.ident("label name")?;
+            self.cur.expect(&Tok::Colon, "`:`")?;
+            let (l, declared) = self.label(name);
+            if std::mem::replace(declared, true) {
+                return Err(ParseError {
+                    message: format!("label `{name}` declared twice"),
+                    line: 0,
+                });
+            }
+            let l = *l;
+            self.b.bind(l);
+            self.tail = Tail::Label;
+            return Ok(());
+        }
+        self.b.line(self.line);
+        self.tail = Tail::Open;
+        if self.cur.eat_kw("goto") {
+            let l = self.target()?;
+            self.b.goto(l);
+            self.tail = Tail::Jump;
+        } else if self.cur.eat_kw("if") {
+            if self.cur.eat_kw("opaque") {
+                self.cur.expect_kw("goto")?;
+                let l = self.target()?;
+                self.b.if_opaque(l);
+                return Ok(());
+            }
+            let x = self.cur.operand()?;
+            let op = match self.cur.bump() {
+                Some(t) => cmp_of(t).ok_or_else(|| {
+                    self.cur.err(format!("expected comparison operator, found {t:?}"))
+                })?,
+                None => return Err(self.cur.err("unexpected end of input in `if`")),
+            };
+            let y = self.cur.operand()?;
+            self.cur.expect_kw("goto")?;
+            let l = self.target()?;
+            let (x, y) = (self.value(x)?, self.value(y)?);
+            self.b.if_cmp(op, x, y, l);
+        } else if self.cur.eat_kw("return") {
+            // `return` takes a value when an operand follows; an
+            // identifier that starts a statement means a void return.
+            let value = match self.cur.peek() {
+                Some(Tok::Int(_) | Tok::Str(_) | Tok::Res(..) | Tok::Minus) => {
+                    Some(self.operand()?)
+                }
+                Some(Tok::Ident(s)) if !is_stmt_keyword(s) => Some(self.operand()?),
+                _ => None,
+            };
+            self.b.ret(value);
+            self.tail = Tail::Jump;
+        } else if self.cur.eat_kw("throw") {
+            let v = self.operand()?;
+            self.b.throw(v);
+            self.tail = Tail::Jump;
+        } else if self.cur.eat_kw("nop") {
+            self.b.nop();
+        } else if let Some(kind) = self.at_invoke() {
+            self.invoke(None, kind)?;
+        } else if self.cur.eat_kw("static") {
+            // `static C.f = rhs` (static field store).
+            let lhs = self.static_ref()?;
+            self.cur.expect(&Tok::Assign, "`=`")?;
+            self.assign(lhs)?;
+        } else {
+            // Assignments starting with a local.
+            let name = self.cur.ident("statement")?;
+            let lhs = if self.cur.eat(&Tok::Dot) {
+                Target::Field(name, self.cur.ident("field name")?)
+            } else if self.cur.eat(&Tok::LBracket) {
+                let idx = self.cur.operand()?;
+                self.cur.expect(&Tok::RBracket, "`]`")?;
+                Target::Elem(name, idx)
+            } else {
+                Target::Local(name)
+            };
+            self.cur.expect(&Tok::Assign, "`=`")?;
+            if let Some(kind) = self.at_invoke() {
+                let Target::Local(result) = lhs else {
+                    return Err(self.cur.err("invoke results must be assigned to a local"));
+                };
+                self.invoke(Some(result), kind)?;
+            } else {
+                self.assign(lhs)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The kind of the invoke keyword at the cursor, if any (not consumed).
+    fn at_invoke(&self) -> Option<InvokeKind> {
+        match self.cur.peek() {
+            Some(Tok::Ident(kw)) => invoke_kind(kw),
+            _ => None,
+        }
+    }
+
+    /// `Class.field` after `static`.
+    fn static_ref(&mut self) -> Result<Target<'t>, ParseError> {
+        let dotted = self.cur.dotted("static field reference")?;
+        match dotted.rfind('.') {
+            Some(dot) => Ok(Target::Static(dotted, dot)),
+            None => Err(self.cur.err("static field reference needs `Class.field`")),
+        }
+    }
+
+    /// Parses `kindinvoke [base.]<Class: Ret name(T1,T2)>(args)` after
+    /// the keyword at the cursor. Parameter types, the return type and
+    /// the arguments resolve before the class and the name.
+    fn invoke(&mut self, result: Option<&'t str>, kind: InvokeKind) -> Result<(), ParseError> {
+        self.cur.pos += 1;
+        let base = if kind == InvokeKind::Static {
+            None
+        } else {
+            let b = self.cur.ident("receiver local")?;
+            self.cur.expect(&Tok::Dot, "`.`")?;
+            Some(b)
+        };
+        self.cur.expect(&Tok::Lt, "`<` starting a signature")?;
+        let class = self.cur.dotted("class name")?;
+        self.cur.expect(&Tok::Colon, "`:`")?;
+        let ret = self.cur.ty()?;
+        let name = self.cur.method_name()?;
+        self.cur.expect(&Tok::LParen, "`(`")?;
+        let mut params = Vec::new();
+        if !self.cur.eat(&Tok::RParen) {
+            loop {
+                params.push(self.ty()?);
+                if self.cur.eat(&Tok::RParen) {
+                    break;
+                }
+                self.cur.expect(&Tok::Comma, "`,`")?;
+            }
+        }
+        self.cur.expect(&Tok::Gt, "`>` ending the signature")?;
+        let ret = ret.resolve(self.b.program());
+        self.cur.expect(&Tok::LParen, "`(`")?;
+        let mut args = Vec::with_capacity(params.len());
+        if !self.cur.eat(&Tok::RParen) {
+            loop {
+                args.push(self.operand()?);
+                if self.cur.eat(&Tok::RParen) {
+                    break;
+                }
+                self.cur.expect(&Tok::Comma, "`,`")?;
+            }
+        }
+        if params.len() != args.len() {
+            return Err(self.cur.err(format!(
+                "signature has {} parameters but {} arguments given",
+                params.len(),
+                args.len()
+            )));
+        }
+        let result = result.map(|r| self.local(r)).transpose()?.map(|(l, _)| l);
+        let base = base.map(|b| self.local(b)).transpose()?.map(|(l, _)| l);
+        let call = self.b.invoke_expr(kind, base, &class, &name, params, ret, args);
+        self.b.push_invoke(result, call);
+        Ok(())
+    }
+
+    /// Parses the right side of `lhs = …`, then resolves `lhs` and emits
+    /// the assignment.
+    fn assign(&mut self, lhs: Target<'t>) -> Result<(), ParseError> {
+        let rv = self.rhs()?;
+        let place = self.place(lhs)?;
+        self.b.assign(place, rv);
+        Ok(())
+    }
+
+    fn rhs(&mut self) -> Result<Rvalue, ParseError> {
+        // Cast: `(T) x`.
+        if self.cur.eat(&Tok::LParen) {
+            let ty = self.cur.ty()?;
+            self.cur.expect(&Tok::RParen, "`)`")?;
+            let ty = ty.resolve(self.b.program());
+            return Ok(Rvalue::Cast(ty, self.operand()?));
+        }
+        if self.cur.eat_kw("new") {
+            let class = self.cur.dotted("class name")?;
+            return Ok(Rvalue::New(self.b.program().class_id(&class)));
+        }
+        if self.cur.eat_kw("newarray") {
+            let ty = self.ty()?;
+            self.cur.expect(&Tok::LBracket, "`[`")?;
+            let n = self.operand()?;
+            self.cur.expect(&Tok::RBracket, "`]`")?;
+            return Ok(Rvalue::NewArray(ty, n));
+        }
+        if self.cur.eat_kw("neg") {
+            return Ok(Rvalue::UnOp(UnOp::Neg, self.operand()?));
+        }
+        if self.cur.eat_kw("lengthof") {
+            return Ok(Rvalue::UnOp(UnOp::Len, self.operand()?));
+        }
+        if self.cur.eat_kw("static") {
+            let src = self.static_ref()?;
+            return Ok(Rvalue::Read(self.place(src)?));
+        }
+        // Operand-led: move, field read, array read, binop, instanceof.
+        let first = self.cur.operand()?;
+        if let Opnd::Local(base) = first {
+            if self.cur.eat(&Tok::Dot) {
+                let field = self.cur.ident("field name")?;
+                return Ok(Rvalue::Read(self.place(Target::Field(base, field))?));
+            }
+            if self.cur.peek() == Some(&Tok::LBracket) && self.cur.peek2() != Some(&Tok::RBracket)
+            {
+                self.cur.pos += 1;
+                let idx = self.cur.operand()?;
+                self.cur.expect(&Tok::RBracket, "`]`")?;
+                return Ok(Rvalue::Read(self.place(Target::Elem(base, idx))?));
+            }
+        }
+        if self.cur.eat_kw("instanceof") {
+            let ty = self.ty()?;
+            return Ok(Rvalue::InstanceOf(self.value(first)?, ty));
+        }
+        if let Some(op) = self.cur.peek().and_then(binop_of) {
+            self.cur.pos += 1;
+            let second = self.cur.operand()?;
+            return Ok(Rvalue::BinOp(op, self.value(first)?, self.value(second)?));
+        }
+        Ok(match self.value(first)? {
+            Operand::Const(c) => Rvalue::Const(c),
+            Operand::Local(l) => Rvalue::Read(Place::Local(l)),
+        })
+    }
+
+    fn place(&mut self, t: Target<'t>) -> Result<Place, ParseError> {
+        Ok(match t {
+            Target::Local(n) => Place::Local(self.local(n)?.0),
+            Target::Field(base, field) => {
+                let (l, class) = self.local(base)?;
+                Place::InstanceField(l, self.instance_field(class, field)?)
+            }
+            Target::Static(dotted, dot) => {
+                Place::StaticField(self.static_field(&dotted[..dot], &dotted[dot + 1..])?)
+            }
+            Target::Elem(base, idx) => {
+                let (l, _) = self.local(base)?;
+                Place::ArrayElem(l, self.value(idx)?)
+            }
+        })
+    }
+
+    /// Resolves `base.field` against the class of `base`'s declared type,
+    /// declaring the field on phantom classes when necessary (framework
+    /// stubs).
+    fn instance_field(&mut self, class: Option<ClassId>, field: &str) -> Result<FieldId, ParseError> {
+        let Some(class) = class else {
+            return Err(self.err(format!("field access `.{field}` on non-class type")));
+        };
+        let program = self.b.program();
+        let sym = program.intern(field);
+        if let Some(f) = program.resolve_field(class, sym) {
+            return Ok(f);
+        }
+        if !program.class(class).is_declared() {
+            let obj = program.ref_type("java.lang.Object");
+            return Ok(program.declare_field(class, field, obj, false));
+        }
+        let class = program.class_name(class).to_owned();
+        Err(self.err(format!("unknown field `{field}` on class {class}")))
+    }
+
+    fn static_field(&mut self, class: &str, field: &str) -> Result<FieldId, ParseError> {
+        let program = self.b.program();
+        let cid = program.class_id(class);
+        let sym = program.intern(field);
+        if let Some(f) = program.resolve_field(cid, sym) {
+            return Ok(f);
+        }
+        if !program.class(cid).is_declared() {
+            let obj = program.ref_type("java.lang.Object");
+            return Ok(program.declare_field(cid, field, obj, true));
+        }
+        Err(self.err(format!("unknown static field `{field}` on class {class}")))
+    }
 }
 
 #[cfg(test)]
@@ -1587,5 +1502,43 @@ class K {
         let body = p.method(m).body().unwrap();
         assert_eq!(body.line(0), 3);
         assert_eq!(body.line(1), 4);
+    }
+
+    fn parse_err(src: &str) -> ParseError {
+        let mut p = Program::new();
+        parse_jasm(&mut p, &ResourceTable::new(), src).unwrap_err()
+    }
+
+    #[test]
+    fn dotted_names_may_have_spaces_around_dots() {
+        let p = parse_ok(
+            "class a . b.C extends java .lang. Object {\n  method <init >() -> void {\n    \
+             let o: java . lang.Object\n    o = static x.Y . z\n    return\n  }\n}",
+        );
+        let c = p.find_class("a.b.C").unwrap();
+        assert_eq!(p.class_name(p.class(c).superclass().unwrap()), "java.lang.Object");
+        assert!(p.find_method("a.b.C", "<init>").is_some());
+        let y = p.find_class("x.Y").unwrap();
+        assert_eq!(p.class(y).fields().len(), 1);
+    }
+
+    #[test]
+    fn error_messages_show_the_token_as_written() {
+        let err = parse_err("class A {\n method f() -> void {\n x \"a\\nb\" \n } }");
+        assert_eq!(err.to_string(), "jasm error at line 3: expected `=`, found Some(Str(\"a\\nb\"))");
+        let err = parse_err("class A { method f() -> void { x = @id/w } }");
+        assert_eq!(err.message, "unresolved resource reference `@id/w`");
+        let err = parse_err("class A { method f() -> void {\n return\n ");
+        assert_eq!((err.message.as_str(), err.line), ("unterminated method body", 2));
+    }
+
+    #[test]
+    fn redeclarations_are_errors() {
+        let err = parse_err("class A {}\nclass A {}");
+        assert_eq!((err.message.as_str(), err.line), ("class `A` declared twice", 2));
+        let err = parse_err("class A {\n field f: int\n field f: int\n}");
+        assert_eq!((err.message.as_str(), err.line), ("field `f` on class A declared twice", 3));
+        let err = parse_err("class A {\n native method f() -> void\n native method f() -> void\n}");
+        assert_eq!((err.message.as_str(), err.line), ("method `f` on class A declared twice", 3));
     }
 }

@@ -13,7 +13,8 @@
 //! * [`layout`] — layout XML semantics (widgets, ids, `android:onClick`
 //!   handlers, password fields) and the resource-id table,
 //! * [`jasm`] — a Jimple-like text language in which all benchmark apps
-//!   are authored (lexer, parser, lowering to [`flowdroid_ir`]),
+//!   are authored (a one-pass parser that builds [`flowdroid_ir`]
+//!   method bodies as it reads them),
 //! * [`sdex`] — a compact binary class format with an encoder and an
 //!   independent decoder (our substitute for dex parsing),
 //! * [`emit`] — the inverse of `jasm`: emitting IR back to text,

@@ -109,11 +109,6 @@ impl<'p> MethodBuilder<'p> {
         }
     }
 
-    /// The method being built.
-    pub fn method_id(&self) -> MethodId {
-        self.method
-    }
-
     /// Access to the underlying program (for interning, class ids, …).
     pub fn program(&mut self) -> &mut Program {
         self.program

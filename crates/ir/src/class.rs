@@ -201,12 +201,6 @@ impl Method {
         let off = if self.is_static { 0 } else { 1 };
         crate::stmt::Local(u32::try_from(off + i).expect("overflow"))
     }
-
-    /// All parameter locals including `this` (first, if present).
-    pub fn implicit_param_locals(&self) -> Vec<crate::stmt::Local> {
-        let n = self.subsig.params.len() + usize::from(!self.is_static);
-        (0..n as u32).map(crate::stmt::Local).collect()
-    }
 }
 
 /// A class or interface definition.

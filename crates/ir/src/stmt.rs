@@ -198,13 +198,6 @@ pub struct InvokeExpr {
     pub args: Vec<Operand>,
 }
 
-impl InvokeExpr {
-    /// Returns `true` for instance (non-static) invokes.
-    pub fn has_receiver(&self) -> bool {
-        self.base.is_some()
-    }
-}
-
 /// A computed right-hand side of an assignment.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Rvalue {

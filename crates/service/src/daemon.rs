@@ -71,7 +71,7 @@ use crate::proto::{
 use flowdroid_android::{build_snapshot, load_snapshot, PlatformSnapshot};
 use flowdroid_bench::{find_job, prepare, run_prepared, CorpusJob, PreparedJob};
 use flowdroid_core::{AbortHandle, InfoflowConfig, ProgressEvent, ProgressSink};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -235,9 +235,40 @@ struct JobEntry {
     result: Option<JobResult>,
 }
 
+/// Running totals over every job that reached `Done`, kept apart from
+/// the registry so that collected jobs still count.
+#[derive(Default)]
+struct Totals {
+    completed: u64,
+    aborted: u64,
+    bodies_materialized: u64,
+    bodies_skipped: u64,
+    platform_clone_us: u64,
+    callgraph_cache_hits: u64,
+    callgraph_cache_misses: u64,
+}
+
+impl Totals {
+    fn add(&mut self, r: &JobResult) {
+        self.completed += 1;
+        self.aborted += u64::from(r.aborted);
+        self.bodies_materialized += r.bodies_materialized;
+        self.bodies_skipped += r.bodies_skipped;
+        self.platform_clone_us += r.platform_clone_us;
+        self.callgraph_cache_hits += r.callgraph_cache_hits;
+        self.callgraph_cache_misses += r.callgraph_cache_misses;
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    jobs: Vec<JobEntry>,
+    /// Jobs not yet collected, by id. A job's entry goes once its
+    /// connection has taken the result, so the registry holds only the
+    /// jobs in flight.
+    jobs: BTreeMap<u64, JobEntry>,
+    totals: Totals,
+    /// Jobs a `cancel` request tripped before they were done.
+    cancel_requests: u64,
     shutting_down: bool,
     /// Set once a `shutdown` handler has written (or failed to write)
     /// its reply; [`Daemon::run`] must not return — and thus let the
@@ -249,6 +280,13 @@ struct Inner {
     denied: u64,
     /// Accepted submissions per priority lane.
     submitted: [u64; 3],
+}
+
+impl Inner {
+    /// Job ids handed out so far: ids run from 1 in submission order.
+    fn issued(&self) -> u64 {
+        self.submitted.iter().sum()
+    }
 }
 
 struct Shared {
@@ -388,10 +426,9 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
-    let idx = (id - 1) as usize;
     let (abort, spec, app, queue_ms, prepare_us, progress, skip) = {
         let mut inner = shared.inner.lock().unwrap();
-        let e = &mut inner.jobs[idx];
+        let e = inner.jobs.get_mut(&id).expect("a queued job stays registered until collected");
         e.queue_ms = e.submitted.elapsed().as_millis() as u64;
         e.state = JobState::Running;
         // A cancel — or a deadline that already passed — while the job
@@ -439,10 +476,13 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
             report: run.report,
         }
     };
-    let mut inner = shared.inner.lock().unwrap();
-    inner.jobs[idx].state = JobState::Done;
-    inner.jobs[idx].result = Some(result);
-    drop(inner);
+    let mut guard = shared.inner.lock().unwrap();
+    let inner = &mut *guard;
+    inner.totals.add(&result);
+    let e = inner.jobs.get_mut(&id).expect("a running job stays registered until collected");
+    e.state = JobState::Done;
+    e.result = Some(result);
+    drop(guard);
     shared.done.notify_all();
 }
 
@@ -535,11 +575,15 @@ fn handle_analyze(
         Ok(id) => {
             let queued =
                 obj([("type", Json::from("queued")), ("job", Json::from(id))]).to_line();
-            write_line(reader.get_mut(), &queued)?;
-            if let Some(rx) = frames {
-                relay_frames(reader.get_mut(), id, &rx)?;
+            let mut sent = write_line(reader.get_mut(), &queued);
+            if let (Ok(()), Some(rx)) = (&sent, &frames) {
+                sent = relay_frames(reader.get_mut(), id, rx);
             }
-            let result = wait_done(shared, id);
+            // Once the relay stops, the worker's events have no reader.
+            drop(frames);
+            // Collected even when the client is gone, so the entry goes.
+            let result = collect(shared, id);
+            sent?;
             write_line(reader.get_mut(), &result.to_json().to_line())
         }
     }
@@ -688,7 +732,8 @@ fn submit(
             return Err(Refusal::Error("daemon is shutting down".to_string()));
         }
         inner.submitted[priority.lane()] += 1;
-        inner.jobs.push(JobEntry {
+        let id = inner.issued();
+        inner.jobs.insert(id, JobEntry {
             app: app.to_string(),
             state: JobState::Queued,
             abort,
@@ -700,7 +745,7 @@ fn submit(
             progress,
             result: None,
         });
-        inner.jobs.len() as u64
+        id
     };
     q.lanes[priority.lane()].push_back((id, job));
     drop(q);
@@ -723,31 +768,37 @@ fn prepare_and_cache(
     Ok((prepared, prepare_us))
 }
 
-/// Blocks until job `id` is done and returns its result. The report is
-/// moved out, not cloned: the submitting connection is its only reader,
-/// and the registry keeps just the counters `stats` reads.
-fn wait_done(shared: &Shared, id: u64) -> JobResult {
-    let idx = (id - 1) as usize;
+/// Blocks until job `id` is done, then removes its entry and returns
+/// its result: the submitting connection is the result's only reader,
+/// and the totals `stats` reads were added when the job finished.
+fn collect(shared: &Shared, id: u64) -> JobResult {
     let mut inner = shared.inner.lock().unwrap();
-    loop {
-        if let Some(r) = &mut inner.jobs[idx].result {
-            let report = std::mem::take(&mut r.report);
-            return JobResult { report, ..r.clone() };
-        }
+    while inner.jobs.get(&id).is_some_and(|e| e.result.is_none()) {
         inner = shared.done.wait(inner).unwrap();
     }
+    let entry = inner.jobs.remove(&id).expect("only the submitting connection collects a job");
+    entry.result.expect("a done job holds its result")
 }
 
 /// Trips the job's abort handle. Queued jobs are skipped by the worker
-/// that claims them; running jobs wind down at their next poll.
+/// that claims them; running jobs wind down at their next poll. A job
+/// already collected answers `done`.
 fn cancel(shared: &Shared, id: u64) -> Result<&'static str, String> {
-    let idx = id.checked_sub(1).ok_or("unknown job 0")? as usize;
-    let mut inner = shared.inner.lock().unwrap();
-    let e = inner.jobs.get_mut(idx).ok_or_else(|| format!("unknown job {id}"))?;
+    let mut guard = shared.inner.lock().unwrap();
+    let inner = &mut *guard;
+    let Some(e) = inner.jobs.get_mut(&id) else {
+        return if (1..=inner.issued()).contains(&id) {
+            Ok(JobState::Done.as_str())
+        } else {
+            Err(format!("unknown job {id}"))
+        };
+    };
     let state = e.state.as_str();
     if e.state != JobState::Done {
         e.abort.cancel();
-        e.cancel_requested = true;
+        if !std::mem::replace(&mut e.cancel_requested, true) {
+            inner.cancel_requests += 1;
+        }
     }
     Ok(state)
 }
@@ -756,19 +807,11 @@ fn stats(shared: &Shared) -> Json {
     let prepared = shared.prepared.stats();
     let inner = shared.inner.lock().unwrap();
     let mut by_state = [0u64; 3];
-    let mut aborted = 0u64;
-    let mut cancel_requests = 0u64;
-    let mut materialized = 0u64;
-    let mut skipped = 0u64;
-    let mut clone_us = 0u64;
-    let mut cg_hits = 0u64;
-    let mut cg_misses = 0u64;
     let mut jobs = Vec::new();
-    for (i, e) in inner.jobs.iter().enumerate() {
+    for (&id, e) in &inner.jobs {
         by_state[e.state as usize] += 1;
-        cancel_requests += u64::from(e.cancel_requested);
         let mut fields = vec![
-            ("job", Json::from(i as u64 + 1)),
+            ("job", Json::from(id)),
             ("app", Json::from(e.app.as_str())),
             ("state", Json::from(e.state.as_str())),
         ];
@@ -777,12 +820,6 @@ fn stats(shared: &Shared) -> Json {
             fields.push(("queue_ms", Json::from(e.queue_ms)));
         }
         if let Some(r) = &e.result {
-            aborted += u64::from(r.aborted);
-            materialized += r.bodies_materialized;
-            skipped += r.bodies_skipped;
-            clone_us += r.platform_clone_us;
-            cg_hits += r.callgraph_cache_hits;
-            cg_misses += r.callgraph_cache_misses;
             fields.push(("wall_ms", Json::from(r.wall_ms)));
             fields.push(("setup_us", Json::from(r.setup_us)));
             fields.push(("dataflow_us", Json::from(r.dataflow_us)));
@@ -801,21 +838,21 @@ fn stats(shared: &Shared) -> Json {
         ("queue_cap", Json::from(shared.queue_cap as u64)),
         ("queue_depth", Json::from(by_state[JobState::Queued as usize])),
         ("running", Json::from(by_state[JobState::Running as usize])),
-        ("completed", Json::from(by_state[JobState::Done as usize])),
-        ("aborted", Json::from(aborted)),
+        ("completed", Json::from(inner.totals.completed)),
+        ("aborted", Json::from(inner.totals.aborted)),
         ("rejected", Json::from(inner.rejected)),
         ("policy_denied", Json::from(inner.denied)),
         ("submitted_high", Json::from(inner.submitted[Priority::High.lane()])),
         ("submitted_normal", Json::from(inner.submitted[Priority::Normal.lane()])),
         ("submitted_batch", Json::from(inner.submitted[Priority::Batch.lane()])),
-        ("cancel_requests", Json::from(cancel_requests)),
+        ("cancel_requests", Json::from(inner.cancel_requests)),
         ("snapshot_load_ms", Json::from(shared.snapshot_load_ms)),
         ("snapshot_source", Json::from(shared.snapshot_source)),
-        ("bodies_materialized", Json::from(materialized)),
-        ("bodies_skipped", Json::from(skipped)),
-        ("platform_clone_us", Json::from(clone_us)),
-        ("callgraph_cache_hits", Json::from(cg_hits)),
-        ("callgraph_cache_misses", Json::from(cg_misses)),
+        ("bodies_materialized", Json::from(inner.totals.bodies_materialized)),
+        ("bodies_skipped", Json::from(inner.totals.bodies_skipped)),
+        ("platform_clone_us", Json::from(inner.totals.platform_clone_us)),
+        ("callgraph_cache_hits", Json::from(inner.totals.callgraph_cache_hits)),
+        ("callgraph_cache_misses", Json::from(inner.totals.callgraph_cache_misses)),
         ("prepared_cache_hits", Json::from(prepared.hits)),
         ("prepared_cache_misses", Json::from(prepared.misses)),
         ("prepared_cache_evictions", Json::from(prepared.evictions)),
@@ -840,10 +877,10 @@ fn close_queue(shared: &Shared) {
 /// counts.
 fn drain(shared: &Shared) -> Json {
     let mut inner = shared.inner.lock().unwrap();
-    while inner.jobs.iter().any(|e| e.state != JobState::Done) {
+    while inner.jobs.values().any(|e| e.state != JobState::Done) {
         inner = shared.done.wait(inner).unwrap();
     }
-    let completed = inner.jobs.len() as u64;
+    let completed = inner.totals.completed;
     drop(inner);
     obj([
         ("type", Json::from("ok")),

@@ -7,7 +7,7 @@
 
 use flowdroid_service::{
     AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, JobResult,
-    Listen, Priority, Request, Submitted,
+    Json, Listen, Priority, Request, Submitted,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -43,6 +43,12 @@ fn spawn_daemon_capped(
     (addr, handle)
 }
 
+/// The state of job `id` in a `stats` reply, while the daemon holds it.
+fn job_state(stats: &Json, id: u64) -> Option<&str> {
+    let jobs = stats.get("jobs")?.as_arr()?;
+    jobs.iter().find(|j| j.u64_field("job") == Some(id))?.str_field("state")
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("flowdroid-svc-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -74,7 +80,8 @@ fn cold_then_warm_job_replays_cached_callgraph() {
     assert_eq!(stats.u64_field("callgraph_cache_misses"), Some(1));
     // One per-app entry: the prepared job, holding the setup.
     assert_eq!(stats.u64_field("prepared_cache_entries"), Some(1));
-    assert_eq!(stats.get("jobs").unwrap().as_arr().unwrap().len(), 2);
+    // Both results were delivered, so the registry holds neither job.
+    assert_eq!(stats.get("jobs").unwrap().as_arr().unwrap().len(), 0);
 
     c2.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
@@ -178,9 +185,7 @@ fn cancel_from_second_connection_stops_inflight_job() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = b.stats().expect("stats");
-        let jobs = stats.get("jobs").unwrap().as_arr().unwrap();
-        let state = jobs[(id - 1) as usize].str_field("state").unwrap().to_string();
-        if state != "queued" {
+        if job_state(&stats, id).expect("job in flight") != "queued" {
             break;
         }
         assert!(Instant::now() < deadline, "job never started running");
@@ -262,8 +267,7 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = b.stats().expect("stats");
-        let jobs = stats.get("jobs").unwrap().as_arr().unwrap();
-        if jobs[(id - 1) as usize].str_field("state") == Some("running") {
+        if job_state(&stats, id) == Some("running") {
             break;
         }
         assert!(Instant::now() < deadline, "job never started running");
@@ -498,6 +502,50 @@ fn cancel_storm_drains_cleanly_with_reconciled_counters() {
     daemon.join().expect("accept loop exits cleanly");
 }
 
+/// A long-running daemon keeps no record of delivered jobs: the `stats`
+/// reply after 200 more sequential jobs is no longer than after 5 (each
+/// number counted as one digit, since counters grow), and a delivered
+/// job's id still answers `cancel` with `done`.
+#[test]
+fn registry_forgets_delivered_jobs() {
+    let (addr, daemon) = spawn_daemon_capped(None, 1, 0);
+    let mut c = Client::connect(&addr).expect("connect");
+    let run = |c: &mut Client, n: usize| {
+        for _ in 0..n {
+            let (_, r) = c.analyze("stress/5", None, None).expect("job");
+            assert_eq!(r.leaks, 1);
+        }
+    };
+    let size = |stats: &Json| {
+        let mut line = String::new();
+        for ch in stats.to_line().chars() {
+            if !(ch.is_ascii_digit() && line.ends_with(|p: char| p.is_ascii_digit())) {
+                line.push(ch);
+            }
+        }
+        line.len()
+    };
+    run(&mut c, 5);
+    let after_5 = c.stats().expect("stats");
+    run(&mut c, 200);
+    let after_205 = c.stats().expect("stats");
+    assert_eq!(after_205.u64_field("completed"), Some(205));
+    assert_eq!(after_205.get("jobs").unwrap().as_arr().unwrap().len(), 0);
+    assert!(
+        size(&after_205) <= size(&after_5),
+        "stats grew with delivered jobs: {} after 205 vs {} after 5",
+        after_205.to_line(),
+        after_5.to_line()
+    );
+    let ack = c.cancel(1).expect("cancel a delivered job");
+    assert_eq!(ack.str_field("state"), Some("done"));
+    let err = c.cancel(206).expect_err("an id never issued is unknown");
+    assert!(err.to_string().contains("unknown job 206"), "{err}");
+
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("accept loop exits cleanly");
+}
+
 /// With one worker pinned by a long job, a later `high` submission must
 /// start before an earlier `batch` one: the dequeue order follows the
 /// priority lanes, not arrival order. The order is read from the
@@ -516,8 +564,7 @@ fn high_priority_overtakes_batch_in_the_queue() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let stats = s.stats().expect("stats");
-        let jobs = stats.get("jobs").unwrap().as_arr().unwrap();
-        if jobs[(pin_id - 1) as usize].str_field("state") == Some("running") {
+        if job_state(&stats, pin_id) == Some("running") {
             break;
         }
         assert!(Instant::now() < deadline, "pin job never started");

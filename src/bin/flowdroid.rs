@@ -26,6 +26,7 @@
 
 use flowdroid::android::{install_platform, CallbackAssociation};
 use flowdroid::prelude::*;
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -174,28 +175,10 @@ fn analyze(args: &[String]) -> ExitCode {
 
     let mut program = Program::new();
     let platform = install_platform(&mut program);
-    let path = Path::new(target);
-    let app = if path.is_dir() {
-        flowdroid::frontend::App::from_dir(&mut program, path)
-    } else {
-        match std::fs::read(path) {
-            Ok(bytes) => match Archive::from_bytes(&bytes) {
-                Ok(archive) => flowdroid::frontend::App::from_archive(&mut program, &archive),
-                Err(e) => {
-                    eprintln!("{target}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("{target}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let app = match app {
+    let app = match load_app(target, &mut program) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("{target}: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
@@ -331,6 +314,7 @@ fn client(args: &[String]) -> ExitCode {
         eprintln!("client: {e}");
         ExitCode::FAILURE
     };
+    let mut out = ClientOut::default();
     match op.as_str() {
         "analyze" => {
             let Some(app) = args.get(2) else {
@@ -398,12 +382,10 @@ fn client(args: &[String]) -> ExitCode {
             // scripts learn the job id while the job runs, and with
             // --stream every `progress`/`leak` frame is printed as it
             // lands, ahead of the terminal `result` line.
-            use std::io::Write as _;
             loop {
                 match c.read_response() {
                     Ok(v) => {
-                        println!("{}", v.to_line());
-                        let _ = std::io::stdout().flush();
+                        out.line(&v.to_line());
                         match v.str_field("type") {
                             Some("result") => {
                                 return if v.bool_field("aborted") == Some(true) {
@@ -439,7 +421,7 @@ fn client(args: &[String]) -> ExitCode {
             };
             match c.cancel(job) {
                 Ok(v) => {
-                    println!("{}", v.to_line());
+                    out.line(&v.to_line());
                     ExitCode::SUCCESS
                 }
                 Err(e) => fail(e),
@@ -448,9 +430,9 @@ fn client(args: &[String]) -> ExitCode {
         "stats" => match c.stats() {
             Ok(v) => {
                 // Raw line first: scripts grep it for exact fields.
-                println!("{}", v.to_line());
+                out.line(&v.to_line());
                 let f = |name| v.u64_field(name).unwrap_or(0);
-                println!(
+                out.line(&format!(
                     "per-app cache: {} resident, prepared {} hit(s) / {} miss(es) / \
                      {} eviction(s), callgraph setup {} replayed / {} built",
                     f("prepared_cache_entries"),
@@ -459,19 +441,19 @@ fn client(args: &[String]) -> ExitCode {
                     f("prepared_cache_evictions"),
                     f("callgraph_cache_hits"),
                     f("callgraph_cache_misses"),
-                );
-                println!(
+                ));
+                out.line(&format!(
                     "platform clone: {}us total across {} completed job(s)",
                     f("platform_clone_us"),
                     f("completed"),
-                );
+                ));
                 ExitCode::SUCCESS
             }
             Err(e) => fail(e),
         },
         "shutdown" => match c.shutdown() {
             Ok(v) => {
-                println!("{}", v.to_line());
+                out.line(&v.to_line());
                 ExitCode::SUCCESS
             }
             Err(e) => fail(e),
@@ -479,6 +461,30 @@ fn client(args: &[String]) -> ExitCode {
         other => {
             eprintln!("client: unknown request `{other}` (analyze, cancel, stats, shutdown)");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// The client's stdout. Each line is flushed as it is written, so a
+/// script sees a job's `queued` line while the job runs. Once stdout is
+/// closed (`flowdroid client <addr> stats | head -1`), later lines are
+/// dropped without a word: the exit code stays the request's own.
+#[derive(Default)]
+struct ClientOut {
+    closed: bool,
+}
+
+impl ClientOut {
+    fn line(&mut self, text: &str) {
+        if self.closed {
+            return;
+        }
+        let mut stdout = std::io::stdout().lock();
+        if let Err(e) = writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("client: {e}");
+            }
+            self.closed = true;
         }
     }
 }

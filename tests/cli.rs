@@ -1,5 +1,6 @@
 //! Integration tests for the `flowdroid` CLI binary: pack, disas and
-//! analyze round trips on a temporary app directory.
+//! analyze round trips on a temporary app directory, and the client
+//! against a `serve` child.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -132,4 +133,39 @@ fn bad_arguments_fail_cleanly() {
     assert_eq!(out.status.code(), Some(1));
     let out = bin().output().unwrap();
     assert_eq!(out.status.code(), Some(0), "bare invocation prints usage");
+}
+
+/// A pipeline stage that quits early (`flowdroid client <addr> stats |
+/// head -1`) closes the client's stdout. The client must stop writing
+/// quietly: no panic, nothing on stderr, and the request's usual exit
+/// code.
+#[test]
+fn client_stops_quietly_on_a_closed_stdout() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut serve = bin()
+        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut banner = String::new();
+    BufReader::new(serve.stdout.take().expect("serve stdout"))
+        .read_line(&mut banner)
+        .expect("read banner");
+    let addr = banner.trim().strip_prefix("listening on ").expect("listening banner").to_string();
+
+    // The read end is closed before the client starts, so its first
+    // write fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let stats = bin().args(["client", &addr, "stats"]).stdout(writer).output();
+    // Stop the daemon before asserting, so a failure leaves no child.
+    let shutdown = bin().args(["client", &addr, "shutdown"]).output().expect("shutdown");
+    assert!(shutdown.status.success());
+    assert!(serve.wait().expect("serve exits").success());
+
+    let stats = stats.expect("run client");
+    let stderr = String::from_utf8_lossy(&stats.stderr);
+    assert!(stderr.is_empty(), "client wrote to stderr: {stderr}");
+    assert_eq!(stats.status.code(), Some(0), "stats keeps its exit code");
 }
