@@ -62,16 +62,18 @@
 //! [`Interner`] and stores fact sets as bitset rows: popped edges are
 //! resolved to real [`Fact`]s once per statement visit, and each
 //! produced fact is interned once before fan-out to successors / return
-//! sites — or not at all when it is the popped fact itself. Statements
-//! are numbered densely once per solve ([`StmtNumbering`]), so finding
-//! an edge's row is two index lookups.
+//! sites — or not at all when it is the popped fact itself. Path edges
+//! are kept fact-major, one dense row per (method, fact) with a slot
+//! per statement, so a walk — one fact in one method — looks its row
+//! up once.
 //!
 //! Propagating an edge allocates nothing in the steady state: CFG
 //! edges are borrowed from the method bodies, flow functions refill
 //! buffers the solver owns, a walk reuses one stack, and the provenance
 //! that is recorded lives in one arena (`Provenance`). One walk step is
-//! a row lookup, an 8-byte slot write and a statement check. What
-//! remains is table growth, amortized.
+//! an 8-byte slot write into the walk's row and a statement check.
+//! What remains is table growth: a row is allocated once, at its
+//! method's length.
 
 use crate::config::InfoflowConfig;
 use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, ReachCache};
@@ -81,13 +83,12 @@ use crate::sourcesink::SourceSinkManager;
 use crate::taint::{Fact, Taint};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
-use flowdroid_ifds::{AbortReason, StmtNumbering, Tabulator};
+use flowdroid_ifds::{AbortReason, Tabulator};
 use flowdroid_ir::{
     Body, FxHashMap, FxHashSet, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtIdx,
     StmtRef,
 };
 use std::collections::hash_map::Entry;
-use std::sync::Arc;
 
 /// Edges popped between [`AbortHandle`] polls in the sequential loop.
 const ABORT_CHECK_EVERY: usize = 128;
@@ -233,14 +234,12 @@ impl<'a> BiSolver<'a> {
         config: &'a InfoflowConfig,
     ) -> Self {
         let flows = Flows::new(icfg, sources, wrapper, config);
-        let numbering = Arc::new(StmtNumbering::new(
-            icfg.callgraph().reachable_methods().iter().map(|&m| (m, icfg.body_len(m))),
-        ));
+        let methods = || icfg.callgraph().reachable_methods().iter().map(|&m| (m, icfg.body_len(m)));
         BiSolver {
             flows,
             interner: Interner::with_bound(config.max_access_path_length),
-            fw: Tabulator::new(Arc::clone(&numbering)),
-            bw: Tabulator::new(numbering),
+            fw: Tabulator::new(methods()),
+            bw: Tabulator::new(methods()),
             leaks: Vec::new(),
             preds: Provenance::default(),
             fw_unprocessed: FxHashSet::default(),
@@ -496,12 +495,13 @@ impl<'a> BiSolver<'a> {
     /// Only a generated fact (`d` ≠ `d2`) offers its first step's
     /// origin; every step of an identity flow is left for
     /// [`Self::identity_origins`] to rebuild. A walk never leaves `n`'s
-    /// method, so it looks the body up once and steps by statement
-    /// index.
+    /// method and keeps its fact, so it looks the body and the path-edge
+    /// row up once and steps by statement index.
     fn fw_walk(&mut self, d1: FactId, (n, d2): Node, (succ, d): Node, df: &Fact) {
         let budget = self.config().max_propagations;
         let m = n.method;
         let body = self.body(m);
+        let row = self.fw.row(m, d);
         let at = |idx| StmtRef::new(m, idx);
         let mut stack = std::mem::take(&mut self.buf.walk);
         if d2 == d {
@@ -515,7 +515,7 @@ impl<'a> BiSolver<'a> {
             if from != OFFERED {
                 self.note_offer((s, d), Some((at(from), d)));
             }
-            if !self.fw.insert(d1, s, d) {
+            if !self.fw.insert_in(row, idx, d1) {
                 continue;
             }
             if budget > 0 && self.fw.propagation_count() > budget {
@@ -805,6 +805,7 @@ impl<'a> BiSolver<'a> {
     fn bw_walk(&mut self, d1: FactId, origin: Node, (n, d): Node, df: &Fact) {
         let m = n.method;
         let body = self.body(m);
+        let row = self.bw.row(m, d);
         let at = |idx| StmtRef::new(m, idx);
         let identity = origin == (n, d);
         let mut stack = std::mem::take(&mut self.buf.walk);
@@ -821,7 +822,7 @@ impl<'a> BiSolver<'a> {
             if from != OFFERED {
                 self.note_offer((s, d), Some((at(from), d)));
             }
-            if !self.bw.insert(d1, s, d) {
+            if !self.bw.insert_in(row, idx, d1) {
                 continue;
             }
             if bw_walks_through(body, idx, df) {

@@ -1,15 +1,15 @@
 //! The fact-id-indexed tables behind a [`crate::Tabulator`].
 //!
 //! A tabulator stores three relations per direction: path edges
-//! (`n → d2 → {d1}`), incoming call contexts and end summaries
-//! (`callee → fact → {(stmt, fact)}`). Facts are dense indices
-//! ([`Idx`]), i.e. interned fact ids, so the inner sets are laid out by
-//! fact id:
+//! (`(method, d2) → statement → {d1}`), incoming call contexts and end
+//! summaries (`callee → fact → {(stmt, fact)}`). Facts are dense
+//! indices ([`Idx`]), i.e. interned fact ids, so the inner sets are
+//! laid out by fact id:
 //!
-//! * [`SlotRel`] — the path-edge relation of one statement: one 8-byte
-//!   slot per `d2` that holds a lone `d1` inline (almost every IFDS node
-//!   has exactly one) and spills to a [`HybridBitSet`] from
-//!   `flowdroid-bitset` on the second.
+//! * [`SlotRel`] — the path-edge row of one fact in one method: one
+//!   8-byte slot per statement that holds a lone `d1` inline (almost
+//!   every IFDS node has exactly one) and spills to a [`HybridBitSet`]
+//!   from `flowdroid-bitset` on the second.
 //! * [`BitPairs`] — an incoming or summary set: site-sorted hybrid rows.
 //!
 //! Small rows cost no heap allocation; hot rows promote to dense words
@@ -21,12 +21,14 @@ use flowdroid_ir::StmtRef;
 
 /// Density and promotion counters for one tabulator's tables.
 ///
-/// `rows` counts the table rows ever touched, `dense_rows` the hybrid
-/// rows that promoted past the sparse threshold and `dense_words` the
-/// `u64` words backing them.
+/// `rows` counts the rows ever touched: one per path-edge node
+/// `(statement, fact)` and one per incoming or summary site.
+/// `dense_rows` counts the hybrid rows that promoted past the sparse
+/// threshold and `dense_words` the `u64` words backing them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TableStats {
-    /// Hybrid set rows ever touched (edge rows + incoming/summary sets).
+    /// Rows ever touched: path-edge `(statement, fact)` nodes plus
+    /// incoming/summary sites.
     pub rows: u64,
     /// Rows still in the inline sparse representation.
     pub sparse_rows: u64,
@@ -97,7 +99,7 @@ impl TableStats {
     }
 }
 
-/// One `d2`'s entry in a [`SlotRel`].
+/// One statement's entry in a [`SlotRel`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Slot {
     /// No `d1` recorded.
@@ -116,44 +118,44 @@ const _: () = assert!(std::mem::size_of::<Slot>() == 8);
 /// An inline slot's [`TableStats`] shape: one sparse row, no words.
 const INLINE: Shape = Some((false, 0));
 
-/// The bitset path-edge relation `d2 → {d1}` of one statement: a slot
-/// per fact id up to the highest `d2` seen, each at most 8 bytes.
+/// The path-edge row of one fact `d2` in one method: statement index →
+/// `{d1}`, a slot per statement of the method, each 8 bytes. A row is
+/// sized once, when it is created, and never grows.
 ///
 /// Nearly every `(statement, d2)` node is reached from exactly one
 /// `d1`, so a slot holds that `d1` inline; the second distinct `d1`
-/// spills the row to a [`HybridBitSet`] in the relation's own arena.
-/// For [`TableStats`] an inline slot is one sparse row with no words
-/// and a spilled row counts by its hybrid set's shape, so the counts
-/// equal those of one hybrid set per row.
+/// spills the slot to a [`HybridBitSet`] in the row's own arena. For
+/// [`TableStats`] an inline slot is one sparse row with no words and a
+/// spilled slot counts by its hybrid set's shape, so the counts equal
+/// those of one hybrid set per node.
 #[derive(Clone, Debug)]
 pub struct SlotRel<F: Idx> {
-    slots: Vec<Slot>,
+    slots: Box<[Slot]>,
     spilled: Vec<HybridBitSet<F>>,
 }
 
-impl<F: Idx> Default for SlotRel<F> {
-    fn default() -> Self {
-        SlotRel { slots: Vec::new(), spilled: Vec::new() }
-    }
-}
-
 impl<F: Idx> SlotRel<F> {
-    fn slot(&self, d2: F) -> Slot {
-        self.slots.get(d2.index()).copied().unwrap_or_default()
+    /// An empty row over `len` statements.
+    pub fn new(len: usize) -> Self {
+        SlotRel { slots: vec![Slot::Empty; len].into_boxed_slice(), spilled: Vec::new() }
     }
 
-    /// Records `(d2, d1)`; returns `true` if it was not already present.
-    /// A row the insert creates, promotes or widens is counted into
-    /// `stats`, which must hold this relation's counts so far.
-    pub fn insert(&mut self, d2: F, d1: F, stats: &mut TableStats) -> bool {
-        let i = d2.index();
-        if i >= self.slots.len() {
-            self.slots.resize(i + 1, Slot::Empty);
-        }
+    /// Records `d1` at statement `idx`; returns `true` if it was not
+    /// already present. A node the insert creates, promotes or widens is
+    /// counted into `stats`, which must hold this row's counts so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is past the row's statements.
+    pub fn insert(&mut self, idx: usize, d1: F, stats: &mut TableStats) -> bool {
+        let len = self.slots.len();
+        let Some(slot) = self.slots.get_mut(idx) else {
+            panic!("statement {idx} is past the {len} statements of its method")
+        };
         let raw = d1.index() as u32;
-        match self.slots[i] {
+        match *slot {
             Slot::Empty => {
-                self.slots[i] = Slot::One(raw);
+                *slot = Slot::One(raw);
                 stats.add_shape(INLINE);
                 true
             }
@@ -164,7 +166,7 @@ impl<F: Idx> SlotRel<F> {
                 let mut set = HybridBitSet::new();
                 set.insert(F::from_index(only as usize));
                 set.insert(d1);
-                self.slots[i] = Slot::Many(self.spilled.len() as u32);
+                *slot = Slot::Many(self.spilled.len() as u32);
                 self.spilled.push(set);
                 true
             }
@@ -180,21 +182,21 @@ impl<F: Idx> SlotRel<F> {
         }
     }
 
-    /// Whether some `(d2, ·)` is recorded.
-    pub fn has_key(&self, d2: F) -> bool {
-        self.slot(d2) != Slot::Empty
+    /// Whether some `d1` is recorded at statement `idx`.
+    pub fn has_key(&self, idx: usize) -> bool {
+        self.slots[idx] != Slot::Empty
     }
 
-    /// All `d1` recorded for `d2`, ascending.
-    pub fn d1s(&self, d2: F) -> Vec<F> {
-        match self.slot(d2) {
+    /// All `d1` recorded at statement `idx`, ascending.
+    pub fn d1s(&self, idx: usize) -> Vec<F> {
+        match self.slots[idx] {
             Slot::Empty => Vec::new(),
             Slot::One(only) => vec![F::from_index(only as usize)],
             Slot::Many(k) => self.spilled[k as usize].iter().collect(),
         }
     }
 
-    /// Accumulates density counters by sweeping every row: the
+    /// Accumulates density counters by sweeping every slot: the
     /// reference the insert-time counts must equal.
     pub fn collect_stats(&self, stats: &mut TableStats) {
         for slot in &self.slots {
@@ -270,20 +272,20 @@ mod tests {
     #[test]
     fn bitset_stats_count_rows() {
         use flowdroid_bitset::SPARSE_MAX;
-        let mut br: SlotRel<u32> = Default::default();
+        let mut br: SlotRel<u32> = SlotRel::new(6);
         let mut counted = TableStats::default();
-        let mut step = |br: &mut SlotRel<u32>, d2: u32, d1: u32| {
-            br.insert(d2, d1, &mut counted);
+        let mut step = |br: &mut SlotRel<u32>, idx: usize, d1: u32| {
+            br.insert(idx, d1, &mut counted);
             let mut swept = TableStats::default();
             br.collect_stats(&mut swept);
-            assert_eq!(counted, swept, "after ({d2}, {d1})");
+            assert_eq!(counted, swept, "after ({idx}, {d1})");
             (counted.rows, counted.sparse_rows, counted.dense_rows, counted.dense_words)
         };
         // Empty → inline: one sparse row with no words.
         assert_eq!(step(&mut br, 5, 40), (1, 1, 0, 0));
         // Inline → spilled: still one sparse row.
         assert_eq!(step(&mut br, 5, 3), (1, 1, 0, 0));
-        // A second row stays inline beside the spilled one.
+        // A second node stays inline beside the spilled one.
         assert_eq!(step(&mut br, 1, 0), (2, 2, 0, 0));
         for d1 in 10..10 + SPARSE_MAX as u32 - 2 {
             step(&mut br, 5, d1);

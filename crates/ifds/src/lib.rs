@@ -14,9 +14,10 @@
 //! applies no flow functions itself: the FlowDroid core drives two of
 //! them *manually* to interleave its forward taint and backward alias
 //! solvers (Algorithms 1 and 2 of the paper). Facts are dense indices
-//! (interned fact ids), stored in the fact-id-indexed tables of
-//! [`factset`]; statements are numbered densely per solve
-//! ([`StmtNumbering`]), so a path edge's row is found without hashing.
+//! (interned fact ids), stored in the tables of [`factset`]. Path edges
+//! are kept fact-major: one dense [`Row`] per (method, fact), a slot per
+//! statement, so a walk of one fact down a method looks its row up once
+//! and then writes by statement index.
 
 mod abort;
 pub mod factset;
@@ -24,4 +25,4 @@ mod tabulator;
 
 pub use abort::{AbortHandle, AbortReason};
 pub use factset::TableStats;
-pub use tabulator::{PathEdge, StmtNumbering, Tabulator};
+pub use tabulator::{PathEdge, Row, Tabulator};

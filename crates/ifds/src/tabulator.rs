@@ -3,10 +3,9 @@
 
 use crate::factset::{BitPairs, SlotRel, TableStats};
 use flowdroid_bitset::Idx;
-use flowdroid_ir::{FxHashMap, MethodId, StmtRef};
+use flowdroid_ir::{FxHashMap, MethodId, StmtIdx, StmtRef};
 use std::collections::VecDeque;
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// A path edge `⟨sp, d1⟩ → ⟨n, d2⟩`.
 ///
@@ -24,87 +23,37 @@ pub struct PathEdge<F> {
     pub d2: F,
 }
 
-/// Marks a method outside a [`StmtNumbering`] and a statement without a
-/// path-edge row.
+/// Marks a method whose statements no path edge may target.
 const NONE: u32 = u32::MAX;
 
-/// A dense numbering of the statements of a fixed set of methods: each
-/// method's statements take consecutive numbers from the method's
-/// offset on. A solve builds one over its reachable methods, so a
-/// statement's path-edge row is found by two index lookups instead of a
-/// hash.
-#[derive(Debug, Default)]
-pub struct StmtNumbering {
-    /// Method index → number of its first statement, or `NONE`.
-    offsets: Vec<u32>,
-    /// Statements numbered.
-    len: u32,
-}
-
-impl StmtNumbering {
-    /// Numbers the statements of `methods`, given as (method, statement
-    /// count) pairs; a method listed twice keeps its first offset.
-    pub fn new(methods: impl IntoIterator<Item = (MethodId, usize)>) -> Self {
-        let mut numbering = StmtNumbering::default();
-        for (m, stmts) in methods {
-            let i = m.index();
-            if i >= numbering.offsets.len() {
-                numbering.offsets.resize(i + 1, NONE);
-            }
-            if numbering.offsets[i] == NONE {
-                numbering.offsets[i] = numbering.len;
-                numbering.len = u32::try_from(stmts)
-                    .ok()
-                    .and_then(|n| numbering.len.checked_add(n))
-                    .filter(|&end| end != NONE)
-                    .expect("statement numbering overflow");
-            }
-        }
-        numbering
-    }
-
-    /// Statements numbered.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether no statement is numbered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The number of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n`'s method is not numbered. An index past the
-    /// method's statement count aliases a later method's statement.
-    pub fn number(&self, n: StmtRef) -> usize {
-        match self.offsets.get(n.method.index()) {
-            Some(&off) if off != NONE => off as usize + n.idx,
-            _ => panic!("{:?} is outside the statement numbering", n.method),
-        }
-    }
-}
+/// A path-edge row of a [`Tabulator`]: every edge targeting one fact
+/// `d2` in one method, by statement index. [`Tabulator::row`] looks it
+/// up, so a walk that keeps its fact and method finds it once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Row(u32);
 
 /// Worklist, path-edge table, end summaries and incoming sets for one
 /// IFDS solver instance.
 ///
-/// Facts are dense indices (interned fact ids). Path edges are kept per
-/// statement of a [`StmtNumbering`]: each statement holds a 4-byte row
-/// id into an arena of [`SlotRel`]s, which gains a row the first time
-/// the statement is touched. Callee and entry-fact keys are Fx-hashed,
-/// with [`BitPairs`] sets inside.
+/// Facts are dense indices (interned fact ids). Path edges are kept
+/// fact-major: one [`SlotRel`] row per `(method, d2)`, found through
+/// one hash lookup, with a slot per statement of the method. A row is
+/// sized to its method's statement count when it is created, so a
+/// walk of one fact down a method writes into one row and never grows
+/// it. Callee and entry-fact keys are Fx-hashed, with [`BitPairs`]
+/// sets inside.
 ///
 /// The FlowDroid bidirectional analysis drives two of them manually so
 /// it can hand edges from one to the other (context injection).
 pub struct Tabulator<F: Idx> {
     worklist: VecDeque<PathEdge<F>>,
-    numbering: Arc<StmtNumbering>,
-    /// Statement number → index of its row in `rels`, or `NONE`.
-    rows: Vec<u32>,
-    /// d2 → set of d1 for all recorded path edges, one row per touched
-    /// statement.
+    /// Method index → statement count, or `NONE` for a method no path
+    /// edge may target.
+    stmt_counts: Vec<u32>,
+    /// (method, d2) → index of its row in `rels`.
+    rows: FxHashMap<(MethodId, F), u32>,
+    /// Statement → set of d1 for all recorded path edges, one row per
+    /// touched (method, d2).
     rels: Vec<SlotRel<F>>,
     /// callee → d1-at-entry → exit facts (exit stmt, d2-at-exit).
     end_summaries: FxHashMap<MethodId, FxHashMap<F, BitPairs<F>>>,
@@ -120,12 +69,23 @@ pub struct Tabulator<F: Idx> {
 
 impl<F: Idx + Hash> Tabulator<F> {
     /// Creates an empty tabulator whose path edges may target the
-    /// statements of `numbering`.
-    pub fn new(numbering: Arc<StmtNumbering>) -> Self {
+    /// statements of `methods`, given as (method, statement count)
+    /// pairs.
+    pub fn new(methods: impl IntoIterator<Item = (MethodId, usize)>) -> Self {
+        let mut stmt_counts = Vec::new();
+        for (m, stmts) in methods {
+            if m.index() >= stmt_counts.len() {
+                stmt_counts.resize(m.index() + 1, NONE);
+            }
+            stmt_counts[m.index()] = u32::try_from(stmts)
+                .ok()
+                .filter(|&n| n != NONE)
+                .expect("statement count overflow");
+        }
         Self {
             worklist: VecDeque::new(),
-            rows: vec![NONE; numbering.len()],
-            numbering,
+            stmt_counts,
+            rows: FxHashMap::default(),
             rels: Vec::new(),
             end_summaries: FxHashMap::default(),
             incoming: FxHashMap::default(),
@@ -135,24 +95,47 @@ impl<F: Idx + Hash> Tabulator<F> {
         }
     }
 
+    /// The path-edge row of `d2` in `m`, created empty — sized to `m`'s
+    /// statement count — if no edge targets it yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is not one of the tabulator's methods.
+    pub fn row(&mut self, m: MethodId, d2: F) -> Row {
+        let (stmt_counts, rels) = (&self.stmt_counts, &mut self.rels);
+        let row = *self.rows.entry((m, d2)).or_insert_with(|| {
+            let len = match stmt_counts.get(m.index()) {
+                Some(&len) if len != NONE => len,
+                _ => panic!("{m:?} is not a tabulated method"),
+            };
+            let row = u32::try_from(rels.len()).expect("path-edge row overflow");
+            rels.push(SlotRel::new(len as usize));
+            row
+        });
+        Row(row)
+    }
+
+    /// Records the path edge `⟨·, d1⟩ → ⟨n, d2⟩` in `d2`'s row of `n`'s
+    /// method, given as `row`, and statement index `idx` of `n`, without
+    /// scheduling it. Returns `true` if the edge was new, like
+    /// [`Tabulator::insert`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is past the method's statements.
+    pub fn insert_in(&mut self, row: Row, idx: StmtIdx, d1: F) -> bool {
+        let inserted = self.rels[row.0 as usize].insert(idx, d1, &mut self.stats);
+        self.propagation_count += u64::from(inserted);
+        inserted
+    }
+
     /// Records the path edge `⟨·, d1⟩ → ⟨n, d2⟩` without scheduling it.
     /// Returns `true` if the edge was new; a new edge counts as a
     /// propagation. A solver that records an edge this way either
     /// handles it itself or passes it to [`Tabulator::enqueue`].
     pub fn insert(&mut self, d1: F, n: StmtRef, d2: F) -> bool {
-        let at = self.numbering.number(n);
-        let mut row = self.rows[at];
-        if row == NONE {
-            row = u32::try_from(self.rels.len())
-                .ok()
-                .filter(|&r| r != NONE)
-                .expect("path-edge row overflow");
-            self.rows[at] = row;
-            self.rels.push(SlotRel::default());
-        }
-        let inserted = self.rels[row as usize].insert(d2, d1, &mut self.stats);
-        self.propagation_count += u64::from(inserted);
-        inserted
+        let row = self.row(n.method, d2);
+        self.insert_in(row, n.idx, d1)
     }
 
     /// Schedules the recorded edge `⟨·, d1⟩ → ⟨n, d2⟩` for processing.
@@ -183,22 +166,21 @@ impl<F: Idx + Hash> Tabulator<F> {
         self.worklist.iter()
     }
 
-    /// The path-edge row of `n`, if some edge targets it.
-    fn rel(&self, n: StmtRef) -> Option<&SlotRel<F>> {
-        let row = self.rows[self.numbering.number(n)];
-        (row != NONE).then(|| &self.rels[row as usize])
+    /// The path-edge row of `d2` in `m`, if some edge targets it.
+    fn rel(&self, m: MethodId, d2: F) -> Option<&SlotRel<F>> {
+        self.rows.get(&(m, d2)).map(|&row| &self.rels[row as usize])
     }
 
     /// All source facts `d1` of path edges targeting `(n, d2)`. The
     /// lookup borrows `d2`; only the returned facts are materialized.
     pub fn d1s_at(&self, n: StmtRef, d2: &F) -> Vec<F> {
-        self.rel(n).map(|rel| rel.d1s(*d2)).unwrap_or_default()
+        self.rel(n.method, *d2).map(|rel| rel.d1s(n.idx)).unwrap_or_default()
     }
 
     /// Returns `true` if some path edge targets `(n, d2)`, whatever its
     /// source fact. Allocates nothing.
     pub fn has_node(&self, n: StmtRef, d2: &F) -> bool {
-        self.rel(n).is_some_and(|rel| rel.has_key(*d2))
+        self.rel(n.method, *d2).is_some_and(|rel| rel.has_key(n.idx))
     }
 
     /// Records a call context: the callee was entered with `d3` from
@@ -258,9 +240,10 @@ impl<F: Idx + Hash> Tabulator<F> {
         self.stats
     }
 
-    /// The same counters by a sweep over every row.
-    #[cfg(test)]
-    fn swept_stats(&self) -> TableStats {
+    /// The counters of [`Tabulator::table_stats`] recounted by a sweep
+    /// over every row of every table: a check on the incremental
+    /// counts, at the cost of a pass over the tables.
+    pub fn swept_stats(&self) -> TableStats {
         let mut stats = TableStats::default();
         for rel in &self.rels {
             rel.collect_stats(&mut stats);
@@ -285,26 +268,37 @@ mod tests {
 
     /// A tabulator over one 16-statement method.
     fn tab() -> Tabulator<u32> {
-        Tabulator::new(Arc::new(StmtNumbering::new([(MethodId::from_index(0), 16)])))
+        Tabulator::new([(MethodId::from_index(0), 16)])
     }
 
     #[test]
-    fn numbering_is_dense_per_method() {
+    #[should_panic(expected = "is not a tabulated method")]
+    fn untabulated_method_panics() {
+        Tabulator::<u32>::new([(MethodId::from_index(2), 4)]).insert(0, sr(0), 1);
+    }
+
+    /// A statement index past its method's length does not reach
+    /// another method's statement: it panics.
+    #[test]
+    #[should_panic(expected = "statement 4 is past the 4 statements of its method")]
+    fn statement_past_its_method_panics() {
         let m = MethodId::from_index;
-        let numbering = StmtNumbering::new([(m(4), 3), (m(1), 5), (m(4), 9), (m(7), 0)]);
-        assert_eq!(numbering.len(), 8);
-        assert_eq!(numbering.number(StmtRef::new(m(4), 0)), 0);
-        assert_eq!(numbering.number(StmtRef::new(m(4), 2)), 2);
-        assert_eq!(numbering.number(StmtRef::new(m(1), 0)), 3);
-        assert_eq!(numbering.number(StmtRef::new(m(1), 4)), 7);
-        assert!(StmtNumbering::new([(m(7), 0)]).is_empty());
+        let mut t = Tabulator::<u32>::new([(m(0), 4), (m(1), 4)]);
+        t.insert(0, StmtRef::new(m(0), 4), 1);
     }
 
     #[test]
-    #[should_panic(expected = "outside the statement numbering")]
-    fn unnumbered_method_panics() {
-        let numbering = StmtNumbering::new([(MethodId::from_index(2), 4)]);
-        numbering.number(sr(0));
+    fn a_walk_writes_one_row() {
+        let mut t = tab();
+        let row = t.row(MethodId::from_index(0), 7);
+        assert_eq!(t.row(MethodId::from_index(0), 7), row);
+        assert!(t.insert_in(row, 1, 0));
+        assert!(t.insert_in(row, 2, 0));
+        assert!(!t.insert(0, sr(2), 7));
+        assert!(t.has_node(sr(1), &7) && t.has_node(sr(2), &7));
+        assert!(!t.has_node(sr(3), &7) && !t.has_node(sr(1), &8));
+        assert_eq!(t.propagation_count(), 2);
+        assert_eq!(t.table_stats().rows, 2, "two (statement, fact) nodes");
     }
 
     #[test]

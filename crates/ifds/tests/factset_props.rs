@@ -1,6 +1,6 @@
 //! Property tests for the tabulator's tables against `BTreeSet` models:
-//! the path-edge relation ([`SlotRel`]) against a
-//! `BTreeMap<d2, BTreeSet<d1>>`, and the incoming/summary pair set
+//! a path-edge row ([`SlotRel`]) against a
+//! `BTreeMap<statement, BTreeSet<d1>>`, and the incoming/summary pair set
 //! ([`BitPairs`]) against a `BTreeSet<(StmtRef, u32)>`.
 //!
 //! Whatever insertion sequence is thrown at them, the tables must
@@ -37,14 +37,17 @@ fn model_stats<'a>(rows: impl Iterator<Item = &'a BTreeSet<u32>>) -> TableStats 
     stats
 }
 
-/// Checks every query of `rel` against `model` over a probe universe
-/// wider than anything inserted.
+/// Statements of the row under test.
+const ROW_LEN: usize = 12;
+
+/// Checks every query of `rel` against `model` at every statement of
+/// the row, most of them never inserted into.
 fn assert_matches(rel: &SlotRel<u32>, model: &Model) {
-    for d2 in 0..12u32 {
-        let want = model.get(&d2);
-        assert_eq!(rel.has_key(d2), want.is_some(), "has_key({d2})");
+    for idx in 0..ROW_LEN {
+        let want = model.get(&(idx as u32));
+        assert_eq!(rel.has_key(idx), want.is_some(), "has_key({idx})");
         let d1s: Vec<u32> = want.map(|s| s.iter().copied().collect()).unwrap_or_default();
-        assert_eq!(rel.d1s(d2), d1s, "d1s({d2})");
+        assert_eq!(rel.d1s(idx), d1s, "d1s({idx})");
     }
 }
 
@@ -55,22 +58,22 @@ fn sr(i: u32) -> StmtRef {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Few keys and many inserts, so rows stay inline, spill, and go
-    /// dense within one case; ids past 64 widen dense rows.
+    /// Few statements and many inserts, so nodes stay inline, spill,
+    /// and go dense within one case; ids past 64 widen dense sets.
     #[test]
     fn slot_rel_matches_model(pairs in proptest::collection::vec((0u32..8, 0u32..200), 0..90)) {
-        let mut rel: SlotRel<u32> = SlotRel::default();
+        let mut rel: SlotRel<u32> = SlotRel::new(ROW_LEN);
         let mut model = Model::new();
         let mut counted = TableStats::default();
-        for &(d2, d1) in &pairs {
+        for &(idx, d1) in &pairs {
             prop_assert_eq!(
-                rel.insert(d2, d1, &mut counted),
-                model.entry(d2).or_default().insert(d1),
-                "insert({}, {}) novelty", d2, d1
+                rel.insert(idx as usize, d1, &mut counted),
+                model.entry(idx).or_default().insert(d1),
+                "insert({}, {}) novelty", idx, d1
             );
             let mut swept = TableStats::default();
             rel.collect_stats(&mut swept);
-            prop_assert_eq!(counted, swept, "counted stats after ({}, {})", d2, d1);
+            prop_assert_eq!(counted, swept, "counted stats after ({}, {})", idx, d1);
         }
         assert_matches(&rel, &model);
         prop_assert_eq!(counted, model_stats(model.values()));

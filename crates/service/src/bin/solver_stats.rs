@@ -19,8 +19,9 @@
 //! reports each rung's propagations, worklist pops (forward and
 //! backward), table rows, allocations, bytes, `dataflow_ms` and
 //! propagations per second. The binary exits non-zero if a rung
-//! requests more than 48 bytes per propagation; its timings are
-//! reported, not gated.
+//! requests more bytes per propagation than its bound in `LADDER`,
+//! or pops another number of forward edges than the rung pins; its
+//! timings are reported, not gated.
 //!
 //! The `demand-lazy` mode runs the corpus through the demand-driven
 //! frontend (platform snapshot clone + lazy method bodies); its report
@@ -193,12 +194,13 @@ fn measure(
 const PARALLEL_MODES: [(usize, &str); 3] =
     [(2, "parallel-2"), (4, "parallel-4"), (8, "parallel-8")];
 
-/// The scaling ladder's chain lengths. `stress/2000` (about 2 s of
-/// dataflow) stays out to keep the run short.
-const LADDER: [usize; 2] = [250, 1000];
-
-/// Bytes a ladder rung's solve may request per propagation.
-const LADDER_MAX_BYTES_PER_PROPAGATION: f64 = 48.0;
+/// The scaling ladder: each rung's chain length `k`, its forward pops
+/// (pinned: each local is popped where it is defined and where it is
+/// read, so 2k + 5) and the bytes its solve may request per
+/// propagation. A row per (method, fact), sized once, requests 25.2,
+/// 18.3 and 17.2 bytes; the statement-major table it replaced, whose
+/// rows grew slot by slot, requested 30.2, 23.7 and 22.7.
+const LADDER: [(usize, u64, f64); 3] = [(250, 505, 28.0), (1000, 2005, 21.0), (2000, 4005, 20.0)];
 
 /// One rung of the scaling ladder: a `stress/k` chain solved on its
 /// own, with allocations counted inside the taint analysis only
@@ -409,7 +411,7 @@ fn run_full(out_path: &str) {
 
     let ladder: Vec<Rung> = LADDER
         .iter()
-        .map(|&k| {
+        .map(|&(k, _, _)| {
             eprintln!("running ladder rung stress/{k} ...");
             measure_rung(k, &interned)
         })
@@ -481,16 +483,20 @@ fn run_full(out_path: &str) {
         eprintln!("FAIL: leak reports diverged across modes/thread counts");
         std::process::exit(1);
     }
-    for r in &ladder {
-        if r.bytes_per_propagation() > LADDER_MAX_BYTES_PER_PROPAGATION {
+    for (r, &(_, pops, max_bytes)) in ladder.iter().zip(&LADDER) {
+        if r.bytes_per_propagation() > max_bytes {
             eprintln!(
                 "FAIL: ladder rung {} requested {} bytes for {} propagations \
-                 ({:.1} per propagation, bound {LADDER_MAX_BYTES_PER_PROPAGATION})",
+                 ({:.1} per propagation, bound {max_bytes})",
                 r.job,
                 r.solve_allocated_bytes,
                 r.propagations(),
                 r.bytes_per_propagation()
             );
+            std::process::exit(1);
+        }
+        if r.forward_pops != pops {
+            eprintln!("FAIL: ladder rung {} popped {} forward edges, want {pops}", r.job, r.forward_pops);
             std::process::exit(1);
         }
     }

@@ -153,10 +153,12 @@ fn deadline_job_aborts_promptly_and_the_daemon_keeps_serving() {
     let (addr, daemon) = spawn_daemon();
     let mut c = Client::connect(&addr).expect("connect");
 
+    // Undeadlined, `stress/16000` solves in about 4.5 s in a release
+    // build on a 2-CPU x86-64 host: 15x the deadline.
     let start = Instant::now();
-    let (_, r) = c.analyze("stress/4000", Some(300), None).expect("deadline job");
+    let (_, r) = c.analyze("stress/16000", Some(300), None).expect("deadline job");
     let elapsed = start.elapsed();
-    assert!(r.aborted, "stress/4000 cannot finish in 300ms");
+    assert!(r.aborted, "stress/16000 cannot finish in 300ms");
     assert_eq!(r.abort_reason.as_deref(), Some("deadline"));
     // Deadline plus a generous bound on one batch-check interval.
     assert!(
@@ -255,12 +257,12 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     let accept_loop = std::thread::spawn(move || daemon.run().expect("daemon run"));
 
     // A job long enough that its deadline, not its fixpoint, ends it:
-    // undeadlined, `stress/12000` runs about 10 s in a release build on
-    // a 2-CPU x86-64 host, over 4x the deadline plus the unlink window
+    // undeadlined, `stress/16000` runs about 4.6 s in a release build on
+    // a 2-CPU x86-64 host, 3x the deadline and over 4x the unlink window
     // below. The socket must vanish well before the job ends.
     let mut a = Client::connect(&addr).expect("connection a");
     let id = a
-        .analyze_async("stress/12000", Some(JOB_DEADLINE_MS), None)
+        .analyze_async("stress/16000", Some(JOB_DEADLINE_MS), None)
         .expect("submit");
 
     let mut b = Client::connect(&addr).expect("connection b");

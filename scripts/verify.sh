@@ -8,9 +8,10 @@
 #             tests again in release (their timing-bound tests must
 #             hold at release speed too), the perfbench smoke
 #             test (perfbench is a package of its own, outside the
-#             workspace, so `--workspace` does not reach it) and the
+#             workspace, so `--workspace` does not reach it), the
 #             workspace rustdoc build and clippy on every target, both
-#             with warnings as errors
+#             with warnings as errors, and the formatting check
+#             (`cargo fmt --all -- --check` against `rustfmt.toml`)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,8 @@ if [[ "${1:-}" == "--full" ]]; then
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
     echo "== clippy (warnings are errors)"
     cargo clippy --workspace --all-targets --offline -- -D warnings
+    echo "== formatting (rustfmt.toml)"
+    cargo fmt --all -- --check
 fi
 
 # Snapshot the committed benchmark numbers before solver_stats
