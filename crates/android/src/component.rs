@@ -461,7 +461,8 @@ class com.ex.Off extends android.app.Activity {
     #[test]
     fn disabled_components_are_excluded() {
         let (mut p, platform, app) = load();
-        let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let model =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         assert_eq!(model.components.len(), 1);
         assert_eq!(p.class_name(model.components[0].class), "com.ex.Main");
     }
@@ -469,17 +470,18 @@ class com.ex.Off extends android.app.Activity {
     #[test]
     fn lifecycle_overrides_are_found() {
         let (mut p, platform, app) = load();
-        let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let model =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         let main = &model.components[0];
-        let names: Vec<_> =
-            main.lifecycle.iter().map(|&m| p.str(p.method(m).name())).collect();
+        let names: Vec<_> = main.lifecycle.iter().map(|&m| p.str(p.method(m).name())).collect();
         assert_eq!(names, vec!["onCreate"]);
     }
 
     #[test]
     fn xml_imperative_and_override_callbacks_are_discovered() {
         let (mut p, platform, app) = load();
-        let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let model =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         let main = &model.components[0];
         assert_eq!(main.layouts, vec!["main".to_owned()]);
         let cb_names: Vec<_> =
@@ -516,7 +518,8 @@ class c.B extends android.app.Activity {
 }
 "#;
         let app = App::from_parts(&mut p, manifest, &[], code).unwrap();
-        let per = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let per =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         assert!(per.components[1].callbacks.is_empty());
         let glob = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::Global);
         assert_eq!(glob.components[1].callbacks.len(), 1);
@@ -526,8 +529,7 @@ class c.B extends android.app.Activity {
     fn static_initializers_are_collected() {
         let mut p = Program::new();
         let platform = install_platform(&mut p);
-        let manifest =
-            r#"<manifest package="c"><application><activity android:name=".A"/></application></manifest>"#;
+        let manifest = r#"<manifest package="c"><application><activity android:name=".A"/></application></manifest>"#;
         let code = r#"
 class c.A extends android.app.Activity {
   static field s: java.lang.String
@@ -539,7 +541,8 @@ class c.A extends android.app.Activity {
 }
 "#;
         let app = App::from_parts(&mut p, manifest, &[], code).unwrap();
-        let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let model =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         assert_eq!(model.static_initializers.len(), 1);
     }
 }

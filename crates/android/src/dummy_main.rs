@@ -111,22 +111,18 @@ fn emit_lifecycle_call(
     let (params, ret, cname) = {
         let p = b.program();
         let md = p.method(m);
-        (
-            md.subsig().params.clone(),
-            md.subsig().ret.clone(),
-            p.class_name(comp.class).to_owned(),
-        )
+        (md.subsig().params.clone(), md.subsig().ret.clone(), p.class_name(comp.class).to_owned())
     };
     let args: Vec<Operand> = params.iter().map(default_arg).collect();
     b.call_virtual(None, instance, &cname, name, params, ret, args);
 }
 
-fn lifecycle_by_name(b: &mut MethodBuilder<'_>, comp: &ComponentModel) -> FxHashMap<String, MethodId> {
+fn lifecycle_by_name(
+    b: &mut MethodBuilder<'_>,
+    comp: &ComponentModel,
+) -> FxHashMap<String, MethodId> {
     let p = b.program();
-    comp.lifecycle
-        .iter()
-        .map(|&m| (p.str(p.method(m).name()).to_owned(), m))
-        .collect()
+    comp.lifecycle.iter().map(|&m| (p.str(p.method(m).name()).to_owned(), m)).collect()
 }
 
 /// Emits the running-phase callback loop: each callback can fire any
@@ -272,8 +268,7 @@ class com.ex.Work extends android.app.Service {
 }
 "#;
 
-    const LAYOUT: &str =
-        r#"<L><Button android:id="@+id/b" android:onClick="sendMessage"/></L>"#;
+    const LAYOUT: &str = r#"<L><Button android:id="@+id/b" android:onClick="sendMessage"/></L>"#;
 
     const CODE_WITH_LAYOUT: &str = r#"
 class com.ex.Main extends android.app.Activity {
@@ -294,7 +289,8 @@ class com.ex.Work extends android.app.Service {
         let mut p = Program::new();
         let platform = install_platform(&mut p);
         let app = App::from_parts(&mut p, MANIFEST, &[], CODE).unwrap();
-        let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let model =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         let main = generate_dummy_main(&mut p, &platform, &model, "t1");
         let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
         for name in ["onCreate", "onRestart", "onDestroy", "onStartCommand"] {
@@ -307,9 +303,9 @@ class com.ex.Work extends android.app.Service {
     fn xml_callback_is_invoked_in_component_context() {
         let mut p = Program::new();
         let platform = install_platform(&mut p);
-        let app =
-            App::from_parts(&mut p, MANIFEST, &[("main", LAYOUT)], CODE_WITH_LAYOUT).unwrap();
-        let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let app = App::from_parts(&mut p, MANIFEST, &[("main", LAYOUT)], CODE_WITH_LAYOUT).unwrap();
+        let model =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         let main = generate_dummy_main(&mut p, &platform, &model, "t2");
         let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
         let send = p.find_method("com.ex.Main", "sendMessage").unwrap();
@@ -323,7 +319,8 @@ class com.ex.Work extends android.app.Service {
         let mut p = Program::new();
         let platform = install_platform(&mut p);
         let app = App::from_parts(&mut p, MANIFEST, &[], CODE).unwrap();
-        let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let model =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         let main = generate_dummy_main(&mut p, &platform, &model, "t3");
         let text = ProgramPrinter::new(&p).method_to_string(main);
         // onRestart is guarded by an opaque branch and loops back.
@@ -345,7 +342,8 @@ class com.ex.Work extends android.app.Service {
             "class e.X { method f() -> void { return } }",
         )
         .unwrap();
-        let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
+        let model =
+            EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         let main = generate_dummy_main(&mut p, &platform, &model, "t4");
         let body = p.method(main).body().unwrap();
         assert!(body.len() <= 3, "selector + return only");

@@ -28,7 +28,9 @@ pub mod permissions;
 pub mod platform;
 pub mod snapshot;
 
-pub use component::{CallbackAssociation, CallbackInfo, CallbackReceiver, ComponentModel, EntryPointModel};
+pub use component::{
+    CallbackAssociation, CallbackInfo, CallbackReceiver, ComponentModel, EntryPointModel,
+};
 pub use dummy_main::generate_dummy_main;
 pub use permissions::{analyze_permissions, PermissionReport};
 pub use platform::{install_platform, PlatformInfo};

@@ -137,10 +137,7 @@ class pp.Main extends android.app.Activity {
         let over: Vec<String> = report.over_privileged().into_iter().collect();
         assert_eq!(
             over,
-            vec![
-                "android.permission.CAMERA".to_owned(),
-                "android.permission.SEND_SMS".to_owned()
-            ]
+            vec!["android.permission.CAMERA".to_owned(), "android.permission.SEND_SMS".to_owned()]
         );
         assert!(report.missing().is_empty());
     }

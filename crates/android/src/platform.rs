@@ -106,12 +106,12 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     let editor_ty0 = p.ref_type("android.content.SharedPreferences$Editor");
 
     let stub = |p: &mut Program,
-                    stubs: &mut FxHashSet<MethodId>,
-                    class: ClassId,
-                    name: &str,
-                    params: Vec<Type>,
-                    ret: Type,
-                    is_static: bool| {
+                stubs: &mut FxHashSet<MethodId>,
+                class: ClassId,
+                name: &str,
+                params: Vec<Type>,
+                ret: Type,
+                is_static: bool| {
         let m = p.declare_method(class, name, params, ret, is_static);
         p.set_native(m, true);
         stubs.insert(m);
@@ -128,15 +128,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     stub(p, &mut stub_methods, jstring, "toCharArray", vec![], Type::Char.array_of(), false);
     stub(p, &mut stub_methods, jstring, "isEmpty", vec![], Type::Boolean, false);
     stub(p, &mut stub_methods, jstring, "length", vec![], Type::Int, false);
-    stub(
-        p,
-        &mut stub_methods,
-        jstring,
-        "valueOf",
-        vec![obj_ty.clone()],
-        string.clone(),
-        true,
-    );
+    stub(p, &mut stub_methods, jstring, "valueOf", vec![obj_ty.clone()], string.clone(), true);
 
     let sb = p.declare_class("java.lang.StringBuilder", Some("java.lang.Object"), &[]);
     stub(p, &mut stub_methods, sb, "<init>", vec![], Type::Void, false);
@@ -165,9 +157,11 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     let iter = p.declare_interface("java.util.Iterator", &[]);
     stub(p, &mut stub_methods, iter, "next", vec![], obj_ty.clone(), false);
     stub(p, &mut stub_methods, iter, "hasNext", vec![], Type::Boolean, false);
-    for (name, iface) in
-        [("java.util.ArrayList", "java.util.List"), ("java.util.LinkedList", "java.util.List"), ("java.util.HashSet", "java.util.Set")]
-    {
+    for (name, iface) in [
+        ("java.util.ArrayList", "java.util.List"),
+        ("java.util.LinkedList", "java.util.List"),
+        ("java.util.HashSet", "java.util.Set"),
+    ] {
         let c = p.declare_class(name, Some("java.lang.Object"), &[iface]);
         stub(p, &mut stub_methods, c, "<init>", vec![], Type::Void, false);
         stub(p, &mut stub_methods, c, "add", vec![obj_ty.clone()], Type::Boolean, false);
@@ -185,7 +179,8 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
         false,
     );
     stub(p, &mut stub_methods, map, "get", vec![obj_ty.clone()], obj_ty.clone(), false);
-    let hashmap = p.declare_class("java.util.HashMap", Some("java.lang.Object"), &["java.util.Map"]);
+    let hashmap =
+        p.declare_class("java.util.HashMap", Some("java.lang.Object"), &["java.util.Map"]);
     stub(p, &mut stub_methods, hashmap, "<init>", vec![], Type::Void, false);
     stub(
         p,
@@ -202,16 +197,16 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     let ostream = p.declare_class("java.io.OutputStream", Some("java.lang.Object"), &[]);
     stub(p, &mut stub_methods, ostream, "write", vec![string.clone()], Type::Void, false);
     let socket = p.declare_class("java.net.Socket", Some("java.lang.Object"), &[]);
-    stub(p, &mut stub_methods, socket, "<init>", vec![string.clone(), Type::Int], Type::Void, false);
     stub(
         p,
         &mut stub_methods,
         socket,
-        "getOutputStream",
-        vec![],
-        ostream_ty.clone(),
+        "<init>",
+        vec![string.clone(), Type::Int],
+        Type::Void,
         false,
     );
+    stub(p, &mut stub_methods, socket, "getOutputStream", vec![], ostream_ty.clone(), false);
     let url = p.declare_class("java.net.URL", Some("java.lang.Object"), &[]);
     stub(p, &mut stub_methods, url, "<init>", vec![string.clone()], Type::Void, false);
     stub(p, &mut stub_methods, url, "openConnection", vec![], obj_ty.clone(), false);
@@ -275,15 +270,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
         Type::Void,
         false,
     );
-    stub(
-        p,
-        &mut stub_methods,
-        bundle,
-        "getString",
-        vec![string.clone()],
-        string.clone(),
-        false,
-    );
+    stub(p, &mut stub_methods, bundle, "getString", vec![string.clone()], string.clone(), false);
 
     let intent = p.declare_class("android.content.Intent", Some("java.lang.Object"), &[]);
     stub(p, &mut stub_methods, intent, "<init>", vec![], Type::Void, false);
@@ -309,8 +296,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     stub(p, &mut stub_methods, intent, "setAction", vec![string.clone()], intent_ty.clone(), false);
 
     // Components.
-    let activity =
-        p.declare_class("android.app.Activity", Some("android.content.Context"), &[]);
+    let activity = p.declare_class("android.app.Activity", Some("android.content.Context"), &[]);
     let bundle_ty = p.ref_type("android.os.Bundle");
     for (name, params) in [
         ("onCreate", vec![bundle_ty.clone()]),
@@ -326,15 +312,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     ] {
         stub(p, &mut stub_methods, activity, name, params, Type::Void, false);
     }
-    stub(
-        p,
-        &mut stub_methods,
-        activity,
-        "findViewById",
-        vec![Type::Int],
-        view_ty0.clone(),
-        false,
-    );
+    stub(p, &mut stub_methods, activity, "findViewById", vec![Type::Int], view_ty0.clone(), false);
     stub(p, &mut stub_methods, activity, "setContentView", vec![Type::Int], Type::Void, false);
     stub(p, &mut stub_methods, activity, "getIntent", vec![], intent_ty.clone(), false);
     stub(
@@ -378,15 +356,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     let provider =
         p.declare_class("android.content.ContentProvider", Some("java.lang.Object"), &[]);
     stub(p, &mut stub_methods, provider, "onCreate", vec![], Type::Boolean, false);
-    stub(
-        p,
-        &mut stub_methods,
-        provider,
-        "query",
-        vec![string.clone()],
-        obj_ty.clone(),
-        false,
-    );
+    stub(p, &mut stub_methods, provider, "query", vec![string.clone()], obj_ty.clone(), false);
     stub(
         p,
         &mut stub_methods,
@@ -411,15 +381,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     let view = p.declare_class("android.view.View", Some("java.lang.Object"), &[]);
     let click_listener = p.declare_interface("android.view.View$OnClickListener", &[]);
     let view_ty = p.ref_type("android.view.View");
-    stub(
-        p,
-        &mut stub_methods,
-        click_listener,
-        "onClick",
-        vec![view_ty.clone()],
-        Type::Void,
-        false,
-    );
+    stub(p, &mut stub_methods, click_listener, "onClick", vec![view_ty.clone()], Type::Void, false);
     let long_click_listener = p.declare_interface("android.view.View$OnLongClickListener", &[]);
     stub(
         p,
@@ -487,12 +449,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
         &mut stub_methods,
         loc_manager,
         "requestLocationUpdates",
-        vec![
-            string.clone(),
-            Type::Long,
-            Type::Float,
-            loc_l_ty.clone(),
-        ],
+        vec![string.clone(), Type::Long, Type::Float, loc_l_ty.clone()],
         Type::Void,
         false,
     );
@@ -531,15 +488,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     let runnable = p.declare_interface("java.lang.Runnable", &[]);
     stub(p, &mut stub_methods, runnable, "run", vec![], Type::Void, false);
     let thread = p.declare_class("java.lang.Thread", Some("java.lang.Object"), &[]);
-    stub(
-        p,
-        &mut stub_methods,
-        thread,
-        "<init>",
-        vec![runnable_ty.clone()],
-        Type::Void,
-        false,
-    );
+    stub(p, &mut stub_methods, thread, "<init>", vec![runnable_ty.clone()], Type::Void, false);
     stub(p, &mut stub_methods, thread, "start", vec![], Type::Void, false);
 
     // Telephony, SMS, logging, preferences.
@@ -575,15 +524,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     }
 
     let prefs = p.declare_interface("android.content.SharedPreferences", &[]);
-    stub(
-        p,
-        &mut stub_methods,
-        prefs,
-        "edit",
-        vec![],
-        editor_ty0.clone(),
-        false,
-    );
+    stub(p, &mut stub_methods, prefs, "edit", vec![], editor_ty0.clone(), false);
     let editor = p.declare_interface("android.content.SharedPreferences$Editor", &[]);
     let editor_ty = p.ref_type("android.content.SharedPreferences$Editor");
     stub(
@@ -597,10 +538,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
     );
     stub(p, &mut stub_methods, editor, "commit", vec![], Type::Boolean, false);
 
-    let callback_interfaces = CALLBACK_INTERFACES
-        .iter()
-        .map(|n| p.class_id(n))
-        .collect();
+    let callback_interfaces = CALLBACK_INTERFACES.iter().map(|n| p.class_id(n)).collect();
 
     PlatformInfo {
         object,
@@ -615,11 +553,7 @@ pub fn install_platform(program: &mut Program) -> PlatformInfo {
 
 /// Returns the lifecycle-method subsignature (by name) declared on the
 /// platform base class, used to check overrides.
-pub fn platform_subsig(
-    program: &Program,
-    base: ClassId,
-    name: &str,
-) -> Option<SubSig> {
+pub fn platform_subsig(program: &Program, base: ClassId, name: &str) -> Option<SubSig> {
     let name_sym = program.lookup_symbol(name)?;
     for c in program.supers(base) {
         for &m in program.class(c).methods() {
@@ -664,7 +598,11 @@ mod tests {
         let cl = p.find_class("android.view.View$OnClickListener").unwrap();
         assert!(info.is_callback_interface(&p, cl));
         // A user class implementing the interface counts too.
-        let user = p.declare_class("my.Listener", Some("java.lang.Object"), &["android.view.View$OnClickListener"]);
+        let user = p.declare_class(
+            "my.Listener",
+            Some("java.lang.Object"),
+            &["android.view.View$OnClickListener"],
+        );
         assert!(info.is_callback_interface(&p, user));
         assert!(!info.is_callback_interface(&p, info.object));
     }

@@ -539,7 +539,7 @@ mod tests {
         let snap = build_snapshot();
         let mut bytes = encode_snapshot(&snap);
         bytes[4] = 99; // version low byte
-        // Fix up the checksum so only the version differs.
+                       // Fix up the checksum so only the version differs.
         let end = bytes.len() - 8;
         let sum = fnv1a64(&bytes[..end]);
         bytes[end..].copy_from_slice(&sum.to_le_bytes());
@@ -556,10 +556,7 @@ mod tests {
         // Exhaustive truncation is quadratic in snapshot size; stride
         // keeps the test fast while covering every section.
         for cut in (0..bytes.len()).step_by(97).chain([1, 3, 7, bytes.len() - 1]) {
-            assert!(
-                decode_snapshot(&bytes[..cut]).is_err(),
-                "cut at {cut} must not decode"
-            );
+            assert!(decode_snapshot(&bytes[..cut]).is_err(), "cut at {cut} must not decode");
         }
     }
 

@@ -9,9 +9,7 @@
 use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
 use flowdroid_core::wrappers::{Pos, Rule};
 use flowdroid_core::{CallSites, SourceSinkManager, TaintWrapper};
-use flowdroid_ir::{
-    FieldId, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef,
-};
+use flowdroid_ir::{FieldId, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef};
 use std::collections::HashSet;
 
 /// A taintable location in the slot domain.
@@ -151,12 +149,9 @@ impl<'a> SlotEngine<'a> {
             Stmt::Assign { lhs, rhs } => {
                 let rhs_tainted = match rhs {
                     Rvalue::Read(p) => tainted.contains(&Self::slot_of_place(m, p)),
-                    Rvalue::Cast(_, o) | Rvalue::UnOp(_, o) => {
-                        Self::operand_tainted(m, o, tainted)
-                    }
+                    Rvalue::Cast(_, o) | Rvalue::UnOp(_, o) => Self::operand_tainted(m, o, tainted),
                     Rvalue::BinOp(_, a, b) => {
-                        Self::operand_tainted(m, a, tainted)
-                            || Self::operand_tainted(m, b, tainted)
+                        Self::operand_tainted(m, a, tainted) || Self::operand_tainted(m, b, tainted)
                     }
                     _ => false,
                 };

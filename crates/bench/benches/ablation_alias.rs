@@ -20,10 +20,7 @@ fn bench(c: &mut Criterion) {
         ("full (paper)", InfoflowConfig::default()),
         ("no alias analysis", InfoflowConfig::default().with_alias_analysis(false)),
         ("naive handover", InfoflowConfig::default().with_context_injection(false)),
-        (
-            "no activation stmts",
-            InfoflowConfig::default().with_activation_statements(false),
-        ),
+        ("no activation stmts", InfoflowConfig::default().with_activation_statements(false)),
     ];
     for (name, config) in variants {
         let (tp, fp) = aliasing_group_score(&config);

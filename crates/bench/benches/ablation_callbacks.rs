@@ -20,14 +20,11 @@ fn bench(c: &mut Criterion) {
     let bank = flowdroid_droidbench::insecurebank::insecure_bank();
     let _ = &apps;
     let per = InfoflowConfig::default();
-    let global =
-        InfoflowConfig::default().with_callback_association(CallbackAssociation::Global);
+    let global = InfoflowConfig::default().with_callback_association(CallbackAssociation::Global);
     c.bench_function("ablation_callbacks/per_component", |b| {
         b.iter(|| flowdroid_on(&bank, &per).0)
     });
-    c.bench_function("ablation_callbacks/global", |b| {
-        b.iter(|| flowdroid_on(&bank, &global).0)
-    });
+    c.bench_function("ablation_callbacks/global", |b| b.iter(|| flowdroid_on(&bank, &global).0));
 }
 
 criterion_group! {

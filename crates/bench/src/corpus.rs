@@ -140,13 +140,7 @@ pub fn generate_app(profile: AppProfile, index: usize, seed: u64) -> GeneratedAp
 </manifest>"#
     );
 
-    GeneratedApp {
-        package,
-        manifest,
-        code,
-        seeded_leaks: seeded,
-        class_count: n_helpers + 1,
-    }
+    GeneratedApp { package, manifest, code, seeded_leaks: seeded, class_count: n_helpers + 1 }
 }
 
 #[cfg(test)]

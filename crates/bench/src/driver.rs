@@ -9,6 +9,7 @@
 //! is byte-for-byte identical across thread counts and runs.
 
 use flowdroid_android::{build_snapshot, install_platform, PlatformSnapshot};
+use flowdroid_core::TableStats;
 use flowdroid_core::{
     AbortReason, AppSetup, EntrySetup, Infoflow, InfoflowConfig, InfoflowResults,
     SourceSinkManager, TaintWrapper,
@@ -16,7 +17,6 @@ use flowdroid_core::{
 use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
 use flowdroid_frontend::layout::{Layout, ResourceTable};
 use flowdroid_frontend::manifest::Manifest;
-use flowdroid_core::TableStats;
 use flowdroid_frontend::{parse_jasm, sdex, App};
 use flowdroid_ir::{FxHashMap, MethodId, Program};
 use flowdroid_securibench::{cases_in, Group, MicroCase, MICRO_DEFS, MICRO_ENV};
@@ -237,17 +237,13 @@ pub fn prepare(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Result<PreparedJ
                 parse_jasm(&mut scratch, &rt, MICRO_ENV).map_err(|e| e.to_string())?;
             classes.extend(parse_jasm(&mut scratch, &rt, &case.code).map_err(|e| e.to_string())?);
             let sdex = sdex::encode(&scratch, &classes).into();
-            Prepared::Micro {
-                sdex,
-                entry_class: case.entry_class.clone(),
-                setup: OnceLock::new(),
-            }
+            Prepared::Micro { sdex, entry_class: case.entry_class.clone(), setup: OnceLock::new() }
         }
         JobKind::External { manifest, layouts, code } => {
             let refs: Vec<(&str, &str)> =
                 layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
-            let loaded = App::from_parts(&mut scratch, manifest, &refs, code)
-                .map_err(|e| e.to_string())?;
+            let loaded =
+                App::from_parts(&mut scratch, manifest, &refs, code).map_err(|e| e.to_string())?;
             Prepared::Droid {
                 sdex: sdex::encode(&scratch, &loaded.classes).into(),
                 manifest: loaded.manifest,

@@ -29,7 +29,8 @@ fn baseline_on(tool: BaselineTool, app: &BenchApp) -> usize {
     let loaded = app.load(&mut p).unwrap();
     let sources = SourceSinkManager::default_android();
     let wrapper = TaintWrapper::default_rules();
-    flowdroid_baselines::analyze_app(tool, &mut p, &platform, &loaded, &sources, &wrapper).leak_count()
+    flowdroid_baselines::analyze_app(tool, &mut p, &platform, &loaded, &sources, &wrapper)
+        .leak_count()
 }
 
 /// One row of the reproduced Table 1.
@@ -83,7 +84,8 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
         s
     };
     writeln!(out, "Table 1: DroidBench results (★ correct, ☆ false alarm, ○ missed)").unwrap();
-    writeln!(out, "{:<28} {:>10} {:>10} {:>10}", "App", "AppScan~", "Fortify~", "FlowDroid").unwrap();
+    writeln!(out, "{:<28} {:>10} {:>10} {:>10}", "App", "AppScan~", "Fortify~", "FlowDroid")
+        .unwrap();
     let mut cur_cat = "";
     let mut scores = [AppScore::default(), AppScore::default(), AppScore::default()];
     for r in rows {
@@ -340,10 +342,7 @@ pub fn run_ablation_alias() -> Vec<(&'static str, usize, usize)> {
         ("full (paper)", InfoflowConfig::default()),
         ("no alias analysis", InfoflowConfig::default().with_alias_analysis(false)),
         ("naive handover", InfoflowConfig::default().with_context_injection(false)),
-        (
-            "no activation stmts",
-            InfoflowConfig::default().with_activation_statements(false),
-        ),
+        ("no activation stmts", InfoflowConfig::default().with_activation_statements(false)),
     ];
     let apps = all_apps();
     variants

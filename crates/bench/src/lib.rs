@@ -18,10 +18,9 @@ pub mod eval;
 
 pub use corpus::{generate_app, AppProfile, GeneratedApp};
 pub use driver::{
-    corpus_report, droidbench_corpus, external_job, find_job, full_corpus, full_report,
-    micro_job, prepare, run_corpus, run_prepared, run_single, run_single_lazy,
-    run_single_lazy_deep_clone, shared_platform_snapshot, stress_job, AppRun, CorpusJob, CorpusRun,
-    PreparedJob,
+    corpus_report, droidbench_corpus, external_job, find_job, full_corpus, full_report, micro_job,
+    prepare, run_corpus, run_prepared, run_single, run_single_lazy, run_single_lazy_deep_clone,
+    shared_platform_snapshot, stress_job, AppRun, CorpusJob, CorpusRun, PreparedJob,
 };
 pub use eval::{
     run_ablation_access_path, run_ablation_alias, run_ablation_callbacks, run_rq2, run_rq3,

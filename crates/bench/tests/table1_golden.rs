@@ -8,10 +8,7 @@ use flowdroid_bench::eval::{format_table1, run_table1};
 fn table1_summary_block_is_stable() {
     let rows = run_table1();
     let text = format_table1(&rows);
-    let tail: Vec<&str> = text
-        .lines()
-        .skip_while(|l| !l.starts_with("-- Sum"))
-        .collect();
+    let tail: Vec<&str> = text.lines().skip_while(|l| !l.starts_with("-- Sum")).collect();
     let rendered = tail.join("\n");
     let expected = "\
 -- Sum, Precision and Recall --

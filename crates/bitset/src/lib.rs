@@ -90,10 +90,7 @@ impl<T: Idx> BitSet<T> {
 
     /// An empty set with capacity for indices below `universe`.
     pub fn with_capacity(universe: usize) -> BitSet<T> {
-        BitSet {
-            words: vec![0; universe.div_ceil(WORD_BITS)],
-            marker: std::marker::PhantomData,
-        }
+        BitSet { words: vec![0; universe.div_ceil(WORD_BITS)], marker: std::marker::PhantomData }
     }
 
     /// Inserts `t`; returns `true` if it was not already present.
@@ -145,7 +142,12 @@ impl<T: Idx> BitSet<T> {
 
     /// Elements in ascending index order.
     pub fn iter(&self) -> BitIter<'_, T> {
-        BitIter { words: &self.words, word: 0, current: self.words.first().copied().unwrap_or(0), marker: std::marker::PhantomData }
+        BitIter {
+            words: &self.words,
+            word: 0,
+            current: self.words.first().copied().unwrap_or(0),
+            marker: std::marker::PhantomData,
+        }
     }
 }
 
@@ -211,11 +213,7 @@ impl<T: Idx> Default for HybridBitSet<T> {
 impl<T: Idx> HybridBitSet<T> {
     /// An empty (sparse) set.
     pub fn new() -> HybridBitSet<T> {
-        HybridBitSet::Sparse {
-            elems: [0; SPARSE_MAX],
-            len: 0,
-            marker: std::marker::PhantomData,
-        }
+        HybridBitSet::Sparse { elems: [0; SPARSE_MAX], len: 0, marker: std::marker::PhantomData }
     }
 
     /// Inserts `t`; returns `true` if it was not already present.

@@ -1,7 +1,9 @@
 //! Call-graph construction by reachability from entry points.
 
 use crate::hierarchy::Hierarchy;
-use flowdroid_ir::{ClassId, FxHashMap, FxHashSet, InvokeKind, MethodId, Program, Rvalue, Stmt, StmtRef};
+use flowdroid_ir::{
+    ClassId, FxHashMap, FxHashSet, InvokeKind, MethodId, Program, Rvalue, Stmt, StmtRef,
+};
 use std::collections::VecDeque;
 
 /// Call-graph construction algorithm.
@@ -91,8 +93,7 @@ impl CallGraph {
                         program.resolve_method_ref(&call.callee).into_iter().collect()
                     }
                     InvokeKind::Virtual | InvokeKind::Interface => {
-                        let mut t =
-                            hierarchy.virtual_targets(program, &call.callee, instantiated);
+                        let mut t = hierarchy.virtual_targets(program, &call.callee, instantiated);
                         // If dispatch found nothing (e.g. phantom-class
                         // receiver), fall back to the static resolution so
                         // stub handling still sees a target.

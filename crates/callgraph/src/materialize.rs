@@ -76,8 +76,7 @@ pub fn materialize_reachable(
                             if program.class(sub).is_interface() {
                                 continue;
                             }
-                            if let Some(t) = hierarchy.dispatch(program, sub, &call.callee.subsig)
-                            {
+                            if let Some(t) = hierarchy.dispatch(program, sub, &call.callee.subsig) {
                                 targets.push(t);
                             }
                         }
@@ -145,9 +144,8 @@ mod tests {
                 self.bodies[method.index()].clone().ok_or_else(|| "no body".to_owned())
             }
         }
-        let source = Arc::new(FromEager {
-            bodies: p.methods().map(|m| m.body().cloned()).collect(),
-        });
+        let source =
+            Arc::new(FromEager { bodies: p.methods().map(|m| m.body().cloned()).collect() });
         // The lazy program repeats the declarations body-less, deferring
         // each body to the eager program's copy.
         let mut q = Prog::new();

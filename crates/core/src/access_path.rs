@@ -70,11 +70,7 @@ impl AccessPath {
     /// keeping `truncated` as given (tests use it to construct
     /// over-long paths that [`AccessPath::new`] would cut).
     #[cfg(test)]
-    pub(crate) fn from_raw_parts(
-        base: ApBase,
-        fields: &[FieldId],
-        truncated: bool,
-    ) -> AccessPath {
+    pub(crate) fn from_raw_parts(base: ApBase, fields: &[FieldId], truncated: bool) -> AccessPath {
         AccessPath { base, fields: intern_fields(fields), truncated }
     }
 

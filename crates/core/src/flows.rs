@@ -18,8 +18,7 @@ use crate::taint::{Fact, Taint};
 use crate::wrappers::{Pos, Rule, TaintWrapper};
 use flowdroid_callgraph::Icfg;
 use flowdroid_ir::{
-    FieldId, FxHashMap, InvokeExpr, Local, MethodId, Operand, Place, Program, Rvalue, Stmt,
-    StmtRef,
+    FieldId, FxHashMap, InvokeExpr, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef,
 };
 
 /// Memo table for "call site transitively reaches method" queries
@@ -166,11 +165,8 @@ impl<'a> Flows<'a> {
             return r;
         }
         let cg = self.icfg.callgraph();
-        let r = self
-            .icfg
-            .callees_of_call(call)
-            .iter()
-            .any(|&c| c == target || cg.can_reach(c, target));
+        let r =
+            self.icfg.callees_of_call(call).iter().any(|&c| c == target || cg.can_reach(c, target));
         cache.insert((call, target), r);
         r
     }
@@ -233,13 +229,7 @@ impl<'a> Flows<'a> {
     /// The forward transfer function for assignments (paper §4.1):
     /// refills `res` with the output facts and the taints requiring an
     /// alias query.
-    pub fn forward_assign(
-        &self,
-        lhs: &Place,
-        rhs: &Rvalue,
-        t: &Taint,
-        res: &mut ForwardAssignOut,
-    ) {
+    pub fn forward_assign(&self, lhs: &Place, rhs: &Rvalue, t: &Taint, res: &mut ForwardAssignOut) {
         let ForwardAssignOut { facts: out, alias_gens } = res;
         out.clear();
         alias_gens.clear();
@@ -266,9 +256,7 @@ impl<'a> Flows<'a> {
                 t.ap.read_remainder(&rp)
             }
             Rvalue::BinOp(_, a, b) => {
-                let matches_op = |o: &Operand| {
-                    matches!(o, Operand::Local(l) if t.ap.base_local() == Some(*l) && t.ap.is_empty())
-                };
+                let matches_op = |o: &Operand| matches!(o, Operand::Local(l) if t.ap.base_local() == Some(*l) && t.ap.is_empty());
                 if matches_op(a) || matches_op(b) {
                     Some(&[])
                 } else {
@@ -457,8 +445,7 @@ impl<'a> Flows<'a> {
                 // Native-call fallback: no explicit rule, body-less
                 // target → the return value inherits taint from the
                 // receiver or any argument (paper §5).
-                if site.rules.is_empty() && !sanitized && self.icfg.callees_of_call(n).is_empty()
-                {
+                if site.rules.is_empty() && !sanitized && self.icfg.callees_of_call(n).is_empty() {
                     let base_tainted = call.base.is_some_and(|b| t.ap.base_local() == Some(b));
                     let arg_tainted = call
                         .args

@@ -85,11 +85,7 @@ pub fn analyze_app_linked(
     let phase1_sources = sources.clone_without(RECEPTION_DEFS);
     let infoflow = Infoflow::new(&phase1_sources, wrapper, config);
     let phase1 = infoflow.analyze_app(program, platform, app, &format!("{tag}_icc1"));
-    let tainted_send_exists = phase1
-        .results
-        .leaks
-        .iter()
-        .any(|l| is_intent_send(program, l));
+    let tainted_send_exists = phase1.results.leaks.iter().any(|l| is_intent_send(program, l));
 
     if !tainted_send_exists {
         return IccResults {
@@ -109,13 +105,7 @@ pub fn analyze_app_linked(
         .results
         .leaks
         .into_iter()
-        .filter(|l| {
-            !phase1
-                .results
-                .leaks
-                .iter()
-                .any(|p| p.sink == l.sink && p.source == l.source)
-        })
+        .filter(|l| !phase1.results.leaks.iter().any(|p| p.sink == l.sink && p.source == l.source))
         .collect();
     IccResults { direct: phase1.results, icc_linked, tainted_send_exists: true }
 }

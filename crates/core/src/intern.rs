@@ -215,11 +215,9 @@ impl Interner {
     pub fn resolve_fact(&self, id: FactId) -> Fact {
         match self.facts[id.index()] {
             FactRepr::Zero => Fact::Zero,
-            FactRepr::T { ap, active, activation } => Fact::T(Taint {
-                ap: *self.resolve_ap(ap),
-                active,
-                activation,
-            }),
+            FactRepr::T { ap, active, activation } => {
+                Fact::T(Taint { ap: *self.resolve_ap(ap), active, activation })
+            }
         }
     }
 
@@ -291,9 +289,8 @@ mod tests {
     #[test]
     fn first_encounter_order_is_dense() {
         let mut i = Interner::new();
-        let ids: Vec<FactId> = (0..5)
-            .map(|l| i.intern_fact(&Fact::T(Taint::active(ap(l, &[])))))
-            .collect();
+        let ids: Vec<FactId> =
+            (0..5).map(|l| i.intern_fact(&Fact::T(Taint::active(ap(l, &[]))))).collect();
         let idx: Vec<usize> = ids.iter().map(|d| d.index()).collect();
         assert_eq!(idx, vec![1, 2, 3, 4, 5]);
     }

@@ -44,10 +44,10 @@ pub mod wrappers;
 pub use access_path::{AccessPath, ApBase};
 pub use analysis::{AppAnalysis, AppSetup, EntrySetup, Infoflow};
 pub use config::{InfoflowConfig, ProgressEvent, ProgressSink};
+pub use flowdroid_ifds::{AbortHandle, AbortReason, TableStats};
 pub use flows::{CallSite, CallSites};
 pub use icc::{analyze_app_linked, IccResults};
 pub use intern::{ApId, FactId, Interner};
-pub use flowdroid_ifds::{AbortHandle, AbortReason, TableStats};
 pub use results::{InfoflowResults, Leak};
 pub use sourcesink::{CallRoles, SourceSinkManager, SourceSinkParseError};
 pub use taint::{Fact, Taint};

@@ -95,10 +95,7 @@ impl InfoflowResults {
     /// Distinct (source line, sink line) pairs, the unit the benchmark
     /// ground truth is expressed in.
     pub fn leak_lines(&self, program: &Program) -> BTreeSet<(u32, u32)> {
-        self.leaks
-            .iter()
-            .map(|l| (l.source_line(program), l.sink_line(program)))
-            .collect()
+        self.leaks.iter().map(|l| (l.source_line(program), l.sink_line(program))).collect()
     }
 
     /// Renders a human-readable report.
@@ -117,11 +114,8 @@ impl InfoflowResults {
         .unwrap();
         if self.aborted {
             let why = self.abort_reason.map_or("budget", AbortReason::as_str);
-            writeln!(
-                out,
-                "  (analysis aborted ({why}); reported leaks are a lower bound)"
-            )
-            .unwrap();
+            writeln!(out, "  (analysis aborted ({why}); reported leaks are a lower bound)")
+                .unwrap();
         }
         writeln!(
             out,

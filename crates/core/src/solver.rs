@@ -234,7 +234,8 @@ impl<'a> BiSolver<'a> {
         config: &'a InfoflowConfig,
     ) -> Self {
         let flows = Flows::new(icfg, sources, wrapper, config);
-        let methods = || icfg.callgraph().reachable_methods().iter().map(|&m| (m, icfg.body_len(m)));
+        let methods =
+            || icfg.callgraph().reachable_methods().iter().map(|&m| (m, icfg.body_len(m)));
         BiSolver {
             flows,
             interner: Interner::with_bound(config.max_access_path_length),
@@ -573,8 +574,7 @@ impl<'a> BiSolver<'a> {
     /// injection of `d1` (Algorithm 1, line 16).
     fn inject_alias_query(&mut self, d1: &FactId, n: StmtRef, g: &Taint) {
         let Some(q) = self.flows.alias_query_taint(n, g) else { return };
-        let ctx =
-            if self.config().enable_context_injection { *d1 } else { FactId::ZERO };
+        let ctx = if self.config().enable_context_injection { *d1 } else { FactId::ZERO };
         let origin = self.interner.intern_fact(&Fact::T(*g));
         let qk = self.interner.intern_fact(&Fact::T(q));
         self.bw_propagate(ctx, n, qk, Some((n, origin)));
@@ -690,12 +690,7 @@ impl<'a> BiSolver<'a> {
         for ret_site in self.flows.icfg.return_sites_of_call(call_site) {
             for (t, fk) in &acts {
                 for d3 in &d3s {
-                    self.fw_propagate(
-                        *d3,
-                        ret_site,
-                        *fk,
-                        Some((exit, *exit_key)),
-                    );
+                    self.fw_propagate(*d3, ret_site, *fk, Some((exit, *exit_key)));
                     // Heap taints returning to the caller spawn a new
                     // alias search there (paper §4.2).
                     if !t.ap.is_empty() && t.ap.base_local().is_some() {
@@ -1303,7 +1298,8 @@ class P {
         code.push_str("    t0 = staticinvoke <Env: java.lang.String source()>()\n");
         for i in 0..k {
             writeln!(code, "    x{i} = new Box").unwrap();
-            writeln!(code, "    specialinvoke x{i}.<Box: void <init>()>()\n    a{i} = x{i}").unwrap();
+            writeln!(code, "    specialinvoke x{i}.<Box: void <init>()>()\n    a{i} = x{i}")
+                .unwrap();
         }
         for i in 0..k {
             writeln!(code, "    x{i}.f = t{i}\n    t{} = a{i}.f", i + 1).unwrap();
@@ -1398,11 +1394,7 @@ class P {
             s.identity_origins(cur, &mut got);
             let got: FxHashSet<Node> = got.iter().copied().collect();
             let want = s.offers.get(&cur).cloned().unwrap_or_default();
-            assert_eq!(
-                got, want,
-                "{} (budget {max_propagations}): origins of {cur:?}",
-                case.name
-            );
+            assert_eq!(got, want, "{} (budget {max_propagations}): origins of {cur:?}", case.name);
             for o in want {
                 if visited.insert(o) {
                     queue.push_back(o);

@@ -187,9 +187,8 @@ impl SourceSinkManager {
                 "_SINK_" => Role::SinkAll,
                 "_SANITIZER_" => Role::Sanitizer,
                 other => {
-                    if let Some(rest) = other
-                        .strip_prefix("_SOURCE_PARAM_")
-                        .and_then(|r| r.strip_suffix('_'))
+                    if let Some(rest) =
+                        other.strip_prefix("_SOURCE_PARAM_").and_then(|r| r.strip_suffix('_'))
                     {
                         Role::SourceParam(
                             rest.parse().map_err(|_| err(format!("bad param index `{rest}`")))?,
@@ -317,9 +316,7 @@ mod tests {
             let t = b.program().ref_type(class);
             Some(b.local("base", t))
         };
-        let args = (0..nargs)
-            .map(|_| Operand::Const(Constant::Null))
-            .collect();
+        let args = (0..nargs).map(|_| Operand::Const(Constant::Null)).collect();
         let e = b.invoke_expr(kind, base, class, name, params, ret, args);
         b.finish();
         e
@@ -401,7 +398,8 @@ mod tests {
             &["android.location.LocationListener"],
         );
         let loc = p.ref_type("android.location.Location");
-        let mb = MethodBuilder::new_instance(&mut p, cls, "onLocationChanged", vec![loc], Type::Void);
+        let mb =
+            MethodBuilder::new_instance(&mut p, cls, "onLocationChanged", vec![loc], Type::Void);
         let mid = mb.finish();
         assert_eq!(m.entry_param_sources(&p, mid), vec![0]);
         // A receiver's onReceive taints its intent parameter.

@@ -11,13 +11,8 @@ fn field_strategy() -> impl Strategy<Value = FieldId> {
 }
 
 fn ap_strategy(max_len: usize) -> impl Strategy<Value = AccessPath> {
-    (
-        0u32..4,
-        proptest::collection::vec(field_strategy(), 0..6),
-    )
-        .prop_map(move |(l, fields)| {
-            AccessPath::new(ApBase::Local(Local(l)), fields, max_len)
-        })
+    (0u32..4, proptest::collection::vec(field_strategy(), 0..6))
+        .prop_map(move |(l, fields)| AccessPath::new(ApBase::Local(Local(l)), fields, max_len))
 }
 
 proptest! {

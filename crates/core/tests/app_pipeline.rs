@@ -104,12 +104,8 @@ fn run_app(
 
 #[test]
 fn listing1_leakage_app_password_to_sms() {
-    let (p, analysis) = run_app(
-        MANIFEST,
-        &[("main", LAYOUT)],
-        LEAKAGE_APP,
-        &InfoflowConfig::default(),
-    );
+    let (p, analysis) =
+        run_app(MANIFEST, &[("main", LAYOUT)], LEAKAGE_APP, &InfoflowConfig::default());
     let r = &analysis.results;
     assert_eq!(r.leak_count(), 1, "exactly the password leaks:\n{}", r.report(&p));
     let leak = &r.leaks[0];
@@ -126,12 +122,8 @@ fn listing1_username_field_does_not_leak() {
     // username EditText is not a password field, so only one leak (the
     // pwd) is reported — requiring the analysis to distinguish
     // user.name from user.pwd.
-    let (p, analysis) = run_app(
-        MANIFEST,
-        &[("main", LAYOUT)],
-        LEAKAGE_APP,
-        &InfoflowConfig::default(),
-    );
+    let (p, analysis) =
+        run_app(MANIFEST, &[("main", LAYOUT)], LEAKAGE_APP, &InfoflowConfig::default());
     assert_eq!(analysis.results.leak_count(), 1, "{}", analysis.results.report(&p));
 }
 
@@ -142,12 +134,8 @@ fn disabled_activity_is_not_analyzed() {
     <activity android:name=".LeakageApp" android:enabled="false"/>
   </application>
 </manifest>"#;
-    let (_, analysis) = run_app(
-        manifest,
-        &[("main", LAYOUT)],
-        LEAKAGE_APP,
-        &InfoflowConfig::default(),
-    );
+    let (_, analysis) =
+        run_app(manifest, &[("main", LAYOUT)], LEAKAGE_APP, &InfoflowConfig::default());
     assert!(
         analysis.results.is_clean(),
         "a disabled component's lifecycle must not run (InactiveActivity)"

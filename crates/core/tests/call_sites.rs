@@ -46,33 +46,18 @@ fn parse_pos(p: &str) -> Pos {
 }
 
 fn parse_positions(s: &str) -> Vec<Pos> {
-    s.split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(parse_pos)
-        .collect()
+    s.split(',').map(str::trim).filter(|p| !p.is_empty()).map(parse_pos).collect()
 }
 
 impl Reference {
     fn new(defs: &str, password_ids: &HashSet<i64>) -> Self {
         let mut roles: HashMap<String, Vec<String>> = HashMap::new();
-        for line in defs
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        {
+        for line in defs.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
             let (sig, role) = line.rsplit_once("->").unwrap();
-            roles
-                .entry(sig.trim().to_owned())
-                .or_default()
-                .push(role.trim().to_owned());
+            roles.entry(sig.trim().to_owned()).or_default().push(role.trim().to_owned());
         }
         let mut rules: HashMap<String, Vec<RefRule>> = HashMap::new();
-        for line in DEFAULT_WRAPPER_RULES
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-        {
+        for line in DEFAULT_WRAPPER_RULES.lines().map(str::trim).filter(|l| !l.is_empty()) {
             let close = line.find('>').unwrap();
             let (if_any, taint) = line[close + 1..].split_once("->").unwrap();
             rules
@@ -80,18 +65,11 @@ impl Reference {
                 .or_default()
                 .push((parse_positions(if_any), parse_positions(taint)));
         }
-        Reference {
-            roles,
-            rules,
-            password_ids: password_ids.clone(),
-        }
+        Reference { roles, rules, password_ids: password_ids.clone() }
     }
 
     fn roles_of<'r>(&'r self, sigs: &'r [String]) -> impl Iterator<Item = &'r str> {
-        sigs.iter()
-            .filter_map(|s| self.roles.get(s))
-            .flatten()
-            .map(String::as_str)
+        sigs.iter().filter_map(|s| self.roles.get(s)).flatten().map(String::as_str)
     }
 
     fn call_roles(&self, p: &Program, call: &InvokeExpr) -> CallRoles {
@@ -111,11 +89,7 @@ impl Reference {
         sink_args.dedup();
         let source = password || self.roles_of(&sigs).any(|r| r == "_SOURCE_");
         let sanitizer = self.roles_of(&sigs).any(|r| r == "_SANITIZER_");
-        CallRoles {
-            source,
-            sanitizer,
-            sink_args,
-        }
+        CallRoles { source, sanitizer, sink_args }
     }
 
     fn rules(&self, p: &Program, call: &InvokeExpr) -> Vec<RefRule> {
@@ -173,12 +147,7 @@ fn check(
     let reference = Reference::new(defs, password_ids);
     for &m in cg.reachable_methods() {
         let expected = reference.param_sources(p, m);
-        assert_eq!(
-            table.param_sources(m),
-            expected,
-            "{name}: param sources of {}",
-            p.signature(m)
-        );
+        assert_eq!(table.param_sources(m), expected, "{name}: param sources of {}", p.signature(m));
         cov.param_source_methods += usize::from(!expected.is_empty());
         let Some(body) = p.method(m).body() else {
             continue;
@@ -190,17 +159,9 @@ fn check(
             let n = StmtRef::new(m, idx);
             let site = table.site(n);
             let roles = reference.call_roles(p, call);
-            assert_eq!(
-                site.roles,
-                roles,
-                "{name}: roles at {n:?} in {}",
-                p.signature(m)
-            );
-            let rules: Vec<RefRule> = site
-                .rules
-                .iter()
-                .map(|r| (r.if_any.clone(), r.taint.clone()))
-                .collect();
+            assert_eq!(site.roles, roles, "{name}: roles at {n:?} in {}", p.signature(m));
+            let rules: Vec<RefRule> =
+                site.rules.iter().map(|r| (r.if_any.clone(), r.taint.clone())).collect();
             assert_eq!(rules, reference.rules(p, call), "{name}: rules at {n:?}");
             cov.sites += 1;
             cov.sources += usize::from(roles.source);
@@ -245,14 +206,8 @@ fn droidbench_and_insecurebank_call_sites_agree() {
     assert!(cov.sites > 250, "only {} call sites checked", cov.sites);
     assert!(cov.sources > 0 && cov.sinks > 0 && cov.with_rules > 0);
     assert!(cov.sanitizers > 0, "no sanitizer call site exercised");
-    assert!(
-        cov.param_source_methods > 0,
-        "no `_SOURCE_PARAM_` method exercised"
-    );
-    assert!(
-        cov.password_sources > 0,
-        "no password-field lookup exercised"
-    );
+    assert!(cov.param_source_methods > 0, "no `_SOURCE_PARAM_` method exercised");
+    assert!(cov.password_sources > 0, "no password-field lookup exercised");
 }
 
 #[test]
@@ -266,9 +221,7 @@ fn securibench_micro_call_sites_agree() {
             let rt = ResourceTable::new();
             parse_jasm(&mut p, &rt, MICRO_ENV).expect("micro env parses");
             parse_jasm(&mut p, &rt, &case.code).expect("micro case parses");
-            let entry = p
-                .find_method(&case.entry_class, "main")
-                .expect("micro entry");
+            let entry = p.find_method(&case.entry_class, "main").expect("micro entry");
             let cg = CallGraph::build(&p, &[entry], CgAlgorithm::Cha);
             check(&case.name, &p, &cg, &defs, &HashSet::new(), &mut cov);
         }
@@ -281,11 +234,8 @@ fn securibench_micro_call_sites_agree() {
 fn ground_truth_corpus_call_sites_agree() {
     let mut cov = Coverage::default();
     for app in flowdroid_truth::generate_corpus(42, 12) {
-        let layouts: Vec<(&str, &str)> = app
-            .layouts
-            .iter()
-            .map(|(n, x)| (n.as_str(), x.as_str()))
-            .collect();
+        let layouts: Vec<(&str, &str)> =
+            app.layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
         check_app(&app.name, &app.manifest, &layouts, &app.code, &mut cov);
     }
     assert!(cov.sites > 500, "only {} call sites checked", cov.sites);

@@ -81,14 +81,13 @@ fn linked_mode_skips_receivers_without_tainted_senders() {
     let config = InfoflowConfig::default();
 
     // Paper mode: getIntent is unconditionally a source → a warning.
-    let paper = Infoflow::new(&sources, &wrapper, &config)
-        .analyze_app(&mut p, &platform, &app, "paper");
+    let paper =
+        Infoflow::new(&sources, &wrapper, &config).analyze_app(&mut p, &platform, &app, "paper");
     assert_eq!(paper.results.leak_count(), 1, "the shipped over-approximation warns");
 
     // Linked mode: no tainted send exists → clean.
     let (mut p2, platform2, app2) = setup(MANIFEST_RECEIVER, RECEIVER_ONLY_APP);
-    let linked =
-        analyze_app_linked(&mut p2, &platform2, &app2, &sources, &wrapper, &config, "lk");
+    let linked = analyze_app_linked(&mut p2, &platform2, &app2, &sources, &wrapper, &config, "lk");
     assert!(!linked.tainted_send_exists);
     assert_eq!(linked.leak_count(), 0, "no sender, no warning: {linked:#?}");
 }
@@ -115,9 +114,8 @@ fn linked_mode_connects_real_cross_component_flows() {
 #[test]
 fn clone_without_strips_only_the_given_entries() {
     let sources = SourceSinkManager::default_android();
-    let stripped = sources.clone_without(
-        "<android.app.Activity: android.content.Intent getIntent()> -> _SOURCE_\n",
-    );
+    let stripped = sources
+        .clone_without("<android.app.Activity: android.content.Intent getIntent()> -> _SOURCE_\n");
     assert_eq!(stripped.len(), sources.len() - 1);
     // Stripping something unknown changes nothing.
     let same = sources.clone_without("<no.Such: void thing()> -> _SINK_\n");

@@ -15,10 +15,7 @@ fn field_strategy() -> impl Strategy<Value = FieldId> {
 }
 
 fn ap_strategy() -> impl Strategy<Value = AccessPath> {
-    (
-        0u32..4,
-        proptest::collection::vec(field_strategy(), 0..5),
-    )
+    (0u32..4, proptest::collection::vec(field_strategy(), 0..5))
         .prop_map(|(l, fields)| AccessPath::new(ApBase::Local(Local(l)), fields, 5))
 }
 
@@ -26,10 +23,7 @@ fn fact_strategy() -> impl Strategy<Value = Fact> {
     (ap_strategy(), 0u32..3, 0usize..4, 0usize..3).prop_map(|(ap, kind, m, idx)| match kind {
         0 => Fact::Zero,
         1 => Fact::T(Taint::active(ap)),
-        _ => Fact::T(Taint::inactive(
-            ap,
-            StmtRef::new(MethodId::from_index(m), idx),
-        )),
+        _ => Fact::T(Taint::inactive(ap, StmtRef::new(MethodId::from_index(m), idx))),
     })
 }
 

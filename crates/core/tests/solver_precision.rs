@@ -21,7 +21,11 @@ const DEFS: &str = "\
 <Env: void sink(java.lang.String)> -> _SINK_\n\
 <Env: void sinkObj(java.lang.Object)> -> _SINK_\n";
 
-fn analyze_with(config: &InfoflowConfig, body: &str, entry: (&str, &str)) -> (Program, InfoflowResults) {
+fn analyze_with(
+    config: &InfoflowConfig,
+    body: &str,
+    entry: (&str, &str),
+) -> (Program, InfoflowResults) {
     let mut p = Program::new();
     flowdroid_android::install_platform(&mut p);
     let rt = ResourceTable::new();

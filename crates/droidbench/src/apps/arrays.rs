@@ -108,4 +108,3 @@ class dbench.list1.Main extends android.app.Activity {
         code,
     }
 }
-

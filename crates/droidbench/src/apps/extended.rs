@@ -70,7 +70,8 @@ class dbext.cc1.Second extends java.lang.Object implements android.view.View$OnL
         category: Category::Supplementary,
         in_table: false,
         expected_leaks: 1,
-        description: "a callback registers another callback whose handler leaks (fixed-point discovery)",
+        description:
+            "a callback registers another callback whose handler leaks (fixed-point discovery)",
         manifest: single_activity_manifest("dbext.cc1", "Main"),
         layouts: vec![],
         code,

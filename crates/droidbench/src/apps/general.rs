@@ -5,13 +5,7 @@ use super::with_imei;
 use crate::{single_activity_manifest, BenchApp, Category};
 
 pub fn apps() -> Vec<BenchApp> {
-    vec![
-        loop1(),
-        loop2(),
-        source_code_specific1(),
-        static_initialization1(),
-        unreachable_code(),
-    ]
+    vec![loop1(), loop2(), source_code_specific1(), static_initialization1(), unreachable_code()]
 }
 
 /// The IMEI is obfuscated in a counted loop before the leak.

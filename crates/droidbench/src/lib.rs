@@ -267,8 +267,7 @@ mod tests {
     #[test]
     fn expected_leak_total_matches_table1() {
         // Table 1 sums: 26 found + 2 missed = 28 real leaks.
-        let total: usize =
-            all_apps().iter().filter(|a| a.in_table).map(|a| a.expected_leaks).sum();
+        let total: usize = all_apps().iter().filter(|a| a.in_table).map(|a| a.expected_leaks).sum();
         assert_eq!(total, 28);
     }
 
@@ -277,8 +276,7 @@ mod tests {
         for app in all_apps() {
             let mut p = Program::new();
             flowdroid_android::install_platform(&mut p);
-            app.load(&mut p)
-                .unwrap_or_else(|e| panic!("app {} fails to load: {e}", app.name));
+            app.load(&mut p).unwrap_or_else(|e| panic!("app {} fails to load: {e}", app.name));
         }
     }
 
@@ -295,8 +293,8 @@ mod tests {
     fn write_to_dir_round_trips() {
         let apps = all_apps();
         let app = apps.iter().find(|a| a.name == "Button1").unwrap();
-        let dir = std::env::temp_dir()
-            .join(format!("droidbench-export-test-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("droidbench-export-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         app.write_to_dir(&dir).unwrap();
         let mut p = Program::new();

@@ -78,7 +78,8 @@ fn fortify_quirk_finds_static_lifecycle_leaks_only() {
     // tests, but … only happens by chance" via static fields.
     let apps = all_apps();
     let by_name = |n: &str| apps.iter().find(|a| a.name == n).unwrap();
-    for name in ["ActivityLifecycle1", "ActivityLifecycle2", "ActivityLifecycle4", "ServiceLifecycle1"]
+    for name in
+        ["ActivityLifecycle1", "ActivityLifecycle2", "ActivityLifecycle4", "ServiceLifecycle1"]
     {
         assert_eq!(
             run_baseline(BaselineTool::FortifyLike, by_name(name)),

@@ -5,7 +5,7 @@
 //! structurally identical program.
 
 use flowdroid_ir::{
-    ClassId, Constant, Cond, InvokeExpr, InvokeKind, Local, MethodId, Operand, Place, Program,
+    ClassId, Cond, Constant, InvokeExpr, InvokeKind, Local, MethodId, Operand, Place, Program,
     Rvalue, Stmt, UnOp,
 };
 use flowdroid_ir::{FxHashMap, FxHashSet};
@@ -78,10 +78,8 @@ fn sanitize(name: &str, idx: usize) -> String {
         .chars()
         .map(|ch| if ch.is_ascii_alphanumeric() || ch == '_' || ch == '$' { ch } else { '_' })
         .collect();
-    let ok_start = cleaned
-        .chars()
-        .next()
-        .is_some_and(|ch| ch.is_ascii_alphabetic() || ch == '_' || ch == '$');
+    let ok_start =
+        cleaned.chars().next().is_some_and(|ch| ch.is_ascii_alphabetic() || ch == '_' || ch == '$');
     if cleaned.is_empty() || !ok_start || is_reserved(&cleaned) {
         format!("v{idx}")
     } else {
@@ -92,10 +90,33 @@ fn sanitize(name: &str, idx: usize) -> String {
 fn is_reserved(s: &str) -> bool {
     matches!(
         s,
-        "let" | "label" | "goto" | "if" | "return" | "throw" | "nop" | "static" | "new"
-            | "newarray" | "neg" | "lengthof" | "opaque" | "instanceof" | "null" | "cmp"
-            | "class" | "interface" | "extends" | "implements" | "field" | "method"
-            | "native" | "abstract" | "virtualinvoke" | "interfaceinvoke" | "specialinvoke"
+        "let"
+            | "label"
+            | "goto"
+            | "if"
+            | "return"
+            | "throw"
+            | "nop"
+            | "static"
+            | "new"
+            | "newarray"
+            | "neg"
+            | "lengthof"
+            | "opaque"
+            | "instanceof"
+            | "null"
+            | "cmp"
+            | "class"
+            | "interface"
+            | "extends"
+            | "implements"
+            | "field"
+            | "method"
+            | "native"
+            | "abstract"
+            | "virtualinvoke"
+            | "interfaceinvoke"
+            | "specialinvoke"
             | "staticinvoke"
     )
 }
@@ -116,10 +137,7 @@ fn emit_method(p: &Program, mid: MethodId, out: &mut String) {
     let params: Vec<String> = (0..m.param_count())
         .map(|i| {
             let l = m.param_local(i);
-            let name = names
-                .get(l.index())
-                .cloned()
-                .unwrap_or_else(|| format!("p{i}"));
+            let name = names.get(l.index()).cloned().unwrap_or_else(|| format!("p{i}"));
             format!("{}: {}", name, p.type_name(&m.subsig().params[i]))
         })
         .collect();

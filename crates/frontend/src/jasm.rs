@@ -52,8 +52,8 @@
 
 use crate::layout::ResourceTable;
 use flowdroid_ir::{
-    BinOp, ClassId, CmpOp, Constant, FieldId, FxHashMap, InvokeKind, Label, Local,
-    MethodBuilder, MethodId, Operand, Place, Program, Rvalue, SubSig, Type, UnOp,
+    BinOp, ClassId, CmpOp, Constant, FieldId, FxHashMap, InvokeKind, Label, Local, MethodBuilder,
+    MethodId, Operand, Place, Program, Rvalue, SubSig, Type, UnOp,
 };
 use std::borrow::Cow;
 use std::fmt;
@@ -185,7 +185,8 @@ fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
     let err = |msg: &str, line: u32| ParseError { message: msg.to_owned(), line };
     // Identifier-like runs: letters, digits, `_` (and `$` where allowed).
     let run = |mut i: usize, dollar: bool| {
-        while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || (dollar && b[i] == b'$'))
+        while i < b.len()
+            && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || (dollar && b[i] == b'$'))
         {
             i += 1;
         }
@@ -707,10 +708,9 @@ impl<'t> Cursor<'t> {
                     }
                 }
             } else {
-                return Err(self.err(format!(
-                    "expected `field` or `method`, found {:?}",
-                    self.peek()
-                )));
+                return Err(
+                    self.err(format!("expected `field` or `method`, found {:?}", self.peek()))
+                );
             }
         }
         Ok(class)
@@ -965,9 +965,11 @@ impl<'t> BodyParser<'_, 't> {
             Opnd::Int(v) => Constant::Int(v),
             Opnd::Str(s) => Constant::Str(self.b.program().intern(s)),
             Opnd::Null => Constant::Null,
-            Opnd::Res(text) => Constant::Int(self.resources.resolve(text).ok_or_else(|| {
-                self.err(format!("unresolved resource reference `{text}`"))
-            })?),
+            Opnd::Res(text) => Constant::Int(
+                self.resources
+                    .resolve(text)
+                    .ok_or_else(|| self.err(format!("unresolved resource reference `{text}`")))?,
+            ),
         }))
     }
 
@@ -1198,8 +1200,7 @@ impl<'t> BodyParser<'_, 't> {
                 let field = self.cur.ident("field name")?;
                 return Ok(Rvalue::Read(self.place(Target::Field(base, field))?));
             }
-            if self.cur.peek() == Some(&Tok::LBracket) && self.cur.peek2() != Some(&Tok::RBracket)
-            {
+            if self.cur.peek() == Some(&Tok::LBracket) && self.cur.peek2() != Some(&Tok::RBracket) {
                 self.cur.pos += 1;
                 let idx = self.cur.operand()?;
                 self.cur.expect(&Tok::RBracket, "`]`")?;
@@ -1241,7 +1242,11 @@ impl<'t> BodyParser<'_, 't> {
     /// Resolves `base.field` against the class of `base`'s declared type,
     /// declaring the field on phantom classes when necessary (framework
     /// stubs).
-    fn instance_field(&mut self, class: Option<ClassId>, field: &str) -> Result<FieldId, ParseError> {
+    fn instance_field(
+        &mut self,
+        class: Option<ClassId>,
+        field: &str,
+    ) -> Result<FieldId, ParseError> {
         let Some(class) = class else {
             return Err(self.err(format!("field access `.{field}` on non-class type")));
         };
@@ -1287,9 +1292,7 @@ mod tests {
 
     #[test]
     fn parses_minimal_class() {
-        let p = parse_ok(
-            "class A {\n  method run() -> void {\n    return\n  }\n}",
-        );
+        let p = parse_ok("class A {\n  method run() -> void {\n    return\n  }\n}");
         let a = p.find_class("A").unwrap();
         assert!(p.class(a).is_declared());
         let run = p.find_method("A", "run").unwrap();
@@ -1450,9 +1453,8 @@ class G {
     fn unknown_local_is_an_error() {
         let mut p = Program::new();
         let rt = ResourceTable::new();
-        let err =
-            parse_jasm(&mut p, &rt, "class J { method f() -> void { x = 1\n return } }")
-                .unwrap_err();
+        let err = parse_jasm(&mut p, &rt, "class J { method f() -> void { x = 1\n return } }")
+            .unwrap_err();
         assert!(err.message.contains("unknown local"), "{err}");
     }
 
@@ -1525,7 +1527,10 @@ class K {
     #[test]
     fn error_messages_show_the_token_as_written() {
         let err = parse_err("class A {\n method f() -> void {\n x \"a\\nb\" \n } }");
-        assert_eq!(err.to_string(), "jasm error at line 3: expected `=`, found Some(Str(\"a\\nb\"))");
+        assert_eq!(
+            err.to_string(),
+            "jasm error at line 3: expected `=`, found Some(Str(\"a\\nb\"))"
+        );
         let err = parse_err("class A { method f() -> void { x = @id/w } }");
         assert_eq!(err.message, "unresolved resource reference `@id/w`");
         let err = parse_err("class A { method f() -> void {\n return\n ");

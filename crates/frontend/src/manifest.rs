@@ -111,9 +111,8 @@ impl Manifest {
                 let enabled = child.attr("android:enabled") != Some("false");
                 let exported = child.attr("android:exported") == Some("true");
                 let is_launcher = child.children_named("intent-filter").any(|f| {
-                    f.children_named("action").any(|a| {
-                        a.attr("android:name") == Some("android.intent.action.MAIN")
-                    })
+                    f.children_named("action")
+                        .any(|a| a.attr("android:name") == Some("android.intent.action.MAIN"))
                 });
                 components.push(ComponentDecl { kind, class_name, enabled, exported, is_launcher });
             }
@@ -128,9 +127,7 @@ impl Manifest {
 
     /// The launcher activity, if declared.
     pub fn launcher(&self) -> Option<&ComponentDecl> {
-        self.components
-            .iter()
-            .find(|c| c.is_launcher && c.kind == ComponentKind::Activity)
+        self.components.iter().find(|c| c.is_launcher && c.kind == ComponentKind::Activity)
     }
 }
 

@@ -63,10 +63,7 @@ impl Archive {
 
     /// Paths beginning with `prefix`.
     pub fn paths_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> {
-        self.entries
-            .keys()
-            .filter(move |p| p.starts_with(prefix))
-            .map(String::as_str)
+        self.entries.keys().filter(move |p| p.starts_with(prefix)).map(String::as_str)
     }
 
     /// Number of entries.
@@ -108,17 +105,19 @@ impl Archive {
         let mut entries = BTreeMap::new();
         for _ in 0..count {
             let plen = read_uleb(bytes, &mut pos)? as usize;
-            let pend = pos.checked_add(plen).filter(|&e| e <= bytes.len()).ok_or(
-                ArchiveError { message: "path overruns input".into(), offset: pos },
-            )?;
+            let pend = pos
+                .checked_add(plen)
+                .filter(|&e| e <= bytes.len())
+                .ok_or(ArchiveError { message: "path overruns input".into(), offset: pos })?;
             let path = std::str::from_utf8(&bytes[pos..pend])
                 .map_err(|_| ArchiveError { message: "invalid UTF-8 path".into(), offset: pos })?
                 .to_owned();
             pos = pend;
             let dlen = read_uleb(bytes, &mut pos)? as usize;
-            let dend = pos.checked_add(dlen).filter(|&e| e <= bytes.len()).ok_or(
-                ArchiveError { message: "data overruns input".into(), offset: pos },
-            )?;
+            let dend = pos
+                .checked_add(dlen)
+                .filter(|&e| e <= bytes.len())
+                .ok_or(ArchiveError { message: "data overruns input".into(), offset: pos })?;
             entries.insert(path, bytes[pos..dend].to_vec());
             pos = dend;
         }

@@ -515,10 +515,7 @@ impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
     }
 
     fn u8(&mut self) -> Result<u8, SdexError> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| self.err("unexpected end of input"))?;
+        let b = *self.bytes.get(self.pos).ok_or_else(|| self.err("unexpected end of input"))?;
         self.pos += 1;
         Ok(b)
     }
@@ -681,10 +678,7 @@ fn read_header(bytes: &[u8]) -> Result<(Vec<String>, usize), SdexError> {
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
     if version != VERSION {
-        return Err(SdexError {
-            message: format!("unsupported version {version}"),
-            offset: 4,
-        });
+        return Err(SdexError { message: format!("unsupported version {version}"), offset: 4 });
     }
     let mut pos = 6;
     let nstrings = read_uleb_raw(bytes, &mut pos)? as usize;
@@ -748,12 +742,8 @@ impl BodySource for LazySdex {
         _method: flowdroid_ir::MethodId,
         token: u64,
     ) -> Result<Body, String> {
-        let mut dec = Decoder {
-            bytes: &self.bytes,
-            pos: token as usize,
-            strings: &self.strings,
-            program,
-        };
+        let mut dec =
+            Decoder { bytes: &self.bytes, pos: token as usize, strings: &self.strings, program };
         decode_body(&mut dec).map_err(|e| e.to_string())
     }
 }

@@ -24,10 +24,7 @@ pub struct XmlElement {
 impl XmlElement {
     /// The value of attribute `name`, if present.
     pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        self.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
     }
 
     /// All direct children with the given tag name.
@@ -165,7 +162,12 @@ impl<'a> Parser<'a> {
                         return Err(self.err("expected '>' after '/'"));
                     }
                     self.pos += 1;
-                    return Ok(XmlElement { name, attrs, children: Vec::new(), text: String::new() });
+                    return Ok(XmlElement {
+                        name,
+                        attrs,
+                        children: Vec::new(),
+                        text: String::new(),
+                    });
                 }
                 Some(b'>') => {
                     self.pos += 1;
@@ -212,7 +214,9 @@ impl<'a> Parser<'a> {
                 self.pos += 2;
                 let close = self.parse_name()?;
                 if close != name {
-                    return Err(self.err(&format!("mismatched closing tag </{close}> for <{name}>")));
+                    return Err(
+                        self.err(&format!("mismatched closing tag </{close}> for <{name}>"))
+                    );
                 }
                 self.skip_ws();
                 if self.peek() != Some(b'>') {

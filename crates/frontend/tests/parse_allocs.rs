@@ -102,7 +102,8 @@ fn parse_allocations_are_pinned() {
     let main = p.find_method("stress.Chain", "main").expect("main declared");
     assert_eq!(p.method(main).body().expect("main has a body").len(), 103);
     assert_eq!(
-        allocs, PINNED_ALLOCS,
+        allocs,
+        PINNED_ALLOCS,
         "parse_jasm on the {}-byte chain made {allocs} allocations, pinned at {PINNED_ALLOCS}",
         src.len()
     );

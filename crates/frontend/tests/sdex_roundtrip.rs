@@ -97,9 +97,14 @@ fn build_program(recipes: &[Recipe]) -> (Program, flowdroid_ir::ClassId) {
                 b.assign_local(x, Rvalue::BinOp(BinOp::Add, x.into(), y.into()));
             }
             Recipe::CallStatic => {
-                b.call_static(Some(x), "gen.Helper", "get", vec![Type::Int], Type::Int, vec![
-                    y.into(),
-                ]);
+                b.call_static(
+                    Some(x),
+                    "gen.Helper",
+                    "get",
+                    vec![Type::Int],
+                    Type::Int,
+                    vec![y.into()],
+                );
             }
             Recipe::CallVirtual => {
                 b.call_virtual(None, o, "gen.C", "m", vec![Type::Int], Type::Void, vec![x.into()]);

@@ -77,10 +77,8 @@ impl<F: Idx + Hash> Tabulator<F> {
             if m.index() >= stmt_counts.len() {
                 stmt_counts.resize(m.index() + 1, NONE);
             }
-            stmt_counts[m.index()] = u32::try_from(stmts)
-                .ok()
-                .filter(|&n| n != NONE)
-                .expect("statement count overflow");
+            stmt_counts[m.index()] =
+                u32::try_from(stmts).ok().filter(|&n| n != NONE).expect("statement count overflow");
         }
         Self {
             worklist: VecDeque::new(),

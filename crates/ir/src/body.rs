@@ -92,11 +92,7 @@ impl Body {
 
     /// Indices of all exit statements (returns and throws).
     pub fn exits(&self) -> impl Iterator<Item = StmtIdx> + '_ {
-        self.stmts
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_exit())
-            .map(|(i, _)| i)
+        self.stmts.iter().enumerate().filter(|(_, s)| s.is_exit()).map(|(i, _)| i)
     }
 
     /// The entry statement index (always 0 for non-empty bodies).
@@ -207,11 +203,8 @@ mod tests {
 
     #[test]
     fn branch_has_two_successors() {
-        let stmts = vec![
-            Stmt::If { cond: Cond::Opaque, target: 2 },
-            nop(),
-            Stmt::Return { value: None },
-        ];
+        let stmts =
+            vec![Stmt::If { cond: Cond::Opaque, target: 2 }, nop(), Stmt::Return { value: None }];
         let cfg = Cfg::build(&stmts);
         assert_eq!(cfg.succs(0), &[1, 2]);
         let mut preds2 = cfg.preds(2).to_vec();
@@ -244,9 +237,11 @@ mod tests {
     fn body_exits() {
         let b = Body::new(
             vec![],
-            vec![nop(), Stmt::Return { value: None }, Stmt::Throw {
-                value: crate::stmt::Operand::Const(crate::stmt::Constant::Null),
-            }],
+            vec![
+                nop(),
+                Stmt::Return { value: None },
+                Stmt::Throw { value: crate::stmt::Operand::Const(crate::stmt::Constant::Null) },
+            ],
             vec![0, 0, 0],
         );
         let exits: Vec<_> = b.exits().collect();

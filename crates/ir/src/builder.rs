@@ -48,12 +48,7 @@ impl<'p> MethodBuilder<'p> {
     /// Declares a new static method on a placeholder class named
     /// `"$synthetic"` and starts building its body. Mostly useful in
     /// doctests; prefer [`MethodBuilder::new_static_on`].
-    pub fn new_static(
-        program: &'p mut Program,
-        name: &str,
-        params: Vec<Type>,
-        ret: Type,
-    ) -> Self {
+    pub fn new_static(program: &'p mut Program, name: &str, params: Vec<Type>, ret: Type) -> Self {
         let class = program.class_id("$synthetic");
         Self::new_static_on(program, class, name, params, ret)
     }

@@ -43,14 +43,13 @@ mod symbols;
 mod types;
 
 pub use body::{Body, Cfg, LocalDecl, StmtIdx, StmtRef};
-pub use fxhash::{fnv1a64, fxhash64, Fnv1a64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use builder::{Label, MethodBuilder};
 pub use class::{Class, ClassId, Field, FieldId, Method, MethodId, MethodRef, SubSig};
+pub use fxhash::{fnv1a64, fxhash64, Fnv1a64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pretty::ProgramPrinter;
 pub use program::{BodySource, Program, ProgramBase};
 pub use stmt::{
-    BinOp, CmpOp, Cond, Constant, InvokeExpr, InvokeKind, Local, Operand, Place, Rvalue, Stmt,
-    UnOp,
+    BinOp, CmpOp, Cond, Constant, InvokeExpr, InvokeKind, Local, Operand, Place, Rvalue, Stmt, UnOp,
 };
 pub use symbols::{Interner, Symbol};
 pub use types::Type;

@@ -61,8 +61,7 @@ impl<'p> ProgramPrinter<'p> {
         for &f in c.fields() {
             let fd = p.field(f);
             let st = if fd.is_static() { "static " } else { "" };
-            writeln!(out, "  {}field {}: {};", st, p.str(fd.name()), p.type_name(fd.ty()))
-                .unwrap();
+            writeln!(out, "  {}field {}: {};", st, p.str(fd.name()), p.type_name(fd.ty())).unwrap();
         }
         for &m in c.methods() {
             out.push_str(&self.method_to_string(m));
@@ -158,12 +157,9 @@ impl<'p> ProgramPrinter<'p> {
             Rvalue::NewArray(t, n) => {
                 format!("new {}[{}]", p.type_name(t), self.fmt_operand(m, n))
             }
-            Rvalue::BinOp(op, a, b) => format!(
-                "{} {} {}",
-                self.fmt_operand(m, a),
-                binop_str(*op),
-                self.fmt_operand(m, b)
-            ),
+            Rvalue::BinOp(op, a, b) => {
+                format!("{} {} {}", self.fmt_operand(m, a), binop_str(*op), self.fmt_operand(m, b))
+            }
             Rvalue::UnOp(UnOp::Neg, a) => format!("-{}", self.fmt_operand(m, a)),
             Rvalue::UnOp(UnOp::Len, a) => format!("len({})", self.fmt_operand(m, a)),
             Rvalue::Cast(t, a) => format!("({}) {}", p.type_name(t), self.fmt_operand(m, a)),
@@ -182,19 +178,12 @@ impl<'p> ProgramPrinter<'p> {
             InvokeKind::Static => "static",
         };
         let args: Vec<_> = call.args.iter().map(|a| self.fmt_operand(m, a)).collect();
-        let target = format!(
-            "{}.{}",
-            p.class_name(call.callee.class),
-            p.str(call.callee.subsig.name)
-        );
+        let target =
+            format!("{}.{}", p.class_name(call.callee.class), p.str(call.callee.subsig.name));
         match call.base {
-            Some(b) => format!(
-                "{} {}.{}({})",
-                kind,
-                self.local_name(m, b),
-                target,
-                args.join(", ")
-            ),
+            Some(b) => {
+                format!("{} {}.{}({})", kind, self.local_name(m, b), target, args.join(", "))
+            }
             None => format!("{} {}({})", kind, target, args.join(", ")),
         }
     }

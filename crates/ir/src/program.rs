@@ -389,14 +389,17 @@ impl Program {
     /// # Panics
     ///
     /// Panics if a field of that name already exists on the class.
-    pub fn declare_field(&mut self, class: ClassId, name: &str, ty: Type, is_static: bool) -> FieldId {
+    pub fn declare_field(
+        &mut self,
+        class: ClassId,
+        name: &str,
+        ty: Type,
+        is_static: bool,
+    ) -> FieldId {
         let sym = self.interner.intern(name);
         let id = FieldId::from_index(self.base_field_len() + self.fields.len());
         let c = self.class_mut(class);
-        assert!(
-            !c.field_by_name.contains_key(&sym),
-            "field declared twice on class"
-        );
+        assert!(!c.field_by_name.contains_key(&sym), "field declared twice on class");
         c.fields.push(id);
         c.field_by_name.insert(sym, id);
         self.fields.push(Field { id, class, name: sym, ty, is_static });
@@ -457,10 +460,7 @@ impl Program {
         let subsig = SubSig { name, params, ret };
         let id = MethodId::from_index(self.base_method_len() + self.methods.len());
         let c = self.class_mut(class);
-        assert!(
-            !c.method_by_subsig.contains_key(&subsig),
-            "method declared twice on class"
-        );
+        assert!(!c.method_by_subsig.contains_key(&subsig), "method declared twice on class");
         c.methods.push(id);
         c.method_by_subsig.insert(subsig.clone(), id);
         self.methods.push(Method {
@@ -764,10 +764,7 @@ mod tests {
         let c = p.declare_class("com.example.Foo", Some("java.lang.Object"), &[]);
         let s = p.ref_type("java.lang.String");
         let m = p.declare_method(c, "bar", vec![Type::Int, s.clone()], s, false);
-        assert_eq!(
-            p.signature(m),
-            "<com.example.Foo: java.lang.String bar(int,java.lang.String)>"
-        );
+        assert_eq!(p.signature(m), "<com.example.Foo: java.lang.String bar(int,java.lang.String)>");
     }
 
     struct TestSource {
@@ -794,7 +791,8 @@ mod tests {
         let mut p = Program::new();
         let c = p.declare_class("C", None, &[]);
         let m = p.declare_method(c, "f", vec![], Type::Void, true);
-        let src = Arc::new(TestSource { stmts: vec![crate::Stmt::Return { value: None }], fail: false });
+        let src =
+            Arc::new(TestSource { stmts: vec![crate::Stmt::Return { value: None }], fail: false });
         p.defer_body(m, src, 0);
         assert!(p.method(m).has_body());
         assert!(p.method(m).body_is_pending());
@@ -839,7 +837,8 @@ mod tests {
         let mut p = Program::new();
         let c = p.declare_class("C", None, &[]);
         let m = p.declare_method(c, "f", vec![], Type::Void, true);
-        let src = Arc::new(TestSource { stmts: vec![crate::Stmt::Return { value: None }], fail: false });
+        let src =
+            Arc::new(TestSource { stmts: vec![crate::Stmt::Return { value: None }], fail: false });
         p.defer_body(m, src, 0);
 
         let mut clone = p.clone();
@@ -889,10 +888,7 @@ mod tests {
             assert_eq!(p.class_count(), n_classes + 1);
             assert_eq!(p.method_count(), n_methods + 1);
         }
-        assert_eq!(
-            flat.find_class("com.app.Main"),
-            over.find_class("com.app.Main")
-        );
+        assert_eq!(flat.find_class("com.app.Main"), over.find_class("com.app.Main"));
         // Base entities read through the overlay untouched.
         let act = over.find_class("android.app.Activity").unwrap();
         assert_eq!(over.class_name(act), "android.app.Activity");

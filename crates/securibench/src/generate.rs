@@ -169,11 +169,7 @@ fn basic_case(name: &str, cls: &str, carrier: usize, sink_pos: usize, obf: bool)
             ),
         ),
     };
-    let static_field = if carrier == 4 {
-        "  static field g: java.lang.String\n"
-    } else {
-        ""
-    };
+    let static_field = if carrier == 4 { "  static field g: java.lang.String\n" } else { "" };
     let code = format!(
         "class {cls} extends java.lang.Object {{\n{static_field}  static method main() -> void {{\n    let s: java.lang.String\n    let v: java.lang.String\n    s = {SRC}\n{carrier_code}{obf_code}{sink_code}    return\n  }}\n{aux_methods}{sink_methods}}}\n{aux_classes}"
     );
@@ -382,7 +378,8 @@ fn collections_case(i: usize, cls: &str) -> String {
     let get0 = "    e = virtualinvoke l.<java.util.ArrayList: java.lang.Object get(int)>(0)\n";
     let iter_next = "    it = virtualinvoke l.<java.util.ArrayList: java.util.Iterator iterator()>()\n    e = virtualinvoke it.<java.util.Iterator: java.lang.Object next()>()\n";
     let to_v = "    v = virtualinvoke e.<java.lang.Object: java.lang.String toString()>()\n";
-    let new_map = "    m = new java.util.HashMap\n    specialinvoke m.<java.util.HashMap: void <init>()>()\n";
+    let new_map =
+        "    m = new java.util.HashMap\n    specialinvoke m.<java.util.HashMap: void <init>()>()\n";
     let body = match i {
         0 => format!("{new_list}{add_s}{get0}{to_v}"),
         1 => format!("{new_list}{add_s}{iter_next}{to_v}"),
@@ -503,7 +500,9 @@ fn inter() -> Vec<MicroCase> {
                 } else if instance {
                     format!("    virtualinvoke this.<{cls}: void f{next}(java.lang.String)>(x)\n    return\n")
                 } else {
-                    format!("    staticinvoke <{cls}: void f{next}(java.lang.String)>(x)\n    return\n")
+                    format!(
+                        "    staticinvoke <{cls}: void f{next}(java.lang.String)>(x)\n    return\n"
+                    )
                 };
                 methods.push_str(&format!(
                     "  {this_kw} f{d}(x: java.lang.String) -> void {{\n{inner}  }}\n"
@@ -578,7 +577,9 @@ fn strong_updates() -> Vec<MicroCase> {
         let body = match i {
             0 => "    v = s\n    v = \"clean\"\n".to_owned(),
             1 => "    v = s + \"x\"\n    v = \"clean\" + \"er\"\n".to_owned(),
-            2 => format!("    v = staticinvoke <{cls}: java.lang.String scrub(java.lang.String)>(s)\n"),
+            2 => format!(
+                "    v = staticinvoke <{cls}: java.lang.String scrub(java.lang.String)>(s)\n"
+            ),
             _ => "    v = s\n    v = null\n    v = \"fresh\"\n".to_owned(),
         };
         let code = format!(

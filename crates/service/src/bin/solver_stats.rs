@@ -449,12 +449,7 @@ fn run_full(out_path: &str) {
     writeln!(json, "    \"lazy_bodies_materialized\": {},", lazy.bodies_materialized).unwrap();
     writeln!(json, "    \"lazy_bodies_skipped\": {},", lazy.bodies_skipped).unwrap();
     writeln!(json, "    \"lazy_setup_ms\": {:.3},", lazy.setup_ms).unwrap();
-    writeln!(
-        json,
-        "    \"lazy_report_identical\": {},",
-        lazy.report == baseline_report
-    )
-    .unwrap();
+    writeln!(json, "    \"lazy_report_identical\": {},", lazy.report == baseline_report).unwrap();
     if cores < 2 {
         // Wall-clock speedup needs real hardware parallelism; on a
         // single core the measurement degenerates to pool overhead
@@ -496,7 +491,10 @@ fn run_full(out_path: &str) {
             std::process::exit(1);
         }
         if r.forward_pops != pops {
-            eprintln!("FAIL: ladder rung {} popped {} forward edges, want {pops}", r.job, r.forward_pops);
+            eprintln!(
+                "FAIL: ladder rung {} popped {} forward edges, want {pops}",
+                r.job, r.forward_pops
+            );
             std::process::exit(1);
         }
     }
@@ -575,14 +573,10 @@ fn run_service(out_path: &str) {
     let _ = std::fs::remove_file(&snap_path);
 
     let aborted = cold.iter().chain(&warm).filter(|(_, r)| r.aborted).count();
-    let reports_identical = cold
-        .iter()
-        .zip(&warm)
-        .all(|((_, c), (_, w))| c.report == w.report);
-    let total =
-        |pass: &[(String, JobResult)], f: fn(&JobResult) -> u64| -> u64 {
-            pass.iter().map(|(_, r)| f(r)).sum()
-        };
+    let reports_identical = cold.iter().zip(&warm).all(|((_, c), (_, w))| c.report == w.report);
+    let total = |pass: &[(String, JobResult)], f: fn(&JobResult) -> u64| -> u64 {
+        pass.iter().map(|(_, r)| f(r)).sum()
+    };
     let peak = |pass: &[(String, JobResult)], f: fn(&JobResult) -> u64| -> u64 {
         pass.iter().map(|(_, r)| f(r)).max().unwrap_or(0)
     };
@@ -606,10 +600,9 @@ fn run_service(out_path: &str) {
     let warm_bank_cg_hit =
         warm_bank.callgraph_cache_hits == 1 && warm_bank.callgraph_cache_misses == 0;
     let warm_bank_no_extra_bodies = warm_bank.bodies_materialized <= cold_bank.bodies_materialized;
-    let bodies_materialized = total(&cold, |r| r.bodies_materialized)
-        + total(&warm, |r| r.bodies_materialized);
-    let bodies_skipped =
-        total(&cold, |r| r.bodies_skipped) + total(&warm, |r| r.bodies_skipped);
+    let bodies_materialized =
+        total(&cold, |r| r.bodies_materialized) + total(&warm, |r| r.bodies_materialized);
+    let bodies_skipped = total(&cold, |r| r.bodies_skipped) + total(&warm, |r| r.bodies_skipped);
     let cold_setup_us = total(&cold, |r| r.setup_us);
     let cold_cg_misses = total(&cold, |r| r.callgraph_cache_misses);
     let warm_cg_hits = total(&warm, |r| r.callgraph_cache_hits);
@@ -638,10 +631,8 @@ fn run_service(out_path: &str) {
     writeln!(section, "    \"warm_setup_us_total\": {warm_setup_us},").unwrap();
     writeln!(section, "    \"warm_dataflow_us_total\": {warm_dataflow_us},").unwrap();
     writeln!(section, "    \"warm_insecurebank_setup_us\": {},", warm_bank.setup_us).unwrap();
-    writeln!(section, "    \"warm_insecurebank_dataflow_us\": {},", warm_bank.dataflow_us)
-        .unwrap();
-    writeln!(section, "    \"warm_insecurebank_prepared_hit\": {warm_bank_prepared_hit},")
-        .unwrap();
+    writeln!(section, "    \"warm_insecurebank_dataflow_us\": {},", warm_bank.dataflow_us).unwrap();
+    writeln!(section, "    \"warm_insecurebank_prepared_hit\": {warm_bank_prepared_hit},").unwrap();
     writeln!(section, "    \"warm_insecurebank_callgraph_hit\": {warm_bank_cg_hit},").unwrap();
     writeln!(
         section,
@@ -663,12 +654,7 @@ fn run_service(out_path: &str) {
     writeln!(section, "    \"warm_prepared_hits\": {warm_prepared_hits},").unwrap();
     writeln!(section, "    \"cold_platform_clone_us_total\": {cold_clone_us},").unwrap();
     writeln!(section, "    \"warm_platform_clone_us_total\": {warm_clone_us},").unwrap();
-    writeln!(
-        section,
-        "    \"warm_setup_below_cold\": {},",
-        warm_setup_us < cold_setup_us
-    )
-    .unwrap();
+    writeln!(section, "    \"warm_setup_below_cold\": {},", warm_setup_us < cold_setup_us).unwrap();
     writeln!(section, "    \"reports_identical\": {reports_identical},").unwrap();
     writeln!(section, "    \"jobs\": [").unwrap();
     let entries: Vec<String> = cold
@@ -799,9 +785,9 @@ fn splice_tail_section(
             let cut = marks.first().map_or(doc_end, |(i, _)| *i);
             doc[..cut].to_string()
         }
-        Err(_) => format!(
-            "{{\n  \"corpus\": {{ \"apps\": {apps} }},\n  \"available_cores\": {cores}"
-        ),
+        Err(_) => {
+            format!("{{\n  \"corpus\": {{ \"apps\": {apps} }},\n  \"available_cores\": {cores}")
+        }
     };
     let mut out = core;
     for k in TAIL_KEYS {
@@ -829,8 +815,8 @@ fn run_service_load(out_path: &str) {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let names: Vec<String> = full_corpus().into_iter().map(|j| j.name).collect();
 
-    let snap_path = std::env::temp_dir()
-        .join(format!("flowdroid-load-platform-{}.fdps", std::process::id()));
+    let snap_path =
+        std::env::temp_dir().join(format!("flowdroid-load-platform-{}.fdps", std::process::id()));
     flowdroid_android::save_snapshot(&snap_path, &flowdroid_android::build_snapshot())
         .expect("save platform snapshot");
 
@@ -991,10 +977,7 @@ fn run_service_load(out_path: &str) {
     );
 
     // ---- Phase S: streaming identity across the corpus ----
-    eprintln!(
-        "service-load: streaming identity across {} apps ...",
-        names.len()
-    );
+    eprintln!("service-load: streaming identity across {} apps ...", names.len());
     let (addr, h) = bind(2, 0);
     let mut c = Client::connect(&addr).expect("connect");
     let mut progress_frames = 0u64;
@@ -1145,8 +1128,8 @@ fn run_ground_truth(out_path: &str) {
 
     // ---- Daemon leg: every archive served under the path policy ----
     eprintln!("ground-truth: daemon leg ({} .rpk archives) ...", apps.len());
-    let root = std::env::temp_dir()
-        .join(format!("flowdroid-ground-truth-apps-{}", std::process::id()));
+    let root =
+        std::env::temp_dir().join(format!("flowdroid-ground-truth-apps-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     std::fs::create_dir_all(&root).expect("create allow root");
     let rpks: Vec<_> = apps
@@ -1180,8 +1163,7 @@ fn run_ground_truth(out_path: &str) {
     // alias-injection gap behind them).
     let (mut reference_leaks, mut unattributed_leaks) = (0usize, 0usize);
     for (app, path) in &rpks {
-        let (_, result) =
-            c.analyze(path.to_str().unwrap(), None, None).expect("external job");
+        let (_, result) = c.analyze(path.to_str().unwrap(), None, None).expect("external job");
         let local = run_single(&app.job(), &InfoflowConfig::default());
         reference_leaks += local.leaks;
         unattributed_leaks += local.unattributed_leaks;
@@ -1211,8 +1193,7 @@ fn run_ground_truth(out_path: &str) {
     writeln!(section, "{{").unwrap();
     writeln!(section, "    \"seed\": {SEED},").unwrap();
     writeln!(section, "    \"apps\": {},", apps.len()).unwrap();
-    let engine_names: Vec<String> =
-        d.engines.iter().map(|e| format!("\"{}\"", e.name)).collect();
+    let engine_names: Vec<String> = d.engines.iter().map(|e| format!("\"{}\"", e.name)).collect();
     writeln!(section, "    \"engines\": [{}],", engine_names.join(", ")).unwrap();
     writeln!(section, "    \"divergent_pairs\": {},", d.divergent_pairs).unwrap();
     writeln!(section, "    \"reports_identical\": {},", d.divergent_pairs == 0).unwrap();
@@ -1243,8 +1224,7 @@ fn run_ground_truth(out_path: &str) {
     writeln!(section, "    \"constructive_fn\": {},", d.constructive.fn_).unwrap();
     writeln!(section, "    \"constructive_precision\": {:.4},", d.constructive.precision())
         .unwrap();
-    writeln!(section, "    \"constructive_recall\": {:.4},", d.constructive.recall())
-        .unwrap();
+    writeln!(section, "    \"constructive_recall\": {:.4},", d.constructive.recall()).unwrap();
     writeln!(section, "    \"k_limit_apps\": {},", d.k_limit.apps).unwrap();
     writeln!(section, "    \"k_limit_tripped\": {},", d.k_limit.tripped).unwrap();
     writeln!(section, "    \"k_limit_precise\": {},", d.k_limit.precise).unwrap();

@@ -129,9 +129,9 @@ impl Client {
         let first = self.read_response()?;
         match first.str_field("type") {
             Some("queued") => {
-                let id = first.u64_field("job").ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "missing job id")
-                })?;
+                let id = first
+                    .u64_field("job")
+                    .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing job id"))?;
                 Ok(Submitted::Queued(id))
             }
             Some("rejected") => Ok(Submitted::Rejected {
@@ -139,10 +139,7 @@ impl Client {
                 queue_cap: first.u64_field("queue_cap").unwrap_or(0),
             }),
             Some("denied") => Ok(Submitted::Denied {
-                message: first
-                    .str_field("message")
-                    .unwrap_or("path denied by policy")
-                    .to_string(),
+                message: first.str_field("message").unwrap_or("path denied by policy").to_string(),
             }),
             other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,

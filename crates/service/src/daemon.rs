@@ -167,8 +167,7 @@ impl PrioQueue {
                 inner = self.ready.wait(inner).unwrap();
                 continue;
             }
-            let batch_due =
-                !inner.lanes[2].is_empty() && inner.non_batch_streak >= AGING_STREAK;
+            let batch_due = !inner.lanes[2].is_empty() && inner.non_batch_streak >= AGING_STREAK;
             let lane = if batch_due {
                 2
             } else if !inner.lanes[0].is_empty() {
@@ -550,10 +549,8 @@ fn handle_analyze(
     reader: &mut BufReader<Box<dyn Conn>>,
     req: &AnalyzeRequest,
 ) -> io::Result<()> {
-    let spec = JobSpec {
-        max_propagations: req.max_propagations.unwrap_or(0),
-        priority: req.priority,
-    };
+    let spec =
+        JobSpec { max_propagations: req.max_propagations.unwrap_or(0), priority: req.priority };
     // A streamed job gets a channel-backed sink: the worker running the
     // job sends events, this connection thread relays them as frames.
     let (progress, frames) = if req.stream {
@@ -573,8 +570,7 @@ fn handle_analyze(
             write_line(reader.get_mut(), &rejected_line(depth as u64, shared.queue_cap as u64))
         }
         Ok(id) => {
-            let queued =
-                obj([("type", Json::from("queued")), ("job", Json::from(id))]).to_line();
+            let queued = obj([("type", Json::from("queued")), ("job", Json::from(id))]).to_line();
             let mut sent = write_line(reader.get_mut(), &queued);
             if let (Ok(()), Some(rx)) = (&sent, &frames) {
                 sent = relay_frames(reader.get_mut(), id, rx);
@@ -733,18 +729,21 @@ fn submit(
         }
         inner.submitted[priority.lane()] += 1;
         let id = inner.issued();
-        inner.jobs.insert(id, JobEntry {
-            app: app.to_string(),
-            state: JobState::Queued,
-            abort,
-            spec,
-            submitted: Instant::now(),
-            queue_ms: 0,
-            prepare_us,
-            cancel_requested: false,
-            progress,
-            result: None,
-        });
+        inner.jobs.insert(
+            id,
+            JobEntry {
+                app: app.to_string(),
+                state: JobState::Queued,
+                abort,
+                spec,
+                submitted: Instant::now(),
+                queue_ms: 0,
+                prepare_us,
+                cancel_requested: false,
+                progress,
+                result: None,
+            },
+        );
         id
     };
     q.lanes[priority.lane()].push_back((id, job));

@@ -75,10 +75,7 @@ impl AppPolicy {
             .iter()
             .map(|r| {
                 r.canonicalize().map_err(|e| {
-                    std::io::Error::new(
-                        e.kind(),
-                        format!("--allow-apps {}: {e}", r.display()),
-                    )
+                    std::io::Error::new(e.kind(), format!("--allow-apps {}: {e}", r.display()))
                 })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
@@ -101,9 +98,8 @@ impl AppPolicy {
         if self.roots.is_empty() {
             return Err(PolicyError::NoRoots);
         }
-        let real = Path::new(path)
-            .canonicalize()
-            .map_err(|_| PolicyError::NotFound(path.to_string()))?;
+        let real =
+            Path::new(path).canonicalize().map_err(|_| PolicyError::NotFound(path.to_string()))?;
         if self.roots.iter().any(|r| real.starts_with(r)) {
             Ok(real)
         } else {
@@ -117,10 +113,7 @@ impl AppPolicy {
 /// (`droidbench/Button1`, `stress/2000`, …) never start with `/` or a
 /// dot segment and never carry the `.rpk` suffix.
 pub fn is_path_request(app: &str) -> bool {
-    app.starts_with('/')
-        || app.starts_with("./")
-        || app.starts_with("../")
-        || app.ends_with(".rpk")
+    app.starts_with('/') || app.starts_with("./") || app.starts_with("../") || app.ends_with(".rpk")
 }
 
 /// FNV-1a 64 over the app's content, folded into the job name: the
@@ -138,8 +131,7 @@ fn content_hash(manifest: &str, layouts: &[(String, String)], code: &str) -> u64
 }
 
 fn read_str(path: &Path) -> Result<String, String> {
-    std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
 /// An app's text parts: manifest XML, (layout name, layout XML) pairs
@@ -176,8 +168,7 @@ fn load_dir(dir: &Path) -> Result<AppParts, String> {
 /// layouts under `res/layout/`. Unknown entries (e.g. a `truth.json`
 /// ground-truth manifest) are ignored, matching the frontend loader.
 fn load_rpk(path: &Path) -> Result<AppParts, String> {
-    let bytes =
-        std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let ar = Archive::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
     let entry = |name: &str| {
         ar.get_str(name)
@@ -186,8 +177,7 @@ fn load_rpk(path: &Path) -> Result<AppParts, String> {
     };
     let manifest = entry("AndroidManifest.xml")?;
     let code = entry("classes.jasm")?;
-    let mut names: Vec<String> =
-        ar.paths_under("res/layout/").map(str::to_string).collect();
+    let mut names: Vec<String> = ar.paths_under("res/layout/").map(str::to_string).collect();
     names.sort();
     let mut layouts = Vec::new();
     for full in names {
@@ -213,8 +203,7 @@ fn load_rpk(path: &Path) -> Result<AppParts, String> {
 /// A human-readable message when the path is neither a readable app
 /// directory nor a well-formed archive with the required entries.
 pub fn load_external_job(real: &Path) -> Result<CorpusJob, String> {
-    let (manifest, layouts, code) =
-        if real.is_dir() { load_dir(real) } else { load_rpk(real) }?;
+    let (manifest, layouts, code) = if real.is_dir() { load_dir(real) } else { load_rpk(real) }?;
     let stem = real
         .file_stem()
         .and_then(|s| s.to_str())
@@ -231,8 +220,8 @@ mod tests {
     use super::*;
 
     fn tmp(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir()
-            .join(format!("flowdroid-external-{tag}-{}", std::process::id()));
+        let d =
+            std::env::temp_dir().join(format!("flowdroid-external-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
@@ -255,12 +244,14 @@ mod tests {
 
         // Inside (even via a `..` that stays inside) resolves.
         assert!(policy.resolve(&format!("{}/sub/ok.rpk", root.display())).is_ok());
-        assert!(policy
-            .resolve(&format!("{}/sub/../sub/ok.rpk", root.display()))
-            .is_ok());
+        assert!(policy.resolve(&format!("{}/sub/../sub/ok.rpk", root.display())).is_ok());
 
         // `..` escaping the root is refused after canonicalization.
-        let escape = format!("{}/sub/../../{}/x.rpk", root.display(), outside.file_name().unwrap().to_str().unwrap());
+        let escape = format!(
+            "{}/sub/../../{}/x.rpk",
+            root.display(),
+            outside.file_name().unwrap().to_str().unwrap()
+        );
         assert!(matches!(policy.resolve(&escape), Err(PolicyError::Outside(_))));
 
         // A symlink inside the root pointing outside is refused too.
@@ -268,10 +259,7 @@ mod tests {
         {
             let link = root.join("sneaky.rpk");
             std::os::unix::fs::symlink(outside.join("x.rpk"), &link).unwrap();
-            assert!(matches!(
-                policy.resolve(link.to_str().unwrap()),
-                Err(PolicyError::Outside(_))
-            ));
+            assert!(matches!(policy.resolve(link.to_str().unwrap()), Err(PolicyError::Outside(_))));
         }
 
         let missing = format!("{}/no-such.rpk", root.display());

@@ -78,11 +78,8 @@ impl<V> Lru<V> {
         inner.tick += 1;
         let tick = inner.tick;
         if !inner.entries.contains_key(key) && inner.entries.len() >= self.capacity {
-            if let Some(victim) = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+            if let Some(victim) =
+                inner.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
             {
                 inner.entries.remove(&victim);
                 inner.evictions += 1;

@@ -124,14 +124,8 @@ fn high_surrogate_followed_by_non_surrogate_escape() {
 #[test]
 fn surrogate_escape_cases() {
     // A proper escaped pair combines.
-    assert_eq!(
-        json::parse("\"\\ud83d\\ude00\"").unwrap(),
-        Json::Str("\u{1F600}".to_string())
-    );
-    assert_eq!(
-        json::parse("\"\\ud800\\udc00\"").unwrap(),
-        Json::Str("\u{10000}".to_string())
-    );
+    assert_eq!(json::parse("\"\\ud83d\\ude00\"").unwrap(), Json::Str("\u{1F600}".to_string()));
+    assert_eq!(json::parse("\"\\ud800\\udc00\"").unwrap(), Json::Str("\u{10000}".to_string()));
     // Lone high surrogate (end of string, or followed by plain text).
     assert_eq!(json::parse(r#""\ud800""#).unwrap(), Json::Str("\u{FFFD}".to_string()));
     assert_eq!(json::parse(r#""\ud800x""#).unwrap(), Json::Str("\u{FFFD}x".to_string()));

@@ -6,8 +6,8 @@
 //! external-app serving under the `--allow-apps` path policy.
 
 use flowdroid_service::{
-    AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, JobResult,
-    Json, Listen, Priority, Request, Submitted,
+    AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, JobResult, Json,
+    Listen, Priority, Request, Submitted,
 };
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -89,8 +89,7 @@ fn cold_then_warm_job_replays_cached_callgraph() {
 
 #[test]
 fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
-    let snap = std::env::temp_dir()
-        .join(format!("flowdroid-svc-snap-{}.fdps", std::process::id()));
+    let snap = std::env::temp_dir().join(format!("flowdroid-svc-snap-{}.fdps", std::process::id()));
     flowdroid_android::save_snapshot(&snap, &flowdroid_android::build_snapshot())
         .expect("save snapshot");
     let (addr, daemon) = spawn_daemon_with(Some(snap.clone()));
@@ -102,14 +101,12 @@ fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
 
     // The daemon's report must match a standalone eager run exactly.
     let job = flowdroid_bench::find_job("insecurebank").expect("corpus job");
-    let eager =
-        flowdroid_bench::run_single(&job, &flowdroid_core::InfoflowConfig::default());
+    let eager = flowdroid_bench::run_single(&job, &flowdroid_core::InfoflowConfig::default());
     assert_eq!(r.report, eager.report, "lazy daemon run must match eager run");
 
     // An app with helper classes the callgraph never reaches: those
     // bodies must stay undecoded.
-    let (_, r2) =
-        c.analyze("securibench/Collections/Collections5", None, None).expect("job 2");
+    let (_, r2) = c.analyze("securibench/Collections/Collections5", None, None).expect("job 2");
     assert!(!r2.aborted);
     assert!(r2.bodies_skipped > 0, "unreachable bodies stay undecoded");
 
@@ -124,10 +121,9 @@ fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
 
 #[test]
 fn corrupt_snapshot_falls_back_to_eager_platform_build() {
-    let snap = std::env::temp_dir()
-        .join(format!("flowdroid-svc-corrupt-{}.fdps", std::process::id()));
-    let mut bytes =
-        flowdroid_android::encode_snapshot(&flowdroid_android::build_snapshot());
+    let snap =
+        std::env::temp_dir().join(format!("flowdroid-svc-corrupt-{}.fdps", std::process::id()));
+    let mut bytes = flowdroid_android::encode_snapshot(&flowdroid_android::build_snapshot());
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40; // checksum mismatch at minimum
     std::fs::write(&snap, &bytes).expect("write corrupt snapshot");
@@ -243,8 +239,8 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     // Shorter than the deadline, so the socket is gone while the job
     // still runs.
     const UNLINK_WINDOW: Duration = Duration::from_millis(1000);
-    let sock = std::env::temp_dir()
-        .join(format!("flowdroid-svc-unlink-{}.sock", std::process::id()));
+    let sock =
+        std::env::temp_dir().join(format!("flowdroid-svc-unlink-{}.sock", std::process::id()));
     let daemon = Daemon::bind(DaemonOptions {
         listen: Listen::Unix(sock.clone()),
         workers: 2,
@@ -261,9 +257,7 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
     // a 2-CPU x86-64 host, 3x the deadline and over 4x the unlink window
     // below. The socket must vanish well before the job ends.
     let mut a = Client::connect(&addr).expect("connection a");
-    let id = a
-        .analyze_async("stress/16000", Some(JOB_DEADLINE_MS), None)
-        .expect("submit");
+    let id = a.analyze_async("stress/16000", Some(JOB_DEADLINE_MS), None).expect("submit");
 
     let mut b = Client::connect(&addr).expect("connection b");
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -342,19 +336,17 @@ fn streamed_job_emits_frames_and_identical_final_report() {
     let mut progress_frames = 0u64;
     let mut leak_frames = 0u64;
     let outcome = streamed
-        .analyze_with("insecurebank", &opts, &mut |frame| {
-            match frame.str_field("type") {
-                Some("progress") => {
-                    progress_frames += 1;
-                    assert!(frame.u64_field("job").is_some());
-                }
-                Some("leak") => {
-                    leak_frames += 1;
-                    assert!(frame.u64_field("sink_line").is_some());
-                    assert!(frame.str_field("taint").is_some());
-                }
-                other => panic!("unexpected frame type {other:?}"),
+        .analyze_with("insecurebank", &opts, &mut |frame| match frame.str_field("type") {
+            Some("progress") => {
+                progress_frames += 1;
+                assert!(frame.u64_field("job").is_some());
             }
+            Some("leak") => {
+                leak_frames += 1;
+                assert!(frame.u64_field("sink_line").is_some());
+                assert!(frame.str_field("taint").is_some());
+            }
+            other => panic!("unexpected frame type {other:?}"),
         })
         .expect("streamed job");
     let AnalyzeOutcome::Done { result, .. } = outcome else {
@@ -669,8 +661,7 @@ fn daemon_serves_external_apps_under_path_policy() {
         let link = root.join("sneaky.rpk");
         std::os::unix::fs::symlink(&outside_rpk, &link).unwrap();
         assert!(matches!(
-            c.submit(link.to_str().unwrap(), &AnalyzeOptions::default())
-                .expect("submit symlink"),
+            c.submit(link.to_str().unwrap(), &AnalyzeOptions::default()).expect("submit symlink"),
             Submitted::Denied { .. }
         ));
     }
@@ -678,22 +669,18 @@ fn daemon_serves_external_apps_under_path_policy() {
     // Allowed paths analyze; reports match a local run through the same
     // loader (content-hashed job names make them comparable).
     for path in [app_dir.clone(), root.join("field.rpk")] {
-        let (_, result) =
-            c.analyze(path.to_str().unwrap(), None, None).expect("external job");
+        let (_, result) = c.analyze(path.to_str().unwrap(), None, None).expect("external job");
         assert!(!result.aborted);
         assert_eq!(result.report, local_report(&path), "daemon leg must match local run");
     }
     // The generated app's manifest pins what the daemon must report.
-    let (_, r) = c
-        .analyze(root.join("field.rpk").to_str().unwrap(), None, None)
-        .expect("rpk job");
+    let (_, r) = c.analyze(root.join("field.rpk").to_str().unwrap(), None, None).expect("rpk job");
     assert_eq!(r.leaks as usize, field.expected_reported);
 
     // A well-placed but malformed archive is an error, not a denial.
     std::fs::write(root.join("junk.rpk"), b"not an archive").unwrap();
-    let err = c
-        .analyze(root.join("junk.rpk").to_str().unwrap(), None, None)
-        .expect_err("junk archive");
+    let err =
+        c.analyze(root.join("junk.rpk").to_str().unwrap(), None, None).expect_err("junk archive");
     assert!(err.to_string().contains("cannot load app"), "got: {err}");
 
     let denied_expected = if cfg!(unix) { 3 } else { 2 };
@@ -717,11 +704,7 @@ fn local_report(path: &std::path::Path) -> String {
 fn prepared_counters(c: &mut Client) -> (u64, u64, u64) {
     let stats = c.stats().expect("stats");
     let field = |name: &str| stats.u64_field(name).unwrap_or_else(|| panic!("no `{name}`"));
-    (
-        field("prepared_cache_hits"),
-        field("prepared_cache_misses"),
-        field("prepared_cache_entries"),
-    )
+    (field("prepared_cache_hits"), field("prepared_cache_misses"), field("prepared_cache_entries"))
 }
 
 /// The daemon parses an app once and serves repeats from its prepared-job
@@ -773,15 +756,10 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     std::fs::write(&junk, b"not an archive").unwrap();
     let bad_code = root.join("bad-code.rpk");
     let manifest = &by_category("field").manifest;
-    std::fs::write(
-        &bad_code,
-        flowdroid_frontend::App::bundle(manifest, &[], "class {").to_bytes(),
-    )
-    .unwrap();
+    std::fs::write(&bad_code, flowdroid_frontend::App::bundle(manifest, &[], "class {").to_bytes())
+        .unwrap();
     for path in [&junk, &bad_code, &junk, &bad_code] {
-        let err = c
-            .analyze(path.to_str().unwrap(), None, None)
-            .expect_err("malformed app");
+        let err = c.analyze(path.to_str().unwrap(), None, None).expect_err("malformed app");
         assert!(err.to_string().contains("cannot load app"), "got: {err}");
     }
     let (hits, _, entries) = prepared_counters(&mut c);
@@ -798,8 +776,7 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
 fn daemon_without_allow_apps_denies_all_paths() {
     let (addr, daemon) = spawn_daemon();
     let mut c = Client::connect(&addr).expect("connect");
-    let denied =
-        c.submit("/etc/hosts.rpk", &AnalyzeOptions::default()).expect("submit path");
+    let denied = c.submit("/etc/hosts.rpk", &AnalyzeOptions::default()).expect("submit path");
     let Submitted::Denied { message } = denied else {
         panic!("pathless daemon must deny, got {denied:?}");
     };

@@ -20,8 +20,8 @@
 use crate::generate::TruthApp;
 use flowdroid_android::install_platform;
 use flowdroid_bench::{
-    corpus_report, prepare, run_corpus, run_prepared, run_single, shared_platform_snapshot,
-    AppRun, CorpusJob, CorpusRun,
+    corpus_report, prepare, run_corpus, run_prepared, run_single, shared_platform_snapshot, AppRun,
+    CorpusJob, CorpusRun,
 };
 use flowdroid_core::{icc, InfoflowConfig, SourceSinkManager, TaintWrapper};
 use flowdroid_droidbench::{AppScore, ScoreBoard};
@@ -162,12 +162,8 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
     let mut constructive = AppScore::default();
     let mut drift = Vec::new();
     for app in apps {
-        let found = engines[0]
-            .leaks
-            .iter()
-            .find(|(n, _)| n == &app.name)
-            .map(|(_, l)| *l)
-            .unwrap_or(0);
+        let found =
+            engines[0].leaks.iter().find(|(n, _)| n == &app.name).map(|(_, l)| *l).unwrap_or(0);
         let score = AppScore::from_counts(app.expected_flows, found);
         board.record(app.category, score);
         if app.constructive {
@@ -184,8 +180,7 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
     // The k-limit probe: re-run the widening apps with the bound raised
     // above every generated chain depth and compare leak counts.
     let mut k_limit = KLimitProbe::default();
-    let widening: Vec<&TruthApp> =
-        apps.iter().filter(|a| a.category == "widening").collect();
+    let widening: Vec<&TruthApp> = apps.iter().filter(|a| a.category == "widening").collect();
     if !widening.is_empty() {
         let jobs: Vec<CorpusJob> = widening.iter().map(|a| a.job()).collect();
         let loose = run_corpus(
@@ -196,11 +191,7 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
         );
         for app in &widening {
             let at = |run: &CorpusRun| {
-                run.apps
-                    .iter()
-                    .find(|a| a.name == app.name)
-                    .map(|a| a.leaks)
-                    .unwrap_or(0)
+                run.apps.iter().find(|a| a.name == app.name).map(|a| a.leaks).unwrap_or(0)
             };
             let (tight, wide) = (at(&reference), at(&loose));
             k_limit.apps += 1;
@@ -213,15 +204,7 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
         }
     }
 
-    Differential {
-        engines,
-        agreement,
-        divergent_pairs,
-        drift,
-        board,
-        constructive,
-        k_limit,
-    }
+    Differential { engines, agreement, divergent_pairs, drift, board, constructive, k_limit }
 }
 
 /// The outcome of the linked-ICC check.

@@ -249,7 +249,11 @@ fn gen_field(seed: u64, index: usize, rng: &mut StdRng) -> TruthApp {
     code.push_str("    t = d.secret\n");
     code.push_str(&log_sink(rng, "T", "t"));
     code.push_str("    return\n  }\n}\n");
-    write!(code, "class {pkg}.Data extends java.lang.Object {{\n  field secret: java.lang.String\n").unwrap();
+    write!(
+        code,
+        "class {pkg}.Data extends java.lang.Object {{\n  field secret: java.lang.String\n"
+    )
+    .unwrap();
     for i in 0..decoys {
         writeln!(code, "  field pub{i}: java.lang.String").unwrap();
     }
@@ -335,7 +339,8 @@ fn gen_callback(seed: u64, index: usize, rng: &mut StdRng) -> TruthApp {
     let buttons = rng.gen_range(1..=3usize);
     let leak_at = rng.gen_range(0..buttons);
 
-    let mut layout = "<LinearLayout xmlns:android=\"http://schemas.android.com/apk/res/android\">\n".to_string();
+    let mut layout =
+        "<LinearLayout xmlns:android=\"http://schemas.android.com/apk/res/android\">\n".to_string();
     for b in 0..buttons {
         writeln!(layout, "  <Button android:id=\"@+id/b{b}\" android:onClick=\"h{b}\"/>").unwrap();
     }
@@ -590,7 +595,9 @@ fn gen_reflection(seed: u64, index: usize) -> TruthApp {
     .unwrap();
     code.push_str("    virtualinvoke m.<java.lang.reflect.Method: java.lang.Object invoke(java.lang.Object,java.lang.String)>(this, id)\n");
     code.push_str("    return\n  }\n");
-    code.push_str("  native static method lookup(name: java.lang.String) -> java.lang.reflect.Method\n");
+    code.push_str(
+        "  native static method lookup(name: java.lang.String) -> java.lang.reflect.Method\n",
+    );
     code.push_str("  method leak(s: java.lang.String) -> void {\n    staticinvoke <android.util.Log: int i(java.lang.String,java.lang.String)>(\"T\", s)\n    return\n  }\n}\n");
 
     TruthApp {

@@ -52,7 +52,8 @@ fn load_droid(app: &BenchApp) -> Program {
 
 fn render_all() -> String {
     let mut out = String::new();
-    let mut line = |name: &str, p: &Program| writeln!(out, "{name} {:016x}", fingerprint(p)).unwrap();
+    let mut line =
+        |name: &str, p: &Program| writeln!(out, "{name} {:016x}", fingerprint(p)).unwrap();
     for app in all_apps() {
         line(&format!("droidbench/{:?}/{}", app.category, app.name), &load_droid(&app));
     }
@@ -91,6 +92,9 @@ fn parsed_ir_matches_golden() {
             .zip(GOLDEN.lines())
             .find(|(a, b)| a != b)
             .map_or_else(|| "line count differs".to_string(), |(a, b)| format!("{b} -> {a}"));
-        panic!("parsed IR differs from the golden (first: {first}); rendered to {}", path.display());
+        panic!(
+            "parsed IR differs from the golden (first: {first}); rendered to {}",
+            path.display()
+        );
     }
 }

@@ -101,8 +101,12 @@ fn main() {
     let sources = SourceSinkManager::default_android();
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
-    let analysis =
-        Infoflow::new(&sources, &wrapper, &config).analyze_app(&mut program, &platform, &app, "app");
+    let analysis = Infoflow::new(&sources, &wrapper, &config).analyze_app(
+        &mut program,
+        &platform,
+        &app,
+        "app",
+    );
 
     // Show the entry-point model the dummy main was generated from.
     for comp in &analysis.model.components {

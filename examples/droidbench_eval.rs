@@ -21,8 +21,12 @@ fn main() {
         let sources = SourceSinkManager::default_android();
         let wrapper = TaintWrapper::default_rules();
         let config = InfoflowConfig::default();
-        let analysis = Infoflow::new(&sources, &wrapper, &config)
-            .analyze_app(&mut program, &platform, &loaded, "eval");
+        let analysis = Infoflow::new(&sources, &wrapper, &config).analyze_app(
+            &mut program,
+            &platform,
+            &loaded,
+            "eval",
+        );
         let found = analysis.results.leak_count();
         let score = AppScore::from_counts(app.expected_leaks, found);
         let outcome = match (score.fp, score.fn_) {
@@ -38,10 +42,7 @@ fn main() {
     print!("{}", board.render());
     let total = board.total();
     println!();
-    println!(
-        "sum: {} correct, {} false alarms, {} missed",
-        total.tp, total.fp, total.fn_
-    );
+    println!("sum: {} correct, {} false alarms, {} missed", total.tp, total.fp, total.fn_);
     println!(
         "precision {:.0}%  recall {:.0}%  F-measure {:.2}",
         total.precision() * 100.0,

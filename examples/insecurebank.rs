@@ -19,8 +19,12 @@ fn main() {
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
     let start = std::time::Instant::now();
-    let analysis = Infoflow::new(&sources, &wrapper, &config)
-        .analyze_app(&mut program, &platform, &app, "bank");
+    let analysis = Infoflow::new(&sources, &wrapper, &config).analyze_app(
+        &mut program,
+        &platform,
+        &app,
+        "bank",
+    );
     let elapsed = start.elapsed();
 
     println!("{}", analysis.results.report(&program));

@@ -58,7 +58,9 @@ fn print_usage() {
     eprintln!("  flowdroid analyze <app-dir | app.rpk> [options]");
     eprintln!("  flowdroid serve --listen <addr> [--workers <n>] [--queue-cap <n>]");
     eprintln!("                  [--platform-snapshot <platform.fdps>]");
-    eprintln!("                  [--allow-apps <dir>]...   serve on-disk app dirs / .rpk under <dir>");
+    eprintln!(
+        "                  [--allow-apps <dir>]...   serve on-disk app dirs / .rpk under <dir>"
+    );
     eprintln!("  flowdroid client <addr> analyze <app | app-dir | app.rpk>");
     eprintln!("                  [--deadline-ms <ms>] [--max-propagations <n>]");
     eprintln!("                  [--priority high|normal|batch] [--stream]");
@@ -189,8 +191,12 @@ fn analyze(args: &[String]) -> ExitCode {
         app.manifest.components.len(),
         app.layouts.len()
     );
-    let analysis = Infoflow::new(&sources, &wrapper, &config)
-        .analyze_app(&mut program, &platform, &app, "cli");
+    let analysis = Infoflow::new(&sources, &wrapper, &config).analyze_app(
+        &mut program,
+        &platform,
+        &app,
+        "cli",
+    );
     print!("{}", analysis.results.report(&program));
     if analysis.results.aborted {
         let why = analysis.results.abort_reason.map_or("budget", |r| r.as_str());
@@ -534,8 +540,7 @@ fn permissions(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let report =
-        flowdroid::android::analyze_permissions(&mut program, &platform, &app, "cli-perm");
+    let report = flowdroid::android::analyze_permissions(&mut program, &platform, &app, "cli-perm");
     println!("required by reachable code:");
     for p in &report.required {
         println!("  {p}");
@@ -656,8 +661,12 @@ fn droidbench() -> ExitCode {
         let sources = SourceSinkManager::default_android();
         let wrapper = TaintWrapper::default_rules();
         let config = InfoflowConfig::default();
-        let analysis = Infoflow::new(&sources, &wrapper, &config)
-            .analyze_app(&mut program, &platform, &loaded, "cli");
+        let analysis = Infoflow::new(&sources, &wrapper, &config).analyze_app(
+            &mut program,
+            &platform,
+            &loaded,
+            "cli",
+        );
         let found = analysis.results.leak_count();
         let score = AppScore::from_counts(app.expected_leaks, found);
         println!(

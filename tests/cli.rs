@@ -112,13 +112,7 @@ fn analyze_honors_custom_sources_file() {
     // adding a bogus *source* that matches nothing changes nothing.
     let defs = dir.join("extra.defs");
     std::fs::write(&defs, "<no.Such: java.lang.String thing()> -> _SOURCE_\n").unwrap();
-    let out = bin()
-        .args(["analyze"])
-        .arg(&dir)
-        .arg("--sources")
-        .arg(&defs)
-        .output()
-        .unwrap();
+    let out = bin().args(["analyze"]).arg(&dir).arg("--sources").arg(&defs).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     std::fs::remove_dir_all(&dir).ok();
 }

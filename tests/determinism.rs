@@ -13,8 +13,8 @@ fn full_report(app: &flowdroid::droidbench::BenchApp) -> String {
     let sources = SourceSinkManager::default_android();
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
-    let analysis = Infoflow::new(&sources, &wrapper, &config)
-        .analyze_app(&mut p, &platform, &loaded, "det");
+    let analysis =
+        Infoflow::new(&sources, &wrapper, &config).analyze_app(&mut p, &platform, &loaded, "det");
     let mut report = analysis.results.report(&p);
     // The only nondeterministic field is the wall-clock duration.
     if let Some(pos) = report.find(" propagations, ") {
@@ -41,8 +41,8 @@ fn leaks_are_sorted_and_stable() {
     let sources = SourceSinkManager::default_android();
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
-    let analysis = Infoflow::new(&sources, &wrapper, &config)
-        .analyze_app(&mut p, &platform, &loaded, "det2");
+    let analysis =
+        Infoflow::new(&sources, &wrapper, &config).analyze_app(&mut p, &platform, &loaded, "det2");
     let leaks = &analysis.results.leaks;
     assert_eq!(leaks.len(), 7);
     let mut sorted = leaks.clone();

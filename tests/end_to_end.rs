@@ -91,8 +91,12 @@ fn facade_prelude_compiles_the_quickstart() {
     let sources = SourceSinkManager::default_android();
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
-    let analysis = Infoflow::new(&sources, &wrapper, &config)
-        .analyze_app(&mut program, &platform, &app, "facade");
+    let analysis = Infoflow::new(&sources, &wrapper, &config).analyze_app(
+        &mut program,
+        &platform,
+        &app,
+        "facade",
+    );
     assert_eq!(analysis.results.leak_count(), 1);
     assert!(!analysis.model.components.is_empty());
 }

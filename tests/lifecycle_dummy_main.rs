@@ -2,9 +2,11 @@
 //! opaque branches make every lifecycle transition feasible, callbacks
 //! run between onResume and onPause, components interleave arbitrarily.
 
-use flowdroid::android::{generate_dummy_main, install_platform, CallbackAssociation, EntryPointModel};
-use flowdroid::prelude::*;
+use flowdroid::android::{
+    generate_dummy_main, install_platform, CallbackAssociation, EntryPointModel,
+};
 use flowdroid::ir::{Cond, Stmt};
+use flowdroid::prelude::*;
 
 const MANIFEST: &str = r#"<manifest package="fig1">
   <application>
@@ -66,13 +68,20 @@ fn build() -> (Program, flowdroid::ir::MethodId) {
 fn every_lifecycle_method_is_reachable() {
     let (p, main) = build();
     let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
-    for name in
-        ["onCreate", "onStart", "onResume", "onPause", "onStop", "onRestart", "onDestroy", "sendMessage"]
-    {
-        let reached = cg
-            .reachable_methods()
-            .iter()
-            .any(|&m| p.str(p.method(m).name()) == name && p.class_name(p.method(m).class()).starts_with("fig1"));
+    for name in [
+        "onCreate",
+        "onStart",
+        "onResume",
+        "onPause",
+        "onStop",
+        "onRestart",
+        "onDestroy",
+        "sendMessage",
+    ] {
+        let reached = cg.reachable_methods().iter().any(|&m| {
+            p.str(p.method(m).name()) == name
+                && p.class_name(p.method(m).class()).starts_with("fig1")
+        });
         assert!(reached, "{name} must be reachable from the dummy main");
     }
 }
@@ -126,9 +135,8 @@ fn restart_loops_back_to_started_state() {
     let restart = (0..body.len())
         .find(|&i| printer.stmt_to_string(main, i).contains("onRestart"))
         .expect("onRestart call present");
-    let jumps_back = (restart..body.len().min(restart + 3)).any(|i| {
-        matches!(body.stmt(i), Stmt::Goto { target } if *target < restart)
-    });
+    let jumps_back = (restart..body.len().min(restart + 3))
+        .any(|i| matches!(body.stmt(i), Stmt::Goto { target } if *target < restart));
     assert!(jumps_back, "onRestart is followed by a back edge to the started state");
 }
 

@@ -74,9 +74,7 @@ fn render(shape: &Shape) -> String {
     let mut body = String::new();
     body.push_str("    s = staticinvoke <Env: java.lang.String source()>()\n");
     if shape.depth > 0 {
-        body.push_str(
-            "    s = staticinvoke <P: java.lang.String f0(java.lang.String)>(s)\n",
-        );
+        body.push_str("    s = staticinvoke <P: java.lang.String f0(java.lang.String)>(s)\n");
     }
     if shape.obfuscate {
         body.push_str("    s = s + \"#\"\n");
