@@ -222,7 +222,12 @@ pub struct PreparedJob {
 
 /// Parses a job's `jasm` text against a scratch overlay of `snapshot`
 /// and encodes the app classes into an SDEX image, ready for
-/// [`run_prepared`].
+/// [`run_prepared`]. The image, not the parsed overlay, is what the
+/// job keeps: it is the compact form of the app, many times smaller
+/// than the overlay (ROADMAP, *Parse each app once*). The encoder
+/// borrows the overlay's strings, so the parse makes most of this
+/// step's allocations; each run decodes the image lazily, resolving
+/// every pool string once.
 ///
 /// # Errors
 ///

@@ -8,17 +8,20 @@
 //! graph that the solver owns. Functions with several outputs refill a
 //! caller-owned output value instead of returning fresh vectors, so the
 //! solver reuses one buffer per function across all pops.
-//! Signature matching (roles and wrapper rules, paper §5) happens once
-//! per call site when the solve starts, in [`CallSites`].
+//! Signature matching (roles and wrapper rules, paper §5) happens when
+//! the solve starts, in [`CallSites`]: once per distinct callee, by
+//! method name and then by the names of the callee's supertypes,
+//! compared in place.
 
 use crate::access_path::{AccessPath, ApBase};
 use crate::config::InfoflowConfig;
-use crate::sourcesink::{matching_sigs, CallRoles, SourceSinkManager};
+use crate::sourcesink::{CallRoles, SourceSinkManager, SuperWalk};
 use crate::taint::{Fact, Taint};
 use crate::wrappers::{Pos, Rule, TaintWrapper};
 use flowdroid_callgraph::Icfg;
 use flowdroid_ir::{
-    FieldId, FxHashMap, InvokeExpr, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef,
+    ClassId, FieldId, FxHashMap, InvokeExpr, Local, MethodId, Operand, Place, Program, Rvalue,
+    Stmt, StmtRef, SubSig,
 };
 
 /// Memo table for "call site transitively reaches method" queries
@@ -28,7 +31,7 @@ use flowdroid_ir::{
 pub(crate) type ReachCache = FxHashMap<(StmtRef, MethodId), bool>;
 
 /// The resolved roles and wrapper rules of one call site.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CallSite<'w> {
     /// Source / sanitizer / sink roles.
     pub roles: CallRoles,
@@ -47,9 +50,18 @@ static NO_ROLES: CallSite<'static> = CallSite {
 /// zero fact reaches every reachable call site anyway, so resolving
 /// eagerly does no work a lazy memo would skip, and the table is
 /// immutable afterwards: solver workers share it without a lock.
+///
+/// Call sites share the resolution of their callee: roles and rules
+/// depend only on the callee's class and subsignature, except for the
+/// password-field lookup, which is checked per site.
 #[derive(Debug)]
 pub struct CallSites<'w> {
-    sites: FxHashMap<StmtRef, CallSite<'w>>,
+    /// Each reachable call site's index into `resolved`.
+    sites: FxHashMap<StmtRef, u32>,
+    /// One entry per distinct callee, plus one per password-field
+    /// lookup site.
+    resolved: Vec<CallSite<'w>>,
+    /// Methods with parameter sources (every other method has none).
     param_sources: FxHashMap<MethodId, Vec<usize>>,
 }
 
@@ -59,28 +71,42 @@ impl<'w> CallSites<'w> {
     pub fn build(icfg: &Icfg<'_>, sources: &SourceSinkManager, wrapper: &'w TaintWrapper) -> Self {
         let program = icfg.program();
         let mut sites = FxHashMap::default();
+        let mut resolved: Vec<CallSite<'w>> = Vec::new();
+        let mut by_callee: FxHashMap<(ClassId, &SubSig), u32> = FxHashMap::default();
         let mut param_sources = FxHashMap::default();
+        let mut walk = SuperWalk::default();
         for &m in icfg.callgraph().reachable_methods() {
-            param_sources.insert(m, sources.entry_param_sources(program, m));
+            let params = sources.entry_param_sources_in(&mut walk, program, m);
+            if !params.is_empty() {
+                param_sources.insert(m, params);
+            }
             let Some(body) = program.method(m).body() else { continue };
             for (idx, stmt) in body.stmts().iter().enumerate() {
-                if let Some(call) = stmt.invoke_expr() {
-                    let sigs = matching_sigs(program, call.callee.class, &call.callee.subsig);
-                    let site = CallSite {
-                        roles: sources.call_roles_in(program, call, &sigs),
-                        rules: wrapper.rules_in(&sigs),
-                    };
-                    sites.insert(StmtRef::new(m, idx), site);
+                let Some(call) = stmt.invoke_expr() else { continue };
+                let (class, subsig) = (call.callee.class, &call.callee.subsig);
+                let mut at = *by_callee.entry((class, subsig)).or_insert_with(|| {
+                    resolved.push(CallSite {
+                        roles: sources.callee_roles(&mut walk, program, class, subsig),
+                        rules: wrapper.callee_rules(&mut walk, program, class, subsig),
+                    });
+                    (resolved.len() - 1) as u32
+                });
+                if sources.password_lookup(program, call) {
+                    let mut site = resolved[at as usize].clone();
+                    site.roles.source = true;
+                    resolved.push(site);
+                    at = (resolved.len() - 1) as u32;
                 }
+                sites.insert(StmtRef::new(m, idx), at);
             }
         }
-        CallSites { sites, param_sources }
+        CallSites { sites, resolved, param_sources }
     }
 
     /// The call site at `n` (no roles, no rules when `n` is not a call
     /// in a reachable method).
     pub fn site(&self, n: StmtRef) -> &CallSite<'w> {
-        self.sites.get(&n).unwrap_or(&NO_ROLES)
+        self.sites.get(&n).map_or(&NO_ROLES, |&at| &self.resolved[at as usize])
     }
 
     /// Parameter indices of `m` tainted at entry (sorted).

@@ -24,8 +24,8 @@
 //! are detected as `findViewById(<id>)` calls whose constant id names a
 //! password widget in a layout file (paper §2, §5).
 
-use flowdroid_ir::{ClassId, Constant, InvokeExpr, MethodId, Operand, Program, SubSig};
-use std::collections::{HashMap, HashSet};
+use flowdroid_ir::{ClassId, Constant, FxHashMap, InvokeExpr, MethodId, Operand, Program, SubSig};
+use std::collections::HashSet;
 use std::fmt;
 
 /// A parse error for source/sink definition text.
@@ -89,13 +89,11 @@ pub const DEFAULT_ANDROID_DEFS: &str = r#"
 
 /// All signature strings (`<cls: ret name(p1,p2)>`) a method reference
 /// can match: its declared class and every transitive superclass /
-/// interface (sources are often declared on framework base types).
-/// Only the resolvers ([`SourceSinkManager::call_roles`],
-/// [`SourceSinkManager::entry_param_sources`],
-/// [`TaintWrapper::rules_for`](crate::TaintWrapper::rules_for) and the
-/// per-solve call-site table, which walks once per call site for both
-/// roles and rules) call this; it allocates one string per class
-/// walked.
+/// interface (sources are often declared on framework base types), in
+/// the order rules are matched. It allocates one string per class
+/// walked, so the solve path never calls it: the managers index their
+/// rules by method name and compare the supertypes' names in place. It
+/// stays as the plain-text reference that matching is tested against.
 pub fn matching_sigs(program: &Program, class: ClassId, subsig: &SubSig) -> Vec<String> {
     let params: Vec<String> = subsig.params.iter().map(|t| program.type_name(t)).collect();
     let (ret, name) = (program.type_name(&subsig.ret), program.str(subsig.name));
@@ -117,6 +115,155 @@ pub fn matching_sigs(program: &Program, class: ClassId, subsig: &SubSig) -> Vec<
     out
 }
 
+/// A rule signature `<class: ret name(p1,p2)>` without its method name,
+/// which [`SigIndex`] keys on: the names a method is compared against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SigPattern {
+    class: Box<str>,
+    ret: Box<str>,
+    params: Box<[Box<str>]>,
+}
+
+impl SigPattern {
+    /// Splits `sig` into its method name and pattern, the inverse of how
+    /// [`matching_sigs`] joins them: nothing is trimmed, so a signature
+    /// matches exactly when its text equals the joined one. `None` when
+    /// `sig` does not have that shape.
+    fn parse(sig: &str) -> Option<(&str, SigPattern)> {
+        let (class, rest) = sig.strip_prefix('<')?.strip_suffix(")>")?.split_once(": ")?;
+        let (head, params) = rest.split_once('(')?;
+        let (ret, name) = head.split_once(' ')?;
+        let params = if params.is_empty() {
+            Box::default()
+        } else {
+            params.split(',').map(Box::from).collect()
+        };
+        Some((name, SigPattern { class: class.into(), ret: ret.into(), params }))
+    }
+
+    /// Whether `subsig`'s return and parameter types have this
+    /// pattern's names.
+    fn types_match(&self, program: &Program, subsig: &SubSig) -> bool {
+        program.type_name_is(&subsig.ret, &self.ret)
+            && self.params.len() == subsig.params.len()
+            && subsig.params.iter().zip(&*self.params).all(|(t, n)| program.type_name_is(t, n))
+    }
+}
+
+/// Buffers for [`SigIndex::for_each_match`]'s supertype walk, reused
+/// across the walks of one call-site table.
+#[derive(Debug, Default)]
+pub(crate) struct SuperWalk {
+    stack: Vec<ClassId>,
+    seen: Vec<ClassId>,
+}
+
+/// Items (source/sink roles, wrapper rules) defined on signatures,
+/// indexed by method name: per name, each distinct signature with its
+/// items in definition order. Matching a method looks its name up once
+/// and walks its class's supertypes only on a hit, comparing names in
+/// place, so most callees cost one hash of their name.
+#[derive(Debug, Clone)]
+pub(crate) struct SigIndex<T> {
+    by_name: FxHashMap<Box<str>, Vec<(SigPattern, Vec<T>)>>,
+}
+
+impl<T> Default for SigIndex<T> {
+    fn default() -> Self {
+        SigIndex { by_name: FxHashMap::default() }
+    }
+}
+
+impl<T> SigIndex<T> {
+    /// Adds `item` to signature `sig`. Returns `false`, adding nothing,
+    /// when `sig` is not of the form `<class: ret name(p1,p2)>`.
+    pub(crate) fn insert(&mut self, sig: &str, item: T) -> bool {
+        let Some((name, pattern)) = SigPattern::parse(sig) else {
+            return false;
+        };
+        let entries = self.by_name.entry(name.into()).or_default();
+        match entries.iter_mut().find(|(p, _)| *p == pattern) {
+            Some((_, items)) => items.push(item),
+            None => entries.push((pattern, vec![item])),
+        }
+        true
+    }
+
+    /// Number of distinct signatures.
+    pub(crate) fn len(&self) -> usize {
+        self.by_name.values().map(Vec::len).sum()
+    }
+
+    /// Whether no signature has an item.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.by_name.is_empty()
+    }
+
+    /// Calls `f` on the items of every signature that a method
+    /// `subsig` of `class` matches through `class` or a transitive
+    /// supertype, in [`matching_sigs`] order.
+    pub(crate) fn for_each_match<'s>(
+        &'s self,
+        walk: &mut SuperWalk,
+        program: &Program,
+        class: ClassId,
+        subsig: &SubSig,
+        mut f: impl FnMut(&'s T),
+    ) {
+        let Some(entries) = self.by_name.get(program.str(subsig.name)) else {
+            return;
+        };
+        if !entries.iter().any(|(p, _)| p.types_match(program, subsig)) {
+            return;
+        }
+        // The walk of `matching_sigs`: depth first, superclass below the
+        // interfaces on the stack, each class once.
+        let SuperWalk { stack, seen } = walk;
+        stack.clear();
+        seen.clear();
+        stack.push(class);
+        while let Some(c) = stack.pop() {
+            if seen.contains(&c) {
+                continue;
+            }
+            seen.push(c);
+            let name = program.class_name(c);
+            for (_, items) in
+                entries.iter().filter(|(p, _)| *p.class == *name && p.types_match(program, subsig))
+            {
+                items.iter().for_each(&mut f);
+            }
+            let cd = program.class(c);
+            if let Some(s) = cd.superclass() {
+                stack.push(s);
+            }
+            stack.extend(cd.interfaces().iter().copied());
+        }
+    }
+
+    /// Removes every item of `other` from the same signature here,
+    /// dropping signatures left without items.
+    fn remove_all(&mut self, other: &SigIndex<T>)
+    where
+        T: PartialEq,
+    {
+        for (name, theirs) in &other.by_name {
+            let Some(mine) = self.by_name.get_mut(name) else { continue };
+            for (pattern, items) in theirs {
+                if let Some(at) = mine.iter().position(|(p, _)| p == pattern) {
+                    mine[at].1.retain(|r| !items.contains(r));
+                    if mine[at].1.is_empty() {
+                        mine.remove(at);
+                    }
+                }
+            }
+            if mine.is_empty() {
+                self.by_name.remove(name);
+            }
+        }
+    }
+}
+
 /// The source/sink roles of one call site (see
 /// [`SourceSinkManager::call_roles`]).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -135,7 +282,7 @@ pub struct CallRoles {
 /// The source/sink manager.
 #[derive(Debug, Default, Clone)]
 pub struct SourceSinkManager {
-    roles: HashMap<String, Vec<Role>>,
+    roles: SigIndex<Role>,
     /// Widget ids whose `findViewById` lookups return sensitive views
     /// (password fields).
     password_ids: HashSet<i64>,
@@ -178,10 +325,7 @@ impl SourceSinkManager {
             let Some((sig, role)) = line.rsplit_once("->") else {
                 return Err(err("expected `<sig> -> _ROLE_`".to_owned()));
             };
-            let sig = sig.trim().to_owned();
-            if !sig.starts_with('<') || !sig.ends_with('>') {
-                return Err(err(format!("malformed signature `{sig}`")));
-            }
+            let sig = sig.trim();
             let role = match role.trim() {
                 "_SOURCE_" => Role::SourceReturn,
                 "_SINK_" => Role::SinkAll,
@@ -204,7 +348,9 @@ impl SourceSinkManager {
                     }
                 }
             };
-            self.roles.entry(sig).or_default().push(role);
+            if !self.roles.insert(sig, role) {
+                return Err(err(format!("malformed signature `{sig}`")));
+            }
         }
         Ok(())
     }
@@ -215,14 +361,7 @@ impl SourceSinkManager {
     /// sources for its first phase.
     pub fn remove_definitions(&mut self, text: &str) {
         if let Ok(other) = SourceSinkManager::parse(text) {
-            for (sig, roles) in other.roles {
-                if let Some(mine) = self.roles.get_mut(&sig) {
-                    mine.retain(|r| !roles.contains(r));
-                    if mine.is_empty() {
-                        self.roles.remove(&sig);
-                    }
-                }
-            }
+            self.roles.remove_all(&other.roles);
         }
     }
 
@@ -231,51 +370,67 @@ impl SourceSinkManager {
         self.password_ids.insert(id);
     }
 
-    /// Resolves every role of a call site in one hierarchy walk: the
-    /// resolver behind the per-solve call-site table, so flow functions
-    /// never match signatures themselves.
+    /// Resolves every role of a call site: the roles of its callee,
+    /// found in one hierarchy walk when a rule names the callee's
+    /// method, plus the password-field lookup.
     pub fn call_roles(&self, program: &Program, call: &InvokeExpr) -> CallRoles {
-        let sigs = matching_sigs(program, call.callee.class, &call.callee.subsig);
-        self.call_roles_in(program, call, &sigs)
+        let (class, subsig) = (call.callee.class, &call.callee.subsig);
+        let mut roles = self.callee_roles(&mut SuperWalk::default(), program, class, subsig);
+        roles.source |= self.password_lookup(program, call);
+        roles
     }
 
-    /// [`SourceSinkManager::call_roles`] over the call's already walked
-    /// [`matching_sigs`], so one walk can serve the wrapper rules too.
-    pub(crate) fn call_roles_in(
+    /// The roles every call of `subsig` on `class` has, whatever its
+    /// arguments, in one hierarchy walk: what the per-solve call-site
+    /// table resolves once per distinct callee.
+    pub(crate) fn callee_roles(
         &self,
+        walk: &mut SuperWalk,
         program: &Program,
-        call: &InvokeExpr,
-        sigs: &[String],
+        class: ClassId,
+        subsig: &SubSig,
     ) -> CallRoles {
         let mut roles = CallRoles::default();
-        for r in sigs.iter().filter_map(|sig| self.roles.get(sig)).flatten() {
-            match *r {
-                Role::SourceReturn => roles.source = true,
-                Role::Sanitizer => roles.sanitizer = true,
-                Role::SinkAll => roles.sink_args.extend(0..call.args.len()),
-                Role::SinkParam(i) => roles.sink_args.push(i),
-                Role::SourceParam(_) => {}
-            }
-        }
+        self.roles.for_each_match(walk, program, class, subsig, |r| match *r {
+            Role::SourceReturn => roles.source = true,
+            Role::Sanitizer => roles.sanitizer = true,
+            Role::SinkAll => roles.sink_args.extend(0..subsig.params.len()),
+            Role::SinkParam(i) => roles.sink_args.push(i),
+            Role::SourceParam(_) => {}
+        });
         roles.sink_args.sort_unstable();
         roles.sink_args.dedup();
-        // UI sources: `findViewById(<password widget id>)`.
-        if let Some(Operand::Const(Constant::Int(id))) = call.args.first() {
-            roles.source |= self.password_ids.contains(id)
-                && program.str(call.callee.subsig.name) == "findViewById";
-        }
         roles
+    }
+
+    /// Whether the call is a UI source: `findViewById(<id>)` with the
+    /// constant id of a password widget.
+    pub(crate) fn password_lookup(&self, program: &Program, call: &InvokeExpr) -> bool {
+        matches!(call.args.first(), Some(Operand::Const(Constant::Int(id))) if self.password_ids.contains(id))
+            && program.str(call.callee.subsig.name) == "findViewById"
     }
 
     /// Parameter indices of `method` tainted at entry because the
     /// method overrides a `_SOURCE_PARAM_i_` signature.
     pub fn entry_param_sources(&self, program: &Program, method: MethodId) -> Vec<usize> {
+        self.entry_param_sources_in(&mut SuperWalk::default(), program, method)
+    }
+
+    /// [`SourceSinkManager::entry_param_sources`] with the walk's
+    /// buffers.
+    pub(crate) fn entry_param_sources_in(
+        &self,
+        walk: &mut SuperWalk,
+        program: &Program,
+        method: MethodId,
+    ) -> Vec<usize> {
         let m = program.method(method);
-        let sigs = matching_sigs(program, m.class(), m.subsig());
-        let roles = sigs.iter().filter_map(|sig| self.roles.get(sig)).flatten();
-        let mut out: Vec<usize> = roles
-            .filter_map(|r| if let Role::SourceParam(i) = r { Some(*i) } else { None })
-            .collect();
+        let mut out = Vec::new();
+        self.roles.for_each_match(walk, program, m.class(), m.subsig(), |r| {
+            if let Role::SourceParam(i) = *r {
+                out.push(i);
+            }
+        });
         out.sort_unstable();
         out.dedup();
         out

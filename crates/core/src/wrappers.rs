@@ -17,9 +17,8 @@
 //! native-call default: the return value becomes tainted if the
 //! receiver or any argument was (configurable).
 
-use crate::sourcesink::{matching_sigs, SourceSinkParseError};
-use flowdroid_ir::{InvokeExpr, Local, Operand, Program};
-use std::collections::HashMap;
+use crate::sourcesink::{SigIndex, SourceSinkParseError, SuperWalk};
+use flowdroid_ir::{ClassId, InvokeExpr, Local, Operand, Program, SubSig};
 use std::fmt;
 
 /// A position in a call: receiver, return value or argument.
@@ -73,7 +72,7 @@ impl Rule {
 /// The wrapper rule set.
 #[derive(Debug, Default)]
 pub struct TaintWrapper {
-    rules: HashMap<String, Vec<Rule>>,
+    rules: SigIndex<Rule>,
 }
 
 /// The built-in rules: strings, string builders, collections, maps,
@@ -143,7 +142,7 @@ impl TaintWrapper {
             let Some(close) = line.find('>') else {
                 return Err(err("expected `<sig>`".to_owned()));
             };
-            let sig = line[..=close].to_owned();
+            let sig = &line[..=close];
             let rest = line[close + 1..].trim();
             let Some((if_any, taint)) = rest.split_once("->") else {
                 return Err(err("expected `positions -> positions`".to_owned()));
@@ -167,21 +166,33 @@ impl TaintWrapper {
             if rule.if_any.is_empty() || rule.taint.is_empty() {
                 return Err(err("rule needs at least one position on each side".to_owned()));
             }
-            self.rules.entry(sig).or_default().push(rule);
+            if !self.rules.insert(sig, rule) {
+                return Err(err(format!("malformed signature `{sig}`")));
+            }
         }
         Ok(())
     }
 
-    /// Every rule covering the call, in hierarchy-walk order (one walk;
-    /// empty = the native-call fallback applies).
+    /// Every rule covering the call, in hierarchy-walk order (one walk,
+    /// taken only when a rule names the callee's method; empty = the
+    /// native-call fallback applies).
     pub fn rules_for(&self, program: &Program, call: &InvokeExpr) -> Vec<&Rule> {
-        self.rules_in(&matching_sigs(program, call.callee.class, &call.callee.subsig))
+        let (class, subsig) = (call.callee.class, &call.callee.subsig);
+        self.callee_rules(&mut SuperWalk::default(), program, class, subsig)
     }
 
-    /// [`TaintWrapper::rules_for`] over a call's already walked
-    /// [`matching_sigs`].
-    pub(crate) fn rules_in(&self, sigs: &[String]) -> Vec<&Rule> {
-        sigs.iter().filter_map(|sig| self.rules.get(sig)).flatten().collect()
+    /// [`TaintWrapper::rules_for`] a call of `subsig` on `class`, with
+    /// the walk's buffers.
+    pub(crate) fn callee_rules(
+        &self,
+        walk: &mut SuperWalk,
+        program: &Program,
+        class: ClassId,
+        subsig: &SubSig,
+    ) -> Vec<&Rule> {
+        let mut out = Vec::new();
+        self.rules.for_each_match(walk, program, class, subsig, |r| out.push(r));
+        out
     }
 
     /// Resolves a position to a local at a call site (`None` when the

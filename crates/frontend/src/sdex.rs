@@ -28,13 +28,29 @@
 //!
 //! Type descriptors use JVM syntax: `I J Z B C S F D V`, `Lcom.foo;`
 //! (dots kept, not slashes) and `[` prefixes for arrays.
+//!
+//! Strings are pooled in first-use order. The encoder pools each string
+//! the program holds by reference and memoizes each distinct type's
+//! descriptor index, so it allocates only its output, its tables and
+//! one descriptor per distinct reference or array type.
+//!
+//! The decoder validates the pool once (bounds and UTF-8) and keeps it
+//! as byte ranges into the image. Each pool index resolves to a
+//! [`Symbol`], class or [`Type`] of the program at its first use and is
+//! memoized for the image, so decoding a body allocates only what the
+//! IR owns: local names and statement and argument vectors. The memo
+//! is valid for the one program the image is decoded into. Counts are
+//! bounded by the bytes left before anything is allocated for them,
+//! and lengths are added with overflow checks, so a corrupt image is
+//! an error, never a panic or an abort.
 
 use flowdroid_ir::{
     BinOp, Body, BodySource, ClassId, CmpOp, Cond, Constant, FxHashMap, InvokeExpr, InvokeKind,
-    Local, MethodRef, Operand, Place, Program, Rvalue, Stmt, SubSig, Type, UnOp,
+    Local, MethodRef, Operand, Place, Program, Rvalue, Stmt, SubSig, Symbol, Type, UnOp,
 };
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Current format version.
 pub const VERSION: u16 = 1;
@@ -60,32 +76,75 @@ impl std::error::Error for SdexError {}
 
 // ===================== Encoding =====================
 
+/// Builds the string pool while the class section is written. Every
+/// string the program holds is pooled by its borrowed `&str`, and each
+/// distinct type's descriptor index is memoized, so the only strings
+/// the encoder allocates are the descriptors of reference and array
+/// types, once per distinct type.
 struct Encoder<'p> {
     program: &'p Program,
-    strings: Vec<String>,
-    string_idx: FxHashMap<String, u64>,
-    body: Vec<u8>,
+    /// The pool so far: per string, its byte length and UTF-8 bytes.
+    pool: Vec<u8>,
+    /// Number of strings in `pool`.
+    count: u64,
+    /// Pool index of each borrowed string.
+    strings: FxHashMap<&'p str, u64>,
+    /// Pool index of each descriptor formatted for a reference or array
+    /// type, so a borrowed string equal to one shares its index.
+    formatted: FxHashMap<Box<str>, u64>,
+    /// Pool index of each type's descriptor.
+    types: FxHashMap<&'p Type, u64>,
 }
 
 impl<'p> Encoder<'p> {
-    fn string(&mut self, s: &str) -> u64 {
-        if let Some(&i) = self.string_idx.get(s) {
+    fn push(&mut self, s: &str) -> u64 {
+        write_uleb(&mut self.pool, s.len() as u64);
+        self.pool.extend_from_slice(s.as_bytes());
+        self.count += 1;
+        self.count - 1
+    }
+
+    fn string(&mut self, s: &'p str) -> u64 {
+        if let Some(&i) = self.strings.get(s) {
             return i;
         }
-        let i = self.strings.len() as u64;
-        self.strings.push(s.to_owned());
-        self.string_idx.insert(s.to_owned(), i);
+        let i = match self.formatted.get(s) {
+            Some(&i) => i,
+            None => self.push(s),
+        };
+        self.strings.insert(s, i);
         i
     }
 
-    fn type_desc(&mut self, t: &Type) -> u64 {
-        let d = descriptor_of(self.program, t);
-        self.string(&d)
+    fn type_desc(&mut self, t: &'p Type) -> u64 {
+        if let Some(&i) = self.types.get(t) {
+            return i;
+        }
+        let i = match primitive_descriptor(t) {
+            Some(d) => self.string(d),
+            None => {
+                let mut d = String::new();
+                push_descriptor(self.program, t, &mut d);
+                match self.strings.get(d.as_str()) {
+                    Some(&i) => i,
+                    None => {
+                        let i = self.push(&d);
+                        self.formatted.insert(d.into_boxed_str(), i);
+                        i
+                    }
+                }
+            }
+        };
+        self.types.insert(t, i);
+        i
     }
 
     fn class_name(&mut self, c: ClassId) -> u64 {
-        let n = self.program.class_name(c).to_owned();
-        self.string(&n)
+        self.string(self.program.class_name(c))
+    }
+
+    fn symbol(&mut self, s: Symbol) -> u64 {
+        self.string(self.program.str(s))
     }
 }
 
@@ -93,7 +152,9 @@ impl<'p> Encoder<'p> {
 /// `[J`, …). Exposed for other binary codecs (e.g. the platform
 /// snapshot) that reuse SDEX's descriptor convention.
 pub fn type_descriptor(p: &Program, t: &Type) -> String {
-    descriptor_of(p, t)
+    let mut d = String::new();
+    push_descriptor(p, t, &mut d);
+    d
 }
 
 /// Parses a JVM-style descriptor back into a [`Type`], creating phantom
@@ -102,19 +163,34 @@ pub fn parse_type_descriptor(program: &mut Program, d: &str) -> Option<Type> {
     parse_descriptor(program, d)
 }
 
-fn descriptor_of(p: &Program, t: &Type) -> String {
+/// The one-letter descriptor of `void` or a primitive type.
+fn primitive_descriptor(t: &Type) -> Option<&'static str> {
+    Some(match t {
+        Type::Void => "V",
+        Type::Boolean => "Z",
+        Type::Byte => "B",
+        Type::Char => "C",
+        Type::Short => "S",
+        Type::Int => "I",
+        Type::Long => "J",
+        Type::Float => "F",
+        Type::Double => "D",
+        Type::Ref(_) | Type::Array(_) => return None,
+    })
+}
+
+fn push_descriptor(p: &Program, t: &Type, out: &mut String) {
     match t {
-        Type::Void => "V".into(),
-        Type::Boolean => "Z".into(),
-        Type::Byte => "B".into(),
-        Type::Char => "C".into(),
-        Type::Short => "S".into(),
-        Type::Int => "I".into(),
-        Type::Long => "J".into(),
-        Type::Float => "F".into(),
-        Type::Double => "D".into(),
-        Type::Ref(c) => format!("L{};", p.class_name(*c)),
-        Type::Array(e) => format!("[{}", descriptor_of(p, e)),
+        Type::Ref(c) => {
+            out.push('L');
+            out.push_str(p.class_name(*c));
+            out.push(';');
+        }
+        Type::Array(e) => {
+            out.push('[');
+            push_descriptor(p, e, out);
+        }
+        prim => out.push_str(primitive_descriptor(prim).expect("not a reference type")),
     }
 }
 
@@ -143,30 +219,28 @@ fn write_ileb(out: &mut Vec<u8>, v: i64) {
 pub fn encode(program: &Program, classes: &[ClassId]) -> Vec<u8> {
     let mut enc = Encoder {
         program,
-        strings: Vec::new(),
-        string_idx: FxHashMap::default(),
-        body: Vec::new(),
+        pool: Vec::new(),
+        count: 0,
+        strings: FxHashMap::default(),
+        formatted: FxHashMap::default(),
+        types: FxHashMap::default(),
     };
     let mut body = Vec::new();
     write_uleb(&mut body, classes.len() as u64);
     for &cid in classes {
         encode_class(&mut enc, &mut body, cid);
     }
-    enc.body = body;
 
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(MAGIC.len() + 2 + 10 + enc.pool.len() + body.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
-    write_uleb(&mut out, enc.strings.len() as u64);
-    for s in &enc.strings {
-        write_uleb(&mut out, s.len() as u64);
-        out.extend_from_slice(s.as_bytes());
-    }
-    out.extend_from_slice(&enc.body);
+    write_uleb(&mut out, enc.count);
+    out.extend_from_slice(&enc.pool);
+    out.extend_from_slice(&body);
     out
 }
 
-fn encode_class(enc: &mut Encoder<'_>, out: &mut Vec<u8>, cid: ClassId) {
+fn encode_class<'p>(enc: &mut Encoder<'p>, out: &mut Vec<u8>, cid: ClassId) {
     let p = enc.program;
     let c = p.class(cid);
     let name = enc.class_name(cid);
@@ -195,7 +269,7 @@ fn encode_class(enc: &mut Encoder<'_>, out: &mut Vec<u8>, cid: ClassId) {
     write_uleb(out, c.fields().len() as u64);
     for &f in c.fields() {
         let fd = p.field(f);
-        let n = enc.string(p.str(fd.name()));
+        let n = enc.symbol(fd.name());
         write_uleb(out, n);
         let t = enc.type_desc(fd.ty());
         write_uleb(out, t);
@@ -207,10 +281,10 @@ fn encode_class(enc: &mut Encoder<'_>, out: &mut Vec<u8>, cid: ClassId) {
     }
 }
 
-fn encode_method(enc: &mut Encoder<'_>, out: &mut Vec<u8>, mid: flowdroid_ir::MethodId) {
+fn encode_method<'p>(enc: &mut Encoder<'p>, out: &mut Vec<u8>, mid: flowdroid_ir::MethodId) {
     let p = enc.program;
     let m = p.method(mid);
-    let n = enc.string(p.str(m.name()));
+    let n = enc.symbol(m.name());
     write_uleb(out, n);
     let r = enc.type_desc(&m.subsig().ret);
     write_uleb(out, r);
@@ -282,7 +356,7 @@ const RV_UNOP: u8 = 5;
 const RV_CAST: u8 = 6;
 const RV_INSTANCEOF: u8 = 7;
 
-fn encode_operand(enc: &mut Encoder<'_>, out: &mut Vec<u8>, o: &Operand) {
+fn encode_operand<'p>(enc: &mut Encoder<'p>, out: &mut Vec<u8>, o: &'p Operand) {
     match o {
         Operand::Local(l) => {
             out.push(OPR_LOCAL);
@@ -300,19 +374,19 @@ fn encode_const(enc: &mut Encoder<'_>, out: &mut Vec<u8>, c: &Constant) {
         }
         Constant::Str(s) => {
             out.push(OPR_STR);
-            let i = enc.string(enc.program.str(*s).to_owned().as_str());
+            let i = enc.symbol(*s);
             write_uleb(out, i);
         }
         Constant::Null => out.push(OPR_NULL),
         Constant::Class(s) => {
             out.push(OPR_CLASS);
-            let i = enc.string(enc.program.str(*s).to_owned().as_str());
+            let i = enc.symbol(*s);
             write_uleb(out, i);
         }
     }
 }
 
-fn encode_place(enc: &mut Encoder<'_>, out: &mut Vec<u8>, pl: &Place) {
+fn encode_place<'p>(enc: &mut Encoder<'p>, out: &mut Vec<u8>, pl: &'p Place) {
     let p = enc.program;
     match pl {
         Place::Local(l) => {
@@ -325,7 +399,7 @@ fn encode_place(enc: &mut Encoder<'_>, out: &mut Vec<u8>, pl: &Place) {
             let fd = p.field(*f);
             let cn = enc.class_name(fd.class());
             write_uleb(out, cn);
-            let fname = enc.string(p.str(fd.name()).to_owned().as_str());
+            let fname = enc.symbol(fd.name());
             write_uleb(out, fname);
             let ft = enc.type_desc(fd.ty());
             write_uleb(out, ft);
@@ -335,7 +409,7 @@ fn encode_place(enc: &mut Encoder<'_>, out: &mut Vec<u8>, pl: &Place) {
             let fd = p.field(*f);
             let cn = enc.class_name(fd.class());
             write_uleb(out, cn);
-            let fname = enc.string(p.str(fd.name()).to_owned().as_str());
+            let fname = enc.symbol(fd.name());
             write_uleb(out, fname);
             let ft = enc.type_desc(fd.ty());
             write_uleb(out, ft);
@@ -348,7 +422,7 @@ fn encode_place(enc: &mut Encoder<'_>, out: &mut Vec<u8>, pl: &Place) {
     }
 }
 
-fn encode_stmt(enc: &mut Encoder<'_>, out: &mut Vec<u8>, s: &Stmt) {
+fn encode_stmt<'p>(enc: &mut Encoder<'p>, out: &mut Vec<u8>, s: &'p Stmt) {
     match s {
         Stmt::Nop => out.push(OP_NOP),
         Stmt::Assign { lhs, rhs } => {
@@ -426,7 +500,7 @@ fn encode_stmt(enc: &mut Encoder<'_>, out: &mut Vec<u8>, s: &Stmt) {
             }
             let cn = enc.class_name(call.callee.class);
             write_uleb(out, cn);
-            let mn = enc.string(enc.program.str(call.callee.subsig.name).to_owned().as_str());
+            let mn = enc.symbol(call.callee.subsig.name);
             write_uleb(out, mn);
             let rd = enc.type_desc(&call.callee.subsig.ret);
             write_uleb(out, rd);
@@ -502,14 +576,30 @@ fn cmpop_code(op: CmpOp) -> u8 {
 
 // ===================== Decoding =====================
 
+/// An image's string pool: each string's byte range in the image,
+/// validated as UTF-8 once by [`read_header`], and a memo of what each
+/// index has resolved to in the program the image is decoded into.
+///
+/// The memo fills on first use. A first use mints exactly what it
+/// minted when every use resolved its string afresh (a later use only
+/// looked the same entity up again), so classes and symbols are still
+/// created in the order the decoder first meets them. The memo is only
+/// valid for that one program.
+struct Pool {
+    ranges: Box<[Range<usize>]>,
+    symbols: Box<[OnceLock<Symbol>]>,
+    classes: Box<[OnceLock<ClassId>]>,
+    types: Box<[OnceLock<Type>]>,
+}
+
 struct Decoder<'b, 's, 'p> {
     bytes: &'b [u8],
     pos: usize,
-    strings: &'s [String],
+    pool: &'s Pool,
     program: &'p mut Program,
 }
 
-impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
+impl<'b> Decoder<'b, '_, '_> {
     fn err(&self, msg: impl Into<String>) -> SdexError {
         SdexError { message: msg.into(), offset: self.pos }
     }
@@ -521,19 +611,7 @@ impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
     }
 
     fn uleb(&mut self) -> Result<u64, SdexError> {
-        let mut v: u64 = 0;
-        let mut shift = 0;
-        loop {
-            let b = self.u8()?;
-            if shift >= 64 {
-                return Err(self.err("uleb128 overflow"));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        read_uleb_raw(self.bytes, &mut self.pos)
     }
 
     fn ileb(&mut self) -> Result<i64, SdexError> {
@@ -541,22 +619,76 @@ impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
 
-    /// Reads a string-pool index and returns the borrowed string.
-    fn str_ref(&mut self) -> Result<&'s str, SdexError> {
-        let i = self.uleb()? as usize;
-        match self.strings.get(i) {
-            Some(s) => Ok(s.as_str()),
-            None => Err(self.err(format!("string index {i} out of range"))),
+    /// Reads an element count. Every element takes at least one byte,
+    /// so a count past the bytes left is corrupt and is rejected before
+    /// anything is allocated for it.
+    fn count(&mut self) -> Result<usize, SdexError> {
+        let n = self.uleb()?;
+        let left = self.bytes.len() - self.pos;
+        match usize::try_from(n) {
+            Ok(n) if n <= left => Ok(n),
+            _ => Err(self.err(format!("count {n} exceeds the {left} bytes left"))),
         }
     }
 
-    fn str_idx(&mut self) -> Result<String, SdexError> {
-        Ok(self.str_ref()?.to_owned())
+    /// Reads a string-pool index.
+    fn pool_index(&mut self) -> Result<usize, SdexError> {
+        let i = self.uleb()?;
+        match usize::try_from(i) {
+            Ok(i) if i < self.pool.ranges.len() => Ok(i),
+            _ => Err(self.err(format!("string index {i} out of range"))),
+        }
+    }
+
+    /// The pool string at index `i`.
+    fn pool_str(&self, i: usize) -> &'b str {
+        std::str::from_utf8(&self.bytes[self.pool.ranges[i].clone()])
+            .expect("read_header validated the pool")
+    }
+
+    /// Reads a string-pool index and returns the borrowed string.
+    fn str_ref(&mut self) -> Result<&'b str, SdexError> {
+        let i = self.pool_index()?;
+        Ok(self.pool_str(i))
+    }
+
+    /// The pool string at `i` as a symbol of the program.
+    fn symbol_at(&mut self, i: usize) -> Symbol {
+        let s = self.pool_str(i);
+        *self.pool.symbols[i].get_or_init(|| self.program.intern(s))
+    }
+
+    fn symbol(&mut self) -> Result<Symbol, SdexError> {
+        let i = self.pool_index()?;
+        Ok(self.symbol_at(i))
+    }
+
+    /// The class named by the pool string at `i` (a phantom when it is
+    /// not declared).
+    fn class_at(&mut self, i: usize) -> ClassId {
+        let s = self.pool_str(i);
+        *self.pool.classes[i].get_or_init(|| self.program.class_id(s))
+    }
+
+    fn class(&mut self) -> Result<ClassId, SdexError> {
+        let i = self.pool_index()?;
+        Ok(self.class_at(i))
+    }
+
+    /// The type the descriptor at pool index `i` denotes.
+    fn type_at(&mut self, i: usize) -> Result<Type, SdexError> {
+        if let Some(t) = self.pool.types[i].get() {
+            return Ok(t.clone());
+        }
+        let d = self.pool_str(i);
+        let t = parse_descriptor(self.program, d)
+            .ok_or_else(|| self.err(format!("bad descriptor `{d}`")))?;
+        Ok(self.pool.types[i].get_or_init(|| t).clone())
     }
 
     fn type_desc(&mut self) -> Result<Type, SdexError> {
-        let d = self.str_idx()?;
-        parse_descriptor(self.program, &d).ok_or_else(|| self.err(format!("bad descriptor `{d}`")))
+        let i = self.pool_index()?;
+        self.type_at(i)
     }
 
     fn local(&mut self) -> Result<Local, SdexError> {
@@ -569,15 +701,9 @@ impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
         Ok(match tag {
             OPR_LOCAL => Operand::Local(self.local()?),
             OPR_INT => Operand::Const(Constant::Int(self.ileb()?)),
-            OPR_STR => {
-                let s = self.str_idx()?;
-                Operand::Const(Constant::Str(self.program.intern(&s)))
-            }
+            OPR_STR => Operand::Const(Constant::Str(self.symbol()?)),
             OPR_NULL => Operand::Const(Constant::Null),
-            OPR_CLASS => {
-                let s = self.str_idx()?;
-                Operand::Const(Constant::Class(self.program.intern(&s)))
-            }
+            OPR_CLASS => Operand::Const(Constant::Class(self.symbol()?)),
             t => return Err(self.err(format!("bad operand tag {t}"))),
         })
     }
@@ -585,15 +711,16 @@ impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
     /// Resolves (declaring when missing, e.g. for forward references or
     /// phantom classes) a field.
     fn field_ref(&mut self, is_static: bool) -> Result<flowdroid_ir::FieldId, SdexError> {
-        let class = self.str_idx()?;
-        let fname = self.str_idx()?;
+        let class = self.pool_index()?;
+        let fname = self.pool_index()?;
         let fty = self.type_desc()?;
-        let cid = self.program.class_id(&class);
-        let sym = self.program.intern(&fname);
+        let cid = self.class_at(class);
+        let sym = self.symbol_at(fname);
         if let Some(f) = self.program.resolve_field(cid, sym) {
             Ok(f)
         } else {
-            Ok(self.program.declare_field(cid, &fname, fty, is_static))
+            let fname = self.pool_str(fname);
+            Ok(self.program.declare_field(cid, fname, fty, is_static))
         }
     }
 
@@ -623,11 +750,10 @@ impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
 /// Checks descriptor syntax without touching a program (used by the
 /// body validators, where creating phantom classes would be premature).
 /// Mirrors [`parse_descriptor`] exactly.
-fn descriptor_syntax_ok(d: &str) -> bool {
-    let b = d.as_bytes();
-    match b.first() {
+fn descriptor_syntax_ok(d: &[u8]) -> bool {
+    match d.first() {
         Some(b'V' | b'Z' | b'B' | b'C' | b'S' | b'I' | b'J' | b'F' | b'D') => d.len() == 1,
-        Some(b'L') => d.ends_with(';'),
+        Some(b'L') => d.ends_with(b";"),
         Some(b'[') => descriptor_syntax_ok(&d[1..]),
         _ => false,
     }
@@ -670,9 +796,10 @@ fn read_uleb_raw(bytes: &[u8], pos: &mut usize) -> Result<u64, SdexError> {
     }
 }
 
-/// Validates magic/version and reads the string pool. Returns the pool
+/// Validates magic/version and reads the string pool, checking each
+/// string's bounds and UTF-8 once. Returns the pool, with an empty memo,
 /// and the byte offset where the class section starts.
-fn read_header(bytes: &[u8]) -> Result<(Vec<String>, usize), SdexError> {
+fn read_header(bytes: &[u8]) -> Result<(Pool, usize), SdexError> {
     if bytes.len() < 6 || &bytes[..4] != MAGIC {
         return Err(SdexError { message: "bad magic".into(), offset: 0 });
     }
@@ -681,20 +808,39 @@ fn read_header(bytes: &[u8]) -> Result<(Vec<String>, usize), SdexError> {
         return Err(SdexError { message: format!("unsupported version {version}"), offset: 4 });
     }
     let mut pos = 6;
-    let nstrings = read_uleb_raw(bytes, &mut pos)? as usize;
-    let mut strings = Vec::new();
+    let nstrings = read_uleb_raw(bytes, &mut pos)?;
+    let left = bytes.len() - pos;
+    let nstrings =
+        usize::try_from(nstrings).ok().filter(|&n| n <= left).ok_or_else(|| SdexError {
+            message: format!("count {nstrings} exceeds the {left} bytes left"),
+            offset: pos,
+        })?;
+    let mut ranges = Vec::with_capacity(nstrings);
     for _ in 0..nstrings {
-        let len = read_uleb_raw(bytes, &mut pos)? as usize;
-        if pos + len > bytes.len() {
-            return Err(SdexError { message: "string overruns input".into(), offset: pos });
-        }
-        let s = std::str::from_utf8(&bytes[pos..pos + len])
-            .map_err(|_| SdexError { message: "invalid UTF-8 in string pool".into(), offset: pos })?
-            .to_owned();
-        pos += len;
-        strings.push(s);
+        let len = read_uleb_raw(bytes, &mut pos)?;
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| pos.checked_add(len))
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(|| SdexError { message: "string overruns input".into(), offset: pos })?;
+        std::str::from_utf8(&bytes[pos..end]).map_err(|_| SdexError {
+            message: "invalid UTF-8 in string pool".into(),
+            offset: pos,
+        })?;
+        ranges.push(pos..end);
+        pos = end;
     }
-    Ok((strings, pos))
+    let pool = Pool {
+        ranges: ranges.into_boxed_slice(),
+        symbols: empty_memo(nstrings),
+        classes: empty_memo(nstrings),
+        types: empty_memo(nstrings),
+    };
+    Ok((pool, pos))
+}
+
+fn empty_memo<T>(n: usize) -> Box<[OnceLock<T>]> {
+    (0..n).map(|_| OnceLock::new()).collect()
 }
 
 /// Decodes SDEX bytes, declaring all contained classes into `program`.
@@ -703,19 +849,16 @@ fn read_header(bytes: &[u8]) -> Result<(Vec<String>, usize), SdexError> {
 /// # Errors
 ///
 /// Returns [`SdexError`] on truncated input, bad magic/version, invalid
-/// indices, malformed descriptors or class redeclaration.
+/// indices, counts past the end of the input, malformed descriptors or
+/// a class, field or method declared twice.
 pub fn decode(program: &mut Program, bytes: &[u8]) -> Result<Vec<ClassId>, SdexError> {
-    let (strings, body_start) = read_header(bytes)?;
-    let mut dec = Decoder { bytes, pos: body_start, strings: &strings, program };
-    let nclasses = dec.uleb()? as usize;
-    let mut headers = Vec::with_capacity(nclasses);
+    let (pool, body_start) = read_header(bytes)?;
+    let mut dec = Decoder { bytes, pos: body_start, pool: &pool, program };
     // Pass 1: declarations (classes, fields, method signatures); each
     // body is structurally validated in full while being skipped.
-    for _ in 0..nclasses {
-        headers.push(decode_class_decl(&mut dec)?);
-    }
+    let headers = decode_decls(&mut dec)?;
     // Pass 2: bodies.
-    let mut ids = Vec::with_capacity(nclasses);
+    let mut ids = Vec::with_capacity(headers.len());
     for (cid, methods) in headers {
         ids.push(cid);
         for (mid, body_bytes_start) in methods {
@@ -728,11 +871,16 @@ pub fn decode(program: &mut Program, bytes: &[u8]) -> Result<Vec<ClassId>, SdexE
 }
 
 /// The deferred-body source for lazily loaded SDEX images: the raw bytes
-/// plus the decoded string pool, shared by every method of the image.
-/// The token of each pending body is its byte offset.
+/// plus their string pool, shared by every method of the image. The
+/// token of each pending body is its byte offset.
+///
+/// One `LazySdex` serves exactly one program, the one [`decode_lazy`]
+/// declared the image into: its pool memo holds that program's symbols,
+/// classes and types. Nothing shares it with another program, since
+/// [`Program::freeze`] refuses pending bodies.
 struct LazySdex {
     bytes: Arc<[u8]>,
-    strings: Vec<String>,
+    pool: Pool,
 }
 
 impl BodySource for LazySdex {
@@ -743,7 +891,7 @@ impl BodySource for LazySdex {
         token: u64,
     ) -> Result<Body, String> {
         let mut dec =
-            Decoder { bytes: &self.bytes, pos: token as usize, strings: &self.strings, program };
+            Decoder { bytes: &self.bytes, pos: token as usize, pool: &self.pool, program };
         decode_body(&mut dec).map_err(|e| e.to_string())
     }
 }
@@ -762,19 +910,13 @@ impl BodySource for LazySdex {
 /// # Errors
 ///
 /// Returns [`SdexError`] on truncated input, bad magic/version, invalid
-/// indices, malformed descriptors or class redeclaration.
+/// indices, counts past the end of the input, malformed descriptors or
+/// a class, field or method declared twice.
 pub fn decode_lazy(program: &mut Program, bytes: Arc<[u8]>) -> Result<Vec<ClassId>, SdexError> {
-    let (strings, body_start) = read_header(&bytes)?;
-    let headers = {
-        let mut dec = Decoder { bytes: &bytes, pos: body_start, strings: &strings, program };
-        let nclasses = dec.uleb()? as usize;
-        let mut headers = Vec::with_capacity(nclasses);
-        for _ in 0..nclasses {
-            headers.push(decode_class_decl(&mut dec)?);
-        }
-        headers
-    };
-    let source = Arc::new(LazySdex { bytes, strings });
+    let (pool, body_start) = read_header(&bytes)?;
+    let headers =
+        decode_decls(&mut Decoder { bytes: &bytes, pos: body_start, pool: &pool, program })?;
+    let source = Arc::new(LazySdex { bytes, pool });
     let mut ids = Vec::with_capacity(headers.len());
     for (cid, methods) in headers {
         ids.push(cid);
@@ -787,47 +929,64 @@ pub fn decode_lazy(program: &mut Program, bytes: Arc<[u8]>) -> Result<Vec<ClassI
 
 type ClassHeader = (ClassId, Vec<(flowdroid_ir::MethodId, usize)>);
 
+/// The declaration pass over the class section.
+fn decode_decls(dec: &mut Decoder<'_, '_, '_>) -> Result<Vec<ClassHeader>, SdexError> {
+    let nclasses = dec.count()?;
+    let mut headers = Vec::with_capacity(nclasses);
+    for _ in 0..nclasses {
+        headers.push(decode_class_decl(dec)?);
+    }
+    Ok(headers)
+}
+
 fn decode_class_decl(dec: &mut Decoder<'_, '_, '_>) -> Result<ClassHeader, SdexError> {
-    let name = dec.str_idx()?;
+    let name = dec.str_ref()?;
     let flags = dec.u8()?;
     let has_super = dec.u8()?;
-    let superclass = if has_super == 1 { Some(dec.str_idx()?) } else { None };
-    let nifaces = dec.uleb()? as usize;
+    let superclass = if has_super == 1 { Some(dec.str_ref()?) } else { None };
+    let nifaces = dec.count()?;
     let mut ifaces = Vec::with_capacity(nifaces);
     for _ in 0..nifaces {
-        ifaces.push(dec.str_idx()?);
+        ifaces.push(dec.str_ref()?);
     }
-    if dec.program.find_class(&name).is_some_and(|c| dec.program.class(c).is_declared()) {
+    if dec.program.find_class(name).is_some_and(|c| dec.program.class(c).is_declared()) {
         return Err(dec.err(format!("class {name} already declared")));
     }
-    let iface_refs: Vec<&str> = ifaces.iter().map(String::as_str).collect();
     let cid = if flags & 1 != 0 {
-        dec.program.declare_interface(&name, &iface_refs)
+        dec.program.declare_interface(name, &ifaces)
     } else {
-        dec.program.declare_class(&name, superclass.as_deref(), &iface_refs)
+        dec.program.declare_class(name, superclass, &ifaces)
     };
     if flags & 2 != 0 {
         dec.program.set_abstract(cid, true);
     }
-    let nfields = dec.uleb()? as usize;
+    let nfields = dec.count()?;
     for _ in 0..nfields {
-        let fname = dec.str_idx()?;
+        let fname = dec.str_ref()?;
         let fty = dec.type_desc()?;
         let is_static = dec.u8()? == 1;
-        dec.program.declare_field(cid, &fname, fty, is_static);
+        let sym = dec.program.intern(fname);
+        if dec.program.class(cid).field_by_name(sym).is_some() {
+            return Err(dec.err(format!("field {fname} declared twice on class {name}")));
+        }
+        dec.program.declare_field(cid, fname, fty, is_static);
     }
-    let nmethods = dec.uleb()? as usize;
+    let nmethods = dec.count()?;
     let mut methods = Vec::with_capacity(nmethods);
     for _ in 0..nmethods {
-        let mname = dec.str_idx()?;
+        let mname = dec.str_ref()?;
         let ret = dec.type_desc()?;
-        let nparams = dec.uleb()? as usize;
+        let nparams = dec.count()?;
         let mut params = Vec::with_capacity(nparams);
         for _ in 0..nparams {
             params.push(dec.type_desc()?);
         }
+        let sig = SubSig { name: dec.program.intern(mname), params, ret };
+        if dec.program.class(cid).method_by_subsig(&sig).is_some() {
+            return Err(dec.err(format!("method {mname} declared twice on class {name}")));
+        }
         let mflags = dec.u8()?;
-        let mid = dec.program.declare_method(cid, &mname, params, ret, mflags & 1 != 0);
+        let mid = dec.program.declare_method(cid, mname, sig.params, sig.ret, mflags & 1 != 0);
         if mflags & 2 != 0 {
             dec.program.set_native(mid, true);
         }
@@ -852,12 +1011,12 @@ fn decode_class_decl(dec: &mut Decoder<'_, '_, '_>) -> Result<ClassHeader, SdexE
 // guaranteed to decode (the lazy loader relies on this to make deferred
 // materialization infallible).
 
-impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
+impl Decoder<'_, '_, '_> {
     /// Validates a string-pool reference to a type descriptor.
     fn check_desc(&mut self) -> Result<(), SdexError> {
-        let d = self.str_ref()?;
-        if !descriptor_syntax_ok(d) {
-            let msg = format!("bad descriptor `{d}`");
+        let i = self.pool_index()?;
+        if !descriptor_syntax_ok(&self.bytes[self.pool.ranges[i].clone()]) {
+            let msg = format!("bad descriptor `{}`", self.pool_str(i));
             return Err(self.err(msg));
         }
         Ok(())
@@ -873,12 +1032,12 @@ impl<'b, 's, 'p> Decoder<'b, 's, 'p> {
 
 /// Skips and validates an encoded body (used during the declaration pass).
 fn skip_body(dec: &mut Decoder<'_, '_, '_>) -> Result<(), SdexError> {
-    let nlocals = dec.uleb()? as usize;
+    let nlocals = dec.count()?;
     for _ in 0..nlocals {
-        dec.str_ref()?; // local name
+        dec.pool_index()?; // local name
         dec.check_desc()?; // local type
     }
-    let nstmts = dec.uleb()? as usize;
+    let nstmts = dec.count()?;
     for _ in 0..nstmts {
         let line = dec.uleb()?;
         u32::try_from(line).map_err(|_| dec.err("line number overflow"))?;
@@ -890,7 +1049,7 @@ fn skip_body(dec: &mut Decoder<'_, '_, '_>) -> Result<(), SdexError> {
 fn skip_const(dec: &mut Decoder<'_, '_, '_>) -> Result<(), SdexError> {
     match dec.u8()? {
         OPR_STR | OPR_CLASS => {
-            dec.str_ref()?;
+            dec.pool_index()?;
         }
         OPR_INT => {
             dec.ileb()?;
@@ -906,7 +1065,7 @@ fn skip_operand(dec: &mut Decoder<'_, '_, '_>) -> Result<(), SdexError> {
     match dec.u8()? {
         OPR_LOCAL => dec.check_local()?,
         OPR_STR | OPR_CLASS => {
-            dec.str_ref()?;
+            dec.pool_index()?;
         }
         OPR_INT => {
             dec.ileb()?;
@@ -922,13 +1081,13 @@ fn skip_place(dec: &mut Decoder<'_, '_, '_>) -> Result<(), SdexError> {
         PL_LOCAL => dec.check_local()?,
         PL_IFIELD => {
             dec.check_local()?; // base
-            dec.str_ref()?; // class name
-            dec.str_ref()?; // field name
+            dec.pool_index()?; // class name
+            dec.pool_index()?; // field name
             dec.check_desc()?; // field type
         }
         PL_SFIELD => {
-            dec.str_ref()?;
-            dec.str_ref()?;
+            dec.pool_index()?;
+            dec.pool_index()?;
             dec.check_desc()?;
         }
         PL_ARRAY => {
@@ -956,7 +1115,7 @@ fn skip_stmt(dec: &mut Decoder<'_, '_, '_>, nstmts: usize) -> Result<(), SdexErr
                 RV_READ => skip_place(dec)?,
                 RV_CONST => skip_const(dec)?,
                 RV_NEW => {
-                    dec.str_ref()?;
+                    dec.pool_index()?;
                 }
                 RV_NEWARRAY => {
                     dec.check_desc()?;
@@ -993,14 +1152,14 @@ fn skip_stmt(dec: &mut Decoder<'_, '_, '_>, nstmts: usize) -> Result<(), SdexErr
             if dec.u8()? == 1 {
                 dec.check_local()?; // base
             }
-            dec.str_ref()?; // class name
-            dec.str_ref()?; // method name
+            dec.pool_index()?; // class name
+            dec.pool_index()?; // method name
             dec.check_desc()?; // return type
-            let nparams = dec.uleb()? as usize;
+            let nparams = dec.count()?;
             for _ in 0..nparams {
                 dec.check_desc()?;
             }
-            let nargs = dec.uleb()? as usize;
+            let nargs = dec.count()?;
             for _ in 0..nargs {
                 skip_operand(dec)?;
             }
@@ -1034,14 +1193,14 @@ fn skip_stmt(dec: &mut Decoder<'_, '_, '_>, nstmts: usize) -> Result<(), SdexErr
 }
 
 fn decode_body(dec: &mut Decoder<'_, '_, '_>) -> Result<Body, SdexError> {
-    let nlocals = dec.uleb()? as usize;
+    let nlocals = dec.count()?;
     let mut locals = Vec::with_capacity(nlocals);
     for _ in 0..nlocals {
-        let name = dec.str_idx()?;
+        let name = dec.str_ref()?.to_owned();
         let ty = dec.type_desc()?;
         locals.push(flowdroid_ir::LocalDecl { name, ty });
     }
-    let nstmts = dec.uleb()? as usize;
+    let nstmts = dec.count()?;
     let mut stmts = Vec::with_capacity(nstmts);
     let mut lines = Vec::with_capacity(nstmts);
     for _ in 0..nstmts {
@@ -1071,10 +1230,7 @@ fn decode_stmt(dec: &mut Decoder<'_, '_, '_>, nstmts: usize) -> Result<Stmt, Sde
                     Operand::Const(c) => Rvalue::Const(c),
                     Operand::Local(_) => return Err(dec.err("const tag holds a local")),
                 },
-                RV_NEW => {
-                    let name = dec.str_idx()?;
-                    Rvalue::New(dec.program.class_id(&name))
-                }
+                RV_NEW => Rvalue::New(dec.class()?),
                 RV_NEWARRAY => {
                     let t = dec.type_desc()?;
                     Rvalue::NewArray(t, dec.operand()?)
@@ -1115,15 +1271,17 @@ fn decode_stmt(dec: &mut Decoder<'_, '_, '_>, nstmts: usize) -> Result<Stmt, Sde
                 t => return Err(dec.err(format!("bad invoke kind {t}"))),
             };
             let base = if dec.u8()? == 1 { Some(dec.local()?) } else { None };
-            let class_name = dec.str_idx()?;
-            let mname = dec.str_idx()?;
+            // Resolved after the signature and arguments, in the order
+            // the program first meets each name.
+            let class = dec.pool_index()?;
+            let name = dec.pool_index()?;
             let ret = dec.type_desc()?;
-            let nparams = dec.uleb()? as usize;
+            let nparams = dec.count()?;
             let mut params = Vec::with_capacity(nparams);
             for _ in 0..nparams {
                 params.push(dec.type_desc()?);
             }
-            let nargs = dec.uleb()? as usize;
+            let nargs = dec.count()?;
             let mut args = Vec::with_capacity(nargs);
             for _ in 0..nargs {
                 args.push(dec.operand()?);
@@ -1131,8 +1289,8 @@ fn decode_stmt(dec: &mut Decoder<'_, '_, '_>, nstmts: usize) -> Result<Stmt, Sde
             if nargs != nparams {
                 return Err(dec.err("argument/parameter count mismatch"));
             }
-            let class = dec.program.class_id(&class_name);
-            let name = dec.program.intern(&mname);
+            let class = dec.class_at(class);
+            let name = dec.symbol_at(name);
             Stmt::Invoke {
                 result,
                 call: InvokeExpr {

@@ -120,6 +120,87 @@ fn build_program(recipes: &[Recipe]) -> (Program, flowdroid_ir::ClassId) {
     (p, c)
 }
 
+fn write_uleb(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// `bytes` with the LEB128 field that starts at `at` replaced by `value`.
+fn with_uleb_at(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+    let end = bytes[at..].iter().position(|b| b & 0x80 == 0).map_or(bytes.len(), |i| at + i + 1);
+    let mut out = bytes[..at].to_vec();
+    write_uleb(&mut out, value);
+    out.extend_from_slice(&bytes[end..]);
+    out
+}
+
+/// An image header (magic, version) followed by `rest`.
+fn image(rest: &[u8]) -> Vec<u8> {
+    let mut out = b"SDEX".to_vec();
+    out.extend_from_slice(&sdex::VERSION.to_le_bytes());
+    out.extend_from_slice(rest);
+    out
+}
+
+/// Both decoders reject `bytes` with an error.
+fn assert_rejected(bytes: &[u8]) {
+    assert!(sdex::decode(&mut Program::new(), bytes).is_err());
+    assert!(sdex::decode_lazy(&mut Program::new(), bytes.into()).is_err());
+}
+
+#[test]
+fn huge_class_count_is_rejected() {
+    // No strings, then 2^40 classes: preallocating the class table for
+    // that count aborted the process.
+    let mut rest = vec![0];
+    write_uleb(&mut rest, 1 << 40);
+    assert_rejected(&image(&rest));
+}
+
+#[test]
+fn huge_string_length_is_rejected() {
+    // One string of length 2^64 - 3: adding it to the offset overflowed.
+    let mut rest = vec![1];
+    write_uleb(&mut rest, u64::MAX - 2);
+    rest.extend_from_slice(b"abc");
+    assert_rejected(&image(&rest));
+}
+
+#[test]
+fn huge_string_count_is_rejected() {
+    let mut rest = Vec::new();
+    write_uleb(&mut rest, u64::MAX);
+    assert_rejected(&image(&rest));
+}
+
+#[test]
+fn duplicate_members_are_rejected() {
+    // Pool ["C", "f", "I"], then class C (no super, no interfaces) with
+    // field `f: int` declared twice.
+    let pool = [3, 1, b'C', 1, b'f', 1, b'I'];
+    let field = [1, 2, 0];
+    let mut rest = pool.to_vec();
+    rest.extend_from_slice(&[1, 0, 0, 0, 0, 2]);
+    rest.extend_from_slice(&field);
+    rest.extend_from_slice(&field);
+    rest.push(0);
+    assert_rejected(&image(&rest));
+    let err = sdex::decode(&mut Program::new(), &image(&rest)).unwrap_err();
+    assert!(err.message.contains("field f declared twice"), "{err}");
+    // The same class with `static int f()` declared twice, body-less.
+    let method = [1, 2, 0, 1, 0];
+    let mut rest = pool.to_vec();
+    rest.extend_from_slice(&[1, 0, 0, 0, 0, 0, 2]);
+    rest.extend_from_slice(&method);
+    rest.extend_from_slice(&method);
+    assert_rejected(&image(&rest));
+    let err = sdex::decode(&mut Program::new(), &image(&rest)).unwrap_err();
+    assert!(err.message.contains("method f declared twice"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -167,6 +248,35 @@ proptest! {
         }
         let mut q = Program::new();
         let _ = sdex::decode(&mut q, &bytes); // must not panic
+    }
+
+    /// Rewriting the LEB128 field at any offset (a count, a length, an
+    /// index) to a huge value makes decoding fail, never panic or abort:
+    /// no count is trusted for a preallocation and no length for an
+    /// unchecked addition. Single bit flips never produce such fields.
+    #[test]
+    fn decode_of_huge_fields_never_panics(
+        recipes in proptest::collection::vec(recipe_strategy(), 0..8),
+        at in 6usize..4096,
+        huge in prop_oneof![
+            Just(1u64 << 40),
+            Just(u64::from(u32::MAX)),
+            Just(u64::MAX - 2),
+            Just(u64::MAX),
+        ],
+    ) {
+        let (p, c) = build_program(&recipes);
+        let bytes = sdex::encode(&p, &[c]);
+        let bytes = with_uleb_at(&bytes, 6 + at % (bytes.len() - 6), huge);
+        let _ = sdex::decode(&mut Program::new(), &bytes);
+        let mut q = Program::new();
+        if sdex::decode_lazy(&mut q, bytes.into()).is_ok() {
+            let pending: Vec<_> =
+                q.methods().filter(|m| m.body_is_pending()).map(|m| m.id()).collect();
+            for m in pending {
+                q.ensure_body(m);
+            }
+        }
     }
 
     /// Lazy decode + materializing every pending body yields exactly the

@@ -664,6 +664,16 @@ impl Program {
         out
     }
 
+    /// Whether [`Program::type_name`] of `ty` is `name`, compared in
+    /// place.
+    pub fn type_name_is(&self, ty: &Type, name: &str) -> bool {
+        match ty {
+            Type::Ref(c) => self.class_name(*c) == name,
+            Type::Array(e) => name.strip_suffix("[]").is_some_and(|n| self.type_name_is(e, n)),
+            prim => prim.keyword() == Some(name),
+        }
+    }
+
     /// Appends [`Program::type_name`] of `ty` to `out`.
     fn push_type_name(&self, out: &mut String, ty: &Type) {
         match ty {
@@ -672,10 +682,7 @@ impl Program {
                 self.push_type_name(out, e);
                 out.push_str("[]");
             }
-            other => {
-                use fmt::Write;
-                write!(out, "{other}").expect("writing to a String cannot fail");
-            }
+            prim => out.push_str(prim.keyword().expect("not a reference type")),
         }
     }
 }

@@ -75,6 +75,23 @@ impl Type {
         Type::Array(Box::new(self))
     }
 
+    /// The Java keyword naming `void` or a primitive type (`None` for
+    /// class and array types).
+    pub fn keyword(&self) -> Option<&'static str> {
+        Some(match self {
+            Type::Void => "void",
+            Type::Boolean => "boolean",
+            Type::Byte => "byte",
+            Type::Char => "char",
+            Type::Short => "short",
+            Type::Int => "int",
+            Type::Long => "long",
+            Type::Float => "float",
+            Type::Double => "double",
+            Type::Ref(_) | Type::Array(_) => return None,
+        })
+    }
+
     /// Number of array dimensions (0 for non-arrays).
     pub fn dimensions(&self) -> usize {
         match self {
@@ -89,17 +106,9 @@ impl fmt::Display for Type {
     /// class id (use [`crate::Program::type_name`] for resolved names).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Type::Void => write!(f, "void"),
-            Type::Boolean => write!(f, "boolean"),
-            Type::Byte => write!(f, "byte"),
-            Type::Char => write!(f, "char"),
-            Type::Short => write!(f, "short"),
-            Type::Int => write!(f, "int"),
-            Type::Long => write!(f, "long"),
-            Type::Float => write!(f, "float"),
-            Type::Double => write!(f, "double"),
             Type::Ref(c) => write!(f, "class#{}", c.index()),
             Type::Array(e) => write!(f, "{e}[]"),
+            prim => f.write_str(prim.keyword().expect("not a reference type")),
         }
     }
 }

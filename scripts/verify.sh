@@ -41,6 +41,7 @@ fi
 # Snapshot the committed benchmark numbers before solver_stats
 # overwrites the file — the regression gate below compares against them.
 git show HEAD:BENCH_solver.json > BENCH_solver.baseline.json 2>/dev/null || : > BENCH_solver.baseline.json
+trap 'rm -f BENCH_solver.baseline.json' EXIT
 
 # Every solver_stats mode enforces its own gates and exits nonzero when
 # one fails (report identity across modes, lazy bodies skipped, the
@@ -54,14 +55,16 @@ cargo run --release -p flowdroid-service --bin solver_stats -- BENCH_solver.json
 echo "== BENCH_solver.json comparison block"
 sed -n '/"comparison"/,$p' BENCH_solver.json
 
-# Allocation regression gate: the default sequential corpus sweep must
-# not allocate more than 5% over the committed baseline, counted both
-# as allocations and as bytes requested. Both counts are deterministic
-# (one thread, fixed corpus), so the gate does not flake with the host.
-# dataflow_ms is printed for the record but not gated: a single-shot
-# timing against a number recorded on another host is noise;
-# perfbench owns repeated, host-scaled timing. A baseline that predates
-# the allocated_bytes field skips the byte gate.
+# Allocation regression gate: neither the default sequential corpus
+# sweep (eager frontend) nor the demand-driven sweep (SDEX encode, lazy
+# decode and body materialization per job) may allocate more than 5%
+# over the committed baseline, counted both as allocations and as bytes
+# requested. The counts are deterministic (one thread, fixed corpus),
+# so the gate does not flake with the host. dataflow_ms is printed for
+# the record but not gated: a single-shot timing against a number
+# recorded on another host is noise; perfbench owns repeated,
+# host-scaled timing. A baseline that predates the allocated_bytes
+# field skips the byte gate.
 mode_field() { # <file> <mode> <field>
     awk -v mode="\"$2\"," -v field="\"$3\":" '
         $1 == "\"mode\":" { in_mode = ($2 == mode) }
@@ -72,29 +75,30 @@ within_5pct() { # <new> <base>
     awk -v new="$1" -v base="$2" 'BEGIN { exit !(new <= base * 1.05) }'
 }
 echo "== regression gate vs committed BENCH_solver.json"
-base_allocs=$(mode_field BENCH_solver.baseline.json sequential-interned allocations)
-base_bytes=$(mode_field BENCH_solver.baseline.json sequential-interned allocated_bytes)
-rm -f BENCH_solver.baseline.json
-new_allocs=$(mode_field BENCH_solver.json sequential-interned allocations)
-new_bytes=$(mode_field BENCH_solver.json sequential-interned allocated_bytes)
-new_dataflow=$(mode_field BENCH_solver.json sequential-interned dataflow_ms)
-echo "allocations: ${new_allocs} (baseline ${base_allocs:-none})," \
-    "allocated_bytes: ${new_bytes} (baseline ${base_bytes:-none})," \
-    "dataflow_ms: ${new_dataflow} (not gated)"
-if [[ -z "${base_allocs}" ]]; then
-    echo "no committed sequential-interned baseline; skipping regression gate"
-else
+for mode in sequential-interned demand-lazy; do
+    base_allocs=$(mode_field BENCH_solver.baseline.json "$mode" allocations)
+    base_bytes=$(mode_field BENCH_solver.baseline.json "$mode" allocated_bytes)
+    new_allocs=$(mode_field BENCH_solver.json "$mode" allocations)
+    new_bytes=$(mode_field BENCH_solver.json "$mode" allocated_bytes)
+    new_dataflow=$(mode_field BENCH_solver.json "$mode" dataflow_ms)
+    echo "${mode}: allocations: ${new_allocs} (baseline ${base_allocs:-none})," \
+        "allocated_bytes: ${new_bytes} (baseline ${base_bytes:-none})," \
+        "dataflow_ms: ${new_dataflow} (not gated)"
+    if [[ -z "${base_allocs}" ]]; then
+        echo "no committed ${mode} baseline; skipping its regression gate"
+        continue
+    fi
     if ! within_5pct "$new_allocs" "$base_allocs"; then
-        echo "FAIL: corpus allocations regressed beyond 5% of the committed baseline" >&2
+        echo "FAIL: ${mode} corpus allocations regressed beyond 5% of the committed baseline" >&2
         exit 1
     fi
     if [[ -z "${base_bytes}" ]]; then
-        echo "committed baseline has no allocated_bytes; skipping the byte gate"
+        echo "committed ${mode} baseline has no allocated_bytes; skipping the byte gate"
     elif ! within_5pct "$new_bytes" "$base_bytes"; then
-        echo "FAIL: corpus allocated bytes regressed beyond 5% of the committed baseline" >&2
+        echo "FAIL: ${mode} corpus allocated bytes regressed beyond 5% of the committed baseline" >&2
         exit 1
     fi
-fi
+done
 
 # Serving-mode smoke: platform-snapshot round trip, daemon boot from
 # the snapshot, warm prepared-job reuse and callgraph-setup replay, no more
