@@ -231,7 +231,9 @@ pub fn encode(program: &Program, classes: &[ClassId]) -> Vec<u8> {
         encode_class(&mut enc, &mut body, cid);
     }
 
-    let mut out = Vec::with_capacity(MAGIC.len() + 2 + 10 + enc.pool.len() + body.len());
+    // Magic, version, then the pool count's LEB128: at most 10 bytes.
+    let header = MAGIC.len() + 2 + 10;
+    let mut out = Vec::with_capacity(header + enc.pool.len() + body.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     write_uleb(&mut out, enc.count);
@@ -1271,8 +1273,8 @@ fn decode_stmt(dec: &mut Decoder<'_, '_, '_>, nstmts: usize) -> Result<Stmt, Sde
                 t => return Err(dec.err(format!("bad invoke kind {t}"))),
             };
             let base = if dec.u8()? == 1 { Some(dec.local()?) } else { None };
-            // Resolved after the signature and arguments, in the order
-            // the program first meets each name.
+            // The class and name resolve after the types and arguments:
+            // ids are minted in that order, and results follow id order.
             let class = dec.pool_index()?;
             let name = dec.pool_index()?;
             let ret = dec.type_desc()?;
