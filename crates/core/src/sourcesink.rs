@@ -523,6 +523,27 @@ mod tests {
     }
 
     #[test]
+    fn signatures_match_only_their_exact_text() {
+        // The text `matching_sigs` joins has no space after a comma, so
+        // this definition parses but matches no call.
+        let mut p = Program::new();
+        install_platform(&mut p);
+        let spaced = "<android.util.Log: int i(java.lang.String, java.lang.String)> -> _SINK_";
+        let m = SourceSinkManager::parse(spaced).unwrap();
+        let s = p.ref_type("java.lang.String");
+        let call = call_expr(
+            &mut p,
+            flowdroid_ir::InvokeKind::Static,
+            "android.util.Log",
+            "i",
+            vec![s.clone(), s],
+            Type::Int,
+            2,
+        );
+        assert_eq!(m.call_roles(&p, &call), CallRoles::default());
+    }
+
+    #[test]
     fn sink_matching_walks_supers() {
         // startActivity is declared on Context; calls through Activity
         // must match.
@@ -605,6 +626,9 @@ mod tests {
         assert!(SourceSinkManager::parse("garbage").is_err());
         assert!(SourceSinkManager::parse("<a: void b()> -> _WAT_").is_err());
         assert!(SourceSinkManager::parse("<a: void b()> -> _SINK_PARAM_x_").is_err());
+        // Not of the form `<class: ret name(params)>`: could never match.
+        assert!(SourceSinkManager::parse("<a.b> -> _SINK_").is_err());
+        assert!(SourceSinkManager::parse("<a: b()> -> _SINK_").is_err());
         assert!(SourceSinkManager::parse("# comment only\n").unwrap().is_empty());
     }
 }

@@ -321,5 +321,6 @@ mod tests {
         assert!(TaintWrapper::parse("junk").is_err());
         assert!(TaintWrapper::parse("<a: void b()> wat -> ret").is_err());
         assert!(TaintWrapper::parse("<a: void b()> base ->").is_err());
+        assert!(TaintWrapper::parse("<a: void> base -> ret").is_err());
     }
 }
