@@ -1,12 +1,10 @@
-//! Parallel corpus driver: fans the DroidBench and SecuriBench suites
-//! across a `std::thread` pool, one whole app per work item.
+//! Corpus driver: runs the DroidBench and SecuriBench suites one whole
+//! app at a time.
 //!
-//! Each per-app analysis is single-threaded (the solver itself is
-//! deterministic: intern ids are assigned in first-encounter order),
-//! so the only parallelism-induced nondeterminism is *which worker*
-//! finishes first. The driver removes it by sorting results by app
-//! name before reporting — the corpus leak report ([`corpus_report`])
-//! is byte-for-byte identical across thread counts and runs.
+//! Each per-app analysis is deterministic (intern ids are assigned in
+//! first-encounter order), and the driver sorts results by app name
+//! before reporting, so the corpus leak report ([`corpus_report`]) is
+//! byte-for-byte identical across runs.
 
 use flowdroid_android::{build_snapshot, install_platform, PlatformSnapshot};
 use flowdroid_core::TableStats;
@@ -20,8 +18,7 @@ use flowdroid_frontend::manifest::Manifest;
 use flowdroid_frontend::{parse_jasm, sdex, App};
 use flowdroid_ir::{FxHashMap, MethodId, Program};
 use flowdroid_securibench::{cases_in, Group, MicroCase, MICRO_DEFS, MICRO_ENV};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// What kind of benchmark a corpus entry is.
@@ -514,10 +511,8 @@ fn finish_run(
 pub struct CorpusRun {
     /// Per-app outcomes, sorted by app name.
     pub apps: Vec<AppRun>,
-    /// Wall-clock time of the whole fan-out.
+    /// Wall-clock time of the whole run.
     pub wall: Duration,
-    /// Worker threads used.
-    pub threads: usize,
 }
 
 impl CorpusRun {
@@ -533,8 +528,8 @@ impl CorpusRun {
         (fw, bw)
     }
 
-    /// Sum of per-app whole-pipeline durations (CPU-ish time; with one
-    /// thread this approximates [`CorpusRun::wall`]).
+    /// Sum of per-app whole-pipeline durations (close to
+    /// [`CorpusRun::wall`], less the time spent between apps).
     pub fn total_app_time(&self) -> Duration {
         self.apps.iter().map(|a| a.total).sum()
     }
@@ -580,42 +575,21 @@ impl CorpusRun {
 }
 
 /// Analyzes every job of `jobs` with `config` through `run` (the eager
-/// [`run_single`] or the demand-driven [`run_single_lazy`]), fanning
-/// apps across `threads` workers (work is claimed from a shared
-/// counter, so large apps don't serialize behind one worker). Results
-/// come back sorted by app name regardless of completion order.
+/// [`run_single`] or the demand-driven [`run_single_lazy`]), one app
+/// after another. Results come back sorted by app name.
 pub fn run_corpus(
     jobs: &[CorpusJob],
     config: &InfoflowConfig,
-    threads: usize,
     run: fn(&CorpusJob, &InfoflowConfig) -> AppRun,
 ) -> CorpusRun {
-    let threads = threads.max(1);
     let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<AppRun>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    local.push(run(&jobs[i], config));
-                }
-                results.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let mut apps = results.into_inner().unwrap();
+    let mut apps: Vec<AppRun> = jobs.iter().map(|job| run(job, config)).collect();
     apps.sort_by(|a, b| a.name.cmp(&b.name));
-    CorpusRun { apps, wall: start.elapsed(), threads }
+    CorpusRun { apps, wall: start.elapsed() }
 }
 
 /// Concatenates the per-app leak reports (already name-sorted):
-/// byte-for-byte identical across thread counts and repeat runs.
+/// byte-for-byte identical across repeat runs.
 pub fn corpus_report(run: &CorpusRun) -> String {
     run.apps.iter().map(|a| a.report.as_str()).collect()
 }
@@ -671,7 +645,7 @@ mod tests {
         let jobs: Vec<CorpusJob> =
             full_corpus().into_iter().filter(|j| j.name.contains("Basic1")).collect();
         assert!(!jobs.is_empty());
-        let run = run_corpus(&jobs, &InfoflowConfig::default(), 1, run_single);
+        let run = run_corpus(&jobs, &InfoflowConfig::default(), run_single);
         assert_eq!(run.apps.len(), jobs.len());
         let report = corpus_report(&run);
         assert!(report.contains("leak(s)"));

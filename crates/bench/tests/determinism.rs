@@ -1,29 +1,23 @@
-//! Determinism sweeps: the parallel corpus driver and the demand-driven
-//! frontend must produce results identical to the single-threaded eager
-//! run across the corpus — parallelism and laziness must never change
-//! *what* is computed.
+//! Determinism sweeps: the corpus driver and the demand-driven frontend
+//! must produce results identical to the eager run across the corpus,
+//! and repeat runs must produce the same bytes — laziness must never
+//! change *what* is computed.
 
 use flowdroid_bench::driver::{corpus_report, droidbench_corpus, run_corpus, CorpusRun};
 use flowdroid_bench::{external_job, run_single, run_single_lazy};
 use flowdroid_core::InfoflowConfig;
 
-/// The parallel corpus driver's leak report is byte-for-byte identical
-/// to the single-threaded run at every thread count, and stable across
+/// The corpus driver's leak report is byte-for-byte stable across
 /// repeat runs.
 #[test]
-fn corpus_driver_report_identical_across_thread_counts() {
+fn corpus_driver_report_stable_across_repeat_runs() {
     let jobs = droidbench_corpus();
     let config = InfoflowConfig::default();
-    let baseline_run = run_corpus(&jobs, &config, 1, run_single);
+    let baseline_run = run_corpus(&jobs, &config, run_single);
     assert_table_rows(&baseline_run);
     let baseline = corpus_report(&baseline_run);
     assert!(baseline.contains("leak(s)"));
-    for threads in [2usize, 4, 8] {
-        let report = corpus_report(&run_corpus(&jobs, &config, threads, run_single));
-        assert_eq!(report, baseline, "corpus report diverged at {threads} threads");
-    }
-    // Repeat run: same bytes again.
-    let again = corpus_report(&run_corpus(&jobs, &config, 4, run_single));
+    let again = corpus_report(&run_corpus(&jobs, &config, run_single));
     assert_eq!(again, baseline, "corpus report not stable across repeat runs");
 }
 
@@ -45,8 +39,8 @@ fn lazy_frontend_report_identical_to_eager() {
     use flowdroid_bench::full_corpus;
     let jobs = full_corpus();
     let config = InfoflowConfig::default();
-    let eager_run = run_corpus(&jobs, &config, 1, run_single);
-    let lazy_run = run_corpus(&jobs, &config, 1, run_single_lazy);
+    let eager_run = run_corpus(&jobs, &config, run_single);
+    let lazy_run = run_corpus(&jobs, &config, run_single_lazy);
     assert_eq!(
         corpus_report(&lazy_run),
         corpus_report(&eager_run),

@@ -85,8 +85,8 @@ impl std::error::Error for ParseError {}
 /// # Errors
 ///
 /// Returns [`ParseError`] on syntax errors, unknown locals/labels,
-/// unresolvable resource references, or a class, field or method
-/// declared twice.
+/// unresolvable resource references, a class, field or method
+/// declared twice, or a class that is its own (transitive) superclass.
 pub fn parse_jasm(
     program: &mut Program,
     resources: &ResourceTable,
@@ -95,6 +95,12 @@ pub fn parse_jasm(
     let toks = lex(src)?;
     let classes = Cursor { src, toks: &toks, pos: 0 }.classes()?;
     let ids = classes.iter().map(|c| c.declare(program)).collect::<Result<Vec<_>, _>>()?;
+    if let Some((c, _)) = classes.iter().zip(&ids).find(|(_, &id)| program.superclass_cycle(id)) {
+        return Err(ParseError {
+            message: format!("class `{}` is its own superclass", c.name),
+            line: c.line,
+        });
+    }
     let mut methods = Vec::new();
     for (c, &cid) in classes.iter().zip(&ids) {
         for f in &c.fields {
@@ -1535,6 +1541,14 @@ class K {
         assert_eq!(err.message, "unresolved resource reference `@id/w`");
         let err = parse_err("class A { method f() -> void {\n return\n ");
         assert_eq!((err.message.as_str(), err.line), ("unterminated method body", 2));
+    }
+
+    #[test]
+    fn superclass_cycles_are_errors() {
+        let err = parse_err("class cyc.A extends cyc.B {}\nclass cyc.B extends cyc.A {}");
+        assert_eq!((err.message.as_str(), err.line), ("class `cyc.A` is its own superclass", 1));
+        let err = parse_err("class a.Ok {}\nclass a.Self extends a.Self {}");
+        assert_eq!((err.message.as_str(), err.line), ("class `a.Self` is its own superclass", 2));
     }
 
     #[test]

@@ -851,8 +851,9 @@ fn empty_memo<T>(n: usize) -> Box<[OnceLock<T>]> {
 /// # Errors
 ///
 /// Returns [`SdexError`] on truncated input, bad magic/version, invalid
-/// indices, counts past the end of the input, malformed descriptors or
-/// a class, field or method declared twice.
+/// indices, counts past the end of the input, malformed descriptors,
+/// a class, field or method declared twice, or a class that is its own
+/// (transitive) superclass.
 pub fn decode(program: &mut Program, bytes: &[u8]) -> Result<Vec<ClassId>, SdexError> {
     let (pool, body_start) = read_header(bytes)?;
     let mut dec = Decoder { bytes, pos: body_start, pool: &pool, program };
@@ -912,8 +913,9 @@ impl BodySource for LazySdex {
 /// # Errors
 ///
 /// Returns [`SdexError`] on truncated input, bad magic/version, invalid
-/// indices, counts past the end of the input, malformed descriptors or
-/// a class, field or method declared twice.
+/// indices, counts past the end of the input, malformed descriptors,
+/// a class, field or method declared twice, or a class that is its own
+/// (transitive) superclass.
 pub fn decode_lazy(program: &mut Program, bytes: Arc<[u8]>) -> Result<Vec<ClassId>, SdexError> {
     let (pool, body_start) = read_header(&bytes)?;
     let headers =
@@ -937,6 +939,10 @@ fn decode_decls(dec: &mut Decoder<'_, '_, '_>) -> Result<Vec<ClassHeader>, SdexE
     let mut headers = Vec::with_capacity(nclasses);
     for _ in 0..nclasses {
         headers.push(decode_class_decl(dec)?);
+    }
+    if let Some(&(cid, _)) = headers.iter().find(|(cid, _)| dec.program.superclass_cycle(*cid)) {
+        let name = dec.program.class_name(cid);
+        return Err(dec.err(format!("class {name} is its own superclass")));
     }
     Ok(headers)
 }

@@ -201,6 +201,17 @@ fn duplicate_members_are_rejected() {
     assert!(err.message.contains("method f declared twice"), "{err}");
 }
 
+#[test]
+fn superclass_cycles_are_rejected() {
+    let mut p = Program::new();
+    let a = p.declare_class("cyc.A", Some("cyc.B"), &[]);
+    let b = p.declare_class("cyc.B", Some("cyc.A"), &[]);
+    let bytes = sdex::encode(&p, &[a, b]);
+    assert_rejected(&bytes);
+    let err = sdex::decode_lazy(&mut Program::new(), bytes.into()).unwrap_err();
+    assert!(err.message.contains("class cyc.A is its own superclass"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -357,8 +357,17 @@ impl Program {
     }
 
     /// Walks the superclass chain starting at (and including) `class`.
+    /// The chain must end: loaders reject a class for which
+    /// [`Program::superclass_cycle`] holds.
     pub fn supers(&self, class: ClassId) -> Supers<'_> {
         Supers { program: self, cur: Some(class) }
+    }
+
+    /// Whether the superclass chain from `class` never ends. A chain of
+    /// distinct classes has at most [`Program::class_count`] members,
+    /// so one that goes on past them must repeat a class.
+    pub fn superclass_cycle(&self, class: ClassId) -> bool {
+        self.supers(class).nth(self.class_count()).is_some()
     }
 
     /// Returns `true` if `sub` equals `sup` or transitively extends /

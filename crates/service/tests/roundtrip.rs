@@ -2,8 +2,9 @@
 //! callgraph-setup replay between jobs, platform-snapshot boot
 //! (including the corrupt-file fallback), deadline aborts,
 //! cross-connection cancellation, stats, clean shutdown, prompt
-//! Unix-socket unlink on shutdown while jobs are still draining, and
-//! external-app serving under the `--allow-apps` path policy.
+//! Unix-socket unlink on shutdown while jobs are still draining,
+//! external-app serving under the `--allow-apps` path policy, and a
+//! cold-then-warm pass over the whole corpus.
 
 use flowdroid_service::{
     AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, JobResult, Json,
@@ -711,8 +712,9 @@ fn prepared_counters(c: &mut Client) -> (u64, u64, u64) {
 /// cache: a resubmitted `.rpk` (and corpus name) hits with an identical
 /// report and `prepare_us` 0; the same path rewritten with other bytes
 /// misses and reports what a local run of the new bytes reports; an
-/// archive that cannot be read, or whose code does not parse, is refused
-/// with `cannot load app`, never cached, and refused again when resubmitted.
+/// archive that cannot be read, whose code does not parse, or whose
+/// classes form a superclass cycle, is refused with `cannot load app`,
+/// never cached, and refused again when resubmitted.
 #[test]
 fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     let root = temp_dir("prepared-root");
@@ -756,18 +758,63 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     std::fs::write(&junk, b"not an archive").unwrap();
     let bad_code = root.join("bad-code.rpk");
     let manifest = &by_category("field").manifest;
-    std::fs::write(&bad_code, flowdroid_frontend::App::bundle(manifest, &[], "class {").to_bytes())
-        .unwrap();
-    for path in [&junk, &bad_code, &junk, &bad_code] {
-        let err = c.analyze(path.to_str().unwrap(), None, None).expect_err("malformed app");
+    let bundle = |code: &str| flowdroid_frontend::App::bundle(manifest, &[], code).to_bytes();
+    std::fs::write(&bad_code, bundle("class {")).unwrap();
+    // A superclass cycle would make the analysis walk the chain forever.
+    let cyclic = root.join("cyclic.rpk");
+    let cycle = "class cyc.A extends cyc.B {}\nclass cyc.B extends cyc.A {}\n";
+    std::fs::write(&cyclic, bundle(&format!("{}{cycle}", by_category("field").code))).unwrap();
+    for path in [&junk, &bad_code, &cyclic, &junk, &bad_code, &cyclic] {
+        let opts = AnalyzeOptions::default();
+        let err = c.submit(path.to_str().unwrap(), &opts).expect_err("malformed app");
         assert!(err.to_string().contains("cannot load app"), "got: {err}");
     }
     let (hits, _, entries) = prepared_counters(&mut c);
     assert_eq!((hits, entries), (2, 3), "malformed apps are never cached");
+    // The daemon keeps serving after refusing them.
+    assert_eq!(analyze(&mut c, &app).report, rewritten.report);
 
     c.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Every corpus app, submitted twice to one daemon: the plain (cold) run
+/// misses the prepared-job cache and builds its callgraph setup, the
+/// streamed (warm) run hits both, decodes no body the cold run did not,
+/// and reports the same bytes. Streaming is observational only.
+#[test]
+fn corpus_cold_then_streamed_warm_runs_hit_every_cache_with_identical_reports() {
+    let (addr, daemon) = spawn_daemon();
+    let mut c = Client::connect(&addr).expect("connect");
+    let streamed = AnalyzeOptions { stream: true, ..Default::default() };
+    let (mut progress_frames, mut leak_frames) = (0u64, 0u64);
+    for (i, job) in flowdroid_bench::full_corpus().iter().enumerate() {
+        let (name, done) = (job.name.as_str(), i as u64);
+        let (_, cold) = c.analyze(name, None, None).expect("cold job");
+        let (hits, misses, _) = prepared_counters(&mut c);
+        assert_eq!((hits, misses), (done, done + 1), "{name}: the cold run must miss");
+        let outcome = c
+            .analyze_with(name, &streamed, &mut |frame| match frame.str_field("type") {
+                Some("progress") => progress_frames += 1,
+                Some("leak") => leak_frames += 1,
+                other => panic!("unexpected frame type {other:?}"),
+            })
+            .expect("warm job");
+        let AnalyzeOutcome::Done { result: warm, .. } = outcome else {
+            panic!("unbounded queue must not refuse {name}");
+        };
+        let (hits, misses, _) = prepared_counters(&mut c);
+        assert_eq!((hits, misses), (done + 1, done + 1), "{name}: the warm run must hit");
+        assert!(!cold.aborted && !warm.aborted, "{name} aborted");
+        assert_eq!(warm.report, cold.report, "{name}: warm streamed report diverged");
+        assert_eq!((cold.callgraph_cache_hits, cold.callgraph_cache_misses), (0, 1), "{name}");
+        assert_eq!((warm.callgraph_cache_hits, warm.callgraph_cache_misses), (1, 0), "{name}");
+        assert!(warm.bodies_materialized <= cold.bodies_materialized, "{name}: extra bodies");
+    }
+    assert!(progress_frames > 0 && leak_frames > 0, "streamed runs sent no frames");
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("accept loop exits cleanly");
 }
 
 /// Without `--allow-apps` every path-shaped submission is denied — the

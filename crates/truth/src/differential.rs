@@ -8,14 +8,14 @@
 //!
 //! | engine            | configuration                                   |
 //! |-------------------|-------------------------------------------------|
-//! | `seq-bitset`      | sequential solver (reference)                   |
+//! | `eager`           | eagerly parsed program (reference)              |
 //! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX)   |
 //! | `lazy-cg-warm`    | second run of the same prepared job: its stored |
 //! |                   | callgraph setup replayed, as in the daemon      |
 //!
-//! (The through-the-daemon leg lives in `solver_stats --mode
-//! ground-truth`, which boots an in-process daemon and round-trips the
-//! generated `.rpk` archives under the serve path policy.)
+//! (The through-the-daemon leg lives in `solver_stats`, which boots an
+//! in-process daemon and round-trips the generated `.rpk` archives
+//! under the serve path policy.)
 
 use crate::generate::TruthApp;
 use flowdroid_android::install_platform;
@@ -118,8 +118,8 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
     let mut engines = Vec::new();
 
     let config = InfoflowConfig::default();
-    let reference = run_corpus(&jobs, &config, 1, run_single);
-    engines.push(outcome("seq-bitset", &reference));
+    let reference = run_corpus(&jobs, &config, run_single);
+    engines.push(outcome("eager", &reference));
 
     // The daemon's path: each job is prepared once and run twice. The
     // first (cold) run stores the callgraph setup on the prepared job,
@@ -186,7 +186,6 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
         let loose = run_corpus(
             &jobs,
             &InfoflowConfig::default().with_access_path_length(LOOSE_AP_BOUND),
-            1,
             run_single,
         );
         for app in &widening {

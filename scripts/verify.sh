@@ -43,12 +43,11 @@ fi
 git show HEAD:BENCH_solver.json > BENCH_solver.baseline.json 2>/dev/null || : > BENCH_solver.baseline.json
 trap 'rm -f BENCH_solver.baseline.json' EXIT
 
-# Every solver_stats mode enforces its own gates and exits nonzero when
-# one fails (report identity across modes, lazy bodies skipped, the
-# ladder's bytes per propagation, the service and service-load phases,
-# ground-truth agreement); see the binary's module docs. This
-# script only runs the modes, plus the one gate that needs the committed
-# baseline.
+# solver_stats enforces its own gates and exits nonzero when one fails
+# (report identity between the eager and lazy frontends, lazy bodies
+# skipped, the ladder's pops and bytes per propagation, ground-truth
+# agreement); see the binary's module docs. This script only runs it,
+# plus the one gate that needs the committed baseline.
 echo "== solver stats (writes BENCH_solver.json)"
 cargo run --release -p flowdroid-service --bin solver_stats -- BENCH_solver.json >/dev/null
 
@@ -106,23 +105,5 @@ done
 # shutdown.
 echo "== serving-mode smoke"
 scripts/service_smoke.sh
-
-# Service benchmark: floods the daemon with the corpus twice (cold, then
-# warm against its per-app cache of prepared jobs) and splices
-# per-job wall/queue times into BENCH_solver.json.
-echo "== service stats (splices \"service\" into BENCH_solver.json)"
-cargo run --release -p flowdroid-service --bin solver_stats -- --mode service BENCH_solver.json >/dev/null
-
-# Fleet-load benchmark: priority ordering on one worker, overload
-# backpressure, cancel storm and streamed-report identity.
-echo "== service-load stats (splices \"service_load\" into BENCH_solver.json)"
-cargo run --release -p flowdroid-service --bin solver_stats -- --mode service-load BENCH_solver.json >/dev/null
-
-# Ground-truth harness: generate the seeded synthetic corpus, sweep the
-# three-engine matrix (eager reference, lazy cold, lazy with the
-# callgraph setup replayed) and serve the packed archives through a daemon under
-# the --allow-apps policy.
-echo "== ground-truth stats (splices \"ground_truth\" into BENCH_solver.json)"
-cargo run --release -p flowdroid-service --bin solver_stats -- --mode ground-truth BENCH_solver.json >/dev/null
 
 echo "verify: OK"
