@@ -6,7 +6,7 @@
 //! before reporting, so the corpus leak report ([`corpus_report`]) is
 //! byte-for-byte identical across runs.
 
-use flowdroid_android::{build_snapshot, install_platform, PlatformSnapshot};
+use flowdroid_android::{build_snapshot, PlatformSnapshot};
 use flowdroid_core::TableStats;
 use flowdroid_core::{
     AbortReason, AppSetup, EntrySetup, Infoflow, InfoflowConfig, InfoflowResults,
@@ -16,7 +16,7 @@ use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
 use flowdroid_frontend::layout::{Layout, ResourceTable};
 use flowdroid_frontend::manifest::Manifest;
 use flowdroid_frontend::{parse_jasm, sdex, App};
-use flowdroid_ir::{FxHashMap, MethodId, Program};
+use flowdroid_ir::{ClassId, FxHashMap, MethodId, Program};
 use flowdroid_securibench::{cases_in, Group, MicroCase, MICRO_DEFS, MICRO_ENV};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -155,10 +155,10 @@ pub fn stress_job(k: usize) -> CorpusJob {
     CorpusJob { name: format!("stress/{k}"), kind: JobKind::Micro(Box::new(case)) }
 }
 
-/// The process-wide platform snapshot lazy runs start from: built once,
-/// then cheaply cloned per job. The daemon builds (or loads) its own
-/// snapshot and passes it to [`prepare`] and [`run_prepared`]; this
-/// accessor backs [`run_single_lazy`].
+/// The process-wide platform snapshot the bench and truth drivers
+/// start every job from: built once, then overlaid per job. The daemon
+/// builds (or loads) its own snapshot and passes it to [`parse_job`],
+/// [`prepare`] and the two runners.
 pub fn shared_platform_snapshot() -> &'static Arc<PlatformSnapshot> {
     static SNAP: OnceLock<Arc<PlatformSnapshot>> = OnceLock::new();
     SNAP.get_or_init(|| Arc::new(build_snapshot()))
@@ -184,6 +184,59 @@ fn default_wrapper() -> &'static TaintWrapper {
     WRAPPER.get_or_init(TaintWrapper::default_rules)
 }
 
+/// A corpus job parsed into a program of its own, ready for one cold
+/// run ([`run_parsed`]). This is the first-run form: the analysis runs
+/// on the program the parse built, with every app body decoded up front
+/// and no setup kept for later runs.
+pub struct ParsedJob {
+    name: String,
+    program: Program,
+    form: Parsed,
+}
+
+/// What [`parse_job`] loaded besides the code.
+enum Parsed {
+    /// An Android app: manifest, layouts, resources and its classes.
+    Droid(Box<App>),
+    /// A SecuriBench-style case: the env and case classes, and the
+    /// entry method.
+    Micro { classes: Vec<ClassId>, entry: MethodId },
+}
+
+/// Parses `job` into `program`, a platform program from
+/// [`PlatformSnapshot::overlay_program`] (or, to compare the two
+/// representations, [`PlatformSnapshot::deep_program`]). Every driver
+/// loads a job through here: [`run_single`], [`full_report`] and
+/// [`micro_program`] run the result, the daemon runs it on a name's
+/// first submission, and [`prepare`] encodes it.
+///
+/// # Errors
+///
+/// The parser's message when the job's sources do not parse. Built-in
+/// corpus jobs always parse; external apps may not.
+pub fn parse_job(job: &CorpusJob, mut program: Program) -> Result<ParsedJob, String> {
+    let form = match &job.kind {
+        JobKind::Micro(case) => {
+            let rt = ResourceTable::new();
+            let mut classes =
+                parse_jasm(&mut program, &rt, MICRO_ENV).map_err(|e| e.to_string())?;
+            classes.extend(parse_jasm(&mut program, &rt, &case.code).map_err(|e| e.to_string())?);
+            let entry = program
+                .find_method(&case.entry_class, "main")
+                .ok_or_else(|| format!("no `{}.main` entry method", case.entry_class))?;
+            Parsed::Micro { classes, entry }
+        }
+        JobKind::External { manifest, layouts, code } => {
+            let refs: Vec<(&str, &str)> =
+                layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
+            let app =
+                App::from_parts(&mut program, manifest, &refs, code).map_err(|e| e.to_string())?;
+            Parsed::Droid(Box::new(app))
+        }
+    };
+    Ok(ParsedJob { name: job.name.clone(), program, form })
+}
+
 /// A corpus job pre-lowered for the demand-driven frontend: the app's
 /// code encoded as an SDEX image (so method bodies have a byte index to
 /// defer to) plus the non-code artifacts, parsed once and cloned per
@@ -205,57 +258,47 @@ enum Prepared {
     Micro { sdex: Arc<[u8]>, entry_class: String, setup: OnceLock<EntrySetup> },
 }
 
-/// A job ready to run: its name and its `Prepared` form. Built by
+/// A job kept for reuse: its name and its `Prepared` form. Built by
 /// [`prepare`], run (any number of times) by [`run_prepared`]: the
 /// first run computes the app's entry-point model, reachable closure
 /// and callgraph and stores them on the job, and every later run
 /// replays them. The setup is computed from this job's own code over
 /// the snapshot it was prepared against, so it can never be replayed
-/// against other code.
+/// against other code. The daemon prepares an app on its second
+/// submission; the first runs from [`parse_job`].
 pub struct PreparedJob {
     name: String,
     form: Prepared,
 }
 
-/// Parses a job's `jasm` text against a scratch overlay of `snapshot`
+/// Parses a job into a scratch overlay of `snapshot` ([`parse_job`])
 /// and encodes the app classes into an SDEX image, ready for
 /// [`run_prepared`]. The image, not the parsed overlay, is what the
-/// job keeps: it is the compact form of the app, many times smaller
-/// than the overlay (ROADMAP, *Parse each app once*). The encoder
-/// borrows the overlay's strings, so the parse makes most of this
-/// step's allocations; each run decodes the image lazily, resolving
-/// every pool string once.
+/// job keeps: it is the compact form of an app that is run again, many
+/// times smaller than the overlay. The encoder borrows the overlay's
+/// strings, so the parse makes most of this step's allocations; each
+/// run decodes the image lazily, resolving every pool string once.
 ///
 /// # Errors
 ///
-/// The parser's message when the job's sources do not parse. Built-in
-/// corpus jobs always parse; external apps may not.
+/// [`parse_job`]'s, when the job's sources do not parse.
 pub fn prepare(job: &CorpusJob, snapshot: &PlatformSnapshot) -> Result<PreparedJob, String> {
-    let mut scratch = snapshot.overlay_program();
-    let form = match &job.kind {
-        JobKind::Micro(case) => {
-            let rt = ResourceTable::new();
-            let mut classes =
-                parse_jasm(&mut scratch, &rt, MICRO_ENV).map_err(|e| e.to_string())?;
-            classes.extend(parse_jasm(&mut scratch, &rt, &case.code).map_err(|e| e.to_string())?);
-            let sdex = sdex::encode(&scratch, &classes).into();
-            Prepared::Micro { sdex, entry_class: case.entry_class.clone(), setup: OnceLock::new() }
-        }
-        JobKind::External { manifest, layouts, code } => {
-            let refs: Vec<(&str, &str)> =
-                layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
-            let loaded =
-                App::from_parts(&mut scratch, manifest, &refs, code).map_err(|e| e.to_string())?;
-            Prepared::Droid {
-                sdex: sdex::encode(&scratch, &loaded.classes).into(),
-                manifest: loaded.manifest,
-                layouts: loaded.layouts,
-                resources: Box::new(loaded.resources),
-                setup: OnceLock::new(),
-            }
-        }
+    let ParsedJob { name, program, form } = parse_job(job, snapshot.overlay_program())?;
+    let form = match form {
+        Parsed::Micro { classes, entry } => Prepared::Micro {
+            sdex: sdex::encode(&program, &classes).into(),
+            entry_class: program.class_name(program.method(entry).class()).to_string(),
+            setup: OnceLock::new(),
+        },
+        Parsed::Droid(app) => Prepared::Droid {
+            sdex: sdex::encode(&program, &app.classes).into(),
+            manifest: app.manifest,
+            layouts: app.layouts,
+            resources: Box::new(app.resources),
+            setup: OnceLock::new(),
+        },
     };
-    Ok(PreparedJob { name: job.name.clone(), form })
+    Ok(PreparedJob { name, form })
 }
 
 /// The outcome of analyzing one corpus entry.
@@ -293,18 +336,20 @@ pub struct AppRun {
     /// Why the run aborted, when [`AppRun::aborted`] is set.
     pub abort_reason: Option<AbortReason>,
     /// Method bodies the demand-driven frontend decoded for this job
-    /// (0 on eager runs, where everything is decoded at parse time).
+    /// (0 on runs from the parse, where everything is decoded at parse
+    /// time).
     pub bodies_materialized: u64,
     /// Method bodies left pending — indexed but never decoded because
-    /// the callgraph closure never reached them (0 on eager runs).
+    /// the callgraph closure never reached them (0 on runs from the
+    /// parse).
     pub bodies_skipped: u64,
-    /// Microseconds spent producing the job's private program from the
-    /// shared platform snapshot (copy-on-write overlay on lazy runs; 0
-    /// on eager runs, which build the platform from scratch).
+    /// Microseconds spent opening the job's copy-on-write overlay of the
+    /// shared platform snapshot (0 on runs from the parse, whose overlay
+    /// is opened before the parse).
     pub platform_clone_us: u64,
     /// Whether the job replayed the callgraph setup its prepared job
-    /// already held (`false` on a prepared job's first run and on eager
-    /// runs).
+    /// already held (`false` on a prepared job's first run and on runs
+    /// from the parse).
     pub setup_replayed: bool,
 }
 
@@ -334,38 +379,40 @@ fn leak_report(name: &str, results: &InfoflowResults, p: &Program) -> String {
     out
 }
 
-/// Analyzes one corpus job on the eager path with `config` (including
-/// any configured abort handle) and returns its outcome: the platform
-/// is built and every method body decoded up front. Leak reports are
+/// Analyzes one corpus job from its parse: [`parse_job`] over an
+/// overlay of the process-wide platform snapshot, then [`run_parsed`].
+/// [`AppRun::total`] includes the parse. Leak reports are
 /// byte-identical to [`run_single_lazy`].
 pub fn run_single(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
     let start = Instant::now();
-    let (p, results) = analyze_eager(job, config);
-    let report = leak_report(&job.name, &results, &p);
-    finish_run(&job.name, start, results, report, 0, 0, 0, false)
+    let snapshot = shared_platform_snapshot();
+    let parsed = parse_job(job, snapshot.overlay_program()).expect("corpus job parses");
+    let mut run = run_parsed(parsed, config, snapshot);
+    run.total = start.elapsed();
+    run
 }
 
-/// The full [`InfoflowResults::report`] of `job` on the eager path:
+/// The full [`InfoflowResults::report`] of `job` run from its parse:
 /// counters, source attribution and every leak's path, not just the
 /// leak lines of [`AppRun::report`].
 pub fn full_report(job: &CorpusJob, config: &InfoflowConfig) -> String {
-    let (p, results) = analyze_eager(job, config);
+    let snapshot = shared_platform_snapshot();
+    let parsed = parse_job(job, snapshot.overlay_program()).expect("corpus job parses");
+    let (p, results) = analyze_parsed(parsed, config, snapshot);
     results.report(&p)
 }
 
-/// The eager program of a SecuriBench-style job (a Micro case or a
+/// The parsed program of a SecuriBench-style job (a Micro case or a
 /// [`stress_job`]) and its entry method, ready for [`analyze_micro`];
 /// `None` for Android jobs. Lets a caller measure the taint analysis
 /// apart from loading.
 pub fn micro_program(job: &CorpusJob) -> Option<(Program, MethodId)> {
-    let JobKind::Micro(case) = &job.kind else { return None };
-    let mut p = Program::new();
-    install_platform(&mut p);
-    let rt = ResourceTable::new();
-    parse_jasm(&mut p, &rt, MICRO_ENV).expect("micro env parses");
-    parse_jasm(&mut p, &rt, &case.code).expect("micro case parses");
-    let entry = p.find_method(&case.entry_class, "main").expect("micro entry");
-    Some((p, entry))
+    let parsed =
+        parse_job(job, shared_platform_snapshot().overlay_program()).expect("corpus job parses");
+    match parsed.form {
+        Parsed::Micro { entry, .. } => Some((parsed.program, entry)),
+        Parsed::Droid(_) => None,
+    }
 }
 
 /// Runs the taint analysis (callgraph, ICFG and solve) on a program
@@ -374,24 +421,37 @@ pub fn analyze_micro(p: &Program, entry: MethodId, config: &InfoflowConfig) -> I
     Infoflow::new(micro_sources(), default_wrapper(), config).run(p, &[entry])
 }
 
-/// Builds `job`'s program from scratch (platform included) and
-/// analyzes it.
-fn analyze_eager(job: &CorpusJob, config: &InfoflowConfig) -> (Program, InfoflowResults) {
-    if let Some((p, entry)) = micro_program(job) {
-        let results = analyze_micro(&p, entry, config);
-        return (p, results);
-    }
-    let JobKind::External { manifest, layouts, code } = &job.kind else {
-        unreachable!("micro jobs are handled by micro_program")
+/// Runs the cold analysis on a parsed job: [`Infoflow::analyze_app`]
+/// for an Android app, [`Infoflow::run`] for a micro case, on the
+/// program [`parse_job`] built. No SDEX image, lazy decode or setup
+/// slot is involved; this is how the daemon runs a name's first
+/// submission. `snapshot` must be the one whose program `job` was
+/// parsed into.
+pub fn run_parsed(job: ParsedJob, config: &InfoflowConfig, snapshot: &PlatformSnapshot) -> AppRun {
+    let start = Instant::now();
+    let name = job.name.clone();
+    let (p, results) = analyze_parsed(job, config, snapshot);
+    let report = leak_report(&name, &results, &p);
+    let skipped = p.pending_body_count() as u64;
+    finish_run(&name, start, results, report, p.bodies_materialized(), skipped, 0, false)
+}
+
+/// Analyzes a parsed job and hands back its program with the results.
+fn analyze_parsed(
+    job: ParsedJob,
+    config: &InfoflowConfig,
+    snapshot: &PlatformSnapshot,
+) -> (Program, InfoflowResults) {
+    let ParsedJob { mut program, form, .. } = job;
+    let results = match &form {
+        Parsed::Micro { entry, .. } => analyze_micro(&program, *entry, config),
+        Parsed::Droid(app) => {
+            Infoflow::new(android_sources(), default_wrapper(), config)
+                .analyze_app(&mut program, &snapshot.info, app, "corpus")
+                .results
+        }
     };
-    let mut p = Program::new();
-    let platform = install_platform(&mut p);
-    let refs: Vec<(&str, &str)> = layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
-    let loaded = App::from_parts(&mut p, manifest, &refs, code).expect("app parses");
-    let results = Infoflow::new(android_sources(), default_wrapper(), config)
-        .analyze_app(&mut p, &platform, &loaded, "corpus")
-        .results;
-    (p, results)
+    (program, results)
 }
 
 /// Analyzes one corpus job through the demand-driven frontend: the
@@ -403,47 +463,30 @@ pub fn run_single_lazy(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
     let start = Instant::now();
     let snapshot = shared_platform_snapshot();
     let prepared = prepare(job, snapshot).expect("corpus job parses");
-    let mut run = run_prepared_impl(&prepared, config, snapshot, false);
+    let mut run = run_prepared(&prepared, config, snapshot);
     run.total = start.elapsed();
     run
-}
-
-/// Like [`run_single_lazy`], but deep-clones the platform program
-/// instead of overlaying it — the comparison path determinism tests use
-/// to prove the overlay representation cannot influence results.
-pub fn run_single_lazy_deep_clone(job: &CorpusJob, config: &InfoflowConfig) -> AppRun {
-    let snapshot = shared_platform_snapshot();
-    let prepared = prepare(job, snapshot).expect("corpus job parses");
-    run_prepared_impl(&prepared, config, snapshot, true)
 }
 
 /// Analyzes a [`prepare`]d job: the job program starts as a
 /// copy-on-write overlay over `snapshot`'s shared platform base (no
 /// platform rebuild, no deep clone), the prepared SDEX image is
 /// installed via lazy decode, and only callgraph-reachable method
-/// bodies are materialized. This is the path the analysis daemon runs
-/// per job; `snapshot` must be the one `prepared` was prepared against.
-/// The job's first run stores its callgraph setup on `prepared`, and
-/// later runs replay it ([`AppRun::setup_replayed`]); leak reports are
-/// byte-identical either way.
+/// bodies are materialized. The daemon runs an app this way from its
+/// second submission on; `snapshot` must be the one `prepared` was
+/// prepared against. The job's first run stores its callgraph setup
+/// on `prepared`, and later runs replay it
+/// ([`AppRun::setup_replayed`]); leak reports are byte-identical
+/// either way, and to [`run_parsed`]'s.
 pub fn run_prepared(
     prepared: &PreparedJob,
     config: &InfoflowConfig,
     snapshot: &PlatformSnapshot,
 ) -> AppRun {
-    run_prepared_impl(prepared, config, snapshot, false)
-}
-
-fn run_prepared_impl(
-    prepared: &PreparedJob,
-    config: &InfoflowConfig,
-    snapshot: &PlatformSnapshot,
-    deep_clone: bool,
-) -> AppRun {
     let start = Instant::now();
     let name = &prepared.name;
     let clone_start = Instant::now();
-    let mut p = if deep_clone { snapshot.deep_program() } else { snapshot.overlay_program() };
+    let mut p = snapshot.overlay_program();
     let platform_clone_us = u64::try_from(clone_start.elapsed().as_micros()).unwrap_or(u64::MAX);
     let (results, report, replayed) = match &prepared.form {
         Prepared::Droid { manifest, layouts, resources, sdex, setup } => {

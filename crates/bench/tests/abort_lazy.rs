@@ -3,7 +3,7 @@
 //! works on a private clone of the platform snapshot, so an abort —
 //! however it lands relative to body materialization — must leave the
 //! shared snapshot byte-identical, and a follow-up clean run over the
-//! same snapshot must match an eager run exactly. A clean run of a
+//! same snapshot must match a run from the parse exactly. A clean run of a
 //! synthetic stress chain pins its single leak.
 
 use flowdroid_android::encode_snapshot;
@@ -37,7 +37,8 @@ fn aborted_lazy_job_leaves_shared_snapshot_untouched() {
     );
 
     // The snapshot is still pristine, so a clean lazy run over it
-    // matches a from-scratch eager run byte for byte.
+    // matches a run from the parse byte for byte (and that run, parsed
+    // into an overlay of the same snapshot, leaves it untouched too).
     let eager = run_single(&job, &InfoflowConfig::default());
     assert!(!eager.aborted);
     let clean = run_single_lazy(&job, &InfoflowConfig::default());

@@ -1,12 +1,13 @@
 //! Determinism sweep for the copy-on-write platform overlay and the
 //! callgraph setup a prepared job stores: the leak report of every
 //! corpus shape (full Android pipeline, callback-heavy app, SecuriBench
-//! micro case) must be byte-identical whether the job deep-clones the
-//! platform arena or overlays it, and whether its analysis setup was
-//! computed cold or replayed from its prepared job.
+//! micro case) must be byte-identical whether the job is parsed into a
+//! deep clone of the platform arena or into an overlay of it, and
+//! whether it runs from its parse or from a prepared job whose setup
+//! was computed cold or replayed.
 
 use flowdroid_bench::{
-    find_job, prepare, run_prepared, run_single_lazy_deep_clone, shared_platform_snapshot,
+    find_job, parse_job, prepare, run_parsed, run_prepared, run_single, shared_platform_snapshot,
 };
 use flowdroid_core::InfoflowConfig;
 
@@ -20,11 +21,16 @@ fn overlay_and_cached_runs_match_deep_clone() {
     for name in APPS {
         let job = find_job(name).expect("corpus job");
 
-        // The reference: a full deep clone of the platform arena,
-        // exactly what the daemon shipped before overlays.
-        let deep = run_single_lazy_deep_clone(&job, &config);
+        // The reference: the job parsed into a full deep clone of the
+        // platform arena instead of an overlay.
+        let parsed = parse_job(&job, snapshot.deep_program()).expect("corpus job parses");
+        let deep = run_parsed(parsed, &config, snapshot);
         assert!(!deep.aborted, "{name}: deep-clone run aborted");
-        assert!(!deep.setup_replayed, "{name}: a freshly prepared job runs cold");
+        assert!(!deep.setup_replayed, "{name}: a run from the parse keeps no setup");
+
+        // The same first run over an overlay.
+        let overlay = run_single(&job, &config);
+        assert_eq!(overlay.report, deep.report, "{name}: overlay parse diverged from deep clone");
 
         // One prepared job, run twice over overlays: the first run
         // stores the setup (miss), the second replays it (hit).
@@ -32,7 +38,7 @@ fn overlay_and_cached_runs_match_deep_clone() {
         for replay in [false, true] {
             let run = run_prepared(&prepared, &config, snapshot);
             assert_eq!(run.setup_replayed, replay, "{name}: unexpected setup disposition");
-            assert_eq!(run.report, deep.report, "{name}: overlay run diverged from deep clone");
+            assert_eq!(run.report, deep.report, "{name}: prepared run diverged from deep clone");
         }
     }
 }

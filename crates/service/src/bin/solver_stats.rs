@@ -7,11 +7,13 @@
 //! new size); each mode row gives `allocations`, `allocated_bytes` and
 //! `allocations_per_propagation`, the run's allocations over its
 //! forward plus backward propagations. The corpus runs twice, one app
-//! at a time: `sequential-interned` parses each app eagerly, and
-//! `demand-lazy` runs it through the demand-driven frontend (platform
-//! snapshot clone + lazy method bodies). The lazy leak report is
-//! compared byte-for-byte against the eager one and the lazy run must
-//! skip at least one method body.
+//! at a time: `sequential-interned` parses each app straight into an
+//! overlay of the platform snapshot and runs it from the parse (the
+//! daemon's first run of a name), and `demand-lazy` prepares it and
+//! runs it through the demand-driven frontend (SDEX encode, lazy decode
+//! and body materialization: the daemon's second run). The lazy leak
+//! report is compared byte-for-byte against the eager one and the lazy
+//! run must skip at least one method body.
 //!
 //! The `ladder` section solves `stress/k` chains of growing `k` on
 //! their own, counting allocations inside the taint analysis only, and
@@ -22,13 +24,13 @@
 //! of forward edges than it pins.
 //!
 //! The `ground_truth` section runs the seeded synthetic corpus from
-//! `flowdroid-truth`: it sweeps every engine configuration (eager, lazy
-//! cold, lazy replayed setup) over the generated apps, scores the
-//! reference engine per category against each app's ground-truth
-//! manifest, probes the access-path k-limit on the widening chains,
-//! re-checks the ICC pairs in linked mode, and round-trips every packed
-//! `.rpk` through an in-process daemon under the `--allow-apps` path
-//! policy (including a denied-path probe). It fails on any pairwise
+//! `flowdroid-truth`: it sweeps every engine configuration (from the
+//! parse, lazy cold, lazy replayed setup) over the generated apps,
+//! scores the reference engine per category against each app's
+//! ground-truth manifest, probes the access-path k-limit on the
+//! widening chains, re-checks the ICC pairs in linked mode, and
+//! round-trips every packed `.rpk` through an in-process daemon under
+//! the `--allow-apps` path policy (including a denied-path probe). It fails on any pairwise
 //! report divergence, manifest drift, constructive-corpus imprecision,
 //! missed k-limit trip, ICC mismatch, daemon/local report mismatch, or
 //! policy failure.
@@ -312,12 +314,13 @@ fn main() {
 
     // The baseline the lazy report is compared against. Both mode names
     // are what verify.sh's regression gate looks up.
-    eprintln!("running sequential-interned (eager frontend) ...");
+    eprintln!("running sequential-interned (runs from the parse) ...");
     let eager = measure("sequential-interned", &jobs, &config, run_single);
-    // The demand-driven frontend: each job clones the shared platform
-    // snapshot and decodes only the method bodies the callgraph
-    // closure reaches. Reports must stay byte-identical to eager
-    // loading; the skipped-body count is what laziness bought.
+    // The demand-driven frontend: each job is encoded to SDEX, overlays
+    // the shared platform snapshot and decodes only the method bodies
+    // the callgraph closure reaches. Reports must stay byte-identical
+    // to the run from the parse; the skipped-body count is what
+    // laziness bought.
     eprintln!("running demand-lazy (lazy bodies) ...");
     let lazy = measure("demand-lazy", &jobs, &config, run_single_lazy);
     let reports_identical = lazy.report == eager.report;

@@ -16,20 +16,29 @@
 //! and an aborted job can never leave partially materialized bodies
 //! behind: materialization happens in the job's private overlay only.
 //!
-//! The daemon keeps one per-app cache. Each app is parsed once:
-//! `submit` turns the request into a [`PreparedJob`] (manifest,
-//! layouts, resources, SDEX image) on the connection thread, so a
-//! malformed app is refused there, and the queue hands that same `Arc`
-//! to the worker, which runs it without parsing again. The job's first
-//! run stores the app's entry-point model, materialization log and
-//! callgraph on the prepared job, and every later run replays that
-//! setup instead of re-discovering components and rebuilding the
-//! callgraph. Prepared jobs live in a bounded LRU keyed by job name —
-//! the corpus name, or `external/<content-hash>/<stem>` for an on-disk
-//! app — so a repeat submission skips the parse (and, for corpus
-//! names, the corpus lookup) and the daemon's memory stays bounded
-//! however many distinct apps it serves; evicting a job drops its
-//! setup with it.
+//! The daemon keeps one per-app cache, a bounded LRU keyed by job name
+//! — the corpus name, or `external/<content-hash>/<stem>` for an
+//! on-disk app — and an app goes through three stages in it:
+//!
+//! * **seen**: a name's first submission is parsed on the connection
+//!   thread straight into the job's own overlay of the platform, so a
+//!   malformed app is refused there. The worker runs the cold analysis
+//!   on that program ([`run_parsed`]): no SDEX image, lazy decode or
+//!   setup is made, and the cache records only that the name was seen.
+//!   Most names in benchmark and triage use are submitted once, so
+//!   this is the path kept shortest.
+//! * **prepared**: the second submission parses the app again and
+//!   keeps it as a [`PreparedJob`] (manifest, layouts, resources, SDEX
+//!   image) in the cache. Its run decodes the image lazily, and stores
+//!   the app's entry-point model, materialization log and callgraph on
+//!   the prepared job.
+//! * **replayed**: every later submission skips the parse (and, for
+//!   corpus names, the corpus lookup) and replays that setup instead of
+//!   re-discovering components and rebuilding the callgraph.
+//!
+//! The daemon's memory stays bounded however many distinct apps it
+//! serves: evicting a name drops its prepared job and setup with it,
+//! and its next submission is a first run again.
 //!
 //! Concurrency layout:
 //!
@@ -69,7 +78,9 @@ use crate::proto::{
     denied_line, error_line, rejected_line, AnalyzeRequest, JobResult, Priority, Request,
 };
 use flowdroid_android::{build_snapshot, load_snapshot, PlatformSnapshot};
-use flowdroid_bench::{find_job, prepare, run_prepared, CorpusJob, PreparedJob};
+use flowdroid_bench::{
+    find_job, parse_job, prepare, run_parsed, run_prepared, CorpusJob, ParsedJob, PreparedJob,
+};
 use flowdroid_core::{AbortHandle, InfoflowConfig, ProgressEvent, ProgressSink};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
@@ -86,10 +97,27 @@ pub const DEFAULT_QUEUE_CAP: usize = 1024;
 /// served before further high/normal work (anti-starvation aging).
 const AGING_STREAK: u32 = 4;
 
-/// Entries in the daemon's prepared-job cache: comfortably above the
-/// full corpus size, so a service benchmark sweep stays warm end to
-/// end.
+/// Names in the daemon's per-app cache: comfortably above the full
+/// corpus size, so a service benchmark sweep stays warm end to end.
 const CACHE_CAPACITY: usize = 256;
+
+/// What the per-app cache holds for a name.
+#[derive(Clone)]
+enum AppState {
+    /// Submitted once, and run from its parse: nothing is kept.
+    Seen,
+    /// Submitted again: the prepared job, with the setup its first run
+    /// stores for every later one to replay.
+    Prepared(Arc<PreparedJob>),
+}
+
+/// A queued job's code, loaded at submission.
+enum Work {
+    /// A name's first submission, parsed into its own platform overlay.
+    Parsed(Box<ParsedJob>),
+    /// A later submission: the name's prepared job.
+    Prepared(Arc<PreparedJob>),
+}
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -139,7 +167,7 @@ struct PrioQueue {
 #[derive(Default)]
 struct QueueInner {
     /// One FIFO lane per [`Priority`], indexed by [`Priority::lane`].
-    lanes: [VecDeque<(u64, Arc<PreparedJob>)>; 3],
+    lanes: [VecDeque<(u64, Work)>; 3],
     /// Closed queues accept no pushes; pops drain what remains.
     closed: bool,
     /// Consecutive high/normal dequeues since the last batch dequeue.
@@ -157,7 +185,7 @@ impl PrioQueue {
 
     /// Blocks until a job is available (priority order with batch
     /// aging) or the queue is closed *and* drained.
-    fn pop(&self) -> Option<(u64, Arc<PreparedJob>)> {
+    fn pop(&self) -> Option<(u64, Work)> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if Self::depth(&inner) == 0 {
@@ -223,8 +251,8 @@ struct JobEntry {
     spec: JobSpec,
     submitted: Instant,
     queue_ms: u64,
-    /// Microseconds `submit` spent preparing the job; 0 on a
-    /// prepared-cache hit.
+    /// Microseconds `submit` spent loading the job: the parse on a
+    /// first run, the parse and SDEX encode on a second, 0 after.
     prepare_us: u64,
     cancel_requested: bool,
     /// Streaming sink handed to the worker when the job starts; the
@@ -302,10 +330,10 @@ struct Shared {
     policy: AppPolicy,
     /// The shared, read-only platform model every job overlays.
     snapshot: Arc<PlatformSnapshot>,
-    /// Prepared jobs by job name, each with the callgraph setup its
-    /// first run stored; repeat submissions skip the parse and replay
-    /// the setup.
-    prepared: Lru<PreparedJob>,
+    /// Every name submitted, seen once or prepared (see the module
+    /// docs); later submissions of a prepared name skip the parse and
+    /// replay its setup.
+    apps: Lru<AppState>,
     /// Time spent obtaining the platform model at bind time.
     snapshot_load_ms: u64,
     /// `"file"` when loaded from a `platform.fdps`, `"built"` otherwise.
@@ -360,7 +388,7 @@ impl Daemon {
             stop_accept: AtomicBool::new(false),
             policy,
             snapshot: Arc::new(snapshot),
-            prepared: Lru::new(CACHE_CAPACITY),
+            apps: Lru::new(CACHE_CAPACITY),
             snapshot_load_ms,
             snapshot_source,
             addr,
@@ -419,12 +447,12 @@ impl Daemon {
 
 fn worker_loop(shared: &Shared) {
     // `pop` blocks priority-aware; `None` means closed and drained.
-    while let Some((id, job)) = shared.queue.pop() {
-        run_one(shared, id, &job);
+    while let Some((id, work)) = shared.queue.pop() {
+        run_one(shared, id, work);
     }
 }
 
-fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
+fn run_one(shared: &Shared, id: u64, work: Work) {
     let (abort, spec, app, queue_ms, prepare_us, progress, skip) = {
         let mut inner = shared.inner.lock().unwrap();
         let e = inner.jobs.get_mut(&id).expect("a queued job stays registered until collected");
@@ -453,14 +481,17 @@ fn run_one(shared: &Shared, id: u64, job: &PreparedJob) {
         let mut config = InfoflowConfig::default().with_abort(abort);
         config.max_propagations = spec.max_propagations;
         config.progress = progress;
-        let run = run_prepared(job, &config, &shared.snapshot);
+        let run = match work {
+            Work::Parsed(parsed) => run_parsed(*parsed, &config, &shared.snapshot),
+            Work::Prepared(job) => run_prepared(&job, &config, &shared.snapshot),
+        };
         JobResult {
             job: id,
             app,
             leaks: run.leaks as u64,
             aborted: run.aborted,
             abort_reason: run.abort_reason.map(|r| r.as_str().to_string()),
-            wall_ms: run.total.as_millis() as u64,
+            wall_us: run.total.as_micros() as u64,
             queue_ms,
             prepare_us,
             setup_us: run.setup().as_micros() as u64,
@@ -666,9 +697,10 @@ enum Refusal {
 /// Admission and registration happen under the queue lock, so the
 /// waiting-job bound is exact even under concurrent submissions.
 ///
-/// The job is prepared (parsed and lowered to SDEX) *here*, on the
-/// connection thread, unless the prepared-job cache already holds its
-/// name. Path-shaped names (leading `/`, `./`, `../` or a `.rpk`
+/// The job is loaded *here*, on the connection thread, unless the
+/// per-app cache holds its name prepared: parsed into its own overlay
+/// on a first submission, prepared (parsed and lowered to SDEX) on the
+/// second. Path-shaped names (leading `/`, `./`, `../` or a `.rpk`
 /// suffix) are external apps: they pass the allow-list policy and are
 /// read from disk first, since their cache key hashes the content — a
 /// malformed app must be refused at submission, not panic a worker.
@@ -680,28 +712,28 @@ fn submit(
     progress: Option<ProgressSink>,
 ) -> Result<u64, Refusal> {
     let cannot_load = |e: String| Refusal::Error(format!("cannot load app `{app}`: {e}"));
-    let (job, prepare_us) = if is_path_request(app) {
+    let (work, prepare_us) = if is_path_request(app) {
         let real = shared.policy.resolve(app).map_err(|e| {
             shared.inner.lock().unwrap().denied += 1;
             Refusal::PolicyDenied(e.to_string())
         })?;
         let job = load_external_job(&real).map_err(cannot_load)?;
-        match shared.prepared.lookup(&job.name) {
-            Some(prepared) => (prepared, 0),
-            None => prepare_and_cache(shared, &job.name, &job)
+        match shared.apps.lookup(&job.name) {
+            Some(AppState::Prepared(prepared)) => (Work::Prepared(prepared), 0),
+            seen => load_and_record(shared, &job.name, &job, seen.is_some())
                 .map_err(|e| cannot_load(format!("{}: {e}", real.display())))?,
         }
     } else {
-        match shared.prepared.lookup(app) {
-            Some(prepared) => (prepared, 0),
-            None => {
+        match shared.apps.lookup(app) {
+            Some(AppState::Prepared(prepared)) => (Work::Prepared(prepared), 0),
+            seen => {
                 let job = find_job(app).ok_or_else(|| {
                     Refusal::Error(format!(
                         "unknown app `{app}` (expected a corpus name, `stress/<K>`, or an \
                          allowed app path)"
                     ))
                 })?;
-                prepare_and_cache(shared, app, &job).map_err(cannot_load)?
+                load_and_record(shared, app, &job, seen.is_some()).map_err(cannot_load)?
             }
         }
     };
@@ -746,25 +778,34 @@ fn submit(
         );
         id
     };
-    q.lanes[priority.lane()].push_back((id, job));
+    q.lanes[priority.lane()].push_back((id, work));
     drop(q);
     shared.queue.ready.notify_one();
     Ok(id)
 }
 
-/// Prepares `job` and caches it under `key`; returns it with the
-/// preparation time in microseconds. A job that fails to parse is not
-/// cached, so resubmitting it fails again.
-fn prepare_and_cache(
+/// Loads `job` for its run and records its name under `key`: a name
+/// not yet `seen` is parsed into a fresh overlay and marked seen, a
+/// seen one is prepared and cached. Returns the work with the loading
+/// time in microseconds. A job that fails to parse is not recorded, so
+/// resubmitting it fails again.
+fn load_and_record(
     shared: &Shared,
     key: &str,
     job: &CorpusJob,
-) -> Result<(Arc<PreparedJob>, u64), String> {
+    seen: bool,
+) -> Result<(Work, u64), String> {
     let start = Instant::now();
-    let prepared = Arc::new(prepare(job, &shared.snapshot)?);
+    let (work, state) = if seen {
+        let prepared = Arc::new(prepare(job, &shared.snapshot)?);
+        (Work::Prepared(Arc::clone(&prepared)), AppState::Prepared(prepared))
+    } else {
+        let parsed = parse_job(job, shared.snapshot.overlay_program())?;
+        (Work::Parsed(Box::new(parsed)), AppState::Seen)
+    };
     let prepare_us = start.elapsed().as_micros() as u64;
-    shared.prepared.insert(key, Arc::clone(&prepared));
-    Ok((prepared, prepare_us))
+    shared.apps.insert(key, state);
+    Ok((work, prepare_us))
 }
 
 /// Blocks until job `id` is done, then removes its entry and returns
@@ -803,7 +844,7 @@ fn cancel(shared: &Shared, id: u64) -> Result<&'static str, String> {
 }
 
 fn stats(shared: &Shared) -> Json {
-    let prepared = shared.prepared.stats();
+    let prepared = shared.apps.stats();
     let inner = shared.inner.lock().unwrap();
     let mut by_state = [0u64; 3];
     let mut jobs = Vec::new();
@@ -819,7 +860,7 @@ fn stats(shared: &Shared) -> Json {
             fields.push(("queue_ms", Json::from(e.queue_ms)));
         }
         if let Some(r) = &e.result {
-            fields.push(("wall_ms", Json::from(r.wall_ms)));
+            fields.push(("wall_us", Json::from(r.wall_us)));
             fields.push(("setup_us", Json::from(r.setup_us)));
             fields.push(("dataflow_us", Json::from(r.dataflow_us)));
             fields.push(("leaks", Json::from(r.leaks)));
@@ -899,7 +940,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prepared_job_lru_shares_hits_and_evicts_the_coldest_job() {
+    fn app_cache_keeps_prepared_jobs_and_evicts_the_coldest_name() {
         let snapshot = flowdroid_bench::shared_platform_snapshot();
         let prepared = |name: &str| {
             Arc::new(prepare(&find_job(name).expect("stress job"), snapshot).expect("parses"))
@@ -907,21 +948,20 @@ mod tests {
         let replayed = |job: &PreparedJob| {
             run_prepared(job, &InfoflowConfig::default(), snapshot).setup_replayed
         };
-        let cache: Lru<PreparedJob> = Lru::new(2);
+        let cache: Lru<AppState> = Lru::new(2);
+        cache.insert("stress/2", AppState::Seen);
         let a = prepared("stress/2");
         assert!(!replayed(&a), "a job's first run computes its setup");
-        cache.insert("stress/2", Arc::clone(&a));
-        let b = prepared("stress/3");
-        assert!(!replayed(&b));
-        cache.insert("stress/3", b);
-        let hit = cache.lookup("stress/2").expect("hit");
+        cache.insert("stress/2", AppState::Prepared(Arc::clone(&a)));
+        cache.insert("stress/3", AppState::Seen);
+        let Some(AppState::Prepared(hit)) = cache.lookup("stress/2") else {
+            panic!("a prepared name stays prepared")
+        };
         assert!(Arc::ptr_eq(&hit, &a), "a hit hands out the cached job, not a copy");
         assert!(replayed(&hit), "the retained job replays the setup it holds");
-        cache.insert("stress/4", prepared("stress/4"));
-        assert!(cache.lookup("stress/3").is_none(), "the coldest job is evicted");
-        let again = prepared("stress/3");
-        assert!(!replayed(&again), "the evicted job's setup went with it: it runs cold");
-        assert!(cache.lookup("stress/4").is_some(), "the newest job stays");
+        cache.insert("stress/4", AppState::Seen);
+        assert!(cache.lookup("stress/3").is_none(), "the coldest name is evicted");
+        assert!(matches!(cache.lookup("stress/4"), Some(AppState::Seen)), "the newest stays");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.evictions, s.entries), (2, 1, 1, 2));
     }

@@ -21,8 +21,9 @@
 //!   collide on a name. The hash covers each part's length as well as
 //!   its bytes, so no two apps whose parts merely concatenate to the
 //!   same bytes share one. The loader only reads and names the app;
-//!   parsing it is [`flowdroid_bench::prepare`]'s job, which the
-//!   daemon skips when the name is already cached.
+//!   parsing it is [`flowdroid_bench::parse_job`]'s job (through
+//!   [`flowdroid_bench::prepare`] on a second submission), which the
+//!   daemon skips once the name is prepared.
 
 use flowdroid_bench::{external_job, CorpusJob};
 use flowdroid_frontend::rpk::Archive;
@@ -194,9 +195,11 @@ fn load_rpk(path: &Path) -> Result<AppParts, String> {
 /// *already-policy-resolved* path into a corpus job. The job name is
 /// `external/<content-hash>/<stem>` — content-unique, so a cache keyed
 /// by it can never serve a stale parse for an edited app. The app's
-/// code is not parsed here: the daemon parses it with
-/// [`flowdroid_bench::prepare`] on the submitting connection, so a
-/// malformed app fails there, never on a worker.
+/// code is not parsed here: on the submitting connection the daemon
+/// parses it with [`flowdroid_bench::parse_job`] on the name's first
+/// submission and with [`flowdroid_bench::prepare`] on its second, and
+/// parses nothing after; a malformed app is refused on its first
+/// submission, never on a worker.
 ///
 /// # Errors
 ///

@@ -1,8 +1,8 @@
-//! The daemon's bounded cache of prepared jobs: an LRU map from job
-//! names to shared values, safe to share across worker threads.
+//! The daemon's bounded per-app cache: an LRU map from job names to
+//! cheaply cloned values, safe to share across worker threads.
 
 use flowdroid_ir::FxHashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Counters describing a cache's lifetime behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -19,7 +19,7 @@ pub(crate) struct LruStats {
 
 #[derive(Debug)]
 struct Entry<V> {
-    value: Arc<V>,
+    value: V,
     last_used: u64,
 }
 
@@ -32,14 +32,15 @@ struct CacheInner<V> {
     evictions: u64,
 }
 
-/// A bounded LRU map from names to shared values.
+/// A bounded LRU map from names to values; lookups hand out clones, so
+/// a value meant to be shared is an `Arc` or a small enum of them.
 #[derive(Debug)]
 pub(crate) struct Lru<V> {
     capacity: usize,
     inner: Mutex<CacheInner<V>>,
 }
 
-impl<V> Lru<V> {
+impl<V: Clone> Lru<V> {
     /// Creates a cache holding at most `capacity` entries (minimum 1).
     pub(crate) fn new(capacity: usize) -> Self {
         Lru {
@@ -55,13 +56,13 @@ impl<V> Lru<V> {
     }
 
     /// Looks up the value for `key`, marking it most recently used.
-    pub(crate) fn lookup(&self, key: &str) -> Option<Arc<V>> {
+    pub(crate) fn lookup(&self, key: &str) -> Option<V> {
         let mut inner = self.inner.lock().expect("a thread panicked holding the cache lock");
         inner.tick += 1;
         let tick = inner.tick;
         let found = inner.entries.get_mut(key).map(|e| {
             e.last_used = tick;
-            Arc::clone(&e.value)
+            e.value.clone()
         });
         match found {
             Some(_) => inner.hits += 1,
@@ -73,7 +74,7 @@ impl<V> Lru<V> {
     /// Stores `value` for `key`, evicting the least-recently-used entry
     /// if the cache is full. Re-inserting an existing key replaces its
     /// entry in place (no eviction).
-    pub(crate) fn insert(&self, key: &str, value: Arc<V>) {
+    pub(crate) fn insert(&self, key: &str, value: V) {
         let mut inner = self.inner.lock().expect("a thread panicked holding the cache lock");
         inner.tick += 1;
         let tick = inner.tick;
@@ -107,11 +108,11 @@ mod tests {
     #[test]
     fn lru_eviction_drops_the_coldest_entry() {
         let cache = Lru::new(2);
-        cache.insert("a", Arc::new(1));
-        cache.insert("b", Arc::new(2));
+        cache.insert("a", 1);
+        cache.insert("b", 2);
         // Touch `a` so `b` becomes the LRU victim.
         assert!(cache.lookup("a").is_some());
-        cache.insert("c", Arc::new(3));
+        cache.insert("c", 3);
         assert!(cache.lookup("b").is_none(), "LRU entry must be evicted");
         assert!(cache.lookup("a").is_some());
         assert!(cache.lookup("c").is_some());
@@ -123,19 +124,19 @@ mod tests {
     #[test]
     fn reinserting_a_key_does_not_evict() {
         let cache = Lru::new(2);
-        cache.insert("a", Arc::new(1));
-        cache.insert("b", Arc::new(2));
-        cache.insert("a", Arc::new(9));
+        cache.insert("a", 1);
+        cache.insert("b", 2);
+        cache.insert("a", 9);
         assert_eq!(cache.stats().evictions, 0);
         assert!(cache.lookup("b").is_some());
-        assert_eq!(cache.lookup("a").as_deref(), Some(&9), "the new value replaces the old");
+        assert_eq!(cache.lookup("a"), Some(9), "the new value replaces the old");
     }
 
     #[test]
     fn counters_track_hits_and_misses() {
         let cache = Lru::new(4);
         assert!(cache.lookup("nope").is_none());
-        cache.insert("yes", Arc::new(7));
+        cache.insert("yes", 7);
         assert!(cache.lookup("yes").is_some());
         assert!(cache.lookup("yes").is_some());
         let s = cache.stats();

@@ -185,43 +185,47 @@ pub struct JobResult {
     pub aborted: bool,
     /// `cancelled` / `deadline` / `budget`, when `aborted`.
     pub abort_reason: Option<String>,
-    /// Analysis wall-clock time (runs the job spent executing).
-    pub wall_ms: u64,
+    /// Analysis wall-clock time in microseconds (the time the job spent
+    /// running on its worker; 0 for a job skipped in the queue).
+    pub wall_us: u64,
     /// Time the job waited in the queue before a worker claimed it.
     pub queue_ms: u64,
-    /// Microseconds the daemon spent preparing the job at submission:
-    /// parsing the app and lowering it to SDEX. 0 when the daemon's
-    /// prepared-job cache already held it. Not part of `setup_us` or
-    /// `wall_ms`.
+    /// Microseconds the daemon spent loading the job at submission: on
+    /// a name's first run, the parse into the job's own platform
+    /// overlay; on its second, the parse and the SDEX encode of the
+    /// prepared job; 0 on every later run, whose prepared job the
+    /// daemon already holds. Not part of `setup_us` or `wall_us`.
     pub prepare_us: u64,
-    /// Setup phase of the run in microseconds: lazy SDEX decode,
-    /// entry-point model, dummy main and call-graph construction —
-    /// everything before the data-flow solver (the parse at submission
-    /// is `prepare_us`). Warm daemon jobs against the shared platform
-    /// snapshot keep this below `dataflow_us`.
+    /// Setup phase of the run in microseconds: entry-point model, dummy
+    /// main and call-graph construction (and, on a prepared job, lazy
+    /// SDEX decode and body materialization, or the replay of the
+    /// stored setup) — everything before the data-flow solver (the
+    /// parse at submission is `prepare_us`).
     pub setup_us: u64,
     /// Data-flow (solver) phase in microseconds.
     pub dataflow_us: u64,
     /// Method bodies the demand-driven frontend decoded for this job
-    /// (0 on eager runs).
+    /// (0 on a name's first run, which parses every body up front).
     pub bodies_materialized: u64,
     /// Method bodies indexed but never decoded because the callgraph
-    /// closure never reached them (0 on eager runs).
+    /// closure never reached them (0 on a name's first run).
     pub bodies_skipped: u64,
     /// Forward path-edge propagations.
     pub forward_propagations: u64,
     /// Backward (alias) path-edge propagations.
     pub backward_propagations: u64,
-    /// Time spent obtaining the job's private program from the shared
-    /// platform snapshot, in microseconds. Copy-on-write overlays keep
-    /// this near zero; a deep clone pays the full arena copy.
+    /// Time spent opening the job's copy-on-write overlay of the shared
+    /// platform snapshot on its worker, in microseconds (0 on a name's
+    /// first run, whose overlay is opened at submission, inside
+    /// `prepare_us`).
     pub platform_clone_us: u64,
     /// Callgraph-cache hits for this job (1 when it replayed the
     /// entry-point model + callgraph its prepared job already held
-    /// instead of rebuilding them).
+    /// instead of rebuilding them: from a name's third run on).
     pub callgraph_cache_hits: u64,
-    /// Callgraph-cache misses for this job (1 on the prepared job's
-    /// first run, which computes and stores the setup).
+    /// Callgraph-cache misses for this job (1 on a name's first run,
+    /// which keeps no setup, and on its second, the prepared job's
+    /// first run, which computes and stores it).
     pub callgraph_cache_misses: u64,
     /// The deterministic per-app leak report.
     pub report: String,
@@ -241,7 +245,7 @@ impl JobResult {
             fields.push(("abort_reason", Json::from(r.as_str())));
         }
         fields.extend([
-            ("wall_ms", Json::from(self.wall_ms)),
+            ("wall_us", Json::from(self.wall_us)),
             ("queue_ms", Json::from(self.queue_ms)),
             ("prepare_us", Json::from(self.prepare_us)),
             ("setup_us", Json::from(self.setup_us)),
@@ -269,7 +273,7 @@ impl JobResult {
             leaks: v.u64_field("leaks")?,
             aborted: v.bool_field("aborted")?,
             abort_reason: v.str_field("abort_reason").map(str::to_string),
-            wall_ms: v.u64_field("wall_ms")?,
+            wall_us: v.u64_field("wall_us")?,
             queue_ms: v.u64_field("queue_ms")?,
             prepare_us: v.u64_field("prepare_us").unwrap_or(0),
             setup_us: v.u64_field("setup_us").unwrap_or(0),
@@ -357,7 +361,7 @@ mod tests {
             leaks: 1,
             aborted: true,
             abort_reason: Some("deadline".to_string()),
-            wall_ms: 120,
+            wall_us: 120_400,
             queue_ms: 3,
             prepare_us: 310,
             setup_us: 2500,

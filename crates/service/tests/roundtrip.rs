@@ -1,10 +1,11 @@
-//! End-to-end daemon round trips over a real TCP socket: cold→warm
-//! callgraph-setup replay between jobs, platform-snapshot boot
+//! End-to-end daemon round trips over a real TCP socket: an app's
+//! first run from its parse, its prepared second run and the
+//! callgraph-setup replay of every later one, platform-snapshot boot
 //! (including the corrupt-file fallback), deadline aborts,
 //! cross-connection cancellation, stats, clean shutdown, prompt
 //! Unix-socket unlink on shutdown while jobs are still draining,
 //! external-app serving under the `--allow-apps` path policy, and a
-//! cold-then-warm pass over the whole corpus.
+//! first-run, prepared and replayed pass over the whole corpus.
 
 use flowdroid_service::{
     AnalyzeOptions, AnalyzeOutcome, AnalyzeRequest, Client, Daemon, DaemonOptions, JobResult, Json,
@@ -61,24 +62,28 @@ fn cold_then_warm_job_replays_cached_callgraph() {
     let (addr, daemon) = spawn_daemon();
     let mut c = Client::connect(&addr).expect("connect");
 
-    let (id1, cold) = c.analyze("insecurebank", None, None).expect("cold job");
+    let (id1, first) = c.analyze("insecurebank", None, None).expect("first job");
     assert_eq!(id1, 1);
-    assert!(!cold.aborted);
-    assert!(cold.leaks > 0, "insecurebank has known leaks");
+    assert!(!first.aborted);
+    assert!(first.leaks > 0, "insecurebank has known leaks");
 
+    let (_, cold) = c.analyze("insecurebank", None, None).expect("prepared job");
     let (_, warm) = c.analyze("insecurebank", None, None).expect("warm job");
-    assert!(!warm.aborted);
+    assert!(!cold.aborted && !warm.aborted);
+    assert_eq!(cold.report, first.report, "the prepared run must not change the report");
     assert_eq!(warm.report, cold.report, "cache replay must not change the report");
-    assert_eq!(cold.callgraph_cache_misses, 1, "first job builds its setup cold");
+    assert_eq!(first.callgraph_cache_misses, 1, "a run from the parse keeps no setup");
+    assert_eq!(first.callgraph_cache_hits, 0);
+    assert_eq!(cold.callgraph_cache_misses, 1, "the prepared job builds its setup cold");
     assert_eq!(cold.callgraph_cache_hits, 0);
-    assert_eq!(warm.callgraph_cache_hits, 1, "second job replays the cached callgraph");
+    assert_eq!(warm.callgraph_cache_hits, 1, "the third job replays the cached callgraph");
     assert_eq!(warm.callgraph_cache_misses, 0);
 
     let mut c2 = Client::connect(&addr).expect("second connection");
     let stats = c2.stats().expect("stats");
-    assert_eq!(stats.u64_field("completed"), Some(2));
+    assert_eq!(stats.u64_field("completed"), Some(3));
     assert_eq!(stats.u64_field("callgraph_cache_hits"), Some(1));
-    assert_eq!(stats.u64_field("callgraph_cache_misses"), Some(1));
+    assert_eq!(stats.u64_field("callgraph_cache_misses"), Some(2));
     // One per-app entry: the prepared job, holding the setup.
     assert_eq!(stats.u64_field("prepared_cache_entries"), Some(1));
     // Both results were delivered, so the registry holds neither job.
@@ -96,18 +101,24 @@ fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
     let (addr, daemon) = spawn_daemon_with(Some(snap.clone()));
     let mut c = Client::connect(&addr).expect("connect");
 
-    let (_, r) = c.analyze("insecurebank", None, None).expect("job");
-    assert!(!r.aborted);
+    // The first run parses every body; the second, prepared one goes
+    // through the lazy frontend.
+    let (_, first) = c.analyze("insecurebank", None, None).expect("job");
+    let (_, r) = c.analyze("insecurebank", None, None).expect("prepared job");
+    assert!(!first.aborted && !r.aborted);
     assert!(r.bodies_materialized > 0, "the lazy frontend decodes reached bodies");
 
-    // The daemon's report must match a standalone eager run exactly.
+    // The daemon's reports must match a standalone run exactly.
     let job = flowdroid_bench::find_job("insecurebank").expect("corpus job");
     let eager = flowdroid_bench::run_single(&job, &flowdroid_core::InfoflowConfig::default());
+    assert_eq!(first.report, eager.report, "the daemon's first run must match a local run");
     assert_eq!(r.report, eager.report, "lazy daemon run must match eager run");
 
-    // An app with helper classes the callgraph never reaches: those
-    // bodies must stay undecoded.
-    let (_, r2) = c.analyze("securibench/Collections/Collections5", None, None).expect("job 2");
+    // An app with helper classes the callgraph never reaches: on its
+    // prepared run, those bodies must stay undecoded.
+    let collections5 = "securibench/Collections/Collections5";
+    c.analyze(collections5, None, None).expect("job 3");
+    let (_, r2) = c.analyze(collections5, None, None).expect("job 4");
     assert!(!r2.aborted);
     assert!(r2.bodies_skipped > 0, "unreachable bodies stay undecoded");
 
@@ -222,7 +233,7 @@ fn cancelling_a_queued_job_skips_it_entirely() {
     let r3 = c.read_response().expect("job 3 result");
     assert_eq!(r3.bool_field("aborted"), Some(true));
     assert_eq!(r3.str_field("abort_reason"), Some("cancelled"));
-    assert_eq!(r3.u64_field("wall_ms"), Some(0), "a skipped job never runs");
+    assert_eq!(r3.u64_field("wall_us"), Some(0), "a skipped job never runs");
 
     ctl.shutdown().expect("shutdown");
     daemon.join().expect("accept loop exits cleanly");
@@ -708,13 +719,15 @@ fn prepared_counters(c: &mut Client) -> (u64, u64, u64) {
     (field("prepared_cache_hits"), field("prepared_cache_misses"), field("prepared_cache_entries"))
 }
 
-/// The daemon parses an app once and serves repeats from its prepared-job
-/// cache: a resubmitted `.rpk` (and corpus name) hits with an identical
-/// report and `prepare_us` 0; the same path rewritten with other bytes
-/// misses and reports what a local run of the new bytes reports; an
-/// archive that cannot be read, whose code does not parse, or whose
-/// classes form a superclass cycle, is refused with `cannot load app`,
-/// never cached, and refused again when resubmitted.
+/// The daemon remembers every name it ran: a resubmitted `.rpk` (and
+/// corpus name) hits the per-app cache, is prepared on its second
+/// submission and served from the prepared job on its third with an
+/// identical report and `prepare_us` 0; the same path rewritten with
+/// other bytes misses and reports what a local run of the new bytes
+/// reports; an archive that cannot be read, whose code does not parse,
+/// or whose classes form a superclass cycle, is refused with `cannot
+/// load app` on its first submission, never cached, and refused again
+/// when resubmitted.
 #[test]
 fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     let root = temp_dir("prepared-root");
@@ -735,25 +748,31 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     assert_eq!(prepared_counters(&mut c), (0, 1, 1), "first submission parses");
     let second = analyze(&mut c, &app);
     assert_eq!(prepared_counters(&mut c), (1, 1, 1), "resubmission hits");
-    assert_eq!(second.prepare_us, 0, "a hit does no preparation");
+    assert!(second.prepare_us > 0, "the second submission prepares the app");
+    let third = analyze(&mut c, &app);
+    assert_eq!(prepared_counters(&mut c), (2, 1, 1), "every resubmission hits");
+    assert_eq!(third.prepare_us, 0, "a hit on a prepared app does no preparation");
     assert_eq!(first.report, second.report);
+    assert_eq!(first.report, third.report);
     assert_eq!(first.report, local_report(&app));
 
     // Rewritten in place with another app: a new content hash, so a miss.
     std::fs::write(&app, by_category("alias").rpk_bytes()).unwrap();
     let rewritten = analyze(&mut c, &app);
-    assert_eq!(prepared_counters(&mut c), (1, 2, 2), "new bytes must be parsed");
+    assert_eq!(prepared_counters(&mut c), (2, 2, 2), "new bytes must be parsed");
     assert_ne!(rewritten.report, first.report);
     assert_eq!(rewritten.report, local_report(&app), "no stale parse is served");
 
     // Corpus names are cached by name.
+    let first = c.analyze("insecurebank", None, None).expect("corpus job").1;
     let cold = c.analyze("insecurebank", None, None).expect("corpus job").1;
     let warm = c.analyze("insecurebank", None, None).expect("corpus job").1;
-    assert_eq!(prepared_counters(&mut c), (2, 3, 3));
+    assert_eq!(prepared_counters(&mut c), (4, 3, 3));
+    assert_eq!(cold.report, first.report);
     assert_eq!((warm.prepare_us, warm.report), (0, cold.report));
 
-    // Unreadable archives and unparsable code are refused every time and
-    // leave no entry behind.
+    // Unreadable archives and unparsable code are refused on their first
+    // submission and every time after, and leave no entry behind.
     let junk = root.join("junk.rpk");
     std::fs::write(&junk, b"not an archive").unwrap();
     let bad_code = root.join("bad-code.rpk");
@@ -770,7 +789,7 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
         assert!(err.to_string().contains("cannot load app"), "got: {err}");
     }
     let (hits, _, entries) = prepared_counters(&mut c);
-    assert_eq!((hits, entries), (2, 3), "malformed apps are never cached");
+    assert_eq!((hits, entries), (4, 3), "malformed apps are never cached");
     // The daemon keeps serving after refusing them.
     assert_eq!(analyze(&mut c, &app).report, rewritten.report);
 
@@ -779,10 +798,80 @@ fn daemon_prepares_each_app_once_and_never_serves_a_stale_parse() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Every corpus app, submitted twice to one daemon: the plain (cold) run
-/// misses the prepared-job cache and builds its callgraph setup, the
-/// streamed (warm) run hits both, decodes no body the cold run did not,
-/// and reports the same bytes. Streaming is observational only.
+/// One name through the daemon's three stages. The first submission
+/// runs from its parse: it loads at submission, decodes no body lazily
+/// and keeps no setup. The second prepares the app: its run decodes
+/// only the reachable bodies and builds the setup. The third replays
+/// that setup and loads nothing. All three report the same bytes.
+#[test]
+fn one_name_runs_from_the_parse_then_prepared_then_replayed() {
+    let (addr, daemon) = spawn_daemon();
+    let mut c = Client::connect(&addr).expect("connect");
+    let name = "securibench/Collections/Collections5";
+    let mut submit = || c.analyze(name, None, None).expect("job").1;
+    let (first, second, third) = (submit(), submit(), submit());
+    for r in [&first, &second, &third] {
+        assert!(!r.aborted, "job {} aborted", r.job);
+    }
+
+    assert!(first.prepare_us > 0, "the first run parses at submission");
+    assert_eq!(first.bodies_materialized, 0, "a run from the parse decodes nothing lazily");
+    assert_eq!((first.callgraph_cache_hits, first.callgraph_cache_misses), (0, 1));
+
+    assert!(second.prepare_us > 0, "the second submission prepares the app");
+    assert!(second.bodies_materialized > 0, "the prepared run decodes reached bodies");
+    assert!(second.bodies_skipped > 0, "unreachable bodies stay undecoded");
+    assert_eq!((second.callgraph_cache_hits, second.callgraph_cache_misses), (0, 1));
+
+    assert_eq!(third.prepare_us, 0, "a prepared app is not loaded again");
+    assert_eq!((third.callgraph_cache_hits, third.callgraph_cache_misses), (1, 0));
+
+    assert_eq!(second.report, first.report, "the prepared run changed the report");
+    assert_eq!(third.report, first.report, "the replayed run changed the report");
+    assert_eq!(prepared_counters(&mut c), (2, 1, 1), "one name: one miss, then two hits");
+
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("accept loop exits cleanly");
+}
+
+/// The per-app cache holds 256 names. A name seen once, then pushed out
+/// by 256 other names, runs from its parse again on its next submission
+/// instead of being prepared.
+#[test]
+fn evicted_name_runs_from_the_parse_again() {
+    let (addr, daemon) = spawn_daemon_capped(None, 1, 0);
+    let mut c = Client::connect(&addr).expect("connect");
+    let mut run = |name: &str| {
+        let (_, r) = c.analyze(name, None, None).expect("job");
+        assert!(!r.aborted && r.leaks == 1, "{name}: {r:?}");
+        r
+    };
+    let first = run("stress/5");
+    assert!(first.wall_us > 0, "a completed job reports the time it ran");
+    assert_eq!(first.bodies_materialized, 0, "the first submission runs from its parse");
+    for k in 6..262 {
+        run(&format!("stress/{k}"));
+    }
+    let again = run("stress/5");
+    assert!(again.prepare_us > 0, "the evicted name is loaded again");
+    assert_eq!(again.bodies_materialized, 0, "the evicted name runs from its parse again");
+    assert_eq!((again.callgraph_cache_hits, again.callgraph_cache_misses), (0, 1));
+    assert_eq!(again.report, first.report);
+
+    let stats = c.stats().expect("stats");
+    assert_eq!(stats.u64_field("prepared_cache_evictions"), Some(2), "stress/5, then stress/6");
+    assert_eq!(stats.u64_field("prepared_cache_misses"), Some(258), "every submission missed");
+    assert_eq!(stats.u64_field("prepared_cache_entries"), Some(256));
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("accept loop exits cleanly");
+}
+
+/// Every corpus app, submitted three times to one daemon: the first run
+/// misses the per-app cache and runs from its parse, the second (cold)
+/// run hits it, prepares the app and builds its callgraph setup, the
+/// streamed (warm) third run hits both, decodes no body the cold run
+/// did not, and all three report the same bytes. Streaming is
+/// observational only.
 #[test]
 fn corpus_cold_then_streamed_warm_runs_hit_every_cache_with_identical_reports() {
     let (addr, daemon) = spawn_daemon();
@@ -791,9 +880,12 @@ fn corpus_cold_then_streamed_warm_runs_hit_every_cache_with_identical_reports() 
     let (mut progress_frames, mut leak_frames) = (0u64, 0u64);
     for (i, job) in flowdroid_bench::full_corpus().iter().enumerate() {
         let (name, done) = (job.name.as_str(), i as u64);
+        let (_, first) = c.analyze(name, None, None).expect("first job");
+        let (hits, misses, _) = prepared_counters(&mut c);
+        assert_eq!((hits, misses), (2 * done, done + 1), "{name}: the first run must miss");
         let (_, cold) = c.analyze(name, None, None).expect("cold job");
         let (hits, misses, _) = prepared_counters(&mut c);
-        assert_eq!((hits, misses), (done, done + 1), "{name}: the cold run must miss");
+        assert_eq!((hits, misses), (2 * done + 1, done + 1), "{name}: the cold run must hit");
         let outcome = c
             .analyze_with(name, &streamed, &mut |frame| match frame.str_field("type") {
                 Some("progress") => progress_frames += 1,
@@ -805,9 +897,11 @@ fn corpus_cold_then_streamed_warm_runs_hit_every_cache_with_identical_reports() 
             panic!("unbounded queue must not refuse {name}");
         };
         let (hits, misses, _) = prepared_counters(&mut c);
-        assert_eq!((hits, misses), (done + 1, done + 1), "{name}: the warm run must hit");
-        assert!(!cold.aborted && !warm.aborted, "{name} aborted");
+        assert_eq!((hits, misses), (2 * done + 2, done + 1), "{name}: the warm run must hit");
+        assert!(!first.aborted && !cold.aborted && !warm.aborted, "{name} aborted");
+        assert_eq!(cold.report, first.report, "{name}: prepared report diverged");
         assert_eq!(warm.report, cold.report, "{name}: warm streamed report diverged");
+        assert_eq!((first.callgraph_cache_hits, first.callgraph_cache_misses), (0, 1), "{name}");
         assert_eq!((cold.callgraph_cache_hits, cold.callgraph_cache_misses), (0, 1), "{name}");
         assert_eq!((warm.callgraph_cache_hits, warm.callgraph_cache_misses), (1, 0), "{name}");
         assert!(warm.bodies_materialized <= cold.bodies_materialized, "{name}: extra bodies");

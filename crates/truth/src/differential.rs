@@ -8,14 +8,16 @@
 //!
 //! | engine            | configuration                                   |
 //! |-------------------|-------------------------------------------------|
-//! | `eager`           | eagerly parsed program (reference)              |
-//! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX)   |
+//! | `eager`           | program parsed into a platform overlay and run  |
+//! |                   | from the parse (reference; a daemon first run)  |
+//! | `lazy`            | demand-driven frontend (snapshot + lazy SDEX):  |
+//! |                   | a prepared job's cold run, as on a second       |
+//! |                   | submission                                      |
 //! | `lazy-cg-warm`    | second run of the same prepared job: its stored |
-//! |                   | callgraph setup replayed, as in the daemon      |
+//! |                   | callgraph setup replayed, as on every later one |
 //!
-//! (The through-the-daemon leg lives in `solver_stats`, which boots an
-//! in-process daemon and round-trips the generated `.rpk` archives
-//! under the serve path policy.)
+//! (The through-the-daemon legs live in the service crate's
+//! `tests/roundtrip.rs`, which submits names to an in-process daemon.)
 
 use crate::generate::TruthApp;
 use flowdroid_android::install_platform;
@@ -121,9 +123,10 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
     let reference = run_corpus(&jobs, &config, run_single);
     engines.push(outcome("eager", &reference));
 
-    // The daemon's path: each job is prepared once and run twice. The
-    // first (cold) run stores the callgraph setup on the prepared job,
-    // the second replays it.
+    // The reference above is the daemon's first run of a name, from
+    // its parse. From the second submission on, the daemon runs a
+    // prepared job: the first (cold) run stores the callgraph setup on
+    // it, the next replays it.
     let snapshot = shared_platform_snapshot();
     let (mut cold, mut warm): (Vec<AppRun>, Vec<AppRun>) = jobs
         .iter()

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Serving-mode smoke test: writes a platform snapshot, boots the
-# analysis daemon from it, runs the same app twice and checks that the
-# second (warm) job reuses the daemon's prepared (parsed) app, replays
-# the callgraph setup the first run stored on it, and decodes no more
-# bodies than the cold one, cancels an
+# analysis daemon from it, runs the same app three times and checks
+# that the first job runs from its parse, the second (prepared) job
+# decodes bodies on demand and stores its callgraph setup, and the
+# third (replayed) job reuses the prepared app, replays that setup and
+# decodes no more bodies than the prepared one; then cancels an
 # in-flight job from a second connection, and shuts down cleanly.
 #
 # Expects target/release/flowdroid to exist (scripts/verify.sh builds
@@ -18,12 +19,12 @@ if [[ ! -x "$bin" ]]; then
 fi
 
 log=$(mktemp)
-job3_out=$(mktemp)
+long_job_out=$(mktemp)
 snap=$(mktemp -d)/platform.fdps
 svc_pid=""
 cleanup() {
     [[ -n "$svc_pid" ]] && kill "$svc_pid" 2>/dev/null || true
-    rm -rf "$log" "$job3_out" "$(dirname "$snap")"
+    rm -rf "$log" "$long_job_out" "$(dirname "$snap")"
 }
 trap cleanup EXIT
 
@@ -52,25 +53,36 @@ if [[ -z "$addr" ]]; then
 fi
 echo "daemon listening on $addr"
 
-# Two jobs for the same app: the first prepares it and stores its
-# callgraph setup in the daemon's per-app cache, the second replays
-# both. (`|| true`: the client exits 2 when the analysis
-# reports leaks, which insecurebank does by design.)
+# Three jobs for the same app: the first runs from its parse and keeps
+# nothing but the name, the second prepares the app and stores its
+# callgraph setup in the daemon's per-app cache, the third replays
+# both. (`|| true`: the client exits 2 when the analysis reports leaks,
+# which insecurebank does by design.)
+first=$("$bin" client "$addr" analyze insecurebank || true)
 cold=$("$bin" client "$addr" analyze insecurebank || true)
 warm=$("$bin" client "$addr" analyze insecurebank || true)
 
-# Prepared job: the daemon parsed insecurebank for the cold job and
-# serves the warm job from its per-app cache, preparing nothing.
-if ! grep -q '"prepare_us":0,' <<<"$warm"; then
-    echo "FAIL: warm job was prepared again (want prepare_us 0): $warm" >&2
+# First run: parsed at submission, every body decoded up front, no
+# setup kept.
+if ! grep -q '"bodies_materialized":0,' <<<"$first" \
+    || ! grep -q '"callgraph_cache_misses":1' <<<"$first"; then
+    echo "FAIL: first job did not run from its parse: $first" >&2
     exit 1
 fi
-echo "warm prepared-job cache hit: OK"
+echo "first run from the parse: OK"
 
-# Callgraph setup on the prepared job: the cold job builds the
-# entry-point model and callgraph (miss), the warm job replays them
-# (hit). Both setup timings are printed, not compared: they swing with
-# the host.
+# Replayed job: the daemon prepared insecurebank for the second job
+# and serves the third from its per-app cache, preparing nothing.
+if ! grep -q '"prepare_us":0,' <<<"$warm"; then
+    echo "FAIL: replayed job was prepared again (want prepare_us 0): $warm" >&2
+    exit 1
+fi
+echo "replayed prepared-job cache hit: OK"
+
+# Callgraph setup on the prepared job: the prepared (cold) job builds
+# the entry-point model and callgraph (miss), the replayed (warm) job
+# replays them (hit). Both setup timings are printed, not compared:
+# they swing with the host.
 if ! grep -q '"callgraph_cache_misses":1' <<<"$cold"; then
     echo "FAIL: cold job should build its callgraph setup: $cold" >&2
     exit 1
@@ -83,13 +95,13 @@ cold_setup=$(grep -o '"setup_us":[0-9]*' <<<"$cold" | grep -o '[0-9]*$')
 warm_cg_setup=$(grep -o '"setup_us":[0-9]*' <<<"$warm" | grep -o '[0-9]*$')
 echo "warm callgraph-setup replay (setup ${warm_cg_setup:-?} us, cold ${cold_setup:-?} us): OK"
 
-# Demand-driven frontend: jobs run against the shared platform
-# snapshot and decode bodies on demand; the warm job, whose setup the
-# replay above cut short, decodes no more bodies than the cold one.
-# Its setup and dataflow timings are printed, not compared: both swing
-# with the host.
+# Demand-driven frontend: prepared jobs run against the shared
+# platform snapshot and decode bodies on demand; the warm job, whose
+# setup the replay above cut short, decodes no more bodies than the
+# cold one. Its setup and dataflow timings are printed, not compared:
+# both swing with the host.
 if ! grep -q '"bodies_materialized":[1-9]' <<<"$cold"; then
-    echo "FAIL: cold job decoded no bodies on demand: $cold" >&2
+    echo "FAIL: prepared job decoded no bodies on demand: $cold" >&2
     exit 1
 fi
 cold_bodies=$(grep -o '"bodies_materialized":[0-9]*' <<<"$cold" | grep -o '[0-9]*$')
@@ -105,26 +117,26 @@ echo "warm job: $warm_bodies bodies decoded (cold $cold_bodies), setup ${warm_se
 # Cancel an in-flight job: submit a long synthetic job, wait until a
 # worker picks it up, then cancel it from a second connection. The
 # blocked client must come back promptly with an aborted result and the
-# dedicated exit code 3.
-"$bin" client "$addr" analyze stress/6000 >"$job3_out" 2>&1 &
-job3_pid=$!
+# dedicated exit code 3. It is the daemon's fourth job.
+"$bin" client "$addr" analyze stress/6000 >"$long_job_out" 2>&1 &
+long_job_pid=$!
 for _ in $(seq 1 100); do
     if "$bin" client "$addr" stats | grep -q '"state":"running"'; then
         break
     fi
     sleep 0.1
 done
-"$bin" client "$addr" cancel 3 >/dev/null
-job3_status=0
-wait "$job3_pid" || job3_status=$?
-if [[ "$job3_status" -ne 3 ]]; then
-    echo "FAIL: cancelled job exited $job3_status, want 3" >&2
-    cat "$job3_out" >&2
+"$bin" client "$addr" cancel 4 >/dev/null
+long_job_status=0
+wait "$long_job_pid" || long_job_status=$?
+if [[ "$long_job_status" -ne 3 ]]; then
+    echo "FAIL: cancelled job exited $long_job_status, want 3" >&2
+    cat "$long_job_out" >&2
     exit 1
 fi
-if ! grep -q '"abort_reason":"cancelled"' "$job3_out"; then
-    echo "FAIL: job 3 result is not marked cancelled:" >&2
-    cat "$job3_out" >&2
+if ! grep -q '"abort_reason":"cancelled"' "$long_job_out"; then
+    echo "FAIL: job 4 result is not marked cancelled:" >&2
+    cat "$long_job_out" >&2
     exit 1
 fi
 echo "in-flight cancellation: OK"

@@ -55,8 +55,8 @@ echo "== BENCH_solver.json comparison block"
 sed -n '/"comparison"/,$p' BENCH_solver.json
 
 # Allocation regression gate: neither the default sequential corpus
-# sweep (eager frontend) nor the demand-driven sweep (SDEX encode, lazy
-# decode and body materialization per job) may allocate more than 5%
+# sweep (each app run from its parse) nor the demand-driven sweep (SDEX
+# encode, lazy decode and body materialization per job) may allocate more than 5%
 # over the committed baseline, counted both as allocations and as bytes
 # requested. The counts are deterministic (one thread, fixed corpus),
 # so the gate does not flake with the host. dataflow_ms is printed for

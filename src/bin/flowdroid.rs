@@ -439,7 +439,7 @@ fn client(args: &[String]) -> ExitCode {
                 out.line(&v.to_line());
                 let f = |name| v.u64_field(name).unwrap_or(0);
                 out.line(&format!(
-                    "per-app cache: {} resident, prepared {} hit(s) / {} miss(es) / \
+                    "per-app cache: {} name(s) resident, {} hit(s) / {} miss(es) / \
                      {} eviction(s), callgraph setup {} replayed / {} built",
                     f("prepared_cache_entries"),
                     f("prepared_cache_hits"),
