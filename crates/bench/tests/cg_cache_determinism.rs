@@ -6,9 +6,8 @@
 //! whether it runs from its parse or from a prepared job whose setup
 //! was computed cold or replayed.
 
-use flowdroid_bench::{
-    find_job, parse_job, prepare, run_parsed, run_prepared, run_single, shared_platform_snapshot,
-};
+use flowdroid_bench::{find_job, run_single, shared_platform_snapshot};
+use flowdroid_core::job::{parse_job, prepare, run_parsed, run_prepared};
 use flowdroid_core::InfoflowConfig;
 
 const APPS: &[&str] =

@@ -88,7 +88,8 @@ impl<'a> Infoflow<'a> {
     /// Runs the full Android pipeline on an already-loaded [`App`]
     /// (paper Figure 4, after parsing): entry-point model → dummy main
     /// → call graph → taint analysis. UI password fields from the app's
-    /// layouts are registered as sources automatically.
+    /// layouts are registered as sources automatically. This is
+    /// [`Infoflow::analyze_app_cached`] on a fresh slot.
     ///
     /// `tag` uniquifies the generated dummy-main class.
     pub fn analyze_app(
@@ -98,116 +99,95 @@ impl<'a> Infoflow<'a> {
         app: &App,
         tag: &str,
     ) -> AppAnalysis {
-        let setup = self.app_setup(program, platform, app, tag);
-        let results = self.solve_app(program, app, &setup);
-        AppAnalysis { dummy_main: setup.dummy_main, model: setup.model, results }
+        let slot = OnceLock::new();
+        let (results, _) = self.analyze_app_cached(program, platform, app, tag, None, &slot);
+        let setup = slot.into_inner().expect("a run fills its slot");
+        let model = setup.model.expect("a lifecycle setup has a model");
+        AppAnalysis { dummy_main: setup.entry, model, results }
     }
 
-    /// Like [`Infoflow::analyze_app`], but keeps the app's setup in
-    /// `slot`. The first run fills the slot through the same cold path
-    /// as [`Infoflow::analyze_app`]; every later run skips the
-    /// component-discovery fixpoint, reachable closure and callgraph
-    /// construction: it replays the recorded materialization log
-    /// through [`Program::ensure_body`], which reproduces the cold
-    /// path's arena state exactly (decoding is deterministic and ids
-    /// are minted in replay order), and reuses the recorded callgraph.
-    /// Returns the analysis plus whether the setup was replayed.
+    /// Analyzes `app` from `main`, or, when `main` is `None`, from the
+    /// dummy main of its entry-point model (`tag` uniquifies its
+    /// class), keeping the app's setup in `slot`. The first run fills
+    /// the slot: the model and dummy main (an entry-method run has
+    /// neither), the bodies a lazily loaded program still needs, and
+    /// the callgraph. Every later run skips the component-discovery
+    /// fixpoint, reachable closure and callgraph construction: it
+    /// replays the recorded materialization log through
+    /// [`Program::ensure_body`], which reproduces the cold path's arena
+    /// state exactly (decoding is deterministic and ids are minted in
+    /// replay order), and reuses the recorded callgraph. Returns the
+    /// results plus whether the setup was replayed.
     ///
     /// The slot belongs to one loaded app: every run must load the same
-    /// code over the same platform, under the same `cg_algorithm` and
-    /// `callback_association`.
+    /// code over the same platform, from the same `main`, under the
+    /// same `cg_algorithm` and `callback_association`.
     pub fn analyze_app_cached(
         &self,
         program: &mut Program,
         platform: &PlatformInfo,
         app: &App,
         tag: &str,
+        main: Option<MethodId>,
         slot: &OnceLock<AppSetup>,
-    ) -> (AppAnalysis, bool) {
+    ) -> (InfoflowResults, bool) {
         let mut replayed = true;
         // The setup is stored before solving: it stays valid when the
         // solver aborts on a deadline, so a retry still starts warm.
         let setup = slot.get_or_init(|| {
             replayed = false;
-            self.app_setup(program, platform, app, tag)
+            self.app_setup(program, platform, app, tag, main)
         });
         if replayed {
             for &m in &setup.pre_main {
                 program.ensure_body(m);
             }
-            let dummy_main = generate_dummy_main(program, platform, &setup.model, tag);
-            assert_eq!(dummy_main, setup.dummy_main, "setup replay diverged from the cold path");
+            if let Some(model) = &setup.model {
+                let dummy_main = generate_dummy_main(program, platform, model, tag);
+                assert_eq!(dummy_main, setup.entry, "setup replay diverged from the cold path");
+            }
             for &m in &setup.post_main {
                 program.ensure_body(m);
             }
         }
-        let results = self.solve_app(program, app, setup);
-        let analysis =
-            AppAnalysis { dummy_main: setup.dummy_main, model: setup.model.clone(), results };
-        (analysis, replayed)
+        let sources_owned = self.app_sources(app);
+        let sources: &SourceSinkManager = sources_owned.as_ref().unwrap_or(self.sources);
+        let icfg = Icfg::new(program, &setup.cg);
+        (self.solve(icfg, sources, &[setup.entry]), replayed)
     }
 
-    /// The cold setup of an app: entry-point model, dummy main, the
-    /// bodies a lazily loaded program still needs, and the callgraph.
+    /// The cold setup of an app: entry-point model and dummy main
+    /// (unless it runs from `main`), the bodies a lazily loaded program
+    /// still needs, and the callgraph.
     fn app_setup(
         &self,
         program: &mut Program,
         platform: &PlatformInfo,
         app: &App,
         tag: &str,
+        main: Option<MethodId>,
     ) -> AppSetup {
         let log_start = program.materialization_log().len();
+        let association = self.config.callback_association;
         let model =
-            EntryPointModel::build(program, platform, app, self.config.callback_association);
+            main.is_none().then(|| EntryPointModel::build(program, platform, app, association));
         let pre_main = program.materialization_log()[log_start..].to_vec();
-        let dummy_main = generate_dummy_main(program, platform, &model, tag);
-        // Lazily loaded apps: decode any remaining bodies the dummy main
-        // can reach (the model-building pass above already materialized
+        let entry = match &model {
+            Some(model) => generate_dummy_main(program, platform, model, tag),
+            None => main.expect("a run without a model has an entry method"),
+        };
+        // Lazily loaded apps: decode any remaining bodies the entry can
+        // reach (the model-building pass above already materialized
         // per-component slices; this picks up static initializers and
         // the dummy-main glue). No-op on eager programs.
         let log_mid = program.materialization_log().len();
-        materialize_pending(program, &[dummy_main]);
-        let post_main = program.materialization_log()[log_mid..].to_vec();
-        let cg = CallGraph::build(program, &[dummy_main], self.config.cg_algorithm);
-        AppSetup { model, pre_main, dummy_main, post_main, cg }
-    }
-
-    /// Solves an app from its dummy main over `setup`'s callgraph.
-    fn solve_app(&self, program: &Program, app: &App, setup: &AppSetup) -> InfoflowResults {
-        let sources_owned = self.app_sources(app);
-        let sources: &SourceSinkManager = sources_owned.as_ref().unwrap_or(self.sources);
-        let icfg = Icfg::new(program, &setup.cg);
-        self.solve(icfg, sources, &[setup.dummy_main])
-    }
-
-    /// Like [`Infoflow::run`] on a program loaded through the
-    /// demand-driven frontend ([`flowdroid_frontend::sdex::decode_lazy`]),
-    /// keeping the setup in `slot` as [`Infoflow::analyze_app_cached`]
-    /// does: the first run materializes the bodies reachable from
-    /// `entry_points` and builds the callgraph, later runs replay both.
-    /// Returns the results plus whether the setup was replayed.
-    pub fn run_demand_cached(
-        &self,
-        program: &mut Program,
-        entry_points: &[MethodId],
-        slot: &OnceLock<EntrySetup>,
-    ) -> (InfoflowResults, bool) {
-        let mut replayed = true;
-        let setup = slot.get_or_init(|| {
-            replayed = false;
-            let log_start = program.materialization_log().len();
-            materialize_pending(program, entry_points);
-            let materialized = program.materialization_log()[log_start..].to_vec();
-            let cg = CallGraph::build(program, entry_points, self.config.cg_algorithm);
-            EntrySetup { materialized, cg }
-        });
-        if replayed {
-            for &m in &setup.materialized {
-                program.ensure_body(m);
-            }
+        if program.has_pending_bodies() {
+            let hierarchy = Hierarchy::build(program);
+            materialize_reachable(program, &hierarchy, &[entry]);
         }
-        let icfg = Icfg::new(program, &setup.cg);
-        (self.solve(icfg, self.sources, entry_points), replayed)
+        let post_main = program.materialization_log()[log_mid..].to_vec();
+        let cg = CallGraph::build(program, &[entry], self.config.cg_algorithm);
+        AppSetup { model, pre_main, entry, post_main, cg }
     }
 
     /// UI password-field sources for `app` (paper §3: layout-declared
@@ -237,37 +217,21 @@ impl<'a> Infoflow<'a> {
     }
 }
 
-/// Materializes the pending bodies reachable from `entry_points`; a
-/// no-op on eagerly loaded programs.
-fn materialize_pending(program: &mut Program, entry_points: &[MethodId]) {
-    if program.has_pending_bodies() {
-        let hierarchy = Hierarchy::build(program);
-        materialize_reachable(program, &hierarchy, entry_points);
-    }
-}
-
 /// An app's analysis setup, everything between "program loaded" and
-/// "solver starts": the entry-point model, the materialization-log slices a fresh load of
-/// the same app replays to reproduce the cold path's bodies, the dummy
-/// main that replay must regenerate, and the callgraph. Filled and
-/// replayed by [`Infoflow::analyze_app_cached`].
+/// "solver starts": the entry-point model (none for an entry-method
+/// run), the materialization-log slices a fresh load of the same app
+/// replays to reproduce the cold path's bodies, the entry method (the
+/// dummy main that replay must regenerate, or the explicit entry), and
+/// the callgraph. Filled and replayed by
+/// [`Infoflow::analyze_app_cached`].
 #[derive(Debug)]
 pub struct AppSetup {
-    model: EntryPointModel,
+    model: Option<EntryPointModel>,
     /// Bodies materialized during component discovery, in order.
     pre_main: Vec<MethodId>,
-    dummy_main: MethodId,
-    /// Bodies materialized by the post-dummy-main closure, in order.
+    entry: MethodId,
+    /// Bodies materialized by the closure from the entry, in order.
     post_main: Vec<MethodId>,
-    cg: CallGraph,
-}
-
-/// The setup of a program analyzed from explicit entry points: the
-/// bodies its reachable closure materialized, in order, and the
-/// callgraph. Filled and replayed by [`Infoflow::run_demand_cached`].
-#[derive(Debug)]
-pub struct EntrySetup {
-    materialized: Vec<MethodId>,
     cg: CallGraph,
 }
 

@@ -35,6 +35,7 @@ pub mod config;
 mod flows;
 pub mod icc;
 pub mod intern;
+pub mod job;
 pub mod results;
 pub mod solver;
 pub mod sourcesink;
@@ -42,12 +43,13 @@ pub mod taint;
 pub mod wrappers;
 
 pub use access_path::{AccessPath, ApBase};
-pub use analysis::{AppAnalysis, AppSetup, EntrySetup, Infoflow};
+pub use analysis::{AppAnalysis, AppSetup, Infoflow};
 pub use config::{InfoflowConfig, ProgressEvent, ProgressSink};
 pub use flowdroid_ifds::{AbortHandle, AbortReason, TableStats};
 pub use flows::{CallSite, CallSites};
 pub use icc::{analyze_app_linked, IccResults};
 pub use intern::{ApId, FactId, Interner};
+pub use job::{Job, JobRun, ParsedJob, PreparedJob, Rules};
 pub use results::{InfoflowResults, Leak};
 pub use sourcesink::{CallRoles, SourceSinkManager, SourceSinkParseError};
 pub use taint::{Fact, Taint};

@@ -77,8 +77,9 @@ impl From<std::io::Error> for AppError {
 /// [`App::from_dir`]; consumed by the lifecycle model and the taint
 /// analysis. The IR classes live in the [`Program`] passed to the
 /// loader (which typically already contains the Android platform
-/// stubs).
-#[derive(Debug)]
+/// stubs). The default app has no manifest entries, layouts, resources
+/// or classes.
+#[derive(Clone, Debug, Default)]
 pub struct App {
     /// The parsed manifest.
     pub manifest: Manifest,

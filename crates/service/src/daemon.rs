@@ -10,14 +10,21 @@
 //! exactly once at bind time, frozen into a shared
 //! [`flowdroid_ir::ProgramBase`], and shared read-only across all
 //! worker jobs. Each job opens a cheap copy-on-write *overlay* over
-//! that base (no deep clone of the platform arena) and loads app code
-//! through the demand-driven frontend, so per-job setup cost is the
-//! app decode plus call-graph work — not the platform build or copy —
-//! and an aborted job can never leave partially materialized bodies
-//! behind: materialization happens in the job's private overlay only.
+//! that base (no deep clone of the platform arena) and loads the app
+//! into it: a name's first run parses the app with every body decoded,
+//! later runs decode its SDEX image lazily (see the stages below). So
+//! per-job setup cost is the app load plus call-graph work — not the
+//! platform build or copy — and an aborted job can never leave
+//! partially materialized bodies behind: whatever a job loads goes
+//! into its private overlay only.
+//!
+//! Jobs run on the job path of [`flowdroid_core::job`]. A name that is
+//! not an app path is resolved to a job by
+//! [`DaemonOptions::resolve`]; the daemon itself knows no built-in
+//! apps.
 //!
 //! The daemon keeps one per-app cache, a bounded LRU keyed by job name
-//! — the corpus name, or `external/<content-hash>/<stem>` for an
+//! — the resolved name, or `external/<content-hash>/<stem>` for an
 //! on-disk app — and an app goes through three stages in it:
 //!
 //! * **seen**: a name's first submission is parsed on the connection
@@ -33,7 +40,7 @@
 //!   the app's entry-point model, materialization log and callgraph on
 //!   the prepared job.
 //! * **replayed**: every later submission skips the parse (and, for
-//!   corpus names, the corpus lookup) and replays that setup instead of
+//!   resolved names, the resolver) and replays that setup instead of
 //!   re-discovering components and rebuilding the callgraph.
 //!
 //! The daemon's memory stays bounded however many distinct apps it
@@ -78,10 +85,10 @@ use crate::proto::{
     denied_line, error_line, rejected_line, AnalyzeRequest, JobResult, Priority, Request,
 };
 use flowdroid_android::{build_snapshot, load_snapshot, PlatformSnapshot};
-use flowdroid_bench::{
-    find_job, parse_job, prepare, run_parsed, run_prepared, CorpusJob, ParsedJob, PreparedJob,
+use flowdroid_core::job::{parse_job, prepare, run_parsed, run_prepared};
+use flowdroid_core::{
+    AbortHandle, InfoflowConfig, Job, ParsedJob, PreparedJob, ProgressEvent, ProgressSink,
 };
-use flowdroid_core::{AbortHandle, InfoflowConfig, ProgressEvent, ProgressSink};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::PathBuf;
@@ -142,6 +149,11 @@ pub struct DaemonOptions {
     /// when this is empty — gets a typed `denied` reply. See
     /// [`crate::external::AppPolicy`].
     pub allow_apps: Vec<PathBuf>,
+    /// Resolves an `analyze` request's `app` that is not an app path to
+    /// the job it names; `None` refuses the name as unknown.
+    /// [`DaemonOptions::new`] resolves nothing, so its daemon serves
+    /// allowed app paths only.
+    pub resolve: fn(&str) -> Option<Job>,
 }
 
 impl DaemonOptions {
@@ -153,6 +165,7 @@ impl DaemonOptions {
             platform_snapshot: None,
             queue_cap: DEFAULT_QUEUE_CAP,
             allow_apps: Vec::new(),
+            resolve: |_| None,
         }
     }
 }
@@ -328,6 +341,8 @@ struct Shared {
     stop_accept: AtomicBool,
     /// The external-app sandbox ([`DaemonOptions::allow_apps`]).
     policy: AppPolicy,
+    /// [`DaemonOptions::resolve`].
+    resolve: fn(&str) -> Option<Job>,
     /// The shared, read-only platform model every job overlays.
     snapshot: Arc<PlatformSnapshot>,
     /// Every name submitted, seen once or prepared (see the module
@@ -387,6 +402,7 @@ impl Daemon {
             queue_cap: opts.queue_cap,
             stop_accept: AtomicBool::new(false),
             policy,
+            resolve: opts.resolve,
             snapshot: Arc::new(snapshot),
             apps: Lru::new(CACHE_CAPACITY),
             snapshot_load_ms,
@@ -727,10 +743,9 @@ fn submit(
         match shared.apps.lookup(app) {
             Some(AppState::Prepared(prepared)) => (Work::Prepared(prepared), 0),
             seen => {
-                let job = find_job(app).ok_or_else(|| {
+                let job = (shared.resolve)(app).ok_or_else(|| {
                     Refusal::Error(format!(
-                        "unknown app `{app}` (expected a corpus name, `stress/<K>`, or an \
-                         allowed app path)"
+                        "unknown app `{app}` (neither a name this daemon resolves nor an app path)"
                     ))
                 })?;
                 load_and_record(shared, app, &job, seen.is_some()).map_err(cannot_load)?
@@ -792,7 +807,7 @@ fn submit(
 fn load_and_record(
     shared: &Shared,
     key: &str,
-    job: &CorpusJob,
+    job: &Job,
     seen: bool,
 ) -> Result<(Work, u64), String> {
     let start = Instant::now();
@@ -943,7 +958,8 @@ mod tests {
     fn app_cache_keeps_prepared_jobs_and_evicts_the_coldest_name() {
         let snapshot = flowdroid_bench::shared_platform_snapshot();
         let prepared = |name: &str| {
-            Arc::new(prepare(&find_job(name).expect("stress job"), snapshot).expect("parses"))
+            let job = flowdroid_bench::find_job(name).expect("stress job");
+            Arc::new(prepare(&job, snapshot).expect("parses"))
         };
         let replayed = |job: &PreparedJob| {
             run_prepared(job, &InfoflowConfig::default(), snapshot).setup_replayed

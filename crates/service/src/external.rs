@@ -14,18 +14,18 @@
 //! * [`load_external_job`] — the loader. Accepts an on-disk app
 //!   directory (`AndroidManifest.xml`, `res/layout/*.xml`,
 //!   `classes.jasm`) or a packed `.rpk` archive, and builds a
-//!   [`CorpusJob`] whose name folds in a content hash: the daemon's
+//!   [`Job`] whose name folds in a content hash: the daemon's
 //!   per-app cache is keyed by name, and a cached prepared job carries
 //!   its app's callgraph setup, so two different apps at the same path
 //!   — or the same path edited between submissions — must never
 //!   collide on a name. The hash covers each part's length as well as
 //!   its bytes, so no two apps whose parts merely concatenate to the
 //!   same bytes share one. The loader only reads and names the app;
-//!   parsing it is [`flowdroid_bench::parse_job`]'s job (through
-//!   [`flowdroid_bench::prepare`] on a second submission), which the
-//!   daemon skips once the name is prepared.
+//!   parsing it is [`flowdroid_core::job::parse_job`]'s job (through
+//!   [`flowdroid_core::job::prepare`] on a second submission), which
+//!   the daemon skips once the name is prepared.
 
-use flowdroid_bench::{external_job, CorpusJob};
+use flowdroid_core::{Job, Rules};
 use flowdroid_frontend::rpk::Archive;
 use flowdroid_ir::Fnv1a64;
 use std::hash::Hasher;
@@ -192,20 +192,21 @@ fn load_rpk(path: &Path) -> Result<AppParts, String> {
 }
 
 /// Reads an external app (directory or `.rpk`) from an
-/// *already-policy-resolved* path into a corpus job. The job name is
+/// *already-policy-resolved* path into a job under the built-in Android
+/// rules ([`Rules::android`]). The job name is
 /// `external/<content-hash>/<stem>` — content-unique, so a cache keyed
 /// by it can never serve a stale parse for an edited app. The app's
 /// code is not parsed here: on the submitting connection the daemon
-/// parses it with [`flowdroid_bench::parse_job`] on the name's first
-/// submission and with [`flowdroid_bench::prepare`] on its second, and
-/// parses nothing after; a malformed app is refused on its first
-/// submission, never on a worker.
+/// parses it with [`flowdroid_core::job::parse_job`] on the name's
+/// first submission and with [`flowdroid_core::job::prepare`] on its
+/// second, and parses nothing after; a malformed app is refused on its
+/// first submission, never on a worker.
 ///
 /// # Errors
 ///
 /// A human-readable message when the path is neither a readable app
 /// directory nor a well-formed archive with the required entries.
-pub fn load_external_job(real: &Path) -> Result<CorpusJob, String> {
+pub fn load_external_job(real: &Path) -> Result<Job, String> {
     let (manifest, layouts, code) = if real.is_dir() { load_dir(real) } else { load_rpk(real) }?;
     let stem = real
         .file_stem()
@@ -215,7 +216,8 @@ pub fn load_external_job(real: &Path) -> Result<CorpusJob, String> {
         .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') { c } else { '_' })
         .collect::<String>();
     let hash = content_hash(&manifest, &layouts, &code);
-    Ok(external_job(format!("external/{hash:016x}/{stem}"), manifest, layouts, code))
+    let name = format!("external/{hash:016x}/{stem}");
+    Ok(Job::app(name, manifest, layouts, code, Rules::android()))
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //!   with admission control (bounded depth, `rejected` backpressure
 //!   replies), worker pool, job registry with per-job
 //!   [`flowdroid_core::AbortHandle`]s (deadline, cancel, budget), and
-//!   a per-connection frame relay for streamed jobs;
+//!   a per-connection frame relay for streamed jobs. Jobs run on
+//!   [`flowdroid_core::job`]; bare names resolve through the resolver
+//!   the embedder installs ([`DaemonOptions::resolve`]);
 //! * [`external`] — serving external apps: the `--allow-apps`
 //!   path-policy sandbox ([`AppPolicy`]) and the on-disk app-dir /
 //!   `.rpk` loader, with typed `denied` replies for paths outside the

@@ -38,6 +38,7 @@ fn spawn_daemon_capped(
         queue_cap,
         platform_snapshot: snapshot,
         allow_apps: Vec::new(),
+        resolve: flowdroid_bench::find_job,
     })
     .expect("bind daemon");
     let addr = daemon.local_addr().to_string();
@@ -259,6 +260,7 @@ fn shutdown_unlinks_unix_socket_while_a_job_is_still_draining() {
         queue_cap: 0,
         platform_snapshot: None,
         allow_apps: Vec::new(),
+        resolve: flowdroid_bench::find_job,
     })
     .expect("bind unix daemon");
     let addr = daemon.local_addr().to_string();
@@ -613,6 +615,7 @@ fn spawn_daemon_allow(allow_apps: Vec<PathBuf>) -> (String, std::thread::JoinHan
         queue_cap: 0,
         platform_snapshot: None,
         allow_apps,
+        resolve: flowdroid_bench::find_job,
     })
     .expect("bind daemon");
     let addr = daemon.local_addr().to_string();
@@ -703,6 +706,43 @@ fn daemon_serves_external_apps_under_path_policy() {
     daemon.join().expect("accept loop exits cleanly");
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&outside);
+}
+
+/// A daemon bound with [`DaemonOptions::new`] resolves no name: corpus
+/// names and `stress/<K>` chains are unknown apps, and the refusal does
+/// not offer them, while an allowed `.rpk` still analyzes.
+#[test]
+fn default_daemon_resolves_no_name_but_serves_allowed_paths() {
+    let root = temp_dir("no-resolver-root");
+    std::fs::create_dir_all(&root).unwrap();
+    let truth = flowdroid_truth::generate_corpus(7, 1);
+    let field = truth.iter().find(|a| a.category == "field").unwrap();
+    let rpk = root.join("field.rpk");
+    std::fs::write(&rpk, field.rpk_bytes()).unwrap();
+
+    let daemon = Daemon::bind(DaemonOptions {
+        workers: 1,
+        allow_apps: vec![root.clone()],
+        ..DaemonOptions::new(Listen::parse("127.0.0.1:0"))
+    })
+    .expect("bind daemon");
+    let addr = daemon.local_addr().to_string();
+    let accept_loop = std::thread::spawn(move || daemon.run().expect("daemon run"));
+    let mut c = Client::connect(&addr).expect("connect");
+
+    for name in ["insecurebank", "stress/5"] {
+        let err = c.analyze(name, None, None).expect_err("a default daemon resolves no name");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("unknown app `{name}`")), "got: {msg}");
+        assert!(!msg.contains("corpus") && !msg.contains("stress/<K>"), "got: {msg}");
+    }
+    let (_, result) = c.analyze(rpk.to_str().unwrap(), None, None).expect("allowed rpk");
+    assert_eq!(result.leaks as usize, field.expected_reported);
+    assert_eq!(result.report, local_report(&rpk));
+
+    c.shutdown().expect("shutdown");
+    accept_loop.join().expect("accept loop exits cleanly");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The report of a local, daemon-free run of the app at `path`, read

@@ -21,11 +21,9 @@
 
 use crate::generate::TruthApp;
 use flowdroid_android::install_platform;
-use flowdroid_bench::{
-    corpus_report, prepare, run_corpus, run_prepared, run_single, shared_platform_snapshot, AppRun,
-    CorpusJob, CorpusRun,
-};
-use flowdroid_core::{icc, InfoflowConfig, SourceSinkManager, TaintWrapper};
+use flowdroid_bench::{corpus_report, run_corpus, run_single, shared_platform_snapshot, CorpusRun};
+use flowdroid_core::job::{prepare, run_prepared};
+use flowdroid_core::{icc, InfoflowConfig, Job, JobRun, SourceSinkManager, TaintWrapper};
 use flowdroid_droidbench::{AppScore, ScoreBoard};
 use flowdroid_frontend::App;
 use flowdroid_ir::Program;
@@ -116,7 +114,7 @@ fn outcome(name: &'static str, run: &CorpusRun) -> EngineOutcome {
 
 /// Sweeps every engine configuration over `apps`.
 pub fn run_differential(apps: &[TruthApp]) -> Differential {
-    let jobs: Vec<CorpusJob> = apps.iter().map(|a| a.job()).collect();
+    let jobs: Vec<Job> = apps.iter().map(|a| a.job()).collect();
     let mut engines = Vec::new();
 
     let config = InfoflowConfig::default();
@@ -128,7 +126,7 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
     // prepared job: the first (cold) run stores the callgraph setup on
     // it, the next replays it.
     let snapshot = shared_platform_snapshot();
-    let (mut cold, mut warm): (Vec<AppRun>, Vec<AppRun>) = jobs
+    let (mut cold, mut warm): (Vec<JobRun>, Vec<JobRun>) = jobs
         .iter()
         .map(|job| {
             let prepared = prepare(job, snapshot).expect("truth app parses");
@@ -185,7 +183,7 @@ pub fn run_differential(apps: &[TruthApp]) -> Differential {
     let mut k_limit = KLimitProbe::default();
     let widening: Vec<&TruthApp> = apps.iter().filter(|a| a.category == "widening").collect();
     if !widening.is_empty() {
-        let jobs: Vec<CorpusJob> = widening.iter().map(|a| a.job()).collect();
+        let jobs: Vec<Job> = widening.iter().map(|a| a.job()).collect();
         let loose = run_corpus(
             &jobs,
             &InfoflowConfig::default().with_access_path_length(LOOSE_AP_BOUND),

@@ -15,6 +15,7 @@
 //! Generation is deterministic: the same `(seed, per_category)` always
 //! produces byte-identical apps, so app names double as content keys.
 
+use flowdroid_core::{Job, Rules};
 use flowdroid_ir::fnv1a64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,14 +73,10 @@ pub struct TruthApp {
 }
 
 impl TruthApp {
-    /// Wraps the app as a corpus job for the bench driver.
-    pub fn job(&self) -> flowdroid_bench::CorpusJob {
-        flowdroid_bench::external_job(
-            self.name.clone(),
-            self.manifest.clone(),
-            self.layouts.clone(),
-            self.code.clone(),
-        )
+    /// Wraps the app as a job under the built-in Android rules.
+    pub fn job(&self) -> Job {
+        let (name, manifest, code) = (self.name.clone(), self.manifest.clone(), self.code.clone());
+        Job::app(name, manifest, self.layouts.clone(), code, Rules::android())
     }
 
     /// The ground-truth manifest as JSON (embedded in `.rpk` exports as

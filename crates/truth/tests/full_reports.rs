@@ -18,8 +18,8 @@
 //!
 //! [`InfoflowResults::report`]: flowdroid_core::InfoflowResults::report
 
-use flowdroid_bench::{droidbench_corpus, full_report, micro_job, stress_job, CorpusJob};
-use flowdroid_core::InfoflowConfig;
+use flowdroid_bench::{droidbench_corpus, full_report, micro_job, stress_job};
+use flowdroid_core::{InfoflowConfig, Job};
 use flowdroid_securibench::{Group, MicroCase};
 use flowdroid_truth::generate_corpus;
 use std::fmt::Write;
@@ -27,7 +27,7 @@ use std::fmt::Write;
 const GOLDEN: &str = include_str!("golden/full_reports.txt");
 
 /// A SecuriBench-style job over `code`, whose entry is `<class>.main`.
-fn program(class: &str, code: &str) -> CorpusJob {
+fn program(class: &str, code: &str) -> Job {
     micro_job(MicroCase {
         name: format!("golden/{class}"),
         group: Group::Basic,
@@ -176,7 +176,7 @@ fn strip_duration(report: &str) -> String {
 
 fn render_all() -> String {
     let config = InfoflowConfig::default();
-    let mut jobs: Vec<(CorpusJob, InfoflowConfig)> = Vec::new();
+    let mut jobs: Vec<(Job, InfoflowConfig)> = Vec::new();
     for app in generate_corpus(41, 12) {
         jobs.push((app.job(), config.clone()));
     }

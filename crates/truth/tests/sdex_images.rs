@@ -7,7 +7,7 @@
 //! This test loads the same apps as `parsed_ir.rs` (every DroidBench
 //! app, InsecureBank, every SecuriBench Micro case and one seed of the
 //! generated truth corpus) over the platform stubs, encodes the app's
-//! classes the way `flowdroid_bench::prepare` does, and compares one
+//! classes the way `flowdroid_core::job::prepare` does, and compares one
 //! `fnv1a64` of the image per app with `tests/golden/sdex_images.txt`.
 //!
 //! On a mismatch the rendered lines are written to Cargo's temporary

@@ -2,7 +2,8 @@
 # Tier-1 verification gate plus solver statistics.
 #
 # Usage: scripts/verify.sh [--full]
-#   default : tier-1 gate (release build + root tests) + solver stats
+#   default : tier-1 gate (release build + root tests), the service
+#             dependency gate, solver stats and the serving smoke
 #   --full  : additionally runs the whole workspace test suite (every
 #             test binary, even after one fails), the service crate's
 #             tests again in release (their timing-bound tests must
@@ -20,6 +21,19 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+# The daemon runs the job path of flowdroid-core; the benchmark suites
+# and harnesses are linked only by the binaries that serve or sweep
+# them (`flowdroid serve`, `solver_stats`), never by the service crate.
+echo "== dependency gate: flowdroid-service links no benchmark crate"
+service_deps=$(cargo tree -p flowdroid-service -e normal --offline --prefix none)
+for crate in flowdroid-bench flowdroid-truth flowdroid-droidbench flowdroid-securibench \
+    flowdroid-baselines; do
+    if grep -q "^${crate} " <<<"$service_deps"; then
+        echo "FAIL: flowdroid-service depends on ${crate}" >&2
+        exit 1
+    fi
+done
 
 if [[ "${1:-}" == "--full" ]]; then
     echo "== full workspace test suite"
@@ -49,7 +63,7 @@ trap 'rm -f BENCH_solver.baseline.json' EXIT
 # agreement); see the binary's module docs. This script only runs it,
 # plus the one gate that needs the committed baseline.
 echo "== solver stats (writes BENCH_solver.json)"
-cargo run --release -p flowdroid-service --bin solver_stats -- BENCH_solver.json >/dev/null
+cargo run --release --bin solver_stats -- BENCH_solver.json >/dev/null
 
 echo "== BENCH_solver.json comparison block"
 sed -n '/"comparison"/,$p' BENCH_solver.json

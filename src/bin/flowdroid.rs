@@ -212,7 +212,9 @@ fn analyze(args: &[String]) -> ExitCode {
 }
 
 /// `flowdroid serve --listen <addr> [--workers <n>] [--queue-cap <n>]
-/// [--platform-snapshot <platform.fdps>] [--allow-apps <dir>]...`
+/// [--platform-snapshot <platform.fdps>] [--allow-apps <dir>]...`.
+/// Besides allowed app paths, the daemon serves the benchmark corpus
+/// and `stress/<K>` chains by name ([`flowdroid_bench::find_job`]).
 fn serve(args: &[String]) -> ExitCode {
     use flowdroid_service::{Daemon, DaemonOptions, Listen, DEFAULT_QUEUE_CAP};
     let mut listen = None;
@@ -280,6 +282,7 @@ fn serve(args: &[String]) -> ExitCode {
         queue_cap,
         platform_snapshot,
         allow_apps,
+        resolve: flowdroid_bench::find_job,
     }) {
         Ok(d) => d,
         Err(e) => {

@@ -42,9 +42,9 @@
 
 use flowdroid_bench::driver::{
     analyze_micro, corpus_report, full_corpus, micro_program, run_corpus, run_single,
-    run_single_lazy, stress_job, AppRun, CorpusJob, CorpusRun,
+    run_single_lazy, stress_job, CorpusRun,
 };
-use flowdroid_core::{InfoflowConfig, TableStats};
+use flowdroid_core::{InfoflowConfig, Job, JobRun, TableStats};
 use flowdroid_service::{Client, Daemon, DaemonOptions, Listen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -120,9 +120,9 @@ fn ms(d: std::time::Duration) -> f64 {
 
 fn measure(
     name: &'static str,
-    jobs: &[CorpusJob],
+    jobs: &[Job],
     config: &InfoflowConfig,
-    run_job: fn(&CorpusJob, &InfoflowConfig) -> AppRun,
+    run_job: fn(&Job, &InfoflowConfig) -> JobRun,
 ) -> ModeStats {
     reset_alloc_counters();
     let run: CorpusRun = run_corpus(jobs, config, run_job);
@@ -440,11 +440,10 @@ fn ground_truth(failures: &mut Vec<String>) -> String {
         })
         .collect();
     let daemon = Daemon::bind(DaemonOptions {
-        listen: Listen::parse("127.0.0.1:0"),
         workers: 2,
         queue_cap: 0,
-        platform_snapshot: None,
         allow_apps: vec![root.clone()],
+        ..DaemonOptions::new(Listen::parse("127.0.0.1:0"))
     })
     .expect("bind daemon");
     let addr = daemon.local_addr().to_string();
