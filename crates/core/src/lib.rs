@@ -40,6 +40,7 @@ pub mod results;
 pub mod solver;
 pub mod sourcesink;
 pub mod taint;
+mod walk;
 pub mod wrappers;
 
 pub use access_path::{AccessPath, ApBase};

@@ -54,6 +54,12 @@ pub struct InfoflowResults {
     /// Backward path edges popped off the worklist, likewise. Not
     /// rendered in [`InfoflowResults::report`].
     pub backward_pops: u64,
+    /// Statements a walk judged with its per-statement predicate,
+    /// forward and backward. A walk records the edges between two
+    /// statements that might touch its fact in one fill, judging only
+    /// where it stops, so this is far below the propagations. Not
+    /// rendered in [`InfoflowResults::report`].
+    pub walk_checks: u64,
     /// Methods reachable from the entry points.
     pub reachable_methods: usize,
     /// Distinct facts hash-consed by the solver's interner (including

@@ -47,6 +47,21 @@
 //! provenance as one that queued every edge; only the worklist pops
 //! shrink.
 //!
+//! A walk does not judge every statement it passes. Once a statement
+//! passes and falls through to the next one alone, the walk jumps: the
+//! method's walk index (`walk::WalkIndex`) names the next statement
+//! that might touch the fact — the end of the straight-line run, the
+//! next statement that mentions the fact's local, the next call for
+//! the zero fact or an inactive taint, the taint's activation
+//! statement — and the walk records the edges up to it in one fill of
+//! its row
+//! ([`Tabulator::fill_in`]), each counted as one propagation exactly as
+//! a step would count it. The fill stops early at a statement that
+//! already has an edge for the fact, and forward at the propagation
+//! budget, so tables, counts, pops, provenance and budget aborts are
+//! those of a walk that judged every statement; only `walk_checks`, the
+//! statements judged, shrinks.
+//!
 //! A walk passes calls too. A taint rooted at a local that a call does
 //! not mention — not its receiver, an argument or its result — enters
 //! no callee, and its call-to-return flow passes it on unchanged (paper
@@ -70,10 +85,11 @@
 //! Propagating an edge allocates nothing in the steady state: CFG
 //! edges are borrowed from the method bodies, flow functions refill
 //! buffers the solver owns, a walk reuses one stack, and the provenance
-//! that is recorded lives in one arena (`Provenance`). One walk step is
-//! an 8-byte slot write into the walk's row and a statement check.
-//! What remains is table growth: a row is allocated once, at its
-//! method's length.
+//! that is recorded lives in one arena (`Provenance`), as does the walk
+//! index of every method walked in. An edge a walk fills is an 8-byte
+//! slot write into the walk's row; a statement check is paid only where
+//! a jump stops. What remains is table growth: a row is allocated
+//! once, at its method's length.
 
 use crate::config::InfoflowConfig;
 use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, ReachCache};
@@ -81,13 +97,11 @@ use crate::intern::{FactId, Interner};
 use crate::results::{InfoflowResults, Leak};
 use crate::sourcesink::SourceSinkManager;
 use crate::taint::{Fact, Taint};
+use crate::walk::{bw_walks_through, WalkIndex};
 use crate::wrappers::TaintWrapper;
 use flowdroid_callgraph::Icfg;
 use flowdroid_ifds::{AbortReason, Tabulator};
-use flowdroid_ir::{
-    Body, FxHashMap, FxHashSet, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtIdx,
-    StmtRef,
-};
+use flowdroid_ir::{Body, FxHashMap, FxHashSet, Local, MethodId, Program, Stmt, StmtIdx, StmtRef};
 use std::collections::hash_map::Entry;
 
 /// Edges popped between [`AbortHandle`] polls in the sequential loop.
@@ -222,6 +236,10 @@ pub struct BiSolver<'a> {
     reach_cache: ReachCache,
     /// Why the run aborted; `None` means the fixpoint was reached.
     abort_reason: Option<AbortReason>,
+    /// Where walks jump to, per method walked in.
+    walks: WalkIndex,
+    /// Statements a walk judged with its predicate.
+    walk_checks: u64,
     buf: Buffers,
 }
 
@@ -234,8 +252,8 @@ impl<'a> BiSolver<'a> {
         config: &'a InfoflowConfig,
     ) -> Self {
         let flows = Flows::new(icfg, sources, wrapper, config);
-        let methods =
-            || icfg.callgraph().reachable_methods().iter().map(|&m| (m, icfg.body_len(m)));
+        let reachable = icfg.callgraph().reachable_methods();
+        let methods = || reachable.iter().map(|&m| (m, icfg.body_len(m)));
         BiSolver {
             flows,
             interner: Interner::with_bound(config.max_access_path_length),
@@ -250,6 +268,8 @@ impl<'a> BiSolver<'a> {
             gen_source: FxHashMap::default(),
             reach_cache: ReachCache::default(),
             abort_reason: None,
+            walks: WalkIndex::new(reachable.iter().map(|m| m.index() + 1).max().unwrap_or(0)),
+            walk_checks: 0,
             buf: Buffers::default(),
         }
     }
@@ -493,6 +513,12 @@ impl<'a> BiSolver<'a> {
     /// as usual. The budget is checked as each edge is recorded: once
     /// over it, the edge in hand is queued and the walk stops.
     ///
+    /// A statement that passes and falls through to the next one alone
+    /// starts a jump: the edges up to the next statement that might
+    /// touch `df` ([`WalkIndex::fw_stop`]), and no further than the
+    /// budget allows, are recorded in one fill, and the walk goes on
+    /// from the statement the fill stopped at.
+    ///
     /// Only a generated fact (`d` ≠ `d2`) offers its first step's
     /// origin; every step of an identity flow is left for
     /// [`Self::identity_origins`] to rebuild. A walk never leaves `n`'s
@@ -519,7 +545,8 @@ impl<'a> BiSolver<'a> {
             if !self.fw.insert_in(row, idx, d1) {
                 continue;
             }
-            if budget > 0 && self.fw.propagation_count() > budget {
+            let count = self.fw.propagation_count();
+            if budget > 0 && count > budget {
                 self.fw.enqueue(d1, s, d);
                 // Each dropped step leaves a walked statement whose edge
                 // is never recorded. Its offer is still noted:
@@ -530,43 +557,40 @@ impl<'a> BiSolver<'a> {
                 }
                 break;
             }
-            if self.fw_walks_through(body, s, df) {
-                stack.extend(body.cfg().succs(idx).iter().map(|&next| (next, idx)));
-            } else {
+            self.walk_checks += 1;
+            if !self.fw_walks_through(body, s, df) {
                 self.fw.enqueue(d1, s, d);
+                continue;
             }
+            let succs = body.cfg().succs(idx);
+            if succs != [idx + 1] {
+                stack.extend(succs.iter().map(|&next| (next, idx)));
+                continue;
+            }
+            let mut stop = self.walks.fw_stop(m, body, idx + 1, df);
+            if budget > 0 {
+                // Up to the budget: the edge that crosses it is the next
+                // step's.
+                let left = usize::try_from(budget - count).unwrap_or(usize::MAX);
+                stop = stop.min((idx + 1).saturating_add(left));
+            }
+            let next = self.fw.fill_in(row, idx + 1, stop, d1);
+            for j in idx + 1..next {
+                self.note_offer((at(j), d), Some((at(j - 1), d)));
+            }
+            stack.push((next, next - 1));
         }
         self.buf.walk = stack;
     }
 
     /// Whether `s`'s forward flow certainly outputs exactly `f` and does
-    /// nothing else — no exit handling, no callee entered, no alias
-    /// query, leak or activation — so a walk may pass `s` without
-    /// processing it. `body` is the body of `s`'s method. It may answer
-    /// `false` for a statement that passes `f`, never `true` for one
-    /// that does not: `s` is not an exit, and `f` is either the zero
-    /// fact at a statement other than a call, or a taint rooted at a
-    /// local that `s` does not mention (not its receiver, an argument or
-    /// its result, at a call) which `s` leaves inactive if it is: `s` is
-    /// not its activation statement, and a call at `s` does not reach
-    /// that statement's method ([`Flows::maybe_activate`]). Facts rooted
-    /// at a static field never walk.
+    /// nothing else, so a walk may pass `s` without processing it
+    /// ([`crate::walk::fw_walks_through`]); a call leaves an inactive
+    /// taint inactive unless it reaches the method of the taint's
+    /// activation statement ([`Flows::maybe_activate`]). `body` is the
+    /// body of `s`'s method.
     fn fw_walks_through(&mut self, body: &Body, s: StmtRef, f: &Fact) -> bool {
-        let stmt = body.stmt(s.idx);
-        if stmt.is_exit() {
-            return false;
-        }
-        let Fact::T(t) = f else { return !stmt.is_call() };
-        let Some(l) = t.ap.base_local() else { return false };
-        if mentions(stmt, l) {
-            return false;
-        }
-        t.active
-            || if stmt.is_call() {
-                self.maybe_activate(s, t) == *t
-            } else {
-                t.activation != Some(s)
-            }
+        crate::walk::fw_walks_through(body.stmt(s.idx), s, f, |t| self.maybe_activate(s, t) == *t)
     }
 
     /// Injects an alias query for taint `g` (which holds after the heap
@@ -795,8 +819,10 @@ impl<'a> BiSolver<'a> {
     /// Records the backward edges `(d1, p, d)` for each predecessor `p`
     /// of `n` — fact `d` (value `df`) flowing above `n` out of the node
     /// `origin` — and walks on upward like [`Self::fw_walk`], through
-    /// the statements [`bw_walks_through`] admits. Backward edges do not
-    /// count against the budget.
+    /// the statements [`bw_walks_through`] admits, jumping up to
+    /// [`WalkIndex::bw_stop`] from a statement whose one predecessor is
+    /// the statement before it. Backward edges do not count against the
+    /// budget.
     fn bw_walk(&mut self, d1: FactId, origin: Node, (n, d): Node, df: &Fact) {
         let m = n.method;
         let body = self.body(m);
@@ -820,11 +846,22 @@ impl<'a> BiSolver<'a> {
             if !self.bw.insert_in(row, idx, d1) {
                 continue;
             }
-            if bw_walks_through(body, idx, df) {
-                stack.extend(body.cfg().preds(idx).iter().map(|&p| (p, idx)));
-            } else {
+            self.walk_checks += 1;
+            if !bw_walks_through(body, idx, df) {
                 self.bw.enqueue(d1, s, d);
+                continue;
             }
+            let preds = body.cfg().preds(idx);
+            if idx == 0 || preds != [idx - 1] {
+                stack.extend(preds.iter().map(|&p| (p, idx)));
+                continue;
+            }
+            let stop = self.walks.bw_stop(m, body, idx - 1, df);
+            let next = self.bw.fill_in(row, idx - 1, stop, d1);
+            for j in next + 1..idx {
+                self.note_offer((at(j), d), Some((at(j + 1), d)));
+            }
+            stack.push((next, next + 1));
         }
         self.buf.walk = stack;
     }
@@ -933,6 +970,7 @@ impl<'a> BiSolver<'a> {
             backward_propagations: self.bw.propagation_count(),
             forward_pops: self.fw.pop_count(),
             backward_pops: self.bw.pop_count(),
+            walk_checks: self.walk_checks,
             reachable_methods: self.flows.icfg.callgraph().reachable_methods().len(),
             distinct_facts: self.interner.fact_count(),
             distinct_aps: self.interner.ap_count(),
@@ -1056,53 +1094,6 @@ impl<'a> BiSolver<'a> {
 /// traces that result: the search then only descends into the callees.
 fn rooted_at_result(result: Option<Local>, t: &Taint) -> bool {
     result.is_some() && t.ap.base_local() == result
-}
-
-/// Whether the statement at `idx` of `body` certainly sends the
-/// backward fact `f` exactly on to its predecessors and does nothing
-/// else — no callee descent, no forward handoff at a method start, no
-/// alias found — so a walk may pass it without processing it. Like
-/// [`BiSolver::fw_walks_through`] it may answer `false` too often, never
-/// `true` wrongly: the statement has predecessors, and `f` is either the
-/// zero fact at a statement that is neither an assignment nor a call, or
-/// a taint rooted at a local the statement does not mention (so at a
-/// call it is not the result, and no callee's
-/// [`Flows::backward_call_entries`] takes it). Facts rooted at a static
-/// field never walk.
-fn bw_walks_through(body: &Body, idx: StmtIdx, f: &Fact) -> bool {
-    if body.cfg().preds(idx).is_empty() {
-        return false;
-    }
-    let stmt = body.stmt(idx);
-    match f {
-        Fact::Zero => !matches!(stmt, Stmt::Assign { .. } | Stmt::Invoke { .. }),
-        Fact::T(t) => t.ap.base_local().is_some_and(|l| !mentions(stmt, l)),
-    }
-}
-
-/// Whether `stmt` writes or reads local `l`: an assignment through
-/// either side, a call as its receiver, an argument or its result.
-fn mentions(stmt: &Stmt, l: Local) -> bool {
-    let is_l = |o: &Operand| o.as_local() == Some(l);
-    let place = |p: &Place| p.base() == Some(l) || matches!(p, Place::ArrayElem(_, i) if is_l(i));
-    match stmt {
-        Stmt::Assign { lhs, rhs } => {
-            place(lhs)
-                || match rhs {
-                    Rvalue::Read(p) => place(p),
-                    Rvalue::Const(_) | Rvalue::New(_) => false,
-                    Rvalue::NewArray(_, o)
-                    | Rvalue::UnOp(_, o)
-                    | Rvalue::Cast(_, o)
-                    | Rvalue::InstanceOf(o, _) => is_l(o),
-                    Rvalue::BinOp(_, a, b) => is_l(a) || is_l(b),
-                }
-        }
-        Stmt::Invoke { result, call } => {
-            *result == Some(l) || call.base == Some(l) || call.args.iter().any(is_l)
-        }
-        _ => false,
-    }
 }
 
 /// The nodes of `tab` every path edge of which is still queued. Only

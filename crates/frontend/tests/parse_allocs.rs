@@ -6,7 +6,9 @@
 //! The parser lexes into tokens that borrow the source and builds each
 //! statement straight into the method's body, so what remains is the
 //! IR itself (local names, statements, the CFG, interned strings) plus
-//! the token vector and the name tables' growth. The count is
+//! the token vector and the name tables' growth. The CFG is four flat
+//! arrays whatever the body's length; a list per statement for its
+//! successors and one for its predecessors made 463. The count is
 //! deterministic: one thread, one fixed input.
 
 mod common;
@@ -17,7 +19,7 @@ use flowdroid_frontend::parse_jasm;
 use flowdroid_ir::Program;
 
 /// Allocations `parse_jasm` makes on the 100-step chain.
-const PINNED_ALLOCS: u64 = 463;
+const PINNED_ALLOCS: u64 = 261;
 
 #[test]
 fn parse_allocations_are_pinned() {

@@ -182,6 +182,27 @@ impl<F: Idx> SlotRel<F> {
         }
     }
 
+    /// Records `d1` at each statement from `from` toward `to`,
+    /// exclusive — descending when `to < from` — and stops at the first
+    /// slot that already holds some `d1`. Each slot filled counts into
+    /// `stats` as a new node, as [`SlotRel::insert`] counts it. Returns
+    /// how many slots it filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the row's statements.
+    pub fn fill(&mut self, from: usize, to: usize, d1: F, stats: &mut TableStats) -> usize {
+        let raw = d1.index() as u32;
+        let filled = if from <= to {
+            fill_empty(self.slots[from..to].iter_mut(), raw)
+        } else {
+            fill_empty(self.slots[to + 1..=from].iter_mut().rev(), raw)
+        };
+        stats.rows += filled as u64;
+        stats.sparse_rows += filled as u64;
+        filled
+    }
+
     /// Whether some `d1` is recorded at statement `idx`.
     pub fn has_key(&self, idx: usize) -> bool {
         self.slots[idx] != Slot::Empty
@@ -207,6 +228,20 @@ impl<F: Idx> SlotRel<F> {
             });
         }
     }
+}
+
+/// Stores `raw` inline in each slot of `slots` up to the first one that
+/// is not empty; returns how many it stored.
+fn fill_empty<'s>(slots: impl Iterator<Item = &'s mut Slot>, raw: u32) -> usize {
+    let mut filled = 0;
+    for slot in slots {
+        if *slot != Slot::Empty {
+            break;
+        }
+        *slot = Slot::One(raw);
+        filled += 1;
+    }
+    filled
 }
 
 /// A set of `(statement, fact)` pairs (incoming contexts, summaries),

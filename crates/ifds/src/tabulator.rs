@@ -127,6 +127,27 @@ impl<F: Idx + Hash> Tabulator<F> {
         inserted
     }
 
+    /// Records the path edges `⟨·, d1⟩ → ⟨n, d2⟩` for `d2`'s row `row`
+    /// at each statement index from `from` toward `to`, exclusive —
+    /// descending when `to < from` — without scheduling them, and stops
+    /// at the first statement some edge to `d2` already targets,
+    /// whatever its `d1`. Each edge counts as a propagation and a table
+    /// row, as in [`Tabulator::insert_in`]. Returns the index it stopped
+    /// at: `to`, or the first statement it found taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the method's statements.
+    pub fn fill_in(&mut self, row: Row, from: StmtIdx, to: StmtIdx, d1: F) -> StmtIdx {
+        let filled = self.rels[row.0 as usize].fill(from, to, d1, &mut self.stats);
+        self.propagation_count += filled as u64;
+        if from <= to {
+            from + filled
+        } else {
+            from - filled
+        }
+    }
+
     /// Records the path edge `⟨·, d1⟩ → ⟨n, d2⟩` without scheduling it.
     /// Returns `true` if the edge was new; a new edge counts as a
     /// propagation. A solver that records an edge this way either
@@ -297,6 +318,28 @@ mod tests {
         assert!(!t.has_node(sr(3), &7) && !t.has_node(sr(1), &8));
         assert_eq!(t.propagation_count(), 2);
         assert_eq!(t.table_stats().rows, 2, "two (statement, fact) nodes");
+    }
+
+    /// A fill records what inserting slot by slot would, up to the
+    /// first taken slot, in either direction.
+    #[test]
+    fn fill_stops_at_the_first_taken_slot() {
+        let m = MethodId::from_index(0);
+        let mut t = tab();
+        let row = t.row(m, 7);
+        assert!(t.insert_in(row, 6, 3));
+        assert_eq!(t.fill_in(row, 2, 10, 0), 6, "stops at statement 6, taken by d1 = 3");
+        assert_eq!(t.fill_in(row, 9, 4, 1), 6, "descending: fills 9, 8, 7");
+        assert_eq!(t.fill_in(row, 12, 12, 1), 12, "an empty range fills nothing");
+        assert_eq!(t.fill_in(row, 12, 16, 1), 16, "up to the method's end");
+        assert_eq!(t.propagation_count(), 1 + 4 + 3 + 4);
+        assert_eq!(t.d1s_at(sr(5), &7), vec![0]);
+        assert_eq!(t.d1s_at(sr(6), &7), vec![3]);
+        assert_eq!(t.d1s_at(sr(8), &7), vec![1]);
+        assert!(!t.has_node(sr(1), &7) && !t.has_node(sr(10), &7));
+        assert_eq!(t.table_stats(), t.swept_stats());
+        assert_eq!(t.table_stats().rows, 12);
+        assert_eq!(t.queued().count(), 0, "a fill schedules nothing");
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! The `ladder` section solves `stress/k` chains of growing `k` on
 //! their own, counting allocations inside the taint analysis only, and
 //! reports each rung's propagations, worklist pops (forward and
-//! backward), table rows, allocations, bytes, `dataflow_ms` and
-//! propagations per second. A rung fails when it requests more bytes
-//! per propagation than its bound in `LADDER`, or pops another number
-//! of forward edges than it pins.
+//! backward), walk checks, table rows, allocations, bytes,
+//! `dataflow_ms` and propagations per second. A rung fails when it
+//! requests more bytes per propagation than its bound in `LADDER`, pops
+//! another number of forward edges than it pins, or its walks judge
+//! more than 4k statements.
 //!
 //! The `ground_truth` section runs the seeded synthetic corpus from
 //! `flowdroid-truth`: it sweeps every engine configuration (from the
@@ -160,6 +161,12 @@ fn measure(
 /// rows grew slot by slot, requested 30.2, 23.7 and 22.7.
 const LADDER: [(usize, u64, f64); 3] = [(250, 505, 28.0), (1000, 2005, 21.0), (2000, 4005, 20.0)];
 
+/// Statements a rung's walks may judge per chain link. A walk jumps from
+/// a statement it passes to the next one that might touch its fact, so
+/// each local's walks judge about 3 (3k + 5 in all); judging every
+/// walked statement made about k²/2.
+const WALK_CHECKS_PER_LINK: u64 = 4;
+
 /// One rung of the scaling ladder: a `stress/k` chain solved on its
 /// own, with allocations counted inside the taint analysis only
 /// (callgraph, ICFG and solve; loading the program is not counted).
@@ -169,6 +176,7 @@ struct Rung {
     backward_propagations: u64,
     forward_pops: u64,
     backward_pops: u64,
+    walk_checks: u64,
     table_rows: u64,
     leaks: usize,
     solve_allocations: u64,
@@ -198,6 +206,7 @@ fn measure_rung(k: usize, config: &InfoflowConfig) -> Rung {
         backward_propagations: results.backward_propagations,
         forward_pops: results.forward_pops,
         backward_pops: results.backward_pops,
+        walk_checks: results.walk_checks,
         table_rows: results.fact_tables.map_or(0, |t| t.rows),
         leaks: results.leak_count(),
         solve_allocations,
@@ -212,7 +221,7 @@ fn rung_json(r: &Rung) -> String {
         concat!(
             "    {{ \"job\": \"{}\", \"forward_propagations\": {}, ",
             "\"backward_propagations\": {}, \"forward_pops\": {}, \"backward_pops\": {}, ",
-            "\"table_rows\": {}, \"leaks\": {}, ",
+            "\"walk_checks\": {}, \"table_rows\": {}, \"leaks\": {}, ",
             "\"solve_allocations\": {}, \"solve_allocated_bytes\": {}, ",
             "\"bytes_per_propagation\": {:.3}, \"dataflow_ms\": {:.3}, ",
             "\"propagations_per_s\": {:.0} }}"
@@ -222,6 +231,7 @@ fn rung_json(r: &Rung) -> String {
         r.backward_propagations,
         r.forward_pops,
         r.backward_pops,
+        r.walk_checks,
         r.table_rows,
         r.leaks,
         r.solve_allocations,
@@ -369,7 +379,7 @@ fn main() {
     if !reports_identical {
         failures.push("demand-lazy leak reports diverged from sequential-interned".to_string());
     }
-    for (r, &(_, pops, max_bytes)) in ladder.iter().zip(&LADDER) {
+    for (r, &(k, pops, max_bytes)) in ladder.iter().zip(&LADDER) {
         if r.bytes_per_propagation() > max_bytes {
             failures.push(format!(
                 "ladder rung {} requested {} bytes for {} propagations \
@@ -384,6 +394,14 @@ fn main() {
             failures.push(format!(
                 "ladder rung {} popped {} forward edges, want {pops}",
                 r.job, r.forward_pops
+            ));
+        }
+        if r.walk_checks > WALK_CHECKS_PER_LINK * k as u64 {
+            failures.push(format!(
+                "ladder rung {} judged {} statements in walks, bound {WALK_CHECKS_PER_LINK}k = {}",
+                r.job,
+                r.walk_checks,
+                WALK_CHECKS_PER_LINK * k as u64
             ));
         }
     }
