@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowdroid_bench::corpus::AppProfile;
-use flowdroid_bench::eval::{run_rq3, run_rq3_parallel};
+use flowdroid_bench::eval::run_rq3;
 
 fn bench(c: &mut Criterion) {
     // Full paper-scale corpora: 500 Play-like apps, 1000 malware-like.
@@ -23,14 +23,6 @@ fn bench(c: &mut Criterion) {
         malware.leaks_per_app, malware.mean, malware.min, malware.max
     );
     assert!(malware.leaks_per_app > 1.0 && malware.leaks_per_app < 3.0);
-
-    // Parallel corpus sweep (across-app parallelism).
-    let par = run_rq3_parallel(AppProfile::MalwareLike, 1000, 2014, 4);
-    println!(
-        "RQ3b parallel (4 workers): leaks/app {:.2}, per-app mean {:?}",
-        par.leaks_per_app, par.mean
-    );
-    assert_eq!(par.leaks, malware.leaks, "parallel run finds identical leaks");
 
     let mut group = c.benchmark_group("rq3");
     for (name, profile) in

@@ -5,24 +5,25 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flowdroid_android::install_platform;
 use flowdroid_bench::corpus::{generate_app, AppProfile};
 use flowdroid_callgraph::{CallGraph, CgAlgorithm};
-use flowdroid_frontend::sdex;
+use flowdroid_frontend::{sdex, App};
 use flowdroid_ir::Program;
 
 fn bench(c: &mut Criterion) {
     let g = generate_app(AppProfile::BenignLike, 0, 99);
+    let load = |p: &mut Program| App::from_parts(p, &g.manifest, &[], &g.code).unwrap();
 
     c.bench_function("substrates/jasm_parse_app", |b| {
         b.iter(|| {
             let mut p = Program::new();
             install_platform(&mut p);
-            g.load(&mut p).classes.len()
+            load(&mut p).classes.len()
         })
     });
 
     // SDEX encode/decode round trip on the same app.
     let mut p = Program::new();
     install_platform(&mut p);
-    let app = g.load(&mut p);
+    let app = load(&mut p);
     let bytes = sdex::encode(&p, &app.classes);
     println!("\nsubstrates: SDEX image of {} classes = {} bytes", app.classes.len(), bytes.len());
     c.bench_function("substrates/sdex_decode", |b| {
@@ -33,14 +34,9 @@ fn bench(c: &mut Criterion) {
     });
 
     // Call-graph construction over the dummy-main-reachable program.
-    {
-        let mut q = Program::new();
-        let pl = install_platform(&mut q);
-        let _ = pl;
-    };
     let mut q = Program::new();
     let pl = install_platform(&mut q);
-    let loaded = g.load(&mut q);
+    let loaded = load(&mut q);
     let model = flowdroid_android::EntryPointModel::build(
         &mut q,
         &pl,

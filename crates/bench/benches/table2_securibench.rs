@@ -2,33 +2,23 @@
 //! TP/FP) and benchmarks the whole-suite run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use flowdroid_android::install_platform;
-use flowdroid_bench::eval::run_table2;
-use flowdroid_core::{Infoflow, InfoflowConfig, SourceSinkManager, TaintWrapper};
-use flowdroid_frontend::layout::ResourceTable;
-use flowdroid_frontend::parse_jasm;
-use flowdroid_ir::Program;
-use flowdroid_securibench::{all_cases, MICRO_DEFS, MICRO_ENV};
+use flowdroid_bench::eval::{run_table2, securibench_group_score};
+use flowdroid_core::InfoflowConfig;
+use flowdroid_securibench::Group;
 
 fn bench(c: &mut Criterion) {
     println!("\n{}", run_table2());
 
-    let cases = all_cases();
+    let config = InfoflowConfig::default();
     c.bench_function("table2/securibench_full_suite", |b| {
         b.iter(|| {
-            let mut leaks = 0usize;
-            for case in &cases {
-                let mut p = Program::new();
-                install_platform(&mut p);
-                let rt = ResourceTable::new();
-                parse_jasm(&mut p, &rt, MICRO_ENV).unwrap();
-                parse_jasm(&mut p, &rt, &case.code).unwrap();
-                let sources = SourceSinkManager::parse(MICRO_DEFS).unwrap();
-                let wrapper = TaintWrapper::default_rules();
-                let config = InfoflowConfig::default();
-                let entry = p.find_method(&case.entry_class, "main").unwrap();
-                leaks += Infoflow::new(&sources, &wrapper, &config).run(&p, &[entry]).leak_count();
-            }
+            let leaks: usize = Group::all()
+                .into_iter()
+                .map(|group| {
+                    let (tp, _, fp) = securibench_group_score(group, &config);
+                    tp + fp
+                })
+                .sum();
             assert_eq!(leaks, 126); // 117 TP + 9 FP
         })
     });

@@ -9,11 +9,10 @@
 use flowdroid_android::{build_snapshot, PlatformSnapshot};
 use flowdroid_core::job::{analyze_parsed, parse_job, prepare, run_parsed, run_prepared};
 use flowdroid_core::{
-    Infoflow, InfoflowConfig, InfoflowResults, Job, JobRun, Rules, SourceSinkManager, TableStats,
-    TaintWrapper,
+    InfoflowConfig, Job, JobRun, Rules, SourceSinkManager, TableStats, TaintWrapper,
 };
 use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
-use flowdroid_ir::{FxHashMap, MethodId, Program};
+use flowdroid_ir::FxHashMap;
 use flowdroid_securibench::{cases_in, Group, MicroCase, MICRO_DEFS, MICRO_ENV};
 use std::ops::RangeInclusive;
 use std::sync::{Arc, OnceLock};
@@ -27,18 +26,22 @@ pub fn micro_job(case: MicroCase) -> Job {
     Job::entry(case.name, units, case.entry_class, Arc::clone(micro_rules()))
 }
 
+/// Wraps a DroidBench-style [`BenchApp`] (a suite app or InsecureBank)
+/// as an Android app job named `name`, under the built-in Android
+/// rules.
+pub fn bench_job(name: String, app: &BenchApp) -> Job {
+    let layouts = app.layouts.iter().map(|&(n, x)| (n.to_string(), x.to_string())).collect();
+    Job::app(name, app.manifest.clone(), layouts, app.code.clone(), Rules::android())
+}
+
 /// The full benchmark corpus: every DroidBench app (table and
 /// supplementary), InsecureBank, and every SecuriBench Micro case.
 pub fn full_corpus() -> Vec<Job> {
-    let bench_job = |name: String, app: BenchApp| {
-        let layouts = app.layouts.iter().map(|&(n, x)| (n.to_string(), x.to_string())).collect();
-        Job::app(name, app.manifest, layouts, app.code, Rules::android())
-    };
     let mut jobs = Vec::new();
     for app in all_apps() {
-        jobs.push(bench_job(format!("droidbench/{:?}/{}", app.category, app.name), app));
+        jobs.push(bench_job(format!("droidbench/{:?}/{}", app.category, app.name), &app));
     }
-    jobs.push(bench_job("insecurebank".to_string(), insecurebank::insecure_bank()));
+    jobs.push(bench_job("insecurebank".to_string(), &insecurebank::insecure_bank()));
     for group in Group::all() {
         for case in cases_in(group) {
             let mut job = micro_job(case);
@@ -137,31 +140,14 @@ pub fn run_single(job: &Job, config: &InfoflowConfig) -> JobRun {
     run
 }
 
-/// The full [`InfoflowResults::report`] of `job` run from its parse:
-/// counters, source attribution and every leak's path, not just the
-/// leak lines of [`JobRun::report`].
+/// The full [`flowdroid_core::InfoflowResults::report`] of `job` run
+/// from its parse: counters, source attribution and every leak's path,
+/// not just the leak lines of [`JobRun::report`].
 pub fn full_report(job: &Job, config: &InfoflowConfig) -> String {
     let snapshot = shared_platform_snapshot();
     let parsed = parse_job(job, snapshot.overlay_program()).expect("corpus job parses");
     let (p, results) = analyze_parsed(parsed, config, snapshot);
     results.report(&p)
-}
-
-/// The parsed program of a SecuriBench-style job (a Micro case or a
-/// [`stress_job`]) and its entry method, ready for [`analyze_micro`];
-/// `None` for Android jobs. Lets a caller measure the taint analysis
-/// apart from loading.
-pub fn micro_program(job: &Job) -> Option<(Program, MethodId)> {
-    parse_job(job, shared_platform_snapshot().overlay_program())
-        .expect("corpus job parses")
-        .into_main()
-}
-
-/// Runs the taint analysis (callgraph, ICFG and solve) on a program
-/// from [`micro_program`] with the SecuriBench source/sink list.
-pub fn analyze_micro(p: &Program, entry: MethodId, config: &InfoflowConfig) -> InfoflowResults {
-    let rules = micro_rules();
-    Infoflow::new(&rules.sources, &rules.wrapper, config).run(p, &[entry])
 }
 
 /// Analyzes one corpus job through the demand-driven frontend: the

@@ -1,35 +1,47 @@
 //! Runners and printers for every table and figure of the paper's
 //! evaluation (see DESIGN.md §2 for the experiment index).
+//!
+//! Every FlowDroid run goes through the job path the daemon serves
+//! ([`flowdroid_core::job`]): the app is wrapped as a [`Job`], parsed
+//! into an overlay of the shared platform snapshot and analyzed from
+//! its parse. Reported durations time the analysis only, not the
+//! parse. The AppScan-like and Fortify-like baselines are a different
+//! analysis and load their apps themselves.
 
 use crate::corpus::{generate_app, AppProfile};
+use crate::driver::{bench_job, micro_job, shared_platform_snapshot};
 use flowdroid_android::{install_platform, CallbackAssociation};
 use flowdroid_baselines::BaselineTool;
-use flowdroid_core::{Infoflow, InfoflowConfig, SourceSinkManager, TaintWrapper};
+use flowdroid_core::job::{analyze_parsed, parse_job};
+use flowdroid_core::{InfoflowConfig, Job, Rules};
 use flowdroid_droidbench::{all_apps, AppScore, BenchApp};
 use flowdroid_ir::Program;
+use flowdroid_securibench::{cases_in, Group};
 use std::time::{Duration, Instant};
 
-/// Runs the reproduced FlowDroid on a DroidBench app; returns the
-/// number of reported leaks and the data-flow duration.
-pub fn flowdroid_on(app: &BenchApp, config: &InfoflowConfig) -> (usize, Duration) {
-    let mut p = Program::new();
-    let platform = install_platform(&mut p);
-    let loaded = app.load(&mut p).unwrap();
-    let sources = SourceSinkManager::default_android();
-    let wrapper = TaintWrapper::default_rules();
-    let infoflow = Infoflow::new(&sources, &wrapper, config);
+/// Runs `job` from its parse; returns the number of reported leaks and
+/// the duration of the analysis (the parse is not timed).
+fn run_job(job: &Job, config: &InfoflowConfig) -> (usize, Duration) {
+    let snapshot = shared_platform_snapshot();
+    let parsed = parse_job(job, snapshot.overlay_program()).expect("harness app parses");
     let start = Instant::now();
-    let analysis = infoflow.analyze_app(&mut p, &platform, &loaded, "bench");
-    (analysis.results.leak_count(), start.elapsed())
+    let (_program, results) = analyze_parsed(parsed, config, snapshot);
+    (results.leak_count(), start.elapsed())
+}
+
+/// Runs the reproduced FlowDroid on a DroidBench app; returns the
+/// number of reported leaks and the analysis duration.
+pub fn flowdroid_on(app: &BenchApp, config: &InfoflowConfig) -> (usize, Duration) {
+    run_job(&bench_job(app.name.to_string(), app), config)
 }
 
 fn baseline_on(tool: BaselineTool, app: &BenchApp) -> usize {
     let mut p = Program::new();
     let platform = install_platform(&mut p);
     let loaded = app.load(&mut p).unwrap();
-    let sources = SourceSinkManager::default_android();
-    let wrapper = TaintWrapper::default_rules();
-    flowdroid_baselines::analyze_app(tool, &mut p, &platform, &loaded, &sources, &wrapper)
+    let rules = Rules::android();
+    let Rules { sources, wrapper } = &*rules;
+    flowdroid_baselines::analyze_app(tool, &mut p, &platform, &loaded, sources, wrapper)
         .leak_count()
 }
 
@@ -155,11 +167,24 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
     out
 }
 
+/// Scores one SecuriBench Micro group under `config`: (true
+/// positives, real leaks, false positives), each case counting at most
+/// its real leaks as true positives.
+pub fn securibench_group_score(group: Group, config: &InfoflowConfig) -> (usize, usize, usize) {
+    let (mut tp, mut real, mut fp) = (0usize, 0usize, 0usize);
+    for case in cases_in(group) {
+        let expected = case.expected_leaks;
+        let (found, _) = run_job(&micro_job(case), config);
+        let case_tp = expected.min(found);
+        tp += case_tp;
+        real += expected;
+        fp += found - case_tp;
+    }
+    (tp, real, fp)
+}
+
 /// Runs and formats the reproduced Table 2.
 pub fn run_table2() -> String {
-    use flowdroid_frontend::layout::ResourceTable;
-    use flowdroid_frontend::parse_jasm;
-    use flowdroid_securibench::{cases_in, Group, MICRO_DEFS, MICRO_ENV};
     use std::fmt::Write;
 
     let mut out = String::new();
@@ -167,23 +192,7 @@ pub fn run_table2() -> String {
     writeln!(out, "{:<16} {:>8} {:>6}", "Test-case group", "TP", "FP").unwrap();
     let (mut ttp, mut treal, mut tfp) = (0usize, 0usize, 0usize);
     for group in Group::all() {
-        let (mut tp, mut fp, mut real) = (0usize, 0usize, 0usize);
-        for case in cases_in(group) {
-            let mut p = Program::new();
-            install_platform(&mut p);
-            let rt = ResourceTable::new();
-            parse_jasm(&mut p, &rt, MICRO_ENV).unwrap();
-            parse_jasm(&mut p, &rt, &case.code).unwrap();
-            let sources = SourceSinkManager::parse(MICRO_DEFS).unwrap();
-            let wrapper = TaintWrapper::default_rules();
-            let config = InfoflowConfig::default();
-            let entry = p.find_method(&case.entry_class, "main").unwrap();
-            let found = Infoflow::new(&sources, &wrapper, &config).run(&p, &[entry]).leak_count();
-            real += case.expected_leaks;
-            let ctp = case.expected_leaks.min(found);
-            tp += ctp;
-            fp += found - ctp;
-        }
+        let (tp, real, fp) = securibench_group_score(group, &InfoflowConfig::default());
         writeln!(out, "{:<16} {:>5}/{:<3} {:>5}", group.to_string(), tp, real, fp).unwrap();
         ttp += tp;
         treal += real;
@@ -217,68 +226,16 @@ pub struct Rq3Stats {
     pub max: Duration,
 }
 
-/// RQ3: analyzes `n` apps of the given profile.
+/// RQ3: analyzes `n` apps of the given profile, one after another.
 pub fn run_rq3(profile: AppProfile, n: usize, seed: u64) -> Rq3Stats {
     let mut durations = Vec::with_capacity(n);
     let mut leaks = 0usize;
     for i in 0..n {
-        let g = generate_app(profile, i, seed);
-        let mut p = Program::new();
-        let platform = install_platform(&mut p);
-        let app = g.load(&mut p);
-        let sources = SourceSinkManager::default_android();
-        let wrapper = TaintWrapper::default_rules();
-        let config = InfoflowConfig::default();
-        let start = Instant::now();
-        let analysis =
-            Infoflow::new(&sources, &wrapper, &config).analyze_app(&mut p, &platform, &app, "rq3");
-        durations.push(start.elapsed());
-        leaks += analysis.results.leak_count();
+        let (found, duration) =
+            run_job(&generate_app(profile, i, seed).job(), &InfoflowConfig::default());
+        durations.push(duration);
+        leaks += found;
     }
-    let total: Duration = durations.iter().sum();
-    Rq3Stats {
-        apps: n,
-        leaks,
-        leaks_per_app: leaks as f64 / n.max(1) as f64,
-        mean: total / n.max(1) as u32,
-        min: durations.iter().min().copied().unwrap_or_default(),
-        max: durations.iter().max().copied().unwrap_or_default(),
-    }
-}
-
-/// RQ3 with the per-app analyses spread over worker threads (the
-/// paper's Heros solver is multi-threaded *within* one app; analyzing a
-/// corpus parallelizes more naturally *across* apps).
-pub fn run_rq3_parallel(profile: AppProfile, n: usize, seed: u64, workers: usize) -> Rq3Stats {
-    let workers = workers.max(1);
-    let results = std::sync::Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let results = &results;
-            scope.spawn(move || {
-                let mut local = Vec::new();
-                let mut i = w;
-                while i < n {
-                    let g = generate_app(profile, i, seed);
-                    let mut p = Program::new();
-                    let platform = install_platform(&mut p);
-                    let app = g.load(&mut p);
-                    let sources = SourceSinkManager::default_android();
-                    let wrapper = TaintWrapper::default_rules();
-                    let config = InfoflowConfig::default();
-                    let start = Instant::now();
-                    let analysis = Infoflow::new(&sources, &wrapper, &config)
-                        .analyze_app(&mut p, &platform, &app, "rq3p");
-                    local.push((start.elapsed(), analysis.results.leak_count()));
-                    i += workers;
-                }
-                results.lock().unwrap().extend(local);
-            });
-        }
-    });
-    let results = results.into_inner().unwrap();
-    let leaks: usize = results.iter().map(|(_, l)| l).sum();
-    let durations: Vec<Duration> = results.iter().map(|(d, _)| *d).collect();
     let total: Duration = durations.iter().sum();
     Rq3Stats {
         apps: n,
@@ -314,24 +271,7 @@ pub fn run_ablation_access_path(lengths: &[usize]) -> Vec<(usize, usize, usize, 
 /// (TP, FP) — the group where the on-demand alias analysis matters
 /// most.
 pub fn aliasing_group_score(config: &InfoflowConfig) -> (usize, usize) {
-    use flowdroid_frontend::layout::ResourceTable;
-    use flowdroid_frontend::parse_jasm;
-    use flowdroid_securibench::{cases_in, Group, MICRO_DEFS, MICRO_ENV};
-    let (mut tp, mut fp) = (0usize, 0usize);
-    for case in cases_in(Group::Aliasing) {
-        let mut p = Program::new();
-        install_platform(&mut p);
-        let rt = ResourceTable::new();
-        parse_jasm(&mut p, &rt, MICRO_ENV).unwrap();
-        parse_jasm(&mut p, &rt, &case.code).unwrap();
-        let sources = SourceSinkManager::parse(MICRO_DEFS).unwrap();
-        let wrapper = TaintWrapper::default_rules();
-        let entry = p.find_method(&case.entry_class, "main").unwrap();
-        let found = Infoflow::new(&sources, &wrapper, config).run(&p, &[entry]).leak_count();
-        let ctp = case.expected_leaks.min(found);
-        tp += ctp;
-        fp += found - ctp;
-    }
+    let (tp, _, fp) = securibench_group_score(Group::Aliasing, config);
     (tp, fp)
 }
 
@@ -402,14 +342,6 @@ mod tests {
         let (found, expected, _) = run_rq2();
         assert_eq!(found, 7);
         assert_eq!(expected, 7);
-    }
-
-    #[test]
-    fn rq3_parallel_matches_sequential() {
-        let seq = run_rq3(AppProfile::MalwareLike, 8, 5);
-        let par = run_rq3_parallel(AppProfile::MalwareLike, 8, 5, 4);
-        assert_eq!(seq.leaks, par.leaks);
-        assert_eq!(seq.apps, par.apps);
     }
 
     #[test]

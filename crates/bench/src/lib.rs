@@ -11,7 +11,10 @@
 //!   [`flowdroid_core::job`], with deterministic, name-sorted leak
 //!   reports (backs the `solver_stats` binary);
 //! * [`eval`] — runners and table printers for Table 1, Table 2, RQ2,
-//!   RQ3 and the ablations.
+//!   RQ3 and the ablations. Every FlowDroid run goes through the same
+//!   job path as the drivers and the daemon (parsed into an overlay of
+//!   the shared platform snapshot, analyzed from its parse); only the
+//!   baseline tools load apps their own way.
 
 pub mod corpus;
 pub mod driver;
@@ -24,5 +27,5 @@ pub use driver::{
 };
 pub use eval::{
     run_ablation_access_path, run_ablation_alias, run_ablation_callbacks, run_rq2, run_rq3,
-    run_rq3_parallel, run_table1, run_table2, Rq3Stats, Table1Row,
+    run_table1, run_table2, Rq3Stats, Table1Row,
 };

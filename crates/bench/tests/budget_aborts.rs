@@ -9,7 +9,8 @@
 //! whatever the walk's step. A walk that recorded a run of edges past
 //! the budget would record more.
 
-use flowdroid_bench::driver::{analyze_micro, micro_program, stress_job};
+use flowdroid_bench::driver::{shared_platform_snapshot, stress_job};
+use flowdroid_core::job::{analyze_parsed, parse_job};
 use flowdroid_core::InfoflowConfig;
 
 /// (budget, forward propagations, forward pops, leaks) on the
@@ -32,10 +33,11 @@ const PINNED: [(u64, u64, u64, usize); 12] = [
 #[test]
 fn budget_aborts_are_pinned_on_the_k200_chain() {
     let job = stress_job(200);
-    let (p, entry) = micro_program(&job).expect("stress jobs are micro cases");
+    let snapshot = shared_platform_snapshot();
     for (budget, props, pops, leaks) in PINNED {
         let config = InfoflowConfig { max_propagations: budget, ..InfoflowConfig::default() };
-        let r = analyze_micro(&p, entry, &config);
+        let parsed = parse_job(&job, snapshot.overlay_program()).expect("stress jobs parse");
+        let (_, r) = analyze_parsed(parsed, &config, snapshot);
         let got = (r.aborted, r.forward_propagations, r.forward_pops, r.leak_count());
         assert_eq!(got, (true, props, pops, leaks), "budget {budget}");
     }

@@ -116,14 +116,6 @@ pub struct ParsedJob {
     rules: Arc<Rules>,
 }
 
-impl ParsedJob {
-    /// The program and entry method of an entry-method job, ready for
-    /// [`Infoflow::run`]; `None` for an Android app.
-    pub fn into_main(self) -> Option<(Program, MethodId)> {
-        self.main.map(|main| (self.program, main))
-    }
-}
-
 /// Parses `job` into `program`, a platform program from
 /// [`PlatformSnapshot::overlay_program`] (or, to compare the two
 /// representations, [`PlatformSnapshot::deep_program`]). Every caller

@@ -197,32 +197,13 @@ impl App {
 
     /// Loads an app from a directory with the same layout as an
     /// archive (`AndroidManifest.xml`, `res/layout/*.xml`,
-    /// `classes.jasm`/`classes.sdex`).
+    /// `classes.jasm`/`classes.sdex`), read by [`Archive::from_dir`].
     ///
     /// # Errors
     ///
     /// Returns [`AppError`] on IO failures or parse errors.
     pub fn from_dir(program: &mut Program, dir: &std::path::Path) -> Result<App, AppError> {
-        let mut archive = Archive::new();
-        let manifest_path = dir.join("AndroidManifest.xml");
-        archive.add("AndroidManifest.xml", std::fs::read(manifest_path)?);
-        let layout_dir = dir.join("res/layout");
-        if layout_dir.is_dir() {
-            for entry in std::fs::read_dir(&layout_dir)? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.ends_with(".xml") {
-                    archive.add(format!("res/layout/{name}"), std::fs::read(entry.path())?);
-                }
-            }
-        }
-        for code in ["classes.jasm", "classes.sdex"] {
-            let path = dir.join(code);
-            if path.is_file() {
-                archive.add(code, std::fs::read(path)?);
-            }
-        }
-        Self::from_archive(program, &archive)
+        Self::from_archive(program, &Archive::from_dir(dir)?)
     }
 
     /// Bundles raw app artifacts into an RPK archive (the inverse of

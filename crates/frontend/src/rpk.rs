@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"RPK1";
 
@@ -74,6 +75,43 @@ impl Archive {
     /// Returns `true` if the archive has no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Reads an on-disk app directory into an archive with the same
+    /// entries a packed app has: the required `AndroidManifest.xml`,
+    /// every `res/layout/*.xml` file, and `classes.jasm` and
+    /// `classes.sdex` where present. Every reader of app directories
+    /// (the loader, `pack` and the daemon) goes through here.
+    ///
+    /// # Errors
+    ///
+    /// The first IO error, prefixed with the path it hit: a missing
+    /// manifest, or a layout or code entry that cannot be read (such as
+    /// a directory named `res/layout/x.xml`).
+    pub fn from_dir(dir: &Path) -> std::io::Result<Archive> {
+        let named = |path: &Path, e: std::io::Error| {
+            std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+        };
+        let read = |path: &Path| std::fs::read(path).map_err(|e| named(path, e));
+        let mut archive = Archive::new();
+        archive.add("AndroidManifest.xml", read(&dir.join("AndroidManifest.xml"))?);
+        let layout_dir = dir.join("res/layout");
+        if layout_dir.is_dir() {
+            for entry in std::fs::read_dir(&layout_dir).map_err(|e| named(&layout_dir, e))? {
+                let path = entry.map_err(|e| named(&layout_dir, e))?.path();
+                let name = path.file_name().unwrap_or_default().to_string_lossy().into_owned();
+                if name.ends_with(".xml") {
+                    archive.add(format!("res/layout/{name}"), read(&path)?);
+                }
+            }
+        }
+        for code in ["classes.jasm", "classes.sdex"] {
+            let path = dir.join(code);
+            if path.exists() {
+                archive.add(code, read(&path)?);
+            }
+        }
+        Ok(archive)
     }
 
     /// Serializes the archive.

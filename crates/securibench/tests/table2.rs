@@ -9,12 +9,8 @@ use flowdroid_ir::Program;
 use flowdroid_securibench::{all_cases, cases_in, Group, MicroCase, MICRO_DEFS, MICRO_ENV};
 
 fn run_case(case: &MicroCase) -> usize {
-    let mut p = Program::new();
-    p.declare_class("java.lang.Object", None, &[]);
-    // Minimal library surface for wrapper rules (strings, collections,
-    // threads): reuse the platform stubs.
-    // NOTE: install_platform declares java.lang.Object, so declare the
-    // stubs into a fresh program instead.
+    // The platform stubs supply the library surface the wrapper rules
+    // model (strings, collections, threads).
     let mut p = Program::new();
     flowdroid_android::install_platform(&mut p);
     let rt = ResourceTable::new();
@@ -27,9 +23,7 @@ fn run_case(case: &MicroCase) -> usize {
         .find_method(&case.entry_class, "main")
         .unwrap_or_else(|| panic!("{}: no main", case.name));
     let infoflow = Infoflow::new(&sources, &wrapper, &config);
-    let results = infoflow.run(&p, &[entry]);
-    let _ = &p;
-    results.leak_count()
+    infoflow.run(&p, &[entry]).leak_count()
 }
 
 #[test]

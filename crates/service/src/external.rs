@@ -131,62 +131,37 @@ fn content_hash(manifest: &str, layouts: &[(String, String)], code: &str) -> u64
     h.finish()
 }
 
-fn read_str(path: &Path) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-}
-
 /// An app's text parts: manifest XML, (layout name, layout XML) pairs
 /// and `jasm` code.
 type AppParts = (String, Vec<(String, String)>, String);
 
-/// Reads an app directory: `AndroidManifest.xml` + `classes.jasm` +
-/// optional `res/layout/*.xml`.
-fn load_dir(dir: &Path) -> Result<AppParts, String> {
-    let manifest = read_str(&dir.join("AndroidManifest.xml"))?;
-    let code = read_str(&dir.join("classes.jasm"))?;
-    let mut layouts = Vec::new();
-    let ldir = dir.join("res/layout");
-    if ldir.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&ldir)
-            .map_err(|e| format!("cannot read {}: {e}", ldir.display()))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "xml"))
-            .collect();
-        entries.sort();
-        for p in entries {
-            let name = p
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .ok_or_else(|| format!("bad layout file name {}", p.display()))?
-                .to_string();
-            layouts.push((name, read_str(&p)?));
-        }
-    }
-    Ok((manifest, layouts, code))
-}
-
-/// Unpacks a `.rpk` archive: same required entries as a directory, with
-/// layouts under `res/layout/`. Unknown entries (e.g. a `truth.json`
-/// ground-truth manifest) are ignored, matching the frontend loader.
-fn load_rpk(path: &Path) -> Result<AppParts, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let ar = Archive::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
+/// Reads an app directory ([`Archive::from_dir`]) or unpacks a `.rpk`
+/// archive at `path`, then copies out its text parts: the manifest,
+/// `classes.jasm` and the `res/layout/` entries in path order. Unknown
+/// entries (e.g. a `truth.json` ground-truth manifest, or a
+/// `classes.sdex` image) are ignored.
+fn load_parts(path: &Path) -> Result<AppParts, String> {
+    let ar = if path.is_dir() {
+        Archive::from_dir(path).map_err(|e| format!("cannot read app directory: {e}"))?
+    } else {
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Archive::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?
+    };
     let entry = |name: &str| {
         ar.get_str(name)
             .map(str::to_string)
-            .ok_or_else(|| format!("{}: missing archive entry `{name}`", path.display()))
+            .ok_or_else(|| format!("{}: missing or non-UTF-8 app entry `{name}`", path.display()))
     };
     let manifest = entry("AndroidManifest.xml")?;
     let code = entry("classes.jasm")?;
-    let mut names: Vec<String> = ar.paths_under("res/layout/").map(str::to_string).collect();
-    names.sort();
     let mut layouts = Vec::new();
-    for full in names {
+    for full in ar.paths_under("res/layout/") {
         let stem = full
             .strip_prefix("res/layout/")
             .and_then(|s| s.strip_suffix(".xml"))
             .ok_or_else(|| format!("{}: bad layout entry `{full}`", path.display()))?;
-        layouts.push((stem.to_string(), entry(&full)?));
+        layouts.push((stem.to_string(), entry(full)?));
     }
     Ok((manifest, layouts, code))
 }
@@ -207,7 +182,7 @@ fn load_rpk(path: &Path) -> Result<AppParts, String> {
 /// A human-readable message when the path is neither a readable app
 /// directory nor a well-formed archive with the required entries.
 pub fn load_external_job(real: &Path) -> Result<Job, String> {
-    let (manifest, layouts, code) = if real.is_dir() { load_dir(real) } else { load_rpk(real) }?;
+    let (manifest, layouts, code) = load_parts(real)?;
     let stem = real
         .file_stem()
         .and_then(|s| s.to_str())
@@ -313,6 +288,24 @@ mod tests {
         for tag in ["concat-a", "concat-b", "concat-c"] {
             let _ = std::fs::remove_dir_all(tmp(tag));
         }
+    }
+
+    #[test]
+    fn an_app_directory_and_its_packed_rpk_get_one_name() {
+        let root = tmp("packed");
+        let dir = root.join("app");
+        std::fs::create_dir_all(dir.join("res/layout")).unwrap();
+        std::fs::write(dir.join("AndroidManifest.xml"), "<manifest package=\"p\"/>").unwrap();
+        std::fs::write(dir.join("res/layout/main.xml"), "<LinearLayout/>").unwrap();
+        std::fs::write(dir.join("res/layout/about.xml"), "<FrameLayout/>").unwrap();
+        std::fs::write(dir.join("classes.jasm"), "class p.Main extends java.lang.Object {}")
+            .unwrap();
+        let rpk = root.join("app.rpk");
+        std::fs::write(&rpk, Archive::from_dir(&dir).unwrap().to_bytes()).unwrap();
+        let from_dir = load_external_job(&dir).expect("directory loads").name;
+        assert_eq!(load_external_job(&rpk).expect("archive loads").name, from_dir);
+        assert!(from_dir.starts_with("external/") && from_dir.ends_with("/app"), "{from_dir}");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

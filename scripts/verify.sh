@@ -2,8 +2,9 @@
 # Tier-1 verification gate plus solver statistics.
 #
 # Usage: scripts/verify.sh [--full]
-#   default : tier-1 gate (release build + root tests), the service
-#             dependency gate, solver stats and the serving smoke
+#   default : tier-1 gate (release build + root tests), a compile check
+#             of the evaluation benches, the service dependency gate,
+#             solver stats and the serving smoke
 #   --full  : additionally runs the whole workspace test suite (every
 #             test binary, even after one fails), the service crate's
 #             tests again in release (their timing-bound tests must
@@ -21,6 +22,12 @@ cargo build --release
 
 echo "== tier-1: cargo test -q"
 cargo test -q
+
+# The Criterion benches regenerate the paper's tables from the harness
+# (flowdroid-bench's eval module); no test builds them, so a harness
+# change that breaks one would otherwise go unseen until --full's clippy.
+echo "== bench targets compile: cargo check -p flowdroid-bench --benches"
+cargo check -p flowdroid-bench --benches --offline
 
 # The daemon runs the job path of flowdroid-core; the benchmark suites
 # and harnesses are linked only by the binaries that serve or sweep

@@ -604,44 +604,13 @@ fn pack(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let dir = Path::new(dir);
-    let mut archive = Archive::new();
-    let manifest = dir.join("AndroidManifest.xml");
-    match std::fs::read(&manifest) {
-        Ok(bytes) => {
-            archive.add("AndroidManifest.xml", bytes);
-        }
+    let archive = match Archive::from_dir(Path::new(dir)) {
+        Ok(archive) => archive,
         Err(e) => {
-            eprintln!("{}: {e}", manifest.display());
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-    }
-    let layouts = dir.join("res/layout");
-    if layouts.is_dir() {
-        let entries = match std::fs::read_dir(&layouts) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("{}: {e}", layouts.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".xml") {
-                if let Ok(bytes) = std::fs::read(entry.path()) {
-                    archive.add(format!("res/layout/{name}"), bytes);
-                }
-            }
-        }
-    }
-    for code in ["classes.jasm", "classes.sdex"] {
-        let p = dir.join(code);
-        if p.is_file() {
-            if let Ok(bytes) = std::fs::read(&p) {
-                archive.add(code, bytes);
-            }
-        }
-    }
+    };
     match std::fs::write(out, archive.to_bytes()) {
         Ok(()) => {
             println!("packed {} entries into {out}", archive.len());
@@ -656,21 +625,10 @@ fn pack(args: &[String]) -> ExitCode {
 
 fn droidbench() -> ExitCode {
     use flowdroid::droidbench::{all_apps, AppScore, ScoreBoard};
+    use flowdroid_bench::eval::flowdroid_on;
     let mut board = ScoreBoard::new();
     for app in all_apps().iter().filter(|a| a.in_table) {
-        let mut program = Program::new();
-        let platform = install_platform(&mut program);
-        let loaded = app.load(&mut program).expect("suite app");
-        let sources = SourceSinkManager::default_android();
-        let wrapper = TaintWrapper::default_rules();
-        let config = InfoflowConfig::default();
-        let analysis = Infoflow::new(&sources, &wrapper, &config).analyze_app(
-            &mut program,
-            &platform,
-            &loaded,
-            "cli",
-        );
-        let found = analysis.results.leak_count();
+        let (found, _) = flowdroid_on(app, &InfoflowConfig::default());
         let score = AppScore::from_counts(app.expected_leaks, found);
         println!(
             "{:<28} expected {} reported {} ({}✓ {}☆ {}○)",

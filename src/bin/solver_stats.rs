@@ -42,9 +42,10 @@
 //! Usage: `solver_stats [output.json]` (default `BENCH_solver.json`).
 
 use flowdroid_bench::driver::{
-    analyze_micro, corpus_report, full_corpus, micro_program, run_corpus, run_single,
-    run_single_lazy, stress_job, CorpusRun,
+    corpus_report, full_corpus, run_corpus, run_single, run_single_lazy, shared_platform_snapshot,
+    stress_job, CorpusRun,
 };
+use flowdroid_core::job::{analyze_parsed, parse_job};
 use flowdroid_core::{InfoflowConfig, Job, JobRun, TableStats};
 use flowdroid_service::{Client, Daemon, DaemonOptions, Listen};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -169,7 +170,7 @@ const WALK_CHECKS_PER_LINK: u64 = 4;
 
 /// One rung of the scaling ladder: a `stress/k` chain solved on its
 /// own, with allocations counted inside the taint analysis only
-/// (callgraph, ICFG and solve; loading the program is not counted).
+/// (callgraph, ICFG and solve; the parse is not counted).
 struct Rung {
     job: String,
     forward_propagations: u64,
@@ -196,9 +197,10 @@ impl Rung {
 
 fn measure_rung(k: usize, config: &InfoflowConfig) -> Rung {
     let job = stress_job(k);
-    let (p, entry) = micro_program(&job).expect("stress jobs are micro cases");
+    let snapshot = shared_platform_snapshot();
+    let parsed = parse_job(&job, snapshot.overlay_program()).expect("stress jobs parse");
     reset_alloc_counters();
-    let results = analyze_micro(&p, entry, config);
+    let (_program, results) = analyze_parsed(parsed, config, snapshot);
     let (solve_allocations, solve_allocated_bytes) = alloc_counters();
     Rung {
         job: job.name,

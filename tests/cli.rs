@@ -88,6 +88,20 @@ fn pack_then_analyze_archive() {
 }
 
 #[test]
+fn pack_fails_on_an_unreadable_entry_and_names_it() {
+    let dir = temp_dir("pack-broken");
+    make_app(&dir, CODE);
+    std::fs::create_dir_all(dir.join("res/layout/broken.xml")).unwrap();
+    let rpk = dir.join("app.rpk");
+    let out = bin().args(["pack"]).arg(&dir).arg("-o").arg(&rpk).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("res/layout/broken.xml"), "{stderr}");
+    assert!(!rpk.exists(), "no archive is written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn disas_emits_reparseable_jasm() {
     let dir = temp_dir("disas");
     make_app(&dir, CODE);
