@@ -14,6 +14,7 @@
 //!   average), typically identifiers sent via SMS or to a remote server.
 
 use flowdroid_core::{Job, Rules};
+use flowdroid_frontend::App;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,8 +46,8 @@ impl GeneratedApp {
     /// The app as an Android app job named after its package, under the
     /// built-in Android rules.
     pub fn job(&self) -> Job {
-        let (manifest, code) = (self.manifest.clone(), self.code.clone());
-        Job::app(self.package.clone(), manifest, Vec::new(), code, Rules::android())
+        let archive = App::bundle(&self.manifest, &[], &self.code);
+        Job::app(self.package.clone(), archive, Rules::android())
     }
 }
 

@@ -12,6 +12,7 @@ use flowdroid_core::{
     InfoflowConfig, Job, JobRun, Rules, SourceSinkManager, TableStats, TaintWrapper,
 };
 use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
+use flowdroid_frontend::App;
 use flowdroid_ir::FxHashMap;
 use flowdroid_securibench::{cases_in, Group, MicroCase, MICRO_DEFS, MICRO_ENV};
 use std::ops::RangeInclusive;
@@ -30,8 +31,7 @@ pub fn micro_job(case: MicroCase) -> Job {
 /// as an Android app job named `name`, under the built-in Android
 /// rules.
 pub fn bench_job(name: String, app: &BenchApp) -> Job {
-    let layouts = app.layouts.iter().map(|&(n, x)| (n.to_string(), x.to_string())).collect();
-    Job::app(name, app.manifest.clone(), layouts, app.code.clone(), Rules::android())
+    Job::app(name, App::bundle(&app.manifest, &app.layouts, &app.code), Rules::android())
 }
 
 /// The full benchmark corpus: every DroidBench app (table and

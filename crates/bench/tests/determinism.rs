@@ -6,6 +6,7 @@
 use flowdroid_bench::driver::{corpus_report, droidbench_corpus, run_corpus, CorpusRun};
 use flowdroid_bench::{run_single, run_single_lazy};
 use flowdroid_core::{InfoflowConfig, Job, Rules};
+use flowdroid_frontend::App;
 
 /// The corpus driver's leak report is byte-for-byte stable across
 /// repeat runs.
@@ -104,7 +105,8 @@ fn alias_chain_propagation_counts_are_pinned() {
         android:name=\"android.intent.action.MAIN\"/></intent-filter>\n    \
         </activity>\n  </application>\n</manifest>";
     let code = alias_chain_code(20);
-    let job = Job::app("chain/alias-20".into(), manifest.into(), vec![], code, Rules::android());
+    let job =
+        Job::app("chain/alias-20".into(), App::bundle(manifest, &[], &code), Rules::android());
     let run = run_single(&job, &InfoflowConfig::default());
     assert_eq!(run.leaks, 1, "{}", run.report);
     assert!(run.backward_propagations > 0, "the chain must exercise the alias search");

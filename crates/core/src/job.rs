@@ -1,8 +1,10 @@
 //! The job path: how one named app is loaded and analyzed, whether the
 //! daemon serves it or a benchmark driver sweeps it.
 //!
-//! A [`Job`] is an app's sources plus the [`Rules`] it runs with. It
-//! runs in one of two forms:
+//! A [`Job`] is an app's sources plus the [`Rules`] it runs with: an
+//! Android app is its archive (manifest, layouts and code as
+//! `classes.jasm`, `classes.sdex` or both), read by one loader,
+//! [`App::from_archive`]. It runs in one of two forms:
 //!
 //! * from its parse ([`parse_job`], then [`run_parsed`]): the app is
 //!   parsed straight into a platform program with every body decoded,
@@ -21,7 +23,7 @@ use crate::results::InfoflowResults;
 use crate::sourcesink::SourceSinkManager;
 use crate::wrappers::TaintWrapper;
 use flowdroid_android::PlatformSnapshot;
-use flowdroid_frontend::{parse_jasm, sdex, App};
+use flowdroid_frontend::{parse_jasm, sdex, App, Archive};
 use flowdroid_ifds::{AbortReason, TableStats};
 use flowdroid_ir::{MethodId, Program};
 use std::sync::{Arc, OnceLock};
@@ -72,29 +74,24 @@ pub struct Job {
 /// A job's sources.
 #[derive(Clone, Debug)]
 enum Code {
-    /// An Android app's manifest XML, `(layout name, layout XML)` pairs
-    /// and `jasm` code (`App::from_parts` inputs), run from the dummy
-    /// main of its entry-point model.
-    App { manifest: String, layouts: Vec<(String, String)>, code: String },
+    /// An Android app's archive ([`App::from_archive`]'s input), run
+    /// from the dummy main of its entry-point model.
+    App(Archive),
     /// Plain `jasm` units, parsed in order with no resources and run
     /// from the static `main` of `entry_class`.
     Entry { units: Vec<String>, entry_class: String },
 }
 
 impl Job {
-    /// An Android app job from its raw artifacts: manifest XML,
-    /// `(layout name, layout XML)` pairs and `jasm` code. The daemon's
-    /// per-app cache is keyed by job name and a [`PreparedJob`] carries
-    /// its app's callgraph setup, so different content must get
-    /// different names.
-    pub fn app(
-        name: String,
-        manifest: String,
-        layouts: Vec<(String, String)>,
-        code: String,
-        rules: Arc<Rules>,
-    ) -> Job {
-        Job { name, code: Code::App { manifest, layouts, code }, rules }
+    /// An Android app job from its archive: `AndroidManifest.xml`,
+    /// `res/layout/*.xml` and code in `classes.jasm` and/or
+    /// `classes.sdex` (other entries are ignored). [`App::bundle`]
+    /// builds one from text artifacts, [`Archive::read`] from an app
+    /// path. The daemon's per-app cache is keyed by job name and a
+    /// [`PreparedJob`] carries its app's callgraph setup, so different
+    /// content must get different names.
+    pub fn app(name: String, archive: Archive, rules: Arc<Rules>) -> Job {
+        Job { name, code: Code::App(archive), rules }
     }
 
     /// An entry-method job: `units` of `jasm` parsed in order, analyzed
@@ -120,21 +117,20 @@ pub struct ParsedJob {
 /// [`PlatformSnapshot::overlay_program`] (or, to compare the two
 /// representations, [`PlatformSnapshot::deep_program`]). Every caller
 /// loads a job through here: [`run_parsed`] runs the result and
-/// [`prepare`] encodes it. An entry-method job is loaded as an app with
+/// [`prepare`] encodes it. An app job is loaded by
+/// [`App::from_archive`], which parses `classes.jasm` and decodes
+/// `classes.sdex` eagerly; an entry-method job is loaded as an app with
 /// no manifest, layouts or resources.
 ///
 /// # Errors
 ///
-/// The parser's message when the job's sources do not parse, or when
-/// an entry-method job has no `main`.
+/// The loader's message when the job's archive lacks the manifest or
+/// code, or its sources do not parse, or when an entry-method job has
+/// no `main`.
 pub fn parse_job(job: &Job, mut program: Program) -> Result<ParsedJob, String> {
     let (app, main) = match &job.code {
-        Code::App { manifest, layouts, code } => {
-            let refs: Vec<(&str, &str)> =
-                layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
-            let app =
-                App::from_parts(&mut program, manifest, &refs, code).map_err(|e| e.to_string())?;
-            (app, None)
+        Code::App(archive) => {
+            (App::from_archive(&mut program, archive).map_err(|e| e.to_string())?, None)
         }
         Code::Entry { units, entry_class } => {
             let mut app = App::default();
@@ -149,6 +145,14 @@ pub fn parse_job(job: &Job, mut program: Program) -> Result<ParsedJob, String> {
         }
     };
     Ok(ParsedJob { name: job.name.clone(), program, app, main, rules: Arc::clone(&job.rules) })
+}
+
+impl ParsedJob {
+    /// The loaded app: manifest, layouts, resources and the classes the
+    /// parse declared.
+    pub fn app(&self) -> &App {
+        &self.app
+    }
 }
 
 /// A job kept for reuse. Built by [`prepare`], run (any number of

@@ -299,7 +299,8 @@ mod tests {
         app.write_to_dir(&dir).unwrap();
         let mut p = Program::new();
         flowdroid_android::install_platform(&mut p);
-        let loaded = App::from_dir(&mut p, &dir).unwrap();
+        let archive = flowdroid_frontend::Archive::from_dir(&dir).unwrap();
+        let loaded = App::from_archive(&mut p, &archive).unwrap();
         assert_eq!(loaded.manifest.package, "dbench.btn1");
         assert_eq!(loaded.layouts.len(), 1);
         std::fs::remove_dir_all(&dir).ok();

@@ -22,8 +22,6 @@ pub enum AppError {
     Archive(ArchiveError),
     /// A required artifact is missing (e.g. the manifest).
     Missing(String),
-    /// Filesystem error while loading from a directory.
-    Io(std::io::Error),
 }
 
 impl fmt::Display for AppError {
@@ -34,7 +32,6 @@ impl fmt::Display for AppError {
             AppError::Sdex(e) => write!(f, "app sdex error: {e}"),
             AppError::Archive(e) => write!(f, "app archive error: {e}"),
             AppError::Missing(what) => write!(f, "app is missing {what}"),
-            AppError::Io(e) => write!(f, "app io error: {e}"),
         }
     }
 }
@@ -65,20 +62,13 @@ impl From<ArchiveError> for AppError {
     }
 }
 
-impl From<std::io::Error> for AppError {
-    fn from(e: std::io::Error) -> Self {
-        AppError::Io(e)
-    }
-}
-
 /// A fully loaded app: the analysis input.
 ///
-/// Produced by [`App::from_archive`], [`App::from_parts`] or
-/// [`App::from_dir`]; consumed by the lifecycle model and the taint
-/// analysis. The IR classes live in the [`Program`] passed to the
-/// loader (which typically already contains the Android platform
-/// stubs). The default app has no manifest entries, layouts, resources
-/// or classes.
+/// Produced by [`App::from_archive`] or [`App::from_parts`]; consumed
+/// by the lifecycle model and the taint analysis. The IR classes live
+/// in the [`Program`] passed to the loader (which typically already
+/// contains the Android platform stubs). The default app has no
+/// manifest entries, layouts, resources or classes.
 #[derive(Clone, Debug, Default)]
 pub struct App {
     /// The parsed manifest.
@@ -127,18 +117,7 @@ impl App {
     /// Returns [`AppError`] if the manifest is missing or any artifact
     /// fails to parse.
     pub fn from_archive(program: &mut Program, archive: &Archive) -> Result<App, AppError> {
-        let (manifest, parsed, resources) = Self::load_meta(archive)?;
-        let mut classes = Vec::new();
-        if let Some(src) = archive.get_str("classes.jasm") {
-            classes.extend(jasm::parse_jasm(program, &resources, src)?);
-        }
-        if let Some(bytes) = archive.get("classes.sdex") {
-            classes.extend(sdex::decode(program, bytes)?);
-        }
-        if classes.is_empty() {
-            return Err(AppError::Missing("classes.jasm or classes.sdex".to_owned()));
-        }
-        Ok(App { manifest, layouts: parsed, resources, classes })
+        Self::load_archive(program, archive, sdex::decode)
     }
 
     /// Loads an app from an RPK [`Archive`] like [`App::from_archive`],
@@ -154,56 +133,44 @@ impl App {
     /// eager loader: lazily loaded bodies are fully validated up front,
     /// so a malformed archive is rejected here, not at materialization.
     pub fn from_archive_lazy(program: &mut Program, archive: &Archive) -> Result<App, AppError> {
-        let (manifest, parsed, resources) = Self::load_meta(archive)?;
-        let mut classes = Vec::new();
-        if let Some(src) = archive.get_str("classes.jasm") {
-            classes.extend(jasm::parse_jasm(program, &resources, src)?);
-        }
-        if let Some(bytes) = archive.get("classes.sdex") {
-            classes.extend(sdex::decode_lazy(program, bytes.to_vec().into())?);
-        }
-        if classes.is_empty() {
-            return Err(AppError::Missing("classes.jasm or classes.sdex".to_owned()));
-        }
-        Ok(App { manifest, layouts: parsed, resources, classes })
+        Self::load_archive(program, archive, |p, bytes| sdex::decode_lazy(p, bytes.to_vec().into()))
     }
 
-    /// Parses the non-code artifacts of an archive: manifest, layouts
-    /// and the resource table derived from them.
-    fn load_meta(
+    /// The loader behind [`App::from_archive`] and
+    /// [`App::from_archive_lazy`], which differ only in how `decode`
+    /// declares the classes of `classes.sdex`.
+    fn load_archive(
+        program: &mut Program,
         archive: &Archive,
-    ) -> Result<(Manifest, FxHashMap<String, Layout>, ResourceTable), AppError> {
+        decode: impl FnOnce(&mut Program, &[u8]) -> Result<Vec<ClassId>, SdexError>,
+    ) -> Result<App, AppError> {
         let manifest_xml = archive
             .get_str("AndroidManifest.xml")
             .ok_or_else(|| AppError::Missing("AndroidManifest.xml".to_owned()))?;
         let manifest = Manifest::parse(manifest_xml)?;
         let mut parsed = FxHashMap::default();
-        let layout_paths: Vec<String> =
-            archive.paths_under("res/layout/").map(str::to_owned).collect();
-        for path in layout_paths {
+        for path in archive.paths_under("res/layout/") {
             let name = path
                 .strip_prefix("res/layout/")
                 .and_then(|p| p.strip_suffix(".xml"))
-                .unwrap_or(&path)
-                .to_owned();
+                .unwrap_or(path);
             let xml = archive
-                .get_str(&path)
+                .get_str(path)
                 .ok_or_else(|| AppError::Missing(format!("{path} (not UTF-8)")))?;
-            parsed.insert(name.clone(), Layout::parse(&name, xml)?);
+            parsed.insert(name.to_owned(), Layout::parse(name, xml)?);
         }
         let resources = ResourceTable::from_layouts(parsed.values());
-        Ok((manifest, parsed, resources))
-    }
-
-    /// Loads an app from a directory with the same layout as an
-    /// archive (`AndroidManifest.xml`, `res/layout/*.xml`,
-    /// `classes.jasm`/`classes.sdex`), read by [`Archive::from_dir`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError`] on IO failures or parse errors.
-    pub fn from_dir(program: &mut Program, dir: &std::path::Path) -> Result<App, AppError> {
-        Self::from_archive(program, &Archive::from_dir(dir)?)
+        let mut classes = match archive.get_str("classes.jasm") {
+            Some(src) => jasm::parse_jasm(program, &resources, src)?,
+            None => Vec::new(),
+        };
+        if let Some(bytes) = archive.get("classes.sdex") {
+            classes.extend(decode(program, bytes)?);
+        }
+        if classes.is_empty() {
+            return Err(AppError::Missing("classes.jasm or classes.sdex".to_owned()));
+        }
+        Ok(App { manifest, layouts: parsed, resources, classes })
     }
 
     /// Bundles raw app artifacts into an RPK archive (the inverse of

@@ -114,6 +114,23 @@ impl Archive {
         Ok(archive)
     }
 
+    /// Reads the app at `path`: a directory through
+    /// [`Archive::from_dir`], any other path as a packed archive file.
+    /// Every reader of app paths (the CLI and the daemon) goes through
+    /// here.
+    ///
+    /// # Errors
+    ///
+    /// A message naming `path`: the directory's IO error, or the file's
+    /// IO or [`ArchiveError`].
+    pub fn read(path: &Path) -> Result<Archive, String> {
+        if path.is_dir() {
+            return Archive::from_dir(path).map_err(|e| e.to_string());
+        }
+        let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        Archive::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
     /// Serializes the archive.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();

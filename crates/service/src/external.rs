@@ -1,7 +1,8 @@
 //! Serving external apps from disk, behind an allow-list path policy.
 //!
-//! The daemon's corpus is compiled in; everything else it may analyze
-//! must come from the filesystem the operator explicitly exposed with
+//! A daemon resolves bare names only through
+//! [`crate::DaemonOptions::resolve`]; any app it reads from disk must
+//! come from the filesystem the operator explicitly exposed with
 //! `serve --allow-apps DIR`. Two layers:
 //!
 //! * [`AppPolicy`] — the sandbox. Allow-roots are canonicalized at
@@ -11,19 +12,21 @@
 //!   policy (no `--allow-apps`) denies every path. Policy refusals get
 //!   a typed `denied` wire reply, distinct from protocol errors, so
 //!   clients can tell "outside the sandbox" from "malformed app".
-//! * [`load_external_job`] — the loader. Accepts an on-disk app
-//!   directory (`AndroidManifest.xml`, `res/layout/*.xml`,
-//!   `classes.jasm`) or a packed `.rpk` archive, and builds a
-//!   [`Job`] whose name folds in a content hash: the daemon's
-//!   per-app cache is keyed by name, and a cached prepared job carries
-//!   its app's callgraph setup, so two different apps at the same path
-//!   — or the same path edited between submissions — must never
-//!   collide on a name. The hash covers each part's length as well as
-//!   its bytes, so no two apps whose parts merely concatenate to the
-//!   same bytes share one. The loader only reads and names the app;
-//!   parsing it is [`flowdroid_core::job::parse_job`]'s job (through
-//!   [`flowdroid_core::job::prepare`] on a second submission), which
-//!   the daemon skips once the name is prepared.
+//! * [`load_external_job`] — the loader. Reads an on-disk app
+//!   directory or a packed `.rpk` archive with
+//!   [`flowdroid_frontend::Archive::read`], the reader `flowdroid
+//!   analyze` uses too, and wraps the whole archive as a [`Job`]: its
+//!   code may be `classes.jasm`, `classes.sdex` or both. The job name
+//!   folds in a content hash: the daemon's per-app cache is keyed by
+//!   name, and a cached prepared job carries its app's callgraph setup,
+//!   so two different apps at the same path — or the same path edited
+//!   between submissions — must never collide on a name. The hash covers
+//!   every entry's path and bytes, each with its length, so no two
+//!   archives whose entries merely concatenate to the same bytes share
+//!   one. The loader only reads and names the app; parsing it is
+//!   [`flowdroid_core::job::parse_job`]'s job (through
+//!   [`flowdroid_core::job::prepare`] on a second submission), which the
+//!   daemon skips once the name is prepared.
 
 use flowdroid_core::{Job, Rules};
 use flowdroid_frontend::rpk::Archive;
@@ -110,79 +113,46 @@ impl AppPolicy {
 }
 
 /// Whether an `analyze` request's `app` field addresses the filesystem
-/// (policy territory) rather than the compiled-in corpus. Corpus names
+/// (policy territory) rather than a name the daemon resolves
+/// ([`crate::DaemonOptions::resolve`]). Corpus names
 /// (`droidbench/Button1`, `stress/2000`, …) never start with `/` or a
 /// dot segment and never carry the `.rpk` suffix.
 pub fn is_path_request(app: &str) -> bool {
     app.starts_with('/') || app.starts_with("./") || app.starts_with("../") || app.ends_with(".rpk")
 }
 
-/// FNV-1a 64 over the app's content, folded into the job name: the
-/// layout count, then each part's length and bytes, so the parts'
-/// boundaries are hashed too.
-fn content_hash(manifest: &str, layouts: &[(String, String)], code: &str) -> u64 {
+/// FNV-1a 64 over the app's archive, folded into the job name: the
+/// entry count, then each entry's path and bytes in path order, each
+/// with its length, so entry boundaries are hashed too.
+fn content_hash(archive: &Archive) -> u64 {
     let mut h = Fnv1a64::default();
-    h.write_u64(layouts.len() as u64);
-    let layout_parts = layouts.iter().flat_map(|(name, xml)| [name.as_str(), xml.as_str()]);
-    for part in std::iter::once(manifest).chain(layout_parts).chain([code]) {
-        h.write_u64(part.len() as u64);
-        h.write(part.as_bytes());
+    h.write_u64(archive.len() as u64);
+    for (path, data) in archive.iter() {
+        for part in [path.as_bytes(), data] {
+            h.write_u64(part.len() as u64);
+            h.write(part);
+        }
     }
     h.finish()
 }
 
-/// An app's text parts: manifest XML, (layout name, layout XML) pairs
-/// and `jasm` code.
-type AppParts = (String, Vec<(String, String)>, String);
-
-/// Reads an app directory ([`Archive::from_dir`]) or unpacks a `.rpk`
-/// archive at `path`, then copies out its text parts: the manifest,
-/// `classes.jasm` and the `res/layout/` entries in path order. Unknown
-/// entries (e.g. a `truth.json` ground-truth manifest, or a
-/// `classes.sdex` image) are ignored.
-fn load_parts(path: &Path) -> Result<AppParts, String> {
-    let ar = if path.is_dir() {
-        Archive::from_dir(path).map_err(|e| format!("cannot read app directory: {e}"))?
-    } else {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Archive::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))?
-    };
-    let entry = |name: &str| {
-        ar.get_str(name)
-            .map(str::to_string)
-            .ok_or_else(|| format!("{}: missing or non-UTF-8 app entry `{name}`", path.display()))
-    };
-    let manifest = entry("AndroidManifest.xml")?;
-    let code = entry("classes.jasm")?;
-    let mut layouts = Vec::new();
-    for full in ar.paths_under("res/layout/") {
-        let stem = full
-            .strip_prefix("res/layout/")
-            .and_then(|s| s.strip_suffix(".xml"))
-            .ok_or_else(|| format!("{}: bad layout entry `{full}`", path.display()))?;
-        layouts.push((stem.to_string(), entry(full)?));
-    }
-    Ok((manifest, layouts, code))
-}
-
-/// Reads an external app (directory or `.rpk`) from an
-/// *already-policy-resolved* path into a job under the built-in Android
-/// rules ([`Rules::android`]). The job name is
-/// `external/<content-hash>/<stem>` — content-unique, so a cache keyed
-/// by it can never serve a stale parse for an edited app. The app's
-/// code is not parsed here: on the submitting connection the daemon
-/// parses it with [`flowdroid_core::job::parse_job`] on the name's
-/// first submission and with [`flowdroid_core::job::prepare`] on its
-/// second, and parses nothing after; a malformed app is refused on its
-/// first submission, never on a worker.
+/// Reads an external app (directory or `.rpk`, through
+/// [`Archive::read`]) from an *already-policy-resolved* path into a job
+/// under the built-in Android rules ([`Rules::android`]). The job name
+/// is `external/<content-hash>/<stem>` — content-unique, so a cache
+/// keyed by it can never serve a stale parse for an edited app. The
+/// app's code is not parsed here: on the submitting connection the
+/// daemon parses it with [`flowdroid_core::job::parse_job`] on the
+/// name's first submission and with [`flowdroid_core::job::prepare`]
+/// on its second, and parses nothing after; a malformed app is refused
+/// on its first submission, never on a worker.
 ///
 /// # Errors
 ///
 /// A human-readable message when the path is neither a readable app
-/// directory nor a well-formed archive with the required entries.
+/// directory nor a well-formed archive.
 pub fn load_external_job(real: &Path) -> Result<Job, String> {
-    let (manifest, layouts, code) = load_parts(real)?;
+    let archive = Archive::read(real)?;
     let stem = real
         .file_stem()
         .and_then(|s| s.to_str())
@@ -190,9 +160,8 @@ pub fn load_external_job(real: &Path) -> Result<Job, String> {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') { c } else { '_' })
         .collect::<String>();
-    let hash = content_hash(&manifest, &layouts, &code);
-    let name = format!("external/{hash:016x}/{stem}");
-    Ok(Job::app(name, manifest, layouts, code, Rules::android()))
+    let name = format!("external/{:016x}/{stem}", content_hash(&archive));
+    Ok(Job::app(name, archive, Rules::android()))
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //! produces byte-identical apps, so app names double as content keys.
 
 use flowdroid_core::{Job, Rules};
+use flowdroid_frontend::{App, Archive};
 use flowdroid_ir::fnv1a64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,8 +76,14 @@ pub struct TruthApp {
 impl TruthApp {
     /// Wraps the app as a job under the built-in Android rules.
     pub fn job(&self) -> Job {
-        let (name, manifest, code) = (self.name.clone(), self.manifest.clone(), self.code.clone());
-        Job::app(name, manifest, self.layouts.clone(), code, Rules::android())
+        Job::app(self.name.clone(), self.archive(), Rules::android())
+    }
+
+    /// The app's archive: manifest, layouts and `classes.jasm`.
+    fn archive(&self) -> Archive {
+        let layouts: Vec<(&str, &str)> =
+            self.layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
+        App::bundle(&self.manifest, &layouts, &self.code)
     }
 
     /// The ground-truth manifest as JSON (embedded in `.rpk` exports as
@@ -111,9 +118,7 @@ impl TruthApp {
     /// Serializes the app as a `.rpk` archive with the ground-truth
     /// manifest riding along as `truth.json`.
     pub fn rpk_bytes(&self) -> Vec<u8> {
-        let layouts: Vec<(&str, &str)> =
-            self.layouts.iter().map(|(n, x)| (n.as_str(), x.as_str())).collect();
-        let mut archive = flowdroid_frontend::App::bundle(&self.manifest, &layouts, &self.code);
+        let mut archive = self.archive();
         archive.add("truth.json", self.truth_json().as_bytes());
         archive.to_bytes()
     }
@@ -676,7 +681,6 @@ fn gen_icc(seed: u64, index: usize, positive: bool) -> TruthApp {
 mod tests {
     use super::*;
     use flowdroid_android::install_platform;
-    use flowdroid_frontend::App;
     use flowdroid_ir::Program;
 
     #[test]

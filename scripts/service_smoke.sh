@@ -5,7 +5,9 @@
 # decodes bodies on demand and stores its callgraph setup, and the
 # third (replayed) job reuses the prepared app, replays that setup and
 # decodes no more bodies than the prepared one; then cancels an
-# in-flight job from a second connection, and shuts down cleanly.
+# in-flight job from a second connection, serves a packed on-disk app
+# under --allow-apps with the leak count `flowdroid analyze` prints for
+# the same file, and shuts down cleanly.
 #
 # Expects target/release/flowdroid to exist (scripts/verify.sh builds
 # it first). Exits nonzero on any failed check.
@@ -21,10 +23,11 @@ fi
 log=$(mktemp)
 long_job_out=$(mktemp)
 snap=$(mktemp -d)/platform.fdps
+apps=$(mktemp -d)
 svc_pid=""
 cleanup() {
     [[ -n "$svc_pid" ]] && kill "$svc_pid" 2>/dev/null || true
-    rm -rf "$log" "$long_job_out" "$(dirname "$snap")"
+    rm -rf "$log" "$long_job_out" "$(dirname "$snap")" "$apps"
 }
 trap cleanup EXIT
 
@@ -36,8 +39,36 @@ if [[ ! -s "$snap" ]]; then
 fi
 echo "platform snapshot: OK"
 
+# An on-disk app (one activity leaking the device id to the log),
+# packed into the directory the daemon serves external apps from.
+mkdir -p "$apps/src"
+cat >"$apps/src/AndroidManifest.xml" <<'XML'
+<manifest package="smoke">
+  <application>
+    <activity android:name=".Main">
+      <intent-filter><action android:name="android.intent.action.MAIN"/></intent-filter>
+    </activity>
+  </application>
+</manifest>
+XML
+cat >"$apps/src/classes.jasm" <<'JASM'
+class smoke.Main extends android.app.Activity {
+  method onCreate(b: android.os.Bundle) -> void {
+    let o: java.lang.Object
+    let tm: android.telephony.TelephonyManager
+    let id: java.lang.String
+    o = virtualinvoke this.<android.content.Context: java.lang.Object getSystemService(java.lang.String)>("phone")
+    tm = (android.telephony.TelephonyManager) o
+    id = virtualinvoke tm.<android.telephony.TelephonyManager: java.lang.String getDeviceId()>()
+    staticinvoke <android.util.Log: int i(java.lang.String,java.lang.String)>("T", id)
+    return
+  }
+}
+JASM
+"$bin" pack "$apps/src" -o "$apps/app.rpk" >/dev/null
+
 "$bin" serve --listen 127.0.0.1:0 --workers 2 --platform-snapshot "$snap" \
-    >"$log" 2>&1 &
+    --allow-apps "$apps" >"$log" 2>&1 &
 svc_pid=$!
 
 addr=""
@@ -140,6 +171,17 @@ if ! grep -q '"abort_reason":"cancelled"' "$long_job_out"; then
     exit 1
 fi
 echo "in-flight cancellation: OK"
+
+# External app: the daemon serves the packed app from the allowed
+# directory and reports the leak count `flowdroid analyze` prints for
+# the same file (both exit 2: the app leaks by design).
+cli_leaks=$("$bin" analyze "$apps/app.rpk" | sed -n 's/^\([0-9]*\) leak(s) found.*/\1/p' || true)
+served=$("$bin" client "$addr" analyze "$apps/app.rpk" || true)
+if [[ -z "$cli_leaks" || "$cli_leaks" -eq 0 ]] || ! grep -q "\"leaks\":$cli_leaks," <<<"$served"; then
+    echo "FAIL: external app: analyze found ${cli_leaks:-?} leak(s), the daemon answered: $served" >&2
+    exit 1
+fi
+echo "external app ($cli_leaks leak(s), as analyze reports): OK"
 
 "$bin" client "$addr" shutdown >/dev/null
 wait "$svc_pid"

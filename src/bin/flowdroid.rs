@@ -24,7 +24,9 @@
 //! (deadline/budget), 1 usage or load errors.
 //! ```
 
-use flowdroid::android::{install_platform, CallbackAssociation};
+use flowdroid::android::CallbackAssociation;
+use flowdroid::core::job::{analyze_parsed, parse_job};
+use flowdroid::core::{Job, Rules};
 use flowdroid::prelude::*;
 use std::io::Write as _;
 use std::path::Path;
@@ -129,42 +131,22 @@ fn analyze(args: &[String]) -> ExitCode {
             "--global-callbacks" => {
                 config.callback_association = CallbackAssociation::Global;
             }
-            "--sources" => {
+            flag @ ("--sources" | "--wrappers") => {
                 i += 1;
                 let Some(path) = args.get(i) else {
-                    eprintln!("--sources needs a file");
+                    eprintln!("{flag} needs a file");
                     return ExitCode::FAILURE;
                 };
-                match std::fs::read_to_string(path) {
-                    Ok(text) => {
-                        if let Err(e) = sources.add_definitions(&text) {
-                            eprintln!("{path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
+                let added = match std::fs::read_to_string(path) {
+                    Err(e) => Err(e.to_string()),
+                    Ok(text) if flag == "--sources" => {
+                        sources.add_definitions(&text).map_err(|e| e.to_string())
                     }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--wrappers" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--wrappers needs a file");
-                    return ExitCode::FAILURE;
+                    Ok(text) => wrapper.add_rules(&text).map_err(|e| e.to_string()),
                 };
-                match std::fs::read_to_string(path) {
-                    Ok(text) => {
-                        if let Err(e) = wrapper.add_rules(&text) {
-                            eprintln!("{path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                if let Err(e) = added {
+                    eprintln!("{path}: {e}");
+                    return ExitCode::FAILURE;
                 }
             }
             other => {
@@ -175,15 +157,24 @@ fn analyze(args: &[String]) -> ExitCode {
         i += 1;
     }
 
-    let mut program = Program::new();
-    let platform = install_platform(&mut program);
-    let app = match load_app(target, &mut program) {
-        Ok(a) => a,
+    let archive = match Archive::read(Path::new(target)) {
+        Ok(archive) => archive,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
+    let rules = std::sync::Arc::new(Rules { sources, wrapper });
+    let job = Job::app(target.clone(), archive, rules);
+    let snapshot = flowdroid::android::build_snapshot();
+    let parsed = match parse_job(&job, snapshot.overlay_program()) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{target}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let app = parsed.app();
     println!(
         "loaded {} ({} classes, {} components, {} layouts)",
         app.manifest.package,
@@ -191,18 +182,13 @@ fn analyze(args: &[String]) -> ExitCode {
         app.manifest.components.len(),
         app.layouts.len()
     );
-    let analysis = Infoflow::new(&sources, &wrapper, &config).analyze_app(
-        &mut program,
-        &platform,
-        &app,
-        "cli",
-    );
-    print!("{}", analysis.results.report(&program));
-    if analysis.results.aborted {
-        let why = analysis.results.abort_reason.map_or("budget", |r| r.as_str());
+    let (program, results) = analyze_parsed(parsed, &config, &snapshot);
+    print!("{}", results.report(&program));
+    if results.aborted {
+        let why = results.abort_reason.map_or("budget", |r| r.as_str());
         eprintln!("analysis aborted ({why}); reported leaks are a lower bound");
         ExitCode::from(3)
-    } else if analysis.results.is_clean() {
+    } else if results.is_clean() {
         ExitCode::SUCCESS
     } else {
         // Like grep: finding something exits 0; we still signal leaks
@@ -498,16 +484,11 @@ impl ClientOut {
     }
 }
 
-fn load_app(target: &str, program: &mut Program) -> Result<flowdroid::frontend::App, String> {
-    let path = Path::new(target);
-    if path.is_dir() {
-        flowdroid::frontend::App::from_dir(program, path).map_err(|e| format!("{target}: {e}"))
-    } else {
-        let bytes = std::fs::read(path).map_err(|e| format!("{target}: {e}"))?;
-        let archive = Archive::from_bytes(&bytes).map_err(|e| format!("{target}: {e}"))?;
-        flowdroid::frontend::App::from_archive(program, &archive)
-            .map_err(|e| format!("{target}: {e}"))
-    }
+/// Loads the app at `target` (directory or archive, [`Archive::read`])
+/// into `program`, which already holds the platform stubs.
+fn load_app(target: &str, program: &mut Program) -> Result<App, String> {
+    let archive = Archive::read(Path::new(target))?;
+    App::from_archive(program, &archive).map_err(|e| format!("{target}: {e}"))
 }
 
 fn disas(args: &[String]) -> ExitCode {

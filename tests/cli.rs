@@ -1,5 +1,6 @@
 //! Integration tests for the `flowdroid` CLI binary: pack, disas and
-//! analyze round trips on a temporary app directory, and the client
+//! analyze round trips on a temporary app directory, `analyze` against
+//! the corpus driver and the daemon on the same app, and the client
 //! against a `serve` child.
 
 use std::path::PathBuf;
@@ -128,6 +129,96 @@ fn analyze_honors_custom_sources_file() {
     std::fs::write(&defs, "<no.Such: java.lang.String thing()> -> _SOURCE_\n").unwrap();
     let out = bin().args(["analyze"]).arg(&dir).arg("--sources").arg(&defs).output().unwrap();
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first line's `, <duration>)` becomes `)`: the only part of a
+/// report that is not a function of the program.
+fn strip_duration(report: &str) -> String {
+    let (head, rest) = report.split_once('\n').unwrap_or((report, ""));
+    let cut = head.rfind(", ").expect("report header ends with the duration");
+    format!("{})\n{rest}", &head[..cut])
+}
+
+/// `flowdroid analyze` runs an app on the job path the corpus driver
+/// runs it on: on InsecureBank written to disk, it prints the full
+/// report of [`flowdroid_bench::full_report`] after its `loaded` line.
+#[test]
+fn analyze_prints_the_corpus_driver_report() {
+    let dir = temp_dir("insecurebank");
+    let app = flowdroid::droidbench::insecurebank::insecure_bank();
+    app.write_to_dir(&dir).unwrap();
+    let out = bin().args(["analyze"]).arg(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (loaded, report) = stdout.split_once('\n').expect("a loaded line, then the report");
+    assert!(loaded.starts_with("loaded "), "{loaded}");
+    let job = flowdroid_bench::driver::bench_job("insecurebank".to_string(), &app);
+    let expected = flowdroid_bench::full_report(&job, &flowdroid::core::InfoflowConfig::default());
+    assert_eq!(strip_duration(report), strip_duration(&expected));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `(source line, sink line, taint)` triples of a full report's
+/// leaks, rendered and sorted like the leak lines of a daemon report.
+fn cli_leak_lines(report: &str) -> Vec<String> {
+    let line_no =
+        |l: &str| l.rsplit("(line ").next().unwrap().trim_end_matches([')', ':']).to_string();
+    let lines: Vec<&str> = report.lines().collect();
+    let mut leaks: Vec<String> = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.trim_start().starts_with('[') && l.contains("] sink "))
+        .map(|(i, sink)| {
+            let taint = lines[i + 1].trim().strip_prefix("tainted: ").expect("tainted line");
+            let source = lines[i + 2].trim();
+            let source =
+                if source.ends_with("<unattributed>") { "0".into() } else { line_no(source) };
+            format!("  {source} -> {}  {taint}", line_no(sink))
+        })
+        .collect();
+    leaks.sort();
+    leaks
+}
+
+/// An archive whose code is only `classes.sdex` gives the same leaks
+/// from `flowdroid analyze` and from a daemon serving the file.
+#[test]
+fn analyze_and_the_daemon_agree_on_an_sdex_only_archive() {
+    use flowdroid::frontend::{parse_jasm, sdex, Archive, ResourceTable};
+    use flowdroid_service::{Client, Daemon, DaemonOptions, Listen};
+    let dir = temp_dir("sdex-only");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut p = flowdroid::ir::Program::new();
+    flowdroid::android::install_platform(&mut p);
+    let classes = parse_jasm(&mut p, &ResourceTable::new(), CODE).expect("code parses");
+    let mut archive = Archive::new();
+    archive.add("AndroidManifest.xml", MANIFEST.as_bytes());
+    archive.add("classes.sdex", sdex::encode(&p, &classes));
+    let rpk = dir.join("app.rpk");
+    std::fs::write(&rpk, archive.to_bytes()).unwrap();
+
+    let out = bin().args(["analyze"]).arg(&rpk).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(2), "{stdout}");
+    let cli = cli_leak_lines(&stdout);
+    assert_eq!(cli.len(), 1, "{stdout}");
+
+    let daemon = Daemon::bind(DaemonOptions {
+        workers: 1,
+        allow_apps: vec![dir.clone()],
+        ..DaemonOptions::new(Listen::parse("127.0.0.1:0"))
+    })
+    .expect("bind daemon");
+    let addr = daemon.local_addr().to_string();
+    let accept_loop = std::thread::spawn(move || daemon.run().expect("daemon run"));
+    let mut c = Client::connect(&addr).expect("connect");
+    let served = c.analyze(rpk.to_str().unwrap(), None, None);
+    c.shutdown().expect("shutdown");
+    accept_loop.join().expect("accept loop exits cleanly");
+    let (_, result) = served.expect("the daemon serves the sdex-only archive");
+    let daemon_lines: Vec<String> = result.report.lines().skip(1).map(str::to_string).collect();
+    assert_eq!(daemon_lines, cli, "{}", result.report);
     std::fs::remove_dir_all(&dir).ok();
 }
 
