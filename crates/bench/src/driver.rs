@@ -211,6 +211,16 @@ impl CorpusRun {
         self.apps.iter().map(|a| a.provenance_nodes).sum()
     }
 
+    /// Total slots reserved in path-edge row windows across the corpus.
+    pub fn total_row_slots(&self) -> u64 {
+        self.apps.iter().map(|a| a.row_slots).sum()
+    }
+
+    /// Total flows attribution re-ran across the corpus.
+    pub fn total_flow_reevaluations(&self) -> u64 {
+        self.apps.iter().map(|a| a.flow_reevaluations).sum()
+    }
+
     /// Total method bodies (materialized, skipped) across the corpus —
     /// both zero unless the demand-driven frontend ran.
     pub fn total_bodies(&self) -> (u64, u64) {
@@ -294,6 +304,18 @@ mod tests {
             assert_eq!(eager.report, lazy.report, "{} diverged", job.name);
             assert_eq!(eager.bodies_materialized, 0);
             assert!(lazy.bodies_materialized > 0, "{} decoded nothing", job.name);
+        }
+    }
+
+    /// A run's phases add up to its wall time: leak attribution and the
+    /// solver's drop count as `results`, not as setup.
+    #[test]
+    fn setup_dataflow_and_results_add_up_to_the_total() {
+        let config = InfoflowConfig::default();
+        let job = find_job("stress/300").unwrap();
+        for run in [run_single(&job, &config), run_single_lazy(&job, &config)] {
+            assert_eq!(run.setup() + run.dataflow + run.results, run.total);
+            assert!(run.results > Duration::ZERO, "attributing the chain's leak takes time");
         }
     }
 

@@ -16,7 +16,7 @@
 //!   while keeping dense rows O(1) per membership test.
 //!
 //! The per-statement path-edge relation built from them lives next to
-//! the tabulator (`flowdroid_ifds::factset::SlotRel`): it keeps a lone
+//! the tabulator (`flowdroid_ifds::factset::SlotRows`): it keeps a lone
 //! `d1` inline in an 8-byte slot and spills to a [`HybridBitSet`] only
 //! on the second.
 //!

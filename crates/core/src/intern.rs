@@ -69,6 +69,13 @@ pub fn intern_fields(fields: &[FieldId]) -> &'static [FieldId] {
     leaked
 }
 
+/// Distinct field sequences the process-wide arena of
+/// [`intern_fields`] holds. Entries are never freed, so this only
+/// grows: a repeat of analyses already run adds none.
+pub fn interned_field_sequences() -> usize {
+    field_arena().shards.iter().map(|shard| shard.lock().unwrap().len()).sum()
+}
+
 /// Id of an interned [`AccessPath`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct ApId(u32);

@@ -283,8 +283,16 @@ pub struct JobRun {
     /// model, call graph and data flow. Drivers that also time the
     /// parse or the preparation overwrite it with their own span.
     pub total: Duration,
-    /// Data-flow (solver) phase duration only.
+    /// Data-flow (solver) phase duration only: the fixpoint.
     pub dataflow: Duration,
+    /// Result collection after the fixpoint: leak attribution and
+    /// dropping the solver's tables ([`InfoflowResults::results`]).
+    pub results: Duration,
+    /// Slots reserved in the path-edge rows' windows
+    /// ([`InfoflowResults::row_slots`]).
+    pub row_slots: u64,
+    /// Flows attribution re-ran ([`InfoflowResults::flow_reevaluations`]).
+    pub flow_reevaluations: u64,
     /// Tabulation-table density/widening counters (absent when the
     /// tables recorded no row and the interner widened nothing).
     pub fact_tables: Option<TableStats>,
@@ -312,10 +320,11 @@ pub struct JobRun {
 }
 
 impl JobRun {
-    /// Everything before the data-flow phase: decode, entry-point
-    /// model, dummy main and call-graph construction.
+    /// Everything but the data-flow phase and result collection:
+    /// decode, entry-point model, dummy main and call-graph
+    /// construction, so `setup + dataflow + results == total`.
     pub fn setup(&self) -> Duration {
-        self.total.saturating_sub(self.dataflow)
+        self.total.saturating_sub(self.dataflow + self.results)
     }
 }
 
@@ -341,6 +350,9 @@ fn outcome(
         provenance_nodes: results.provenance_nodes,
         total: start.elapsed(),
         dataflow: results.duration,
+        results: results.results,
+        row_slots: results.row_slots,
+        flow_reevaluations: results.flow_reevaluations,
         fact_tables: results.fact_tables,
         aborted: results.aborted,
         abort_reason: results.abort_reason,

@@ -60,6 +60,18 @@ pub struct InfoflowResults {
     /// where it stops, so this is far below the propagations. Not
     /// rendered in [`InfoflowResults::report`].
     pub walk_checks: u64,
+    /// Slots reserved in the windows of the forward and backward
+    /// path-edge rows: at least [`TableStats::rows`]' path-edge share,
+    /// more where a window spans unwritten statements. Not rendered in
+    /// [`InfoflowResults::report`].
+    ///
+    /// [`TableStats::rows`]: flowdroid_ifds::TableStats::rows
+    pub row_slots: u64,
+    /// Flow functions leak attribution re-ran to rebuild identity
+    /// origins: where no walk predicate vouches that a statement passes
+    /// the fact on unchanged. Not rendered in
+    /// [`InfoflowResults::report`].
+    pub flow_reevaluations: u64,
     /// Methods reachable from the entry points.
     pub reachable_methods: usize,
     /// Distinct facts hash-consed by the solver's interner (including
@@ -67,8 +79,11 @@ pub struct InfoflowResults {
     pub distinct_facts: usize,
     /// Distinct access paths hash-consed by the solver's interner.
     pub distinct_aps: usize,
-    /// Wall-clock duration of the data-flow phase.
+    /// Wall-clock duration of the data-flow phase: the fixpoint.
     pub duration: std::time::Duration,
+    /// Wall-clock duration of result collection after the fixpoint:
+    /// leak attribution and dropping the solver's tables.
+    pub results: std::time::Duration,
     /// Set when the run was aborted before reaching the fixpoint — the
     /// propagation budget ([`crate::InfoflowConfig::max_propagations`])
     /// ran out, the wall-clock deadline passed, or the job was

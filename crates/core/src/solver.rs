@@ -78,9 +78,9 @@
 //! resolved to real [`Fact`]s once per statement visit, and each
 //! produced fact is interned once before fan-out to successors / return
 //! sites — or not at all when it is the popped fact itself. Path edges
-//! are kept fact-major, one dense row per (method, fact) with a slot
-//! per statement, so a walk — one fact in one method — looks its row
-//! up once.
+//! are kept fact-major, one row per (method, fact) with a slot per
+//! statement of the row's window, so a walk — one fact in one method —
+//! looks its row up once.
 //!
 //! Propagating an edge allocates nothing in the steady state: CFG
 //! edges are borrowed from the method bodies, flow functions refill
@@ -88,8 +88,11 @@
 //! that is recorded lives in one arena (`Provenance`), as does the walk
 //! index of every method walked in. An edge a walk fills is an 8-byte
 //! slot write into the walk's row; a statement check is paid only where
-//! a jump stops. What remains is table growth: a row is allocated
-//! once, at its method's length.
+//! a jump stops. What remains is table growth: a row's window covers
+//! the statements its edges target, carved from a few large blocks
+//! that the thread keeps warm for its next solve, up to
+//! [`flowdroid_ifds::WARM_ROW_BYTES`], so a worker's later solves
+//! allocate no row memory below that size.
 
 use crate::config::InfoflowConfig;
 use crate::flows::{BackwardAssignOut, CallToReturnOut, Flows, ForwardAssignOut, ReachCache};
@@ -240,6 +243,8 @@ pub struct BiSolver<'a> {
     walks: WalkIndex,
     /// Statements a walk judged with its predicate.
     walk_checks: u64,
+    /// Flows attribution re-ran to rebuild identity origins.
+    flow_reevaluations: u64,
     buf: Buffers,
 }
 
@@ -270,6 +275,7 @@ impl<'a> BiSolver<'a> {
             abort_reason: None,
             walks: WalkIndex::new(reachable.iter().map(|m| m.index() + 1).max().unwrap_or(0)),
             walk_checks: 0,
+            flow_reevaluations: 0,
             buf: Buffers::default(),
         }
     }
@@ -283,11 +289,16 @@ impl<'a> BiSolver<'a> {
     }
 
     /// Runs the analysis from the given entry methods and collects
-    /// results.
+    /// results. [`InfoflowResults::duration`] times the fixpoint and
+    /// [`InfoflowResults::results`] the rest: leak attribution and
+    /// dropping the solver's tables.
     pub fn solve(mut self, entry_points: &[MethodId]) -> InfoflowResults {
         let start = std::time::Instant::now();
         self.run(entry_points);
-        self.collect_results(start.elapsed())
+        let duration = start.elapsed();
+        let mut results = self.collect_results(duration);
+        results.results = start.elapsed().saturating_sub(duration);
+        results
     }
 
     /// Tabulates until the fixpoint or an abort; an aborted run that
@@ -971,10 +982,13 @@ impl<'a> BiSolver<'a> {
             forward_pops: self.fw.pop_count(),
             backward_pops: self.bw.pop_count(),
             walk_checks: self.walk_checks,
+            row_slots: self.fw.row_slots() + self.bw.row_slots(),
+            flow_reevaluations: self.flow_reevaluations,
             reachable_methods: self.flows.icfg.callgraph().reachable_methods().len(),
             distinct_facts: self.interner.fact_count(),
             distinct_aps: self.interner.ap_count(),
             duration,
+            results: std::time::Duration::ZERO,
             aborted: self.abort_reason.is_some(),
             abort_reason: self.abort_reason,
             fact_tables,
@@ -993,8 +1007,14 @@ impl<'a> BiSolver<'a> {
     /// are exactly the links processing `(p, f)` or `(s, f)` would have
     /// offered had identity flows recorded, so the origin set is the
     /// same either way.
+    ///
+    /// A statement a walk may pass with the fact
+    /// ([`Self::fw_walks_through`], [`bw_walks_through`]) passes it on
+    /// unchanged, so the flow is re-run only where the walk predicate
+    /// says no; each re-run counts in `flow_reevaluations`.
     fn identity_origins(&mut self, (m, f): Node, origins: &mut Vec<Node>) {
         let ff = self.interner.resolve_fact(f);
+        let body = self.body(m.method);
         let mut outs = std::mem::take(&mut self.buf.outs);
         for p in self.flows.icfg.preds_of(m) {
             if p == m
@@ -1004,20 +1024,27 @@ impl<'a> BiSolver<'a> {
             {
                 continue;
             }
-            self.local_flow(p, &ff, &mut outs);
-            if outs.contains(&ff) {
-                origins.push((p, f));
+            if !self.fw_walks_through(body, p, &ff) {
+                self.flow_reevaluations += 1;
+                self.local_flow(p, &ff, &mut outs);
+                if !outs.contains(&ff) {
+                    continue;
+                }
             }
+            origins.push((p, f));
         }
         self.buf.outs = outs;
         for s in self.flows.icfg.succs_of(m) {
-            if s != m
-                && self.bw.has_node(s, &f)
-                && !self.bw_unprocessed.contains(&(s, f))
-                && self.bw_passes(s, &ff)
-            {
-                origins.push((s, f));
+            if s == m || !self.bw.has_node(s, &f) || self.bw_unprocessed.contains(&(s, f)) {
+                continue;
             }
+            if !bw_walks_through(body, s.idx, &ff) {
+                self.flow_reevaluations += 1;
+                if !self.bw_passes(s, &ff) {
+                    continue;
+                }
+            }
+            origins.push((s, f));
         }
     }
 

@@ -9,17 +9,19 @@
 //! so what remains is table growth plus result collection, at most one
 //! allocation per forty propagations. The bytes measure the tables'
 //! layout: a path-edge node costs one 8-byte slot (a lone `d1` inline)
-//! in its (method, fact) row, and a row is allocated once, at its
-//! method's length, so the chain requests at most 28 bytes per
-//! propagation. The statement-major table this layout replaced grew a
-//! row slot by slot: 1,251 allocations and 31.5 bytes per propagation.
-//! Both counts are deterministic: one thread, one fixed program.
+//! in the window of its (method, fact) row, carved from a few blocks,
+//! so the chain requests at most 28 bytes per propagation (22.0 today;
+//! 25.0 when every row spanned its method). The statement-major table
+//! this layout replaced grew a row slot by slot: 1,251 allocations and
+//! 31.5 bytes per propagation. Both counts are deterministic: each test
+//! runs on its own thread, whose warm row pool starts empty, over one
+//! fixed program.
 //!
 //! A heap chain (`x_i.f = t_i; t_{i+1} = a_i.f`, k = 60) gates the
 //! alias side: its backward identity flows record no provenance either,
 //! so the provenance graph stays linear in k, and it requests at most
-//! 48 bytes per forward or backward propagation (40.1 today, 96.6 with
-//! the statement-major table).
+//! 48 bytes per forward or backward propagation (26.2 today, 40.1 when
+//! every row spanned its method, 96.6 with the statement-major table).
 //!
 //! Both tests also gate worklist pops. A fact that statements pass on
 //! unchanged is recorded down straight-line code in one walk, forward
@@ -38,6 +40,12 @@
 //! walks judge about 3k statements (`walk_checks`), where judging every
 //! walked statement made about k²/2.
 //!
+//! Path-edge rows are windows carved from large blocks, and a solve's
+//! blocks stay warm on its thread for the next solve, up to
+//! `WARM_ROW_BYTES`. A repeat of the k = 200 chain on one thread must
+//! allocate no row memory, and a chain whose rows pass that cap must
+//! leave the thread holding no more than it.
+//!
 //! The call-site table the solve starts from, `CallSites::build`, is
 //! gated too, over every DroidBench app and InsecureBank. It resolves
 //! each distinct callee once, by method name and then by comparing the
@@ -53,9 +61,10 @@ use flowdroid_android::{
 };
 use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
 use flowdroid_core::solver::BiSolver;
-use flowdroid_core::{CallSites, InfoflowConfig, SourceSinkManager, TaintWrapper};
+use flowdroid_core::{CallSites, InfoflowConfig, InfoflowResults, SourceSinkManager, TaintWrapper};
 use flowdroid_frontend::layout::ResourceTable;
 use flowdroid_frontend::{parse_jasm, App};
+use flowdroid_ifds::{warm_row_bytes, WARM_ROW_BYTES};
 use flowdroid_ir::Program;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -162,21 +171,26 @@ const MAX_BYTES_PER_PROPAGATION: u64 = 28;
 /// Bytes `solve` may request per propagation on the heap chain.
 const HEAP_MAX_BYTES_PER_PROPAGATION: u64 = 48;
 
-#[test]
-fn solve_allocates_under_one_per_forty_propagations() {
+/// Solves the `stress/k` chain, counting the solve's allocations and
+/// bytes.
+fn solve_chain(k: usize) -> (InfoflowResults, u64, u64) {
     let mut p = Program::new();
     flowdroid_android::install_platform(&mut p);
     let rt = ResourceTable::new();
     parse_jasm(&mut p, &rt, ENV).unwrap();
-    parse_jasm(&mut p, &rt, &chain(K, false)).unwrap();
+    parse_jasm(&mut p, &rt, &chain(k, false)).unwrap();
     let sources = SourceSinkManager::parse(DEFS).unwrap();
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
     let main = p.find_method("S", "main").unwrap();
     let cg = CallGraph::build(&p, &[main], config.cg_algorithm);
     let solver = BiSolver::new(Icfg::new(&p, &cg), &sources, &wrapper, &config);
+    counted(|| solver.solve(&[main]))
+}
 
-    let (results, allocs, bytes) = counted(|| solver.solve(&[main]));
+#[test]
+fn solve_allocates_under_one_per_forty_propagations() {
+    let (results, allocs, bytes) = solve_chain(K);
 
     assert_eq!(results.leak_count(), 1);
     let props = results.forward_propagations;
@@ -207,6 +221,43 @@ fn solve_allocates_under_one_per_forty_propagations() {
     // Each local's walks stop where it is read and at the exit: about 3
     // statements judged per local.
     assert!(checks <= 4 * K as u64, "{checks} walk checks for a k = {K} chain");
+}
+
+/// A repeat solve on one thread carves its rows from the blocks the
+/// first one left warm, so it requests at least those blocks' bytes
+/// fewer: a block it allocated (32 KiB or more) would take the saving
+/// below them.
+#[test]
+fn a_repeat_solve_allocates_no_row_memory() {
+    assert_eq!(warm_row_bytes(), 0, "a fresh thread holds no warm block");
+    let (first, _, first_bytes) = solve_chain(K);
+    let warm = warm_row_bytes();
+    assert!(
+        warm as u64 >= 8 * first.row_slots,
+        "{warm} warm bytes for {} row slots",
+        first.row_slots
+    );
+    assert!(warm <= WARM_ROW_BYTES);
+    let (again, _, again_bytes) = solve_chain(K);
+    assert_eq!(again.forward_propagations, first.forward_propagations);
+    assert!(
+        again_bytes + warm as u64 <= first_bytes,
+        "the repeat requested {again_bytes} bytes, the first solve {first_bytes} with {warm} \
+         bytes of row blocks"
+    );
+    assert_eq!(warm_row_bytes(), warm, "the repeat gives back what it took");
+}
+
+/// A solve whose rows pass [`WARM_ROW_BYTES`] frees what the warm pool
+/// cannot hold: the thread keeps at most the cap.
+#[test]
+fn the_warm_pool_keeps_at_most_its_cap() {
+    // About k²/2 slots of 8 bytes: 9 MB of rows.
+    let (results, _, bytes) = solve_chain(1_500);
+    assert!(8 * results.row_slots > WARM_ROW_BYTES as u64, "{} row slots", results.row_slots);
+    assert!(bytes > WARM_ROW_BYTES as u64);
+    let warm = warm_row_bytes();
+    assert!(warm > 0 && warm <= WARM_ROW_BYTES, "{warm} warm bytes");
 }
 
 /// The heap chain: every box `x_i` is allocated and aliased

@@ -15,14 +15,16 @@
 //! them *manually* to interleave its forward taint and backward alias
 //! solvers (Algorithms 1 and 2 of the paper). Facts are dense indices
 //! (interned fact ids), stored in the tables of [`factset`]. Path edges
-//! are kept fact-major: one dense [`Row`] per (method, fact), a slot per
-//! statement, so a walk of one fact down a method looks its row up once
-//! and then writes by statement index.
+//! are kept fact-major: one [`Row`] per (method, fact), a slot per
+//! statement of the row's window, so a walk of one fact down a method
+//! looks its row up once and then writes by statement index. Windows
+//! are carved from blocks each thread keeps warm between solves, up to
+//! [`WARM_ROW_BYTES`].
 
 mod abort;
 pub mod factset;
 mod tabulator;
 
 pub use abort::{AbortHandle, AbortReason};
-pub use factset::TableStats;
+pub use factset::{warm_row_bytes, TableStats, WARM_ROW_BYTES};
 pub use tabulator::{PathEdge, Row, Tabulator};

@@ -1,7 +1,7 @@
 //! The path-edge / summary / incoming-set state machine underlying the
 //! IFDS tabulation algorithm.
 
-use crate::factset::{BitPairs, SlotRel, TableStats};
+use crate::factset::{BitPairs, SlotRows, TableStats};
 use flowdroid_bitset::Idx;
 use flowdroid_ir::{FxHashMap, MethodId, StmtIdx, StmtRef};
 use std::collections::VecDeque;
@@ -36,12 +36,15 @@ pub struct Row(u32);
 /// IFDS solver instance.
 ///
 /// Facts are dense indices (interned fact ids). Path edges are kept
-/// fact-major: one [`SlotRel`] row per `(method, d2)`, found through
-/// one hash lookup, with a slot per statement of the method. A row is
-/// sized to its method's statement count when it is created, so a
-/// walk of one fact down a method writes into one row and never grows
-/// it. Callee and entry-fact keys are Fx-hashed, with [`BitPairs`]
-/// sets inside.
+/// fact-major: one row of [`SlotRows`] per `(method, d2)`, found
+/// through one hash lookup, with a slot per statement of the row's
+/// window. The window covers the statements the row's edges target: a
+/// walk of one fact down a method writes into one row, and its fill
+/// grows the window to the range it records. The windows are carved
+/// from blocks the thread keeps warm between solves
+/// ([`crate::factset::WARM_ROW_BYTES`]), so a long-lived worker's
+/// later solves whose rows fit there allocate no row memory. Callee and
+/// entry-fact keys are Fx-hashed, with [`BitPairs`] sets inside.
 ///
 /// The FlowDroid bidirectional analysis drives two of them manually so
 /// it can hand edges from one to the other (context injection).
@@ -54,7 +57,7 @@ pub struct Tabulator<F: Idx> {
     rows: FxHashMap<(MethodId, F), u32>,
     /// Statement → set of d1 for all recorded path edges, one row per
     /// touched (method, d2).
-    rels: Vec<SlotRel<F>>,
+    rels: SlotRows<F>,
     /// callee → d1-at-entry → exit facts (exit stmt, d2-at-exit).
     end_summaries: FxHashMap<MethodId, FxHashMap<F, BitPairs<F>>>,
     /// callee → d3-at-entry → call contexts (call site, d2-at-call).
@@ -84,7 +87,7 @@ impl<F: Idx + Hash> Tabulator<F> {
             worklist: VecDeque::new(),
             stmt_counts,
             rows: FxHashMap::default(),
-            rels: Vec::new(),
+            rels: SlotRows::default(),
             end_summaries: FxHashMap::default(),
             incoming: FxHashMap::default(),
             propagation_count: 0,
@@ -93,8 +96,9 @@ impl<F: Idx + Hash> Tabulator<F> {
         }
     }
 
-    /// The path-edge row of `d2` in `m`, created empty — sized to `m`'s
-    /// statement count — if no edge targets it yet.
+    /// The path-edge row of `d2` in `m`, created empty — over `m`'s
+    /// statements, holding no slot until its first edge — if no edge
+    /// targets it yet.
     ///
     /// # Panics
     ///
@@ -106,9 +110,7 @@ impl<F: Idx + Hash> Tabulator<F> {
                 Some(&len) if len != NONE => len,
                 _ => panic!("{m:?} is not a tabulated method"),
             };
-            let row = u32::try_from(rels.len()).expect("path-edge row overflow");
-            rels.push(SlotRel::new(len as usize));
-            row
+            u32::try_from(rels.push(len as usize)).expect("path-edge row overflow")
         });
         Row(row)
     }
@@ -122,7 +124,7 @@ impl<F: Idx + Hash> Tabulator<F> {
     ///
     /// Panics if `idx` is past the method's statements.
     pub fn insert_in(&mut self, row: Row, idx: StmtIdx, d1: F) -> bool {
-        let inserted = self.rels[row.0 as usize].insert(idx, d1, &mut self.stats);
+        let inserted = self.rels.insert(row.0 as usize, idx, d1, &mut self.stats);
         self.propagation_count += u64::from(inserted);
         inserted
     }
@@ -139,7 +141,7 @@ impl<F: Idx + Hash> Tabulator<F> {
     ///
     /// Panics if the range runs past the method's statements.
     pub fn fill_in(&mut self, row: Row, from: StmtIdx, to: StmtIdx, d1: F) -> StmtIdx {
-        let filled = self.rels[row.0 as usize].fill(from, to, d1, &mut self.stats);
+        let filled = self.rels.fill(row.0 as usize, from, to, d1, &mut self.stats);
         self.propagation_count += filled as u64;
         if from <= to {
             from + filled
@@ -185,21 +187,22 @@ impl<F: Idx + Hash> Tabulator<F> {
         self.worklist.iter()
     }
 
-    /// The path-edge row of `d2` in `m`, if some edge targets it.
-    fn rel(&self, m: MethodId, d2: F) -> Option<&SlotRel<F>> {
-        self.rows.get(&(m, d2)).map(|&row| &self.rels[row as usize])
+    /// The index of `d2`'s path-edge row in `m`, if some edge targets
+    /// it.
+    fn rel(&self, m: MethodId, d2: F) -> Option<usize> {
+        self.rows.get(&(m, d2)).map(|&row| row as usize)
     }
 
     /// All source facts `d1` of path edges targeting `(n, d2)`. The
     /// lookup borrows `d2`; only the returned facts are materialized.
     pub fn d1s_at(&self, n: StmtRef, d2: &F) -> Vec<F> {
-        self.rel(n.method, *d2).map(|rel| rel.d1s(n.idx)).unwrap_or_default()
+        self.rel(n.method, *d2).map(|row| self.rels.d1s(row, n.idx)).unwrap_or_default()
     }
 
     /// Returns `true` if some path edge targets `(n, d2)`, whatever its
     /// source fact. Allocates nothing.
     pub fn has_node(&self, n: StmtRef, d2: &F) -> bool {
-        self.rel(n.method, *d2).is_some_and(|rel| rel.has_key(n.idx))
+        self.rel(n.method, *d2).is_some_and(|row| self.rels.has_key(row, n.idx))
     }
 
     /// Records a call context: the callee was entered with `d3` from
@@ -253,6 +256,11 @@ impl<F: Idx + Hash> Tabulator<F> {
         self.pop_count
     }
 
+    /// Slots reserved in the path-edge rows' windows, written or not.
+    pub fn row_slots(&self) -> u64 {
+        self.rels.row_slots()
+    }
+
     /// Density counters across the edge, incoming and summary tables,
     /// counted as the tables grew.
     pub fn table_stats(&self) -> TableStats {
@@ -264,9 +272,7 @@ impl<F: Idx + Hash> Tabulator<F> {
     /// counts, at the cost of a pass over the tables.
     pub fn swept_stats(&self) -> TableStats {
         let mut stats = TableStats::default();
-        for rel in &self.rels {
-            rel.collect_stats(&mut stats);
-        }
+        self.rels.collect_stats(&mut stats);
         for by_fact in self.end_summaries.values().chain(self.incoming.values()) {
             for pairs in by_fact.values() {
                 pairs.collect_stats(&mut stats);

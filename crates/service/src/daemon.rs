@@ -501,17 +501,21 @@ fn run_one(shared: &Shared, id: u64, work: Work) {
             Work::Parsed(parsed) => run_parsed(*parsed, &config, &shared.snapshot),
             Work::Prepared(job) => run_prepared(&job, &config, &shared.snapshot),
         };
+        let us = |d: std::time::Duration| d.as_micros() as u64;
+        let (wall_us, dataflow_us, results_us) = (us(run.total), us(run.dataflow), us(run.results));
         JobResult {
             job: id,
             app,
             leaks: run.leaks as u64,
             aborted: run.aborted,
             abort_reason: run.abort_reason.map(|r| r.as_str().to_string()),
-            wall_us: run.total.as_micros() as u64,
+            wall_us,
             queue_ms,
             prepare_us,
-            setup_us: run.setup().as_micros() as u64,
-            dataflow_us: run.dataflow.as_micros() as u64,
+            // The rest of the wall time, so the three phases add up to it.
+            setup_us: wall_us.saturating_sub(dataflow_us + results_us),
+            dataflow_us,
+            results_us,
             bodies_materialized: run.bodies_materialized,
             bodies_skipped: run.bodies_skipped,
             forward_propagations: run.forward_propagations,
@@ -878,6 +882,7 @@ fn stats(shared: &Shared) -> Json {
             fields.push(("wall_us", Json::from(r.wall_us)));
             fields.push(("setup_us", Json::from(r.setup_us)));
             fields.push(("dataflow_us", Json::from(r.dataflow_us)));
+            fields.push(("results_us", Json::from(r.results_us)));
             fields.push(("leaks", Json::from(r.leaks)));
             fields.push(("aborted", Json::from(r.aborted)));
             if let Some(why) = &r.abort_reason {

@@ -202,8 +202,12 @@ pub struct JobResult {
     /// stored setup) — everything before the data-flow solver (the
     /// parse at submission is `prepare_us`).
     pub setup_us: u64,
-    /// Data-flow (solver) phase in microseconds.
+    /// Data-flow (solver) phase in microseconds: the fixpoint.
     pub dataflow_us: u64,
+    /// Result collection after the fixpoint in microseconds: leak
+    /// attribution and dropping the solver's tables. `setup_us`,
+    /// `dataflow_us` and `results_us` add up to `wall_us`.
+    pub results_us: u64,
     /// Method bodies the demand-driven frontend decoded for this job
     /// (0 on a name's first run, which parses every body up front).
     pub bodies_materialized: u64,
@@ -250,6 +254,7 @@ impl JobResult {
             ("prepare_us", Json::from(self.prepare_us)),
             ("setup_us", Json::from(self.setup_us)),
             ("dataflow_us", Json::from(self.dataflow_us)),
+            ("results_us", Json::from(self.results_us)),
             ("bodies_materialized", Json::from(self.bodies_materialized)),
             ("bodies_skipped", Json::from(self.bodies_skipped)),
             ("forward_propagations", Json::from(self.forward_propagations)),
@@ -278,6 +283,7 @@ impl JobResult {
             prepare_us: v.u64_field("prepare_us").unwrap_or(0),
             setup_us: v.u64_field("setup_us").unwrap_or(0),
             dataflow_us: v.u64_field("dataflow_us").unwrap_or(0),
+            results_us: v.u64_field("results_us").unwrap_or(0),
             bodies_materialized: v.u64_field("bodies_materialized").unwrap_or(0),
             bodies_skipped: v.u64_field("bodies_skipped").unwrap_or(0),
             forward_propagations: v.u64_field("forward_propagations")?,
@@ -365,7 +371,8 @@ mod tests {
             queue_ms: 3,
             prepare_us: 310,
             setup_us: 2500,
-            dataflow_us: 117_000,
+            dataflow_us: 116_800,
+            results_us: 200,
             bodies_materialized: 42,
             bodies_skipped: 7,
             forward_propagations: 123456,

@@ -94,6 +94,22 @@ fn cold_then_warm_job_replays_cached_callgraph() {
     daemon.join().expect("accept loop exits cleanly");
 }
 
+/// A result's phases add up to its wall time, and leak attribution
+/// plus the solver's drop is `results_us`, not setup.
+#[test]
+fn result_phases_add_up_to_the_wall_time() {
+    let (addr, daemon) = spawn_daemon();
+    let mut c = Client::connect(&addr).expect("connect");
+    for _ in 0..3 {
+        let (_, r) = c.analyze("stress/300", None, None).expect("stress job");
+        assert!(!r.aborted && r.leaks == 1);
+        assert_eq!(r.setup_us + r.dataflow_us + r.results_us, r.wall_us, "{r:?}");
+        assert!(r.results_us > 0, "attributing the chain's leak takes time: {r:?}");
+    }
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("accept loop exits cleanly");
+}
+
 #[test]
 fn daemon_boots_from_snapshot_and_skips_unreachable_bodies() {
     let snap = std::env::temp_dir().join(format!("flowdroid-svc-snap-{}.fdps", std::process::id()));

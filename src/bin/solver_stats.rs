@@ -16,13 +16,17 @@
 //! run must skip at least one method body.
 //!
 //! The `ladder` section solves `stress/k` chains of growing `k` on
-//! their own, counting allocations inside the taint analysis only, and
-//! reports each rung's propagations, worklist pops (forward and
-//! backward), walk checks, table rows, allocations, bytes,
+//! their own, each on a fresh thread (so no warm row block from an
+//! earlier solve hides its rows' allocations), counting allocations
+//! inside the taint analysis only, and reports each rung's
+//! propagations, worklist pops (forward and backward), walk checks,
+//! table rows, row slots, flow re-evaluations, allocations, bytes,
 //! `dataflow_ms` and propagations per second. A rung fails when it
 //! requests more bytes per propagation than its bound in `LADDER`, pops
-//! another number of forward edges than it pins, or its walks judge
-//! more than 4k statements.
+//! another number of forward edges than it pins, its walks judge more
+//! than 4k statements, or its path-edge windows reserve more than 1.25
+//! slots per table row. The corpus mode rows carry `row_slots` and
+//! `flow_reevaluations` too.
 //!
 //! The `ground_truth` section runs the seeded synthetic corpus from
 //! `flowdroid-truth`: it sweeps every engine configuration (from the
@@ -101,6 +105,7 @@ struct ModeStats {
     wall_ms: f64,
     app_time_ms: f64,
     dataflow_ms: f64,
+    results_ms: f64,
     setup_ms: f64,
     forward_propagations: u64,
     backward_propagations: u64,
@@ -112,6 +117,8 @@ struct ModeStats {
     distinct_facts: usize,
     distinct_aps: usize,
     provenance_nodes: usize,
+    row_slots: u64,
+    flow_reevaluations: u64,
     fact_tables: Option<TableStats>,
     report: String,
 }
@@ -133,12 +140,14 @@ fn measure(
     let (materialized, skipped) = run.total_bodies();
     let app_time = run.total_app_time();
     let dataflow = run.total_dataflow_time();
+    let results: std::time::Duration = run.apps.iter().map(|a| a.results).sum();
     ModeStats {
         name,
         wall_ms: ms(run.wall),
         app_time_ms: ms(app_time),
         dataflow_ms: ms(dataflow),
-        setup_ms: ms(app_time.saturating_sub(dataflow)),
+        results_ms: ms(results),
+        setup_ms: ms(app_time.saturating_sub(dataflow + results)),
         forward_propagations: fw,
         backward_propagations: bw,
         bodies_materialized: materialized,
@@ -149,6 +158,8 @@ fn measure(
         distinct_facts: run.total_distinct_facts(),
         distinct_aps: run.total_distinct_aps(),
         provenance_nodes: run.total_provenance_nodes(),
+        row_slots: run.total_row_slots(),
+        flow_reevaluations: run.total_flow_reevaluations(),
         fact_tables: run.fact_table_totals(),
         report: corpus_report(&run),
     }
@@ -157,9 +168,10 @@ fn measure(
 /// The scaling ladder: each rung's chain length `k`, its forward pops
 /// (pinned: each local is popped where it is defined and where it is
 /// read, so 2k + 5) and the bytes its solve may request per
-/// propagation. A row per (method, fact), sized once, requests 25.2,
-/// 18.3 and 17.2 bytes; the statement-major table it replaced, whose
-/// rows grew slot by slot, requested 30.2, 23.7 and 22.7.
+/// propagation. A row per (method, fact), sized once to its method,
+/// requested 25.2, 18.3 and 17.2 bytes; the statement-major table it
+/// replaced, whose rows grew slot by slot, requested 30.2, 23.7 and
+/// 22.7.
 const LADDER: [(usize, u64, f64); 3] = [(250, 505, 28.0), (1000, 2005, 21.0), (2000, 4005, 20.0)];
 
 /// Statements a rung's walks may judge per chain link. A walk jumps from
@@ -168,9 +180,16 @@ const LADDER: [(usize, u64, f64); 3] = [(250, 505, 28.0), (1000, 2005, 21.0), (2
 /// walked statement made about k²/2.
 const WALK_CHECKS_PER_LINK: u64 = 4;
 
-/// One rung of the scaling ladder: a `stress/k` chain solved on its
-/// own, with allocations counted inside the taint analysis only
-/// (callgraph, ICFG and solve; the parse is not counted).
+/// Slots a rung's path-edge rows may reserve per table row. A row's
+/// window covers the statements its walks record; rows that spanned
+/// their whole method reserved about 2 per table row on the chains.
+const MAX_ROW_SLOTS_PER_TABLE_ROW: f64 = 1.25;
+
+/// One rung of the scaling ladder: a `stress/k` chain solved on a
+/// fresh thread, whose warm row pool is empty, so its rows are
+/// allocated and counted, with allocations counted inside the taint
+/// analysis only (callgraph, ICFG and solve; the parse is not
+/// counted).
 struct Rung {
     job: String,
     forward_propagations: u64,
@@ -179,6 +198,8 @@ struct Rung {
     backward_pops: u64,
     walk_checks: u64,
     table_rows: u64,
+    row_slots: u64,
+    flow_reevaluations: u64,
     leaks: usize,
     solve_allocations: u64,
     solve_allocated_bytes: u64,
@@ -199,9 +220,15 @@ fn measure_rung(k: usize, config: &InfoflowConfig) -> Rung {
     let job = stress_job(k);
     let snapshot = shared_platform_snapshot();
     let parsed = parse_job(&job, snapshot.overlay_program()).expect("stress jobs parse");
-    reset_alloc_counters();
-    let (_program, results) = analyze_parsed(parsed, config, snapshot);
-    let (solve_allocations, solve_allocated_bytes) = alloc_counters();
+    let (results, (solve_allocations, solve_allocated_bytes)) = std::thread::scope(|s| {
+        s.spawn(|| {
+            reset_alloc_counters();
+            let (_program, results) = analyze_parsed(parsed, config, snapshot);
+            (results, alloc_counters())
+        })
+        .join()
+        .expect("ladder rung runs")
+    });
     Rung {
         job: job.name,
         forward_propagations: results.forward_propagations,
@@ -210,6 +237,8 @@ fn measure_rung(k: usize, config: &InfoflowConfig) -> Rung {
         backward_pops: results.backward_pops,
         walk_checks: results.walk_checks,
         table_rows: results.fact_tables.map_or(0, |t| t.rows),
+        row_slots: results.row_slots,
+        flow_reevaluations: results.flow_reevaluations,
         leaks: results.leak_count(),
         solve_allocations,
         solve_allocated_bytes,
@@ -223,7 +252,8 @@ fn rung_json(r: &Rung) -> String {
         concat!(
             "    {{ \"job\": \"{}\", \"forward_propagations\": {}, ",
             "\"backward_propagations\": {}, \"forward_pops\": {}, \"backward_pops\": {}, ",
-            "\"walk_checks\": {}, \"table_rows\": {}, \"leaks\": {}, ",
+            "\"walk_checks\": {}, \"table_rows\": {}, \"row_slots\": {}, ",
+            "\"flow_reevaluations\": {}, \"leaks\": {}, ",
             "\"solve_allocations\": {}, \"solve_allocated_bytes\": {}, ",
             "\"bytes_per_propagation\": {:.3}, \"dataflow_ms\": {:.3}, ",
             "\"propagations_per_s\": {:.0} }}"
@@ -235,6 +265,8 @@ fn rung_json(r: &Rung) -> String {
         r.backward_pops,
         r.walk_checks,
         r.table_rows,
+        r.row_slots,
+        r.flow_reevaluations,
         r.leaks,
         r.solve_allocations,
         r.solve_allocated_bytes,
@@ -265,6 +297,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "      \"wall_ms\": {:.3},\n",
             "      \"app_time_ms\": {:.3},\n",
             "      \"dataflow_ms\": {:.3},\n",
+            "      \"results_ms\": {:.3},\n",
             "      \"setup_ms\": {:.3},\n",
             "      \"forward_propagations\": {},\n",
             "      \"backward_propagations\": {},\n",
@@ -277,6 +310,8 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
             "      \"distinct_facts\": {},\n",
             "      \"distinct_aps\": {},\n",
             "      \"provenance_nodes\": {},\n",
+            "      \"row_slots\": {},\n",
+            "      \"flow_reevaluations\": {},\n",
             "      \"fact_tables\": {},\n",
             "      \"report_identical_to_baseline\": {}\n",
             "    }}"
@@ -285,6 +320,7 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.wall_ms,
         m.app_time_ms,
         m.dataflow_ms,
+        m.results_ms,
         m.setup_ms,
         m.forward_propagations,
         m.backward_propagations,
@@ -297,6 +333,8 @@ fn mode_json(m: &ModeStats, report_identical: bool) -> String {
         m.distinct_facts,
         m.distinct_aps,
         m.provenance_nodes,
+        m.row_slots,
+        m.flow_reevaluations,
         fact_tables_json(&m.fact_tables),
         report_identical
     )
@@ -396,6 +434,13 @@ fn main() {
             failures.push(format!(
                 "ladder rung {} popped {} forward edges, want {pops}",
                 r.job, r.forward_pops
+            ));
+        }
+        if r.row_slots as f64 > MAX_ROW_SLOTS_PER_TABLE_ROW * r.table_rows as f64 {
+            failures.push(format!(
+                "ladder rung {} reserved {} row slots for {} table rows, \
+                 bound {MAX_ROW_SLOTS_PER_TABLE_ROW} per row",
+                r.job, r.row_slots, r.table_rows
             ));
         }
         if r.walk_checks > WALK_CHECKS_PER_LINK * k as u64 {
