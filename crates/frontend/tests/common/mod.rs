@@ -8,17 +8,17 @@ use std::fmt::Write;
 struct CountingAlloc;
 
 thread_local! {
-    /// Allocations made on this thread while counting is on, or `None`
-    /// while it is off. Each test counts on its own thread, so tests
-    /// running side by side never add to each other's counts, nor do
-    /// the test harness's own threads.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Allocations made on this thread while counting is on, and the
+    /// bytes they requested, or `None` while it is off. Each test counts
+    /// on its own thread, so tests running side by side never add to
+    /// each other's counts, nor do the test harness's own threads.
+    static ALLOCS: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
-fn note_alloc() {
+fn note_alloc(bytes: usize) {
     let _ = ALLOCS.try_with(|c| {
-        if let Some(n) = c.get() {
-            c.set(Some(n + 1));
+        if let Some((n, b)) = c.get() {
+            c.set(Some((n + 1, b + bytes as u64)));
         }
     });
 }
@@ -26,17 +26,25 @@ fn note_alloc() {
 /// Runs `f`, returning its result with the allocations it made on this
 /// thread.
 pub fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCS.with(|c| c.set(Some(0)));
-    let out = f();
-    let allocs = ALLOCS.with(Cell::take).unwrap();
+    let (out, (allocs, _)) = counted_bytes(f);
     (out, allocs)
+}
+
+/// Runs `f`, returning its result with the allocations it made on this
+/// thread and the bytes they requested (`alloc` size plus `realloc` new
+/// size, as `solver_stats` counts them).
+pub fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    ALLOCS.with(|c| c.set(Some((0, 0))));
+    let out = f();
+    let counts = ALLOCS.with(Cell::take).unwrap();
+    (out, counts)
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments
 // unchanged; the counter is a side effect that allocates nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -47,13 +55,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }

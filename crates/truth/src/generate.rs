@@ -152,6 +152,73 @@ pub fn generate_corpus(seed: u64, per_category: usize) -> Vec<TruthApp> {
     out
 }
 
+/// A single-activity app whose `onCreate` carries the IMEI through a
+/// chain of `k` steps to one log sink: the app perfbench's taint
+/// workloads send, byte for byte, for package `pkg`.
+///
+/// * forward (`alias == false`): `t_i = t_{i-1} + t_{i-1}`, so forward
+///   propagations grow as about `k²/2` and nothing touches the heap;
+/// * alias: every box `x_i` is allocated and aliased (`a_i = x_i`) up
+///   front, then `x_i.f = t_i; t_{i+1} = a_i.f` runs down the chain, so
+///   every heap store starts a backward alias search.
+///
+/// One leak, whatever `k`. The frontend's allocation pins and
+/// `solver_stats`' frontend rows measure these shapes.
+pub fn chain_app(pkg: &str, k: usize, alias: bool) -> Archive {
+    let manifest = format!(
+        "<manifest package=\"{pkg}\">\n  <application>\n    <activity android:name=\".Main\">\n      <intent-filter><action android:name=\"android.intent.action.MAIN\"/></intent-filter>\n    </activity>\n  </application>\n</manifest>"
+    );
+    let mut code = String::new();
+    let mut w = |line: String| {
+        code.push_str(&line);
+        code.push('\n');
+    };
+    if alias {
+        w(format!("class {pkg}.Box extends java.lang.Object {{"));
+        w("  field f: java.lang.String".into());
+        w("  method <init>() -> void {\n    return\n  }\n}".into());
+    }
+    w(format!("class {pkg}.Main extends android.app.Activity {{"));
+    w("  method onCreate(b: android.os.Bundle) -> void {".into());
+    w("    let o: java.lang.Object\n    let tm: android.telephony.TelephonyManager".into());
+    let last = if alias {
+        for i in 0..=k {
+            w(format!("    let t{i}: java.lang.String"));
+        }
+        for i in 0..k {
+            w(format!("    let x{i}: {pkg}.Box\n    let a{i}: {pkg}.Box"));
+        }
+        format!("t{k}")
+    } else {
+        for i in 0..k {
+            w(format!("    let t{i}: java.lang.String"));
+        }
+        format!("t{}", k - 1)
+    };
+    w("    o = virtualinvoke this.<android.content.Context: java.lang.Object getSystemService(java.lang.String)>(\"phone\")".into());
+    w("    tm = (android.telephony.TelephonyManager) o".into());
+    w("    t0 = virtualinvoke tm.<android.telephony.TelephonyManager: java.lang.String getDeviceId()>()".into());
+    if alias {
+        for i in 0..k {
+            w(format!("    x{i} = new {pkg}.Box"));
+            w(format!("    specialinvoke x{i}.<{pkg}.Box: void <init>()>()"));
+            w(format!("    a{i} = x{i}"));
+        }
+        for i in 0..k {
+            w(format!("    x{i}.f = t{i}\n    t{} = a{i}.f", i + 1));
+        }
+    } else {
+        for i in 1..k {
+            w(format!("    t{i} = t{} + t{}", i - 1, i - 1));
+        }
+    }
+    w(format!(
+        "    staticinvoke <android.util.Log: int i(java.lang.String,java.lang.String)>(\"T\", {last})"
+    ));
+    w("    return\n  }\n}".into());
+    App::bundle(&manifest, &[], &code)
+}
+
 /// Per-(category, index) RNG: a seed split keyed by the category name
 /// so adding a category never reshuffles the others.
 fn rng_for(seed: u64, category: &str, index: usize) -> StdRng {

@@ -28,4 +28,4 @@ pub mod generate;
 pub use differential::{
     check_icc_linked, run_differential, Differential, EngineOutcome, IccCheck, KLimitProbe,
 };
-pub use generate::{generate_corpus, TruthApp, CATEGORIES, CONSTRUCTIVE_CATEGORIES};
+pub use generate::{chain_app, generate_corpus, TruthApp, CATEGORIES, CONSTRUCTIVE_CATEGORIES};

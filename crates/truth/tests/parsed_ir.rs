@@ -14,33 +14,19 @@
 //! directory for integration tests (the path is in the failure message).
 //! A frontend change that keeps the IR must keep every line.
 
+mod common;
+
+use common::{check_golden, fingerprint};
 use flowdroid_android::install_platform;
 use flowdroid_droidbench::{all_apps, insecurebank, BenchApp};
 use flowdroid_frontend::layout::ResourceTable;
 use flowdroid_frontend::{parse_jasm, App};
-use flowdroid_ir::{fnv1a64, Program, ProgramPrinter};
+use flowdroid_ir::Program;
 use flowdroid_securibench::{cases_in, Group, MICRO_ENV};
 use flowdroid_truth::generate_corpus;
 use std::fmt::Write;
 
 const GOLDEN: &str = include_str!("golden/parsed_ir.txt");
-
-/// The program's fingerprint: every class, method and field in id
-/// order, then the printed program.
-fn fingerprint(p: &Program) -> u64 {
-    let mut text = String::new();
-    for c in p.classes() {
-        writeln!(text, "{c:?}").unwrap();
-    }
-    for m in p.methods() {
-        writeln!(text, "{m:?}").unwrap();
-    }
-    for f in p.fields() {
-        writeln!(text, "{f:?}").unwrap();
-    }
-    text.push_str(&ProgramPrinter::new(p).program_to_string());
-    fnv1a64(text.as_bytes())
-}
 
 /// A fresh program holding the platform stubs and `app`.
 fn load_droid(app: &BenchApp) -> Program {
@@ -82,19 +68,5 @@ fn render_all() -> String {
 
 #[test]
 fn parsed_ir_matches_golden() {
-    let rendered = render_all();
-    if rendered != GOLDEN {
-        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-        let path = dir.join("parsed_ir.txt");
-        std::fs::write(&path, &rendered).expect("write rendered fingerprints");
-        let first = rendered
-            .lines()
-            .zip(GOLDEN.lines())
-            .find(|(a, b)| a != b)
-            .map_or_else(|| "line count differs".to_string(), |(a, b)| format!("{b} -> {a}"));
-        panic!(
-            "parsed IR differs from the golden (first: {first}); rendered to {}",
-            path.display()
-        );
-    }
+    check_golden(&render_all(), GOLDEN, "parsed_ir.txt");
 }
