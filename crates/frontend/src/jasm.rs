@@ -36,27 +36,41 @@
 //! `nop`. Constants: integers, `"strings"`, `null`, and resource
 //! references `@id/name` / `@layout/name` resolved against a
 //! [`ResourceTable`].
-
 //!
 //! # Parsing in one pass
 //!
-//! The lexer yields tokens that borrow the source text. A first walk
-//! over them reads class headers and member signatures and records where
-//! each method body starts, skipping the body to its closing `}`.
-//! Declarations then follow in a fixed order, so that every class,
-//! method, field and interned name gets the same id whatever the file
-//! holds: all class headers in file order, then each class's fields and
-//! method signatures, then the bodies. Each body is parsed statement by
-//! statement straight into a [`MethodBuilder`], with its parameters and
-//! hoisted `let`s registered first.
+//! The lexer yields 16-byte tokens: a kind, a byte span of the source
+//! and a line. It scans identifier runs with a byte-class table and
+//! checks string and integer literals as it goes, but decodes a string's
+//! escapes or an integer's digits only where the parser uses them.
+//!
+//! A first walk over the tokens reads class headers and member
+//! signatures, and walks each method body to its closing `}`, noting
+//! where each `let name:` starts. Declarations then follow in a fixed
+//! order, so that every class, method, field and interned name gets the
+//! same id whatever the file holds: all class headers in file order,
+//! then each class's fields and method signatures, then the bodies.
+//! Each body first declares its parameters and, visiting only the noted
+//! positions, its `let`s; then it is parsed statement by statement
+//! straight into a [`MethodBuilder`], stepping over each declared `let`.
+//!
+//! A per-parse memo maps the text of a class name or a member name to
+//! its `ClassId` or `Symbol`, so the program's interner sees each
+//! distinct name about once per parse, first occurrences in source
+//! order; a repeated `let t: java.lang.String` costs a compare, not a
+//! SipHash lookup.
 
 use crate::layout::ResourceTable;
 use flowdroid_ir::{
-    BinOp, ClassId, CmpOp, Constant, FieldId, FxHashMap, InvokeKind, Label, Local, MethodBuilder,
-    MethodId, Operand, Place, Program, Rvalue, SubSig, Type, UnOp,
+    BinOp, ClassId, CmpOp, Constant, FieldId, FxHashMap, FxHasher, InvokeExpr, InvokeKind, Label,
+    Local, MethodBuilder, MethodId, MethodRef, Operand, Place, Program, Rvalue, SubSig, Symbol,
+    Type, UnOp,
 };
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::Hasher;
+use std::ops::Range;
 
 /// A syntax or name-resolution error with source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,8 +106,10 @@ pub fn parse_jasm(
     resources: &ResourceTable,
     src: &str,
 ) -> Result<Vec<ClassId>, ParseError> {
-    let toks = lex(src)?;
-    let classes = Cursor { src, toks: &toks, pos: 0 }.classes()?;
+    let (toks, let_words) = lex(src)?;
+    let mut lets = Vec::with_capacity(let_words);
+    let classes = Cursor { src, toks: &toks, pos: 0 }.classes(&mut lets)?;
+    let mut names = Names::new();
     let ids = classes.iter().map(|c| c.declare(program)).collect::<Result<Vec<_>, _>>()?;
     if let Some((c, _)) = classes.iter().zip(&ids).find(|(_, &id)| program.superclass_cycle(id)) {
         return Err(ParseError {
@@ -104,16 +120,17 @@ pub fn parse_jasm(
     let mut methods = Vec::new();
     for (c, &cid) in classes.iter().zip(&ids) {
         for f in &c.fields {
-            f.declare(program, cid)?;
+            f.declare(program, &mut names, cid)?;
         }
         for m in &c.methods {
-            methods.push((m.declare(program, cid)?, m));
+            methods.push((m.declare(program, &mut names, cid)?, m));
         }
     }
     for (mid, m) in methods {
         if let Some(pos) = m.body {
             let cur = Cursor { src, toks: &toks, pos };
-            BodyParser::new(program, resources, cur, mid, m)?.parse()?;
+            let lets = &mut lets[m.lets.clone()];
+            BodyParser::new(program, resources, &mut names, cur, mid, m, lets)?.parse()?;
         }
     }
     Ok(ids)
@@ -121,15 +138,14 @@ pub fn parse_jasm(
 
 // ===================== Lexer =====================
 
-#[derive(Debug, PartialEq)]
-enum Tok<'src> {
-    Ident(&'src str),
-    Int(i64),
-    /// String literal contents; owned only when it held an escape or a
-    /// non-ASCII byte.
-    Str(Cow<'src, str>),
+/// What a token is. The names are the ones error messages show.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Ident,
+    Int,
+    Str,
     /// `@kind/name` resource reference.
-    Res(&'src str, &'src str),
+    Res,
     LBrace,
     RBrace,
     LParen,
@@ -159,14 +175,76 @@ enum Tok<'src> {
     Shr,
 }
 
-struct Token<'src> {
-    tok: Tok<'src>,
+/// A token: its kind, its text as a byte span of the source and its
+/// line. An `Int`'s span is its digits as written, a `Str`'s the bytes
+/// between its quotes with escapes undecoded, a `Res`'s the whole
+/// `@kind/name`.
+#[derive(Clone, Copy)]
+struct Token {
+    kind: Kind,
+    start: u32,
+    end: u32,
     line: u32,
 }
 
-/// `bytes` read as Latin-1, one `char` per byte.
-fn latin1(bytes: &[u8]) -> String {
-    bytes.iter().map(|&c| c as char).collect()
+/// Byte classes of [`CLASS`]: letters, digits and `_` continue every
+/// identifier-like run and `$` continues identifiers only; `SPACE` is
+/// blank space within a line.
+const WORD: u8 = 1;
+const DOLLAR: u8 = 2;
+const SPACE: u8 = 4;
+
+/// The class of each byte.
+static CLASS: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        let c = i as u8;
+        if c.is_ascii_alphanumeric() || c == b'_' {
+            t[i] = WORD;
+        } else if c == b'$' {
+            t[i] = DOLLAR;
+        } else if c == b' ' || c == b'\t' || c == b'\r' {
+            t[i] = SPACE;
+        }
+        i += 1;
+    }
+    t
+};
+
+/// The one-byte token each punctuation byte starts; the lexer then
+/// checks for the two-byte operators and `//`.
+static PUNCT: [Option<Kind>; 256] = {
+    let mut t = [None; 256];
+    t[b'{' as usize] = Some(Kind::LBrace);
+    t[b'}' as usize] = Some(Kind::RBrace);
+    t[b'(' as usize] = Some(Kind::LParen);
+    t[b')' as usize] = Some(Kind::RParen);
+    t[b'[' as usize] = Some(Kind::LBracket);
+    t[b']' as usize] = Some(Kind::RBracket);
+    t[b':' as usize] = Some(Kind::Colon);
+    t[b',' as usize] = Some(Kind::Comma);
+    t[b'.' as usize] = Some(Kind::Dot);
+    t[b'=' as usize] = Some(Kind::Assign);
+    t[b'<' as usize] = Some(Kind::Lt);
+    t[b'>' as usize] = Some(Kind::Gt);
+    t[b'+' as usize] = Some(Kind::Plus);
+    t[b'-' as usize] = Some(Kind::Minus);
+    t[b'*' as usize] = Some(Kind::Star);
+    t[b'/' as usize] = Some(Kind::Slash);
+    t[b'%' as usize] = Some(Kind::Percent);
+    t[b'&' as usize] = Some(Kind::Amp);
+    t[b'|' as usize] = Some(Kind::Pipe);
+    t[b'^' as usize] = Some(Kind::Caret);
+    t
+};
+
+/// The end of the run of `class` bytes starting at `i`.
+fn run(b: &[u8], mut i: usize, class: u8) -> usize {
+    while i < b.len() && CLASS[b[i] as usize] & class != 0 {
+        i += 1;
+    }
+    i
 }
 
 /// `s` with its `_` digit separators removed.
@@ -178,157 +256,323 @@ fn without_underscores(s: &str) -> Cow<'_, str> {
     }
 }
 
-/// The byte offset of `s`, a slice of `src`, within `src`.
-fn offset(src: &str, s: &str) -> usize {
-    s.as_ptr() as usize - src.as_ptr() as usize
+/// The value of an integer literal as written: decimal, or hexadecimal
+/// after `0x`, with `_` separators; `None` if it is malformed or does
+/// not fit an `i64`.
+fn int_value(text: &str) -> Option<i64> {
+    match text.strip_prefix("0x") {
+        Some(hex) => i64::from_str_radix(&without_underscores(hex), 16).ok(),
+        None => without_underscores(text).parse().ok(),
+    }
 }
 
-fn lex(src: &str) -> Result<Vec<Token<'_>>, ParseError> {
-    let mut out = Vec::with_capacity(src.len() / 4);
-    let b = src.as_bytes();
+/// The text of a string literal whose source between the quotes is
+/// `raw`: `\n` and `\t` decoded, any other escaped byte taken as is,
+/// and every byte read as Latin-1, one `char` per byte. Borrows `raw`
+/// when it holds no escape and no non-ASCII byte.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    let b = raw.as_bytes();
+    if b.iter().all(|&c| c.is_ascii() && c != b'\\') {
+        return Cow::Borrowed(raw);
+    }
+    let mut s = String::with_capacity(b.len());
     let mut i = 0;
-    let mut line: u32 = 1;
-    let err = |msg: &str, line: u32| ParseError { message: msg.to_owned(), line };
-    // Identifier-like runs: letters, digits, `_` (and `$` where allowed).
-    let run = |mut i: usize, dollar: bool| {
-        while i < b.len()
-            && (b[i].is_ascii_alphanumeric() || b[i] == b'_' || (dollar && b[i] == b'$'))
-        {
+    while i < b.len() {
+        // The lexer pairs every `\` inside a literal with the byte after.
+        if b[i] == b'\\' {
+            s.push(match b[i + 1] {
+                b'n' => '\n',
+                b't' => '\t',
+                other => other as char,
+            });
+            i += 2;
+        } else {
+            s.push(b[i] as char);
             i += 1;
         }
-        i
+    }
+    Cow::Owned(s)
+}
+
+/// The tokens of `src`, with the number of `let` identifiers among them.
+fn lex(src: &str) -> Result<(Vec<Token>, usize), ParseError> {
+    let err = |msg: &str, line: u32| ParseError { message: msg.to_owned(), line };
+    if u32::try_from(src.len()).is_err() {
+        return Err(err("source larger than 4 GiB", 1));
+    }
+    let b = src.as_bytes();
+    // Room for a token every other byte: real code has about one per
+    // three or four, so the vector is never regrown.
+    let mut out = Vec::with_capacity(b.len() / 2);
+    let mut i = 0;
+    let mut line: u32 = 1;
+    let mut let_words = 0;
+    let to_line_end = |i: usize| b[i..].iter().position(|&c| c == b'\n').map_or(b.len(), |n| i + n);
+    while let Some(&c) = b.get(i) {
+        let class = CLASS[c as usize];
+        if class & SPACE != 0 {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        i += 1;
+        let kind = if class & (WORD | DOLLAR) != 0 && !c.is_ascii_digit() {
+            i = run(b, i, WORD | DOLLAR);
+            let_words += usize::from(&b[start..i] == b"let");
+            Kind::Ident
+        } else if let Some(one) = PUNCT[c as usize] {
+            let two = match (c, b.get(i)) {
+                (b'-', Some(b'>')) => Kind::Arrow,
+                (b'=', Some(b'=')) => Kind::EqEq,
+                (b'<', Some(b'=')) => Kind::Le,
+                (b'>', Some(b'=')) => Kind::Ge,
+                (b'<', Some(b'<')) => Kind::Shl,
+                (b'>', Some(b'>')) => Kind::Shr,
+                (b'/', Some(b'/')) => {
+                    i = to_line_end(i);
+                    continue;
+                }
+                _ => one,
+            };
+            if two != one {
+                i += 1;
+            }
+            two
+        } else {
+            match c {
+                b'\n' => {
+                    line += 1;
+                    continue;
+                }
+                b'#' => {
+                    i = to_line_end(i);
+                    continue;
+                }
+                b'!' if b.get(i) == Some(&b'=') => {
+                    i += 1;
+                    Kind::Ne
+                }
+                b'"' => {
+                    loop {
+                        match b.get(i) {
+                            None => return Err(err("unterminated string literal", line)),
+                            Some(b'"') => break,
+                            Some(b'\\') if i + 1 < b.len() => i += 2,
+                            Some(b'\n') => return Err(err("newline in string literal", line)),
+                            Some(_) => i += 1,
+                        }
+                    }
+                    i += 1;
+                    // The span is the text between the quotes.
+                    out.push(Token {
+                        kind: Kind::Str,
+                        start: start as u32 + 1,
+                        end: i as u32 - 1,
+                        line,
+                    });
+                    continue;
+                }
+                b'@' => {
+                    let kind_end = run(b, i, WORD);
+                    if b.get(kind_end) != Some(&b'/') {
+                        return Err(err("expected '/' in resource reference", line));
+                    }
+                    let name_end = run(b, kind_end + 1, WORD);
+                    if kind_end == i || name_end == kind_end + 1 {
+                        return Err(err("malformed resource reference", line));
+                    }
+                    i = name_end;
+                    Kind::Res
+                }
+                b'0'..=b'9' => {
+                    i = run(b, i, WORD);
+                    let digits = &b[start..i];
+                    // Up to 18 decimal digits always fit; check the rest.
+                    if !(digits.len() <= 18 && digits.iter().all(u8::is_ascii_digit))
+                        && int_value(&src[start..i]).is_none()
+                    {
+                        let msg = format!("bad integer literal `{}`", &src[start..i]);
+                        return Err(err(&msg, line));
+                    }
+                    Kind::Int
+                }
+                other => {
+                    let msg = format!("unexpected character `{}`", other as char);
+                    return Err(err(&msg, line));
+                }
+            }
+        };
+        out.push(Token { kind, start: start as u32, end: i as u32, line });
+    }
+    Ok((out, let_words))
+}
+
+/// A token as error messages show it: the `Debug` form of its kind with
+/// the decoded value, as in `Ident("x")`, `Int(5)`, `Str("a\nb")`,
+/// `Res("id", "w")` or `Arrow`.
+struct Shown<'t> {
+    kind: Kind,
+    text: &'t str,
+}
+
+impl fmt::Debug for Shown<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            Kind::Ident => f.debug_tuple("Ident").field(&self.text).finish(),
+            Kind::Int => f.debug_tuple("Int").field(&int_value(self.text).unwrap_or(0)).finish(),
+            Kind::Str => f.debug_tuple("Str").field(&unescape(self.text)).finish(),
+            Kind::Res => {
+                let (kind, name) = self.text[1..].split_once('/').unwrap_or_default();
+                f.debug_tuple("Res").field(&kind).field(&name).finish()
+            }
+            kind => fmt::Debug::fmt(&kind, f),
+        }
+    }
+}
+
+/// The words with a meaning inside method bodies and types.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kw {
+    Let,
+    Label,
+    Goto,
+    If,
+    Opaque,
+    Return,
+    Throw,
+    Nop,
+    Static,
+    Invoke(InvokeKind),
+    New,
+    NewArray,
+    Neg,
+    LengthOf,
+    InstanceOf,
+    Cmp,
+    Null,
+    Void,
+    Boolean,
+    Byte,
+    Char,
+    Short,
+    Int,
+    Long,
+    Float,
+    Double,
+}
+
+/// The keyword `word` spells, if any: one switch on its length, first
+/// and last byte, which no two keywords share, then one compare.
+fn keyword(word: &[u8]) -> Option<Kw> {
+    let (kw, text) = match (word.len(), *word.first()?, *word.last()?) {
+        (3, b'l', b't') => (Kw::Let, "let"),
+        (5, b'l', b'l') => (Kw::Label, "label"),
+        (4, b'g', b'o') => (Kw::Goto, "goto"),
+        (2, b'i', b'f') => (Kw::If, "if"),
+        (6, b'o', b'e') => (Kw::Opaque, "opaque"),
+        (6, b'r', b'n') => (Kw::Return, "return"),
+        (5, b't', b'w') => (Kw::Throw, "throw"),
+        (3, b'n', b'p') => (Kw::Nop, "nop"),
+        (6, b's', b'c') => (Kw::Static, "static"),
+        (13, b'v', b'e') => (Kw::Invoke(InvokeKind::Virtual), "virtualinvoke"),
+        (15, b'i', b'e') => (Kw::Invoke(InvokeKind::Interface), "interfaceinvoke"),
+        (13, b's', b'e') => (Kw::Invoke(InvokeKind::Special), "specialinvoke"),
+        (12, b's', b'e') => (Kw::Invoke(InvokeKind::Static), "staticinvoke"),
+        (3, b'n', b'w') => (Kw::New, "new"),
+        (8, b'n', b'y') => (Kw::NewArray, "newarray"),
+        (3, b'n', b'g') => (Kw::Neg, "neg"),
+        (8, b'l', b'f') => (Kw::LengthOf, "lengthof"),
+        (10, b'i', b'f') => (Kw::InstanceOf, "instanceof"),
+        (3, b'c', b'p') => (Kw::Cmp, "cmp"),
+        (4, b'n', b'l') => (Kw::Null, "null"),
+        (4, b'v', b'd') => (Kw::Void, "void"),
+        (7, b'b', b'n') => (Kw::Boolean, "boolean"),
+        (4, b'b', b'e') => (Kw::Byte, "byte"),
+        (4, b'c', b'r') => (Kw::Char, "char"),
+        (5, b's', b't') => (Kw::Short, "short"),
+        (3, b'i', b't') => (Kw::Int, "int"),
+        (4, b'l', b'g') => (Kw::Long, "long"),
+        (5, b'f', b't') => (Kw::Float, "float"),
+        (6, b'd', b'e') => (Kw::Double, "double"),
+        _ => return None,
     };
-    while i < b.len() {
-        let c = b[i];
-        match c {
-            b'\n' => {
-                line += 1;
-                i += 1;
-            }
-            b' ' | b'\t' | b'\r' => i += 1,
-            b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'#' => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'"' => {
-                i += 1;
-                let start = i;
-                let mut owned: Option<String> = None;
-                loop {
-                    if i >= b.len() {
-                        return Err(err("unterminated string literal", line));
-                    }
-                    match b[i] {
-                        b'"' => {
-                            i += 1;
-                            break;
-                        }
-                        b'\\' if i + 1 < b.len() => {
-                            let s = owned.get_or_insert_with(|| latin1(&b[start..i]));
-                            s.push(match b[i + 1] {
-                                b'n' => '\n',
-                                b't' => '\t',
-                                other => other as char,
-                            });
-                            i += 2;
-                        }
-                        b'\n' => return Err(err("newline in string literal", line)),
-                        other => {
-                            if let Some(s) = &mut owned {
-                                s.push(other as char);
-                            } else if !other.is_ascii() {
-                                owned = Some(latin1(&b[start..=i]));
-                            }
-                            i += 1;
-                        }
-                    }
-                }
-                let text = owned.map_or(Cow::Borrowed(&src[start..i - 1]), Cow::Owned);
-                out.push(Token { tok: Tok::Str(text), line });
-            }
-            b'@' => {
-                let kind_end = run(i + 1, false);
-                if kind_end >= b.len() || b[kind_end] != b'/' {
-                    return Err(err("expected '/' in resource reference", line));
-                }
-                let name_end = run(kind_end + 1, false);
-                let (kind, name) = (&src[i + 1..kind_end], &src[kind_end + 1..name_end]);
-                if kind.is_empty() || name.is_empty() {
-                    return Err(err("malformed resource reference", line));
-                }
-                out.push(Token { tok: Tok::Res(kind, name), line });
-                i = name_end;
-            }
-            b'0'..=b'9' => {
-                let end = run(i, false);
-                let text = &src[i..end];
-                let v = if let Some(hex) = text.strip_prefix("0x") {
-                    i64::from_str_radix(&without_underscores(hex), 16)
-                } else {
-                    without_underscores(text).parse()
-                };
-                match v {
-                    Ok(v) => out.push(Token { tok: Tok::Int(v), line }),
-                    Err(_) => return Err(err(&format!("bad integer literal `{text}`"), line)),
-                }
-                i = end;
-            }
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
-                let end = run(i, true);
-                out.push(Token { tok: Tok::Ident(&src[i..end]), line });
-                i = end;
-            }
+    (word == text.as_bytes()).then_some(kw)
+}
+
+// ===================== Resolved names =====================
+
+/// Slots of each [`Names`] memo.
+const MEMO_SLOTS: usize = 64;
+
+/// The per-parse memo of resolved names: the last class name and the
+/// last member name or string seen in each of a few direct-mapped
+/// slots, with the `ClassId` or `Symbol` the program gave it. A hit
+/// skips the program's interner (SipHash, kept for keys read from
+/// untrusted apps); a miss, or a slot shared by two names, resolves
+/// through it as before. Resolving a name the program already holds
+/// changes nothing, so ids come out as without the memo. Only names
+/// that borrow the source are memoized.
+struct Names<'t> {
+    classes: [Option<(&'t str, ClassId)>; MEMO_SLOTS],
+    symbols: [Option<(&'t str, Symbol)>; MEMO_SLOTS],
+}
+
+/// The memo slot of `text`.
+fn slot(text: &str) -> usize {
+    let mut h = FxHasher::default();
+    h.write(text.as_bytes());
+    (h.finish() >> 58) as usize
+}
+
+impl<'t> Names<'t> {
+    fn new() -> Self {
+        Names { classes: [None; MEMO_SLOTS], symbols: [None; MEMO_SLOTS] }
+    }
+
+    /// The class named `name`, a phantom if the program has none yet.
+    fn class(&mut self, program: &mut Program, name: Cow<'t, str>) -> ClassId {
+        let name = match name {
+            Cow::Borrowed(name) => name,
+            Cow::Owned(name) => return program.class_id(&name),
+        };
+        let entry = &mut self.classes[slot(name)];
+        match *entry {
+            Some((text, id)) if text == name => id,
             _ => {
-                let two = if i + 1 < b.len() { &b[i..i + 2] } else { &b[i..i + 1] };
-                let (tok, len) = match two {
-                    b"->" => (Tok::Arrow, 2),
-                    b"==" => (Tok::EqEq, 2),
-                    b"!=" => (Tok::Ne, 2),
-                    b"<=" => (Tok::Le, 2),
-                    b">=" => (Tok::Ge, 2),
-                    b"<<" => (Tok::Shl, 2),
-                    b">>" => (Tok::Shr, 2),
-                    _ => match c {
-                        b'{' => (Tok::LBrace, 1),
-                        b'}' => (Tok::RBrace, 1),
-                        b'(' => (Tok::LParen, 1),
-                        b')' => (Tok::RParen, 1),
-                        b'[' => (Tok::LBracket, 1),
-                        b']' => (Tok::RBracket, 1),
-                        b':' => (Tok::Colon, 1),
-                        b',' => (Tok::Comma, 1),
-                        b'.' => (Tok::Dot, 1),
-                        b'=' => (Tok::Assign, 1),
-                        b'<' => (Tok::Lt, 1),
-                        b'>' => (Tok::Gt, 1),
-                        b'+' => (Tok::Plus, 1),
-                        b'-' => (Tok::Minus, 1),
-                        b'*' => (Tok::Star, 1),
-                        b'/' => (Tok::Slash, 1),
-                        b'%' => (Tok::Percent, 1),
-                        b'&' => (Tok::Amp, 1),
-                        b'|' => (Tok::Pipe, 1),
-                        b'^' => (Tok::Caret, 1),
-                        other => {
-                            return Err(err(
-                                &format!("unexpected character `{}`", other as char),
-                                line,
-                            ))
-                        }
-                    },
-                };
-                out.push(Token { tok, line });
-                i += len;
+                let id = program.class_id(name);
+                *entry = Some((name, id));
+                id
             }
         }
     }
-    Ok(out)
+
+    /// `text` interned.
+    fn symbol(&mut self, program: &mut Program, text: Cow<'t, str>) -> Symbol {
+        let text = match text {
+            Cow::Borrowed(text) => text,
+            Cow::Owned(text) => return program.intern(&text),
+        };
+        let entry = &mut self.symbols[slot(text)];
+        match *entry {
+            Some((seen, sym)) if seen == text => sym,
+            _ => {
+                let sym = program.intern(text);
+                *entry = Some((text, sym));
+                sym
+            }
+        }
+    }
+
+    fn ty(&mut self, program: &mut Program, t: &TypeRef<'t>) -> Type {
+        let mut ty = match &t.base {
+            Ok(prim) => prim.clone(),
+            Err(name) => Type::Ref(self.class(program, name.clone())),
+        };
+        for _ in 0..t.dims {
+            ty = ty.array_of();
+        }
+        ty
+    }
 }
 
 // ===================== Token cursor =====================
@@ -340,33 +584,22 @@ struct TypeRef<'t> {
     dims: usize,
 }
 
-impl TypeRef<'_> {
-    fn resolve(&self, program: &mut Program) -> Type {
-        let mut t = match &self.base {
-            Ok(prim) => prim.clone(),
-            Err(name) => program.ref_type(name),
-        };
-        for _ in 0..self.dims {
-            t = t.array_of();
-        }
-        t
-    }
-}
-
 /// An operand as written, resolved once its turn comes.
 #[derive(Clone, Copy)]
 enum Opnd<'t> {
     Local(&'t str),
     Int(i64),
+    /// The literal's source between its quotes.
     Str(&'t str),
     Null,
     /// The whole `@kind/name` text.
     Res(&'t str),
 }
 
+#[derive(Clone, Copy)]
 struct Cursor<'t> {
     src: &'t str,
-    toks: &'t [Token<'t>],
+    toks: &'t [Token],
     pos: usize,
 }
 
@@ -379,22 +612,47 @@ impl<'t> Cursor<'t> {
         ParseError { message: msg.into(), line: self.line() }
     }
 
-    fn peek(&self) -> Option<&'t Tok<'t>> {
-        self.toks.get(self.pos).map(|t| &t.tok)
+    fn text(&self, t: Token) -> &'t str {
+        &self.src[t.start as usize..t.end as usize]
     }
 
-    fn peek2(&self) -> Option<&'t Tok<'t>> {
-        self.toks.get(self.pos + 1).map(|t| &t.tok)
+    /// The token's bytes, for comparisons that need no `&str`.
+    fn bytes(&self, t: Token) -> &'t [u8] {
+        &self.src.as_bytes()[t.start as usize..t.end as usize]
     }
 
-    fn bump(&mut self) -> Option<&'t Tok<'t>> {
-        let t = self.peek();
-        self.pos += 1;
-        t
+    fn kind_at(&self, i: usize) -> Option<Kind> {
+        self.toks.get(i).map(|t| t.kind)
     }
 
-    fn eat(&mut self, t: &Tok<'_>) -> bool {
-        if self.peek() == Some(t) {
+    fn peek(&self) -> Option<Kind> {
+        self.kind_at(self.pos)
+    }
+
+    fn peek2(&self) -> Option<Kind> {
+        self.kind_at(self.pos + 1)
+    }
+
+    /// The token at `i` as error messages show it.
+    fn shown(&self, i: usize) -> Option<Shown<'t>> {
+        self.toks.get(i).map(|&t| Shown { kind: t.kind, text: self.text(t) })
+    }
+
+    /// The token at the cursor as error messages show it.
+    fn found(&self) -> Option<Shown<'t>> {
+        self.shown(self.pos)
+    }
+
+    /// The identifier at the cursor, if any (not consumed).
+    fn peek_ident(&self) -> Option<&'t str> {
+        match self.toks.get(self.pos) {
+            Some(&t) if t.kind == Kind::Ident => Some(self.text(t)),
+            _ => None,
+        }
+    }
+
+    fn eat(&mut self, k: Kind) -> bool {
+        if self.peek() == Some(k) {
             self.pos += 1;
             true
         } else {
@@ -402,26 +660,34 @@ impl<'t> Cursor<'t> {
         }
     }
 
-    fn expect(&mut self, t: &Tok<'_>, what: &str) -> Result<(), ParseError> {
-        if self.eat(t) {
+    fn expect(&mut self, k: Kind, what: &str) -> Result<(), ParseError> {
+        if self.eat(k) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {what}, found {:?}", self.peek())))
+            Err(self.err(format!("expected {what}, found {:?}", self.found())))
         }
     }
 
     fn ident(&mut self, what: &str) -> Result<&'t str, ParseError> {
-        match self.peek() {
-            Some(Tok::Ident(s)) => {
+        match self.peek_ident() {
+            Some(s) => {
                 self.pos += 1;
                 Ok(s)
             }
-            other => Err(self.err(format!("expected {what}, found {other:?}"))),
+            None => Err(self.err(format!("expected {what}, found {:?}", self.found()))),
+        }
+    }
+
+    /// The keyword at the cursor, if any (not consumed).
+    fn kw(&self) -> Option<Kw> {
+        match self.toks.get(self.pos) {
+            Some(&t) if t.kind == Kind::Ident => keyword(self.bytes(t)),
+            _ => None,
         }
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Ident(s)) if *s == kw)
+        self.peek_ident() == Some(kw)
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
@@ -437,7 +703,7 @@ impl<'t> Cursor<'t> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(self.err(format!("expected `{kw}`, found {:?}", self.peek())))
+            Err(self.err(format!("expected `{kw}`, found {:?}", self.found())))
         }
     }
 
@@ -446,39 +712,41 @@ impl<'t> Cursor<'t> {
     fn dotted(&mut self, what: &str) -> Result<Cow<'t, str>, ParseError> {
         let start = self.pos;
         let first = self.ident(what)?;
-        let (mut last, mut len) = (first, first.len());
+        let mut len = first.len();
         // Only consume a dot if an identifier follows.
-        while self.peek() == Some(&Tok::Dot) && matches!(self.peek2(), Some(Tok::Ident(_))) {
-            self.pos += 1;
-            last = self.ident("name segment")?;
-            len += 1 + last.len();
+        while self.peek() == Some(Kind::Dot) && self.peek2() == Some(Kind::Ident) {
+            let t = self.toks[self.pos + 1];
+            len += 1 + (t.end - t.start) as usize;
+            self.pos += 2;
         }
-        let text = &self.src[offset(self.src, first)..offset(self.src, last) + last.len()];
-        if text.len() == len {
-            return Ok(Cow::Borrowed(text));
+        if self.pos == start + 1 {
+            return Ok(Cow::Borrowed(first));
         }
-        let segments = self.toks[start..self.pos].iter().filter_map(|t| match t.tok {
-            Tok::Ident(s) => Some(s),
-            _ => None,
-        });
+        let span = self.toks[start].start as usize..self.toks[self.pos - 1].end as usize;
+        if span.len() == len {
+            return Ok(Cow::Borrowed(&self.src[span]));
+        }
+        let segments = self.toks[start..self.pos]
+            .iter()
+            .filter(|t| t.kind == Kind::Ident)
+            .map(|&t| self.text(t));
         Ok(Cow::Owned(segments.collect::<Vec<_>>().join(".")))
     }
 
     fn ty(&mut self) -> Result<TypeRef<'t>, ParseError> {
-        let head = match self.peek() {
-            Some(Tok::Ident(s)) => *s,
-            other => return Err(self.err(format!("expected type, found {other:?}"))),
-        };
-        let prim = match head {
-            "void" => Some(Type::Void),
-            "boolean" => Some(Type::Boolean),
-            "byte" => Some(Type::Byte),
-            "char" => Some(Type::Char),
-            "short" => Some(Type::Short),
-            "int" => Some(Type::Int),
-            "long" => Some(Type::Long),
-            "float" => Some(Type::Float),
-            "double" => Some(Type::Double),
+        if self.peek() != Some(Kind::Ident) {
+            return Err(self.err(format!("expected type, found {:?}", self.found())));
+        }
+        let prim = match self.kw() {
+            Some(Kw::Void) => Some(Type::Void),
+            Some(Kw::Boolean) => Some(Type::Boolean),
+            Some(Kw::Byte) => Some(Type::Byte),
+            Some(Kw::Char) => Some(Type::Char),
+            Some(Kw::Short) => Some(Type::Short),
+            Some(Kw::Int) => Some(Type::Int),
+            Some(Kw::Long) => Some(Type::Long),
+            Some(Kw::Float) => Some(Type::Float),
+            Some(Kw::Double) => Some(Type::Double),
             _ => None,
         };
         let base = match prim {
@@ -489,7 +757,7 @@ impl<'t> Cursor<'t> {
             None => Err(self.dotted("type name")?),
         };
         let mut dims = 0;
-        while self.peek() == Some(&Tok::LBracket) && self.peek2() == Some(&Tok::RBracket) {
+        while self.peek() == Some(Kind::LBracket) && self.peek2() == Some(Kind::RBracket) {
             self.pos += 2;
             dims += 1;
         }
@@ -498,40 +766,66 @@ impl<'t> Cursor<'t> {
 
     /// A method name, possibly `<init>` or `<clinit>`.
     fn method_name(&mut self) -> Result<Cow<'t, str>, ParseError> {
-        if !self.eat(&Tok::Lt) {
+        if !self.eat(Kind::Lt) {
             return self.ident("method name").map(Cow::Borrowed);
         }
+        let lt = self.toks[self.pos - 1].start as usize;
         let n = self.ident("constructor name")?;
-        self.expect(&Tok::Gt, "`>`")?;
+        self.expect(Kind::Gt, "`>`")?;
         // `<init>` written without spaces is a slice of the source.
-        let start = offset(self.src, n);
-        Ok(match self.src.get(start - 1..start + n.len() + 1) {
-            Some(text) if text.starts_with('<') && text.ends_with('>') => Cow::Borrowed(text),
-            _ => Cow::Owned(format!("<{n}>")),
+        let span = lt..self.toks[self.pos - 1].end as usize;
+        Ok(if span.len() == n.len() + 2 {
+            Cow::Borrowed(&self.src[span])
+        } else {
+            Cow::Owned(format!("<{n}>"))
         })
     }
 
     fn operand(&mut self) -> Result<Opnd<'t>, ParseError> {
-        let o = match self.peek() {
-            Some(Tok::Ident("null")) => Opnd::Null,
-            Some(Tok::Ident(s)) => Opnd::Local(s),
-            Some(Tok::Int(v)) => Opnd::Int(*v),
-            Some(Tok::Minus) => {
-                self.pos += 1;
-                return match self.bump() {
-                    Some(Tok::Int(v)) => Ok(Opnd::Int(-v)),
-                    other => Err(self.err(format!("expected integer after `-`, found {other:?}"))),
+        let Some(&t) = self.toks.get(self.pos) else {
+            return Err(self.err("expected operand, found None"));
+        };
+        let text = self.text(t);
+        let o = match t.kind {
+            Kind::Ident if text == "null" => Opnd::Null,
+            Kind::Ident => Opnd::Local(text),
+            Kind::Int => Opnd::Int(int_value(text).unwrap_or(0)),
+            Kind::Minus => {
+                self.pos += 2;
+                return match self.toks.get(self.pos - 1) {
+                    Some(&t) if t.kind == Kind::Int => {
+                        Ok(Opnd::Int(-int_value(self.text(t)).unwrap_or(0)))
+                    }
+                    _ => Err(self.err(format!(
+                        "expected integer after `-`, found {:?}",
+                        self.shown(self.pos - 1)
+                    ))),
                 };
             }
-            Some(Tok::Str(s)) => Opnd::Str(s),
-            // The lexer reads `@kind/name` with nothing in between.
-            Some(Tok::Res(kind, name)) => Opnd::Res(
-                &self.src[offset(self.src, kind) - 1..offset(self.src, name) + name.len()],
-            ),
-            other => return Err(self.err(format!("expected operand, found {other:?}"))),
+            Kind::Str => Opnd::Str(text),
+            Kind::Res => Opnd::Res(text),
+            _ => return Err(self.err(format!("expected operand, found {:?}", self.found()))),
         };
         self.pos += 1;
         Ok(o)
+    }
+
+    /// The binary operator at the cursor, if any (not consumed).
+    fn binop(&self) -> Option<BinOp> {
+        Some(match self.peek()? {
+            Kind::Plus => BinOp::Add,
+            Kind::Minus => BinOp::Sub,
+            Kind::Star => BinOp::Mul,
+            Kind::Slash => BinOp::Div,
+            Kind::Percent => BinOp::Rem,
+            Kind::Amp => BinOp::And,
+            Kind::Pipe => BinOp::Or,
+            Kind::Caret => BinOp::Xor,
+            Kind::Shl => BinOp::Shl,
+            Kind::Shr => BinOp::Shr,
+            Kind::Ident if self.kw() == Some(Kw::Cmp) => BinOp::Cmp,
+            _ => return None,
+        })
     }
 }
 
@@ -565,6 +859,11 @@ struct MethodDecl<'t> {
     is_abstract: bool,
     /// Index of the body's first token, for methods with a body.
     body: Option<usize>,
+    /// The body's `let name:` positions: a range of the parse's list.
+    lets: Range<usize>,
+    /// The lines between the body's braces: about its statement count
+    /// plus its `let`s, when each statement has a line of its own.
+    lines: usize,
 }
 
 /// The error for a second declaration of `what`.
@@ -593,9 +892,14 @@ impl ClassDecl<'_> {
     }
 }
 
-impl FieldDecl<'_> {
-    fn declare(&self, program: &mut Program, class: ClassId) -> Result<(), ParseError> {
-        let ty = self.ty.resolve(program);
+impl<'t> FieldDecl<'t> {
+    fn declare(
+        &self,
+        program: &mut Program,
+        names: &mut Names<'t>,
+        class: ClassId,
+    ) -> Result<(), ParseError> {
+        let ty = names.ty(program, &self.ty);
         let name = program.intern(self.name);
         if program.class(class).field_by_name(name).is_some() {
             let what = format!("field `{}` on class {}", self.name, program.class_name(class));
@@ -606,11 +910,16 @@ impl FieldDecl<'_> {
     }
 }
 
-impl MethodDecl<'_> {
-    fn declare(&self, program: &mut Program, class: ClassId) -> Result<MethodId, ParseError> {
-        let params = self.params.iter().map(|(_, t)| t.resolve(program)).collect();
-        let ret = self.ret.resolve(program);
-        let sig = SubSig { name: program.intern(&self.name), params, ret };
+impl<'t> MethodDecl<'t> {
+    fn declare(
+        &self,
+        program: &mut Program,
+        names: &mut Names<'t>,
+        class: ClassId,
+    ) -> Result<MethodId, ParseError> {
+        let params = self.params.iter().map(|(_, t)| names.ty(program, t)).collect();
+        let ret = names.ty(program, &self.ret);
+        let sig = SubSig { name: names.symbol(program, self.name.clone()), params, ret };
         if program.class(class).method_by_subsig(&sig).is_some() {
             let what = format!("method `{}` on class {}", self.name, program.class_name(class));
             return Err(declared_twice(what, self.line));
@@ -627,15 +936,17 @@ impl MethodDecl<'_> {
 }
 
 impl<'t> Cursor<'t> {
-    fn classes(mut self) -> Result<Vec<ClassDecl<'t>>, ParseError> {
+    /// Every class of the file. Each body's `let name:` positions are
+    /// pushed to `lets`, each as `(position, 0)`.
+    fn classes(mut self, lets: &mut Vec<(u32, u32)>) -> Result<Vec<ClassDecl<'t>>, ParseError> {
         let mut classes = Vec::new();
         while self.peek().is_some() {
-            classes.push(self.class()?);
+            classes.push(self.class(lets)?);
         }
         Ok(classes)
     }
 
-    fn class(&mut self) -> Result<ClassDecl<'t>, ParseError> {
+    fn class(&mut self, lets: &mut Vec<(u32, u32)>) -> Result<ClassDecl<'t>, ParseError> {
         let is_abstract = self.eat_kw("abstract");
         let is_interface = if self.eat_kw("interface") {
             true
@@ -650,17 +961,17 @@ impl<'t> Cursor<'t> {
         if self.eat_kw("extends") {
             extends = Some(self.dotted("superclass name")?);
             // Interfaces may extend several.
-            while is_interface && self.eat(&Tok::Comma) {
+            while is_interface && self.eat(Kind::Comma) {
                 implements.push(self.dotted("interface name")?);
             }
         }
         if self.eat_kw("implements") {
             implements.push(self.dotted("interface name")?);
-            while self.eat(&Tok::Comma) {
+            while self.eat(Kind::Comma) {
                 implements.push(self.dotted("interface name")?);
             }
         }
-        self.expect(&Tok::LBrace, "`{`")?;
+        self.expect(Kind::LBrace, "`{`")?;
         let mut class = ClassDecl {
             name,
             line,
@@ -671,7 +982,7 @@ impl<'t> Cursor<'t> {
             fields: Vec::new(),
             methods: Vec::new(),
         };
-        while !self.eat(&Tok::RBrace) {
+        while !self.eat(Kind::RBrace) {
             if self.peek().is_none() {
                 return Err(self.err("unterminated class body"));
             }
@@ -694,32 +1005,56 @@ impl<'t> Cursor<'t> {
                     return Err(self.err("fields cannot be native or abstract"));
                 }
                 let name = self.ident("field name")?;
-                self.expect(&Tok::Colon, "`:`")?;
+                self.expect(Kind::Colon, "`:`")?;
                 let ty = self.ty()?;
                 class.fields.push(FieldDecl { name, line, ty, is_static });
             } else if self.eat_kw("method") {
-                let m = self.method(line, is_static, is_native, is_abs || is_interface)?;
-                let has_body = m.body.is_some();
+                let mut m = self.method(line, is_static, is_native, is_abs || is_interface)?;
+                let first = lets.len();
+                let ended = m.body.is_none() || self.skip_body(&mut m, lets);
+                m.lets = first..lets.len();
                 class.methods.push(m);
-                // No statement contains a `}`, so a body ends at the first
-                // one. A body that runs to the end of input is the last
-                // thing in the file; parsing it reports the error.
-                if has_body {
-                    match self.toks[self.pos..].iter().position(|t| t.tok == Tok::RBrace) {
-                        Some(n) => self.pos += n + 1,
-                        None => {
-                            self.pos = self.toks.len();
-                            return Ok(class);
-                        }
-                    }
+                // A body that runs to the end of input is the last thing
+                // in the file; parsing it reports the error.
+                if !ended {
+                    return Ok(class);
                 }
             } else {
                 return Err(
-                    self.err(format!("expected `field` or `method`, found {:?}", self.peek()))
+                    self.err(format!("expected `field` or `method`, found {:?}", self.found()))
                 );
             }
         }
         Ok(class)
+    }
+
+    /// Steps past the body of `m` to just after its closing `}`, pushing
+    /// the position of each `let name:` on the way. No statement contains
+    /// a `}`, so a body ends at the first one. Returns `false`, with the
+    /// cursor at the end, if the input ends first.
+    fn skip_body(&mut self, m: &mut MethodDecl<'t>, lets: &mut Vec<(u32, u32)>) -> bool {
+        let (toks, src) = (self.toks, self.src.as_bytes());
+        let open = toks[self.pos - 1].line;
+        for (i, t) in toks.iter().enumerate().skip(self.pos) {
+            match t.kind {
+                Kind::RBrace => {
+                    m.lines = t.line.saturating_sub(open + 1) as usize;
+                    self.pos = i + 1;
+                    return true;
+                }
+                Kind::Ident
+                    if t.end - t.start == 3
+                        && &src[t.start as usize..t.end as usize] == b"let"
+                        && self.kind_at(i + 1) == Some(Kind::Ident)
+                        && self.kind_at(i + 2) == Some(Kind::Colon) =>
+                {
+                    lets.push((i as u32, 0));
+                }
+                _ => {}
+            }
+        }
+        self.pos = toks.len();
+        false
     }
 
     /// A method's signature, up to and including the `{` opening its
@@ -732,87 +1067,71 @@ impl<'t> Cursor<'t> {
         is_abstract: bool,
     ) -> Result<MethodDecl<'t>, ParseError> {
         let name = self.method_name()?;
-        self.expect(&Tok::LParen, "`(`")?;
+        self.expect(Kind::LParen, "`(`")?;
         let mut params = Vec::new();
-        if !self.eat(&Tok::RParen) {
+        if !self.eat(Kind::RParen) {
             loop {
                 let pname = self.ident("parameter name")?;
-                self.expect(&Tok::Colon, "`:`")?;
+                self.expect(Kind::Colon, "`:`")?;
                 params.push((pname, self.ty()?));
-                if self.eat(&Tok::RParen) {
+                if self.eat(Kind::RParen) {
                     break;
                 }
-                self.expect(&Tok::Comma, "`,`")?;
+                self.expect(Kind::Comma, "`,`")?;
             }
         }
-        self.expect(&Tok::Arrow, "`->`")?;
+        self.expect(Kind::Arrow, "`->`")?;
         let ret = self.ty()?;
         let body = if is_native || is_abstract {
             None
         } else {
-            self.expect(&Tok::LBrace, "`{`")?;
+            self.expect(Kind::LBrace, "`{`")?;
             Some(self.pos)
         };
-        Ok(MethodDecl { name, line, params, ret, is_static, is_native, is_abstract, body })
+        Ok(MethodDecl {
+            name,
+            line,
+            params,
+            ret,
+            is_static,
+            is_native,
+            is_abstract,
+            body,
+            lets: 0..0,
+            lines: 0,
+        })
     }
 }
 
 // ===================== Method bodies =====================
 
-fn invoke_kind(kw: &str) -> Option<InvokeKind> {
-    match kw {
-        "virtualinvoke" => Some(InvokeKind::Virtual),
-        "interfaceinvoke" => Some(InvokeKind::Interface),
-        "specialinvoke" => Some(InvokeKind::Special),
-        "staticinvoke" => Some(InvokeKind::Static),
+fn cmp_of(k: Kind) -> Option<CmpOp> {
+    match k {
+        Kind::EqEq => Some(CmpOp::Eq),
+        Kind::Ne => Some(CmpOp::Ne),
+        Kind::Lt => Some(CmpOp::Lt),
+        Kind::Le => Some(CmpOp::Le),
+        Kind::Gt => Some(CmpOp::Gt),
+        Kind::Ge => Some(CmpOp::Ge),
         _ => None,
     }
 }
 
-fn cmp_of(t: &Tok<'_>) -> Option<CmpOp> {
-    match t {
-        Tok::EqEq => Some(CmpOp::Eq),
-        Tok::Ne => Some(CmpOp::Ne),
-        Tok::Lt => Some(CmpOp::Lt),
-        Tok::Le => Some(CmpOp::Le),
-        Tok::Gt => Some(CmpOp::Gt),
-        Tok::Ge => Some(CmpOp::Ge),
-        _ => None,
-    }
-}
-
-fn binop_of(t: &Tok<'_>) -> Option<BinOp> {
-    match t {
-        Tok::Plus => Some(BinOp::Add),
-        Tok::Minus => Some(BinOp::Sub),
-        Tok::Star => Some(BinOp::Mul),
-        Tok::Slash => Some(BinOp::Div),
-        Tok::Percent => Some(BinOp::Rem),
-        Tok::Amp => Some(BinOp::And),
-        Tok::Pipe => Some(BinOp::Or),
-        Tok::Caret => Some(BinOp::Xor),
-        Tok::Shl => Some(BinOp::Shl),
-        Tok::Shr => Some(BinOp::Shr),
-        Tok::Ident("cmp") => Some(BinOp::Cmp),
-        _ => None,
-    }
-}
-
-fn is_stmt_keyword(s: &str) -> bool {
+/// Whether `kw` starts a statement.
+fn starts_stmt(kw: Option<Kw>) -> bool {
     matches!(
-        s,
-        "let"
-            | "label"
-            | "goto"
-            | "if"
-            | "return"
-            | "throw"
-            | "nop"
-            | "static"
-            | "virtualinvoke"
-            | "interfaceinvoke"
-            | "specialinvoke"
-            | "staticinvoke"
+        kw,
+        Some(
+            Kw::Let
+                | Kw::Label
+                | Kw::Goto
+                | Kw::If
+                | Kw::Return
+                | Kw::Throw
+                | Kw::Nop
+                | Kw::Static
+                | Kw::Invoke(_)
+        )
     )
 }
 
@@ -837,10 +1156,16 @@ struct BodyParser<'p, 't> {
     cur: Cursor<'t>,
     b: MethodBuilder<'p>,
     resources: &'p ResourceTable,
+    names: &'p mut Names<'t>,
     /// Each local with the class of its declared type, if a class type.
     locals: FxHashMap<&'t str, (Local, Option<ClassId>)>,
     /// Each label mentioned so far and whether it was declared.
     labels: FxHashMap<&'t str, (Label, bool)>,
+    /// The body's `let name:` positions, each with the position just
+    /// past its type once declared (0 for one inside another's type).
+    lets: &'p [(u32, u32)],
+    /// The first entry of `lets` not behind the cursor.
+    next_let: usize,
     returns_void: bool,
     /// Line of the statement being parsed.
     line: u32,
@@ -853,17 +1178,23 @@ impl<'p, 't> BodyParser<'p, 't> {
     fn new(
         program: &'p mut Program,
         resources: &'p ResourceTable,
+        names: &'p mut Names<'t>,
         cur: Cursor<'t>,
         mid: MethodId,
         m: &MethodDecl<'t>,
+        lets: &'p mut [(u32, u32)],
     ) -> Result<Self, ParseError> {
         let method = program.method(mid);
         let returns_void = method.subsig().ret == Type::Void;
         let mut locals = FxHashMap::default();
+        locals.reserve(1 + m.params.len() + lets.len());
         if !method.is_static() {
             locals.insert("this", (Local(0), Some(method.class())));
         }
         let mut b = MethodBuilder::for_method(program, mid);
+        // One more statement for an implicit return or a closing label's
+        // `nop`.
+        b.reserve(lets.len(), m.lines.saturating_sub(lets.len()) + 1);
         for (i, (name, _)) in m.params.iter().enumerate() {
             let l = b.param(i);
             b.rename_local(l, name);
@@ -874,13 +1205,17 @@ impl<'p, 't> BodyParser<'p, 't> {
             cur,
             b,
             resources,
+            names,
             locals,
             labels: FxHashMap::default(),
+            lets: &[],
+            next_let: 0,
             returns_void,
             line: 0,
             tail: Tail::Open,
         };
-        p.hoist_lets()?;
+        p.hoist_lets(lets)?;
+        p.lets = lets;
         Ok(p)
     }
 }
@@ -888,35 +1223,48 @@ impl<'p, 't> BodyParser<'p, 't> {
 impl<'t> BodyParser<'_, 't> {
     /// Declares every `let name: T` of the body, in order, before any
     /// statement is parsed: a local may be used above its `let`. Only a
-    /// `let` statement puts `let`, a name and `:` in a row.
-    fn hoist_lets(&mut self) -> Result<(), ParseError> {
-        let toks = self.cur.toks;
-        let mut i = self.cur.pos;
-        while let Some(t) = toks.get(i) {
-            match (&t.tok, toks.get(i + 1).map(|t| &t.tok), toks.get(i + 2).map(|t| &t.tok)) {
-                (Tok::RBrace, ..) => break,
-                (Tok::Ident("let"), Some(Tok::Ident(name)), Some(Tok::Colon)) => {
-                    if self.locals.contains_key(name) {
-                        return Err(ParseError {
-                            message: format!("local `{name}` declared twice"),
-                            line: t.line,
-                        });
-                    }
-                    let mut c = Cursor { pos: i + 3, ..self.cur };
-                    let ty = c.ty()?.resolve(self.b.program());
-                    let class = ty.as_class();
-                    let l = self.b.local(name, ty);
-                    self.locals.insert(name, (l, class));
-                    i = c.pos;
-                }
-                _ => i += 1,
+    /// `let` statement puts `let`, a name and `:` in a row, except where
+    /// a type swallows them (`let a: let b: T` declares `a` of class
+    /// `let`), so a position inside the type before it is passed over.
+    fn hoist_lets(&mut self, lets: &mut [(u32, u32)]) -> Result<(), ParseError> {
+        let mut next = 0;
+        for (pos, end) in lets {
+            let at = *pos as usize;
+            if at < next {
+                continue;
             }
+            let name = self.cur.text(self.cur.toks[at + 1]);
+            let Entry::Vacant(slot) = self.locals.entry(name) else {
+                return Err(ParseError {
+                    message: format!("local `{name}` declared twice"),
+                    line: self.cur.toks[at].line,
+                });
+            };
+            let mut c = Cursor { pos: at + 3, ..self.cur };
+            let ty = c.ty()?;
+            let ty = self.names.ty(self.b.program(), &ty);
+            let class = ty.as_class();
+            slot.insert((self.b.local(name, ty), class));
+            next = c.pos;
+            *end = next as u32;
         }
         Ok(())
     }
 
+    /// Where the `let` at the cursor ends, if `hoist_lets` declared it.
+    fn hoisted_let_end(&mut self) -> Option<usize> {
+        let pos = self.cur.pos;
+        while self.lets.get(self.next_let).is_some_and(|&(at, _)| (at as usize) < pos) {
+            self.next_let += 1;
+        }
+        match self.lets.get(self.next_let) {
+            Some(&(at, end)) if at as usize == pos && end != 0 => Some(end as usize),
+            _ => None,
+        }
+    }
+
     fn parse(mut self) -> Result<(), ParseError> {
-        while !self.cur.eat(&Tok::RBrace) {
+        while !self.cur.eat(Kind::RBrace) {
             if self.cur.peek().is_none() {
                 return Err(self.cur.err("unterminated method body"));
             }
@@ -969,7 +1317,7 @@ impl<'t> BodyParser<'_, 't> {
         Ok(Operand::Const(match o {
             Opnd::Local(n) => return Ok(Operand::Local(self.local(n)?.0)),
             Opnd::Int(v) => Constant::Int(v),
-            Opnd::Str(s) => Constant::Str(self.b.program().intern(s)),
+            Opnd::Str(raw) => Constant::Str(self.names.symbol(self.b.program(), unescape(raw))),
             Opnd::Null => Constant::Null,
             Opnd::Res(text) => Constant::Int(
                 self.resources
@@ -987,21 +1335,28 @@ impl<'t> BodyParser<'_, 't> {
 
     fn ty(&mut self) -> Result<Type, ParseError> {
         let t = self.cur.ty()?;
-        Ok(t.resolve(self.b.program()))
+        Ok(self.names.ty(self.b.program(), &t))
     }
 
     fn stmt(&mut self) -> Result<(), ParseError> {
         self.line = self.cur.line();
-        if self.cur.eat_kw("let") {
-            // Declared by `hoist_lets`.
+        let kw = self.cur.kw();
+        if kw == Some(Kw::Let) {
+            // Declared by `hoist_lets`; any other `let` is malformed.
+            if let Some(end) = self.hoisted_let_end() {
+                self.cur.pos = end;
+                return Ok(());
+            }
+            self.cur.pos += 1;
             self.cur.ident("local name")?;
-            self.cur.expect(&Tok::Colon, "`:`")?;
+            self.cur.expect(Kind::Colon, "`:`")?;
             self.cur.ty()?;
             return Ok(());
         }
-        if self.cur.eat_kw("label") {
+        if kw == Some(Kw::Label) {
+            self.cur.pos += 1;
             let name = self.cur.ident("label name")?;
-            self.cur.expect(&Tok::Colon, "`:`")?;
+            self.cur.expect(Kind::Colon, "`:`")?;
             let (l, declared) = self.label(name);
             if std::mem::replace(declared, true) {
                 return Err(ParseError {
@@ -1016,84 +1371,101 @@ impl<'t> BodyParser<'_, 't> {
         }
         self.b.line(self.line);
         self.tail = Tail::Open;
-        if self.cur.eat_kw("goto") {
-            let l = self.target()?;
-            self.b.goto(l);
-            self.tail = Tail::Jump;
-        } else if self.cur.eat_kw("if") {
-            if self.cur.eat_kw("opaque") {
+        match kw {
+            Some(Kw::Goto) => {
+                self.cur.pos += 1;
+                let l = self.target()?;
+                self.b.goto(l);
+                self.tail = Tail::Jump;
+            }
+            Some(Kw::If) => {
+                self.cur.pos += 1;
+                if self.cur.kw() == Some(Kw::Opaque) {
+                    self.cur.pos += 1;
+                    self.cur.expect_kw("goto")?;
+                    let l = self.target()?;
+                    self.b.if_opaque(l);
+                    return Ok(());
+                }
+                let x = self.cur.operand()?;
+                let op = match self.cur.peek() {
+                    Some(k) => {
+                        self.cur.pos += 1;
+                        cmp_of(k).ok_or_else(|| {
+                            let t = self.cur.shown(self.cur.pos - 1);
+                            self.cur.err(format!(
+                                "expected comparison operator, found {:?}",
+                                t.expect("a token was read")
+                            ))
+                        })?
+                    }
+                    None => {
+                        self.cur.pos += 1;
+                        return Err(self.cur.err("unexpected end of input in `if`"));
+                    }
+                };
+                let y = self.cur.operand()?;
                 self.cur.expect_kw("goto")?;
                 let l = self.target()?;
-                self.b.if_opaque(l);
-                return Ok(());
+                let (x, y) = (self.value(x)?, self.value(y)?);
+                self.b.if_cmp(op, x, y, l);
             }
-            let x = self.cur.operand()?;
-            let op = match self.cur.bump() {
-                Some(t) => cmp_of(t).ok_or_else(|| {
-                    self.cur.err(format!("expected comparison operator, found {t:?}"))
-                })?,
-                None => return Err(self.cur.err("unexpected end of input in `if`")),
-            };
-            let y = self.cur.operand()?;
-            self.cur.expect_kw("goto")?;
-            let l = self.target()?;
-            let (x, y) = (self.value(x)?, self.value(y)?);
-            self.b.if_cmp(op, x, y, l);
-        } else if self.cur.eat_kw("return") {
-            // `return` takes a value when an operand follows; an
-            // identifier that starts a statement means a void return.
-            let value = match self.cur.peek() {
-                Some(Tok::Int(_) | Tok::Str(_) | Tok::Res(..) | Tok::Minus) => {
-                    Some(self.operand()?)
-                }
-                Some(Tok::Ident(s)) if !is_stmt_keyword(s) => Some(self.operand()?),
-                _ => None,
-            };
-            self.b.ret(value);
-            self.tail = Tail::Jump;
-        } else if self.cur.eat_kw("throw") {
-            let v = self.operand()?;
-            self.b.throw(v);
-            self.tail = Tail::Jump;
-        } else if self.cur.eat_kw("nop") {
-            self.b.nop();
-        } else if let Some(kind) = self.at_invoke() {
-            self.invoke(None, kind)?;
-        } else if self.cur.eat_kw("static") {
-            // `static C.f = rhs` (static field store).
-            let lhs = self.static_ref()?;
-            self.cur.expect(&Tok::Assign, "`=`")?;
-            self.assign(lhs)?;
-        } else {
-            // Assignments starting with a local.
-            let name = self.cur.ident("statement")?;
-            let lhs = if self.cur.eat(&Tok::Dot) {
-                Target::Field(name, self.cur.ident("field name")?)
-            } else if self.cur.eat(&Tok::LBracket) {
-                let idx = self.cur.operand()?;
-                self.cur.expect(&Tok::RBracket, "`]`")?;
-                Target::Elem(name, idx)
-            } else {
-                Target::Local(name)
-            };
-            self.cur.expect(&Tok::Assign, "`=`")?;
-            if let Some(kind) = self.at_invoke() {
-                let Target::Local(result) = lhs else {
-                    return Err(self.cur.err("invoke results must be assigned to a local"));
+            Some(Kw::Return) => {
+                self.cur.pos += 1;
+                // `return` takes a value when an operand follows; an
+                // identifier that starts a statement means a void return.
+                let value = match self.cur.peek() {
+                    Some(Kind::Int | Kind::Str | Kind::Res | Kind::Minus) => Some(self.operand()?),
+                    Some(Kind::Ident) if !starts_stmt(self.cur.kw()) => Some(self.operand()?),
+                    _ => None,
                 };
-                self.invoke(Some(result), kind)?;
-            } else {
+                self.b.ret(value);
+                self.tail = Tail::Jump;
+            }
+            Some(Kw::Throw) => {
+                self.cur.pos += 1;
+                let v = self.operand()?;
+                self.b.throw(v);
+                self.tail = Tail::Jump;
+            }
+            Some(Kw::Nop) => {
+                self.cur.pos += 1;
+                self.b.nop();
+            }
+            Some(Kw::Static) => {
+                // `static C.f = rhs` (static field store).
+                self.cur.pos += 1;
+                let lhs = self.static_ref()?;
+                self.cur.expect(Kind::Assign, "`=`")?;
                 self.assign(lhs)?;
             }
+            Some(Kw::Invoke(kind)) => self.invoke(None, kind)?,
+            _ => self.assignment()?,
         }
         Ok(())
     }
 
-    /// The kind of the invoke keyword at the cursor, if any (not consumed).
-    fn at_invoke(&self) -> Option<InvokeKind> {
-        match self.cur.peek() {
-            Some(Tok::Ident(kw)) => invoke_kind(kw),
-            _ => None,
+    /// An assignment starting with a local.
+    fn assignment(&mut self) -> Result<(), ParseError> {
+        let name = self.cur.ident("statement")?;
+        let lhs = if self.cur.eat(Kind::Dot) {
+            Target::Field(name, self.cur.ident("field name")?)
+        } else if self.cur.eat(Kind::LBracket) {
+            let idx = self.cur.operand()?;
+            self.cur.expect(Kind::RBracket, "`]`")?;
+            Target::Elem(name, idx)
+        } else {
+            Target::Local(name)
+        };
+        self.cur.expect(Kind::Assign, "`=`")?;
+        match self.cur.kw() {
+            Some(Kw::Invoke(kind)) => {
+                let Target::Local(result) = lhs else {
+                    return Err(self.cur.err("invoke results must be assigned to a local"));
+                };
+                self.invoke(Some(result), kind)
+            }
+            kw => self.assign_with(lhs, kw),
         }
     }
 
@@ -1115,36 +1487,36 @@ impl<'t> BodyParser<'_, 't> {
             None
         } else {
             let b = self.cur.ident("receiver local")?;
-            self.cur.expect(&Tok::Dot, "`.`")?;
+            self.cur.expect(Kind::Dot, "`.`")?;
             Some(b)
         };
-        self.cur.expect(&Tok::Lt, "`<` starting a signature")?;
+        self.cur.expect(Kind::Lt, "`<` starting a signature")?;
         let class = self.cur.dotted("class name")?;
-        self.cur.expect(&Tok::Colon, "`:`")?;
+        self.cur.expect(Kind::Colon, "`:`")?;
         let ret = self.cur.ty()?;
         let name = self.cur.method_name()?;
-        self.cur.expect(&Tok::LParen, "`(`")?;
+        self.cur.expect(Kind::LParen, "`(`")?;
         let mut params = Vec::new();
-        if !self.cur.eat(&Tok::RParen) {
+        if !self.cur.eat(Kind::RParen) {
             loop {
                 params.push(self.ty()?);
-                if self.cur.eat(&Tok::RParen) {
+                if self.cur.eat(Kind::RParen) {
                     break;
                 }
-                self.cur.expect(&Tok::Comma, "`,`")?;
+                self.cur.expect(Kind::Comma, "`,`")?;
             }
         }
-        self.cur.expect(&Tok::Gt, "`>` ending the signature")?;
-        let ret = ret.resolve(self.b.program());
-        self.cur.expect(&Tok::LParen, "`(`")?;
+        self.cur.expect(Kind::Gt, "`>` ending the signature")?;
+        let ret = self.names.ty(self.b.program(), &ret);
+        self.cur.expect(Kind::LParen, "`(`")?;
         let mut args = Vec::with_capacity(params.len());
-        if !self.cur.eat(&Tok::RParen) {
+        if !self.cur.eat(Kind::RParen) {
             loop {
                 args.push(self.operand()?);
-                if self.cur.eat(&Tok::RParen) {
+                if self.cur.eat(Kind::RParen) {
                     break;
                 }
-                self.cur.expect(&Tok::Comma, "`,`")?;
+                self.cur.expect(Kind::Comma, "`,`")?;
             }
         }
         if params.len() != args.len() {
@@ -1156,68 +1528,87 @@ impl<'t> BodyParser<'_, 't> {
         }
         let result = result.map(|r| self.local(r)).transpose()?.map(|(l, _)| l);
         let base = base.map(|b| self.local(b)).transpose()?.map(|(l, _)| l);
-        let call = self.b.invoke_expr(kind, base, &class, &name, params, ret, args);
-        self.b.push_invoke(result, call);
+        let class = self.names.class(self.b.program(), class);
+        let name = self.names.symbol(self.b.program(), name);
+        let callee = MethodRef { class, subsig: SubSig { name, params, ret } };
+        self.b.push_invoke(result, InvokeExpr { kind, base, callee, args });
         Ok(())
     }
 
     /// Parses the right side of `lhs = …`, then resolves `lhs` and emits
     /// the assignment.
     fn assign(&mut self, lhs: Target<'t>) -> Result<(), ParseError> {
-        let rv = self.rhs()?;
+        let kw = self.cur.kw();
+        self.assign_with(lhs, kw)
+    }
+
+    /// [`BodyParser::assign`] with `kw`, the keyword at the cursor.
+    fn assign_with(&mut self, lhs: Target<'t>, kw: Option<Kw>) -> Result<(), ParseError> {
+        let rv = self.rhs(kw)?;
         let place = self.place(lhs)?;
         self.b.assign(place, rv);
         Ok(())
     }
 
-    fn rhs(&mut self) -> Result<Rvalue, ParseError> {
+    /// The right side of an assignment; `kw` is the keyword at the
+    /// cursor.
+    fn rhs(&mut self, kw: Option<Kw>) -> Result<Rvalue, ParseError> {
         // Cast: `(T) x`.
-        if self.cur.eat(&Tok::LParen) {
+        if self.cur.eat(Kind::LParen) {
             let ty = self.cur.ty()?;
-            self.cur.expect(&Tok::RParen, "`)`")?;
-            let ty = ty.resolve(self.b.program());
+            self.cur.expect(Kind::RParen, "`)`")?;
+            let ty = self.names.ty(self.b.program(), &ty);
             return Ok(Rvalue::Cast(ty, self.operand()?));
         }
-        if self.cur.eat_kw("new") {
-            let class = self.cur.dotted("class name")?;
-            return Ok(Rvalue::New(self.b.program().class_id(&class)));
-        }
-        if self.cur.eat_kw("newarray") {
-            let ty = self.ty()?;
-            self.cur.expect(&Tok::LBracket, "`[`")?;
-            let n = self.operand()?;
-            self.cur.expect(&Tok::RBracket, "`]`")?;
-            return Ok(Rvalue::NewArray(ty, n));
-        }
-        if self.cur.eat_kw("neg") {
-            return Ok(Rvalue::UnOp(UnOp::Neg, self.operand()?));
-        }
-        if self.cur.eat_kw("lengthof") {
-            return Ok(Rvalue::UnOp(UnOp::Len, self.operand()?));
-        }
-        if self.cur.eat_kw("static") {
-            let src = self.static_ref()?;
-            return Ok(Rvalue::Read(self.place(src)?));
+        match kw {
+            Some(Kw::New) => {
+                self.cur.pos += 1;
+                let class = self.cur.dotted("class name")?;
+                return Ok(Rvalue::New(self.names.class(self.b.program(), class)));
+            }
+            Some(Kw::NewArray) => {
+                self.cur.pos += 1;
+                let ty = self.ty()?;
+                self.cur.expect(Kind::LBracket, "`[`")?;
+                let n = self.operand()?;
+                self.cur.expect(Kind::RBracket, "`]`")?;
+                return Ok(Rvalue::NewArray(ty, n));
+            }
+            Some(Kw::Neg) => {
+                self.cur.pos += 1;
+                return Ok(Rvalue::UnOp(UnOp::Neg, self.operand()?));
+            }
+            Some(Kw::LengthOf) => {
+                self.cur.pos += 1;
+                return Ok(Rvalue::UnOp(UnOp::Len, self.operand()?));
+            }
+            Some(Kw::Static) => {
+                self.cur.pos += 1;
+                let src = self.static_ref()?;
+                return Ok(Rvalue::Read(self.place(src)?));
+            }
+            _ => {}
         }
         // Operand-led: move, field read, array read, binop, instanceof.
         let first = self.cur.operand()?;
         if let Opnd::Local(base) = first {
-            if self.cur.eat(&Tok::Dot) {
+            if self.cur.eat(Kind::Dot) {
                 let field = self.cur.ident("field name")?;
                 return Ok(Rvalue::Read(self.place(Target::Field(base, field))?));
             }
-            if self.cur.peek() == Some(&Tok::LBracket) && self.cur.peek2() != Some(&Tok::RBracket) {
+            if self.cur.peek() == Some(Kind::LBracket) && self.cur.peek2() != Some(Kind::RBracket) {
                 self.cur.pos += 1;
                 let idx = self.cur.operand()?;
-                self.cur.expect(&Tok::RBracket, "`]`")?;
+                self.cur.expect(Kind::RBracket, "`]`")?;
                 return Ok(Rvalue::Read(self.place(Target::Elem(base, idx))?));
             }
         }
-        if self.cur.eat_kw("instanceof") {
+        if self.cur.kw() == Some(Kw::InstanceOf) {
+            self.cur.pos += 1;
             let ty = self.ty()?;
             return Ok(Rvalue::InstanceOf(self.value(first)?, ty));
         }
-        if let Some(op) = self.cur.peek().and_then(binop_of) {
+        if let Some(op) = self.cur.binop() {
             self.cur.pos += 1;
             let second = self.cur.operand()?;
             return Ok(Rvalue::BinOp(op, self.value(first)?, self.value(second)?));
@@ -1235,9 +1626,7 @@ impl<'t> BodyParser<'_, 't> {
                 let (l, class) = self.local(base)?;
                 Place::InstanceField(l, self.instance_field(class, field)?)
             }
-            Target::Static(dotted, dot) => {
-                Place::StaticField(self.static_field(&dotted[..dot], &dotted[dot + 1..])?)
-            }
+            Target::Static(dotted, dot) => Place::StaticField(self.static_field(dotted, dot)?),
             Target::Elem(base, idx) => {
                 let (l, _) = self.local(base)?;
                 Place::ArrayElem(l, self.value(idx)?)
@@ -1251,13 +1640,13 @@ impl<'t> BodyParser<'_, 't> {
     fn instance_field(
         &mut self,
         class: Option<ClassId>,
-        field: &str,
+        field: &'t str,
     ) -> Result<FieldId, ParseError> {
         let Some(class) = class else {
             return Err(self.err(format!("field access `.{field}` on non-class type")));
         };
         let program = self.b.program();
-        let sym = program.intern(field);
+        let sym = self.names.symbol(program, Cow::Borrowed(field));
         if let Some(f) = program.resolve_field(class, sym) {
             return Ok(f);
         }
@@ -1269,10 +1658,17 @@ impl<'t> BodyParser<'_, 't> {
         Err(self.err(format!("unknown field `{field}` on class {class}")))
     }
 
-    fn static_field(&mut self, class: &str, field: &str) -> Result<FieldId, ParseError> {
+    /// Resolves `Class.field`, its last dot at `dot`.
+    fn static_field(&mut self, dotted: Cow<'t, str>, dot: usize) -> Result<FieldId, ParseError> {
         let program = self.b.program();
-        let cid = program.class_id(class);
-        let sym = program.intern(field);
+        let (cid, sym) = match dotted {
+            Cow::Borrowed(s) => (
+                self.names.class(program, Cow::Borrowed(&s[..dot])),
+                self.names.symbol(program, Cow::Borrowed(&s[dot + 1..])),
+            ),
+            Cow::Owned(ref s) => (program.class_id(&s[..dot]), program.intern(&s[dot + 1..])),
+        };
+        let (class, field) = (&dotted[..dot], &dotted[dot + 1..]);
         if let Some(f) = program.resolve_field(cid, sym) {
             return Ok(f);
         }
@@ -1559,5 +1955,175 @@ class K {
         assert_eq!((err.message.as_str(), err.line), ("field `f` on class A declared twice", 3));
         let err = parse_err("class A {\n native method f() -> void\n native method f() -> void\n}");
         assert_eq!((err.message.as_str(), err.line), ("method `f` on class A declared twice", 3));
+    }
+
+    /// The constants `f`'s body assigns, in order.
+    fn constants(p: &Program, class: &str) -> Vec<Constant> {
+        let m = p.find_method(class, "f").unwrap();
+        let body = p.method(m).body().unwrap();
+        body.stmts()
+            .iter()
+            .filter_map(|s| match s {
+                flowdroid_ir::Stmt::Assign { rhs: Rvalue::Const(c), .. } => Some(c.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tokens_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Token>(), 16);
+    }
+
+    #[test]
+    fn string_literals_decode_escapes_and_latin1_bytes() {
+        // `\n`, `\t`, an escaped quote and backslash, an unknown escape
+        // taken as its byte, and `é` (two UTF-8 bytes) read as Latin-1.
+        let src = "class S { method f() -> void {\n let s: java.lang.String\n \
+                   s = \"a\\nb\\tc\\\"d\\\\e\\qf\"\n s = \"caf\u{e9}\"\n s = \"plain\"\n return } }";
+        let p = parse_ok(src);
+        let text: Vec<String> = constants(&p, "S")
+            .into_iter()
+            .map(|c| match c {
+                Constant::Str(sym) => p.str(sym).to_owned(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(text, ["a\nb\tc\"d\\eqf", "caf\u{c3}\u{a9}", "plain"]);
+    }
+
+    #[test]
+    fn an_escaped_newline_stays_in_the_string_and_is_not_counted() {
+        let src = "class S { method f() -> void {\n let s: java.lang.String\n s = \"a\\\nb\"\n \
+                   x = 1\n return } }";
+        let err = parse_err(src);
+        // `x = 1` sits on source line 5, but the escaped line break is
+        // part of the literal, so the lexer counts it as line 4.
+        assert_eq!((err.message.as_str(), err.line), ("unknown local `x`", 4));
+        let p = parse_ok("class S { method f() -> void {\n let s: java.lang.String\n s = \"a\\\nb\"\n return } }");
+        assert!(matches!(constants(&p, "S")[..], [Constant::Str(sym)] if p.str(sym) == "a\nb"));
+    }
+
+    #[test]
+    fn integer_literals_take_hex_and_underscores() {
+        let src = "class I { method f() -> void {\n let x: long\n x = 0x1F\n x = 1_000\n \
+                   x = 0x_ff_ff\n x = -0x10\n x = 9223372036854775807\n x = 007\n return } }";
+        let p = parse_ok(src);
+        let got: Vec<Constant> = constants(&p, "I");
+        let want = [31, 1000, 0xffff, -16, i64::MAX, 7].map(Constant::Int);
+        assert_eq!(got, want);
+        for bad in ["0x", "0xg1", "12ab", "9223372036854775808", "0X1F", "1__x"] {
+            let src = format!("class I {{ method f() -> void {{\n let x: long\n x = {bad}\n }} }}");
+            let err = parse_err(&src);
+            assert_eq!(
+                (err.message, err.line),
+                (format!("bad integer literal `{bad}`"), 3),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn resource_references_are_checked_as_lexed() {
+        let cases = [
+            ("@id", "expected '/' in resource reference"),
+            ("@id pwd", "expected '/' in resource reference"),
+            ("@/pwd", "malformed resource reference"),
+            ("@id/", "malformed resource reference"),
+            ("@id/nope", "unresolved resource reference `@id/nope`"),
+            ("@layout/main_2", "unresolved resource reference `@layout/main_2`"),
+        ];
+        for (text, message) in cases {
+            let src = format!("class R {{ method f() -> void {{\n let x: int\n x = {text}\n }} }}");
+            let err = parse_err(&src);
+            assert_eq!((err.message.as_str(), err.line), (message, 3), "{text}");
+        }
+    }
+
+    #[test]
+    fn errors_show_each_token_kind_as_written() {
+        let found = |stmt: &str| {
+            let err = parse_err(&format!("class A {{ method f() -> void {{\n x {stmt}\n }} }}"));
+            err.message
+        };
+        assert_eq!(found("12"), "expected `=`, found Some(Int(12))");
+        assert_eq!(found("0x_1f"), "expected `=`, found Some(Int(31))");
+        assert_eq!(found("@id/w"), "expected `=`, found Some(Res(\"id\", \"w\"))");
+        assert_eq!(found("\"caf\u{e9}\""), "expected `=`, found Some(Str(\"caf\u{c3}\u{a9}\"))");
+        assert_eq!(found("-> y"), "expected `=`, found Some(Arrow)");
+        assert_eq!(found("<< y"), "expected `=`, found Some(Shl)");
+        assert_eq!(found("!= y"), "expected `=`, found Some(Ne)");
+        assert_eq!(found("y"), "expected `=`, found Some(Ident(\"y\"))");
+        let err = parse_err("class A { method f() -> void {\n if x ; y goto l\n } }");
+        assert_eq!(err.message, "unexpected character `;`");
+        let err = parse_err("class A { method f() -> void {\n let x: int\n if x + 1 goto l\n } }");
+        assert_eq!(err.message, "expected comparison operator, found Plus");
+        let err = parse_err("class A { method f() -> void {\n let x: int\n x = - y\n } }");
+        assert_eq!(err.message, "expected integer after `-`, found Some(Ident(\"y\"))");
+    }
+
+    #[test]
+    fn an_error_at_the_end_of_input_has_the_last_tokens_line() {
+        let cases = [
+            (
+                "class A { method f() -> void {\n let x: int\n x =",
+                "expected operand, found None",
+                3,
+            ),
+            (
+                "class A { method f() -> void {\n let x: int\n x = 1\n\n\n",
+                "unterminated method body",
+                3,
+            ),
+            ("class A {\n field f: int\n\n", "unterminated class body", 2),
+            ("class A {\n method f(\n", "expected parameter name, found None", 2),
+            ("class A { method f() -> void {\n if 1 ==", "expected operand, found None", 2),
+            (
+                "class A { method f() -> void {\n let x: int\n x = -",
+                "expected integer after `-`, found None",
+                3,
+            ),
+        ];
+        for (src, message, line) in cases {
+            let err = parse_err(src);
+            assert_eq!((err.message.as_str(), err.line), (message, line), "{src:?}");
+        }
+        let err = parse_err("class A { method f() -> void {\n nop\n x = \"open");
+        assert_eq!((err.message.as_str(), err.line), ("unterminated string literal", 3));
+        let err = parse_err("class A { method f() -> void {\n x = \"a\nb\" } }");
+        assert_eq!((err.message.as_str(), err.line), ("newline in string literal", 2));
+    }
+
+    #[test]
+    fn lets_are_declared_once_however_they_are_spelled() {
+        // `let` may open a type (`a` has class `let`), a `let` inside a
+        // type is not declared, and a local may be used above its `let`.
+        let p = parse_ok(
+            "class L { static method f() -> void {\n let a: let\n b = a\n let b: let\n return } }",
+        );
+        let m = p.find_method("L", "f").unwrap();
+        let body = p.method(m).body().unwrap();
+        let names: Vec<&str> = body.locals().iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        let err = parse_err("class L { method f() -> void {\n let a: let b: int\n return } }");
+        assert_eq!((err.message.as_str(), err.line), ("expected `=`, found Some(Colon)", 2));
+        let err = parse_err("class L { method f(a: int) -> void {\n nop\n let a: int\n } }");
+        assert_eq!((err.message.as_str(), err.line), ("local `a` declared twice", 3));
+        let err = parse_err("class L { method f() -> void {\n let 5\n } }");
+        assert_eq!(err.message, "expected local name, found Some(Int(5))");
+    }
+
+    #[test]
+    fn names_resolve_to_the_same_ids_as_first_met() {
+        // Every repeat of a name maps to the id its first use minted.
+        let p = parse_ok(
+            "class N { static method f() -> void {\n let a: x.Y\n let b: x.Y\n let c: x . Y\n \
+             a = new x.Y\n b = static x.Y.g\n c = static x . Y . g\n return } }",
+        );
+        let y = p.find_class("x.Y").unwrap();
+        assert_eq!(p.class(y).fields().len(), 1);
+        let m = p.find_method("N", "f").unwrap();
+        let body = p.method(m).body().unwrap();
+        assert!(body.locals().iter().all(|l| l.ty == Type::Ref(y)), "{:?}", body.locals());
     }
 }

@@ -26,15 +26,15 @@ use flowdroid_ir::Program;
 use flowdroid_truth::{chain_app, generate_corpus};
 
 /// Allocations `parse_jasm` makes on the 100-step chain.
-const PINNED_ALLOCS: u64 = 261;
+const PINNED_ALLOCS: u64 = 241;
 
 /// `(allocations, bytes)` of `parse_jasm` on forward k = 300.
-const FORWARD_300: (u64, u64) = (695, 404_490);
+const FORWARD_300: (u64, u64) = (669, 219_322);
 /// `(allocations, bytes)` of `parse_jasm` on heap k = 60.
-const HEAP_60: (u64, u64) = (479, 659_879);
+const HEAP_60: (u64, u64) = (454, 188_971);
 /// `(allocations, bytes)` of `parse_jasm` summed over the seed-42 truth
 /// apps.
-const TRUTH_42: (u64, u64) = (15_935, 7_822_084);
+const TRUTH_42: (u64, u64) = (15_253, 3_179_284);
 
 #[test]
 fn parse_allocations_are_pinned() {

@@ -104,6 +104,14 @@ impl<'p> MethodBuilder<'p> {
         }
     }
 
+    /// Reserves room for `locals` more locals and `stmts` more
+    /// statements, for a caller that knows about how many the body holds.
+    pub fn reserve(&mut self, locals: usize, stmts: usize) {
+        self.locals.reserve_exact(locals);
+        self.stmts.reserve_exact(stmts);
+        self.lines.reserve_exact(stmts);
+    }
+
     /// Access to the underlying program (for interning, class ids, …).
     pub fn program(&mut self) -> &mut Program {
         self.program

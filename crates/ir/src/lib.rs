@@ -45,7 +45,10 @@ mod types;
 pub use body::{Body, Cfg, LocalDecl, StmtIdx, StmtRef};
 pub use builder::{Label, MethodBuilder};
 pub use class::{Class, ClassId, Field, FieldId, Method, MethodId, MethodRef, SubSig};
-pub use fxhash::{fnv1a64, fxhash64, Fnv1a64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{
+    fnv1a64, fxhash64, word_hash64, Fnv1a64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher,
+    WordHasher,
+};
 pub use pretty::ProgramPrinter;
 pub use program::{BodySource, Program, ProgramBase};
 pub use stmt::{

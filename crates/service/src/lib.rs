@@ -39,7 +39,7 @@ pub mod proto;
 
 pub use client::{AnalyzeOptions, AnalyzeOutcome, Client, Submitted};
 pub use daemon::{Daemon, DaemonOptions, DEFAULT_QUEUE_CAP};
-pub use external::{load_external_job, AppPolicy, PolicyError};
+pub use external::{content_hash, load_external_job, AppPolicy, PolicyError};
 pub use json::Json;
 pub use net::Listen;
 pub use proto::{AnalyzeRequest, JobResult, Priority, Request};

@@ -52,3 +52,61 @@ fn render_all() -> String {
 fn parsed_ir_of_the_benchmark_shapes_matches_golden() {
     check_golden(&render_all(), GOLDEN, "parsed_ir_chains.txt");
 }
+
+/// `code` written another way the lexer must read alike: CRLF line
+/// ends, tabs for blanks, spaced dots (`a . b`) and a `//` or `#`
+/// comment closing every line, all outside string literals.
+fn respelled(code: &str) -> String {
+    let mut out = String::new();
+    for (n, line) in code.lines().enumerate() {
+        let mut in_string = false;
+        let mut chars = line.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' => in_string = !in_string,
+                '\\' if in_string => {
+                    out.push(c);
+                    out.extend(chars.next());
+                    continue;
+                }
+                ' ' if !in_string => {
+                    out.push('\t');
+                    continue;
+                }
+                '.' if !in_string => {
+                    out.push_str(" .\t");
+                    continue;
+                }
+                _ => {}
+            }
+            out.push(c);
+        }
+        out.push_str(if n % 2 == 0 {
+            " // a . \"comment\"\r\n"
+        } else {
+            "\t# and { another }\r\n"
+        });
+    }
+    out
+}
+
+#[test]
+fn respelled_truth_apps_parse_to_the_same_ir() {
+    for app in generate_corpus(42, 12) {
+        let packed = Archive::from_bytes(&app.rpk_bytes()).expect("packed app reads");
+        let mut archive = Archive::new();
+        for (path, data) in packed.iter() {
+            match path {
+                "classes.jasm" => {
+                    let code = std::str::from_utf8(data).expect("code is text");
+                    let text = respelled(code);
+                    assert_ne!(text, code);
+                    archive.add(path, text.into_bytes())
+                }
+                _ => archive.add(path, data),
+            };
+        }
+        let plain = fingerprint(&load(&packed));
+        assert_eq!(fingerprint(&load(&archive)), plain, "{}", app.name);
+    }
+}

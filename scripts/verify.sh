@@ -120,6 +120,39 @@ for mode in sequential-interned demand-lazy; do
     fi
 done
 
+# Frontend allocation gate: parsing each app shape of the `frontend`
+# section (perfbench's chain apps and the truth corpora) may not
+# allocate more than 5% over the committed baseline, counted both as
+# allocations and as bytes requested, in the same way as the corpus
+# gate above. Its timings are printed, not gated. A baseline without
+# the section, or without a shape, skips that shape's gate.
+frontend_field() { # <file> <shape> <field>
+    grep "\"shape\": \"$2\"," "$1" | sed -n "s/.*\"$3\": \([0-9.]*\).*/\1/p"
+}
+echo "== frontend parse allocation gate vs committed BENCH_solver.json"
+for shape in $(sed -n 's/.*"shape": "\([^"]*\)".*/\1/p' BENCH_solver.json); do
+    base_allocs=$(frontend_field BENCH_solver.baseline.json "$shape" parse_allocations)
+    base_bytes=$(frontend_field BENCH_solver.baseline.json "$shape" parse_allocated_bytes)
+    new_allocs=$(frontend_field BENCH_solver.json "$shape" parse_allocations)
+    new_bytes=$(frontend_field BENCH_solver.json "$shape" parse_allocated_bytes)
+    new_parse=$(frontend_field BENCH_solver.json "$shape" parse_us)
+    echo "frontend ${shape}: parse_allocations: ${new_allocs} (baseline ${base_allocs:-none})," \
+        "parse_allocated_bytes: ${new_bytes} (baseline ${base_bytes:-none})," \
+        "parse_us: ${new_parse} (not gated)"
+    if [[ -z "${base_allocs}" ]]; then
+        echo "no committed frontend baseline for ${shape}; skipping its gate"
+        continue
+    fi
+    if ! within_5pct "$new_allocs" "$base_allocs"; then
+        echo "FAIL: ${shape} parse allocations regressed beyond 5% of the committed baseline" >&2
+        exit 1
+    fi
+    if ! within_5pct "$new_bytes" "$base_bytes"; then
+        echo "FAIL: ${shape} parse allocated bytes regressed beyond 5% of the committed baseline" >&2
+        exit 1
+    fi
+done
+
 # Serving-mode smoke: platform-snapshot round trip, daemon boot from
 # the snapshot, warm prepared-job reuse and callgraph-setup replay, no more
 # bodies decoded warm than cold, in-flight cancellation, clean

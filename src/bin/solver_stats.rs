@@ -28,6 +28,18 @@
 //! slots per table row. The corpus mode rows carry `row_slots` and
 //! `flow_reevaluations` too.
 //!
+//! The `frontend` section measures a fresh app's admission on the
+//! shapes perfbench sends: the forward chains (k = 100/200/300) and heap
+//! chains (k = 20/40/60) of `flowdroid_truth::chain_app`, and the truth
+//! corpus of each seed 42–46 (twelve apps per category, summed over its
+//! apps). Each row gives the packed archive's bytes, the microseconds
+//! naming it takes (`flowdroid_service::content_hash`) and parsing it
+//! takes (`parse_job` on an overlay of the platform snapshot, the
+//! daemon's first run), each the median of `FRONTEND_RUNS` runs with
+//! the parse's quartiles, and the parse's allocations and bytes, which
+//! repeat exactly. verify.sh gates those two counts against the
+//! committed document.
+//!
 //! The `ground_truth` section runs the seeded synthetic corpus from
 //! `flowdroid-truth`: it sweeps every engine configuration (from the
 //! parse, lazy cold, lazy replayed setup) over the generated apps,
@@ -50,8 +62,9 @@ use flowdroid_bench::driver::{
     stress_job, CorpusRun,
 };
 use flowdroid_core::job::{analyze_parsed, parse_job};
-use flowdroid_core::{InfoflowConfig, Job, JobRun, TableStats};
-use flowdroid_service::{Client, Daemon, DaemonOptions, Listen};
+use flowdroid_core::{InfoflowConfig, Job, JobRun, Rules, TableStats};
+use flowdroid_frontend::Archive;
+use flowdroid_service::{content_hash, Client, Daemon, DaemonOptions, Listen};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -276,6 +289,102 @@ fn rung_json(r: &Rung) -> String {
     )
 }
 
+/// Timed runs of each `frontend` row.
+const FRONTEND_RUNS: usize = 31;
+
+/// One row of the `frontend` section: a shape of app perfbench sends,
+/// named and parsed as the daemon admits a fresh one.
+struct FrontendRow {
+    shape: String,
+    archive_bytes: usize,
+    name_us: f64,
+    /// Median and quartiles of the parse.
+    parse_us: [f64; 3],
+    parse_allocations: u64,
+    parse_allocated_bytes: u64,
+}
+
+/// The first quartile, median and third quartile of `v`.
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    [v[v.len() / 4], v[v.len() / 2], v[3 * v.len() / 4]]
+}
+
+/// Names and parses `apps` (each a packed archive) as one row.
+fn measure_frontend(shape: String, apps: &[Vec<u8>]) -> FrontendRow {
+    let snapshot = shared_platform_snapshot();
+    let archives: Vec<Archive> =
+        apps.iter().map(|b| Archive::from_bytes(b).expect("packed app reads")).collect();
+    let jobs: Vec<Job> =
+        archives.iter().map(|a| Job::app(shape.clone(), a.clone(), Rules::android())).collect();
+    let parse_all = || {
+        for job in &jobs {
+            parse_job(job, snapshot.overlay_program()).expect("app parses");
+        }
+    };
+    let (mut name_us, mut parse_us) = (Vec::new(), Vec::new());
+    for _ in 0..FRONTEND_RUNS {
+        let start = std::time::Instant::now();
+        for a in &archives {
+            std::hint::black_box(content_hash(a));
+        }
+        name_us.push(start.elapsed().as_secs_f64() * 1e6);
+        let start = std::time::Instant::now();
+        parse_all();
+        parse_us.push(start.elapsed().as_secs_f64() * 1e6);
+    }
+    // Count one more pass, parses only: each parsed job is dropped
+    // before the counters are read, and a drop allocates nothing.
+    reset_alloc_counters();
+    parse_all();
+    let (parse_allocations, parse_allocated_bytes) = alloc_counters();
+    FrontendRow {
+        shape,
+        archive_bytes: apps.iter().map(Vec::len).sum(),
+        name_us: quartiles(name_us)[1],
+        parse_us: quartiles(parse_us),
+        parse_allocations,
+        parse_allocated_bytes,
+    }
+}
+
+/// The `frontend` rows: the chain apps of perfbench's taint workloads,
+/// then the truth corpus of each seed 42–46.
+fn frontend_rows() -> Vec<FrontendRow> {
+    let mut rows = Vec::new();
+    for (alias, sizes) in [(false, [100, 200, 300]), (true, [20, 40, 60])] {
+        for k in sizes {
+            let shape = format!("{}/{k}", if alias { "heap" } else { "forward" });
+            let app = flowdroid_truth::chain_app(&format!("pf.c{k}.s0"), k, alias).to_bytes();
+            rows.push(measure_frontend(shape, &[app]));
+        }
+    }
+    for seed in 42..=46 {
+        let apps: Vec<Vec<u8>> =
+            flowdroid_truth::generate_corpus(seed, 12).iter().map(|a| a.rpk_bytes()).collect();
+        rows.push(measure_frontend(format!("truth/s{seed}"), &apps));
+    }
+    rows
+}
+
+fn frontend_json(r: &FrontendRow) -> String {
+    format!(
+        concat!(
+            "    {{ \"shape\": \"{}\", \"archive_bytes\": {}, \"name_us\": {:.2}, ",
+            "\"parse_us\": {:.2}, \"parse_us_q1\": {:.2}, \"parse_us_q3\": {:.2}, ",
+            "\"parse_allocations\": {}, \"parse_allocated_bytes\": {} }}"
+        ),
+        r.shape,
+        r.archive_bytes,
+        r.name_us,
+        r.parse_us[1],
+        r.parse_us[0],
+        r.parse_us[2],
+        r.parse_allocations,
+        r.parse_allocated_bytes
+    )
+}
+
 fn fact_tables_json(s: &Option<TableStats>) -> String {
     match s {
         None => "null".to_string(),
@@ -383,6 +492,9 @@ fn main() {
         })
         .collect();
 
+    eprintln!("running frontend rows ...");
+    let frontend = frontend_rows();
+
     let mut failures = Vec::new();
     let ground_truth = ground_truth(&mut failures);
 
@@ -408,6 +520,10 @@ fn main() {
     writeln!(json, "  \"ladder\": [").unwrap();
     let rungs: Vec<String> = ladder.iter().map(rung_json).collect();
     writeln!(json, "{}", rungs.join(",\n")).unwrap();
+    writeln!(json, "  ],").unwrap();
+    writeln!(json, "  \"frontend\": [").unwrap();
+    let rows: Vec<String> = frontend.iter().map(frontend_json).collect();
+    writeln!(json, "{}", rows.join(",\n")).unwrap();
     writeln!(json, "  ],").unwrap();
     writeln!(json, "  \"ground_truth\": {ground_truth}").unwrap();
     writeln!(json, "}}").unwrap();
