@@ -861,8 +861,9 @@ struct MethodDecl<'t> {
     body: Option<usize>,
     /// The body's `let name:` positions: a range of the parse's list.
     lets: Range<usize>,
-    /// The lines between the body's braces: about its statement count
-    /// plus its `let`s, when each statement has a line of its own.
+    /// The lines between the body's braces, but no more than its
+    /// tokens: about its statement count plus its `let`s when each
+    /// statement has a line of its own, and never more than it can hold.
     lines: usize,
 }
 
@@ -1038,7 +1039,7 @@ impl<'t> Cursor<'t> {
         for (i, t) in toks.iter().enumerate().skip(self.pos) {
             match t.kind {
                 Kind::RBrace => {
-                    m.lines = t.line.saturating_sub(open + 1) as usize;
+                    m.lines = (t.line.saturating_sub(open + 1) as usize).min(i - self.pos);
                     self.pos = i + 1;
                     return true;
                 }
@@ -1465,7 +1466,7 @@ impl<'t> BodyParser<'_, 't> {
                 };
                 self.invoke(Some(result), kind)
             }
-            kw => self.assign_with(lhs, kw),
+            _ => self.assign(lhs),
         }
     }
 
@@ -1538,21 +1539,13 @@ impl<'t> BodyParser<'_, 't> {
     /// Parses the right side of `lhs = …`, then resolves `lhs` and emits
     /// the assignment.
     fn assign(&mut self, lhs: Target<'t>) -> Result<(), ParseError> {
-        let kw = self.cur.kw();
-        self.assign_with(lhs, kw)
-    }
-
-    /// [`BodyParser::assign`] with `kw`, the keyword at the cursor.
-    fn assign_with(&mut self, lhs: Target<'t>, kw: Option<Kw>) -> Result<(), ParseError> {
-        let rv = self.rhs(kw)?;
+        let rv = self.rhs()?;
         let place = self.place(lhs)?;
         self.b.assign(place, rv);
         Ok(())
     }
 
-    /// The right side of an assignment; `kw` is the keyword at the
-    /// cursor.
-    fn rhs(&mut self, kw: Option<Kw>) -> Result<Rvalue, ParseError> {
+    fn rhs(&mut self) -> Result<Rvalue, ParseError> {
         // Cast: `(T) x`.
         if self.cur.eat(Kind::LParen) {
             let ty = self.cur.ty()?;
@@ -1560,7 +1553,7 @@ impl<'t> BodyParser<'_, 't> {
             let ty = self.names.ty(self.b.program(), &ty);
             return Ok(Rvalue::Cast(ty, self.operand()?));
         }
-        match kw {
+        match self.cur.kw() {
             Some(Kw::New) => {
                 self.cur.pos += 1;
                 let class = self.cur.dotted("class name")?;
@@ -1968,6 +1961,48 @@ class K {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn every_keyword_is_recognised_and_nothing_else() {
+        let words = [
+            "let",
+            "label",
+            "goto",
+            "if",
+            "opaque",
+            "return",
+            "throw",
+            "nop",
+            "static",
+            "virtualinvoke",
+            "interfaceinvoke",
+            "specialinvoke",
+            "staticinvoke",
+            "new",
+            "newarray",
+            "neg",
+            "lengthof",
+            "instanceof",
+            "cmp",
+            "null",
+            "void",
+            "boolean",
+            "byte",
+            "char",
+            "short",
+            "int",
+            "long",
+            "float",
+            "double",
+        ];
+        let kws: Vec<Kw> = words.iter().map(|w| keyword(w.as_bytes()).expect(w)).collect();
+        for (i, a) in kws.iter().enumerate() {
+            assert!(kws[i + 1..].iter().all(|b| b != a), "{} shares a keyword", words[i]);
+        }
+        for other in ["lat", "Let", "lett", "i", "nul", "int_", "staticinvokE", "class", "t1"] {
+            assert!(keyword(other.as_bytes()).is_none(), "{other}");
+        }
     }
 
     #[test]

@@ -148,14 +148,16 @@ echo "warm job: $warm_bodies bodies decoded (cold $cold_bodies), setup ${warm_se
 # Cancel an in-flight job: submit a long synthetic job, wait until a
 # worker picks it up, then cancel it from a second connection. The
 # blocked client must come back promptly with an aborted result and the
-# dedicated exit code 3. It is the daemon's fourth job.
+# dedicated exit code 3. It is the daemon's fourth job. The job runs
+# for about 100 ms on a 2-CPU host, so the poll must be much finer than
+# that, or the job ends before the cancel arrives.
 "$bin" client "$addr" analyze stress/6000 >"$long_job_out" 2>&1 &
 long_job_pid=$!
-for _ in $(seq 1 100); do
+for _ in $(seq 1 1000); do
     if "$bin" client "$addr" stats | grep -q '"state":"running"'; then
         break
     fi
-    sleep 0.1
+    sleep 0.01
 done
 "$bin" client "$addr" cancel 4 >/dev/null
 long_job_status=0

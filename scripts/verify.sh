@@ -127,7 +127,7 @@ done
 # gate above. Its timings are printed, not gated. A baseline without
 # the section, or without a shape, skips that shape's gate.
 frontend_field() { # <file> <shape> <field>
-    grep "\"shape\": \"$2\"," "$1" | sed -n "s/.*\"$3\": \([0-9.]*\).*/\1/p"
+    sed -n "\\|\"shape\": \"$2\",| s|.*\"$3\": \([0-9.]*\).*|\1|p" "$1"
 }
 echo "== frontend parse allocation gate vs committed BENCH_solver.json"
 for shape in $(sed -n 's/.*"shape": "\([^"]*\)".*/\1/p' BENCH_solver.json); do
