@@ -1,7 +1,7 @@
 //! Per-component models and iterative callback discovery (paper §3).
 
 use crate::platform::PlatformInfo;
-use flowdroid_callgraph::{materialize_reachable, CallGraph, CgAlgorithm, Hierarchy};
+use flowdroid_callgraph::{CallGraph, Hierarchy};
 use flowdroid_frontend::manifest::ComponentKind;
 use flowdroid_frontend::App;
 use flowdroid_ir::{ClassId, Constant, FxHashSet, MethodId, Operand, Program};
@@ -72,10 +72,9 @@ impl EntryPointModel {
     ///
     /// Takes the program mutably because lazily loaded apps (see
     /// [`flowdroid_frontend::App::from_archive_lazy`]) materialize
-    /// method bodies on demand: each discovery iteration first runs
-    /// [`materialize_reachable`] over the current entry set so the call
-    /// graph scan below sees every reachable body. Eagerly loaded
-    /// programs pass through unchanged.
+    /// method bodies on demand: each discovery iteration's call graph
+    /// decodes the bodies its walk reaches, so the scan sees every
+    /// reachable body. Eagerly loaded programs pass through unchanged.
     pub fn build(
         program: &mut Program,
         platform: &PlatformInfo,
@@ -206,10 +205,9 @@ fn discover_component(
     loop {
         let mut entries: Vec<MethodId> = comp.lifecycle.clone();
         entries.extend(known.iter().map(|cb| cb.method));
-        // Decode any deferred bodies the entry set can reach before the
-        // immutable callgraph scan below (no-op on eager programs).
-        materialize_reachable(program, hierarchy, &entries);
-        let cg = CallGraph::build_with_hierarchy(program, hierarchy, &entries, CgAlgorithm::Cha);
+        // The walk decodes the deferred bodies the entry set reaches
+        // (no-op on eager programs).
+        let cg = CallGraph::build_with_hierarchy(&mut *program, hierarchy, &entries);
 
         let mut changed = false;
         // Layouts inflated by this component.

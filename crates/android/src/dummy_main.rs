@@ -245,7 +245,7 @@ mod tests {
     use super::*;
     use crate::component::{CallbackAssociation, EntryPointModel};
     use crate::platform::install_platform;
-    use flowdroid_callgraph::{CallGraph, CgAlgorithm};
+    use flowdroid_callgraph::CallGraph;
     use flowdroid_frontend::App;
     use flowdroid_ir::ProgramPrinter;
 
@@ -292,7 +292,7 @@ class com.ex.Work extends android.app.Service {
         let model =
             EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         let main = generate_dummy_main(&mut p, &platform, &model, "t1");
-        let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
+        let cg = CallGraph::build(&p, &[main]);
         for name in ["onCreate", "onRestart", "onDestroy", "onStartCommand"] {
             let found = cg.reachable_methods().iter().any(|&m| p.str(p.method(m).name()) == name);
             assert!(found, "{name} not reachable from dummy main");
@@ -307,7 +307,7 @@ class com.ex.Work extends android.app.Service {
         let model =
             EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
         let main = generate_dummy_main(&mut p, &platform, &model, "t2");
-        let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
+        let cg = CallGraph::build(&p, &[main]);
         let send = p.find_method("com.ex.Main", "sendMessage").unwrap();
         assert!(cg.is_reachable(send), "XML onClick handler must be reachable");
         // It is called on the Main instance, from the dummy main.

@@ -11,7 +11,7 @@
 
 use crate::platform::PlatformInfo;
 use crate::{generate_dummy_main, CallbackAssociation, EntryPointModel};
-use flowdroid_callgraph::{CallGraph, CgAlgorithm};
+use flowdroid_callgraph::CallGraph;
 use flowdroid_frontend::App;
 use flowdroid_ir::Program;
 use std::collections::BTreeSet;
@@ -73,7 +73,7 @@ pub fn analyze_permissions(
 ) -> PermissionReport {
     let model = EntryPointModel::build(program, platform, app, CallbackAssociation::PerComponent);
     let main = generate_dummy_main(program, platform, &model, tag);
-    let cg = CallGraph::build(program, &[main], CgAlgorithm::Cha);
+    let cg = CallGraph::build(&mut *program, &[main]);
     let mut required = BTreeSet::new();
     for &m in cg.reachable_methods() {
         let Some(body) = program.method(m).body() else { continue };

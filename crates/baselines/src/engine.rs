@@ -6,7 +6,7 @@
 //! one global slot per field (object-insensitive), whole-object arrays,
 //! and no lifecycle model (the caller analyzes each entry separately).
 
-use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
+use flowdroid_callgraph::{CallGraph, Icfg};
 use flowdroid_core::wrappers::{Pos, Rule};
 use flowdroid_core::{CallSites, SourceSinkManager, TaintWrapper};
 use flowdroid_ir::{FieldId, Local, MethodId, Operand, Place, Program, Rvalue, Stmt, StmtRef};
@@ -89,7 +89,7 @@ impl<'a> SlotEngine<'a> {
         seed_statics: &HashSet<FieldId>,
     ) -> (HashSet<StmtRef>, HashSet<FieldId>) {
         let program = self.program;
-        let cg = CallGraph::build(program, &[entry], CgAlgorithm::Cha);
+        let cg = CallGraph::build(program, &[entry]);
         let icfg = Icfg::new(program, &cg);
         let sites = CallSites::build(&icfg, self.sources, self.wrapper);
         let mut tainted: HashSet<Slot> = HashSet::new();

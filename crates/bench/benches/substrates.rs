@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flowdroid_android::install_platform;
 use flowdroid_bench::corpus::{generate_app, AppProfile};
-use flowdroid_callgraph::{CallGraph, CgAlgorithm};
+use flowdroid_callgraph::CallGraph;
 use flowdroid_frontend::{sdex, App};
 use flowdroid_ir::Program;
 
@@ -45,10 +45,7 @@ fn bench(c: &mut Criterion) {
     );
     let main = flowdroid_android::generate_dummy_main(&mut q, &pl, &model, "bench");
     c.bench_function("substrates/callgraph_cha", |b| {
-        b.iter(|| CallGraph::build(&q, &[main], CgAlgorithm::Cha).reachable_methods().len())
-    });
-    c.bench_function("substrates/callgraph_rta", |b| {
-        b.iter(|| CallGraph::build(&q, &[main], CgAlgorithm::Rta).reachable_methods().len())
+        b.iter(|| CallGraph::build(&q, &[main]).reachable_methods().len())
     });
 }
 

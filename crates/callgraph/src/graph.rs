@@ -6,28 +6,56 @@ use flowdroid_ir::{
 };
 use std::collections::VecDeque;
 
-/// Call-graph construction algorithm.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CgAlgorithm {
-    /// Class-hierarchy analysis: virtual calls dispatch to every
-    /// overriding subtype.
-    #[default]
-    Cha,
-    /// Rapid-type analysis: like CHA, but runtime types are restricted
-    /// to classes instantiated in reachable code (iterated to a fixed
-    /// point).
-    Rta,
+/// The program a call-graph build walks. Through a `&mut Program` the
+/// walk decodes each deferred body it reaches (see
+/// [`Program::ensure_body`]) before scanning it, so bodies it never
+/// reaches stay pending; through a `&Program` every body it reaches must
+/// be decoded already.
+pub trait ProgramRef {
+    /// The program.
+    fn program(&self) -> &Program;
+    /// Makes the body of the reached method `m` available to the scan.
+    fn load_body(&mut self, m: MethodId);
 }
 
-/// A call graph: callees per call site and callers per method, restricted
-/// to methods reachable from the entry points.
+impl ProgramRef for &Program {
+    fn program(&self) -> &Program {
+        self
+    }
+
+    /// # Panics
+    ///
+    /// Panics, naming `m`, if its body is still pending.
+    fn load_body(&mut self, m: MethodId) {
+        assert!(
+            !self.method(m).body_is_pending(),
+            "call graph reached {}, whose body is pending: build over a &mut Program to decode it",
+            self.signature(m)
+        );
+    }
+}
+
+impl ProgramRef for &mut Program {
+    fn program(&self) -> &Program {
+        self
+    }
+
+    fn load_body(&mut self, m: MethodId) {
+        if self.method(m).body_is_pending() {
+            self.ensure_body(m);
+        }
+    }
+}
+
+/// A class-hierarchy-analysis (CHA) call graph: callees per call site and
+/// callers per method, restricted to methods reachable from the entry
+/// points.
 ///
 /// Calls to body-less methods (natives, phantom framework stubs) get no
 /// edge; analyses handle those with explicit rules rather than by
 /// descending into them.
 #[derive(Debug, Default)]
 pub struct CallGraph {
-    entry_points: Vec<MethodId>,
     callees_at: FxHashMap<StmtRef, Vec<MethodId>>,
     callers_of: FxHashMap<MethodId, Vec<StmtRef>>,
     reachable: Vec<MethodId>,
@@ -36,45 +64,33 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// Builds the call graph reachable from `entry_points`.
-    pub fn build(program: &Program, entry_points: &[MethodId], algo: CgAlgorithm) -> Self {
-        let hierarchy = Hierarchy::build(program);
-        Self::build_with_hierarchy(program, &hierarchy, entry_points, algo)
+    /// Builds the call graph reachable from `entry_points` over a
+    /// `&Program` or a `&mut Program` (see [`ProgramRef`]).
+    ///
+    /// # Panics
+    ///
+    /// Over a `&Program`, panics if the walk reaches a method whose body
+    /// is still pending.
+    pub fn build(program: impl ProgramRef, entry_points: &[MethodId]) -> Self {
+        let hierarchy = Hierarchy::build(program.program());
+        Self::build_with_hierarchy(program, &hierarchy, entry_points)
     }
 
     /// Builds the call graph using a pre-built [`Hierarchy`].
+    ///
+    /// Decoding a body may declare phantom classes (types named only
+    /// inside bodies). They have no methods and no subtype edges, so a
+    /// hierarchy built before the walk stays valid through it.
+    ///
+    /// # Panics
+    ///
+    /// As [`CallGraph::build`].
     pub fn build_with_hierarchy(
-        program: &Program,
+        mut program: impl ProgramRef,
         hierarchy: &Hierarchy,
         entry_points: &[MethodId],
-        algo: CgAlgorithm,
     ) -> Self {
-        match algo {
-            CgAlgorithm::Cha => Self::build_once(program, hierarchy, entry_points, None),
-            CgAlgorithm::Rta => {
-                // Iterate: the instantiated-class set and the reachable
-                // set are mutually dependent.
-                let mut instantiated: FxHashSet<ClassId> = FxHashSet::default();
-                loop {
-                    let cg =
-                        Self::build_once(program, hierarchy, entry_points, Some(&instantiated));
-                    let next = cg.collect_instantiated(program);
-                    if next == instantiated {
-                        return cg;
-                    }
-                    instantiated = next;
-                }
-            }
-        }
-    }
-
-    fn build_once(
-        program: &Program,
-        hierarchy: &Hierarchy,
-        entry_points: &[MethodId],
-        instantiated: Option<&FxHashSet<ClassId>>,
-    ) -> Self {
-        let mut cg = CallGraph { entry_points: entry_points.to_vec(), ..Default::default() };
+        let mut cg = CallGraph::default();
         let mut queue: VecDeque<MethodId> = VecDeque::new();
         for &m in entry_points {
             if cg.reachable_set.insert(m) {
@@ -83,9 +99,13 @@ impl CallGraph {
             }
         }
         while let Some(m) = queue.pop_front() {
-            let method = program.method(m);
-            let Some(body) = method.body() else { continue };
+            program.load_body(m);
+            let program = program.program();
+            let Some(body) = program.method(m).body() else { continue };
             for (idx, stmt) in body.stmts().iter().enumerate() {
+                if let Stmt::Assign { rhs: Rvalue::New(c), .. } = stmt {
+                    cg.instantiated.insert(*c);
+                }
                 let Some(call) = stmt.invoke_expr() else { continue };
                 let site = StmtRef::new(m, idx);
                 let targets: Vec<MethodId> = match call.kind {
@@ -93,7 +113,7 @@ impl CallGraph {
                         program.resolve_method_ref(&call.callee).into_iter().collect()
                     }
                     InvokeKind::Virtual | InvokeKind::Interface => {
-                        let mut t = hierarchy.virtual_targets(program, &call.callee, instantiated);
+                        let mut t = hierarchy.virtual_targets(program, &call.callee);
                         // If dispatch found nothing (e.g. phantom-class
                         // receiver), fall back to the static resolution so
                         // stub handling still sees a target.
@@ -113,27 +133,7 @@ impl CallGraph {
                 }
             }
         }
-        cg.instantiated = cg.collect_instantiated(program);
         cg
-    }
-
-    fn collect_instantiated(&self, program: &Program) -> FxHashSet<ClassId> {
-        let mut out = FxHashSet::default();
-        for &m in &self.reachable {
-            if let Some(body) = program.method(m).body() {
-                for stmt in body.stmts() {
-                    if let Stmt::Assign { rhs: Rvalue::New(c), .. } = stmt {
-                        out.insert(*c);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// The entry points this graph was built from.
-    pub fn entry_points(&self) -> &[MethodId] {
-        &self.entry_points
     }
 
     /// Methods reachable from the entry points, in discovery order.
@@ -194,7 +194,7 @@ mod tests {
     use flowdroid_ir::{MethodBuilder, Type};
 
     /// main() calls I.run() on an interface; A and B implement it; B is
-    /// never instantiated.
+    /// never instantiated, and CHA dispatches to it all the same.
     fn build_program() -> (Program, MethodId, MethodId, MethodId) {
         let mut p = Program::new();
         p.declare_class("java.lang.Object", None, &[]);
@@ -216,20 +216,12 @@ mod tests {
     #[test]
     fn cha_reaches_all_implementers() {
         let (p, main, run_a, run_b) = build_program();
-        let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
+        let cg = CallGraph::build(&p, &[main]);
         assert!(cg.is_reachable(run_a));
         assert!(cg.is_reachable(run_b));
         let site = StmtRef::new(main, 1);
         assert_eq!(cg.callees_at(site).len(), 2);
         assert_eq!(cg.callers_of(run_a), &[site]);
-    }
-
-    #[test]
-    fn rta_prunes_uninstantiated() {
-        let (p, main, run_a, run_b) = build_program();
-        let cg = CallGraph::build(&p, &[main], CgAlgorithm::Rta);
-        assert!(cg.is_reachable(run_a));
-        assert!(!cg.is_reachable(run_b), "B is never instantiated");
     }
 
     #[test]
@@ -243,7 +235,7 @@ mod tests {
         let log = p.find_class("android.util.Log").unwrap();
         let m = p.declare_method(log, "i", vec![], Type::Void, true);
         p.set_native(m, true);
-        let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
+        let cg = CallGraph::build(&p, &[main]);
         let site = StmtRef::new(main, 0);
         assert!(cg.callees_at(site).is_empty());
     }
@@ -261,7 +253,7 @@ mod tests {
         let mut b1 = MethodBuilder::new_static_on(&mut p, c, "f", vec![], Type::Void);
         b1.call_static(None, "C", "g", vec![], Type::Void, vec![]);
         let f = b1.finish();
-        let cg = CallGraph::build(&p, &[f], CgAlgorithm::Cha);
+        let cg = CallGraph::build(&p, &[f]);
         assert!(cg.can_reach(f, h));
         assert!(!cg.can_reach(h, f));
     }

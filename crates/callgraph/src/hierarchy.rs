@@ -72,32 +72,14 @@ impl Hierarchy {
     }
 
     /// Class-hierarchy-analysis targets of a virtual/interface call
-    /// through `mref`: for every possible runtime subtype of the declared
-    /// class, the concrete method dispatch would select.
-    ///
-    /// `instantiated` optionally restricts runtime types to the given
-    /// set (rapid type analysis); pass `None` for plain CHA.
-    pub fn virtual_targets(
-        &self,
-        program: &Program,
-        mref: &MethodRef,
-        instantiated: Option<&FxHashSet<ClassId>>,
-    ) -> Vec<MethodId> {
+    /// through `mref`: for every concrete subtype of the declared class,
+    /// the method dispatch would select.
+    pub fn virtual_targets(&self, program: &Program, mref: &MethodRef) -> Vec<MethodId> {
         let mut out = Vec::new();
         let mut seen = FxHashSet::default();
         for sub in self.subtypes_of(mref.class) {
             let cd = program.class(sub);
-            if cd.is_interface() {
-                continue;
-            }
-            if let Some(inst) = instantiated {
-                // RTA: only consider classes the program actually
-                // allocates; phantom (undeclared) classes are kept as a
-                // conservative fallback for framework stubs.
-                if cd.is_declared() && !inst.contains(&sub) {
-                    continue;
-                }
-            } else if cd.is_abstract() {
+            if cd.is_interface() || cd.is_abstract() {
                 continue;
             }
             if let Some(m) = self.dispatch(program, sub, &mref.subsig) {
@@ -147,22 +129,10 @@ mod tests {
         let h = Hierarchy::build(&p);
         let subsig = p.method(run_a).subsig().clone();
         let mref = MethodRef { class: i, subsig };
-        let targets = h.virtual_targets(&p, &mref, None);
+        let targets = h.virtual_targets(&p, &mref);
         assert_eq!(targets.len(), 2);
         assert!(targets.contains(&run_a));
         assert!(targets.contains(&run_b));
-    }
-
-    #[test]
-    fn rta_restricts_to_instantiated() {
-        let (p, i, run_a, run_b) = diamond();
-        let h = Hierarchy::build(&p);
-        let subsig = p.method(run_a).subsig().clone();
-        let mref = MethodRef { class: i, subsig };
-        let mut inst = FxHashSet::default();
-        inst.insert(p.find_class("B").unwrap());
-        let targets = h.virtual_targets(&p, &mref, Some(&inst));
-        assert_eq!(targets, vec![run_b]);
     }
 
     #[test]

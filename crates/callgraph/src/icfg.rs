@@ -134,7 +134,6 @@ impl ExactSizeIterator for StmtRefs<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::CgAlgorithm;
     use flowdroid_ir::{MethodBuilder, Type};
 
     fn simple() -> (Program, MethodId, MethodId) {
@@ -162,7 +161,7 @@ mod tests {
     #[test]
     fn call_and_return_sites() {
         let (p, main, callee) = simple();
-        let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
+        let cg = CallGraph::build(&p, &[main]);
         let icfg = Icfg::new(&p, &cg);
         let call = StmtRef::new(main, 0);
         assert!(icfg.is_call(call));

@@ -7,9 +7,9 @@
 //!
 //! * [`Hierarchy`] — subclass/implementer indexes over a
 //!   [`flowdroid_ir::Program`] with virtual-dispatch resolution,
-//! * [`CallGraph`] — built by reachability from a set of entry points
-//!   using either class-hierarchy analysis (CHA) or rapid-type analysis
-//!   (RTA, see [`CgAlgorithm`]),
+//! * [`CallGraph`] — built by class-hierarchy analysis (CHA) reachability
+//!   from a set of entry points; over a `&mut Program` the walk decodes
+//!   the deferred bodies it reaches (see [`ProgramRef`]),
 //! * [`Icfg`] — the interprocedural CFG view consumed by the IFDS solver
 //!   (successors/predecessors, callees of a call site, callers and start
 //!   points of a method, return sites).
@@ -18,7 +18,7 @@
 //!
 //! ```
 //! use flowdroid_ir::{Program, MethodBuilder, Type};
-//! use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
+//! use flowdroid_callgraph::{CallGraph, Icfg};
 //!
 //! let mut p = Program::new();
 //! let c = p.declare_class("Main", None, &[]);
@@ -27,7 +27,7 @@
 //! let main = b.finish();
 //! MethodBuilder::new_static_on(&mut p, c, "work", vec![], Type::Void).finish();
 //!
-//! let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
+//! let cg = CallGraph::build(&p, &[main]);
 //! assert_eq!(cg.reachable_methods().len(), 2);
 //! let icfg = Icfg::new(&p, &cg);
 //! assert!(icfg.is_call(flowdroid_ir::StmtRef::new(main, 0)));
@@ -38,7 +38,7 @@ mod hierarchy;
 mod icfg;
 mod materialize;
 
-pub use graph::{CallGraph, CgAlgorithm};
+pub use graph::{CallGraph, ProgramRef};
 pub use hierarchy::Hierarchy;
 pub use icfg::{Icfg, StmtRefs};
-pub use materialize::{materialize_reachable, MaterializeStats};
+pub use materialize::materialize_reachable;

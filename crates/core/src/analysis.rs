@@ -13,7 +13,7 @@ use crate::solver::BiSolver;
 use crate::sourcesink::SourceSinkManager;
 use crate::wrappers::TaintWrapper;
 use flowdroid_android::{generate_dummy_main, EntryPointModel, PlatformInfo};
-use flowdroid_callgraph::{materialize_reachable, CallGraph, Hierarchy, Icfg};
+use flowdroid_callgraph::{CallGraph, Icfg};
 use flowdroid_frontend::App;
 use flowdroid_ir::{MethodId, Program};
 use std::sync::OnceLock;
@@ -70,7 +70,7 @@ impl<'a> Infoflow<'a> {
 
     /// Runs the analysis on `program` from the given entry methods.
     pub fn run(&self, program: &Program, entry_points: &[MethodId]) -> InfoflowResults {
-        let cg = CallGraph::build(program, entry_points, self.config.cg_algorithm);
+        let cg = CallGraph::build(program, entry_points);
         let icfg = Icfg::new(program, &cg);
         self.solve(icfg, self.sources, entry_points)
     }
@@ -121,7 +121,7 @@ impl<'a> Infoflow<'a> {
     ///
     /// The slot belongs to one loaded app: every run must load the same
     /// code over the same platform, from the same `main`, under the
-    /// same `cg_algorithm` and `callback_association`.
+    /// same `callback_association`.
     pub fn analyze_app_cached(
         &self,
         program: &mut Program,
@@ -176,17 +176,13 @@ impl<'a> Infoflow<'a> {
             Some(model) => generate_dummy_main(program, platform, model, tag),
             None => main.expect("a run without a model has an entry method"),
         };
-        // Lazily loaded apps: decode any remaining bodies the entry can
-        // reach (the model-building pass above already materialized
-        // per-component slices; this picks up static initializers and
-        // the dummy-main glue). No-op on eager programs.
+        // Lazily loaded apps: the walk decodes the remaining bodies the
+        // entry reaches (the model-building pass above already
+        // materialized per-component slices; this picks up static
+        // initializers and the dummy-main glue). No-op on eager programs.
         let log_mid = program.materialization_log().len();
-        if program.has_pending_bodies() {
-            let hierarchy = Hierarchy::build(program);
-            materialize_reachable(program, &hierarchy, &[entry]);
-        }
+        let cg = CallGraph::build(&mut *program, &[entry]);
         let post_main = program.materialization_log()[log_mid..].to_vec();
-        let cg = CallGraph::build(program, &[entry], self.config.cg_algorithm);
         AppSetup { model, pre_main, entry, post_main, cg }
     }
 

@@ -1,7 +1,6 @@
 //! Analysis configuration.
 
 use flowdroid_android::CallbackAssociation;
-use flowdroid_callgraph::CgAlgorithm;
 use flowdroid_ifds::AbortHandle;
 use std::fmt;
 use std::sync::Arc;
@@ -76,8 +75,6 @@ pub struct InfoflowConfig {
     /// Record predecessor links for leak-path reconstruction (§5:
     /// "reports include full path information").
     pub track_paths: bool,
-    /// Call-graph construction algorithm.
-    pub cg_algorithm: CgAlgorithm,
     /// How callbacks are associated with components (§3).
     pub callback_association: CallbackAssociation,
     /// Budget of recorded forward path edges (0 = unlimited); protects
@@ -112,7 +109,6 @@ impl Default for InfoflowConfig {
             enable_context_injection: true,
             enable_activation_statements: true,
             track_paths: true,
-            cg_algorithm: CgAlgorithm::Cha,
             callback_association: CallbackAssociation::PerComponent,
             max_propagations: 0,
             progress: None,

@@ -1380,11 +1380,7 @@ class P {
     fn check_origins(case: &Case, max_propagations: u64) -> (u64, usize, bool) {
         let config = InfoflowConfig { max_propagations, ..InfoflowConfig::default() };
         let wrapper = TaintWrapper::default_rules();
-        let cg = flowdroid_callgraph::CallGraph::build(
-            &case.program,
-            &[case.entry],
-            config.cg_algorithm,
-        );
+        let cg = flowdroid_callgraph::CallGraph::build(&case.program, &[case.entry]);
         let mut s = BiSolver::new(Icfg::new(&case.program, &cg), &case.sources, &wrapper, &config);
         s.run(&[case.entry]);
         let (walkable, bad) = walk_violations(&mut s, BiSolver::fw_walks_through);
@@ -1529,11 +1525,7 @@ class P {
         let case = plain("heap chain", &heap_chain(6, false), "H");
         let config = InfoflowConfig::default();
         let wrapper = TaintWrapper::default_rules();
-        let cg = flowdroid_callgraph::CallGraph::build(
-            &case.program,
-            &[case.entry],
-            config.cg_algorithm,
-        );
+        let cg = flowdroid_callgraph::CallGraph::build(&case.program, &[case.entry]);
         let mut s = BiSolver::new(Icfg::new(&case.program, &cg), &case.sources, &wrapper, &config);
         s.run(&[case.entry]);
         let (_, bad) = walk_violations(&mut s, BiSolver::fw_walks_through);
@@ -1558,11 +1550,7 @@ class P {
         let case = plain("activating call", ACTIVATING_CALL, "P");
         let config = InfoflowConfig::default();
         let wrapper = TaintWrapper::default_rules();
-        let cg = flowdroid_callgraph::CallGraph::build(
-            &case.program,
-            &[case.entry],
-            config.cg_algorithm,
-        );
+        let cg = flowdroid_callgraph::CallGraph::build(&case.program, &[case.entry]);
         let mut s = BiSolver::new(Icfg::new(&case.program, &cg), &case.sources, &wrapper, &config);
         s.run(&[case.entry]);
         assert!(!s.leaks.is_empty(), "the alias reaches the sink");

@@ -9,7 +9,7 @@
 use flowdroid_android::{
     generate_dummy_main, install_platform, CallbackAssociation, EntryPointModel,
 };
-use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
+use flowdroid_callgraph::{CallGraph, Icfg};
 use flowdroid_core::sourcesink::{matching_sigs, DEFAULT_ANDROID_DEFS};
 use flowdroid_core::wrappers::{Pos, DEFAULT_WRAPPER_RULES};
 use flowdroid_core::{CallRoles, CallSites, SourceSinkManager, TaintWrapper};
@@ -190,7 +190,7 @@ fn check_app(name: &str, manifest: &str, layouts: &[(&str, &str)], code: &str, c
         .collect();
     let model = EntryPointModel::build(&mut p, &platform, &app, CallbackAssociation::PerComponent);
     let dummy = generate_dummy_main(&mut p, &platform, &model, "sites");
-    let cg = CallGraph::build(&p, &[dummy], CgAlgorithm::Cha);
+    let cg = CallGraph::build(&p, &[dummy]);
     let defs = format!("{DEFAULT_ANDROID_DEFS}{EXTRA_DEFS}");
     check(name, &p, &cg, &defs, &password_ids, cov);
 }
@@ -222,7 +222,7 @@ fn securibench_micro_call_sites_agree() {
             parse_jasm(&mut p, &rt, MICRO_ENV).expect("micro env parses");
             parse_jasm(&mut p, &rt, &case.code).expect("micro case parses");
             let entry = p.find_method(&case.entry_class, "main").expect("micro entry");
-            let cg = CallGraph::build(&p, &[entry], CgAlgorithm::Cha);
+            let cg = CallGraph::build(&p, &[entry]);
             check(&case.name, &p, &cg, &defs, &HashSet::new(), &mut cov);
         }
     }

@@ -59,7 +59,7 @@
 use flowdroid_android::{
     generate_dummy_main, install_platform, CallbackAssociation, EntryPointModel,
 };
-use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
+use flowdroid_callgraph::{CallGraph, Icfg};
 use flowdroid_core::solver::BiSolver;
 use flowdroid_core::{CallSites, InfoflowConfig, InfoflowResults, SourceSinkManager, TaintWrapper};
 use flowdroid_frontend::layout::ResourceTable;
@@ -183,7 +183,7 @@ fn solve_chain(k: usize) -> (InfoflowResults, u64, u64) {
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
     let main = p.find_method("S", "main").unwrap();
-    let cg = CallGraph::build(&p, &[main], config.cg_algorithm);
+    let cg = CallGraph::build(&p, &[main]);
     let solver = BiSolver::new(Icfg::new(&p, &cg), &sources, &wrapper, &config);
     counted(|| solver.solve(&[main]))
 }
@@ -303,7 +303,7 @@ fn heap_chain_provenance_stays_linear() {
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
     let main = p.find_method("H", "main").unwrap();
-    let cg = CallGraph::build(&p, &[main], config.cg_algorithm);
+    let cg = CallGraph::build(&p, &[main]);
     let solver = BiSolver::new(Icfg::new(&p, &cg), &sources, &wrapper, &config);
     let (results, allocs, bytes) = counted(|| solver.solve(&[main]));
 
@@ -352,7 +352,7 @@ fn call_dense_chain_walks_past_calls() {
     let wrapper = TaintWrapper::default_rules();
     let config = InfoflowConfig::default();
     let main = p.find_method("S", "main").unwrap();
-    let cg = CallGraph::build(&p, &[main], config.cg_algorithm);
+    let cg = CallGraph::build(&p, &[main]);
     let results = BiSolver::new(Icfg::new(&p, &cg), &sources, &wrapper, &config).solve(&[main]);
 
     assert_eq!(results.leak_count(), 1);
@@ -384,7 +384,7 @@ fn call_site_table_allocates_at_most_two_per_site() {
         let model =
             EntryPointModel::build(&mut p, &platform, &loaded, CallbackAssociation::PerComponent);
         let dummy = generate_dummy_main(&mut p, &platform, &model, "sites");
-        let cg = CallGraph::build(&p, &[dummy], CgAlgorithm::Cha);
+        let cg = CallGraph::build(&p, &[dummy]);
         let icfg = Icfg::new(&p, &cg);
         let (_table, n, _) = counted(|| CallSites::build(&icfg, &sources, &wrapper));
         allocs += n;

@@ -353,11 +353,17 @@ fn lex(src: &str) -> Result<(Vec<Token>, usize), ParseError> {
                     Kind::Ne
                 }
                 b'"' => {
+                    // Escaped line breaks: the literal keeps the line it
+                    // starts on, the tokens after it count them.
+                    let mut breaks = 0;
                     loop {
                         match b.get(i) {
                             None => return Err(err("unterminated string literal", line)),
                             Some(b'"') => break,
-                            Some(b'\\') if i + 1 < b.len() => i += 2,
+                            Some(b'\\') if i + 1 < b.len() => {
+                                breaks += u32::from(b[i + 1] == b'\n');
+                                i += 2;
+                            }
                             Some(b'\n') => return Err(err("newline in string literal", line)),
                             Some(_) => i += 1,
                         }
@@ -370,6 +376,7 @@ fn lex(src: &str) -> Result<(Vec<Token>, usize), ParseError> {
                         end: i as u32 - 1,
                         line,
                     });
+                    line += breaks;
                     continue;
                 }
                 b'@' => {
@@ -2028,13 +2035,18 @@ class K {
     }
 
     #[test]
-    fn an_escaped_newline_stays_in_the_string_and_is_not_counted() {
+    fn an_escaped_newline_stays_in_the_string_and_counts_as_a_line() {
         let src = "class S { method f() -> void {\n let s: java.lang.String\n s = \"a\\\nb\"\n \
                    x = 1\n return } }";
         let err = parse_err(src);
-        // `x = 1` sits on source line 5, but the escaped line break is
-        // part of the literal, so the lexer counts it as line 4.
-        assert_eq!((err.message.as_str(), err.line), ("unknown local `x`", 4));
+        // The escaped line break is part of the literal and still ends
+        // source line 3, so `x = 1` is on line 5.
+        assert_eq!((err.message.as_str(), err.line), ("unknown local `x`", 5));
+        // A literal that starts on line 3 is reported there.
+        let err = parse_err(
+            "class S { method f() -> void {\n let s: java.lang.String\n \"a\\\nb\"\n return } }",
+        );
+        assert_eq!(err.line, 3, "{}", err.message);
         let p = parse_ok("class S { method f() -> void {\n let s: java.lang.String\n s = \"a\\\nb\"\n return } }");
         assert!(matches!(constants(&p, "S")[..], [Constant::Str(sym)] if p.str(sym) == "a\nb"));
     }

@@ -2,9 +2,9 @@
 # Tier-1 verification gate plus solver statistics.
 #
 # Usage: scripts/verify.sh [--full]
-#   default : tier-1 gate (release build + root tests), a compile check
-#             of the evaluation benches, the service dependency gate,
-#             solver stats and the serving smoke
+#   default : tier-1 gate (release build + root tests), compile checks
+#             of the evaluation benches and of perfbench, the service
+#             dependency gate, solver stats and the serving smoke
 #   --full  : additionally runs the whole workspace test suite (every
 #             test binary, even after one fails), the service crate's
 #             tests again in release (their timing-bound tests must
@@ -29,6 +29,22 @@ cargo test -q
 echo "== bench targets compile: cargo check -p flowdroid-bench --benches"
 cargo check -p flowdroid-bench --benches --offline
 
+# perfbench is a package of its own, outside the workspace, that calls
+# the workspace's APIs; an API it uses that goes away must fail here,
+# not at benchmark time. Its committed Cargo.lock is stale and every
+# build rewrites it, so each perfbench step restores it afterwards.
+perfbench_cargo() { # <cargo subcommand and args>
+    local lock status=0
+    lock=$(mktemp)
+    cp perfbench/Cargo.lock "$lock"
+    cargo "$@" --offline --manifest-path perfbench/Cargo.toml || status=$?
+    cp "$lock" perfbench/Cargo.lock
+    rm -f "$lock"
+    return "$status"
+}
+echo "== perfbench compiles: cargo check --release --manifest-path perfbench/Cargo.toml"
+perfbench_cargo check --release
+
 # The daemon runs the job path of flowdroid-core; the benchmark suites
 # and harnesses are linked only by the binaries that serve or sweep
 # them (`flowdroid serve`, `solver_stats`), never by the service crate.
@@ -50,7 +66,7 @@ if [[ "${1:-}" == "--full" ]]; then
     echo "== service tests in release"
     cargo test --release -q -p flowdroid-service
     echo "== perfbench smoke test"
-    cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+    perfbench_cargo test --release -q
     echo "== rustdoc (warnings are errors)"
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
     echo "== clippy (warnings are errors)"

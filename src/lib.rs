@@ -16,7 +16,7 @@
 //! | [`ir`] | Jimple-like three-address IR |
 //! | [`frontend`] | `jasm` text language, XML/manifest/layout parsing, SDEX binary classes, RPK archives |
 //! | [`android`] | platform stubs, component lifecycle, callback discovery, dummy-main generation |
-//! | [`callgraph`] | CHA/RTA call graphs and the interprocedural CFG |
+//! | [`callgraph`] | CHA call graphs and the interprocedural CFG |
 //! | [`ifds`] | IFDS tabulation tables the taint solver drives |
 //! | [`core`] | the taint analysis: bidirectional solvers, access paths, activation statements |
 //! | [`baselines`] | AppScan-like / Fortify-like comparison models |
@@ -76,7 +76,7 @@ pub use flowdroid_securibench as securibench;
 /// The most common imports in one place.
 pub mod prelude {
     pub use flowdroid_android::{install_platform, CallbackAssociation, EntryPointModel};
-    pub use flowdroid_callgraph::{CallGraph, CgAlgorithm, Icfg};
+    pub use flowdroid_callgraph::{CallGraph, Icfg};
     pub use flowdroid_core::{
         AppAnalysis, Infoflow, InfoflowConfig, InfoflowResults, Leak, SourceSinkManager,
         TaintWrapper,

@@ -67,7 +67,7 @@ fn build() -> (Program, flowdroid::ir::MethodId) {
 #[test]
 fn every_lifecycle_method_is_reachable() {
     let (p, main) = build();
-    let cg = CallGraph::build(&p, &[main], CgAlgorithm::Cha);
+    let cg = CallGraph::build(&p, &[main]);
     for name in [
         "onCreate",
         "onStart",
